@@ -1,4 +1,4 @@
-//! A process-wide allocation counter the pipeline samples per stage.
+//! A per-thread allocation counter the pipeline samples per stage.
 //!
 //! The library crates forbid `unsafe`, so the `GlobalAlloc` shim itself
 //! lives in whichever *binary* wants allocation accounting (the scaling
@@ -8,24 +8,34 @@
 //! [`StageStats::allocs`](crate::StageStats). In a binary without an
 //! instrumented allocator the counter simply stays at zero and every
 //! reported delta is zero — the accounting is free to ignore.
+//!
+//! The counter is thread-local: a delta counts the allocations made by the
+//! thread that took both snapshots, and nothing another thread allocated
+//! meanwhile. Under fleet fan-out each worker's stage counts are its own,
+//! and concurrent tests cannot leak into each other's budgets. Work a
+//! route hands to other threads (the engine's `parallel` expansion
+//! fan-out) is charged to those threads, not to the route.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Allocations observed process-wide since start.
-static COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Records one allocation. Called by an instrumented `GlobalAlloc` in the
-/// hosting binary; relaxed ordering — this is a statistics counter, not a
-/// synchronization point.
-#[inline]
-pub fn on_alloc() {
-    COUNT.fetch_add(1, Ordering::Relaxed);
+thread_local! {
+    /// Allocations this thread has made since it started. `const`-
+    /// initialized with no destructor, so reading or bumping it from
+    /// inside a global allocator never allocates or registers anything.
+    static COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The current process-wide allocation count.
+/// Records one allocation on the current thread. Called by an
+/// instrumented `GlobalAlloc` in the hosting binary.
+#[inline]
+pub fn on_alloc() {
+    COUNT.with(|c| c.set(c.get() + 1));
+}
+
+/// The current thread's allocation count.
 #[inline]
 pub fn current() -> u64 {
-    COUNT.load(Ordering::Relaxed)
+    COUNT.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -33,12 +43,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_is_monotonic() {
+    fn counter_counts_exactly_this_threads_allocations() {
         let before = current();
         on_alloc();
         on_alloc();
-        // Other test threads may bump it concurrently; only monotonicity
-        // and our own two increments are guaranteed.
-        assert!(current() >= before + 2);
+        assert_eq!(current(), before + 2);
+        // A pool helper's allocations never show up here.
+        let helper = |_slot: usize| {
+            for _ in 0..5 {
+                on_alloc();
+            }
+        };
+        astdme_par::scope_with(1, &helper, |_running| ());
+        assert_eq!(current(), before + 2);
     }
 }

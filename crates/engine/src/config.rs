@@ -23,8 +23,11 @@ pub struct EngineConfig {
     pub split_samples: usize,
     /// Maximum number of candidates kept per subtree root after pruning.
     pub max_candidates: usize,
-    /// How many child-candidate pairs (ranked by distance) to expand per
-    /// merge.
+    /// How many child-candidate pairs to expand per merge: the cheapest
+    /// by estimated merge cost (distance plus forced snaking or offset
+    /// repair), ties in child-candidate order. Ranking prices pairs in
+    /// distance order and stops once no unpriced pair can make the cut,
+    /// so a small limit also keeps ranking cheap.
     pub pair_limit: usize,
     /// Absolute skew tolerance in seconds for feasibility checks.
     pub skew_tol: f64,

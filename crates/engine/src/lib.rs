@@ -30,9 +30,11 @@
 //! The merge procedure lives in the `merge/` module tree: `merge::node`
 //! (ids and per-node candidate storage), `merge::context` (the `MergeCtx`
 //! expansion view and candidate overlay), `merge::pairing` (constraint
-//! assembly and pair-cost ranking), `merge::cases` (the Fig. 6 case
-//! analysis), `merge::offset` (class fusing and wire sneaking), and
-//! `merge::embed` (top-down embedding); `merge` itself holds
+//! assembly and bounded pair-cost ranking), `merge::expand` (expansion
+//! into one reused candidate list and the in-place commit),
+//! `merge::cases` (the Fig. 6 case analysis), `merge::offset` (class
+//! fusing and wire sneaking), and `merge::embed` (top-down embedding);
+//! `merge` itself holds
 //! [`MergeForest`] and the rank → expand → commit orchestration.
 //!
 //! The central discipline: `MergeForest::merge` never hands `&mut self`

@@ -13,15 +13,16 @@ use super::context::{MergeCtx, Scratch};
 use super::NodeId;
 
 impl MergeCtx<'_> {
-    /// Expands one child-candidate pair into merged candidates. Returns the
-    /// candidates plus the skew residual incurred (0 when solved exactly).
+    /// Expands one child-candidate pair, appending the merged candidates
+    /// to `scratch.cands`. Returns the skew residual incurred (0 when
+    /// solved exactly).
     ///
     /// Mutation is confined to the context's overlay (candidates the
-    /// offset-adjustment machinery derives on existing nodes), which is
-    /// what lets `merge` fan expansions out across threads. `scratch` is
-    /// the caller's buffer set (one per worker): every constraint assembly
-    /// on this path reuses it, so an expansion allocates nothing beyond
-    /// the candidates it produces.
+    /// offset-adjustment machinery derives on existing nodes) and the
+    /// caller's buffers, which is what lets `merge` fan expansions out
+    /// across threads. `scratch` is the caller's buffer set (one per
+    /// worker): constraint assembly reuses it and the candidates land in
+    /// its list, so a fused-groups expansion allocates nothing.
     pub(crate) fn expand_pair(
         &mut self,
         a: NodeId,
@@ -29,11 +30,12 @@ impl MergeCtx<'_> {
         ia: usize,
         ib: usize,
         scratch: &mut Scratch,
-    ) -> (Vec<Candidate>, f64) {
+    ) -> f64 {
         self.shared_constraints_in(a, b, ia, ib, scratch);
         // Cases 1-3 (plus snaking) at the pair as given.
-        if let Some(cands) = self.try_expand_at(a, b, ia, ib, &scratch.cons, &mut scratch.samples) {
-            return (cands, 0.0);
+        let (cons, samples, out) = (&scratch.cons, &mut scratch.samples, &mut scratch.cands);
+        if self.try_expand_at(a, b, ia, ib, cons, samples, out) {
+            return 0.0;
         }
         // Case 4: conflicting δ-windows — only re-balancing inside a child
         // can align the groups (the paper's wire sneaking, Fig. 5).
@@ -55,10 +57,9 @@ impl MergeCtx<'_> {
         }
         if let Some((ia2, ib2)) = self.adjust_offsets(a, b, ia, ib, scratch) {
             self.shared_constraints_in(a, b, ia2, ib2, scratch);
-            if let Some(cands) =
-                self.try_expand_at(a, b, ia2, ib2, &scratch.cons, &mut scratch.samples)
-            {
-                return (cands, 0.0);
+            let (cons, samples, out) = (&scratch.cons, &mut scratch.samples, &mut scratch.cands);
+            if self.try_expand_at(a, b, ia2, ib2, cons, samples, out) {
+                return 0.0;
             }
         }
         // Best effort: minimize the worst window violation.
@@ -69,13 +70,15 @@ impl MergeCtx<'_> {
         // reused the buffers); assembly is deterministic, so this is the
         // same constraint set the first attempt saw.
         self.shared_constraints_in(a, b, ia, ib, scratch);
-        self.best_effort(a, b, ia, ib, &scratch.cons)
+        self.best_effort(a, b, ia, ib, &scratch.cons, &mut scratch.cands)
     }
 
     /// Cases 1-3 plus snaking for one concrete pair: sample the feasible
     /// splits at the geometric distance, else at the minimum total wire
-    /// that restores feasibility (the snaking detour). `None` means the
-    /// δ-windows conflict outright and case 4 must take over.
+    /// that restores feasibility (the snaking detour), appending them to
+    /// `out`. `false` (nothing appended) means the δ-windows conflict
+    /// outright and case 4 must take over.
+    #[allow(clippy::too_many_arguments)] // the pair plus its constraint set and two buffers
     fn try_expand_at(
         &self,
         a: NodeId,
@@ -84,24 +87,34 @@ impl MergeCtx<'_> {
         ib: usize,
         cons: &[SharedConstraint],
         samples: &mut Vec<f64>,
-    ) -> Option<Vec<Candidate>> {
+        out: &mut Vec<Candidate>,
+    ) -> bool {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
         let d = ca.region.distance(&cb.region);
         let (cap_a, cap_b) = (ca.cap, cb.cap);
         let set = feasible_splits(self.model, cap_a, cap_b, d, cons, self.cfg.skew_tol);
         if !set.is_empty() {
-            return Some(self.sample_candidates(a, b, ia, ib, d, &set, samples));
+            self.sample_candidates(a, b, ia, ib, d, &set, samples, out);
+            return true;
         }
-        let t = min_total_for_feasibility(self.model, cap_a, cap_b, d, cons, self.cfg.skew_tol)?;
+        let Some(t) =
+            min_total_for_feasibility(self.model, cap_a, cap_b, d, cons, self.cfg.skew_tol)
+        else {
+            return false;
+        };
         let t = t + (t * 1e-12).max(1e-9);
         let set = feasible_splits(self.model, cap_a, cap_b, t, cons, self.cfg.skew_tol);
-        (!set.is_empty()).then(|| self.sample_candidates(a, b, ia, ib, t, &set, samples))
+        if set.is_empty() {
+            return false;
+        }
+        self.sample_candidates(a, b, ia, ib, t, &set, samples, out);
+        true
     }
 
-    /// Builds candidates for sampled splits of a feasible set. `samples`
-    /// is a reused staging buffer (cleared here).
-    #[allow(clippy::too_many_arguments)] // mirrors build_candidate's pair/split args plus the buffer
-    pub(crate) fn sample_candidates(
+    /// Appends candidates for sampled splits of a feasible set to `out`.
+    /// `samples` is a reused staging buffer (cleared here).
+    #[allow(clippy::too_many_arguments)] // mirrors build_candidate's pair/split args plus the buffers
+    fn sample_candidates(
         &self,
         a: NodeId,
         b: NodeId,
@@ -110,15 +123,13 @@ impl MergeCtx<'_> {
         total: f64,
         set: &astdme_delay::IntervalSet,
         samples: &mut Vec<f64>,
-    ) -> Vec<Candidate> {
+        out: &mut Vec<Candidate>,
+    ) {
         set.sample_into(self.cfg.split_samples, samples);
-        samples
-            .iter()
-            .map(|&ea| {
-                let ea = ea.clamp(0.0, total);
-                self.build_candidate(a, b, ia, ib, ea, total - ea)
-            })
-            .collect()
+        out.extend(samples.iter().map(|&ea| {
+            let ea = ea.clamp(0.0, total);
+            self.build_candidate(a, b, ia, ib, ea, total - ea)
+        }));
     }
 
     /// Constructs the merged candidate for an explicit wire split.
@@ -151,15 +162,17 @@ impl MergeCtx<'_> {
     }
 
     /// Fallback when offsets cannot be aligned: merge at the δ minimizing
-    /// the worst window violation and record the residual.
-    pub(crate) fn best_effort(
+    /// the worst window violation, appending the one candidate to `out`,
+    /// and return the residual.
+    fn best_effort(
         &self,
         a: NodeId,
         b: NodeId,
         ia: usize,
         ib: usize,
         cons: &[SharedConstraint],
-    ) -> (Vec<Candidate>, f64) {
+        out: &mut Vec<Candidate>,
+    ) -> f64 {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
         let d = ca.region.distance(&cb.region);
         // Minimax point over the windows: midpoint of [max lo, min hi].
@@ -200,9 +213,7 @@ impl MergeCtx<'_> {
             .monotone_root(Interval::new(0.0, total))
             .unwrap_or(0.5 * total)
             .clamp(0.0, total);
-        (
-            vec![self.build_candidate(a, b, ia, ib, ea, total - ea)],
-            residual,
-        )
+        out.push(self.build_candidate(a, b, ia, ib, ea, total - ea));
+        residual
     }
 }

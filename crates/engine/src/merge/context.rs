@@ -20,9 +20,10 @@
 //!    the old single-borrow serial code produced, which is what keeps
 //!    serial and parallel builds routing identical trees.
 //!
-//! Per-worker [`Scratch`] buffers (constraint assembly) are threaded as
-//! explicit `&mut` parameters rather than stored in the context, so a
-//! context can hand out `&Candidate` borrows while a callee fills buffers.
+//! Per-worker [`Scratch`] buffers (constraint assembly, the merged
+//! candidate list) are threaded as explicit `&mut` parameters rather than
+//! stored in the context, so a context can hand out `&Candidate` borrows
+//! while a callee fills buffers.
 
 use astdme_delay::{DelayModel, SharedConstraint};
 
@@ -31,10 +32,11 @@ use crate::{Candidate, EngineConfig, GroupId};
 use super::node::Node;
 use super::NodeId;
 
-/// Reusable buffers for the hot constraint-assembly path
-/// ([`MergeCtx::pair_cost_estimate`]): per-call `Vec` allocations in the
-/// inner loop of `merge` showed up as a constant-factor tax, so the forest
-/// carries one scratch set and the parallel paths create one per worker.
+/// Reusable buffers for one merge, carried by the forest between merges
+/// so the hot path allocates nothing per pair or per ranking: constraint
+/// assembly, the bounded pair ranking, and the single candidate list every
+/// expansion appends to and the commit, prune and class fusion then work
+/// on in place. The parallel expansion path creates one per worker.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     pub(crate) ea: Vec<(u32, f64, f64, f64)>,
@@ -42,8 +44,17 @@ pub(crate) struct Scratch {
     pub(crate) cons: Vec<SharedConstraint>,
     /// Split-sample staging for `sample_candidates`.
     pub(crate) samples: Vec<f64>,
-    /// Candidate-index-pair staging for `rank_candidate_pairs`.
-    pub(crate) index_pairs: Vec<(usize, usize)>,
+    /// Pair distances `(d, ia * nb + ib)` for the bounded ranking
+    /// (`rank_pairs`).
+    pub(crate) dists: Vec<(f64, usize)>,
+    /// The ranked pairs a merge expands, `(cost, ia, ib)` cheapest first.
+    pub(crate) ranked: Vec<(f64, usize, usize)>,
+    /// Merged candidates of every expansion, in ranked-pair order: the
+    /// expansions append here, and the commit, `prune` and class fusion
+    /// rewrite it in place before the new node takes the kept candidates.
+    pub(crate) cands: Vec<Candidate>,
+    /// One record per expansion, in ranked-pair order.
+    pub(crate) exps: Vec<Expansion>,
     /// Commit-phase node snapshots/bases (`commit_expansions`): small
     /// `(node, count)` association lists reused across merges.
     pub(crate) snap: Vec<(usize, usize)>,
@@ -192,11 +203,13 @@ pub(crate) fn class_of_in(class_parent: &[u32], g: GroupId) -> u32 {
     c
 }
 
-/// The result of expanding one child-candidate pair: the merged candidates
-/// (with provenance indices still overlay-local), the skew residual
-/// incurred, and the overlay of candidates derived on existing nodes.
+/// The bookkeeping of one pair expansion: where its merged candidates end
+/// in [`Scratch::cands`] (they start at the previous expansion's end;
+/// provenance indices still overlay-local), the skew residual incurred,
+/// and the overlay of candidates derived on existing nodes.
+#[derive(Debug, Clone)]
 pub(crate) struct Expansion {
-    pub(crate) cands: Vec<Candidate>,
+    pub(crate) end: usize,
     pub(crate) residual: f64,
     pub(crate) overlay: Overlay,
 }

@@ -1,13 +1,16 @@
-//! Candidate-pair expansion fan-out and the deterministic commit.
+//! Candidate-pair expansion and the deterministic commit.
 //!
 //! Split from `mod.rs` (which keeps the `merge` orchestration): this file
-//! owns the expand -> commit half of a merge — fanning ranked pairs out
-//! against their own [`MergeCtx`](super::context::MergeCtx) snapshots
-//! (in parallel under the `parallel` feature), replaying each pair's
-//! overlay in ranked order so the committed candidate contents *and
-//! indices* reproduce the serial build bit-for-bit, and pruning the
-//! merged node's candidate list. See the module docs in `mod.rs` for the
-//! borrow discipline that makes expansions independent.
+//! owns the expand -> commit half of a merge. Every ranked pair is
+//! expanded against its own [`MergeCtx`](super::context::MergeCtx)
+//! snapshot, appending its merged candidates to the one reused list in
+//! [`Scratch::cands`] (in parallel under the `parallel` feature, through
+//! per-pair lists appended in ranked order). The commit then replays each
+//! pair's overlay in ranked order and remaps provenance in place, so the
+//! committed candidate contents *and indices* reproduce the serial build
+//! bit-for-bit, and `prune` sorts, dedups and truncates the same list.
+//! See the module docs in `mod.rs` for the borrow discipline that makes
+//! expansions independent.
 
 use crate::{CandKind, Candidate};
 
@@ -15,109 +18,110 @@ use super::context::{Expansion, Scratch};
 use super::{MergeForest, NodeId};
 
 impl MergeForest {
-    /// Expands every ranked pair against its own [`MergeCtx`]. With the
-    /// `parallel` feature this is the candidate-pair *expansion* fan-out:
-    /// each pair's case analysis runs on its own thread (expansions are
-    /// independent by the borrow discipline), and the deterministic commit
-    /// keeps results bit-identical to the serial build.
+    /// Expands every pair in `scratch.ranked`, filling `scratch.cands` and
+    /// `scratch.exps`. With the `parallel` feature this is the
+    /// candidate-pair *expansion* fan-out: each pair's case analysis runs
+    /// on its own thread (expansions are independent by the borrow
+    /// discipline) into its own list, and the lists are appended in ranked
+    /// order, so the commit sees exactly what the serial build produces.
     #[cfg(feature = "parallel")]
-    pub(super) fn expand_pairs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
+    pub(super) fn expand_pairs(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
         // Fan out only on *large* merges: a typical expansion is cheaper
-        // than a thread spawn, and `merge` runs n-1 times per route, so
-        // unconditional spawning would make the parallel build slower than
-        // serial on multicore machines. The candidate-pair product is the
-        // same work proxy the pair-cost path thresholds on (64): when the
-        // children carry that many candidate combinations, the per-pair
-        // case analysis (sampling, snaking search, offset adjustment) is
-        // heavy enough to amortize the spawns.
+        // than a thread hand-off, and `merge` runs n-1 times per route, so
+        // unconditional fan-out would make the parallel build slower than
+        // serial on multicore machines. When the children carry this many
+        // candidate combinations, the per-pair case analysis (sampling,
+        // snaking search, offset adjustment) is heavy enough to amortize
+        // the hand-offs.
         const EXPAND_WORK_THRESHOLD: usize = 64;
         let work = self.nodes[a.0].cands.len() * self.nodes[b.0].cands.len();
-        if pairs.len() < 2 || work < EXPAND_WORK_THRESHOLD {
-            return self.expand_pairs_serial(a, b, pairs);
+        if scratch.ranked.len() < 2 || work < EXPAND_WORK_THRESHOLD {
+            return self.expand_pairs_serial(a, b, scratch);
         }
         // One scratch per worker thread, reused across its whole chunk
         // (the forest's shared scratch cannot cross threads).
-        astdme_par::par_map_with(pairs, 2, Scratch::default, |scratch, &(_, ia, ib)| {
-            self.expand_one(a, b, ia, ib, scratch)
-        })
-    }
-
-    /// Expands every ranked pair against its own [`MergeCtx`] (serial
-    /// build).
-    #[cfg(not(feature = "parallel"))]
-    pub(super) fn expand_pairs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
-        self.expand_pairs_serial(a, b, pairs)
-    }
-
-    /// Serial expansion, reusing the forest's scratch across all pairs so
-    /// the hot path allocates no per-pair buffers.
-    fn expand_pairs_serial(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        pairs: &[(f64, usize, usize)],
-    ) -> Vec<Expansion> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = pairs
-            .iter()
-            .map(|&(_, ia, ib)| self.expand_one(a, b, ia, ib, &mut scratch))
-            .collect();
-        self.scratch = scratch;
-        out
-    }
-
-    fn expand_one(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        ia: usize,
-        ib: usize,
-        scratch: &mut Scratch,
-    ) -> Expansion {
-        let mut ctx = self.ctx();
-        let (cands, residual) = ctx.expand_pair(a, b, ia, ib, scratch);
-        Expansion {
-            cands,
-            residual,
-            overlay: ctx.into_overlay(),
+        let per_pair = astdme_par::par_map_with(
+            &scratch.ranked,
+            2,
+            Scratch::default,
+            |local, &(_, ia, ib)| {
+                let mut ctx = self.ctx();
+                local.cands.clear();
+                let residual = ctx.expand_pair(a, b, ia, ib, local);
+                (
+                    std::mem::take(&mut local.cands),
+                    residual,
+                    ctx.into_overlay(),
+                )
+            },
+        );
+        scratch.cands.clear();
+        scratch.exps.clear();
+        for (cands, residual, overlay) in per_pair {
+            scratch.cands.extend(cands);
+            scratch.exps.push(Expansion {
+                end: scratch.cands.len(),
+                residual,
+                overlay,
+            });
         }
     }
 
-    /// Commits expansions in ranked-pair order: overlay candidates are
-    /// appended to their nodes and every overlay-local provenance index is
-    /// remapped to its final position. Because expansions are computed
-    /// against the pre-merge snapshot and replayed in pair order, the
-    /// final candidate contents *and indices* are exactly what the old
-    /// single-borrow serial loop produced.
+    /// Expands every pair in `scratch.ranked` (serial build).
+    #[cfg(not(feature = "parallel"))]
+    pub(super) fn expand_pairs(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
+        self.expand_pairs_serial(a, b, scratch)
+    }
+
+    /// Serial expansion: every pair appends straight into `scratch.cands`,
+    /// so the hot path allocates no per-pair buffers.
+    fn expand_pairs_serial(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
+        scratch.cands.clear();
+        scratch.exps.clear();
+        for i in 0..scratch.ranked.len() {
+            let (_, ia, ib) = scratch.ranked[i];
+            let mut ctx = self.ctx();
+            let residual = ctx.expand_pair(a, b, ia, ib, scratch);
+            scratch.exps.push(Expansion {
+                end: scratch.cands.len(),
+                residual,
+                overlay: ctx.into_overlay(),
+            });
+        }
+    }
+
+    /// Commits `scratch.exps` in ranked-pair order: overlay candidates are
+    /// appended to their nodes, and every overlay-local provenance index —
+    /// in the overlays and in `scratch.cands` — is remapped to its final
+    /// position. Because expansions are computed against the pre-merge
+    /// snapshot and replayed in pair order, the final candidate contents
+    /// *and indices* are exactly what the old single-borrow serial loop
+    /// produced. Returns the worst residual.
     ///
     /// With `record` set, additionally returns the per-node append slices
     /// `(node, start, len)` this commit wrote (empty otherwise) — the raw
-    /// material of a [`MergeLog`].
+    /// material of a [`MergeLog`](super::MergeLog).
     pub(super) fn commit_expansions(
         &mut self,
         a: NodeId,
         b: NodeId,
-        expansions: Vec<Expansion>,
+        scratch: &mut Scratch,
         record: bool,
-    ) -> (Vec<Candidate>, f64, Vec<(u32, u32, u32)>) {
+    ) -> (f64, Vec<(u32, u32, u32)>) {
+        let Scratch {
+            cands,
+            exps,
+            snap,
+            bases,
+            ..
+        } = scratch;
         // Pre-commit candidate counts of every overlay-touched node: any
         // provenance index below the snapshot refers to a committed
         // candidate; anything at or above is overlay-local to its pair.
         // Expansions touch a handful of nodes, so `(node, count)`
         // association lists (reused via scratch) beat hash maps here.
-        let mut snap = std::mem::take(&mut self.scratch.snap);
         snap.clear();
-        for exp in &expansions {
+        for exp in exps.iter() {
             for n in exp.overlay.nodes() {
                 if !snap.iter().any(|&(sn, _)| sn == n) {
                     snap.push((n, self.nodes[n].cands.len()));
@@ -143,10 +147,9 @@ impl MergeForest {
                 _ => idx,
             }
         }
-        let mut bases = std::mem::take(&mut self.scratch.bases);
-        let mut cands: Vec<Candidate> = Vec::new();
         let mut worst_residual = 0.0f64;
-        for exp in expansions {
+        let mut start = 0;
+        for exp in exps.drain(..) {
             worst_residual = worst_residual.max(exp.residual);
             // Committed index of this expansion's first overlay candidate,
             // per node.
@@ -156,21 +159,21 @@ impl MergeForest {
                     let (l, r) = self.nodes[n]
                         .children
                         .expect("overlay candidates extend merge nodes");
-                    *cand_a = remap(&bases, &snap, l.0, *cand_a);
-                    *cand_b = remap(&bases, &snap, r.0, *cand_b);
+                    *cand_a = remap(bases, snap, l.0, *cand_a);
+                    *cand_b = remap(bases, snap, r.0, *cand_b);
                 }
                 if !bases.iter().any(|&(bn, _)| bn == n) {
                     bases.push((n, self.nodes[n].cands.len()));
                 }
                 self.nodes[n].push_candidate(cand);
             }
-            for mut cand in exp.cands {
+            for cand in &mut cands[start..exp.end] {
                 if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
-                    *cand_a = remap(&bases, &snap, a.0, *cand_a);
-                    *cand_b = remap(&bases, &snap, b.0, *cand_b);
+                    *cand_a = remap(bases, snap, a.0, *cand_a);
+                    *cand_b = remap(bases, snap, b.0, *cand_b);
                 }
-                cands.push(cand);
             }
+            start = exp.end;
         }
         let mut appends = Vec::new();
         if record {
@@ -183,9 +186,7 @@ impl MergeForest {
         }
         snap.clear();
         bases.clear();
-        self.scratch.snap = snap;
-        self.scratch.bases = bases;
-        (cands, worst_residual, appends)
+        (worst_residual, appends)
     }
 
     /// Keeps the `k` most promising candidates: cheapest wirelength first,

@@ -19,14 +19,32 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse) |
-//! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay summaries |
-//! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, per-worker `Scratch` buffers |
-//! | `expand` | the expansion fan-out (parallel under the `parallel` feature), the deterministic overlay-replay commit, candidate pruning |
-//! | `pairing` | shared-constraint assembly, pair-cost estimation, cheapest-first candidate-pair ranking |
+//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse → exact-size node) |
+//! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay / finiteness summaries |
+//! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, the `Scratch` buffers a merge reuses |
+//! | `expand` | expansion into the scratch candidate list (parallel under the `parallel` feature), the in-place overlay-replay commit, candidate pruning |
+//! | `pairing` | shared-constraint assembly, pair-cost estimation, the bounded cheapest-first pair ranking |
 //! | `cases` | the Fig. 6 case analysis: feasible splits, snaking, best-effort fallback |
 //! | `offset` | class fusing (steps 6–7) and recursive offset adjustment / wire sneaking |
 //! | `embed` | top-down embedding of a finished root into a [`RoutedTree`] |
+//!
+//! # One merge, one allocation
+//!
+//! A merge works in the forest's `Scratch` and allocates once, for the
+//! new node's candidate list:
+//!
+//! 1. **Rank** — `rank_pairs` prices child-candidate pairs in order of
+//!    their region distance, which bounds every pair's cost from below,
+//!    and stops once no unpriced pair can enter the top `pair_limit`.
+//!    The result is exactly that of stably sorting every pair's cost;
+//!    nodes or class state carrying a non-finite value price every pair.
+//! 2. **Expand** — each ranked pair appends its merged candidates to the
+//!    one scratch candidate list.
+//! 3. **Commit** — overlays replay onto their nodes and provenance is
+//!    remapped in place in that list; `prune` and class fusion then sort,
+//!    dedup, truncate and filter the same list.
+//! 4. The new node takes the kept candidates in an exact-size list, so a
+//!    finished forest holds its candidates' bytes and no spare capacity.
 //!
 //! # Borrow discipline (and why expansion parallelizes)
 //!
@@ -37,9 +55,11 @@
 //! adjustment re-deriving child candidates) goes into the context's
 //! private overlay. Expansions only ever read state that predates the
 //! merge call, so they are independent; under the `parallel` feature they
-//! fan out through [`astdme_par::par_map`] and the commit phase replays
-//! the overlays in ranked-pair order, reproducing the serial result
-//! bit-for-bit. See `context` for details.
+//! fan out through [`astdme_par::par_map_with`] into per-pair lists that
+//! are appended to the scratch list in ranked order, and the commit
+//! replays the overlays in that order, reproducing the serial result
+//! bit-for-bit. Ranking stays serial: it prices a few pairs per merge.
+//! See `context` for details.
 
 use astdme_delay::DelayModel;
 use astdme_geom::{Point, Trr};
@@ -85,6 +105,10 @@ pub struct MergeForest {
     // reference (adjusted delay = real delay - phi).
     class_parent: Vec<u32>,
     phi: Vec<f64>,
+    /// Whether `bounds`, `phi` and the skew tolerance are all finite — the
+    /// forest half of the bounded ranking's precondition (the node half is
+    /// cached per node). Refreshed whenever `phi` changes.
+    finite_state: bool,
     scratch: Scratch,
 }
 
@@ -93,7 +117,7 @@ impl MergeForest {
     /// bounds (seconds, indexed by group).
     pub fn new(model: DelayModel, bounds: Vec<f64>, cfg: EngineConfig) -> Self {
         let k = bounds.len();
-        Self {
+        let mut f = Self {
             nodes: Vec::new(),
             model,
             bounds,
@@ -102,8 +126,17 @@ impl MergeForest {
             residual: 0.0,
             class_parent: (0..k as u32).collect(),
             phi: vec![0.0; k],
+            finite_state: false,
             scratch: Scratch::default(),
-        }
+        };
+        f.refresh_finite_state();
+        f
+    }
+
+    /// Recomputes [`MergeForest::finite_state`] after `phi` changed.
+    fn refresh_finite_state(&mut self) {
+        self.finite_state = self.cfg.skew_tol.is_finite()
+            && self.bounds.iter().chain(&self.phi).all(|x| x.is_finite());
     }
 
     /// Creates a forest for `inst` using its RC technology under the Elmore
@@ -259,30 +292,15 @@ impl MergeForest {
     fn merge_impl(&mut self, a: NodeId, b: NodeId, mut rec: Option<&mut MergeRecording>) -> NodeId {
         assert!(a != b, "cannot merge a node with itself");
         // Rank child-candidate pairs by estimated merge cost (distance plus
-        // forced snaking / conflict-resolution cost); expand the best few.
-        // NaN costs sort last (total_cmp); as long as any finite-cost pair
-        // exists, NaN pairs are dropped here so poisoned estimates never
-        // reach expansion (where their NaN wirelengths would panic the
-        // pruning sort). An all-NaN ranking keeps the first pair and lets
-        // the audit flag the poisoned result downstream.
-        let mut pairs = self.rank_candidate_pairs(a, b);
-        if !pairs[0].0.is_nan() {
-            pairs.truncate(
-                pairs
-                    .iter()
-                    .position(|p| p.0.is_nan())
-                    .unwrap_or(pairs.len()),
-            );
-        } else {
-            pairs.truncate(1);
-        }
-        pairs.truncate(self.cfg.pair_limit);
-
-        let expansions = self.expand_pairs(a, b, &pairs);
-        let (mut cands, worst_residual, appends) =
-            self.commit_expansions(a, b, expansions, rec.is_some());
+        // forced snaking / conflict-resolution cost); expand the best few
+        // into the scratch candidate list and commit them in place.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let bounded = self.ranking_is_bounded(a, b);
+        self.ctx().rank_pairs(a, b, bounded, &mut scratch);
+        self.expand_pairs(a, b, &mut scratch);
+        let (worst_residual, appends) = self.commit_expansions(a, b, &mut scratch, rec.is_some());
         if self.cfg.debug {
-            if let Some(c) = cands.first() {
+            if let Some(c) = scratch.cands.first() {
                 let d = self.nodes[a.0].cands[0]
                     .region
                     .distance(&self.nodes[b.0].cands[0].region);
@@ -297,27 +315,31 @@ impl MergeForest {
                 }
             }
         }
-        if cands.is_empty() {
+        if scratch.cands.is_empty() {
             // All pairs failed even best-effort: should be unreachable, but
             // degrade gracefully with the closest pair at face value.
-            let (_, ia, ib) = pairs[0];
+            let (_, ia, ib) = scratch.ranked[0];
             let d = self.nodes[a.0].cands[ia]
                 .region
                 .distance(&self.nodes[b.0].cands[ib].region);
             let half = 0.5 * d;
             let fallback = self.ctx().build_candidate(a, b, ia, ib, half, d - half);
-            cands.push(fallback);
+            scratch.cands.push(fallback);
         }
-        Self::prune(&mut cands, self.cfg.max_candidates);
+        Self::prune(&mut scratch.cands, self.cfg.max_candidates);
         self.residual = self.residual.max(worst_residual);
         let epoch_before = rec.as_ref().map_or(0, |r| r.epoch());
         if self.cfg.fuse_groups {
-            self.fuse_classes(&mut cands);
+            self.fuse_classes(&mut scratch);
         }
         let epoch_after = match rec.as_mut() {
             Some(r) if self.cfg.fuse_groups => r.note_class_state(&self.class_parent, &self.phi),
             _ => epoch_before,
         };
+        // The node takes exactly the kept candidates (one exact-size
+        // allocation per merge); the scratch list keeps its capacity.
+        let cands: Vec<Candidate> = scratch.cands.drain(..).collect();
+        self.scratch = scratch;
         let id = NodeId(self.nodes.len());
         let creation_len = cands.len();
         self.nodes.push(Node::new(cands, Some((a, b)), None));

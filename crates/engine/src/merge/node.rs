@@ -1,5 +1,6 @@
 //! Forest nodes: stable ids, per-node candidate storage, and the cached
-//! hull / max-delay summaries the incremental planner queries every round.
+//! hull / max-delay / finiteness summaries the incremental planner and the
+//! bounded pair ranking query every merge.
 
 use astdme_geom::Trr;
 
@@ -40,6 +41,11 @@ pub(crate) struct Node {
     /// way. Both fields exist so the planner's per-round queries are O(1)
     /// instead of O(candidates).
     pub(crate) max_delay: f64,
+    /// Whether every candidate's region, load and delay ranges are finite,
+    /// maintained the same way. The bounded pair ranking relies on finite
+    /// inputs (see `pairing`); a node that ever carried a NaN or infinity
+    /// sends its merges down the price-every-pair fallback.
+    pub(crate) finite: bool,
 }
 
 impl Node {
@@ -54,12 +60,14 @@ impl Node {
             hull = hull.hull(&c.region);
         }
         let max_delay = cands.iter().map(cand_max_delay).fold(0.0, f64::max);
+        let finite = cands.iter().all(cand_finite);
         Self {
             cands,
             children,
             sink,
             hull,
             max_delay,
+            finite,
         }
     }
 
@@ -67,10 +75,22 @@ impl Node {
     pub(crate) fn push_candidate(&mut self, cand: Candidate) {
         self.hull = self.hull.hull(&cand.region);
         self.max_delay = self.max_delay.max(cand_max_delay(&cand));
+        self.finite &= cand_finite(&cand);
         self.cands.push(cand);
     }
 }
 
 pub(crate) fn cand_max_delay(c: &Candidate) -> f64 {
     c.delays.overall_range().map_or(0.0, |r| r.hi)
+}
+
+/// Whether everything a pair-cost estimate reads from `c` is finite.
+fn cand_finite(c: &Candidate) -> bool {
+    let (u, v) = (c.region.u(), c.region.v());
+    [u.lo(), u.hi(), v.lo(), v.hi(), c.cap]
+        .iter()
+        .all(|x| x.is_finite())
+        && c.delays
+            .iter()
+            .all(|(_, r)| r.lo.is_finite() && r.hi.is_finite())
 }

@@ -307,26 +307,32 @@ impl MergeForest {
     /// Fuses the effective classes co-resident in a freshly merged node
     /// (Fig. 6 steps 6-7): the best candidate's realized inter-class offset
     /// becomes the prescribed offset; candidates realizing a different
-    /// offset are dropped (they would violate the prescription downstream).
+    /// offset are dropped from `scratch.cands` (they would violate the
+    /// prescription downstream). The class hulls go through the scratch
+    /// entry buffers, so fusing allocates nothing.
     ///
     /// Runs in the commit phase, after expansion: this is the one place
     /// the merge path mutates class state, so it stays on `&mut self`.
-    pub(super) fn fuse_classes(&mut self, cands: &mut Vec<Candidate>) {
-        let classes = self.effective_entries(&cands[0].delays);
+    pub(super) fn fuse_classes(&mut self, scratch: &mut Scratch) {
+        let Scratch { ea, eb, cands, .. } = scratch;
+        let entries = |delays: &DelayMap, out: &mut Vec<(u32, f64, f64, f64)>| {
+            effective_entries_into(&self.class_parent, &self.phi, &self.bounds, delays, out)
+        };
+        entries(&cands[0].delays, ea);
         debug_assert!(
-            classes.len() <= 2,
+            ea.len() <= 2,
             "children each carry one class, so a merge sees at most two"
         );
-        if classes.len() != 2 {
+        if ea.len() != 2 {
             return;
         }
-        let (keep, absorb) = (classes[0].0, classes[1].0);
-        let delta = classes[1].1 - classes[0].1;
+        let (keep, absorb) = (ea[0].0, ea[1].0);
+        let delta = ea[1].1 - ea[0].1;
         // Retain offset-consistent candidates (the best always is).
         let keep_tol = self.cfg.skew_tol.max(1e-12 * delta.abs());
         cands.retain(|c| {
-            let e = self.effective_entries(&c.delays);
-            e.len() == 2 && (e[1].1 - e[0].1 - delta).abs() <= keep_tol
+            entries(&c.delays, eb);
+            eb.len() == 2 && (eb[1].1 - eb[0].1 - delta).abs() <= keep_tol
         });
         debug_assert!(!cands.is_empty(), "best candidate is always consistent");
         // Prescribe: adjusted delays of the absorbed class align with the
@@ -337,19 +343,6 @@ impl MergeForest {
             }
         }
         self.class_parent[absorb as usize] = keep;
-    }
-
-    /// Per-class adjusted delay hulls of a delay map:
-    /// `(class, adj_lo, adj_hi, min member bound)`, ascending by class.
-    fn effective_entries(&self, delays: &DelayMap) -> Vec<(u32, f64, f64, f64)> {
-        let mut out = Vec::with_capacity(delays.group_count());
-        effective_entries_into(
-            &self.class_parent,
-            &self.phi,
-            &self.bounds,
-            delays,
-            &mut out,
-        );
-        out
+        self.refresh_finite_state();
     }
 }

@@ -1,6 +1,9 @@
 //! Candidate-pair selection: shared-constraint assembly, merge-cost
-//! estimation, and the cheapest-first ranking that decides which child
-//! candidate pairs a merge expands.
+//! estimation, and the bounded cheapest-first ranking that decides which
+//! child candidate pairs a merge expands. The ranking prices pairs in
+//! distance order and stops as soon as no unpriced pair can enter the
+//! top `pair_limit`, which on typical merges prices a few pairs out of
+//! dozens.
 
 use astdme_delay::{intersect_delta_windows, SharedConstraint};
 
@@ -123,6 +126,10 @@ impl MergeCtx<'_> {
     /// engine prefer offset-compatible partners — the quantity the paper's
     /// "minimum merging-cost" scheme needs on difficult instances.
     ///
+    /// Every branch returns the distance `d`, `d.max(x)` or `d + ext` with
+    /// `ext >= 0`, so on finite inputs the estimate is a number no smaller
+    /// than `d` — the bound [`MergeCtx::rank_pairs`] prunes with.
+    ///
     /// Takes an explicit [`Scratch`] because this is the innermost loop of
     /// `merge`: the constraint assembly reuses the caller's buffers
     /// instead of allocating per call.
@@ -170,86 +177,69 @@ impl MergeCtx<'_> {
         }
     }
 
-    /// Cost estimates for every listed index pair. With the `parallel`
-    /// feature, large pair sets fan out over threads (each worker with its
-    /// own [`Scratch`]); results are identical to the serial path.
-    #[cfg(feature = "parallel")]
-    pub(crate) fn pair_costs(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        index_pairs: &[(usize, usize)],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
-        // Below the fan-out threshold, thread spawns cost more than the
-        // estimates; reuse the shared scratch serially as the default
-        // build does. Above it, each worker thread builds one scratch and
-        // reuses it across its whole chunk (the shared one cannot cross
-        // threads).
-        const PAR_THRESHOLD: usize = 64;
-        if index_pairs.len() < PAR_THRESHOLD {
-            return self.pair_costs_serial(a, b, index_pairs, scratch);
+    /// Ranks the child-candidate pairs of merging `a` with `b` into
+    /// `scratch.ranked`: the `pair_limit` cheapest by estimated cost,
+    /// cheapest first, ties in row-major `(ia, ib)` order. NaN estimates
+    /// rank by `total_cmp`; if the cheapest pair is NaN it is kept alone,
+    /// otherwise every NaN pair is dropped, so poisoned estimates never
+    /// reach expansion (where their NaN wirelengths would panic the
+    /// pruning sort) and an all-NaN ranking surfaces in the audit instead.
+    ///
+    /// With `bounded` set the caller vouches that every input is finite,
+    /// so each estimate is a number no smaller than its pair's distance
+    /// `d`. Pairs are then priced in order of `d` and pricing stops once
+    /// the next `d` exceeds the current `pair_limit`-th cost: no unpriced
+    /// pair can beat it (equal `d`s may price in any order; the insertion
+    /// breaks cost ties by index). Without `bounded` every pair is priced.
+    /// Either way the result equals stably sorting all pairs by
+    /// `total_cmp` cost and truncating as above.
+    pub(crate) fn rank_pairs(&self, a: NodeId, b: NodeId, bounded: bool, scratch: &mut Scratch) {
+        let k = self.cfg.pair_limit;
+        let nb = self.nodes[b.0].cands.len();
+        let mut dists = std::mem::take(&mut scratch.dists);
+        let mut ranked = std::mem::take(&mut scratch.ranked);
+        dists.clear();
+        ranked.clear();
+        for (ia, ca) in self.nodes[a.0].cands.iter().enumerate() {
+            for (ib, cb) in self.nodes[b.0].cands.iter().enumerate() {
+                dists.push((ca.region.distance(&cb.region), ia * nb + ib));
+            }
         }
-        astdme_par::par_map_with(
-            index_pairs,
-            PAR_THRESHOLD,
-            Scratch::default,
-            |scratch, &(ia, ib)| self.pair_cost_estimate(a, b, ia, ib, scratch),
-        )
-    }
-
-    /// Cost estimates for every listed index pair (serial build).
-    #[cfg(not(feature = "parallel"))]
-    pub(crate) fn pair_costs(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        index_pairs: &[(usize, usize)],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
-        self.pair_costs_serial(a, b, index_pairs, scratch)
-    }
-
-    fn pair_costs_serial(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        index_pairs: &[(usize, usize)],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
-        index_pairs
-            .iter()
-            .map(|&(ia, ib)| self.pair_cost_estimate(a, b, ia, ib, scratch))
-            .collect()
+        let mut bounded = bounded;
+        if bounded {
+            dists.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        }
+        for &(d, i) in &dists {
+            if bounded && ranked.len() == k && ranked.last().is_none_or(|kth| d > kth.0) {
+                break;
+            }
+            let cost = self.pair_cost_estimate(a, b, i / nb, i % nb, scratch);
+            // A NaN here means the finite-input bound failed after all;
+            // price the rest rather than trust it.
+            bounded &= !cost.is_nan();
+            let at = ranked.partition_point(|&(c, ja, jb)| {
+                c.total_cmp(&cost).then((ja * nb + jb).cmp(&i)).is_lt()
+            });
+            if at < k {
+                ranked.truncate(k - 1);
+                ranked.insert(at, (cost, i / nb, i % nb));
+            }
+        }
+        match ranked.iter().position(|p| p.0.is_nan()) {
+            Some(0) => ranked.truncate(1),
+            Some(first_nan) => ranked.truncate(first_nan),
+            None => {}
+        }
+        scratch.dists = dists;
+        scratch.ranked = ranked;
     }
 }
 
 impl MergeForest {
-    /// Estimates the merge cost of every child-candidate pair and returns
-    /// them sorted cheapest-first.
-    pub(super) fn rank_candidate_pairs(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> Vec<(f64, usize, usize)> {
-        let (na, nb) = (self.nodes[a.0].cands.len(), self.nodes[b.0].cands.len());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut index_pairs = std::mem::take(&mut scratch.index_pairs);
-        index_pairs.clear();
-        index_pairs.extend((0..na).flat_map(|ia| (0..nb).map(move |ib| (ia, ib))));
-        let costs = self.ctx().pair_costs(a, b, &index_pairs, &mut scratch);
-        let mut pairs: Vec<(f64, usize, usize)> = index_pairs
-            .iter()
-            .zip(costs)
-            .map(|(&(ia, ib), cost)| (cost, ia, ib))
-            .collect();
-        scratch.index_pairs = index_pairs;
-        self.scratch = scratch;
-        // total_cmp, not partial_cmp: a NaN cost estimate must surface as
-        // a deterministic ordering (NaN ranks after every real cost, so
-        // the pair is expanded last or truncated) and ultimately as an
-        // audit failure — not as a panic deep inside a merge round.
-        pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
-        pairs
+    /// Whether merging `a` with `b` may use the bounded ranking: both
+    /// children's candidates and the forest's bounds, class offsets and
+    /// skew tolerance are finite (see [`MergeCtx::rank_pairs`]).
+    pub(super) fn ranking_is_bounded(&self, a: NodeId, b: NodeId) -> bool {
+        self.finite_state && self.nodes[a.0].finite && self.nodes[b.0].finite
     }
 }

@@ -201,6 +201,7 @@ impl MergeForest {
             let (p, phi) = &rec.class_snaps[log.epoch_after as usize];
             self.class_parent.copy_from_slice(p);
             self.phi.copy_from_slice(phi);
+            self.refresh_finite_state();
         }
         let id = NodeId(self.nodes.len());
         let creation_len = cands.len();

@@ -181,3 +181,186 @@ fn merging_self_panics() {
     let a = f.add_leaf(0, pt(0.0, 0.0), 1e-14, GroupId(0));
     let _ = f.merge(a, a);
 }
+
+// --- Bounded pair ranking vs the exhaustive oracle -----------------------
+
+use super::context::Scratch;
+use super::node::Node;
+use crate::{Candidate, DelayMap, NodeId};
+
+/// The ranking `merge` used before the bounded pass, kept as the oracle:
+/// price every pair, stable-sort by `total_cmp`, drop NaN pairs unless
+/// the cheapest is NaN (then keep it alone), truncate to `pair_limit`.
+fn exhaustive_ranking(f: &MergeForest, a: NodeId, b: NodeId) -> Vec<(f64, usize, usize)> {
+    let ctx = f.ctx();
+    let mut scratch = Scratch::default();
+    let nb = f.candidates(b).len();
+    let mut pairs: Vec<(f64, usize, usize)> = (0..f.candidates(a).len())
+        .flat_map(|ia| (0..nb).map(move |ib| (ia, ib)))
+        .map(|(ia, ib)| (ctx.pair_cost_estimate(a, b, ia, ib, &mut scratch), ia, ib))
+        .collect();
+    pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
+    if !pairs[0].0.is_nan() {
+        pairs.truncate(
+            pairs
+                .iter()
+                .position(|p| p.0.is_nan())
+                .unwrap_or(pairs.len()),
+        );
+    } else {
+        pairs.truncate(1);
+    }
+    pairs.truncate(f.cfg.pair_limit);
+    pairs
+}
+
+/// Asserts the production ranking of `a × b` equals the oracle bit for
+/// bit, in both the mode the forest picks and the price-everything mode.
+/// Returns whether the forest picked the bounded mode.
+fn check_ranking(f: &MergeForest, a: NodeId, b: NodeId) -> bool {
+    let bits = |v: &[(f64, usize, usize)]| -> Vec<(u64, usize, usize)> {
+        v.iter().map(|&(c, ia, ib)| (c.to_bits(), ia, ib)).collect()
+    };
+    let want = bits(&exhaustive_ranking(f, a, b));
+    let bounded = f.ranking_is_bounded(a, b);
+    let mut scratch = Scratch::default();
+    for mode in [bounded, false] {
+        f.ctx().rank_pairs(a, b, mode, &mut scratch);
+        assert_eq!(
+            bits(&scratch.ranked),
+            want,
+            "{a:?} x {b:?}, bounded = {mode}"
+        );
+    }
+    bounded
+}
+
+/// splitmix64: a dependency-free seeded stream for the random forests.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random forest on a small integer grid (so distances tie exactly,
+/// co-located sinks give zero distances, `-0.0` coordinates included),
+/// clustered or intermingled over three groups, merged in a random order
+/// while every merge's ranking is checked against the oracle. Under the
+/// path-length model delays are integer lengths too, so snaking and
+/// conflict costs tie exactly with other pairs' distances.
+fn random_forest_rankings_match(seed: u64, clustered: bool, pair_limit: usize, fuse: bool) {
+    let mut rng = Rng(seed);
+    let cfg = EngineConfig {
+        pair_limit,
+        fuse_groups: fuse,
+        ..EngineConfig::default()
+    };
+    let (model, bounds) = if seed.is_multiple_of(2) {
+        (
+            DelayModel::elmore(RcParams::default()),
+            vec![0.0, 1e-11, 4e-12],
+        )
+    } else {
+        (DelayModel::pathlength(), vec![0.0, 300.0, 100.0])
+    };
+    let mut f = MergeForest::new(model, bounds, cfg);
+    let mut active = Vec::new();
+    for i in 0..24 {
+        let (x, y) = (rng.below(12) as f64 * 100.0, rng.below(12) as f64 * 100.0);
+        let x = if rng.below(4) == 0 { -x } else { x };
+        let group = if clustered {
+            (x.abs() as usize / 400).min(2)
+        } else {
+            rng.below(3)
+        };
+        let cap = [1e-14, 2e-14][rng.below(2)];
+        active.push(f.add_leaf(i, pt(x, y), cap, GroupId(group as u32)));
+    }
+    while active.len() > 1 {
+        let a = active.swap_remove(rng.below(active.len()));
+        let b = active.swap_remove(rng.below(active.len()));
+        assert!(
+            check_ranking(&f, a, b),
+            "finite forests take the bounded path"
+        );
+        if let Some(&c) = active.first() {
+            check_ranking(&f, c, a);
+        }
+        active.push(f.merge(a, b));
+    }
+}
+
+#[test]
+fn bounded_ranking_matches_exhaustive_sort_on_random_forests() {
+    for seed in 0..12 {
+        for clustered in [false, true] {
+            for pair_limit in [1, 2, 3, 5, 64] {
+                for fuse in [true, false] {
+                    random_forest_rankings_match(seed, clustered, pair_limit, fuse);
+                }
+            }
+        }
+    }
+    // A zero limit ranks nothing (merging would then have no pair).
+    let mut f = MergeForest::new(
+        DelayModel::elmore(RcParams::default()),
+        vec![0.0],
+        EngineConfig {
+            pair_limit: 0,
+            ..EngineConfig::default()
+        },
+    );
+    let a = f.add_leaf(0, pt(0.0, 0.0), 1e-14, GroupId(0));
+    let b = f.add_leaf(1, pt(5.0, 0.0), 1e-14, GroupId(0));
+    check_ranking(&f, a, b);
+}
+
+#[test]
+fn non_finite_inputs_take_the_exhaustive_fallback() {
+    let mut f = forest_with(vec![1e-11, 1e-11]);
+    let mut nodes = Vec::new();
+    for i in 0..5 {
+        nodes.push(f.add_leaf(i, pt(i as f64 * 300.0, 0.0), 1e-14, GroupId(i as u32 % 2)));
+    }
+    let ab = f.merge(nodes[0], nodes[1]);
+    let cd = f.merge(nodes[2], nodes[3]);
+    assert!(check_ranking(&f, ab, cd));
+    // A NaN load on a leaf, and a NaN delay on a multi-candidate node.
+    let nan_cap = f.add_leaf(6, pt(50.0, 50.0), f64::NAN, GroupId(0));
+    let mut poisoned: Vec<Candidate> = f.candidates(ab).to_vec();
+    poisoned[0].delays = DelayMap::leaf(GroupId(1)).shifted(f64::NAN);
+    let nan_delay = NodeId(f.nodes.len());
+    f.nodes.push(Node::new(poisoned, None, None));
+    for bad in [nan_cap, nan_delay] {
+        for other in [ab, cd, nodes[4]] {
+            assert!(
+                !check_ranking(&f, bad, other),
+                "{bad:?} must not be bounded"
+            );
+            assert!(!check_ranking(&f, other, bad));
+        }
+    }
+    // A region with an infinite coordinate, and a non-finite class offset.
+    let inf = f.add_leaf(7, pt(f64::INFINITY, 0.0), 1e-14, GroupId(0));
+    assert!(!check_ranking(&f, inf, cd));
+    assert!(check_ranking(&f, ab, cd));
+    f.phi[1] = f64::NAN;
+    f.refresh_finite_state();
+    assert!(
+        !check_ranking(&f, ab, cd),
+        "a NaN offset disables the bound"
+    );
+    f.phi[1] = 0.0;
+    f.refresh_finite_state();
+    assert!(check_ranking(&f, ab, cd));
+}

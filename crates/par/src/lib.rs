@@ -1,8 +1,9 @@
 //! Ordered parallel map over slices, scheduled by work stealing onto a
 //! **persistent worker pool**.
 //!
-//! The workspace's `parallel` features parallelize pair-cost estimation in
-//! the merge engine and planner, and the fleet layer fans whole instances
+//! The workspace's `parallel` features parallelize candidate-pair
+//! expansion in the merge engine and cost work in the planner, and the
+//! fleet layer fans whole instances
 //! out across threads. The container image has no crates.io access, so
 //! instead of `rayon` this crate provides the primitives those layers
 //! need: an ordered fork-join map ([`par_map`], [`par_map_with`],
@@ -631,12 +632,16 @@ mod tests {
         // Warm the pool, then measure: many further calls at the same
         // width must not spawn additional threads.
         let _ = par_map(&items, 0, |x| x + 1);
-        let warmed = pool_threads();
+        // Count only this thread's spawns: the pool's global total moves
+        // with whatever concurrent tests fan out. A barrier checks its
+        // helpers back in before returning, so each call finds the
+        // previous call's workers idle.
+        let warmed = pool::spawned_by_current_thread();
         for _ in 0..32 {
             let _ = par_map(&items, 0, |x| x * 2);
         }
         assert_eq!(
-            pool_threads(),
+            pool::spawned_by_current_thread(),
             warmed,
             "steady-state calls must reuse parked workers, not spawn"
         );

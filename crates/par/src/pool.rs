@@ -6,8 +6,10 @@
 //!
 //! The pool starts empty. A fan-out checks out up to `n` idle workers
 //! (spawning the shortfall, capped at `MAX_POOL_THREADS` per process) and
-//! sends each one a job; when a worker finishes its job it checks itself
-//! back into the idle list and parks on its channel again. Workers are
+//! sends each one a job. A barrier hands its workers back to the idle list
+//! itself once every helper has finished, before it returns, so the
+//! caller's next fan-out always finds them there; a detached job checks
+//! its worker back in as its last action. Workers are
 //! never joined — a parked worker costs one blocked OS thread and nothing
 //! else, and parked threads do not keep the process alive. Every pool
 //! thread is permanently marked as a parallel worker, so any nested
@@ -26,6 +28,7 @@
 //!   handle types own their instances precisely because nothing here can
 //!   promise to outwait a borrow (a leaked handle never joins).
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -40,8 +43,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 type PanicSlot = Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>>;
 
 /// One checked-out worker: the sending half of its private job channel.
-/// Dropping a ticket after sending is fine — the worker holds its own
-/// clone of the sender and re-enlists itself when the job completes.
+/// Whoever checked a worker out returns its ticket to the idle list when
+/// the job is done (see the module docs); the worker thread lives as long
+/// as some ticket for it does.
 struct Ticket(Sender<Job>);
 
 /// Hard cap on pool threads per process — a sanity backstop far above any
@@ -74,21 +78,34 @@ pub fn pool_threads() -> usize {
     pool().spawned.load(Ordering::Relaxed)
 }
 
+thread_local! {
+    /// Pool threads spawned by checkouts made on this thread: the
+    /// per-caller share of [`pool_threads`], which concurrent callers
+    /// cannot move.
+    static SPAWNED_HERE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Pool threads spawned by fan-outs this thread submitted.
+#[cfg(test)]
+pub(crate) fn spawned_by_current_thread() -> usize {
+    SPAWNED_HERE.with(Cell::get)
+}
+
 fn lock_idle() -> std::sync::MutexGuard<'static, Vec<Ticket>> {
     pool().idle.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The body of every pool thread: park on the channel, run one job, check
-/// back in, park again. Exits (and ends the thread) only if its own sender
-/// clone is gone, which never happens — the worker keeps one forever.
-fn worker_main(rx: Receiver<Job>, self_sender: Sender<Job>) {
+/// The body of every pool thread: park on the channel, run one job, park
+/// again. Checking the worker back in is the submitter's business (see the
+/// module docs). Exits (and ends the thread) only once every ticket for it
+/// is gone, which never happens: tickets always return to the idle list.
+fn worker_main(rx: Receiver<Job>) {
     IN_WORKER.with(|w| w.set(true));
     while let Ok(job) = rx.recv() {
         // Submitters wrap their jobs in `catch_unwind` and route payloads
         // to the caller; this outer catch only keeps the worker alive if
         // a payload ever slips through a submitter's wrapper.
         let _ = catch_unwind(AssertUnwindSafe(job));
-        lock_idle().push(Ticket(self_sender.clone()));
     }
 }
 
@@ -116,12 +133,14 @@ fn checkout(want: usize) -> Vec<Ticket> {
             break;
         }
         let (tx, rx) = channel::<Job>();
-        let self_sender = tx.clone();
         let spawned = std::thread::Builder::new()
             .name("astdme-pool".into())
-            .spawn(move || worker_main(rx, self_sender));
+            .spawn(move || worker_main(rx));
         match spawned {
-            Ok(_) => out.push(Ticket(tx)),
+            Ok(_) => {
+                SPAWNED_HERE.with(|n| n.set(n.get() + 1));
+                out.push(Ticket(tx));
+            }
             Err(_) => {
                 pool().spawned.fetch_sub(1, Ordering::SeqCst);
                 break;
@@ -180,7 +199,9 @@ fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
 /// `helpers` pool workers while the caller runs `main(running)` on its own
 /// thread (marked as a worker for the duration, so nested fan-outs inside
 /// `main` take the serial fallback), then blocks until every helper has
-/// finished before returning `main`'s result.
+/// finished before returning `main`'s result. The helpers are back in the
+/// idle list by the time it returns, so back-to-back barriers reuse them
+/// instead of racing their check-in and spawning more.
 ///
 /// `running` is the number of helpers actually checked out — it can be
 /// less than `helpers` (down to zero) if the pool is saturated, so a
@@ -203,7 +224,7 @@ pub fn scope_with<R>(
     work: &(dyn Fn(usize) + Sync),
     main: impl FnOnce(usize) -> R,
 ) -> R {
-    let tickets = checkout(helpers);
+    let mut tickets = checkout(helpers);
     let running = tickets.len();
     if running == 0 {
         return run_as_worker(|| main(0));
@@ -218,11 +239,13 @@ pub fn scope_with<R>(
     // `work` after its countdown, so the reference never outlives the
     // data it borrows.
     let work_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
-    for (slot, ticket) in tickets.into_iter().enumerate() {
+    let mut slot = 0;
+    tickets.retain(|ticket| {
+        slot += 1;
         let job_latch = Arc::clone(&latch);
         let panic_slot = Arc::clone(&panic_slot);
         let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| work_static(slot + 1)));
+            let result = catch_unwind(AssertUnwindSafe(|| work_static(slot)));
             if let Err(payload) = result {
                 let mut slot = panic_slot.lock().unwrap_or_else(|e| e.into_inner());
                 if slot.is_none() {
@@ -231,15 +254,20 @@ pub fn scope_with<R>(
             }
             job_latch.count_down();
         });
-        if ticket.0.send(job).is_err() {
-            // The worker's thread is gone (cannot happen while it holds
-            // its own sender, but stay conservative): take over its latch
-            // share so the barrier below cannot hang.
+        let sent = ticket.0.send(job).is_ok();
+        if !sent {
+            // The worker's thread is gone (cannot happen while a ticket
+            // for it exists, but stay conservative): take over its latch
+            // share so the barrier below cannot hang, and drop the ticket.
             latch.count_down();
         }
-    }
+        sent
+    });
     let main_result = catch_unwind(AssertUnwindSafe(|| run_as_worker(|| main(running))));
     latch.wait();
+    // Every helper has finished: check the workers back in before
+    // returning (or unwinding), so the caller's next fan-out finds them.
+    lock_idle().extend(tickets);
     let helper_panic = panic_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
     if let Some(payload) = helper_panic {
         resume_unwind(payload);
@@ -253,7 +281,8 @@ pub fn scope_with<R>(
 /// Submits one detached job to the pool: it runs when a worker picks it
 /// up, and nothing waits for it — the job must own everything it touches
 /// (`'static`). The worker running it is marked, so nested fan-outs
-/// inside the job take the serial fallback.
+/// inside the job take the serial fallback, and checks itself back into
+/// the idle list when the job ends.
 ///
 /// If the pool is saturated (`MAX_POOL_THREADS` live workers, all busy)
 /// the job falls back to a dedicated one-shot thread, and if even thread
@@ -266,7 +295,12 @@ pub fn spawn_pooled<F: FnOnce() + Send + 'static>(job: F) {
     let mut tickets = checkout(1);
     match tickets.pop() {
         Some(ticket) => {
-            if let Err(failed) = ticket.0.send(Box::new(job)) {
+            let back = ticket.0.clone();
+            let run: Job = Box::new(move || {
+                let _ = catch_unwind(AssertUnwindSafe(job));
+                lock_idle().push(Ticket(back));
+            });
+            if let Err(failed) = ticket.0.send(run) {
                 fallback_thread(failed.0);
             }
         }

@@ -4,8 +4,8 @@
 //! what the from-scratch reference planner routes.
 //!
 //! These run under both feature sets in CI (default and `parallel`); the
-//! parallel pair-cost path preserves order, so its trees are bit-identical
-//! to serial ones.
+//! parallel expansion path commits in ranked order, so its trees are
+//! bit-identical to serial ones.
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -74,7 +74,7 @@ fn all_routers_are_deterministic() {
 }
 
 /// With the `parallel` feature, the engine fans candidate-pair expansion
-/// and cost estimation out via `astdme_par`. The routed tree must not
+/// out via `astdme_par`. The routed tree must not
 /// depend on how many threads that fan-out uses — forcing one thread runs
 /// byte-for-byte the serial code path, so comparing against it asserts
 /// "with and without the parallel feature" inside a single build.
