@@ -19,15 +19,6 @@
 //! `allocs_per_merge` section recording total allocations per merge for
 //! the incremental planner under both merge orders.
 //!
-//! When built with `--features parallel`, each size additionally gets a
-//! parallel-vs-serial measurement of the engine's candidate-pair
-//! expansion fan-out (incremental planner, greedy order, thorough engine
-//! preset so each merge expands enough pairs to fan out): "parallel" runs
-//! with auto thread count, "serial" forces one thread through
-//! `astdme_par::set_thread_override` — byte-for-byte the serial code
-//! path. Both must route identical wirelength; the speedup lands in the
-//! `parallel_speedups` JSON section (≈1.0 on single-core machines).
-//!
 //! Every run also emits a `batch_throughput` section: a portfolio of
 //! distinct instances routed through the fleet layer
 //! (`astdme_core::route_batch`, instance-level fan-out) vs a sequential
@@ -81,7 +72,7 @@
 //!   the streaming sweep (no chunk barriers);
 //! * the barrier's per-worker queue-wait and idle seconds (also surfaced
 //!   per `batch_throughput` entry), from the `StealStats` columns the
-//!   pool records on every fan-out.
+//!   claim loop records on every batch.
 //!
 //! Stream wirelengths are asserted bit-equal to the sequential reference
 //! (`"wirelength_bit_equal": true`), same as the batch sections.
@@ -94,10 +85,9 @@ use std::time::Instant;
 
 use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
-    route_batch, route_batch_cached, route_stream, run_bottom_up, run_bottom_up_from_scratch,
-    sweep, AstDme, BatchPlan, ClockRouter, CostModel, DelayModel, EcoEdit, EcoSession,
-    EngineConfig, Instance, PerturbationSpec, Point, StreamPolicy, SubtreeCache, SweepConfig,
-    TopoConfig,
+    route_batch, route_stream, run_bottom_up, run_bottom_up_from_scratch, sweep, AstDme, BatchPlan,
+    BatchPolicy, ClockRouter, CostModel, DelayModel, EcoEdit, EcoSession, EngineConfig, Instance,
+    PerturbationSpec, Point, StreamPolicy, SubtreeCache, SweepConfig, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
@@ -170,17 +160,6 @@ struct AllocMeasurement {
     allocs_per_merge: f64,
 }
 
-/// One parallel-vs-serial expansion measurement (parallel feature only;
-/// empty otherwise).
-#[derive(Debug, Clone)]
-struct ParMeasurement {
-    n: usize,
-    expansion: &'static str,
-    threads: usize,
-    seconds: f64,
-    wirelength_um: f64,
-}
-
 fn instance(n: usize) -> Instance {
     instance_seeded(n, SEED)
 }
@@ -217,8 +196,7 @@ fn route(inst: &Instance, topo: &TopoConfig, from_scratch: bool) -> (f64, f64) {
 fn measure(n: usize, inst: &Instance) -> Vec<Measurement> {
     // Alternate the two planners and keep each one's best of [`REPS`]
     // runs: a single fixed-order sample bakes run-order bias (allocator /
-    // page-cache warmth) into the recorded speedup — the same discipline
-    // `measure_parallel` uses, for the same reason. The from-scratch
+    // page-cache warmth) into the recorded speedup. The from-scratch
     // planner is O(n²)+ in greedy order, so its rep count shrinks to one
     // once a single run is slow enough for noise not to matter.
     const REPS: usize = 5;
@@ -304,73 +282,6 @@ fn measure_allocs(n: usize, inst: &Instance) -> Vec<AllocMeasurement> {
     out
 }
 
-/// Measures the engine's candidate-pair expansion with the parallel
-/// fan-out (auto thread count) against the forced one-thread serial path,
-/// on the incremental planner in greedy order with the thorough engine
-/// preset (enough pairs per merge for the fan-out to engage). Asserts both
-/// route identical wirelength — the determinism the proptests pin down,
-/// witnessed end-to-end at bench scale.
-///
-/// Each variant is timed `PAR_REPS` times in alternating order and the
-/// minimum is kept: a single fixed-order sample bakes run-order bias
-/// (allocator/page-cache warmth) into the recorded speedup, which showed
-/// up as phantom 5-30% deltas between byte-identical code paths.
-#[cfg(feature = "parallel")]
-fn measure_parallel(n: usize, inst: &Instance) -> Vec<ParMeasurement> {
-    const PAR_REPS: usize = 3;
-    let model = DelayModel::elmore(*inst.rc());
-    let engine = EngineConfig::thorough();
-    let topo = TopoConfig::greedy();
-    let auto_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-    // Discarded warmup: the first route after an instance build pays
-    // allocator/page-cache cold-start on top of the per-rep noise.
-    let _ = run_bottom_up(inst, model, engine, &topo);
-    let variants = [("parallel", None), ("serial", NonZeroUsize::new(1))];
-    let mut best = [f64::INFINITY; 2];
-    let mut wl_seen: Option<f64> = None;
-    for _rep in 0..PAR_REPS {
-        for (slot, &(_, threads)) in variants.iter().enumerate() {
-            astdme_par::set_thread_override(threads);
-            let t0 = Instant::now();
-            let (forest, root) = run_bottom_up(inst, model, engine, &topo);
-            let secs = t0.elapsed().as_secs_f64();
-            let tree = forest.embed(root, inst.source());
-            let wl = tree.total_wirelength();
-            match wl_seen {
-                Some(prev) => assert!(
-                    prev == wl,
-                    "parallel expansion diverged at n={n}: {prev} vs {wl}"
-                ),
-                None => wl_seen = Some(wl),
-            }
-            best[slot] = best[slot].min(secs);
-        }
-    }
-    astdme_par::set_thread_override(None);
-    let wl = wl_seen.expect("at least one route ran");
-    variants
-        .iter()
-        .zip(best)
-        .map(|(&(expansion, threads), secs)| {
-            eprintln!(
-                "n={n:>6} expansion {expansion:<8} {secs:>9.3}s  wl {wl:.0} (thorough preset, best of {PAR_REPS})"
-            );
-            ParMeasurement {
-                n,
-                expansion,
-                threads: threads.map_or(auto_threads, NonZeroUsize::get),
-                seconds: secs,
-                wirelength_um: wl,
-            }
-        })
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn measure_parallel(_n: usize, _inst: &Instance) -> Vec<ParMeasurement> {
-    Vec::new()
-}
-
 /// One batch-throughput measurement: a portfolio of distinct instances
 /// routed end-to-end through the fleet layer ([`astdme_core::fleet`]) vs
 /// a sequential `route_traced` loop over the same instances.
@@ -387,7 +298,7 @@ struct BatchMeasurement {
     sequential_seconds: f64,
     instances_per_sec: f64,
     speedup: f64,
-    /// Workers the fastest batch rep fanned out to (1 = serial fallback).
+    /// Workers the fastest batch rep fanned out to (1 = inline on the caller).
     workers: usize,
     /// Max/min worker busy-time of the fastest batch rep (1.0 when
     /// serial).
@@ -407,9 +318,8 @@ struct BatchMeasurement {
 /// minimum kept — the same discipline as [`measure`] — and every outcome's
 /// wirelength must match the sequential reference to the last bit (the
 /// fleet layer changes scheduling, never trees). On a single-core machine
-/// `route_batch` takes its serial fallback, so the speedup sits at ~1.0 by
-/// construction; on multicore the instance fan-out engages (with nested
-/// engine parallelism forced serial by `astdme_par`'s worker guard).
+/// `route_batch` runs inline on the caller, so the speedup sits at ~1.0 by
+/// construction; on multicore the instance fan-out engages.
 fn measure_batch(n: usize) -> BatchMeasurement {
     const BATCH_INSTANCES: usize = 6;
     let instances: Vec<Instance> = (0..BATCH_INSTANCES)
@@ -447,10 +357,9 @@ fn measure_batch_skewed() -> BatchMeasurement {
 /// — the same discipline as [`measure`] — and every outcome's wirelength
 /// must match the sequential reference to the last bit (the fleet layer
 /// changes scheduling, never trees). On a single-core machine the batch
-/// takes its serial fallback, so the speedup sits at ~1.0 and the balance
-/// at exactly 1.0 by construction; on multicore the fan-out engages (with
-/// nested engine parallelism forced serial by `astdme_par`'s worker
-/// guard) and the balance records max/min worker busy-time.
+/// runs inline on the caller, so the speedup sits at ~1.0 and the balance
+/// at exactly 1.0 by construction; on multicore the fan-out engages and
+/// the balance records max/min worker busy-time.
 fn measure_portfolio(
     portfolio: &'static str,
     sizes: String,
@@ -498,7 +407,8 @@ fn measure_portfolio(
         check(&wls, "sequential loop");
 
         let t0 = Instant::now();
-        let (outcomes, stats) = plan.route_with_stats(&instances, &router);
+        let (outcomes, stats) =
+            plan.route_with_policy(&instances, &router, &BatchPolicy::default());
         let secs = t0.elapsed().as_secs_f64();
         let wls: Vec<f64> = outcomes
             .into_iter()
@@ -565,7 +475,7 @@ const DEDUP_MIN_SPEEDUP: f64 = 1.5;
 /// asserts so on every wirelength.
 ///
 /// Cold routes through [`route_batch`] with no cache attached; warm
-/// routes through [`route_batch_cached`] with a cache primed by one
+/// routes through a [`BatchPlan`] whose policy carries a cache primed by one
 /// untimed pass, so every timed lookup hits (asserted: zero misses across
 /// the timed reps). Both paths are timed `DEDUP_REPS_TIMED` times in
 /// alternating order and the minimum kept — the same discipline as
@@ -590,9 +500,12 @@ fn measure_dedup(n: usize) -> DedupMeasurement {
         .collect();
     let router = AstDme::new().with_engine(EngineConfig::fast());
     let cache = SubtreeCache::new(64);
+    let plan = BatchPlan::new(&portfolio);
+    let cached = BatchPolicy::new().with_cache(cache.clone());
+    let route_cached = || plan.route_with_policy(&portfolio, &router, &cached).0;
     // Prime: one untimed cached pass; afterwards every distinct region is
     // resident, so the timed warm passes are all hits.
-    let primed = route_batch_cached(&portfolio, &router, &cache);
+    let primed = route_cached();
     assert!(primed.iter().all(|r| r.is_ok()), "prime pass must route");
     let stats_before_timed = cache.stats();
     let mut best = [f64::INFINITY; 2]; // [cold, warm]
@@ -615,7 +528,7 @@ fn measure_dedup(n: usize) -> DedupMeasurement {
         }
 
         let t0 = Instant::now();
-        let warm = route_batch_cached(&portfolio, &router, &cache);
+        let warm = route_cached();
         best[1] = best[1].min(t0.elapsed().as_secs_f64());
         for (i, (out, &expected)) in warm.into_iter().zip(&cold_wls).enumerate() {
             let out = out.expect("routes");
@@ -941,7 +854,8 @@ fn measure_latency(quick: bool) -> LatencyMeasurement {
         best_drain = best_drain.min(drain);
 
         let t0 = Instant::now();
-        let (outcomes, stats) = plan.route_with_stats(&instances, router.as_ref());
+        let (outcomes, stats) =
+            plan.route_with_policy(&instances, router.as_ref(), &BatchPolicy::default());
         let secs = t0.elapsed().as_secs_f64();
         let wls: Vec<f64> = outcomes
             .into_iter()
@@ -1054,7 +968,6 @@ fn measure_latency(quick: bool) -> LatencyMeasurement {
 fn to_json(
     measurements: &[Measurement],
     allocs: &[AllocMeasurement],
-    par: &[ParMeasurement],
     batch: &[BatchMeasurement],
     dedup: &[DedupMeasurement],
     eco: &[EcoMeasurement],
@@ -1118,42 +1031,6 @@ fn to_json(
             )
         })
         .collect();
-    // Parallel-vs-serial candidate-pair expansion (parallel feature only).
-    let par_items: Vec<String> = par
-        .iter()
-        .map(|m| {
-            json::object(
-                &[
-                    json::field("n", format!("{}", m.n)),
-                    json::field("planner", json::quote("incremental")),
-                    json::field("order", json::quote("greedy")),
-                    json::field("engine", json::quote("thorough")),
-                    json::field("expansion", json::quote(m.expansion)),
-                    json::field("threads", format!("{}", m.threads)),
-                    json::field("seconds", json::number(m.seconds)),
-                    json::field("wirelength_um", json::number(m.wirelength_um)),
-                ],
-                4,
-            )
-        })
-        .collect();
-    let mut par_summaries = Vec::new();
-    for &n in &sizes {
-        let find = |expansion: &str| {
-            par.iter()
-                .find(|m| m.n == n && m.expansion == expansion)
-                .map(|m| m.seconds)
-        };
-        if let (Some(p), Some(s)) = (find("parallel"), find("serial")) {
-            par_summaries.push(json::object(
-                &[
-                    json::field("n", format!("{n}")),
-                    json::field("speedup", json::number(s / p)),
-                ],
-                4,
-            ));
-        }
-    }
     // Fleet-layer throughput: route_batch vs the sequential loop.
     let batch_items: Vec<String> = batch
         .iter()
@@ -1292,12 +1169,10 @@ fn to_json(
         })
         .collect();
     format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {},\n  \"parallel_expansion\": {},\n  \"parallel_speedups\": {},\n  \"batch_throughput\": {},\n  \"dedup\": {},\n  \"eco\": {},\n  \"latency\": {}\n}}\n",
+        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {},\n  \"batch_throughput\": {},\n  \"dedup\": {},\n  \"eco\": {},\n  \"latency\": {}\n}}\n",
         json::array(&items, 2),
         json::array(&summaries, 2),
         json::array(&alloc_items, 2),
-        json::array(&par_items, 2),
-        json::array(&par_summaries, 2),
         json::array(&batch_items, 2),
         json::array(&dedup_items, 2),
         json::array(&eco_items, 2),
@@ -1333,12 +1208,10 @@ fn main() {
 
     let mut measurements = Vec::new();
     let mut alloc_measurements = Vec::new();
-    let mut par_measurements = Vec::new();
     for &n in &sizes {
         let inst = instance(n);
         measurements.extend(measure(n, &inst));
         alloc_measurements.extend(measure_allocs(n, &inst));
-        par_measurements.extend(measure_parallel(n, &inst));
     }
     // Fleet throughput: a uniform portfolio at the smallest requested
     // size (the batch-vs-sequential comparison is about the fan-out
@@ -1371,7 +1244,6 @@ fn main() {
     let doc = to_json(
         &measurements,
         &alloc_measurements,
-        &par_measurements,
         &batch_measurements,
         &dedup_measurements,
         &eco_measurements,
@@ -1401,17 +1273,6 @@ fn main() {
             "| {} | {} | {} | {:.3} | {:.0} | {:.0} |",
             m.n, m.order, m.planner, m.seconds, m.merges_per_sec, m.wirelength_um
         );
-    }
-    if !par_measurements.is_empty() {
-        println!();
-        println!("| n | expansion | threads | seconds | wirelength (um) |");
-        println!("|---|-----------|---------|---------|-----------------|");
-        for m in &par_measurements {
-            println!(
-                "| {} | {} | {} | {:.3} | {:.0} |",
-                m.n, m.expansion, m.threads, m.seconds, m.wirelength_um
-            );
-        }
     }
     println!();
     println!(

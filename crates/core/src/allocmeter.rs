@@ -12,9 +12,8 @@
 //! The counter is thread-local: a delta counts the allocations made by the
 //! thread that took both snapshots, and nothing another thread allocated
 //! meanwhile. Under fleet fan-out each worker's stage counts are its own,
-//! and concurrent tests cannot leak into each other's budgets. Work a
-//! route hands to other threads (the engine's `parallel` expansion
-//! fan-out) is charged to those threads, not to the route.
+//! and concurrent tests cannot leak into each other's budgets. A route
+//! runs on one thread, so its counts are complete.
 
 use std::cell::Cell;
 
@@ -48,13 +47,21 @@ mod tests {
         on_alloc();
         on_alloc();
         assert_eq!(current(), before + 2);
-        // A pool helper's allocations never show up here.
-        let helper = |_slot: usize| {
-            for _ in 0..5 {
-                on_alloc();
-            }
-        };
-        astdme_par::scope_with(1, &helper, |_running| ());
-        assert_eq!(current(), before + 2);
+        // A pool helper's allocations never show up here: only the items
+        // this thread produced count.
+        let caller = std::thread::current().id();
+        let mut mine = 0u64;
+        astdme_par::claim_loop(
+            16,
+            16,
+            |_| {
+                for _ in 0..5 {
+                    on_alloc();
+                }
+                std::thread::current().id() == caller
+            },
+            |_, on_caller| mine += u64::from(on_caller),
+        );
+        assert_eq!(current(), before + 2 + 5 * mine);
     }
 }

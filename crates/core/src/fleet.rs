@@ -29,11 +29,13 @@
 //!   refined by observed per-stage seconds ([`crate::RouteStats`]) fed to
 //!   a [`CostModel`] from prior runs — and hands instances to the workers
 //!   costliest first, the classic LPT heuristic.
-//! * **Work claiming.** Batch and stream workers share one atomic cursor
-//!   over the scheduled order: a worker that finishes early claims the
-//!   next pending instance instead of idling behind a static chunk
-//!   boundary. Workers come from [`astdme_par`]'s persistent pool —
-//!   parked threads woken per call, not spawned per call.
+//! * **Work claiming.** Batch and stream both run [`astdme_par`]'s one
+//!   claim loop over the scheduled order: a worker that finishes early
+//!   claims the next pending instance instead of idling behind a static
+//!   chunk boundary. The batch is the scoped form (the calling thread
+//!   routes too, and files each outcome in its input slot); the stream is
+//!   the detached form. Workers come from the persistent pool — parked
+//!   threads woken per call, not spawned per call.
 //!
 //! Both mechanisms change scheduling only: each instance's outcome is a
 //! pure function of the instance and router, so the batch vector is
@@ -41,10 +43,11 @@
 //! stream yields the same `(index, outcome)` set in a different arrival
 //! order.
 //!
-//! Instance-level fan-out composes safely with the engine's own `parallel`
-//! feature: workers are marked, and any nested fan-out (the engine's
-//! candidate-pair expansion) takes its serial fallback on a worker thread
-//! — one layer of threads, never a multiplication.
+//! Instance-level fan-out is the only parallelism: a single route is one
+//! chain of dependent merges. Workers are marked, so a [`ClockRouter`]
+//! that itself routes a batch runs that inner batch inline on its worker
+//! instead of oversubscribing the machine — one layer of threads, never a
+//! multiplication.
 //!
 //! # Failure isolation
 //!
@@ -64,24 +67,18 @@
 //! unblocks any worker waiting to deliver — no joins, no deadlocks, no
 //! leaked work beyond the instances already being routed.
 
-use crate::stopwatch::Stopwatch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use astdme_cache::{BoundedLru, SubtreeCache};
 use astdme_engine::Instance;
+use astdme_par::ClaimStream;
 
 use crate::fault::FaultPlan;
 use crate::pipeline::{RouteOutcome, RouteStats};
 use crate::{ClockRouter, RouteError};
 
 pub use astdme_par::StealStats;
-
-/// Minimum batch size before instances fan out across threads: a single
-/// instance gains nothing from the fork-join overhead.
-const MIN_BATCH_FANOUT: usize = 2;
 
 /// Estimates per-instance routing cost for [`BatchPlan`] scheduling.
 ///
@@ -354,35 +351,24 @@ impl BatchPlan {
     where
         R: ClockRouter + Sync + ?Sized,
     {
-        self.route_with_stats(instances, router).0
-    }
-
-    /// Like [`BatchPlan::route`], additionally returning the fan-out's
-    /// per-worker [`StealStats`] — the scaling bench's balance
-    /// measurement (max/min worker busy-time) reads these.
-    pub fn route_with_stats<R>(
-        &self,
-        instances: &[Instance],
-        router: &R,
-    ) -> (Vec<Result<RouteOutcome, RouteError>>, StealStats)
-    where
-        R: ClockRouter + Sync + ?Sized,
-    {
         self.route_with_policy(instances, router, &BatchPolicy::default())
+            .0
     }
 
-    /// Like [`BatchPlan::route_with_stats`], under an explicit
-    /// [`BatchPolicy`]: per-instance deadlines, deterministic fault
-    /// injection, and index-offset attribution. Instances the policy does
-    /// not touch return outcomes bit-identical to a policy-free run at
-    /// every thread count.
+    /// Like [`BatchPlan::route`], under an explicit [`BatchPolicy`] —
+    /// per-instance deadlines, deterministic fault injection, index-offset
+    /// attribution, a shared subtree cache — and additionally returning
+    /// the fan-out's per-worker [`StealStats`] (the scaling bench's
+    /// balance measurement reads these). Instances the policy does not
+    /// touch return outcomes bit-identical to a policy-free run at every
+    /// thread count.
     ///
     /// This is the collect-and-reorder form of the streaming execution:
-    /// pool workers claim schedule slots from a shared cursor and deliver
-    /// `(input index, outcome)` pairs in completion order; the barrier
-    /// drains them into input-order slots after the last worker finishes.
-    /// Each outcome is a pure function of its instance and the policy, so
-    /// the reorder step preserves bit-identity with the sequential loop.
+    /// the calling thread and pool helpers claim schedule slots from one
+    /// cursor, and the caller files each outcome in its input slot as it
+    /// arrives. Each outcome is a pure function of its instance and the
+    /// policy, so the reorder step preserves bit-identity with the
+    /// sequential loop.
     pub fn route_with_policy<R>(
         &self,
         instances: &[Instance],
@@ -400,79 +386,17 @@ impl BatchPlan {
         let len = instances.len();
         let mut out: Vec<Option<Result<RouteOutcome, RouteError>>> = Vec::with_capacity(len);
         out.resize_with(len, || None);
-        let threads = astdme_par::fanout_threads(len, MIN_BATCH_FANOUT);
-        let stats = if threads < 2 {
-            // Serial: route in schedule order, scatter to input slots —
-            // byte-for-byte the one-thread schedule the determinism tests
-            // compare against.
-            let t0 = Stopwatch::start();
-            for &idx in &self.order {
-                out[idx] = Some(route_caught(
-                    router,
-                    &instances[idx],
-                    idx + policy.index_offset,
-                    policy,
-                ));
-            }
-            StealStats {
-                worker_busy_seconds: vec![t0.seconds()],
-                worker_items: vec![len],
-                worker_queue_wait_seconds: vec![0.0],
-                worker_idle_seconds: vec![0.0],
-            }
-        } else {
-            // Streamed barrier: the caller and `threads - 1` pool helpers
-            // claim schedule slots from a shared cursor and send
-            // completion-order results over an unbounded channel (every
-            // send is buffered, so no worker ever blocks on delivery and
-            // the barrier drains after the join).
-            let (tx, rx) = std::sync::mpsc::channel();
-            let cursor = AtomicUsize::new(0);
-            let submitted = Stopwatch::start();
-            let clocks: Mutex<Vec<(f64, usize, f64, f64)>> = Mutex::new(Vec::new());
-            let work = |_slot: usize| {
-                let tx = tx.clone();
-                let queue_wait = submitted.seconds();
-                let t0 = Stopwatch::start();
-                let mut items = 0usize;
-                let mut item_seconds = 0.0f64;
-                loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= len {
-                        break;
-                    }
-                    let idx = self.order[slot];
-                    let tb = Stopwatch::start();
-                    let result =
-                        route_caught(router, &instances[idx], idx + policy.index_offset, policy);
-                    item_seconds += tb.seconds();
-                    items += 1;
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
-                }
-                let busy = t0.seconds();
-                clocks.lock().unwrap_or_else(|e| e.into_inner()).push((
-                    busy,
-                    items,
-                    queue_wait,
-                    (busy - item_seconds).max(0.0),
-                ));
-            };
-            astdme_par::scope_with(threads - 1, &work, |_running| work(0));
-            for (idx, result) in rx.try_iter() {
-                out[idx] = Some(result);
-            }
-            let mut stats = StealStats::default();
-            let clocks = clocks.into_inner().unwrap_or_else(|e| e.into_inner());
-            for (busy, items, queue_wait, idle) in clocks {
-                stats.worker_busy_seconds.push(busy);
-                stats.worker_items.push(items);
-                stats.worker_queue_wait_seconds.push(queue_wait);
-                stats.worker_idle_seconds.push(idle);
-            }
-            stats
-        };
+        // Every outcome fits in flight: a helper never waits on the
+        // caller, who may be routing the batch's largest instance.
+        let stats = astdme_par::claim_loop(
+            len,
+            len,
+            |slot| {
+                let idx = self.order[slot];
+                route_caught(router, &instances[idx], idx + policy.index_offset, policy)
+            },
+            |slot, result| out[self.order[slot]] = Some(result),
+        );
         let out = out
             .into_iter()
             .map(|r| r.expect("schedule order is a permutation of the batch"))
@@ -537,40 +461,15 @@ where
 /// [`RouteError::Panicked`] in that instance's slot.
 ///
 /// Equivalent to `BatchPlan::new(instances).route(instances, router)`;
-/// build the [`BatchPlan`] yourself to reuse a calibrated [`CostModel`]
-/// or to read the fan-out's [`StealStats`].
+/// build the [`BatchPlan`] yourself to reuse a calibrated [`CostModel`],
+/// and call [`BatchPlan::route_with_policy`] to attach a [`BatchPolicy`]
+/// (deadlines, faults, a shared [`SubtreeCache`]) or to read the
+/// fan-out's [`StealStats`].
 pub fn route_batch<R>(instances: &[Instance], router: &R) -> Vec<Result<RouteOutcome, RouteError>>
 where
     R: ClockRouter + Sync + ?Sized,
 {
     BatchPlan::new(instances).route(instances, router)
-}
-
-/// Like [`route_batch`], with a shared content-addressed subtree cache:
-/// repeated merge regions across the batch (duplicate or translated
-/// placements under the same plan) route once and splice thereafter.
-///
-/// Every outcome is a pure function of its instance and the router's
-/// plan: a hit is **bit-identical to the recompute** a miss performs, at
-/// every thread count and under every cache capacity, sharing pattern,
-/// and eviction order — cache state can change wall-clock and the
-/// per-outcome [`RouteStats::cache_hit`] flag, never a tree. See
-/// [`BatchPolicy::cache`] for how cached outcomes relate to the
-/// cache-free path. Pass the same handle across successive batches (or a
-/// [`crate::robustness`] sweep) to carry the memo between them;
-/// [`SubtreeCache::stats`] reports the accumulated hit rate.
-pub fn route_batch_cached<R>(
-    instances: &[Instance],
-    router: &R,
-    cache: &SubtreeCache,
-) -> Vec<Result<RouteOutcome, RouteError>>
-where
-    R: ClockRouter + Sync + ?Sized,
-{
-    let policy = BatchPolicy::new().with_cache(cache.clone());
-    BatchPlan::new(instances)
-        .route_with_policy(instances, router, &policy)
-        .0
 }
 
 /// Default bound on completed-but-unconsumed outcomes a [`RouteStream`]
@@ -635,22 +534,6 @@ impl StreamPolicy {
     }
 }
 
-/// State shared between a [`RouteStream`] handle and its detached pool
-/// workers. Owned (behind an `Arc`), never borrowed: detached jobs have no
-/// barrier to outwait a caller's stack frame, and a leaked handle must not
-/// dangle them.
-struct StreamShared {
-    instances: Vec<Instance>,
-    /// LPT schedule over `instances` (see [`BatchPlan`]).
-    order: Vec<usize>,
-    /// Next schedule slot to claim.
-    cursor: AtomicUsize,
-    /// Set when the handle drops: workers stop claiming new instances.
-    cancelled: AtomicBool,
-    router: Arc<dyn ClockRouter + Send + Sync>,
-    policy: BatchPolicy,
-}
-
 /// A completion-order stream of routing outcomes; see [`route_stream`].
 ///
 /// Iterates `(input index, outcome)` pairs in the order instances
@@ -665,8 +548,9 @@ struct StreamShared {
 /// mid-route run to completion on the pool without anything waiting on
 /// them. Dropping never blocks and never deadlocks the pool.
 pub struct RouteStream {
-    rx: Receiver<(usize, Result<RouteOutcome, RouteError>)>,
-    shared: Arc<StreamShared>,
+    /// The detached claim loop; dropping it stops further claims. Each
+    /// item is `(schedule slot, (input index, outcome))`.
+    claims: ClaimStream<(usize, Result<RouteOutcome, RouteError>)>,
     total: usize,
     yielded: usize,
 }
@@ -701,27 +585,14 @@ impl Iterator for RouteStream {
     type Item = (usize, Result<RouteOutcome, RouteError>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.rx.recv() {
-            Ok(item) => {
-                self.yielded += 1;
-                Some(item)
-            }
-            Err(_) => None,
-        }
+        let (_slot, item) = self.claims.next()?;
+        self.yielded += 1;
+        Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = self.remaining();
         (remaining, Some(remaining))
-    }
-}
-
-impl Drop for RouteStream {
-    fn drop(&mut self) {
-        // Stop workers from claiming further instances; dropping `rx`
-        // right after (field drop order) disconnects the channel, so a
-        // worker blocked mid-`send` gets `SendError` and exits its loop.
-        self.shared.cancelled.store(true, Ordering::Release);
     }
 }
 
@@ -754,63 +625,23 @@ pub fn route_stream(
     policy: StreamPolicy,
 ) -> RouteStream {
     let total = instances.len();
-    let plan = BatchPlan::new(&instances);
-    let workers = policy
-        .workers
-        .unwrap_or_else(astdme_par::effective_threads)
-        .max(1)
-        .min(total);
-    let (tx, rx) = sync_channel(policy.in_flight.max(1));
-    let shared = Arc::new(StreamShared {
-        instances,
-        order: plan.order,
-        cursor: AtomicUsize::new(0),
-        cancelled: AtomicBool::new(false),
-        router,
-        policy: policy.batch,
+    let order = BatchPlan::new(&instances).order;
+    let workers = policy.workers.unwrap_or_else(astdme_par::effective_threads);
+    let batch = policy.batch;
+    let claims = astdme_par::claim_stream(total, workers, policy.in_flight, move |slot| {
+        let idx = order[slot];
+        let result = route_caught(
+            router.as_ref(),
+            &instances[idx],
+            idx + batch.index_offset,
+            &batch,
+        );
+        (idx, result)
     });
-    for _ in 0..workers {
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        astdme_par::spawn_pooled(move || stream_worker(&shared, &tx));
-    }
-    // With the spawn-loop clones handed out, drop the original sender:
-    // the channel disconnects (and `next()` returns `None`) exactly when
-    // the last worker exits — or immediately for an empty portfolio.
-    drop(tx);
     RouteStream {
-        rx,
-        shared,
+        claims,
         total,
         yielded: 0,
-    }
-}
-
-/// One detached stream worker: claim the next scheduled instance, route
-/// it, deliver the outcome, repeat — until the schedule is exhausted, the
-/// stream is cancelled, or delivery fails (receiver gone).
-fn stream_worker(
-    shared: &StreamShared,
-    tx: &SyncSender<(usize, Result<RouteOutcome, RouteError>)>,
-) {
-    loop {
-        if shared.cancelled.load(Ordering::Acquire) {
-            break;
-        }
-        let slot = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if slot >= shared.order.len() {
-            break;
-        }
-        let idx = shared.order[slot];
-        let result = route_caught(
-            shared.router.as_ref(),
-            &shared.instances[idx],
-            idx + shared.policy.index_offset,
-            &shared.policy,
-        );
-        if tx.send((idx, result)).is_err() {
-            break;
-        }
     }
 }
 
@@ -1014,7 +845,9 @@ mod tests {
         let router = AstDme::new();
         let cold = route_batch(&instances, &router);
         let cache = SubtreeCache::new(64);
-        let warm = route_batch_cached(&instances, &router, &cache);
+        let plan = BatchPlan::new(&instances);
+        let cached = BatchPolicy::new().with_cache(cache.clone());
+        let warm = plan.route_with_policy(&instances, &router, &cached).0;
         for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
             let (c, w) = (c.as_ref().unwrap(), w.as_ref().unwrap());
             assert_eq!(c.tree, w.tree, "instance {i} tree diverged under cache");
@@ -1025,7 +858,7 @@ mod tests {
         // Concurrent duplicates may race their first lookups, but after a
         // full pass both distinct regions are resident: a second pass must
         // hit on every instance — and still match bit for bit.
-        let rewarm = route_batch_cached(&instances, &router, &cache);
+        let rewarm = plan.route_with_policy(&instances, &router, &cached).0;
         for (i, (c, w)) in cold.iter().zip(&rewarm).enumerate() {
             assert_eq!(
                 c.as_ref().unwrap().tree,
@@ -1041,7 +874,8 @@ mod tests {
     fn stats_account_for_every_instance() {
         let instances: Vec<Instance> = (0..5).map(|i| inst(6 + i, i as f64)).collect();
         let plan = BatchPlan::new(&instances);
-        let (out, stats) = plan.route_with_stats(&instances, &AstDme::new());
+        let (out, stats) =
+            plan.route_with_policy(&instances, &AstDme::new(), &BatchPolicy::default());
         assert_eq!(out.len(), 5);
         assert_eq!(stats.worker_items.iter().sum::<usize>(), 5);
         assert!(stats.balance() >= 1.0);

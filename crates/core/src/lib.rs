@@ -26,7 +26,7 @@
 //! duplicate or translated placements under the same stage plan — are
 //! fingerprinted, memoized, and spliced instead of re-routed, with hits
 //! **bit-identical** to a recompute (see [`astdme_cache`] and
-//! [`fleet::route_batch_cached`]).
+//! [`BatchPolicy::cache`]).
 //!
 //! # Example
 //!
@@ -71,8 +71,8 @@ pub use eco::{EcoEdit, EcoSession, EcoStats};
 pub use error::RouteError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use fleet::{
-    route_batch, route_batch_cached, route_stream, BatchPlan, BatchPolicy, CostModel, RouteStream,
-    StealStats, StreamPolicy, COST_MODEL_SHAPES, DEFAULT_STREAM_IN_FLIGHT,
+    route_batch, route_stream, BatchPlan, BatchPolicy, CostModel, RouteStream, StealStats,
+    StreamPolicy, COST_MODEL_SHAPES, DEFAULT_STREAM_IN_FLIGHT,
 };
 pub use pipeline::{
     run_with_cache, GroupingStage, MergeStage, RouteOutcome, RouteStats, StageId, StagePlan,

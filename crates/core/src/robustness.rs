@@ -17,15 +17,16 @@
 //!   of variants never depends on chunking, thread count, or how many
 //!   variants the sweep asks for — variant 17 of a 64-variant sweep is
 //!   bit-identical to variant 17 of a 10 000-variant sweep;
-//! * [`sweep`] fans the variants out **barrier-free** onto the persistent
-//!   worker pool under a [`BatchPolicy`] (per-instance deadlines and
-//!   [`FaultPlan`] injection included): workers derive variants on demand,
-//!   route them, reduce each outcome to scalars *worker-side* (full trees
-//!   are dropped there, never crossing a channel), and stream the scalars
-//!   to the accumulating caller through a bounded channel — no chunk
-//!   barriers, so no worker ever idles waiting for a chunk's slowest
-//!   variant; memory is O(variants) doubles plus the in-flight bound,
-//!   never O(variants) trees or instances;
+//! * [`sweep`] fans the variants out **barrier-free** through
+//!   [`astdme_par::claim_loop`] under a [`BatchPolicy`] (per-instance
+//!   deadlines and [`FaultPlan`] injection included): the calling thread
+//!   and pool helpers derive variants on demand, route them, and reduce
+//!   each outcome to scalars on the routing thread (full trees are
+//!   dropped there, never crossing a channel); the scalars stream to the
+//!   caller's accumulator through a bounded channel — no chunk barriers,
+//!   so no worker ever idles waiting for a chunk's slowest variant;
+//!   memory is O(variants) doubles plus the in-flight bound, never
+//!   O(variants) trees or instances;
 //! * the result is a [`RobustnessReport`]: running mean/min/max and exact
 //!   p50/p90/p99 over global skew, intra-group skew and wirelength, plus
 //!   per-variant failure accounting ([`VariantFailure`]) for every slot
@@ -38,8 +39,6 @@
 //! golden tests — see `tests/robustness.rs`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 
 use astdme_engine::{Groups, Instance, Sink};
 use rand::Rng;
@@ -463,12 +462,7 @@ impl RobustnessReport {
     }
 }
 
-/// One variant's result, reduced to scalars on the worker that routed it.
-struct VariantItem {
-    index: usize,
-    outcome: VariantOutcome,
-}
-
+/// One variant's result, reduced to scalars on the thread that routed it.
 enum VariantOutcome {
     Routed {
         global_skew: f64,
@@ -491,11 +485,11 @@ fn route_variant<R>(
     policy: &BatchPolicy,
     router: &R,
     index: usize,
-) -> VariantItem
+) -> VariantOutcome
 where
     R: ClockRouter + ?Sized,
 {
-    let outcome = match spec.variant(nominal, index) {
+    match spec.variant(nominal, index) {
         Ok(inst) => match crate::fleet::route_caught(router, &inst, index, policy) {
             Ok(out) => VariantOutcome::Routed {
                 global_skew: out.report.global_skew(),
@@ -514,8 +508,7 @@ where
             kind: e.kind(),
             message: e.to_string(),
         },
-    };
-    VariantItem { index, outcome }
+    }
 }
 
 /// The in-order accumulator behind a [`RobustnessReport`]. Pushes must
@@ -532,8 +525,8 @@ struct ReportAcc {
 }
 
 impl ReportAcc {
-    fn push(&mut self, item: VariantItem) {
-        match item.outcome {
+    fn push(&mut self, index: usize, outcome: VariantOutcome) {
+        match outcome {
             VariantOutcome::Routed {
                 global_skew,
                 intra_group_skew,
@@ -545,7 +538,7 @@ impl ReportAcc {
                 self.wirelength.push(wirelength);
             }
             VariantOutcome::Failed { kind, message } => self.failures.push(VariantFailure {
-                variant: item.index,
+                variant: index,
                 kind,
                 message,
             }),
@@ -568,11 +561,12 @@ impl ReportAcc {
 /// `router` and distills the outcome distributions; see the [module
 /// docs](self) for the determinism and memory contract.
 ///
-/// The fan-out is **barrier-free**: pool workers claim variant indices
-/// from a shared cursor, derive + route + reduce each variant, and stream
-/// the scalars to the accumulating caller through a channel bounded at
-/// [`SweepConfig::chunk`] results — no worker ever idles at a chunk
-/// boundary waiting for the slowest variant. The caller re-buffers
+/// The fan-out is **barrier-free**: the calling thread and pool helpers
+/// claim variant indices from a shared cursor, derive + route + reduce
+/// each variant, and stream the scalars to the caller's accumulator
+/// through a channel bounded at [`SweepConfig::chunk`] results — no
+/// worker ever idles at a chunk boundary waiting for the slowest
+/// variant. The caller re-buffers
 /// out-of-order arrivals and accumulates strictly in variant order, so
 /// the report is bit-identical at every thread count and in-flight bound.
 /// Failures — injected or genuine — consume their own variant's slot
@@ -601,65 +595,23 @@ where
         cache: config.cache.clone(),
     };
     let mut acc = ReportAcc::default();
-    // Minimum fan-out of 2 variants, like the fleet's batch path: one
-    // variant gains nothing from waking a helper.
-    let threads = astdme_par::fanout_threads(config.variants, 2);
-    if threads < 2 {
-        // Serial: derive and accumulate in variant order directly — the
-        // reference schedule the parallel path must reproduce bit for bit.
-        for index in 0..config.variants {
-            acc.push(route_variant(nominal, spec, &policy, router, index));
-        }
-    } else {
-        let in_flight = config.chunk.max(1);
-        let (tx, rx) = sync_channel::<VariantItem>(in_flight);
-        let cursor = AtomicUsize::new(0);
-        let work = |_slot: usize| {
-            let tx = tx.clone();
-            loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= config.variants {
-                    break;
-                }
-                if tx
-                    .send(route_variant(nominal, spec, &policy, router, index))
-                    .is_err()
-                {
-                    break;
-                }
+    // Consume in completion order, accumulate in index order: a small
+    // reorder buffer holds early arrivals until their predecessors land.
+    let mut pending: BTreeMap<usize, VariantOutcome> = BTreeMap::new();
+    let mut next_index = 0usize;
+    astdme_par::claim_loop(
+        config.variants,
+        config.chunk,
+        |index| route_variant(nominal, spec, &policy, router, index),
+        |index, outcome| {
+            pending.insert(index, outcome);
+            while let Some(outcome) = pending.remove(&next_index) {
+                acc.push(next_index, outcome);
+                next_index += 1;
             }
-        };
-        let acc = &mut acc;
-        astdme_par::scope_with(threads, &work, |running| {
-            if running == 0 {
-                // Saturated pool, no helpers granted: produce inline off
-                // the same cursor (nobody else is claiming).
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= config.variants {
-                        break;
-                    }
-                    acc.push(route_variant(nominal, spec, &policy, router, index));
-                }
-                return;
-            }
-            // Consume in completion order, accumulate in index order: a
-            // small reorder buffer holds early arrivals until their
-            // predecessors land. Exactly `variants` items arrive in
-            // total (each index is claimed and delivered once), so the
-            // take() below never blocks on an exhausted stream.
-            let mut pending: BTreeMap<usize, VariantItem> = BTreeMap::new();
-            let mut next_index = 0usize;
-            for item in rx.iter().take(config.variants) {
-                pending.insert(item.index, item);
-                while let Some(item) = pending.remove(&next_index) {
-                    acc.push(item);
-                    next_index += 1;
-                }
-            }
-            debug_assert!(pending.is_empty(), "every variant accumulated");
-        });
-    }
+        },
+    );
+    debug_assert!(pending.is_empty(), "every variant accumulated");
     Ok(acc.finish(config.variants))
 }
 

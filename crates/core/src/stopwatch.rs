@@ -10,7 +10,7 @@
 //! [`Stopwatch`] so that `astdme_lint`'s `wall-clock` rule can allowlist
 //! exactly one module: raw `Instant::now`/`SystemTime` reads anywhere
 //! else in the deterministic crates are lint errors (the bench harness
-//! and `astdme_par`'s pool timing keep their own clocks — they are the
+//! and `astdme_par`'s claim-loop timing keep their own clocks — they are the
 //! other allowlisted timing modules).
 //!
 //! The type is deliberately minimal — start and read elapsed seconds.

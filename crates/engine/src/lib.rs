@@ -39,11 +39,10 @@
 //!
 //! The central discipline: `MergeForest::merge` never hands `&mut self`
 //! to the case analysis. Expansion runs against a `MergeCtx` of shared
-//! borrows plus a private overlay for derived candidates, which is what
-//! lets the `parallel` feature fan candidate-pair expansion out across
-//! threads with bit-identical results (the overlays are committed
-//! deterministically in ranked-pair order afterwards). See the `merge`
-//! module docs for the full map and the commit protocol.
+//! borrows plus a private overlay for derived candidates, so every
+//! expansion is a pure function of pre-merge state (the overlays are
+//! committed deterministically in ranked-pair order afterwards). See the
+//! `merge` module docs for the full map and the commit protocol.
 //!
 //! # Example
 //!

@@ -11,16 +11,14 @@
 //!    model, config and class state, plus an owned [`Overlay`] where the
 //!    offset-adjustment machinery parks any candidates it derives on
 //!    *existing* nodes. Expansions never see each other's overlays (a
-//!    pair's provenance chain predates the merge), so the phase fans out
-//!    over [`astdme_par`] under the `parallel` feature with bit-identical
-//!    results.
+//!    pair's provenance chain predates the merge), so each one is a pure
+//!    function of pre-merge state.
 //! 2. **Commit** — back under `&mut self`, the forest replays each
 //!    expansion's overlay in pair order, remapping overlay-local candidate
 //!    indices to their final positions. This reproduces the exact indices
-//!    the old single-borrow serial code produced, which is what keeps
-//!    serial and parallel builds routing identical trees.
+//!    the old single-borrow serial code produced.
 //!
-//! Per-worker [`Scratch`] buffers (constraint assembly, the merged
+//! The [`Scratch`] buffers (constraint assembly, the merged
 //! candidate list) are threaded as explicit `&mut` parameters rather than
 //! stored in the context, so a context can hand out `&Candidate` borrows
 //! while a callee fills buffers.
@@ -36,7 +34,7 @@ use super::NodeId;
 /// so the hot path allocates nothing per pair or per ranking: constraint
 /// assembly, the bounded pair ranking, and the single candidate list every
 /// expansion appends to and the commit, prune and class fusion then work
-/// on in place. The parallel expansion path creates one per worker.
+/// on in place.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     pub(crate) ea: Vec<(u32, f64, f64, f64)>,

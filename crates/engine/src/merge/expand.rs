@@ -4,11 +4,10 @@
 //! owns the expand -> commit half of a merge. Every ranked pair is
 //! expanded against its own [`MergeCtx`](super::context::MergeCtx)
 //! snapshot, appending its merged candidates to the one reused list in
-//! [`Scratch::cands`] (in parallel under the `parallel` feature, through
-//! per-pair lists appended in ranked order). The commit then replays each
-//! pair's overlay in ranked order and remaps provenance in place, so the
-//! committed candidate contents *and indices* reproduce the serial build
-//! bit-for-bit, and `prune` sorts, dedups and truncates the same list.
+//! [`Scratch::cands`]. The commit then replays each pair's overlay in
+//! ranked order and remaps provenance in place, so the committed
+//! candidate contents *and indices* are fixed by the ranking alone, and
+//! `prune` sorts, dedups and truncates the same list.
 //! See the module docs in `mod.rs` for the borrow discipline that makes
 //! expansions independent.
 
@@ -19,63 +18,9 @@ use super::{MergeForest, NodeId};
 
 impl MergeForest {
     /// Expands every pair in `scratch.ranked`, filling `scratch.cands` and
-    /// `scratch.exps`. With the `parallel` feature this is the
-    /// candidate-pair *expansion* fan-out: each pair's case analysis runs
-    /// on its own thread (expansions are independent by the borrow
-    /// discipline) into its own list, and the lists are appended in ranked
-    /// order, so the commit sees exactly what the serial build produces.
-    #[cfg(feature = "parallel")]
-    pub(super) fn expand_pairs(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
-        // Fan out only on *large* merges: a typical expansion is cheaper
-        // than a thread hand-off, and `merge` runs n-1 times per route, so
-        // unconditional fan-out would make the parallel build slower than
-        // serial on multicore machines. When the children carry this many
-        // candidate combinations, the per-pair case analysis (sampling,
-        // snaking search, offset adjustment) is heavy enough to amortize
-        // the hand-offs.
-        const EXPAND_WORK_THRESHOLD: usize = 64;
-        let work = self.nodes[a.0].cands.len() * self.nodes[b.0].cands.len();
-        if scratch.ranked.len() < 2 || work < EXPAND_WORK_THRESHOLD {
-            return self.expand_pairs_serial(a, b, scratch);
-        }
-        // One scratch per worker thread, reused across its whole chunk
-        // (the forest's shared scratch cannot cross threads).
-        let per_pair = astdme_par::par_map_with(
-            &scratch.ranked,
-            2,
-            Scratch::default,
-            |local, &(_, ia, ib)| {
-                let mut ctx = self.ctx();
-                local.cands.clear();
-                let residual = ctx.expand_pair(a, b, ia, ib, local);
-                (
-                    std::mem::take(&mut local.cands),
-                    residual,
-                    ctx.into_overlay(),
-                )
-            },
-        );
-        scratch.cands.clear();
-        scratch.exps.clear();
-        for (cands, residual, overlay) in per_pair {
-            scratch.cands.extend(cands);
-            scratch.exps.push(Expansion {
-                end: scratch.cands.len(),
-                residual,
-                overlay,
-            });
-        }
-    }
-
-    /// Expands every pair in `scratch.ranked` (serial build).
-    #[cfg(not(feature = "parallel"))]
-    pub(super) fn expand_pairs(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
-        self.expand_pairs_serial(a, b, scratch)
-    }
-
-    /// Serial expansion: every pair appends straight into `scratch.cands`,
+    /// `scratch.exps`: every pair appends straight into `scratch.cands`,
     /// so the hot path allocates no per-pair buffers.
-    fn expand_pairs_serial(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
+    pub(super) fn expand_pairs(&self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
         scratch.cands.clear();
         scratch.exps.clear();
         for i in 0..scratch.ranked.len() {

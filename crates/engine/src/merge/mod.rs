@@ -22,7 +22,7 @@
 //! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse → exact-size node) |
 //! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay / finiteness summaries |
 //! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, the `Scratch` buffers a merge reuses |
-//! | `expand` | expansion into the scratch candidate list (parallel under the `parallel` feature), the in-place overlay-replay commit, candidate pruning |
+//! | `expand` | expansion into the scratch candidate list, the in-place overlay-replay commit, candidate pruning |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, the bounded cheapest-first pair ranking |
 //! | `cases` | the Fig. 6 case analysis: feasible splits, snaking, best-effort fallback |
 //! | `offset` | class fusing (steps 6–7) and recursive offset adjustment / wire sneaking |
@@ -46,7 +46,7 @@
 //! 4. The new node takes the kept candidates in an exact-size list, so a
 //!    finished forest holds its candidates' bytes and no spare capacity.
 //!
-//! # Borrow discipline (and why expansion parallelizes)
+//! # Borrow discipline
 //!
 //! [`MergeForest::merge`] never hands `&mut self` to the case analysis.
 //! Instead it builds a `MergeCtx` — shared borrows of the node table,
@@ -54,12 +54,12 @@
 //! candidate pair against it. Anything an expansion *derives* (offset
 //! adjustment re-deriving child candidates) goes into the context's
 //! private overlay. Expansions only ever read state that predates the
-//! merge call, so they are independent; under the `parallel` feature they
-//! fan out through [`astdme_par::par_map_with`] into per-pair lists that
-//! are appended to the scratch list in ranked order, and the commit
-//! replays the overlays in that order, reproducing the serial result
-//! bit-for-bit. Ranking stays serial: it prices a few pairs per merge.
-//! See `context` for details.
+//! merge call, so they are independent of each other and of the order
+//! they run in; the commit replays the overlays in ranked order, so the
+//! result is a function of the ranking alone. Parallelism lives one level
+//! up, across whole instances (the fleet): a merge is one link in a chain
+//! of dependent merges and is too small to split. See `context` for
+//! details.
 
 use astdme_delay::DelayModel;
 use astdme_geom::{Point, Trr};

@@ -43,13 +43,6 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Serializes tests that flip the process-global `astdme_par` thread
-/// override, so concurrent test threads cannot interleave their sweeps.
-#[cfg(feature = "parallel")]
-mod par_override {
-    pub static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-}
-
 /// Merge all leaves left-to-right (a deliberately bad order — the engine
 /// must stay correct under any order).
 fn fold_all(forest: &mut MergeForest) -> astdme_engine::NodeId {
@@ -147,53 +140,6 @@ proptest! {
             seen[s] = true;
         }
         prop_assert!(seen.iter().all(|&x| x));
-    }
-
-    #[test]
-    #[cfg(feature = "parallel")]
-    fn merges_are_bit_identical_across_thread_counts(inst in instance_strategy()) {
-        // The parallel feature fans candidate-pair expansion (and cost
-        // estimation) out via astdme_par; the commit protocol must keep
-        // every candidate — including overlay candidates derived by offset
-        // adjustment — bit-identical to the serial path, for any thread
-        // count. Exercise both the fused and the general (conflict-heavy)
-        // mode.
-        let _guard = par_override::LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for fuse in [true, false] {
-            let cfg = EngineConfig { fuse_groups: fuse, ..EngineConfig::default() };
-            astdme_par::set_thread_override(std::num::NonZeroUsize::new(1));
-            let mut reference = MergeForest::for_instance(&inst, cfg);
-            let root_ref = fold_all(&mut reference);
-            let tree_ref = reference.embed(root_ref, inst.source());
-            for threads in [2usize, 3, 8] {
-                astdme_par::set_thread_override(std::num::NonZeroUsize::new(threads));
-                let mut forest = MergeForest::for_instance(&inst, cfg);
-                let root = fold_all(&mut forest);
-                prop_assert_eq!(forest.node_count(), reference.node_count());
-                for idx in 0..forest.node_count() {
-                    let id = astdme_engine::NodeId::from_index(idx);
-                    let (xs, ys) = (forest.candidates(id), reference.candidates(id));
-                    prop_assert_eq!(
-                        xs.len(), ys.len(),
-                        "candidate count diverged at node {} ({} threads)", idx, threads
-                    );
-                    for (x, y) in xs.iter().zip(ys) {
-                        prop_assert_eq!(x, y, "candidate diverged at node {}", idx);
-                        prop_assert_eq!(x.wirelen.to_bits(), y.wirelen.to_bits());
-                        prop_assert_eq!(x.cap.to_bits(), y.cap.to_bits());
-                    }
-                }
-                let tree = forest.embed(root, inst.source());
-                for (a, b) in tree.nodes().iter().zip(tree_ref.nodes()) {
-                    prop_assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
-                    prop_assert_eq!(a.pos.y.to_bits(), b.pos.y.to_bits());
-                    prop_assert_eq!(a.wire.to_bits(), b.wire.to_bits());
-                    prop_assert_eq!(a.parent, b.parent);
-                    prop_assert_eq!(a.sink, b.sink);
-                }
-            }
-            astdme_par::set_thread_override(None);
-        }
     }
 
     #[test]

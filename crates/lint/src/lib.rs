@@ -8,16 +8,15 @@
 //! nondeterminism and unsoundness at the source level, before they reach
 //! a test. It is a self-contained binary over a hand-rolled Rust lexer
 //! ([`lexer`]) — no registry deps, consistent with the vendored-shims
-//! policy — and runs in CI as `cargo run -p astdme_lint -- --expect-clean`
-//! on both feature jobs.
+//! policy — and runs in CI as `cargo run -p astdme_lint -- --expect-clean`.
 //!
 //! # Rule catalogue
 //!
 //! | id | scope | rule |
 //! |---|---|---|
 //! | `map-iter` | `src/` of the deterministic crates (`engine`, `topo`, `core`, `cache`, `geom`, `delay`) | no `HashMap`/`HashSet` iteration (`iter`, `keys`, `values`, `drain`, `retain`, `for … in &map`, …): hasher order is not deterministic. Membership ops are fine. Sort keys or use a dense table; pragma only with a reason. |
-//! | `wall-clock` | all library `src/` except the timing modules (`crates/bench`, `astdme_par`'s pool timing, `astdme_core::stopwatch`) | no `Instant`/`SystemTime`: routing logic must not read the clock. Stage timing goes through [`Stopwatch`](../astdme_core/stopwatch/struct.Stopwatch.html). |
-//! | `thread-spawn` | everywhere except `crates/par/src` | no `thread::spawn`/`thread::Builder`/`thread::scope`: one pool, one nesting guard, one place the thread count is decided (`astdme_par`). |
+//! | `wall-clock` | all library `src/` except the timing modules (`crates/bench`, `astdme_par`'s claim-loop timing, `astdme_core::stopwatch`) | no `Instant`/`SystemTime`: routing logic must not read the clock. Stage timing goes through [`Stopwatch`](../astdme_core/stopwatch/struct.Stopwatch.html). |
+//! | `thread-spawn` | everywhere except `crates/par/src` | no `thread::spawn`/`thread::Builder`/`thread::scope`: one pool, one claim loop, one nesting guard, one place the thread count is decided (`astdme_par`). Fan out through `claim_loop` (scoped) or `claim_stream` (detached). |
 //! | `unsafe-code` | everywhere except the audited allowlist | `unsafe` only in `par/src/pool.rs` (the `scope_with` lifetime erasure) and the counting `GlobalAlloc` shims (`bench/src/bin/scaling.rs`, `tests/alloc_budget.rs`). Crates redundantly `#![forbid(unsafe_code)]`. |
 //! | `float-eq` | `crates/engine/src`, `crates/topo/src` | no raw `==`/`!=` with a float-literal or `f32::`/`f64::`-constant operand in ranking paths: use `total_cmp`/`to_bits` or branch on the ordering. (Lexical rule: comparisons of two float *variables* are not detectable without types — reviews still own those.) |
 //! | `file-length` | `crates/engine/src`, `crates/topo/src` | files stay ≤ 500 lines (the PR 2/4 module-tree convention). |

@@ -33,7 +33,7 @@ const DET_CRATES: &[&str] = &[
 ];
 
 /// The sanctioned timing modules: the bench harness (stopwatch-driven by
-/// nature), `astdme_par`'s pool/steal timing, and the one wall-clock
+/// nature), `astdme_par`'s claim-loop timing, and the one wall-clock
 /// wrapper the deterministic crates are allowed (`astdme_core::stopwatch`).
 const WALL_CLOCK_ALLOW: &[&str] = &[
     "crates/bench/",
@@ -251,7 +251,8 @@ fn wall_clock(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
 }
 
 /// Rule `thread-spawn`: thread creation belongs to `astdme_par` alone —
-/// one pool, one nesting guard, one place the thread count is decided.
+/// one pool, one claim loop, one nesting guard, one place the thread
+/// count is decided.
 fn thread_spawn(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
     let t = &lx.tokens;
     for i in 0..t.len().saturating_sub(2) {
@@ -266,7 +267,7 @@ fn thread_spawn(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
                 t[i].line,
                 format!(
                     "`thread::{}` outside crates/par: fan out through astdme_par \
-                     (scope_with / spawn_pooled / par_map)",
+                     (claim_loop / claim_stream)",
                     t[i + 2].text
                 ),
             ));

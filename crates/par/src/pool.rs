@@ -1,4 +1,4 @@
-//! The persistent worker pool behind every fan-out in this crate: lazily
+//! The persistent worker pool behind the claim loop: lazily
 //! spawned OS threads that park on a private job channel between calls and
 //! are reused across calls, instead of being spawned and joined per call.
 //!
@@ -12,8 +12,8 @@
 //! its worker back in as its last action. Workers are
 //! never joined — a parked worker costs one blocked OS thread and nothing
 //! else, and parked threads do not keep the process alive. Every pool
-//! thread is permanently marked as a parallel worker, so any nested
-//! fan-out from a job takes the serial fallback (see the crate docs).
+//! thread is permanently marked as a worker, so any nested claim loop
+//! from a job runs inline (see the crate docs).
 //!
 //! # Two submission shapes
 //!
@@ -22,11 +22,12 @@
 //!   finished. Because the call blocks, the work closure may borrow from
 //!   the caller's stack (the classic scoped-thread contract, here checked
 //!   by one audited `unsafe` lifetime erasure — see the safety comment).
+//!   [`claim_loop`](crate::claim_loop) rides on this.
 //! * [`spawn_pooled`] — a **detached** job: it must own its data
 //!   (`'static`), runs when a worker picks it up, and nothing waits for
-//!   it. The fleet layer's completion-order streams ride on this; their
-//!   handle types own their instances precisely because nothing here can
-//!   promise to outwait a borrow (a leaked handle never joins).
+//!   it. [`claim_stream`](crate::claim_stream) rides on this; its
+//!   producers own their data precisely because nothing here can promise
+//!   to outwait a borrow (a leaked stream never joins).
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -197,16 +198,15 @@ fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
 
 /// The blocking barrier primitive: runs `work(1..=running)` on up to
 /// `helpers` pool workers while the caller runs `main(running)` on its own
-/// thread (marked as a worker for the duration, so nested fan-outs inside
-/// `main` take the serial fallback), then blocks until every helper has
+/// thread (marked as a worker for the duration, so nested claim loops
+/// inside `main` run inline), then blocks until every helper has
 /// finished before returning `main`'s result. The helpers are back in the
 /// idle list by the time it returns, so back-to-back barriers reuse them
 /// instead of racing their check-in and spawning more.
 ///
 /// `running` is the number of helpers actually checked out — it can be
-/// less than `helpers` (down to zero) if the pool is saturated, so a
-/// `main` that *consumes* helper output must fall back to producing
-/// inline when it receives zero.
+/// less than `helpers` (down to zero) if the pool is saturated, so `main`
+/// must be able to finish the work alone.
 ///
 /// Because this call does not return (or unwind) until every helper is
 /// done, `work` may borrow data from the caller's stack even though pool
@@ -219,7 +219,7 @@ fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
 /// a panic in `main` likewise waits for the helpers before unwinding.
 /// Pool workers themselves survive panicking jobs.
 #[allow(unsafe_code)]
-pub fn scope_with<R>(
+pub(crate) fn scope_with<R>(
     helpers: usize,
     work: &(dyn Fn(usize) + Sync),
     main: impl FnOnce(usize) -> R,
@@ -280,8 +280,8 @@ pub fn scope_with<R>(
 
 /// Submits one detached job to the pool: it runs when a worker picks it
 /// up, and nothing waits for it — the job must own everything it touches
-/// (`'static`). The worker running it is marked, so nested fan-outs
-/// inside the job take the serial fallback, and checks itself back into
+/// (`'static`). The worker running it is marked, so nested claim loops
+/// inside the job run inline, and checks itself back into
 /// the idle list when the job ends.
 ///
 /// If the pool is saturated (`MAX_POOL_THREADS` live workers, all busy)
@@ -290,8 +290,8 @@ pub fn scope_with<R>(
 ///
 /// A panicking detached job is caught and its payload discarded (there is
 /// no caller to re-raise on); submitters that care route failures through
-/// their own channels, as the fleet layer's streams do.
-pub fn spawn_pooled<F: FnOnce() + Send + 'static>(job: F) {
+/// their own channels, as [`claim_stream`](crate::claim_stream) does.
+pub(crate) fn spawn_pooled<F: FnOnce() + Send + 'static>(job: F) {
     let mut tickets = checkout(1);
     match tickets.pop() {
         Some(ticket) => {

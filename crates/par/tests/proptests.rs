@@ -1,7 +1,7 @@
-//! Scheduler determinism under skew: random mixed-cost workloads mapped at
-//! thread overrides 1/2/3/8 must produce output bit-identical to the
-//! serial schedule — work stealing changes who computes an item, never
-//! what lands in its slot.
+//! Claim-loop delivery under skew: random mixed-cost workloads run at
+//! thread overrides 1/2/3/8 and in-flight bounds 1/4/len must deliver
+//! every index exactly once, with the value the serial loop computes —
+//! work claiming changes who computes an item, never what it is.
 
 use std::num::NonZeroUsize;
 
@@ -47,41 +47,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn stealing_is_bit_identical_to_serial_across_thread_counts(items in workload()) {
+    fn every_index_is_delivered_exactly_once(items in workload()) {
         // RAII: a failing case restores whatever override was active
         // before this test instead of leaking its last sweep value.
         let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
-        let f = |i: usize, &(v, rounds): &(u64, u32)| crunch(v ^ i as u64, rounds);
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-        prop_assert_eq!(&astdme_par::par_map_indexed(&items, 0, f), &serial);
-        for threads in [2usize, 3, 8] {
+        let f = |i: usize| crunch(items[i].0 ^ i as u64, items[i].1);
+        let serial: Vec<u64> = (0..items.len()).map(f).collect();
+        for threads in [1usize, 2, 3, 8] {
             astdme_par::set_thread_override(NonZeroUsize::new(threads));
+            for in_flight in [1, 4, items.len()] {
+                let mut got: Vec<Option<u64>> = vec![None; items.len()];
+                let mut twice = None;
+                let stats = astdme_par::claim_loop(items.len(), in_flight, f, |i, r| {
+                    if got[i].replace(r).is_some() {
+                        twice = Some(i);
+                    }
+                });
+                prop_assert_eq!(twice, None, "{} threads, in_flight {}", threads, in_flight);
+                prop_assert_eq!(
+                    got.iter().map(|r| r.expect("every index delivered")).collect::<Vec<_>>(),
+                    serial.clone(),
+                    "claim_loop diverged at {} threads, in_flight {}", threads, in_flight
+                );
+                prop_assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
+            }
+            let owned = items.clone();
+            let mut streamed: Vec<(usize, u64)> = astdme_par::claim_stream(
+                items.len(),
+                threads,
+                4,
+                move |i| crunch(owned[i].0 ^ i as u64, owned[i].1),
+            )
+            .collect();
+            streamed.sort_unstable_by_key(|&(i, _)| i);
             prop_assert_eq!(
-                &astdme_par::par_map_indexed(&items, 0, f),
-                &serial,
-                "par_map_indexed diverged at {} threads", threads
+                streamed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
+                serial.clone(),
+                "claim_stream diverged at {} threads", threads
             );
-            let (out, stats) = astdme_par::par_map_indexed_stats(&items, 0, f);
-            prop_assert_eq!(&out, &serial, "stats variant diverged at {} threads", threads);
-            prop_assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
-            let plain: Vec<u64> = astdme_par::par_map(&items, 0, |&(v, rounds)| crunch(v, rounds));
-            let plain_serial: Vec<u64> =
-                items.iter().map(|&(v, rounds)| crunch(v, rounds)).collect();
-            prop_assert_eq!(&plain, &plain_serial, "par_map diverged at {} threads", threads);
-            let with_ctx = astdme_par::par_map_with(
-                &items,
-                0,
-                || 0u64,
-                |scratch, &(v, rounds)| {
-                    *scratch = crunch(v, rounds);
-                    *scratch
-                },
-            );
-            prop_assert_eq!(&with_ctx, &plain_serial, "par_map_with diverged at {} threads", threads);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use astdme_geom::Trr;
 
-use crate::{GridIndex, MaybeSync};
+use crate::GridIndex;
 
 /// Below this many active subtrees, planning scans all pairs exactly
 /// instead of going through the grid index: the scan is cheaper than
@@ -162,7 +162,7 @@ pub fn select_disjoint(
 /// subtrees remain.
 ///
 /// The planner is deterministic: ties break toward smaller keys.
-pub fn plan_round<S: MergeSpace + MaybeSync>(
+pub fn plan_round<S: MergeSpace>(
     space: &S,
     active: &[usize],
     cfg: &TopoConfig,
@@ -227,33 +227,19 @@ pub(crate) fn nearest_bruteforce<S: MergeSpace>(
     dedup_pairs(pairs)
 }
 
-fn nearest_with_grid<S: MergeSpace + MaybeSync>(
-    space: &S,
-    active: &[usize],
-) -> Vec<(usize, usize, f64)> {
+fn nearest_with_grid<S: MergeSpace>(space: &S, active: &[usize]) -> Vec<(usize, usize, f64)> {
     let items: Vec<(usize, Trr)> = active.iter().map(|&id| (id, space.region(id))).collect();
     let grid = GridIndex::build(&items);
     // Grid distance is between representative regions; refine with the
-    // exact candidate-level cost. The refinement is the expensive part and
-    // is embarrassingly parallel (`parallel` feature).
-    let pairs: Vec<Option<(usize, usize, f64)>> = map_chunked(&items, |(id, region)| {
+    // exact candidate-level cost.
+    let pairs = items.iter().filter_map(|(id, region)| {
         grid.nearest(*id, region).map(|(nn, _)| {
             let d = space.distance(*id, nn);
             let (lo, hi) = if *id < nn { (*id, nn) } else { (nn, *id) };
             (lo, hi, d)
         })
     });
-    dedup_pairs(pairs.into_iter().flatten().collect())
-}
-
-#[cfg(feature = "parallel")]
-fn map_chunked<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    astdme_par::par_map(items, 512, f)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn map_chunked<T, R>(items: &[T], f: impl Fn(&T) -> R) -> Vec<R> {
-    items.iter().map(f).collect()
+    dedup_pairs(pairs.collect())
 }
 
 fn dedup_pairs(mut pairs: Vec<(usize, usize, f64)>) -> Vec<(usize, usize, f64)> {

@@ -18,7 +18,7 @@
 
 use astdme::instances::{partition, r_benchmark, RBench};
 use astdme::{AstDme, GreedyDme};
-use astdme::{BatchPlan, ClockRouter, CostModel, Instance};
+use astdme::{BatchPlan, BatchPolicy, ClockRouter, CostModel, Instance};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = r_benchmark(RBench::R1, 7);
@@ -50,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("| scenario | wirelen (um) | intra skew (ps) | rounds | merges | repair | merge (s) | total (s) |");
         println!("|----------|--------------|-----------------|--------|--------|--------|-----------|-----------|");
-        let (outcomes, stats) = plan.route_with_stats(&instances, router.as_ref());
+        let (outcomes, stats) =
+            plan.route_with_policy(&instances, router.as_ref(), &BatchPolicy::default());
         for ((label, inst), out) in labels.iter().zip(&instances).zip(outcomes) {
             let out = out?;
             model.observe(inst, &out.stats);

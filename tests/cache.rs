@@ -12,17 +12,16 @@
 //! portfolio at one thread, where lookup order is deterministic. For
 //! instances anchored at the origin, translation normalization is the
 //! exact identity and cached outcomes additionally coincide with the
-//! cache-free path. Runs under both feature sets in CI (default and
-//! `parallel`).
+//! cache-free path.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
-    route_batch, route_batch_cached, sweep, AstDme, BatchPlan, BatchPolicy, ClockRouter, Groups,
-    Instance, PerturbationSpec, Point, RcParams, RouteOutcome, Sink, StitchPerGroup, SubtreeCache,
-    SweepConfig,
+    route_batch, sweep, AstDme, BatchPlan, BatchPolicy, ClockRouter, Groups, Instance,
+    PerturbationSpec, Point, RcParams, RouteError, RouteOutcome, Sink, StitchPerGroup,
+    SubtreeCache, SweepConfig,
 };
 use proptest::prelude::*;
 
@@ -35,6 +34,18 @@ static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 fn override_lock() -> MutexGuard<'static, ()> {
     OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Routes `instances` as one batch sharing `cache`.
+fn route_cached<R: ClockRouter + Sync + ?Sized>(
+    instances: &[Instance],
+    router: &R,
+    cache: &SubtreeCache,
+) -> Vec<Result<RouteOutcome, RouteError>> {
+    let policy = BatchPolicy::new().with_cache(cache.clone());
+    BatchPlan::new(instances)
+        .route_with_policy(instances, router, &policy)
+        .0
 }
 
 fn instance(n: usize, k: usize, seed: u64) -> Instance {
@@ -100,10 +111,9 @@ where
     instances
         .iter()
         .map(|inst| {
-            let slot =
-                route_batch_cached(std::slice::from_ref(inst), router, &SubtreeCache::new(1))
-                    .pop()
-                    .expect("one instance, one slot");
+            let slot = route_cached(std::slice::from_ref(inst), router, &SubtreeCache::new(1))
+                .pop()
+                .expect("one instance, one slot");
             let out = slot.expect("routes");
             assert!(!out.stats.cache_hit, "a fresh cache cannot hit");
             out
@@ -152,7 +162,7 @@ fn cached_batches_match_recompute_across_thread_counts() {
                 ("shared", shared.clone()),
                 ("evicting", SubtreeCache::new(1)),
             ] {
-                let cached = route_batch_cached(&instances, router.as_ref(), &cache);
+                let cached = route_cached(&instances, router.as_ref(), &cache);
                 for (i, (got, want)) in cached.iter().zip(&reference).enumerate() {
                     let ctx = format!("{} {label} threads={threads} instance {i}", router.name());
                     assert_outcomes_identical(got.as_ref().expect("routes"), want, &ctx);
@@ -162,7 +172,7 @@ fn cached_batches_match_recompute_across_thread_counts() {
         // Fully warm + auto threads: every region is resident, every
         // instance must hit, and outcomes still match exactly.
         astdme_par::set_thread_override(None);
-        let warm = route_batch_cached(&instances, router.as_ref(), &shared);
+        let warm = route_cached(&instances, router.as_ref(), &shared);
         for (i, (got, want)) in warm.iter().zip(&reference).enumerate() {
             let got = got.as_ref().expect("routes");
             assert!(
@@ -192,7 +202,7 @@ fn origin_anchored_cached_equals_uncached() {
         let uncached = route_batch(&instances, router);
         let cache = SubtreeCache::new(32);
         for pass in 0..2 {
-            let cached = route_batch_cached(&instances, router, &cache);
+            let cached = route_cached(&instances, router, &cache);
             for (i, (got, want)) in cached.iter().zip(&uncached).enumerate() {
                 assert_outcomes_identical(
                     got.as_ref().expect("routes"),
@@ -216,14 +226,14 @@ fn repeated_portfolio_hit_counts_are_golden() {
     let instances = repeat_portfolio();
     let cache = SubtreeCache::new(64);
     let router = AstDme::new();
-    let first = route_batch_cached(&instances, &router, &cache);
+    let first = route_cached(&instances, &router, &cache);
     assert!(first.iter().all(|r| r.is_ok()));
     let stats = cache.stats();
     assert_eq!(stats.misses, 3, "three distinct regions: {stats:?}");
     assert_eq!(stats.hits, 4, "duplicates and translations hit: {stats:?}");
     assert_eq!(stats.inserts, 3);
     assert_eq!(stats.evictions, 0);
-    let second = route_batch_cached(&instances, &router, &cache);
+    let second = route_cached(&instances, &router, &cache);
     assert!(second.iter().all(|r| r.as_ref().unwrap().stats.cache_hit));
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (11, 3));
@@ -243,7 +253,7 @@ fn integer_translated_duplicates_hit_and_splice_exactly() {
     let router = AstDme::new();
     let want = recompute_reference(std::slice::from_ref(&moved), &router);
     let cache = SubtreeCache::new(8);
-    let batch = route_batch_cached(&[base, moved], &router, &cache);
+    let batch = route_cached(&[base, moved], &router, &cache);
     let spliced = batch[1].as_ref().expect("routes");
     assert!(spliced.stats.cache_hit, "translated copy must hit");
     assert_outcomes_identical(spliced, &want[0], "translated splice");
@@ -343,7 +353,7 @@ proptest! {
         let reference = recompute_reference(&batch, &router);
         let cache = SubtreeCache::new(capacity);
         for pass in 0..2 {
-            let cached = route_batch_cached(&batch, &router, &cache);
+            let cached = route_cached(&batch, &router, &cache);
             for (i, (got, want)) in cached.iter().zip(&reference).enumerate() {
                 let ctx = format!("pass {pass} instance {i} (capacity {capacity})");
                 assert_outcomes_identical(got.as_ref().expect("routes"), want, &ctx);
@@ -368,7 +378,7 @@ proptest! {
         let router = AstDme::new();
         let want = recompute_reference(std::slice::from_ref(&moved), &router);
         let cache = SubtreeCache::new(4);
-        let batch = route_batch_cached(&[base, moved], &router, &cache);
+        let batch = route_cached(&[base, moved], &router, &cache);
         prop_assert_eq!(cache.len(), 1, "translations must share one entry");
         let spliced = batch[1].as_ref().expect("routes");
         assert_outcomes_identical(spliced, &want[0], "proptest translated splice");

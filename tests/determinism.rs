@@ -2,10 +2,6 @@
 //! the same instance must produce the identical routed tree on every run,
 //! for every merge order, and the incremental planner must route exactly
 //! what the from-scratch reference planner routes.
-//!
-//! These run under both feature sets in CI (default and `parallel`); the
-//! parallel expansion path commits in ranked order, so its trees are
-//! bit-identical to serial ones.
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -70,42 +66,6 @@ fn all_routers_are_deterministic() {
         let t1 = r.route(&inst).expect("routes");
         let t2 = r.route(&inst).expect("routes");
         assert_identical(&t1, &t2);
-    }
-}
-
-/// With the `parallel` feature, the engine fans candidate-pair expansion
-/// out via `astdme_par`. The routed tree must not
-/// depend on how many threads that fan-out uses — forcing one thread runs
-/// byte-for-byte the serial code path, so comparing against it asserts
-/// "with and without the parallel feature" inside a single build.
-#[cfg(feature = "parallel")]
-mod parallel_expansion {
-    use super::*;
-    use proptest::prelude::*;
-    use std::num::NonZeroUsize;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn routed_trees_are_identical_across_thread_counts(
-            n in 20usize..90,
-            k in 1usize..5,
-            seed in any::<u64>(),
-        ) {
-            let inst = instance(n, k, seed);
-            let router = AstDme::new();
-            astdme_par::set_thread_override(NonZeroUsize::new(1));
-            let serial = router.route(&inst).expect("routes");
-            for threads in [2usize, 4] {
-                astdme_par::set_thread_override(NonZeroUsize::new(threads));
-                let par = router.route(&inst).expect("routes");
-                assert_identical(&serial, &par);
-            }
-            astdme_par::set_thread_override(None);
-            let auto = router.route(&inst).expect("routes");
-            assert_identical(&serial, &auto);
-        }
     }
 }
 

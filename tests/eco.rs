@@ -9,8 +9,7 @@
 //! for structural edits (insert/delete/RC retune, which fall back to a
 //! full reroute), and for non-replayable plans. Net no-op batches
 //! (move-then-move-back, insert-then-delete) return the standing tree
-//! without routing. Runs under both feature sets in CI (default and
-//! `parallel`).
+//! without routing.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};

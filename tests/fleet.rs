@@ -1,16 +1,14 @@
 //! Fleet-layer determinism: `route_batch` output must be bit-identical to
 //! a sequential `route_traced` loop at every thread count.
 //!
-//! The batch layer fans whole instances out over `astdme_par`'s
-//! work-stealing workers, costliest instance first (input-ordered
-//! reassembly), and forces nested engine parallelism serial on worker
-//! threads; all of these mechanisms change scheduling only. Sweeping the
-//! process-global thread override proves it: trees, reports and merge
-//! counters all match the single-thread reference exactly — including on
-//! a deliberately skewed large+small portfolio, the shape the
-//! work-stealing schedule exists for. Runs under both feature sets in CI
-//! (default and `parallel`). A panicking router must fail only its own
-//! instance's slot.
+//! The batch layer fans whole instances out through `astdme_par`'s claim
+//! loop, costliest instance first (input-ordered reassembly), and runs
+//! nested fan-outs inline on worker threads; all of these mechanisms
+//! change scheduling only. Sweeping the process-global thread override
+//! proves it: trees, reports and merge counters all match the
+//! single-thread reference exactly — including on a deliberately skewed
+//! large+small portfolio, the shape work claiming exists for. A
+//! panicking router must fail only its own instance's slot.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};

@@ -9,7 +9,9 @@
 //! daemon consumes.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -111,16 +113,47 @@ fn single_instance_stream_yields_exactly_once() {
     assert_eq!(stream.remaining(), 0);
 }
 
+/// A router that counts the routes it starts — the witness that
+/// cancellation stops workers from claiming more instances.
+#[derive(Default)]
+struct CountingRouter {
+    started: AtomicUsize,
+    inner: AstDme,
+}
+
+impl ClockRouter for CountingRouter {
+    fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
+        self.started.fetch_add(1, Ordering::SeqCst);
+        self.inner.route_traced(inst)
+    }
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+}
+
+/// Waits until every worker of a dropped stream has left — each one
+/// shares the stream's clone of the router handle — and returns the
+/// number of routes started.
+fn settle(router: &Arc<CountingRouter>) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while Arc::strong_count(router) > 1 {
+        assert!(Instant::now() < deadline, "stream workers never left");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    router.started.load(Ordering::SeqCst)
+}
+
 #[test]
 fn dropping_the_stream_early_cancels_without_deadlock() {
     let _lock = override_lock();
     // Two workers, in-flight bound of 1, and more instances than either:
     // at drop time workers are claiming, routing, and blocking on a full
     // buffer — every state the cancellation path must unblock.
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(2));
+    let workers = 2;
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(workers));
     let instances: Vec<Instance> = portfolio().into_iter().cycle().take(12).collect();
-    let router = Arc::new(AstDme::new());
     for consume in [0usize, 1, 3] {
+        let router = Arc::new(CountingRouter::default());
         let mut stream = route_stream(
             instances.clone(),
             router.clone(),
@@ -130,6 +163,18 @@ fn dropping_the_stream_early_cancels_without_deadlock() {
             assert!(stream.next().is_some(), "stream has 12 instances");
         }
         drop(stream);
+        let at_drop = router.started.load(Ordering::SeqCst);
+        // A worker may have passed its stop check just before the drop:
+        // at most one further route per worker may start after it.
+        let total = settle(&router);
+        assert!(
+            total <= at_drop + workers,
+            "consume {consume}: {total} routes started, {at_drop} at drop, {workers} workers"
+        );
+        assert!(
+            total < instances.len(),
+            "consume {consume}: the drop cancelled nothing"
+        );
         // The pool must still be fully serviceable after the cancel —
         // a stuck worker would hang this follow-up barrier call.
         let after = route_batch(&instances[..2], router.as_ref());
