@@ -1,9 +1,9 @@
 //! The bottom-up driving loop shared by all routers.
 
 use astdme_delay::DelayModel;
-use astdme_engine::{EngineConfig, Instance, MergeForest, NodeId};
+use astdme_engine::{EngineConfig, Instance, MergeForest, MergeRecording, NodeId};
 use astdme_geom::Trr;
-use astdme_topo::{plan_round, MergePlanner, MergeSpace, TopoConfig};
+use astdme_topo::{plan_round, MergePlanner, MergeSpace, NnSnapshotRow, TopoConfig};
 
 /// Adapter exposing a [`MergeForest`] to the merge planner.
 ///
@@ -45,19 +45,42 @@ impl MergeSpace for ForestSpace<'_> {
 /// raw material of the pipeline's merge-stage
 /// [`StageStats`](crate::StageStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeTrace {
+pub(crate) struct MergeTrace {
     /// Planning rounds executed.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Merges performed (over `n` subtrees, always `n - 1`).
-    pub merges: usize,
+    pub(crate) merges: usize,
 }
 
 impl MergeTrace {
     /// Accumulates another loop's counters (per-group merge scripts run
     /// several loops over one forest).
-    pub fn absorb(&mut self, other: MergeTrace) {
+    pub(crate) fn absorb(&mut self, other: MergeTrace) {
         self.rounds += other.rounds;
         self.merges += other.merges;
+    }
+}
+
+/// The replay script a recorded merge loop leaves behind, for the ECO
+/// flush to replay against an edited instance.
+pub(crate) struct MergeScript {
+    /// Per merge, the engine's [`MergeLog`](astdme_engine::MergeLog).
+    pub(crate) merges: MergeRecording,
+    /// Per planning round, the planner's nearest-neighbor table right
+    /// after the round was planned (rows in active order), or `None` for
+    /// brute-force tail rounds, which replay by re-planning (cheap: at
+    /// most [`BRUTE_FORCE_CUTOFF`](astdme_topo::BRUTE_FORCE_CUTOFF)
+    /// subtrees).
+    pub(crate) rounds: Vec<Option<Vec<NnSnapshotRow>>>,
+}
+
+impl MergeScript {
+    /// An empty script for `forest`; create it before the first merge.
+    pub(crate) fn for_forest(forest: &MergeForest) -> Self {
+        Self {
+            merges: MergeRecording::for_forest(forest),
+            rounds: Vec::new(),
+        }
     }
 }
 
@@ -73,16 +96,19 @@ impl MergeTrace {
 /// Returns the surviving root. `start` must be non-empty; a single node is
 /// returned unchanged.
 pub fn merge_until_one(forest: &mut MergeForest, start: Vec<NodeId>, topo: &TopoConfig) -> NodeId {
-    merge_until_one_traced(forest, start, topo).0
+    merge_until_one_traced(forest, start, topo, None).0
 }
 
 /// [`merge_until_one`] with round/merge counters — the entry point the
 /// staged pipeline uses so its merge-stage stats are measured inside the
-/// loop, not guessed from the outside.
-pub fn merge_until_one_traced(
+/// loop, not guessed from the outside. With a `script`, the loop also
+/// records what an ECO flush replays: per-round planner snapshots (grid
+/// regime only) and per-merge logs. Recording never changes a routed bit.
+pub(crate) fn merge_until_one_traced(
     forest: &mut MergeForest,
     start: Vec<NodeId>,
     topo: &TopoConfig,
+    mut script: Option<&mut MergeScript>,
 ) -> (NodeId, MergeTrace) {
     assert!(!start.is_empty(), "need at least one subtree to merge");
     if start.len() == 1 {
@@ -109,10 +135,21 @@ pub fn merge_until_one_traced(
         let pairs = planner.plan_round(&ForestSpace::new(forest));
         lap(t0, &mut t_plan);
         assert!(!pairs.is_empty(), "planner must make progress");
+        if let Some(script) = script.as_deref_mut() {
+            // Snapshot *after* planning (caches are flushed, rows are what
+            // the round selected from), *before* the merges mutate the
+            // forest.
+            let grid = planner.in_grid_regime();
+            script.rounds.push(grid.then(|| planner.nn_snapshot()));
+        }
         round.clear();
         let t0 = clock(profile);
         for (a, b) in pairs {
-            let m = forest.merge(NodeId::from_index(a), NodeId::from_index(b));
+            let (na, nb) = (NodeId::from_index(a), NodeId::from_index(b));
+            let m = match script.as_deref_mut() {
+                Some(script) => forest.merge_recorded(na, nb, &mut script.merges),
+                None => forest.merge(na, nb),
+            };
             round.push((a, b, m.index()));
         }
         lap(t0, &mut t_engine);

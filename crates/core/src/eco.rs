@@ -46,14 +46,18 @@
 //!   expansion. Everything else is merged fresh (bit-correct by
 //!   construction).
 //!
-//! Embedding, repair, validation, and the audit then run exactly as the
-//! staged pipeline does, so a flushed session is **bit-identical to a
-//! from-scratch route of the edited instance** — same tree, same audit
-//! report, at every thread count. Update latency is sublinear in `n` for
-//! small edit sets: inherited entries cost `O(1)` each, and fresh scans
-//! are bounded by a work budget (the session falls back to a full reroute
-//! when an edit storm exhausts it, or when the edit changes the instance
-//! structurally — sink count, group shape, or RC technology).
+//! The replay is only the merge step: every session route — creation,
+//! replayed flush, cache-hit flush, full reroute — runs the staged
+//! pipeline's one body ([`crate::pipeline`]), so grouping, embedding,
+//! repair, validation, the audit, and the fault checkpoints between
+//! stages are the pipeline's own, and a flushed session is
+//! **bit-identical to a from-scratch route of the edited instance** —
+//! same tree, same audit report, at every thread count. Update latency
+//! is sublinear in `n` for small edit sets: inherited entries cost `O(1)`
+//! each, and fresh scans are bounded by a work budget (the session falls
+//! back to a full reroute when an edit storm exhausts it, or when the
+//! edit changes the instance structurally — sink count, group shape, or
+//! RC technology).
 //!
 //! Replay is recorded for [`MergeStage::Flat`] plans under
 //! [`MergeOrder::MultiMerge`] (the default of every router except the
@@ -63,14 +67,15 @@
 //! # Caching
 //!
 //! A session created with [`EcoSession::with_cache`] routes in the same
-//! translation-normalized frame as [`run_with_cache`](crate::run_with_cache)
-//! and keeps the cache coherent: every flushed tree is fingerprinted and
+//! translation-normalized frame as [`pipeline::run`] with that cache, and
+//! keeps the cache coherent: every flushed tree is fingerprinted and
 //! inserted, and a flush whose edited instance is already cached (e.g.
 //! an edit that returns to a previously routed placement) is satisfied by
-//! splicing — bit-identical to the cached pipeline's hit path. Session
-//! creation never *consults* the cache (it must route fresh to produce
-//! the replay recording); outcomes are a pure function of instance and
-//! plan, never of cache state, so this costs correctness nothing.
+//! splicing — the cached pipeline's own hit path. Session creation of a
+//! replayable plan never *consults* the cache (it must route fresh to
+//! produce the replay recording); outcomes are a pure function of
+//! instance and plan, never of cache state, so this costs correctness
+//! nothing.
 //!
 //! # Example
 //!
@@ -96,24 +101,18 @@
 
 use crate::stopwatch::Stopwatch;
 
-use astdme_cache::{region_fingerprint, CachedRegion, SubtreeCache};
-use astdme_delay::{DelayModel, RcParams};
-use astdme_engine::{
-    audit, repair_group_skew, GroupId, Groups, Instance, MergeForest, MergeRecording, NodeId, Sink,
-    NO_NODE,
-};
+use astdme_cache::SubtreeCache;
+use astdme_delay::RcParams;
+use astdme_engine::{GroupId, Groups, Instance, MergeForest, NodeId, Sink, NO_NODE};
 use astdme_geom::Point;
 use astdme_topo::{
-    pair_score, plan_round, round_limit, score_bits, select_disjoint, MergeOrder, MergePlanner,
-    NnSnapshotRow, TopoConfig, BRUTE_FORCE_CUTOFF,
+    pair_score, plan_round, round_limit, score_bits, select_disjoint, MergeOrder, NnSnapshotRow,
+    BRUTE_FORCE_CUTOFF,
 };
 
-use crate::drivers::{ForestSpace, MergeTrace};
-use crate::pipeline::{
-    derive_grouping, validate_tree, MergeStage, RouteOutcome, RouteStats, StagePlan, StageStats,
-    REPAIR_ITERS,
-};
-use crate::{allocmeter, pipeline, RouteError};
+use crate::drivers::{merge_until_one_traced, ForestSpace, MergeScript, MergeTrace};
+use crate::pipeline::{self, MergeStage, RouteOutcome, Run, StagePlan};
+use crate::RouteError;
 
 /// Sentinel in the dense active-position table: the key is not active.
 const NO_POS: u32 = u32::MAX;
@@ -186,28 +185,16 @@ pub struct EcoStats {
     pub seconds: f64,
 }
 
-/// One planning round of the standing route: the planner's
-/// nearest-neighbor table right after the round was planned (rows in
-/// active order), or `grid: false` for brute-force tail rounds, which
-/// replay by re-planning (cheap: at most [`BRUTE_FORCE_CUTOFF`] subtrees).
-#[derive(Debug, Clone)]
-struct RoundSnap {
-    grid: bool,
-    rows: Vec<NnSnapshotRow>,
-}
-
-/// Everything a flush needs to replay the standing route: the routed
-/// (framed, regrouped) instance, its merge forest, and the per-round /
-/// per-merge script.
+/// Everything a flush needs to replay the standing route: the frame it
+/// was routed in, the routed (framed, regrouped) instance, its merge
+/// forest, and the replay script.
 struct Recording {
-    /// `Some((x_bits, y_bits))` of the normalization anchor when the
-    /// session routes in the cached pipeline's translation-normalized
-    /// frame; `None` for raw-frame (uncached) sessions.
-    anchor: Option<(u64, u64)>,
+    /// The normalization anchor when the session routes in the cached
+    /// pipeline's translation-normalized frame; `None` in the raw frame.
+    anchor: Option<Point>,
     routed: Instance,
     forest: MergeForest,
-    merges: MergeRecording,
-    rounds: Vec<RoundSnap>,
+    script: MergeScript,
 }
 
 /// A live routed instance accepting batched sink edits. See the
@@ -224,11 +211,14 @@ pub struct EcoSession {
 
 impl EcoSession {
     /// Routes `inst` under `plan` (with replay recording when the plan
-    /// supports it) and opens the session.
+    /// supports it) and opens the session. The route runs in the raw
+    /// frame with no cache, even inside a fleet batch that attached one.
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError`] if the initial route fails.
+    /// Returns [`RouteError`] if the initial route fails, including a
+    /// plan with a negative or NaN global skew bound
+    /// ([`RouteError::BadParameter`]).
     pub fn new(inst: &Instance, plan: StagePlan) -> Result<Self, RouteError> {
         Self::build(inst, plan, None)
     }
@@ -253,7 +243,7 @@ impl EcoSession {
         plan: StagePlan,
         cache: Option<SubtreeCache>,
     ) -> Result<Self, RouteError> {
-        let (outcome, rec) = route_full(inst, &plan, cache.as_ref())?;
+        let (outcome, rec) = route_full(inst, &plan, cache.as_ref(), false)?;
         Ok(Self {
             plan,
             cache,
@@ -447,7 +437,9 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
 }
 
 /// Routes the edited instance, cheapest strategy first: subtree-cache
-/// splice, then recorded replay, then full reroute.
+/// splice, then recorded replay, then full reroute. The pipeline body
+/// tries the first two in one run — it consults the cache before its
+/// merge step, and the merge step replays.
 fn route_edited(
     plan: &StagePlan,
     cache: Option<&SubtreeCache>,
@@ -456,411 +448,74 @@ fn route_edited(
     structural: bool,
     stats: &mut EcoStats,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
-    // Cached sessions: a flush whose edited instance is already memoized
-    // splices it, bit-identical to the cached pipeline's hit path. (For
-    // non-recordable plans the pipeline call below does its own lookup.)
-    if let (Some(cache), true) = (cache, recordable(plan)) {
-        let bb = edited.bounding_box();
-        let (ax, ay) = (bb.x0(), bb.y0());
-        if let Ok(norm) = edited.translated(-ax, -ay) {
-            let (key, verify) = region_fingerprint(&norm, &plan.fingerprint_words());
-            if let Some(region) = cache.lookup(key, verify, norm.sink_count()) {
-                stats.cache_hit = true;
-                let model = plan.model.unwrap_or(DelayModel::elmore(*edited.rc()));
-                let tree = region.splice(Point::new(ax, ay), edited.source());
-                validate_tree(&tree, edited)?;
-                let report = audit(&tree, edited, &model);
-                let mut rstats = RouteStats {
-                    cache_hit: true,
-                    cache_hits: 1,
-                    ..RouteStats::default()
-                };
-                rstats.merge.rounds = region.rounds;
-                rstats.merge.merges = region.merges;
-                rstats.repair.repair_iterations = region.repair_iterations;
-                // The standing recording described the pre-edit instance;
-                // the next flush starts from a full (recording) reroute.
-                return Ok((
-                    RouteOutcome {
-                        tree,
-                        report,
-                        stats: rstats,
-                    },
-                    None,
-                ));
+    let mut lookup = true;
+    if let (false, Some(rec)) = (structural, standing) {
+        let mut script = None;
+        let run = pipeline::run_with(edited, plan, cache, true, |forest, routed, anchor| {
+            let (root, trace, replayed) = replay_merges(rec, forest, routed, anchor, plan, stats)?;
+            script = Some(replayed);
+            Some((root, trace))
+        })?;
+        match run {
+            Some(run) => {
+                stats.cache_hit = run.outcome.stats.cache_hit;
+                return Ok(recorded(run, script));
             }
+            // The replay declined after this flush's lookup missed; the
+            // full reroute must not count a second miss.
+            None => lookup = false,
         }
     }
-    if !structural && recordable(plan) {
-        if let Some(rec) = standing {
-            if let Some(done) = try_replay(plan, cache, rec, edited, stats)? {
-                return Ok(done);
-            }
-        }
-    }
-    stats.full_reroute = true;
-    let (mut outcome, recording) = route_full(edited, plan, cache)?;
+    let (mut outcome, recording) = route_full(edited, plan, cache, lookup)?;
+    stats.cache_hit = outcome.stats.cache_hit;
+    stats.full_reroute = !outcome.stats.cache_hit;
     if cache.is_some() && outcome.stats.cache_hits == 0 {
         outcome.stats.cache_misses = outcome.stats.cache_misses.max(1);
     }
     Ok((outcome, recording))
 }
 
-/// A full route of `inst`, recording the merge script when the plan
-/// supports replay.
+/// A full pipeline route of `inst`, recording the replay script when the
+/// plan supports replay. `lookup` consults the cache first; session
+/// creation turns it off, since it must route fresh to record. Plans
+/// without replay always consult an attached cache.
 fn route_full(
     inst: &Instance,
     plan: &StagePlan,
     cache: Option<&SubtreeCache>,
+    lookup: bool,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
     if !recordable(plan) {
-        let outcome = match cache {
-            Some(c) => pipeline::run_with_cache(inst, plan, c)?,
-            None => pipeline::run(inst, plan)?,
-        };
-        return Ok((outcome, None));
+        return Ok((pipeline::run(inst, plan, cache)?, None));
     }
-    match cache {
-        None => route_recorded(inst, plan, None),
-        Some(c) => {
-            let bb = inst.bounding_box();
-            let (ax, ay) = (bb.x0(), bb.y0());
-            match inst.translated(-ax, -ay) {
-                // Mirrors `run_with_cache`: an instance whose normalization
-                // overflows silently routes raw (and skips the cache).
-                Err(_) => route_recorded(inst, plan, None),
-                Ok(norm) => route_recorded(inst, plan, Some((norm, Point::new(ax, ay), c))),
-            }
-        }
-    }
-}
-
-/// The recording twin of the staged pipeline: same stages, same order,
-/// same arithmetic — plus per-round planner snapshots and per-merge logs.
-/// `framed` carries the normalized instance, the anchor, and the cache
-/// for cached-frame sessions; `None` routes in the raw frame.
-///
-/// No fault checkpoints fire here: ECO sessions are not supported inside
-/// fault-injection contexts (the fleet/robustness harnesses own those).
-fn route_recorded(
-    inst: &Instance,
-    plan: &StagePlan,
-    framed: Option<(Instance, Point, &SubtreeCache)>,
-) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
-    let mut stats = RouteStats::default();
-
-    // Stage 1: group (and fingerprint, in the cached frame).
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let base = framed.as_ref().map_or(inst, |(norm, _, _)| norm);
-    let fingerprint = framed
-        .as_ref()
-        .map(|(norm, _, _)| region_fingerprint(norm, &plan.fingerprint_words()));
-    let regrouped = derive_grouping(base, plan)?;
-    let routed_against = regrouped.unwrap_or_else(|| base.clone());
-    let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
-    stats.group.seconds = t0.seconds();
-    stats.group.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Stage 2: plan/merge, recorded.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let mut forest = MergeForest::for_instance_with_model(&routed_against, model, plan.engine);
-    let leaves = forest.leaves();
-    let (root, trace, merges, rounds) = merge_until_one_recorded(&mut forest, leaves, &plan.topo);
-    stats.merge = StageStats {
-        seconds: t0.seconds(),
-        rounds: trace.rounds,
-        merges: trace.merges,
-        repair_iterations: 0,
-        allocs: allocmeter::current().saturating_sub(a0),
-    };
-
-    // Stage 3: embed.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = forest.embed(root, routed_against.source());
-    stats.embed.seconds = t0.seconds();
-    stats.embed.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Stage 4: repair.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = if forest.residual() <= plan.engine.skew_tol {
-        tree
-    } else {
-        let repaired = repair_group_skew(
-            &tree,
-            &routed_against,
-            &model,
-            plan.engine.skew_tol,
-            REPAIR_ITERS,
-        );
-        stats.repair.repair_iterations = repaired.iterations;
-        repaired.tree
-    };
-    stats.repair.seconds = t0.seconds();
-    stats.repair.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Final assembly: raw trees validate in place; cached-frame trees are
-    // captured as a region, spliced back (the same single splice call as
-    // the cached pipeline), and inserted after validation.
-    let (tree, anchor) = match &framed {
-        None => {
-            validate_tree(&tree, inst)?;
-            (tree, None)
-        }
-        Some((norm, anchor, cache)) => {
-            let (key, verify) = fingerprint.expect("fingerprint computed with the frame");
-            let region = CachedRegion {
-                verify,
-                sink_count: norm.sink_count(),
-                nodes: tree.nodes().to_vec(),
-                rounds: trace.rounds,
-                merges: trace.merges,
-                repair_iterations: stats.repair.repair_iterations,
-            };
-            let tree = region.splice(*anchor, inst.source());
-            validate_tree(&tree, inst)?;
-            cache.insert(key, region);
-            (tree, Some((anchor.x.to_bits(), anchor.y.to_bits())))
-        }
-    };
-
-    // Stage 5: audit — always against the original instance.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let report = audit(&tree, inst, &model);
-    stats.audit.seconds = t0.seconds();
-    stats.audit.allocs = allocmeter::current().saturating_sub(a0);
-
-    let recording = Recording {
-        anchor,
-        routed: routed_against,
-        forest,
-        merges,
-        rounds,
-    };
-    Ok((
-        RouteOutcome {
-            tree,
-            report,
-            stats,
-        },
-        Some(recording),
+    let mut script = None;
+    let run = pipeline::run_with(inst, plan, cache, lookup, |forest, _, _| {
+        let mut recording = MergeScript::for_forest(forest);
+        let leaves = forest.leaves();
+        let merged = merge_until_one_traced(forest, leaves, &plan.topo, Some(&mut recording));
+        script = Some(recording);
+        Some(merged)
+    })?;
+    Ok(recorded(
+        run.expect("fresh planning never declines"),
+        script,
     ))
 }
 
-/// [`merge_until_one_traced`](crate::merge_until_one_traced) plus the
-/// replay script: per-round planner snapshots (grid regime only — tail
-/// rounds re-plan cheaply) and per-merge [`MergeLog`](astdme_engine::MergeLog)s.
-fn merge_until_one_recorded(
-    forest: &mut MergeForest,
-    start: Vec<NodeId>,
-    topo: &TopoConfig,
-) -> (NodeId, MergeTrace, MergeRecording, Vec<RoundSnap>) {
-    assert!(!start.is_empty(), "need at least one subtree to merge");
-    let mut rec = MergeRecording::for_forest(forest);
-    let mut rounds = Vec::new();
-    if start.len() == 1 {
-        return (start[0], MergeTrace::default(), rec, rounds);
-    }
-    let keys: Vec<usize> = start.iter().map(|n| n.index()).collect();
-    let mut planner = MergePlanner::new(&ForestSpace::new(forest), &keys, *topo);
-    let mut trace = MergeTrace::default();
-    let mut round: Vec<(usize, usize, usize)> = Vec::new();
-    while planner.len() > 1 {
-        let pairs = planner.plan_round(&ForestSpace::new(forest));
-        assert!(!pairs.is_empty(), "planner must make progress");
-        // Snapshot *after* planning (caches are flushed, rows are what the
-        // round selected from), *before* the merges mutate the forest.
-        rounds.push(if planner.in_grid_regime() {
-            RoundSnap {
-                grid: true,
-                rows: planner.nn_snapshot(),
-            }
-        } else {
-            RoundSnap {
-                grid: false,
-                rows: Vec::new(),
-            }
-        });
-        round.clear();
-        for (a, b) in pairs {
-            let m = forest.merge_recorded(NodeId::from_index(a), NodeId::from_index(b), &mut rec);
-            round.push((a, b, m.index()));
-        }
-        planner.apply_round(&ForestSpace::new(forest), &round);
-        trace.rounds += 1;
-        trace.merges += round.len();
-    }
-    (NodeId::from_index(planner.sole_key()), trace, rec, rounds)
-}
-
-/// Attempts a replayed flush. `Ok(None)` means the replay could not run
-/// (frame drift, work budget exhausted, sink-count drift) — fall back to
-/// a full reroute.
-fn try_replay(
-    plan: &StagePlan,
-    cache: Option<&SubtreeCache>,
-    rec: &Recording,
-    edited: &Instance,
-    stats: &mut EcoStats,
-) -> Result<Option<(RouteOutcome, Option<Recording>)>, RouteError> {
-    let mut rstats = RouteStats::default();
-
-    // Stage 1: frame and group the edited instance like the recording.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let framed_owned;
-    let mut anchor: Option<Point> = None;
-    let framed: &Instance = match rec.anchor {
-        None => {
-            if cache.is_some() {
-                return Ok(None);
-            }
-            edited
-        }
-        Some((axb, ayb)) => {
-            if cache.is_none() {
-                return Ok(None);
-            }
-            let bb = edited.bounding_box();
-            // The anchor must not drift: normalization must subtract the
-            // exact same bits as the standing route, or clean sinks would
-            // land on different normalized coordinates.
-            if (bb.x0().to_bits(), bb.y0().to_bits()) != (axb, ayb) {
-                return Ok(None);
-            }
-            let Ok(norm) = edited.translated(-bb.x0(), -bb.y0()) else {
-                return Ok(None);
-            };
-            anchor = Some(Point::new(bb.x0(), bb.y0()));
-            framed_owned = norm;
-            &framed_owned
-        }
+/// Splits a pipeline run into its outcome and the recording the next
+/// flush replays. A cache hit leaves no recording (it merged nothing), so
+/// the next flush starts from a full reroute.
+fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<Recording>) {
+    let recording = match (run.forest, script) {
+        (Some(forest), Some(script)) => Some(Recording {
+            anchor: run.anchor,
+            routed: run.routed.into_owned(),
+            forest,
+            script,
+        }),
+        _ => None,
     };
-    let regrouped = derive_grouping(framed, plan)?;
-    let routed_edited = regrouped.unwrap_or_else(|| framed.clone());
-    if routed_edited.sink_count() != rec.routed.sink_count() {
-        return Ok(None);
-    }
-    let model = plan.model.unwrap_or(DelayModel::elmore(*edited.rc()));
-    // The dirty set, in the routed frame: sinks whose bits changed.
-    let dirty: Vec<bool> = routed_edited
-        .sinks()
-        .iter()
-        .zip(rec.routed.sinks())
-        .map(|(a, b)| !sink_bits_equal(a, b))
-        .collect();
-    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
-    rstats.group.seconds = t0.seconds();
-    rstats.group.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Stage 2: the replay proper.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let Some(rep) = replay_merges(rec, &routed_edited, model, plan, &dirty) else {
-        return Ok(None);
-    };
-    rstats.merge = StageStats {
-        seconds: t0.seconds(),
-        rounds: rep.trace.rounds,
-        merges: rep.trace.merges,
-        repair_iterations: 0,
-        allocs: allocmeter::current().saturating_sub(a0),
-    };
-    stats.adopted_merges = rep.adopted;
-    stats.fresh_merges = rep.fresh;
-    stats.replayed_rounds = rep.replayed_rounds;
-    stats.planned_rounds = rep.planned_rounds;
-
-    // Stage 3: embed.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = rep.forest.embed(rep.root, routed_edited.source());
-    rstats.embed.seconds = t0.seconds();
-    rstats.embed.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Stage 4: repair.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = if rep.forest.residual() <= plan.engine.skew_tol {
-        tree
-    } else {
-        let repaired = repair_group_skew(
-            &tree,
-            &routed_edited,
-            &model,
-            plan.engine.skew_tol,
-            REPAIR_ITERS,
-        );
-        rstats.repair.repair_iterations = repaired.iterations;
-        repaired.tree
-    };
-    rstats.repair.seconds = t0.seconds();
-    rstats.repair.allocs = allocmeter::current().saturating_sub(a0);
-
-    // Assembly: cached-frame trees are captured, spliced, and inserted
-    // (this flush's lookup already missed — count it).
-    let tree = match (cache, anchor) {
-        (Some(cache), Some(anchor)) => {
-            let (key, verify) = region_fingerprint(framed, &plan.fingerprint_words());
-            let region = CachedRegion {
-                verify,
-                sink_count: framed.sink_count(),
-                nodes: tree.nodes().to_vec(),
-                rounds: rep.trace.rounds,
-                merges: rep.trace.merges,
-                repair_iterations: rstats.repair.repair_iterations,
-            };
-            let tree = region.splice(anchor, edited.source());
-            validate_tree(&tree, edited)?;
-            cache.insert(key, region);
-            rstats.cache_misses = 1;
-            tree
-        }
-        _ => {
-            validate_tree(&tree, edited)?;
-            tree
-        }
-    };
-
-    // Stage 5: audit.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let report = audit(&tree, edited, &model);
-    rstats.audit.seconds = t0.seconds();
-    rstats.audit.allocs = allocmeter::current().saturating_sub(a0);
-
-    let recording = Recording {
-        anchor: rec.anchor,
-        routed: routed_edited,
-        forest: rep.forest,
-        merges: rep.merges,
-        rounds: rep.rounds,
-    };
-    Ok(Some((
-        RouteOutcome {
-            tree,
-            report,
-            stats: rstats,
-        },
-        Some(recording),
-    )))
-}
-
-/// The result of a successful merge replay.
-struct Replayed {
-    forest: MergeForest,
-    root: NodeId,
-    trace: MergeTrace,
-    merges: MergeRecording,
-    rounds: Vec<RoundSnap>,
-    adopted: usize,
-    fresh: usize,
-    replayed_rounds: usize,
-    planned_rounds: usize,
+    (run.outcome, recording)
 }
 
 /// Replays the recorded merge script against the edited instance.
@@ -892,32 +547,42 @@ struct Replayed {
 /// back to a full reroute) so flush latency stays bounded even when a
 /// replay degenerates.
 ///
-/// Returns `None` also if a round produced no entries — never the case
-/// for well-formed recordings, but cheap to guard.
+/// This is the flush's merge step: `forest` is the pipeline's fresh
+/// forest of `edited` (the edited instance, framed and regrouped like the
+/// recording), `anchor` its frame. Returns the surviving root, the loop's
+/// counters, and the replay's own script (in the new id space, so flushes
+/// chain), and fills `stats`' dirty and replay counters. Returns `None`
+/// (fall back to a full reroute) when the frame drifted from the
+/// recording's — normalization must subtract the exact same anchor bits,
+/// or clean sinks would land on different coordinates — when the sink
+/// count drifted, or if a round produced no entries (never the case for
+/// well-formed recordings, but cheap to guard).
 fn replay_merges(
     rec: &Recording,
+    forest: &mut MergeForest,
     edited: &Instance,
-    model: DelayModel,
+    anchor: Option<Point>,
     plan: &StagePlan,
-    dirty: &[bool],
-) -> Option<Replayed> {
-    let topo = &plan.topo;
+    stats: &mut EcoStats,
+) -> Option<(NodeId, MergeTrace, MergeScript)> {
+    let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
     let n = edited.sink_count();
-    let mut forest = MergeForest::for_instance_with_model(edited, model, plan.engine);
+    if bits(anchor) != bits(rec.anchor) || n != rec.routed.sink_count() {
+        return None;
+    }
+    // The dirty set, in the routed frame: sinks whose bits changed.
+    let dirty: Vec<bool> = edited
+        .sinks()
+        .iter()
+        .zip(rec.routed.sinks())
+        .map(|(a, b)| !sink_bits_equal(a, b))
+        .collect();
+    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
+    let topo = &plan.topo;
     let leaves = forest.leaves();
-    let mut out_rec = MergeRecording::for_forest(&forest);
+    let mut out = MergeScript::for_forest(forest);
     if n == 1 {
-        return Some(Replayed {
-            root: leaves[0],
-            forest,
-            trace: MergeTrace::default(),
-            merges: out_rec,
-            rounds: Vec::new(),
-            adopted: 0,
-            fresh: 0,
-            replayed_rounds: 0,
-            planned_rounds: 0,
-        });
+        return Some((leaves[0], MergeTrace::default(), out));
     }
 
     let std_nodes = rec.forest.node_count();
@@ -933,7 +598,7 @@ fn replay_merges(
     }
     // Which recorded merge consumed each standing node as a child.
     let mut log_of_child: Vec<u32> = vec![NO_LOG; std_nodes];
-    for (li, log) in rec.merges.logs().iter().enumerate() {
+    for (li, log) in rec.script.merges.logs().iter().enumerate() {
         log_of_child[log.a as usize] = li as u32;
         log_of_child[log.b as usize] = li as u32;
     }
@@ -949,39 +614,37 @@ fn replay_merges(
         pos[k] = i as u32;
     }
 
-    let mut out_rounds: Vec<RoundSnap> = Vec::new();
     let mut trace = MergeTrace::default();
     let (mut adopted, mut fresh) = (0usize, 0usize);
     let (mut replayed_rounds, mut planned_rounds) = (0usize, 0usize);
     let mut scan_work: u64 = 0;
-    let k_dirty = dirty.iter().filter(|&&d| d).count() as u64;
+    let k_dirty = stats.dirty_sinks as u64;
     let scan_budget: u64 = (64 * n as u64 + 65_536) * k_dirty.max(1);
 
     let mut round_idx = 0usize;
     while active.len() > 1 {
         let n_present = active.len();
         let snap = rec
+            .script
             .rounds
             .get(round_idx)
-            .filter(|s| s.grid && n_present > BRUTE_FORCE_CUTOFF);
+            .and_then(Option::as_ref)
+            .filter(|_| n_present > BRUTE_FORCE_CUTOFF);
         let pairs: Vec<(usize, usize)> = match snap {
             None => {
                 // Tail rounds (and rounds the recording cannot cover):
                 // re-plan from scratch — the reference planner, which the
                 // incremental planner is equivalence-tested against.
                 planned_rounds += 1;
-                out_rounds.push(RoundSnap {
-                    grid: false,
-                    rows: Vec::new(),
-                });
-                let pairs = plan_round(&ForestSpace::new(&forest), &active, topo);
+                out.rounds.push(None);
+                let pairs = plan_round(&ForestSpace::new(forest), &active, topo);
                 assert!(!pairs.is_empty(), "planner must make progress");
                 pairs
             }
-            Some(snap) => {
+            Some(rows) => {
                 replayed_rounds += 1;
                 let stamp = round_idx as u32 + 1;
-                for (ri, row) in snap.rows.iter().enumerate() {
+                for (ri, row) in rows.iter().enumerate() {
                     if row.key < std_nodes {
                         row_stamp[row.key] = stamp;
                         row_slot[row.key] = ri as u32;
@@ -998,7 +661,7 @@ fn replay_merges(
                         novel.push(ai);
                         continue;
                     }
-                    let row = &snap.rows[row_slot[m as usize] as usize];
+                    let row = &rows[row_slot[m as usize] as usize];
                     let valid = row.nn.and_then(|(v, rd, score)| {
                         let sv = *std_to_new.get(v)?;
                         if sv == NO_NODE {
@@ -1020,7 +683,7 @@ fn replay_merges(
                     return None;
                 }
                 {
-                    let space = ForestSpace::new(&forest);
+                    let space = ForestSpace::new(forest);
                     // Fresh own-neighbor scans: exact region-distance
                     // argmin, first-wins in active order (the brute-force
                     // planner's tie rule).
@@ -1093,9 +756,8 @@ fn replay_merges(
                 }
                 // The replay's own snapshot, in the new id space, so the
                 // next flush replays off this route.
-                out_rounds.push(RoundSnap {
-                    grid: true,
-                    rows: active
+                out.rounds.push(Some(
+                    active
                         .iter()
                         .enumerate()
                         .map(|(ai, &x)| NnSnapshotRow {
@@ -1103,7 +765,7 @@ fn replay_merges(
                             nn: nn_of[ai],
                         })
                         .collect(),
-                });
+                ));
                 pairs
             }
         };
@@ -1115,7 +777,7 @@ fn replay_merges(
             if mx != NO_NODE && my != NO_NODE {
                 let li = log_of_child[mx as usize];
                 if li != NO_LOG && li == log_of_child[my as usize] {
-                    let log = &rec.merges.logs()[li as usize];
+                    let log = &rec.script.merges.logs()[li as usize];
                     // Orientation matters: merge(a, b) != merge(b, a) in
                     // candidate layout, so only the recorded orientation
                     // reproduces what a from-scratch run would execute.
@@ -1125,9 +787,9 @@ fn replay_merges(
                             NodeId::from_index(y),
                             &rec.forest,
                             log,
-                            &rec.merges,
+                            &rec.script.merges,
                             &std_to_new,
-                            Some(&mut out_rec),
+                            Some(&mut out.merges),
                         ) {
                             adopted_as = Some((m, log.result));
                         }
@@ -1145,7 +807,7 @@ fn replay_merges(
                     forest.merge_recorded(
                         NodeId::from_index(x),
                         NodeId::from_index(y),
-                        &mut out_rec,
+                        &mut out.merges,
                     )
                 }
             };
@@ -1175,15 +837,9 @@ fn replay_merges(
         round_idx += 1;
     }
 
-    Some(Replayed {
-        root: NodeId::from_index(active[0]),
-        forest,
-        trace,
-        merges: out_rec,
-        rounds: out_rounds,
-        adopted,
-        fresh,
-        replayed_rounds,
-        planned_rounds,
-    })
+    stats.adopted_merges = adopted;
+    stats.fresh_merges = fresh;
+    stats.replayed_rounds = replayed_rounds;
+    stats.planned_rounds = planned_rounds;
+    Some((NodeId::from_index(active[0]), trace, out))
 }

@@ -134,8 +134,9 @@ struct RouteCtx {
     deadline_seconds: Option<f64>,
     /// The fault injected into this instance, if any.
     fault: Option<Fault>,
-    /// The batch's shared subtree cache, if the policy attached one; the
-    /// pipeline picks it up via [`current_cache`].
+    /// The batch's shared subtree cache, if the policy attached one. Read
+    /// (via [`current_cache`]) only where a [`crate::ClockRouter`] enters
+    /// the pipeline, which takes the cache as an explicit argument.
     cache: Option<SubtreeCache>,
 }
 
@@ -242,7 +243,8 @@ pub(crate) fn current_instance() -> Option<usize> {
 }
 
 /// The shared subtree cache of the batch currently routing on this
-/// thread, if the batch policy attached one. A cheap `Arc` clone.
+/// thread, if the batch policy attached one. A cheap `Arc` clone. The
+/// routers pass it to [`crate::pipeline::run`]; nothing else reads it.
 pub(crate) fn current_cache() -> Option<SubtreeCache> {
     CTX.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.cache.clone()))
 }

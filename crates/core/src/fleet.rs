@@ -260,17 +260,22 @@ pub struct BatchPolicy {
     /// merge regions across the batch — duplicate placements, translated
     /// copies, re-planned portfolios — route once and splice thereafter.
     ///
+    /// The cache reaches the routers through the thread-local route
+    /// context; each of this crate's routers hands it to
+    /// [`crate::pipeline::run`] as that call's explicit `cache`
+    /// argument. Nothing else picks it up: an
+    /// [`EcoSession`](crate::eco::EcoSession) opened inside the batch
+    /// uses only the cache it was given.
+    ///
     /// A hit is **bit-identical to the recompute** the miss path would
     /// perform: cached outcomes are a pure function of the instance and
     /// plan, never of cache state, capacity, sharing, eviction order, or
     /// thread count. (The cached pipeline routes in the
-    /// translation-normalized frame — see
-    /// [`crate::pipeline::run_with_cache`] — so its outcomes coincide with
-    /// the cache-*free* path exactly when the instance's bounding-box
-    /// minimum corner is already the origin; otherwise last-ulp merge
-    /// coordinates may differ between the two modes, both independently
-    /// audited.) `None` (the default) routes every instance on the
-    /// historic uncached path.
+    /// translation-normalized frame, so its outcomes coincide with the
+    /// cache-*free* path exactly when the instance's bounding-box minimum
+    /// corner is already the origin; otherwise last-ulp merge coordinates
+    /// may differ between the two modes, both independently audited.)
+    /// `None` (the default) routes every instance in the raw frame.
     pub cache: Option<SubtreeCache>,
 }
 

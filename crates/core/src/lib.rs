@@ -64,8 +64,8 @@ mod routers;
 pub mod stopwatch;
 
 pub use drivers::{
-    merge_until_one, merge_until_one_from_scratch, merge_until_one_traced, run_bottom_up,
-    run_bottom_up_from_scratch, ForestSpace, MergeTrace,
+    merge_until_one, merge_until_one_from_scratch, run_bottom_up, run_bottom_up_from_scratch,
+    ForestSpace,
 };
 pub use eco::{EcoEdit, EcoSession, EcoStats};
 pub use error::RouteError;
@@ -75,8 +75,7 @@ pub use fleet::{
     StreamPolicy, COST_MODEL_SHAPES, DEFAULT_STREAM_IN_FLIGHT,
 };
 pub use pipeline::{
-    run_with_cache, GroupingStage, MergeStage, RouteOutcome, RouteStats, StageId, StagePlan,
-    StageStats,
+    GroupingStage, MergeStage, RouteOutcome, RouteStats, StageId, StagePlan, StageStats,
 };
 pub use robustness::{
     sweep, MetricSummary, PerturbationSpec, RobustnessReport, SweepConfig, VariantFailure,

@@ -1,14 +1,17 @@
-//! The staged routing pipeline every router runs through.
+//! The staged routing pipeline every route runs through.
 //!
-//! All four routers used to carry bespoke `route()` bodies that repeated
-//! the same flow with small variations. The flow is now explicit — five
-//! stages, each timed:
+//! The paper's flow is one fixed sequence of five stages, each timed, each
+//! followed by a fault checkpoint:
 //!
-//! 1. **group** — derive the instance the tree is routed against (keep the
-//!    instance's own groups, or collapse to one global group with an
-//!    optional bound);
-//! 2. **merge** — build the merge forest and run the bottom-up planning
-//!    loop (flat, or per-group-then-stitch);
+//! 1. **group** — frame the instance (translation-normalized when a
+//!    subtree cache is attached) and derive the instance the tree is
+//!    routed against (keep the instance's own groups, or collapse to one
+//!    global group with an optional bound);
+//! 2. **merge** — build the merge forest and run the merge step: plan the
+//!    bottom-up merge loop fresh (flat, or per-group-then-stitch), plan
+//!    fresh while recording the replay script, or replay a recording
+//!    (the two ECO steps); with a cache attached, a verified hit stands
+//!    in for stages 2–4;
 //! 3. **embed** — top-down embedding of the surviving root into a
 //!    [`RoutedTree`];
 //! 4. **repair** — the post-embedding skew repair pass, skipped when the
@@ -16,17 +19,23 @@
 //! 5. **audit** — independent verification against the *original*
 //!    instance and the routing model.
 //!
-//! A router is just a [`StagePlan`] — the stage configuration — and
-//! [`run`] is the one body that executes it. [`RouteOutcome`] carries the
-//! tree together with the audit report and per-stage [`StageStats`], so
-//! harnesses (the bench tables, the fleet layer, `examples/fleet.rs`) stop
-//! hand-timing routers from the outside.
+//! The sequence is written once. A router is just a [`StagePlan`] — the
+//! stage configuration — and [`run`] executes it; the ECO session
+//! ([`crate::eco`]) runs the same body with its own merge step. Between
+//! repair and audit the body splices cached geometry back into the
+//! caller's frame, validates the tree, and inserts it into the cache, in
+//! that order. The cache is an explicit argument: `None` routes in the
+//! raw frame. [`RouteOutcome`] carries the tree together with the audit
+//! report and per-stage [`StageStats`], so harnesses (the bench tables,
+//! the fleet layer, `examples/fleet.rs`) stop hand-timing routers from
+//! the outside.
 
 use crate::stopwatch::Stopwatch;
 use core::fmt;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use astdme_cache::{region_fingerprint, CachedRegion, SubtreeCache};
+use astdme_cache::{region_fingerprint, CachedRegion, Fingerprint, SubtreeCache};
 use astdme_delay::DelayModel;
 use astdme_engine::{
     audit, repair_group_skew, AuditReport, EngineConfig, GroupId, Groups, Instance, MergeForest,
@@ -38,10 +47,8 @@ use astdme_topo::TopoConfig;
 use crate::drivers::{merge_until_one_traced, MergeTrace};
 use crate::{allocmeter, fault, RouteError};
 
-/// Iteration budget for the post-embedding skew repair pass (shared with
-/// the ECO flush path, which must repair identically to reroute
-/// bit-identically).
-pub(crate) const REPAIR_ITERS: usize = 80;
+/// Iteration budget for the post-embedding skew repair pass.
+const REPAIR_ITERS: usize = 80;
 
 /// The five pipeline stages, in execution order. Names the stage a
 /// [`fault`] checkpoint fired at — the injection point of a
@@ -247,38 +254,292 @@ impl StagePlan {
     }
 }
 
-/// Executes the staged pipeline over `inst`.
+/// Executes the staged pipeline over `inst`, planning the merge order
+/// fresh.
 ///
-/// Produces exactly the tree the pre-pipeline bespoke router bodies
-/// produced (the stages are the same operations in the same order); the
-/// outcome additionally carries the audit and the per-stage stats.
+/// With `cache: None` the stages route the instance as given (the raw
+/// frame). With a [`SubtreeCache`], the instance is
+/// **translation-normalized** first (the bounding-box minimum corner
+/// becomes the origin) and the cache is consulted between the group and
+/// merge stages. Hit and miss alike leave through the *same*
+/// [`CachedRegion::splice`] call — translate the normalized nodes back by
+/// the anchor, root at the caller's source — so **a hit is bit-identical
+/// to a recompute**: tree, audit report, and wirelength, at every thread
+/// count and under every eviction order. The audit always runs fresh
+/// against the original instance; only planned geometry is ever cached,
+/// never verdicts about it, and validation precedes the insert, so a
+/// corrupted tree is never memoized.
 ///
-/// When the fleet layer attached a [`SubtreeCache`] to the current route
-/// context (via [`crate::fleet::BatchPolicy::with_cache`]), the run
-/// dispatches to [`run_with_cache`]; otherwise the historic uncached path
-/// runs unchanged.
+/// The two frames agree bit for bit when the instance's bounding-box
+/// minimum corner is already the origin (`a - a = +0.0`). Elsewhere the
+/// normalized frame can shift last-ulp merge coordinates (floating-point
+/// addition is not translation invariant); each frame is internally
+/// exact, and both are independently audited. An instance whose
+/// normalization overflows routes in the raw frame and skips the cache.
 ///
 /// # Errors
 ///
-/// Returns [`RouteError`] if a derived re-grouping is invalid.
-pub fn run(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
-    match fault::current_cache() {
-        Some(cache) => run_with_cache(inst, plan, &cache),
-        None => run_uncached(inst, plan),
+/// Returns [`RouteError`] if a derived re-grouping is invalid (e.g. a
+/// negative global skew bound), or if a fault checkpoint, deadline, or
+/// output validation fails the route.
+pub fn run(
+    inst: &Instance,
+    plan: &StagePlan,
+    cache: Option<&SubtreeCache>,
+) -> Result<RouteOutcome, RouteError> {
+    let run = run_with(inst, plan, cache, true, |forest, _, _| {
+        Some(merge_stage(forest, inst, plan))
+    })?;
+    Ok(run.expect("fresh planning never declines").outcome)
+}
+
+/// One run of the pipeline body, with what an ECO session keeps besides
+/// the outcome.
+pub(crate) struct Run<'a> {
+    /// The routed outcome.
+    pub(crate) outcome: RouteOutcome,
+    /// The instance stages 2–4 routed: the frame, regrouped by stage 1.
+    pub(crate) routed: Cow<'a, Instance>,
+    /// The normalization anchor, or `None` in the raw frame.
+    pub(crate) anchor: Option<Point>,
+    /// The merged forest; `None` when a cache hit stood in for stages
+    /// 2–4.
+    pub(crate) forest: Option<MergeForest>,
+}
+
+/// Where a cached run's region lives: its cache, the anchor it splices
+/// back to, and its fingerprints.
+struct Slot<'c> {
+    cache: &'c SubtreeCache,
+    anchor: Point,
+    key: Fingerprint,
+    verify: Fingerprint,
+}
+
+/// The product of stages 2–4: a cache hit, or the fresh forest together
+/// with its work in progress (the root after merging, the tree after
+/// embedding and repair).
+#[allow(clippy::large_enum_variant)] // one per route, on the stack; boxing costs an allocation
+enum Planned<T> {
+    Hit(Arc<CachedRegion>),
+    Fresh(MergeForest, T),
+}
+
+impl<T> Planned<T> {
+    /// Advances a fresh run by one stage; a hit has nothing left to do.
+    fn map<U>(self, f: impl FnOnce(&MergeForest, T) -> U) -> Planned<U> {
+        match self {
+            Self::Hit(region) => Planned::Hit(region),
+            Self::Fresh(forest, x) => {
+                let y = f(&forest, x);
+                Planned::Fresh(forest, y)
+            }
+        }
     }
+}
+
+/// Runs `body` as pipeline stage `id`: times it, charges its allocations
+/// to `stats`, then polls the stage's fault checkpoint.
+fn stage<T>(
+    id: StageId,
+    stats: &mut StageStats,
+    body: impl FnOnce(&mut StageStats) -> Result<T, RouteError>,
+) -> Result<T, RouteError> {
+    let t0 = Stopwatch::start();
+    let a0 = allocmeter::current();
+    let out = body(stats);
+    stats.seconds = t0.seconds();
+    stats.allocs = allocmeter::current().saturating_sub(a0);
+    let out = out?;
+    fault::checkpoint(id)?;
+    Ok(out)
+}
+
+/// The one pipeline body. Every route runs through it: [`run`], and the
+/// ECO session's recording routes, replayed flushes, and cache-hit
+/// flushes. Only the merge step varies: `merge` receives the fresh forest
+/// of the routed instance, that instance, and the normalization anchor
+/// (`None` in the raw frame), and returns the surviving root and the
+/// loop's counters — or `None` to decline (only a replay does), which
+/// ends the run with `Ok(None)`.
+///
+/// `lookup` consults the cache before merging. An ECO session turns it
+/// off to route fresh (it must record), and still inserts the result.
+pub(crate) fn run_with<'a>(
+    inst: &'a Instance,
+    plan: &StagePlan,
+    cache: Option<&SubtreeCache>,
+    lookup: bool,
+    merge: impl FnOnce(&mut MergeForest, &Instance, Option<Point>) -> Option<(NodeId, MergeTrace)>,
+) -> Result<Option<Run<'a>>, RouteError> {
+    let mut stats = RouteStats::default();
+    let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
+
+    // Stage 1: frame and group. The anchor is the bounding-box minimum
+    // corner; subtracting a coordinate from itself is exactly +0.0, so an
+    // instance already anchored at the origin normalizes to itself bit for
+    // bit.
+    let (slot, routed) = stage(StageId::Group, &mut stats.group, |_| {
+        let framed = cache.and_then(|cache| {
+            let bb = inst.bounding_box();
+            let anchor = Point::new(bb.x0(), bb.y0());
+            let norm = inst.translated(-anchor.x, -anchor.y).ok()?;
+            let (key, verify) = region_fingerprint(&norm, &plan.fingerprint_words());
+            Some((
+                Slot {
+                    cache,
+                    anchor,
+                    key,
+                    verify,
+                },
+                norm,
+            ))
+        });
+        let (slot, frame) = match framed {
+            Some((slot, norm)) => (Some(slot), Cow::Owned(norm)),
+            None => (None, Cow::Borrowed(inst)),
+        };
+        let routed = match derive_grouping(&frame, plan)? {
+            Some(regrouped) => Cow::Owned(regrouped),
+            None => frame,
+        };
+        Ok((slot, routed))
+    })?;
+    let anchor = slot.as_ref().map(|s| s.anchor);
+
+    // Stage 2: merge — satisfied by a verified cache hit, or the merge
+    // step over a fresh forest.
+    let merged = stage(StageId::Merge, &mut stats.merge, |st| {
+        if let Some(s) = slot.as_ref().filter(|_| lookup) {
+            match s.cache.lookup(s.key, s.verify, inst.sink_count()) {
+                Some(region) => {
+                    stats.cache_hit = true;
+                    stats.cache_hits = 1;
+                    st.rounds = region.rounds;
+                    st.merges = region.merges;
+                    return Ok(Some(Planned::Hit(region)));
+                }
+                None => stats.cache_misses = 1,
+            }
+        }
+        let mut forest = MergeForest::for_instance_with_model(&routed, model, plan.engine);
+        let Some((root, trace)) = merge(&mut forest, &routed, anchor) else {
+            return Ok(None);
+        };
+        st.rounds = trace.rounds;
+        st.merges = trace.merges;
+        Ok(Some(Planned::Fresh(forest, root)))
+    })?;
+    let Some(merged) = merged else {
+        return Ok(None);
+    };
+
+    // Stage 3: embed (a hit has nothing left to embed — the cached nodes
+    // *are* the embedded subtree).
+    let embedded = stage(StageId::Embed, &mut stats.embed, |_| {
+        Ok(merged.map(|forest, root| forest.embed(root, routed.source())))
+    })?;
+
+    // Stage 4: repair. The pass snakes leaf edges when a deep offset
+    // conflict left residual skew (see [`repair_group_skew`]); on cleanly
+    // solved instances it is skipped outright.
+    let planned = stage(StageId::Repair, &mut stats.repair, |st| {
+        let planned = embedded.map(|forest, tree| {
+            if forest.residual() <= plan.engine.skew_tol {
+                return tree;
+            }
+            let repaired =
+                repair_group_skew(&tree, &routed, &model, plan.engine.skew_tol, REPAIR_ITERS);
+            st.repair_iterations = repaired.iterations;
+            repaired.tree
+        });
+        if let Planned::Hit(region) = &planned {
+            st.repair_iterations = region.repair_iterations;
+        }
+        Ok(planned)
+    })?;
+
+    // Assembly. The raw frame keeps its tree; the normalized frame
+    // captures a fresh tree as a region and leaves through ONE splice call
+    // shared with hits — identical arithmetic is what makes hit ≡
+    // recompute bit-exact. The source comes from the original instance
+    // verbatim (never round-tripped through the translation).
+    let (tree, forest, fresh) = match (planned, &slot) {
+        (Planned::Fresh(forest, tree), None) => (tree, Some(forest), None),
+        (Planned::Fresh(forest, tree), Some(s)) => {
+            let region = CachedRegion {
+                verify: s.verify,
+                sink_count: inst.sink_count(),
+                nodes: tree.nodes().to_vec(),
+                rounds: stats.merge.rounds,
+                merges: stats.merge.merges,
+                repair_iterations: stats.repair.repair_iterations,
+            };
+            (
+                region.splice(s.anchor, inst.source()),
+                Some(forest),
+                Some(region),
+            )
+        }
+        (Planned::Hit(region), _) => {
+            let anchor = anchor.expect("only a cached run can hit");
+            (region.splice(anchor, inst.source()), None, None)
+        }
+    };
+    let corrupt = [StageId::Embed, StageId::Repair]
+        .into_iter()
+        .any(fault::corrupt_requested);
+    let tree = if corrupt { corrupt_tree(tree) } else { tree };
+
+    // Output validation: the audit panics on a structurally broken tree
+    // (uncovered sinks), and downstream metrics would silently absorb a
+    // NaN wire. Reject malformed output as a typed per-instance error
+    // before auditing — and before the cache insert, so corrupted output
+    // is never memoized.
+    validate_tree(&tree, inst)?;
+    if let (Some(s), Some(region)) = (&slot, fresh) {
+        s.cache.insert(s.key, region);
+    }
+
+    // Stage 5: audit — always fresh, always against the *original*
+    // instance, so the report's per-group skews refer to the groups the
+    // caller asked about, not a relaxed routing surrogate. Cache hits
+    // reuse geometry, never verdicts.
+    let report = stage(StageId::Audit, &mut stats.audit, |_| {
+        Ok(audit(&tree, inst, &model))
+    })?;
+
+    Ok(Some(Run {
+        outcome: RouteOutcome {
+            tree,
+            report,
+            stats,
+        },
+        routed,
+        anchor,
+        forest,
+    }))
 }
 
 /// Derives the stage-1 regrouping of `inst` under the plan, or `None`
 /// when the instance's own groups are kept.
-pub(crate) fn derive_grouping(
-    inst: &Instance,
-    plan: &StagePlan,
-) -> Result<Option<Instance>, RouteError> {
+///
+/// # Errors
+///
+/// Returns [`RouteError::BadParameter`] for a negative or NaN global skew
+/// bound — the one place the bound is checked, whichever entry point
+/// (router, [`run`], ECO session) the plan arrives through.
+fn derive_grouping(inst: &Instance, plan: &StagePlan) -> Result<Option<Instance>, RouteError> {
     match plan.grouping {
         GroupingStage::Keep => Ok(None),
         GroupingStage::Single { bound } => {
             let mut groups = Groups::single(inst.sink_count())?;
             if let Some(b) = bound {
+                if b.is_nan() || b < 0.0 {
+                    return Err(RouteError::BadParameter(format!(
+                        "global skew bound must be non-negative, got {b}"
+                    )));
+                }
                 groups = groups.with_uniform_bound(b)?;
             }
             Ok(Some(inst.with_groups(groups)?))
@@ -286,10 +547,10 @@ pub(crate) fn derive_grouping(
     }
 }
 
-/// Stage 2 proper: the bottom-up merge loop over `routed_against`'s
-/// forest. `group_source` supplies the *original* group structure the
-/// [`MergeStage::PerGroupThenStitch`] script iterates (the regrouped
-/// surrogate has collapsed it).
+/// The fresh-planning merge step: the bottom-up merge loop over the
+/// forest's leaves. `group_source` supplies the *original* group
+/// structure the [`MergeStage::PerGroupThenStitch`] script iterates (the
+/// regrouped surrogate has collapsed it).
 fn merge_stage(
     forest: &mut MergeForest,
     group_source: &Instance,
@@ -297,341 +558,26 @@ fn merge_stage(
 ) -> (NodeId, MergeTrace) {
     let leaves = forest.leaves();
     match plan.merge {
-        MergeStage::Flat => merge_until_one_traced(forest, leaves, &plan.topo),
+        MergeStage::Flat => merge_until_one_traced(forest, leaves, &plan.topo, None),
         MergeStage::PerGroupThenStitch => {
+            let groups = group_source.groups();
             let mut trace = MergeTrace::default();
-            let mut group_roots = Vec::with_capacity(group_source.groups().group_count());
-            for g in 0..group_source.groups().group_count() {
-                let members: Vec<_> = group_source
-                    .groups()
+            let mut group_roots = Vec::with_capacity(groups.group_count());
+            for g in 0..groups.group_count() {
+                let members: Vec<_> = groups
                     .members(GroupId(g as u32))
                     .iter()
                     .map(|&s| leaves[s])
                     .collect();
-                let (root, t) = merge_until_one_traced(forest, members, &plan.topo);
+                let (root, t) = merge_until_one_traced(forest, members, &plan.topo, None);
                 trace.absorb(t);
                 group_roots.push(root);
             }
-            let (root, t) = merge_until_one_traced(forest, group_roots, &plan.topo);
+            let (root, t) = merge_until_one_traced(forest, group_roots, &plan.topo, None);
             trace.absorb(t);
             (root, trace)
         }
     }
-}
-
-/// The historic cache-free pipeline body.
-fn run_uncached(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
-    let mut stats = RouteStats::default();
-
-    // Stage 1: group.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let regrouped = derive_grouping(inst, plan)?;
-    let routed_against = regrouped.as_ref().unwrap_or(inst);
-    let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
-    stats.group.seconds = t0.seconds();
-    stats.group.allocs = allocmeter::current().saturating_sub(a0);
-    fault::checkpoint(StageId::Group)?;
-
-    // Stage 2: plan/merge.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let mut forest = MergeForest::for_instance_with_model(routed_against, model, plan.engine);
-    let (root, trace) = merge_stage(&mut forest, inst, plan);
-    stats.merge = StageStats {
-        seconds: t0.seconds(),
-        rounds: trace.rounds,
-        merges: trace.merges,
-        repair_iterations: 0,
-        allocs: allocmeter::current().saturating_sub(a0),
-    };
-    fault::checkpoint(StageId::Merge)?;
-
-    // Stage 3: embed.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = forest.embed(root, routed_against.source());
-    stats.embed.seconds = t0.seconds();
-    stats.embed.allocs = allocmeter::current().saturating_sub(a0);
-    let tree = corrupt_if_requested(tree, StageId::Embed);
-    fault::checkpoint(StageId::Embed)?;
-
-    // Stage 4: repair. The pass snakes leaf edges when a deep offset
-    // conflict left residual skew (see [`repair_group_skew`]); on cleanly
-    // solved instances it is skipped outright.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let tree = if forest.residual() <= plan.engine.skew_tol {
-        tree
-    } else {
-        let repaired = repair_group_skew(
-            &tree,
-            routed_against,
-            &model,
-            plan.engine.skew_tol,
-            REPAIR_ITERS,
-        );
-        stats.repair.repair_iterations = repaired.iterations;
-        repaired.tree
-    };
-    stats.repair.seconds = t0.seconds();
-    stats.repair.allocs = allocmeter::current().saturating_sub(a0);
-    let tree = corrupt_if_requested(tree, StageId::Repair);
-    fault::checkpoint(StageId::Repair)?;
-
-    // Output validation: the audit panics on a structurally broken tree
-    // (uncovered sinks), and downstream metrics would silently absorb a
-    // NaN wire. Reject malformed output as a typed per-instance error
-    // before auditing — the path [`fault::FaultKind::Corrupt`] injection
-    // exercises on purpose.
-    validate_tree(&tree, inst)?;
-
-    // Stage 5: audit — against the *original* instance, so the report's
-    // per-group skews refer to the groups the caller asked about, not a
-    // relaxed routing surrogate.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let report = audit(&tree, inst, &model);
-    stats.audit.seconds = t0.seconds();
-    stats.audit.allocs = allocmeter::current().saturating_sub(a0);
-    fault::checkpoint(StageId::Audit)?;
-
-    Ok(RouteOutcome {
-        tree,
-        report,
-        stats,
-    })
-}
-
-/// The region produced by the merge/embed/repair stages of the cached
-/// pipeline: shared from the cache on a hit, freshly routed on a miss.
-enum Planned {
-    Hit(Arc<CachedRegion>),
-    Fresh(CachedRegion),
-}
-
-impl Planned {
-    fn region(&self) -> &CachedRegion {
-        match self {
-            Self::Hit(r) => r,
-            Self::Fresh(r) => r,
-        }
-    }
-}
-
-/// Executes the staged pipeline over `inst` with a content-addressed
-/// subtree cache consulted between the group and merge stages.
-///
-/// The instance is **translation-normalized** first (the bounding-box
-/// minimum corner becomes the origin) and stages 2–4 route the normalized
-/// instance; both on a cache hit and on a miss, the final tree is then
-/// assembled by the *same* [`CachedRegion::splice`] call — translate the
-/// normalized nodes back by the anchor, root at the caller's source — so
-/// **a hit is bit-identical to a recompute**: tree, audit report, and
-/// wirelength, at every thread count and under every eviction order —
-/// outcomes are a pure function of the instance and plan, never of cache
-/// state. The audit always runs fresh against the original instance; only
-/// planned geometry is ever cached, never verdicts about it.
-///
-/// Relative to the cache-*free* [`run`]: for an instance whose
-/// bounding-box minimum corner is already the origin, normalization is
-/// the exact identity (`a - a = +0.0`) and the cached outcome equals the
-/// uncached one. For other instances the normalized frame can shift
-/// last-ulp merge coordinates (floating-point addition is not translation
-/// invariant), so the two *modes* may differ in final bits — each mode is
-/// internally exact, and both are independently audited.
-///
-/// Fault-injection semantics are preserved: checkpoints fire in the same
-/// stage order as the uncached path on both hit and miss, and a
-/// [`fault::FaultKind::Corrupt`] injection poisons the final tree so
-/// validation rejects it *before* the cache insert — corrupted output can
-/// never be memoized.
-///
-/// An instance whose normalization fails (coordinates so large the
-/// translation overflows) silently falls back to the uncached path.
-///
-/// # Errors
-///
-/// Returns [`RouteError`] if a derived re-grouping is invalid.
-pub fn run_with_cache(
-    inst: &Instance,
-    plan: &StagePlan,
-    cache: &SubtreeCache,
-) -> Result<RouteOutcome, RouteError> {
-    let mut stats = RouteStats::default();
-
-    // Stage 1: group + canonicalize. The anchor is the bounding-box
-    // minimum corner; subtracting a coordinate from itself is exactly
-    // +0.0, so an instance already anchored at the origin normalizes to
-    // itself bit for bit.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let bb = inst.bounding_box();
-    let (ax, ay) = (bb.x0(), bb.y0());
-    let Ok(norm) = inst.translated(-ax, -ay) else {
-        return run_uncached(inst, plan);
-    };
-    let (key, verify) = region_fingerprint(&norm, &plan.fingerprint_words());
-    let regrouped = derive_grouping(&norm, plan)?;
-    let routed_against = regrouped.as_ref().unwrap_or(&norm);
-    let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
-    stats.group.seconds = t0.seconds();
-    stats.group.allocs = allocmeter::current().saturating_sub(a0);
-    fault::checkpoint(StageId::Group)?;
-
-    // Stage 2: plan/merge — satisfied by a verified cache hit, or routed
-    // fresh on the normalized instance.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    enum MergePhase {
-        Hit(Arc<CachedRegion>),
-        Miss {
-            forest: Box<MergeForest>,
-            root: NodeId,
-            trace: MergeTrace,
-        },
-    }
-    let merged = match cache.lookup(key, verify, norm.sink_count()) {
-        Some(region) => {
-            stats.cache_hit = true;
-            stats.cache_hits = 1;
-            stats.merge.rounds = region.rounds;
-            stats.merge.merges = region.merges;
-            MergePhase::Hit(region)
-        }
-        None => {
-            stats.cache_misses = 1;
-            let mut forest = Box::new(MergeForest::for_instance_with_model(
-                routed_against,
-                model,
-                plan.engine,
-            ));
-            let (root, trace) = merge_stage(&mut forest, &norm, plan);
-            stats.merge.rounds = trace.rounds;
-            stats.merge.merges = trace.merges;
-            MergePhase::Miss {
-                forest,
-                root,
-                trace,
-            }
-        }
-    };
-    stats.merge.seconds = t0.seconds();
-    stats.merge.allocs = allocmeter::current().saturating_sub(a0);
-    fault::checkpoint(StageId::Merge)?;
-
-    // Stage 3: embed (a hit has nothing left to embed — the cached nodes
-    // *are* the embedded subtree). Corruption injected at this stage or
-    // the next poisons the final spliced tree below, exactly like the
-    // uncached path's output.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    enum EmbedPhase {
-        Hit(Arc<CachedRegion>),
-        Miss {
-            forest: Box<MergeForest>,
-            trace: MergeTrace,
-            tree: RoutedTree,
-        },
-    }
-    let embedded = match merged {
-        MergePhase::Hit(region) => EmbedPhase::Hit(region),
-        MergePhase::Miss {
-            forest,
-            root,
-            trace,
-        } => {
-            let tree = forest.embed(root, routed_against.source());
-            EmbedPhase::Miss {
-                forest,
-                trace,
-                tree,
-            }
-        }
-    };
-    stats.embed.seconds = t0.seconds();
-    stats.embed.allocs = allocmeter::current().saturating_sub(a0);
-    let mut corrupt = fault::corrupt_requested(StageId::Embed);
-    fault::checkpoint(StageId::Embed)?;
-
-    // Stage 4: repair, then capture the normalized region.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let planned = match embedded {
-        EmbedPhase::Hit(region) => {
-            stats.repair.repair_iterations = region.repair_iterations;
-            Planned::Hit(region)
-        }
-        EmbedPhase::Miss {
-            forest,
-            trace,
-            tree,
-        } => {
-            let tree = if forest.residual() <= plan.engine.skew_tol {
-                tree
-            } else {
-                let repaired = repair_group_skew(
-                    &tree,
-                    routed_against,
-                    &model,
-                    plan.engine.skew_tol,
-                    REPAIR_ITERS,
-                );
-                stats.repair.repair_iterations = repaired.iterations;
-                repaired.tree
-            };
-            Planned::Fresh(CachedRegion {
-                verify,
-                sink_count: norm.sink_count(),
-                nodes: tree.nodes().to_vec(),
-                rounds: trace.rounds,
-                merges: trace.merges,
-                repair_iterations: stats.repair.repair_iterations,
-            })
-        }
-    };
-    stats.repair.seconds = t0.seconds();
-    stats.repair.allocs = allocmeter::current().saturating_sub(a0);
-    corrupt = corrupt || fault::corrupt_requested(StageId::Repair);
-    fault::checkpoint(StageId::Repair)?;
-
-    // Final assembly: ONE splice call shared by hit and miss — identical
-    // arithmetic is what makes hit ≡ recompute bit-exact. The source comes
-    // from the original instance verbatim (never round-tripped through the
-    // translation).
-    let tree = planned.region().splice(Point::new(ax, ay), inst.source());
-    let tree = if corrupt { corrupt_tree(tree) } else { tree };
-
-    // Validation precedes the insert: corrupted (or otherwise malformed)
-    // output returns here and is never memoized.
-    validate_tree(&tree, inst)?;
-    if let Planned::Fresh(region) = planned {
-        cache.insert(key, region);
-    }
-
-    // Stage 5: audit — always fresh, always against the original
-    // instance. Cache hits reuse geometry, never verdicts.
-    let t0 = Stopwatch::start();
-    let a0 = allocmeter::current();
-    let report = audit(&tree, inst, &model);
-    stats.audit.seconds = t0.seconds();
-    stats.audit.allocs = allocmeter::current().saturating_sub(a0);
-    fault::checkpoint(StageId::Audit)?;
-
-    Ok(RouteOutcome {
-        tree,
-        report,
-        stats,
-    })
-}
-
-/// Applies an injected [`fault::FaultKind::Corrupt`] to the stage's tree
-/// (root wire becomes NaN) when one is scheduled here; identity otherwise.
-fn corrupt_if_requested(tree: RoutedTree, stage: StageId) -> RoutedTree {
-    if !fault::corrupt_requested(stage) {
-        return tree;
-    }
-    corrupt_tree(tree)
 }
 
 /// The corruption a [`fault::FaultKind::Corrupt`] fault injects: the root
@@ -653,7 +599,7 @@ fn corrupt_tree(tree: RoutedTree) -> RoutedTree {
 /// Returns [`RouteError::MalformedOutput`] (attributed to the current
 /// fleet batch index, when routing under one) describing the first
 /// violation found.
-pub(crate) fn validate_tree(tree: &RoutedTree, inst: &Instance) -> Result<(), RouteError> {
+fn validate_tree(tree: &RoutedTree, inst: &Instance) -> Result<(), RouteError> {
     let malformed = |detail: String| RouteError::MalformedOutput {
         instance: fault::current_instance(),
         detail,
@@ -720,7 +666,7 @@ mod tests {
 
     #[test]
     fn pipeline_counts_rounds_and_merges() {
-        let out = run(&inst(9, 3), &ast_plan()).unwrap();
+        let out = run(&inst(9, 3), &ast_plan(), None).unwrap();
         assert_eq!(out.tree.sink_nodes().count(), 9);
         // n leaves merge down to one root: exactly n - 1 merges.
         assert_eq!(out.stats.merge.merges, 8);
@@ -739,6 +685,7 @@ mod tests {
                 grouping: GroupingStage::Single { bound: None },
                 ..ast_plan()
             },
+            None,
         )
         .unwrap();
         assert!(out.report.max_intra_group_skew() < 1e-16);
@@ -754,10 +701,36 @@ mod tests {
                 merge: MergeStage::PerGroupThenStitch,
                 ..ast_plan()
             },
+            None,
         )
         .unwrap();
         // Two groups of five (4 merges each) plus the stitch (1 merge).
         assert_eq!(out.stats.merge.merges, 9);
         assert_eq!(out.tree.sink_nodes().count(), 10);
+    }
+
+    #[test]
+    fn overflowing_normalization_routes_raw_and_skips_the_cache() {
+        // The source sits so far from the sinks' bounding-box corner that
+        // translating it by that corner overflows. The source wire is then
+        // infinite too: a debug build panics at embedding, a release build
+        // rejects the tree at validation. Either way the cached call must
+        // do exactly what the uncached one does, and touch no cache.
+        let sinks = vec![
+            Sink::new(Point::new(1e308, 0.0), 1e-14),
+            Sink::new(Point::new(1e308, 500.0), 1e-14),
+        ];
+        let far = Instance::new(
+            sinks,
+            Groups::single(2).unwrap(),
+            RcParams::default(),
+            Point::new(-8e307, 0.0),
+        )
+        .unwrap();
+        assert!(far.translated(-1e308, 0.0).is_err());
+        let cache = SubtreeCache::new(4);
+        let route = |cache| std::panic::catch_unwind(|| run(&far, &ast_plan(), cache)).ok();
+        assert_eq!(route(Some(&cache)), route(None));
+        assert_eq!(cache.stats(), Default::default(), "no lookup, no insert");
     }
 }

@@ -286,9 +286,8 @@ pub struct SweepConfig {
     /// hits are **bit-identical to the recompute** a miss performs, so
     /// cache capacity, sharing across sweeps, eviction order, and thread
     /// count can never move a reported bit. `None` (the default) routes
-    /// every variant on the historic uncached path (whose frame of
-    /// computation cached runs match exactly for origin-anchored
-    /// variants; see [`BatchPolicy::cache`]).
+    /// every variant in the raw frame (which cached runs match exactly
+    /// for origin-anchored variants; see [`BatchPolicy::cache`]).
     pub cache: Option<crate::SubtreeCache>,
 }
 

@@ -9,7 +9,14 @@ use astdme_engine::{EngineConfig, Instance, RoutedTree};
 use astdme_topo::TopoConfig;
 
 use crate::pipeline::{self, GroupingStage, MergeStage, RouteOutcome, StagePlan};
-use crate::RouteError;
+use crate::{fault, RouteError};
+
+/// Where a [`ClockRouter`] enters the pipeline: the one place the cache a
+/// fleet batch attached to this thread's route context is picked up (see
+/// [`BatchPolicy::cache`](crate::fleet::BatchPolicy::cache)).
+fn enter(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
+    pipeline::run(inst, plan, fault::current_cache().as_ref())
+}
 
 /// A clock-tree router: consumes an [`Instance`], produces a
 /// [`RoutedTree`].
@@ -126,7 +133,7 @@ impl Default for AstDme {
 
 impl ClockRouter for AstDme {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        pipeline::run(inst, &self.plan())
+        enter(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -196,13 +203,7 @@ impl ExtBst {
 
 impl ClockRouter for ExtBst {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        if self.bound.is_nan() || self.bound < 0.0 {
-            return Err(RouteError::BadParameter(format!(
-                "global skew bound must be non-negative, got {}",
-                self.bound
-            )));
-        }
-        pipeline::run(inst, &self.plan())
+        enter(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -268,7 +269,7 @@ impl Default for GreedyDme {
 
 impl ClockRouter for GreedyDme {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        pipeline::run(inst, &self.plan())
+        enter(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -335,7 +336,7 @@ impl Default for StitchPerGroup {
 
 impl ClockRouter for StitchPerGroup {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        pipeline::run(inst, &self.plan())
+        enter(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -346,6 +347,7 @@ impl ClockRouter for StitchPerGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EcoSession;
     use astdme_delay::RcParams;
     use astdme_engine::{audit, Groups, Sink};
     use astdme_geom::Point;
@@ -458,9 +460,25 @@ mod tests {
 
     #[test]
     fn negative_bound_rejected() {
+        // One check, whichever way the bound arrives: the router, the
+        // pipeline entry, or an ECO session.
         let inst = interleaved(4);
-        let err = ExtBst::new(-1.0).route(&inst).unwrap_err();
-        assert!(matches!(err, RouteError::BadParameter(_)));
+        for bound in [-1.0, f64::NAN] {
+            let plan = ExtBst::new(bound).plan();
+            let errs = [
+                ExtBst::new(bound).route(&inst).unwrap_err(),
+                pipeline::run(&inst, &plan, None).unwrap_err(),
+                EcoSession::new(&inst, plan)
+                    .err()
+                    .expect("session must fail"),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(err, RouteError::BadParameter(_)),
+                    "{bound}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@ use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
+use astdme::pipeline::run;
 use astdme::{
-    run_with_cache, AstDme, ClockRouter, EcoEdit, EcoSession, GroupId, Groups, Instance, Point,
-    RouteError, Sink, StitchPerGroup, SubtreeCache, TopoConfig,
+    AstDme, BatchPlan, BatchPolicy, CacheStats, ClockRouter, EcoEdit, EcoSession, Fault, FaultKind,
+    FaultPlan, GroupId, Groups, Instance, Point, RouteError, RouteOutcome, Sink, StageId,
+    StagePlan, StitchPerGroup, SubtreeCache, TopoConfig,
 };
 use proptest::prelude::*;
 
@@ -180,7 +182,7 @@ fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
         ),
     };
     let edited = apply_expected(&inst, &[moved]);
-    let want = run_with_cache(&edited, &plan, &SubtreeCache::new(4)).expect("routes");
+    let want = run(&edited, &plan, Some(&SubtreeCache::new(4))).expect("routes");
 
     session.queue(moved);
     let out = session.flush().expect("flushes");
@@ -209,7 +211,7 @@ fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
         to: Point::new(inst.sinks()[9].pos.x - 270.0, inst.sinks()[9].pos.y + 55.0),
     };
     let edited = apply_expected(&inst, &[moved_again]);
-    let want = run_with_cache(&edited, &plan, &SubtreeCache::new(4)).expect("routes");
+    let want = run(&edited, &plan, Some(&SubtreeCache::new(4))).expect("routes");
     session.queue(moved_again);
     let out = session.flush().expect("flushes after hit");
     assert_eq!(out.tree, want.tree, "post-hit flush diverged");
@@ -310,6 +312,82 @@ fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
     assert!(matches!(err, RouteError::BadParameter(_)), "got {err:?}");
     assert!(session.pending().is_empty(), "failed flush discards batch");
     assert_eq!(session.outcome().tree, before.tree, "standing route intact");
+}
+
+/// A router that opens an uncached ECO session per instance under its
+/// plan and returns the session's standing outcome.
+struct SessionRouter(StagePlan);
+
+impl ClockRouter for SessionRouter {
+    fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
+        Ok(EcoSession::new(inst, self.0)?.outcome().clone())
+    }
+
+    fn name(&self) -> &'static str {
+        "eco-session"
+    }
+}
+
+/// A session opened inside a cache-attached batch routes exactly as one
+/// opened outside any batch: the batch's cache is what the routers hand
+/// the pipeline, not ambient state a session picks up. The session's
+/// route still passes the pipeline's fault checkpoints, so a fault
+/// injected at the merge stage fails its slot. Both a non-replayable plan
+/// (stitching) and a recording one (AST-DME) are checked.
+#[test]
+fn sessions_in_a_cached_batch_ignore_its_cache_and_pass_checkpoints() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(2));
+    let batch: Vec<Instance> = [(31, 1000.3), (37, 2500.9)]
+        .into_iter()
+        .map(|(seed, dx)| {
+            let inst = instance(40, 3, seed).translated(dx, 777.7).expect("finite");
+            let bb = inst.bounding_box();
+            assert!(
+                (bb.x0(), bb.y0()) != (0.0, 0.0),
+                "must not be origin-anchored"
+            );
+            inst
+        })
+        .collect();
+    let plan = BatchPlan::new(&batch);
+    for router in [
+        SessionRouter(StitchPerGroup::new().plan()),
+        SessionRouter(AstDme::new().plan()),
+    ] {
+        let want: Vec<RouteOutcome> = batch
+            .iter()
+            .map(|inst| router.route_traced(inst).expect("routes"))
+            .collect();
+
+        let cache = SubtreeCache::new(8);
+        let policy = BatchPolicy::new().with_cache(cache.clone());
+        let (out, _) = plan.route_with_policy(&batch, &router, &policy);
+        for (got, want) in out.iter().zip(&want) {
+            let got = got.as_ref().expect("routes");
+            assert_eq!(
+                got.tree, want.tree,
+                "the batch's cache leaked into a session"
+            );
+            assert_eq!(got.report, want.report);
+        }
+        assert_eq!(cache.stats(), CacheStats::default(), "cache untouched");
+
+        let faults = FaultPlan::new().inject(
+            0,
+            Fault {
+                stage: StageId::Merge,
+                kind: FaultKind::Panic,
+            },
+        );
+        let (out, _) = plan.route_with_policy(&batch, &router, &policy.with_faults(faults));
+        assert!(
+            matches!(out[0], Err(RouteError::Panicked { instance: 0, .. })),
+            "got {:?}",
+            out[0].as_ref().map(|o| &o.stats)
+        );
+        assert_eq!(out[1].as_ref().expect("survivor routes").tree, want[1].tree);
+    }
 }
 
 fn arb_edit(n: usize) -> impl Strategy<Value = EcoEdit> {
