@@ -5,6 +5,8 @@ use astdme_engine::{EngineConfig, Instance, MergeForest, MergeRecording, NodeId}
 use astdme_geom::Trr;
 use astdme_topo::{plan_round, MergePlanner, MergeSpace, NnSnapshotRow, TopoConfig};
 
+use crate::stopwatch::Stopwatch;
+
 /// Adapter exposing a [`MergeForest`] to the merge planner.
 ///
 /// Keys are forest node indices. The adapter also lets callers restrict the
@@ -41,15 +43,22 @@ impl MergeSpace for ForestSpace<'_> {
     }
 }
 
-/// Round and merge counters of one [`merge_until_one_traced`] run, the
+/// Round and merge counters and the layer split of one merge loop, the
 /// raw material of the pipeline's merge-stage
 /// [`StageStats`](crate::StageStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct MergeTrace {
     /// Planning rounds executed.
     pub(crate) rounds: usize,
     /// Merges performed (over `n` subtrees, always `n - 1`).
     pub(crate) merges: usize,
+    /// Seconds choosing pairs: planner construction and every round's
+    /// planning (an ECO replay's inherited-snapshot planning included).
+    pub(crate) plan_seconds: f64,
+    /// Seconds in the engine: fresh merges, and an ECO replay's adoptions.
+    pub(crate) engine_seconds: f64,
+    /// Seconds reporting merged rounds back to the planner.
+    pub(crate) apply_seconds: f64,
 }
 
 impl MergeTrace {
@@ -58,6 +67,9 @@ impl MergeTrace {
     pub(crate) fn absorb(&mut self, other: MergeTrace) {
         self.rounds += other.rounds;
         self.merges += other.merges;
+        self.plan_seconds += other.plan_seconds;
+        self.engine_seconds += other.engine_seconds;
+        self.apply_seconds += other.apply_seconds;
     }
 }
 
@@ -115,25 +127,16 @@ pub(crate) fn merge_until_one_traced(
         return (start[0], MergeTrace::default());
     }
     let keys: Vec<usize> = start.iter().map(|n| n.index()).collect();
-    // Phase timing is gated on the env var so the unprofiled hot loop pays
-    // no clock reads (greedy runs one round per merge).
-    let profile = std::env::var_os("ASTDME_PROFILE").is_some();
-    let clock = |on: bool| on.then(crate::stopwatch::Stopwatch::start);
-    let lap = |t: Option<crate::stopwatch::Stopwatch>, acc: &mut f64| {
-        if let Some(t) = t {
-            *acc += t.seconds();
-        }
-    };
-    let (mut t_new, mut t_plan, mut t_engine, mut t_apply) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let t0 = clock(profile);
-    let mut planner = MergePlanner::new(&ForestSpace::new(forest), &keys, *topo);
-    lap(t0, &mut t_new);
+    // The layer split is clocked per round, never per merge.
     let mut trace = MergeTrace::default();
+    let t = Stopwatch::start();
+    let mut planner = MergePlanner::new(&ForestSpace::new(forest), &keys, *topo);
+    trace.plan_seconds += t.seconds();
     let mut round: Vec<(usize, usize, usize)> = Vec::new();
     while planner.len() > 1 {
-        let t0 = clock(profile);
+        let t = Stopwatch::start();
         let pairs = planner.plan_round(&ForestSpace::new(forest));
-        lap(t0, &mut t_plan);
+        trace.plan_seconds += t.seconds();
         assert!(!pairs.is_empty(), "planner must make progress");
         if let Some(script) = script.as_deref_mut() {
             // Snapshot *after* planning (caches are flushed, rows are what
@@ -143,7 +146,7 @@ pub(crate) fn merge_until_one_traced(
             script.rounds.push(grid.then(|| planner.nn_snapshot()));
         }
         round.clear();
-        let t0 = clock(profile);
+        let t = Stopwatch::start();
         for (a, b) in pairs {
             let (na, nb) = (NodeId::from_index(a), NodeId::from_index(b));
             let m = match script.as_deref_mut() {
@@ -152,17 +155,12 @@ pub(crate) fn merge_until_one_traced(
             };
             round.push((a, b, m.index()));
         }
-        lap(t0, &mut t_engine);
-        let t0 = clock(profile);
+        trace.engine_seconds += t.seconds();
+        let t = Stopwatch::start();
         planner.apply_round(&ForestSpace::new(forest), &round);
-        lap(t0, &mut t_apply);
+        trace.apply_seconds += t.seconds();
         trace.rounds += 1;
         trace.merges += round.len();
-    }
-    if profile {
-        eprintln!(
-            "[profile] new {t_new:.4}s plan {t_plan:.4}s engine {t_engine:.4}s apply {t_apply:.4}s"
-        );
     }
     (NodeId::from_index(planner.sole_key()), trace)
 }

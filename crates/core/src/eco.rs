@@ -15,8 +15,8 @@
 //!  │  edits,  │   │               ancestors lose adoption rights │
 //!  │  write-  │   │ 3. re-plan   replay recorded rounds; fresh   │
 //!  │  only)   │   │               NN scans only for novel nodes  │
-//!  │          │   │ 4. splice    adopted merges are copied bit   │
-//!  └──────────┘   │               for bit, dirty cone re-merged, │
+//!  │          │   │ 4. splice    adopted merges share recorded   │
+//!  └──────────┘   │               lists, dirty cone re-merged,   │
 //!                 │               then embed / repair / audit    │
 //!                 └──────────────────────────────────────────────┘
 //! ```
@@ -42,9 +42,9 @@
 //! * Selected pairs whose children both map onto a recorded merge (same
 //!   log, same orientation) are **adopted**:
 //!   [`MergeForest::adopt_merge`](astdme_engine::MergeForest::adopt_merge)
-//!   clones the recorded result instead of re-running candidate-pair
-//!   expansion. Everything else is merged fresh (bit-correct by
-//!   construction).
+//!   shares the recorded result's candidate list instead of re-running
+//!   candidate-pair expansion. Everything else is merged fresh
+//!   (bit-correct by construction).
 //!
 //! The replay is only the merge step: every session route — creation,
 //! replayed flush, cache-hit flush, full reroute — runs the staged
@@ -630,6 +630,7 @@ fn replay_merges(
             .get(round_idx)
             .and_then(Option::as_ref)
             .filter(|_| n_present > BRUTE_FORCE_CUTOFF);
+        let t = Stopwatch::start();
         let pairs: Vec<(usize, usize)> = match snap {
             None => {
                 // Tail rounds (and rounds the recording cannot cover):
@@ -769,7 +770,9 @@ fn replay_merges(
                 pairs
             }
         };
+        trace.plan_seconds += t.seconds();
 
+        let t = Stopwatch::start();
         for &(x, y) in &pairs {
             let mx = new_to_std[x];
             let my = new_to_std[y];
@@ -832,6 +835,7 @@ fn replay_merges(
                 new_to_std[mk] = result;
             }
         }
+        trace.engine_seconds += t.seconds();
         trace.rounds += 1;
         trace.merges += pairs.len();
         round_idx += 1;
@@ -842,4 +846,71 @@ fn replay_merges(
     stats.replayed_rounds = replayed_rounds;
     stats.planned_rounds = planned_rounds;
     Some((NodeId::from_index(active[0]), trace, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AstDme;
+    use astdme_engine::EngineConfig;
+
+    /// Sinks scattered by a multiplicative hash over three intermingled
+    /// zero-skew groups, whose conflicting windows force offset
+    /// adjustment once fusion is off.
+    fn scattered(n: usize) -> Instance {
+        let sinks: Vec<Sink> = (0..n as u64)
+            .map(|i| {
+                let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let (x, y) = ((h >> 20) % 4000, (h >> 40) % 4000);
+                Sink::new(Point::new(x as f64, y as f64), 1e-14)
+            })
+            .collect();
+        let groups = Groups::from_assignments((0..n).map(|i| i % 3).collect(), 3)
+            .and_then(|g| g.with_uniform_bound(0.0))
+            .expect("valid groups");
+        Instance::new(sinks, groups, RcParams::default(), Point::new(0.0, 4500.0))
+            .expect("valid instance")
+    }
+
+    /// Without group fusion, offset adjustment appends candidates to
+    /// descendants, so the replay re-appends recorded slices and copies
+    /// the creation prefix of every grown node. The flush must still equal
+    /// a from-scratch route, and moving the sink back must restore the
+    /// original tree.
+    #[test]
+    fn unfused_flush_with_appends_matches_from_scratch() {
+        let inst = scattered(120);
+        let plan = AstDme::new()
+            .with_engine(EngineConfig {
+                fuse_groups: false,
+                ..EngineConfig::default()
+            })
+            .plan();
+        let mut session = EcoSession::new(&inst, plan).expect("routes");
+        let base = session.outcome().clone();
+        let rec = session.rec.as_ref().expect("the plan records");
+        assert!(
+            rec.script
+                .merges
+                .logs()
+                .iter()
+                .any(|l| !l.appends.is_empty()),
+            "the recording must carry offset-adjustment appends"
+        );
+        let from = inst.sinks()[5].pos;
+        let to = Point::new(from.x + 300.0, from.y - 200.0);
+        session.queue(EcoEdit::Move { sink: 5, to });
+        let out = session.flush().expect("flushes").clone();
+        let fs = session.last_flush();
+        assert!(!fs.full_reroute, "must replay, not reroute");
+        assert!(fs.adopted_merges > fs.fresh_merges, "{fs:?}");
+        let edited = apply_edits(&inst, &[EcoEdit::Move { sink: 5, to }]).expect("valid");
+        let want = pipeline::run(&edited, &plan, None).expect("routes");
+        assert_eq!(out.tree, want.tree);
+        assert_eq!(out.report, want.report);
+        session.queue(EcoEdit::Move { sink: 5, to: from });
+        let back = session.flush().expect("flushes back");
+        assert_eq!(back.tree, base.tree);
+        assert_eq!(back.report, base.report);
+    }
 }

@@ -102,6 +102,19 @@ pub struct StageStats {
     pub rounds: usize,
     /// Merges performed (merge stage only).
     pub merges: usize,
+    /// Seconds of the merge stage spent choosing pairs: planner
+    /// construction and per-round planning, or an ECO flush's replayed
+    /// planning (merge stage only; zero on a cache hit).
+    pub plan_seconds: f64,
+    /// Seconds of the merge stage spent in the merge engine: fresh merges,
+    /// and an ECO flush's adopted merges (merge stage only; zero on a
+    /// cache hit).
+    pub engine_seconds: f64,
+    /// Seconds of the merge stage spent reporting merged rounds back to the
+    /// incremental planner (merge stage only; an ECO replay has no such
+    /// step). The three splits sum to at most `seconds`: forest
+    /// construction and loop bookkeeping are in none of them.
+    pub apply_seconds: f64,
     /// Iterations of the skew-repair loop (repair stage only; zero when
     /// the stage was a no-op).
     pub repair_iterations: usize,
@@ -428,6 +441,9 @@ pub(crate) fn run_with<'a>(
         };
         st.rounds = trace.rounds;
         st.merges = trace.merges;
+        st.plan_seconds = trace.plan_seconds;
+        st.engine_seconds = trace.engine_seconds;
+        st.apply_seconds = trace.apply_seconds;
         Ok(Some(Planned::Fresh(forest, root)))
     })?;
     let Some(merged) = merged else {

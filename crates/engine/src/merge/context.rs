@@ -57,6 +57,9 @@ pub(crate) struct Scratch {
     /// `(node, count)` association lists reused across merges.
     pub(crate) snap: Vec<(usize, usize)>,
     pub(crate) bases: Vec<(usize, usize)>,
+    /// Commit-phase `(node, candidate)` appends, in commit order, held
+    /// back so each touched node's shared list is rebuilt once per commit.
+    pub(crate) appended: Vec<(usize, Candidate)>,
 }
 
 /// Candidates derived on *existing* nodes during one pair expansion

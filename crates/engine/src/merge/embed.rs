@@ -49,7 +49,7 @@ impl MergeForest {
                 pos,
                 parent,
                 wire,
-                sink: self.nodes[nid.0].sink,
+                sink: self.nodes[nid.0].sink(),
             });
             if let CandKind::Merge {
                 cand_a,
@@ -59,7 +59,7 @@ impl MergeForest {
             } = cand.kind
             {
                 let (a, b) = self.nodes[nid.0]
-                    .children
+                    .children()
                     .expect("merge candidates only on merge nodes");
                 let pa = self.nodes[a.0].cands[cand_a].region.nearest_point(pos);
                 let pb = self.nodes[b.0].cands[cand_b].region.nearest_point(pos);

@@ -36,7 +36,8 @@ impl MergeForest {
     }
 
     /// Commits `scratch.exps` in ranked-pair order: overlay candidates are
-    /// appended to their nodes, and every overlay-local provenance index —
+    /// appended to their nodes (each touched node's shared list is rebuilt
+    /// once, after the replay), and every overlay-local provenance index —
     /// in the overlays and in `scratch.cands` — is remapped to its final
     /// position. Because expansions are computed against the pre-merge
     /// snapshot and replayed in pair order, the final candidate contents
@@ -58,6 +59,7 @@ impl MergeForest {
             exps,
             snap,
             bases,
+            appended,
             ..
         } = scratch;
         // Pre-commit candidate counts of every overlay-touched node: any
@@ -102,15 +104,19 @@ impl MergeForest {
             for (n, mut cand) in exp.overlay.into_entries() {
                 if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
                     let (l, r) = self.nodes[n]
-                        .children
+                        .children()
                         .expect("overlay candidates extend merge nodes");
                     *cand_a = remap(bases, snap, l.0, *cand_a);
                     *cand_b = remap(bases, snap, r.0, *cand_b);
                 }
                 if !bases.iter().any(|&(bn, _)| bn == n) {
-                    bases.push((n, self.nodes[n].cands.len()));
+                    // The node's length so far: its pre-commit count plus
+                    // what earlier expansions appended to it.
+                    let len = lookup(snap, n).expect("overlay nodes are snapshotted")
+                        + appended.iter().filter(|&&(an, _)| an == n).count();
+                    bases.push((n, len));
                 }
-                self.nodes[n].push_candidate(cand);
+                appended.push((n, cand));
             }
             for cand in &mut cands[start..exp.end] {
                 if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
@@ -120,13 +126,17 @@ impl MergeForest {
             }
             start = exp.end;
         }
+        // One copy-on-write rebuild per touched node. The stable sort
+        // groups each node's appends in first-touch order and keeps their
+        // commit order within the node.
+        appended.sort_by_key(|&(n, _)| snap.iter().position(|&(sn, _)| sn == n));
         let mut appends = Vec::new();
-        if record {
-            for &(n, pre) in snap.iter() {
-                let now = self.nodes[n].cands.len();
-                if now > pre {
-                    appends.push((n as u32, pre as u32, (now - pre) as u32));
-                }
+        while let Some(&(n, _)) = appended.first() {
+            let run = appended.iter().take_while(|&&(an, _)| an == n).count();
+            let pre = self.nodes[n].cands.len();
+            self.nodes[n].extend_candidates(appended.drain(..run).map(|(_, c)| c));
+            if record {
+                appends.push((n as u32, pre as u32, run as u32));
             }
         }
         snap.clear();

@@ -20,7 +20,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse → exact-size node) |
-//! | `node` | [`NodeId`], the per-node candidate storage and cached hull / max-delay / finiteness summaries |
+//! | `node` | [`NodeId`], the per-node shared, copy-on-write candidate lists and cached hull / max-delay / finiteness summaries |
 //! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, the `Scratch` buffers a merge reuses |
 //! | `expand` | expansion into the scratch candidate list, the in-place overlay-replay commit, candidate pruning |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, the bounded cheapest-first pair ranking |
@@ -43,8 +43,10 @@
 //! 3. **Commit** — overlays replay onto their nodes and provenance is
 //!    remapped in place in that list; `prune` and class fusion then sort,
 //!    dedup, truncate and filter the same list.
-//! 4. The new node takes the kept candidates in an exact-size list, so a
-//!    finished forest holds its candidates' bytes and no spare capacity.
+//! 4. The new node takes the kept candidates in an exact-size shared
+//!    slice, so a finished forest holds its candidates' bytes and no spare
+//!    capacity, and an adopted merge (see `record`) or a cloned forest
+//!    shares the list instead of copying it.
 //!
 //! # Borrow discipline
 //!
@@ -60,6 +62,8 @@
 //! up, across whole instances (the fleet): a merge is one link in a chain
 //! of dependent merges and is too small to split. See `context` for
 //! details.
+
+use std::sync::Arc;
 
 use astdme_delay::DelayModel;
 use astdme_geom::{Point, Trr};
@@ -177,13 +181,13 @@ impl MergeForest {
         );
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node::new(
-            vec![Candidate {
+            Arc::from([Candidate {
                 region: Trr::from_point(pos),
                 delays: DelayMap::leaf(group),
                 cap,
                 wirelen: 0.0,
                 kind: CandKind::Leaf(sink_idx),
-            }],
+            }]),
             None,
             Some(sink_idx),
         ));
@@ -196,7 +200,7 @@ impl MergeForest {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.sink.is_some())
+            .filter(|(_, n)| n.sink().is_some())
             .map(|(i, _)| NodeId(i))
             .collect()
     }
@@ -208,7 +212,7 @@ impl MergeForest {
 
     /// The children of a node, if it is a merge.
     pub fn children(&self, id: NodeId) -> Option<(NodeId, NodeId)> {
-        self.nodes[id.0].children
+        self.nodes[id.0].children()
     }
 
     /// A representative region for neighbor queries: the hull of the node's
@@ -220,12 +224,16 @@ impl MergeForest {
     }
 
     /// Minimum distance between the best candidates of two nodes — the
-    /// merging cost used for nearest-neighbor selection.
+    /// merging cost used for nearest-neighbor selection. Region distances
+    /// clamp at zero, so the scan stops at the first touching pair.
     pub fn merge_distance(&self, a: NodeId, b: NodeId) -> f64 {
         let mut best = f64::INFINITY;
-        for ca in &self.nodes[a.0].cands {
-            for cb in &self.nodes[b.0].cands {
+        for ca in self.nodes[a.0].cands.iter() {
+            for cb in self.nodes[b.0].cands.iter() {
                 best = best.min(ca.region.distance(&cb.region));
+                if best <= 0.0 {
+                    return best;
+                }
             }
         }
         best
@@ -338,7 +346,7 @@ impl MergeForest {
         };
         // The node takes exactly the kept candidates (one exact-size
         // allocation per merge); the scratch list keeps its capacity.
-        let cands: Vec<Candidate> = scratch.cands.drain(..).collect();
+        let cands: Arc<[Candidate]> = scratch.cands.drain(..).collect();
         self.scratch = scratch;
         let id = NodeId(self.nodes.len());
         let creation_len = cands.len();

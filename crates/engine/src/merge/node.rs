@@ -2,6 +2,8 @@
 //! hull / max-delay / finiteness summaries the incremental planner and the
 //! bounded pair ranking query every merge.
 
+use std::sync::Arc;
+
 use astdme_geom::Trr;
 
 use crate::Candidate;
@@ -26,13 +28,32 @@ impl NodeId {
     }
 }
 
+/// Sentinel of the packed `u32` child and sink ids: none.
+const NONE: u32 = u32::MAX;
+
+/// Packs an index into a `u32` id; indices must stay below the sentinel.
+fn pack(i: usize) -> u32 {
+    assert!(i < NONE as usize, "forest indices must fit u32");
+    i as u32
+}
+
+fn unpack(id: u32) -> Option<usize> {
+    (id != NONE).then_some(id as usize)
+}
+
 /// One subtree root: its candidate set plus provenance and cached
 /// summaries.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
-    pub(crate) cands: Vec<Candidate>,
-    pub(crate) children: Option<(NodeId, NodeId)>,
-    pub(crate) sink: Option<usize>,
+    /// The candidate list, immutable and shared: an adopted merge and a
+    /// cloned forest point at the list they copy from instead of copying
+    /// it. Appends (offset adjustment) replace the list copy-on-write.
+    pub(crate) cands: Arc<[Candidate]>,
+    /// Child node indices (`NONE` on leaves). The ids are packed as `u32`
+    /// so the node shrinks by more than the shared list's header adds.
+    children: [u32; 2],
+    /// Sink index of a leaf (`NONE` on merges).
+    sink: u32,
     /// Hull of all candidate regions, maintained incrementally: candidates
     /// are only ever *added* to an existing node (offset adjustment), and
     /// hulls are monotone under insertion, so this never needs a rescan.
@@ -50,7 +71,7 @@ pub(crate) struct Node {
 
 impl Node {
     pub(crate) fn new(
-        cands: Vec<Candidate>,
+        cands: Arc<[Candidate]>,
         children: Option<(NodeId, NodeId)>,
         sink: Option<usize>,
     ) -> Self {
@@ -63,20 +84,51 @@ impl Node {
         let finite = cands.iter().all(cand_finite);
         Self {
             cands,
-            children,
-            sink,
+            children: children.map_or([NONE; 2], |(a, b)| [pack(a.0), pack(b.0)]),
+            sink: sink.map_or(NONE, pack),
             hull,
             max_delay,
             finite,
         }
     }
 
-    /// Registers one more candidate, keeping the cached hull/delay exact.
-    pub(crate) fn push_candidate(&mut self, cand: Candidate) {
-        self.hull = self.hull.hull(&cand.region);
-        self.max_delay = self.max_delay.max(cand_max_delay(&cand));
-        self.finite &= cand_finite(&cand);
-        self.cands.push(cand);
+    /// A merge node sharing `src`'s candidate list and its cached
+    /// summaries, which describe exactly that list.
+    pub(crate) fn sharing(src: &Node, (a, b): (NodeId, NodeId)) -> Self {
+        Self {
+            cands: Arc::clone(&src.cands),
+            children: [pack(a.0), pack(b.0)],
+            sink: NONE,
+            hull: src.hull,
+            max_delay: src.max_delay,
+            finite: src.finite,
+        }
+    }
+
+    /// The children of a merge node.
+    pub(crate) fn children(&self) -> Option<(NodeId, NodeId)> {
+        let [a, b] = self.children;
+        Some((NodeId(unpack(a)?), NodeId(unpack(b)?)))
+    }
+
+    /// The sink of a leaf.
+    pub(crate) fn sink(&self) -> Option<usize> {
+        unpack(self.sink)
+    }
+
+    /// Appends a run of candidates, keeping the cached hull/delay exact.
+    /// The list is shared, so this builds its successor: one exact-size
+    /// allocation when `added` is a drain or a cloned slice (the collect
+    /// knows the length up front). Callers batch every append a node
+    /// receives in one commit or adoption into one call.
+    pub(crate) fn extend_candidates(&mut self, added: impl Iterator<Item = Candidate>) {
+        let old = self.cands.len();
+        self.cands = self.cands.iter().cloned().chain(added).collect();
+        for c in &self.cands[old..] {
+            self.hull = self.hull.hull(&c.region);
+            self.max_delay = self.max_delay.max(cand_max_delay(c));
+            self.finite &= cand_finite(c);
+        }
     }
 }
 

@@ -196,7 +196,7 @@ impl MergeCtx<'_> {
         if s_max - s_min <= 1e-12 * scale + 1e-30 {
             return Some(ic);
         }
-        let (l, r) = self.nodes[node.0].children?;
+        let (l, r) = self.nodes[node.0].children()?;
         let CandKind::Merge {
             cand_a: il,
             cand_b: ir,

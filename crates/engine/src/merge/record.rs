@@ -20,14 +20,20 @@
 //! [`MergeForest::adopt_merge`] replays one recorded merge into a *new*
 //! forest: it validates that the class state matches the recorded
 //! pre-merge snapshot and that every append target has a counterpart in
-//! the new forest, then clones the creation prefix, re-pushes the recorded
-//! append slices, and folds in the recorded residual. Because a merge's
-//! result is a pure function of its children's candidate lists, the class
-//! state, and the engine config, an adopted node is **bit-identical** to
-//! what [`MergeForest::merge`] would have produced — adoption just skips
-//! the expansion work. Any validation failure returns `None` and the
-//! caller falls back to a fresh [`MergeForest::merge`], which is always
-//! correct.
+//! the new forest, then re-appends the recorded append slices, gives the
+//! new node its creation candidates, and folds in the recorded residual.
+//! Candidate lists are immutable shared slices, so when the recorded
+//! node's final list *is* its creation prefix (no later merge appended to
+//! it), the adopted node shares that list and its cached summaries
+//! instead of copying them; only a node that later received appends has
+//! its prefix copied. Because a merge's result is a pure function of its
+//! children's candidate lists, the class state, and the engine config, an
+//! adopted node is **bit-identical** to what [`MergeForest::merge`] would
+//! have produced — adoption just skips the expansion work. Any validation
+//! failure returns `None` and the caller falls back to a fresh
+//! [`MergeForest::merge`], which is always correct.
+
+use std::sync::Arc;
 
 use super::node::Node;
 use super::{MergeForest, NodeId};
@@ -139,7 +145,9 @@ impl MergeForest {
     /// node, [`NO_NODE`] = no counterpart).
     ///
     /// Returns the adopted node, bit-identical to what
-    /// [`MergeForest::merge`]`(x, y)` would create — **provided** the
+    /// [`MergeForest::merge`]`(x, y)` would create — it shares the recorded
+    /// node's candidate list when that list is the creation prefix, and
+    /// copies the prefix otherwise — **provided** the
     /// caller guarantees `x` and `y` are bit-identical counterparts of
     /// `log.a` and `log.b` (same candidate lists, same orientation).
     /// Validation that can be checked here — the class state matching the
@@ -173,7 +181,7 @@ impl MergeForest {
                 return None;
             }
             // Positional alignment: the counterpart's list must sit at
-            // exactly the recorded pre-append length, or the cloned
+            // exactly the recorded pre-append length, or the adopted
             // candidates' provenance indices (positional into child lists)
             // would refer to different candidates than they did on record.
             if self.nodes[mapped as usize].cands.len() != start as usize {
@@ -190,12 +198,16 @@ impl MergeForest {
         // later appends never shift.
         for &(n, start, len) in &log.appends {
             let mapped = std_to_new[n as usize] as usize;
-            for i in start..start + len {
-                let cand = std.nodes[n as usize].cands[i as usize].clone();
-                self.nodes[mapped].push_candidate(cand);
-            }
+            let run = &std.nodes[n as usize].cands[start as usize..(start + len) as usize];
+            self.nodes[mapped].extend_candidates(run.iter().cloned());
         }
-        let cands: Vec<Candidate> = src.cands[..log.creation_len as usize].to_vec();
+        let creation_len = log.creation_len as usize;
+        let node = if src.cands.len() == creation_len {
+            Node::sharing(src, (x, y))
+        } else {
+            let cands: Arc<[Candidate]> = Arc::from(&src.cands[..creation_len]);
+            Node::new(cands, Some((x, y)), None)
+        };
         self.residual = self.residual.max(log.residual);
         if self.cfg.fuse_groups && log.epoch_after != log.epoch_before {
             let (p, phi) = &rec.class_snaps[log.epoch_after as usize];
@@ -204,8 +216,7 @@ impl MergeForest {
             self.refresh_finite_state();
         }
         let id = NodeId(self.nodes.len());
-        let creation_len = cands.len();
-        self.nodes.push(Node::new(cands, Some((x, y)), None));
+        self.nodes.push(node);
         if let Some(out) = rec_out {
             let epoch_before = out.epoch();
             let epoch_after = if self.cfg.fuse_groups {

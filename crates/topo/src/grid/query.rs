@@ -79,10 +79,11 @@ impl GridIndex {
     /// The nearest other item to `region` at exact region distance
     /// *strictly below* `bound`, or `None` when nothing beats the bound.
     /// Ring expansion prunes against `bound` from the start, so a tight
-    /// bound touches only a handful of cells — the incremental planner
-    /// checks every surviving neighbor cache against a small grid of a
-    /// round's new subtrees this way, each query bounded by its own
-    /// cached distance.
+    /// bound touches only a handful of cells. The incremental planner
+    /// checks neighbor caches this way, each query bounded by the cache's
+    /// own distance: the refresh sweep queries the main grid for every
+    /// cache whose neighbor survived the round, and the point-update
+    /// takeover queries a small grid of the round's new subtrees.
     pub fn nearest_within(&self, key: usize, region: &Trr, bound: f64) -> Option<(usize, f64)> {
         if self.len == 0 {
             return None;

@@ -138,17 +138,24 @@ pub fn select_disjoint(
         // bookkeeping (or its allocation) needed for a single selection.
         return ranked.next().into_iter().collect();
     }
-    let mut used = std::collections::HashSet::new();
+    // Keys are dense node indices, so the taken set is a bitset indexed
+    // by key, grown on demand.
+    let mut used: Vec<u64> = Vec::new();
+    let is_used = |used: &[u64], k: usize| used.get(k / 64).is_some_and(|w| w >> (k % 64) & 1 == 1);
     let mut out = Vec::with_capacity(limit);
     for (a, b) in ranked {
         if out.len() >= limit {
             break;
         }
-        if used.contains(&a) || used.contains(&b) {
+        if is_used(&used, a) || is_used(&used, b) {
             continue;
         }
-        used.insert(a);
-        used.insert(b);
+        for k in [a, b] {
+            if k / 64 >= used.len() {
+                used.resize(k / 64 + 1, 0);
+            }
+            used[k / 64] |= 1 << (k % 64);
+        }
         out.push((a, b));
     }
     out
@@ -310,6 +317,33 @@ pub(crate) mod tests {
         }
         // Best pair first.
         assert_eq!(plan[0], (0, 1));
+    }
+
+    #[test]
+    fn select_disjoint_matches_a_set_based_selection() {
+        // Keys straddle several bitset words, repeat, and include the
+        // first and last bit of a word.
+        let mut s: u64 = 11;
+        let ranked: Vec<(usize, usize)> = (0..400)
+            .map(|_| {
+                s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                let a = ((s >> 20) % 300) as usize;
+                (a, (a + 1 + ((s >> 40) % 63) as usize) % 300)
+            })
+            .chain([(0, 63), (64, 127), (1000, 1001)])
+            .collect();
+        for limit in [2, 7, 50, 1000] {
+            let mut used = std::collections::BTreeSet::new();
+            let mut want = Vec::new();
+            for &(a, b) in &ranked {
+                if want.len() < limit && !used.contains(&a) && !used.contains(&b) {
+                    used.insert(a);
+                    used.insert(b);
+                    want.push((a, b));
+                }
+            }
+            assert_eq!(select_disjoint(ranked.iter().copied(), limit), want);
+        }
     }
 
     #[test]

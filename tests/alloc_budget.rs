@@ -12,7 +12,8 @@ use std::cell::Cell;
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
-    run_bottom_up, Candidate, DelayModel, EngineConfig, Instance, MergeForest, NodeId, TopoConfig,
+    run_bottom_up, AstDme, Candidate, DelayModel, EcoEdit, EcoSession, EngineConfig, Instance,
+    MergeForest, NodeId, Point, TopoConfig,
 };
 use astdme_core::allocmeter;
 
@@ -29,14 +30,30 @@ thread_local! {
     /// initialized with no destructor, so the allocator can touch it
     /// without allocating.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE_BYTES` since the last
+    /// [`reset_peak`].
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn add_live(delta: i64) {
-    LIVE_BYTES.with(|b| b.set(b.get() + delta));
+    let live = LIVE_BYTES.with(|b| {
+        b.set(b.get() + delta);
+        b.get()
+    });
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
 }
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
+}
+
+/// Restarts the high-water mark at the current live bytes.
+fn reset_peak() {
+    PEAK_BYTES.with(|p| p.set(live_bytes()));
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.with(Cell::get)
 }
 
 // SAFETY: delegates directly to `System`; the counters have no effect on
@@ -168,4 +185,69 @@ fn forest_retains_only_its_candidates() {
          (+{allowance} B node allowance)"
     );
     drop::<MergeForest>(forest);
+}
+
+/// Measured here (n = 4000, one sink moved, default preset): the flush's
+/// merge stage allocates 1.10 times per adopted merge (4332 over 3946),
+/// and the flush's peak adds 0.59 of the recorded forest's candidate
+/// bytes. Most of those allocations are the fresh forest's leaves, one
+/// list per sink; an adopted merge itself allocates nothing, because it
+/// shares the recorded node's candidate list. Cloning that list instead
+/// measured 2.12 allocations per adopted merge and a peak of 1.50 of the
+/// candidate bytes, and fails both checks.
+const ECO_BUDGET_PER_ADOPTED_MERGE: f64 = 1.5;
+/// The share of the recorded forest's candidate bytes a flush may add to
+/// the live heap at its peak.
+const ECO_PEAK_SHARE: f64 = 0.8;
+
+/// A one-sink ECO flush adopts almost every merge of the standing route;
+/// adoption must share the recorded candidate lists, not copy them. The
+/// standing forest stays alive through the flush, so copying would add
+/// a second copy of its candidates to the heap.
+#[test]
+fn eco_flush_shares_adopted_candidate_lists() {
+    let n = 4000;
+    let inst = instance(n);
+    let plan = AstDme::new().plan();
+    let mut session = EcoSession::new(&inst, plan).expect("routes");
+    let p = inst.sinks()[n / 2].pos;
+    session.queue(EcoEdit::Move {
+        sink: n / 2,
+        to: Point::new(p.x + 150.0, p.y - 90.0),
+    });
+    let before = live_bytes();
+    reset_peak();
+    let allocs = session.flush().expect("flushes").stats.merge.allocs;
+    let peak_added = (peak_bytes() - before) as f64;
+    let fs = session.last_flush();
+    assert!(!fs.full_reroute, "must replay: {fs:?}");
+    assert!(fs.adopted_merges * 10 > 9 * (n - 1), "{fs:?}");
+
+    // The standing route's forest is the forest of a plain route.
+    let (forest, _root) = run_bottom_up(
+        &inst,
+        DelayModel::elmore(*inst.rc()),
+        plan.engine,
+        &plan.topo,
+    );
+    let cands: usize = (0..forest.node_count())
+        .map(|i| forest.candidates(NodeId::from_index(i)).len())
+        .sum();
+    let cand_bytes = (cands * std::mem::size_of::<Candidate>()) as f64;
+    let per_adopted = allocs as f64 / fs.adopted_merges as f64;
+    eprintln!(
+        "{allocs} merge-stage allocations over {} adopted merges ({per_adopted:.2} each); \
+         peak added {peak_added} B against {cand_bytes} B of recorded candidates ({:.3})",
+        fs.adopted_merges,
+        peak_added / cand_bytes
+    );
+    assert!(
+        per_adopted <= ECO_BUDGET_PER_ADOPTED_MERGE,
+        "{per_adopted:.2} merge-stage allocations per adopted merge exceed the \
+         {ECO_BUDGET_PER_ADOPTED_MERGE} budget"
+    );
+    assert!(
+        peak_added <= ECO_PEAK_SHARE * cand_bytes,
+        "the flush added {peak_added} B at its peak; the recorded candidates are {cand_bytes} B"
+    );
 }

@@ -121,3 +121,25 @@ fn json_roundtrip_routes_identically() {
     let b = AstDme::new().route(&back).expect("routes");
     assert_eq!(a, b);
 }
+
+/// The merge stage reports its layer split: planning, engine merges and
+/// the planner's round upkeep are each measured on a grid-regime route,
+/// and together never exceed the stage they split.
+#[test]
+fn merge_stage_splits_plan_engine_and_apply_time() {
+    let p = synthetic_instance(2000, 2006, "split");
+    let inst = partition::intermingled(&p, 4, 7).expect("valid partition");
+    let out = AstDme::new().route_traced(&inst).expect("routes");
+    let m = out.stats.merge;
+    for (name, s) in [
+        ("plan", m.plan_seconds),
+        ("engine", m.engine_seconds),
+        ("apply", m.apply_seconds),
+    ] {
+        assert!(s > 0.0, "{name}_seconds must be measured: {m:?}");
+    }
+    assert!(
+        m.plan_seconds + m.engine_seconds + m.apply_seconds <= m.seconds,
+        "the split exceeds the merge stage: {m:?}"
+    );
+}
