@@ -2,26 +2,24 @@
 //! plus the workspace's performance tracker.
 //!
 //! The binaries (`table1`, `table2`, `fig1`, `fig2`, `fig5`, `ablation`)
-//! print the corresponding experiment as a markdown table; the Criterion
-//! benches (`tables`, `figures`, `ablation`) measure the runtimes. This
-//! library holds the shared experiment runner.
+//! print the corresponding experiment as a markdown table. This library
+//! holds the shared experiment runner.
 //!
-//! The **`scaling`** binary is the perf trajectory: it routes synthetic
-//! intermingled instances at n ∈ {250, 1000, 4000, 16000} under both the
+//! The **`scaling`** binary times the merge planners: it routes synthetic
+//! intermingled instances at n ∈ {250, 1000, 4000} under both the
 //! incremental `MergePlanner` driver and the from-scratch reference
 //! driver (greedy and multi-merge orders), asserts both produce identical
 //! wirelength, and writes `BENCH_scaling.json` (wall-clock, merges/sec,
-//! wirelength, per-size speedups, and the `batch_throughput` section —
-//! instances/sec through `astdme_core::route_batch` vs a sequential loop)
-//! at the repo root. CI smoke-runs it at n = 250 (`--quick`); regenerate
-//! the full file with
+//! wirelength, per-size speedups, and allocations per merge) at the repo
+//! root. CI smoke-runs it at n = 250 (`--quick --alloc-budget 6.5`);
+//! regenerate the full file with
 //! `cargo run --release -p astdme_bench --bin scaling` after touching the
-//! merge loop, and compare against the committed numbers before merging.
+//! merge loop. End-to-end and per-layer timings are `perfbench`'s job.
 //!
 //! The experiment runner itself drives the instance portfolios through
-//! the fleet layer (`route_batch`), so tables, examples and benches share
-//! one code path and take their timings from the pipeline's per-stage
-//! stats rather than external stopwatches.
+//! the fleet layer (`route_batch`), so tables and examples share one code
+//! path and take their timings from the pipeline's per-stage stats rather
+//! than external stopwatches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,7 +65,7 @@ pub struct Row {
     /// group-count portfolio routes through `route_batch`, so on a
     /// multicore host rows of one circuit route concurrently and their
     /// wall-clocks include contention — treat this column as indicative;
-    /// the Criterion benches are the runtime measurement.
+    /// `perfbench` is the runtime measurement.
     pub cpu_s: f64,
 }
 
@@ -119,7 +117,7 @@ fn row_from(
 /// 10 ps bound — EXT-BST globally, AST-DME per group (with inter-group
 /// skew unconstrained). The group-count portfolio routes through the
 /// fleet layer ([`route_batch`]) — the same code path `examples/fleet.rs`
-/// and the batch-throughput bench drive — so timing comes from the
+/// drives — so timing comes from the
 /// pipeline's per-stage stats, not a hand-held stopwatch.
 pub fn run_circuit(bench: RBench, mode: PartitionMode, seed: u64) -> Vec<Row> {
     let placement = r_benchmark(bench, seed);

@@ -8,9 +8,7 @@ use std::hash::Hash;
 /// Recency is a monotonic operation tick (not wall-clock), so for a fixed
 /// sequence of [`BoundedLru::get`] / [`BoundedLru::insert`] calls the
 /// eviction order is a pure function of that sequence — the property that
-/// lets cache behavior pin into golden tests. [`BoundedLru::peek`] reads
-/// without touching recency (for `&self` estimators that must not perturb
-/// eviction order).
+/// lets cache behavior pin into golden tests.
 ///
 /// ```
 /// use astdme_cache::BoundedLru;
@@ -20,8 +18,8 @@ use std::hash::Hash;
 /// assert!(lru.insert("b", 2).is_none());
 /// lru.get(&"a"); // touch: "b" is now least recent
 /// assert_eq!(lru.insert("c", 3), Some(("b", 2)));
-/// assert!(lru.peek(&"a").is_some());
-/// assert!(lru.peek(&"b").is_none());
+/// assert!(lru.contains(&"a"));
+/// assert!(!lru.contains(&"b"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundedLru<K, V> {
@@ -72,20 +70,6 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
         self.tick += 1;
         self.slots[slot].2 = self.tick;
         Some(&self.slots[slot].1)
-    }
-
-    /// Looks `key` up **without** touching recency — for `&self`-style
-    /// estimators that must not perturb the eviction order.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.index.get(key).map(|&slot| &self.slots[slot].1)
-    }
-
-    /// Mutable lookup, marking `key` most recently used.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let slot = *self.index.get(key)?;
-        self.tick += 1;
-        self.slots[slot].2 = self.tick;
-        Some(&mut self.slots[slot].1)
     }
 
     /// Inserts (or replaces) `key`, marking it most recently used. When
@@ -158,24 +142,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_recency() {
-        let mut lru = BoundedLru::new(2);
-        lru.insert(1, "one");
-        lru.insert(2, "two");
-        // Peeking 1 must NOT save it: it is still least recent.
-        assert_eq!(lru.peek(&1), Some(&"one"));
-        assert_eq!(lru.insert(3, "three"), Some((1, "one")));
-    }
-
-    #[test]
     fn reinsert_replaces_and_touches() {
         let mut lru = BoundedLru::new(2);
         lru.insert(1, "one");
         lru.insert(2, "two");
         assert!(lru.insert(1, "uno").is_none(), "replacement, no eviction");
-        assert_eq!(lru.peek(&1), Some(&"uno"));
-        // 2 is now least recent.
+        // The replacement alone touched 1, so 2 is now least recent.
         assert_eq!(lru.insert(3, "three"), Some((2, "two")));
+        assert_eq!(lru.get(&1), Some(&"uno"));
     }
 
     #[test]

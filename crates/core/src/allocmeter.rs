@@ -3,9 +3,10 @@
 //! The library crates forbid `unsafe`, so the `GlobalAlloc` shim itself
 //! lives in whichever *binary* wants allocation accounting (the scaling
 //! bench, the alloc-budget test harness). That shim calls [`on_alloc`]
-//! once per allocation; the pipeline snapshots [`current`] around each
+//! once per allocation. The pipeline snapshots [`current`] around each
 //! stage and reports the deltas in
-//! [`StageStats::allocs`](crate::StageStats). In a binary without an
+//! [`StageStats::allocs`](crate::StageStats); the scaling bench reads
+//! [`current`] around the bare merge loop instead. In a binary without an
 //! instrumented allocator the counter simply stays at zero and every
 //! reported delta is zero — the accounting is free to ignore.
 //!

@@ -170,7 +170,7 @@ pub(crate) fn merge_until_one_traced(
 /// same tree as [`merge_until_one`] (the planners are equivalent; see
 /// `astdme_topo::MergePlanner`), at the cost the incremental planner
 /// exists to avoid. Kept for equivalence tests and the `scaling` bench's
-/// before/after comparison.
+/// incremental vs from-scratch timing.
 pub fn merge_until_one_from_scratch(
     forest: &mut MergeForest,
     start: Vec<NodeId>,
@@ -240,7 +240,8 @@ pub fn run_bottom_up(
 }
 
 /// Like [`run_bottom_up`] but driven by the from-scratch reference
-/// planner. Used by equivalence tests and the `scaling` bench.
+/// planner. Used by equivalence tests and the `scaling` bench's
+/// incremental vs from-scratch timing.
 pub fn run_bottom_up_from_scratch(
     inst: &Instance,
     model: DelayModel,

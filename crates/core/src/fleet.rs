@@ -1,5 +1,5 @@
 //! The fleet layer: batch and streaming routing of whole instance
-//! portfolios, scheduled by a cost model onto `astdme_par`'s persistent
+//! portfolios, scheduled largest-first onto `astdme_par`'s persistent
 //! worker pool.
 //!
 //! The paper's evaluation routes a portfolio — every circuit × group count
@@ -25,10 +25,9 @@
 //! mechanisms prevent that:
 //!
 //! * **Largest-first ordering.** A [`BatchPlan`] estimates each
-//!   instance's cost — a-priori from sink count and group structure, or
-//!   refined by observed per-stage seconds ([`crate::RouteStats`]) fed to
-//!   a [`CostModel`] from prior runs — and hands instances to the workers
-//!   costliest first, the classic LPT heuristic.
+//!   instance's cost a-priori from its sink count and group structure and
+//!   hands instances to the workers costliest first, the classic LPT
+//!   heuristic.
 //! * **Work claiming.** Batch and stream both run [`astdme_par`]'s one
 //!   claim loop over the scheduled order: a worker that finishes early
 //!   claims the next pending instance instead of idling behind a static
@@ -70,167 +69,24 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use astdme_cache::{BoundedLru, SubtreeCache};
+use astdme_cache::SubtreeCache;
 use astdme_engine::Instance;
 use astdme_par::ClaimStream;
 
 use crate::fault::FaultPlan;
-use crate::pipeline::{RouteOutcome, RouteStats};
+use crate::pipeline::RouteOutcome;
 use crate::{ClockRouter, RouteError};
 
 pub use astdme_par::StealStats;
 
-/// Estimates per-instance routing cost for [`BatchPlan`] scheduling.
-///
-/// A fresh model prices an instance a-priori from its sink count and group
-/// structure ([`CostModel::static_cost`]); feeding it observed per-stage
-/// wall-clock from prior runs ([`CostModel::observe`]) replaces the
-/// a-priori guess with measured seconds for instance shapes it has seen,
-/// and calibrates the a-priori scale for shapes it has not.
-///
-/// Only the *relative order* of estimates matters to the schedule, so an
-/// uncalibrated model is perfectly usable — observations just sharpen the
-/// largest-first ordering when a portfolio mixes repeat shapes (as bench
-/// sweeps and production re-routes do).
-///
-/// The exact-shape refinement map is **bounded**: a long-lived model fed a
-/// stream of distinct shapes (a service re-planning many portfolios) keeps
-/// only the [`COST_MODEL_SHAPES`] most recently used shapes, evicting
-/// deterministically via [`BoundedLru`]. The global calibration sums are
-/// unbounded scalars and keep every observation's weight regardless of
-/// eviction, so an evicted shape degrades gracefully to a calibrated
-/// static estimate rather than an uncalibrated one.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Observed `(total seconds, runs)` per instance shape, keyed by
-    /// `(sink count, group count)`; bounded and LRU-evicted.
-    observed: BoundedLru<(usize, usize), (f64, u32)>,
-    /// Sum of [`CostModel::static_cost`] over all observations.
-    observed_static: f64,
-    /// Sum of observed seconds over all observations.
-    observed_seconds: f64,
-}
-
-/// Default bound on the distinct instance shapes a [`CostModel`] keeps
-/// exact observations for; least-recently-used shapes beyond it fall back
-/// to the calibrated static estimate.
-pub const COST_MODEL_SHAPES: usize = 512;
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::with_shape_capacity(COST_MODEL_SHAPES)
-    }
-}
-
-impl CostModel {
-    /// A model with no observations: estimates are purely a-priori.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A model whose exact-shape map holds at most `shapes` entries
-    /// (clamped to ≥ 1); eviction is deterministic LRU.
-    pub fn with_shape_capacity(shapes: usize) -> Self {
-        Self {
-            observed: BoundedLru::new(shapes),
-            observed_static: 0.0,
-            observed_seconds: 0.0,
-        }
-    }
-
-    /// Maximum number of distinct shapes the exact-observation map holds.
-    pub fn shape_capacity(&self) -> usize {
-        self.observed.capacity()
-    }
-
-    /// Number of distinct shapes currently holding exact observations.
-    pub fn shapes_observed(&self) -> usize {
-        self.observed.len()
-    }
-
-    /// The a-priori cost of routing `inst`: sink count times a log factor
-    /// for the merge loop, times a mild group-structure factor (more
-    /// groups mean more constraint bookkeeping per merge). Unitless — the
-    /// absolute scale is irrelevant to scheduling; only ordering counts.
-    pub fn static_cost(inst: &Instance) -> f64 {
-        let n = inst.sink_count() as f64;
-        let k = inst.groups().group_count() as f64;
-        n * n.log2().max(1.0) * (1.0 + 0.1 * (k - 1.0))
-    }
-
-    /// Records one routed instance's observed pipeline wall-clock
-    /// (`stats.total_seconds()`), refining future [`CostModel::estimate`]
-    /// calls for this instance shape and calibrating the a-priori scale
-    /// for unseen ones.
-    pub fn observe(&mut self, inst: &Instance, stats: &RouteStats) {
-        let secs = stats.total_seconds();
-        if !secs.is_finite() || secs < 0.0 {
-            return;
-        }
-        let shape = (inst.sink_count(), inst.groups().group_count());
-        if let Some(entry) = self.observed.get_mut(&shape) {
-            entry.0 += secs;
-            entry.1 += 1;
-        } else {
-            self.observed.insert(shape, (secs, 1));
-        }
-        self.observed_static += Self::static_cost(inst);
-        self.observed_seconds += secs;
-    }
-
-    /// Estimated cost of routing `inst`: the mean observed seconds for its
-    /// exact shape when available, otherwise [`CostModel::static_cost`]
-    /// scaled by the global seconds-per-static-unit calibration (1.0 when
-    /// nothing has been observed yet). Reads without touching LRU recency
-    /// — estimating a batch never perturbs which shapes get evicted.
-    pub fn estimate(&self, inst: &Instance) -> f64 {
-        if let Some(&(total, runs)) = self
-            .observed
-            .peek(&(inst.sink_count(), inst.groups().group_count()))
-        {
-            return total / f64::from(runs);
-        }
-        let scale = if self.observed_static > 0.0 && self.observed_seconds > 0.0 {
-            self.observed_seconds / self.observed_static
-        } else {
-            1.0
-        };
-        Self::static_cost(inst) * scale
-    }
-
-    /// The a-priori cost of an incremental ECO flush
-    /// ([`crate::eco::EcoSession::flush`]) touching `dirty` sinks of
-    /// `inst`: the dirty cone's re-merging work (`dirty · log n`, with the
-    /// same group factor as [`CostModel::static_cost`]) plus the linear
-    /// sweep the replay pays regardless (leaf mapping, embedding, audit).
-    ///
-    /// Priced by the **dirty region, not the instance**: a one-sink move
-    /// on a 4000-sink instance must schedule cheaper than a fresh
-    /// 250-sink route. A flush touching every sink degenerates to
-    /// [`CostModel::static_cost`] (it *is* a full reroute).
-    pub fn static_flush_cost(inst: &Instance, dirty: usize) -> f64 {
-        if dirty >= inst.sink_count() {
-            return Self::static_cost(inst);
-        }
-        let n = inst.sink_count() as f64;
-        let k = inst.groups().group_count() as f64;
-        let cone = dirty as f64 * n.log2().max(1.0) * (1.0 + 0.1 * (k - 1.0));
-        cone + 0.05 * n
-    }
-
-    /// Estimated cost of flushing a `dirty`-sink ECO batch on `inst`:
-    /// [`CostModel::static_flush_cost`] under the same global
-    /// seconds-per-static-unit calibration as [`CostModel::estimate`]
-    /// (flushes share the pipeline's stages, so the full-route calibration
-    /// transfers).
-    pub fn estimate_flush(&self, inst: &Instance, dirty: usize) -> f64 {
-        let scale = if self.observed_static > 0.0 && self.observed_seconds > 0.0 {
-            self.observed_seconds / self.observed_static
-        } else {
-            1.0
-        };
-        Self::static_flush_cost(inst, dirty) * scale
-    }
+/// The a-priori cost of routing `inst` for [`BatchPlan`] scheduling: sink
+/// count times a log factor for the merge loop, times a mild
+/// group-structure factor (more groups mean more constraint bookkeeping
+/// per merge). Unitless — only the order of the estimates matters.
+fn static_cost(inst: &Instance) -> f64 {
+    let n = inst.sink_count() as f64;
+    let k = inst.groups().group_count() as f64;
+    n * n.log2().max(1.0) * (1.0 + 0.1 * (k - 1.0))
 }
 
 /// Per-batch hardening policy: deadline budgets, fault injection, and
@@ -305,44 +161,32 @@ impl BatchPolicy {
     }
 }
 
-/// A schedule for routing one batch: per-instance cost estimates plus the
-/// largest-first order the work-stealing pool consumes them in.
+/// A schedule for routing one batch: the largest-first order, by a-priori
+/// cost estimate, the work-stealing pool consumes the instances in.
 ///
 /// The plan is pure scheduling — [`BatchPlan::route`] returns outcomes in
 /// **input order** and bit-identical to a sequential loop no matter how
-/// the estimates rank the instances. A wildly wrong cost model can only
+/// the estimates rank the instances. A wildly wrong estimate can only
 /// cost wall-clock, never change a tree.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     /// Input indices, costliest first (ties broken by input index, so the
     /// schedule itself is deterministic).
     order: Vec<usize>,
-    /// Estimated cost per *input* index.
-    cost: Vec<f64>,
 }
 
 impl BatchPlan {
-    /// Plans `instances` with a fresh (a-priori) [`CostModel`].
+    /// Plans `instances` largest-first by their a-priori cost estimate.
     pub fn new(instances: &[Instance]) -> Self {
-        Self::with_model(instances, &CostModel::new())
-    }
-
-    /// Plans `instances` largest-first under `model`'s estimates.
-    pub fn with_model(instances: &[Instance], model: &CostModel) -> Self {
-        let cost: Vec<f64> = instances.iter().map(|inst| model.estimate(inst)).collect();
+        let cost: Vec<f64> = instances.iter().map(static_cost).collect();
         let mut order: Vec<usize> = (0..instances.len()).collect();
         order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
-        Self { order, cost }
+        Self { order }
     }
 
     /// The scheduled order: input indices, costliest first.
     pub fn order(&self) -> &[usize] {
         &self.order
-    }
-
-    /// Estimated costs, indexed by *input* position.
-    pub fn costs(&self) -> &[f64] {
-        &self.cost
     }
 
     /// Routes the batch under this schedule; see [`route_batch`] for the
@@ -363,8 +207,8 @@ impl BatchPlan {
     /// Like [`BatchPlan::route`], under an explicit [`BatchPolicy`] —
     /// per-instance deadlines, deterministic fault injection, index-offset
     /// attribution, a shared subtree cache — and additionally returning
-    /// the fan-out's per-worker [`StealStats`] (the scaling bench's
-    /// balance measurement reads these). Instances the policy does not
+    /// the fan-out's per-worker [`StealStats`] (busy seconds and items per
+    /// worker). Instances the policy does not
     /// touch return outcomes bit-identical to a policy-free run at every
     /// thread count.
     ///
@@ -466,8 +310,7 @@ where
 /// [`RouteError::Panicked`] in that instance's slot.
 ///
 /// Equivalent to `BatchPlan::new(instances).route(instances, router)`;
-/// build the [`BatchPlan`] yourself to reuse a calibrated [`CostModel`],
-/// and call [`BatchPlan::route_with_policy`] to attach a [`BatchPolicy`]
+/// call [`BatchPlan::route_with_policy`] to attach a [`BatchPolicy`]
 /// (deadlines, faults, a shared [`SubtreeCache`]) or to read the
 /// fan-out's [`StealStats`].
 pub fn route_batch<R>(instances: &[Instance], router: &R) -> Vec<Result<RouteOutcome, RouteError>>
@@ -610,8 +453,7 @@ impl Iterator for RouteStream {
 /// order as [`route_batch`]) and claimed from a shared cursor, so the
 /// skewed-portfolio behavior is: the big instance starts immediately on
 /// one worker while the others drain the small ones — time-to-first-result
-/// is one *small* route, not the whole batch (the scaling bench's
-/// `latency` section measures exactly this against the barrier wait).
+/// is one *small* route, not the whole batch.
 ///
 /// Per-instance semantics are identical to the batch path: outcomes are a
 /// pure function of `(instance, router, policy.batch)`, panics surface as
@@ -676,33 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_estimate_prices_by_dirty_region_not_instance_size() {
-        // A one-sink ECO move on a large instance must schedule cheaper
-        // than a fresh route of a much smaller instance — both a-priori
-        // and under an observation-calibrated model.
-        let large = inst(4000, 0.0);
-        let small = inst(250, 0.0);
-        assert!(
-            CostModel::static_flush_cost(&large, 1) < CostModel::static_cost(&small),
-            "1-sink flush on n=4000 ({}) must undercut fresh n=250 ({})",
-            CostModel::static_flush_cost(&large, 1),
-            CostModel::static_cost(&small)
-        );
-        let mut model = CostModel::new();
-        let mut stats = RouteStats::default();
-        stats.merge.seconds = 0.5;
-        model.observe(&inst(1000, 0.0), &stats);
-        assert!(model.estimate_flush(&large, 1) < model.estimate(&small));
-        // Monotone in the dirty count, and a full-instance flush prices
-        // as a full reroute.
-        assert!(CostModel::static_flush_cost(&large, 1) < CostModel::static_flush_cost(&large, 64));
-        assert_eq!(
-            CostModel::static_flush_cost(&large, 4000),
-            CostModel::static_cost(&large)
-        );
-    }
-
-    #[test]
     fn batch_matches_sequential_loop_in_order() {
         let instances: Vec<Instance> = (0..4).map(|i| inst(8 + i, 37.0 * i as f64)).collect();
         let router = AstDme::new();
@@ -740,8 +555,6 @@ mod tests {
             &[1, 3, 0, 2],
             "costliest first, ties by index"
         );
-        assert_eq!(plan.costs().len(), 4);
-        assert!(plan.costs()[1] > plan.costs()[0]);
         // The schedule must not perturb results or their order.
         let router = AstDme::new();
         let planned = plan.route(&instances, &router);
@@ -755,87 +568,7 @@ mod tests {
     fn static_cost_grows_with_sinks_and_groups() {
         let small = inst(10, 0.0);
         let large = inst(200, 0.0);
-        assert!(CostModel::static_cost(&large) > CostModel::static_cost(&small));
-        let model = CostModel::new();
-        assert_eq!(model.estimate(&small), CostModel::static_cost(&small));
-    }
-
-    fn stats_with_merge_seconds(seconds: f64) -> RouteStats {
-        RouteStats {
-            merge: crate::pipeline::StageStats {
-                seconds,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn observed_seconds_refine_estimates() {
-        let a = inst(10, 0.0);
-        let b = inst(20, 0.0);
-        let mut model = CostModel::new();
-        // Pretend the *smaller* shape measured slower: observations must
-        // override the a-priori ordering for seen shapes.
-        model.observe(&a, &stats_with_merge_seconds(2.0));
-        model.observe(&b, &stats_with_merge_seconds(0.5));
-        assert!(model.estimate(&a) > model.estimate(&b));
-        let plan = BatchPlan::with_model(&[a, b], &model);
-        assert_eq!(plan.order(), &[0, 1]);
-        // An unseen shape still gets a calibrated static estimate.
-        let c = inst(15, 0.0);
-        assert!(model.estimate(&c) > 0.0);
-    }
-
-    #[test]
-    fn observe_averages_repeat_shapes() {
-        let a = inst(10, 0.0);
-        let mut model = CostModel::new();
-        model.observe(&a, &stats_with_merge_seconds(1.0));
-        model.observe(&a, &stats_with_merge_seconds(3.0));
-        assert!((model.estimate(&a) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shape_map_is_bounded_with_deterministic_eviction() {
-        // Capacity 2: observing a third distinct shape must evict the
-        // least recently *observed* shape — estimate() peeks and never
-        // perturbs recency.
-        let a = inst(10, 0.0);
-        let b = inst(20, 0.0);
-        let c = inst(30, 0.0);
-        let mut model = CostModel::with_shape_capacity(2);
-        assert_eq!(model.shape_capacity(), 2);
-        model.observe(&a, &stats_with_merge_seconds(5.0));
-        model.observe(&b, &stats_with_merge_seconds(0.25));
-        assert_eq!(model.shapes_observed(), 2);
-        // Reading estimates (even many times) must not save shape `a`.
-        for _ in 0..8 {
-            let _ = model.estimate(&a);
-        }
-        model.observe(&c, &stats_with_merge_seconds(1.0));
-        assert_eq!(model.shapes_observed(), 2, "map stays bounded");
-        // Evicted `a` falls back to the *calibrated* static estimate: the
-        // exact 5.0s observation is gone, but the global calibration
-        // still carries its weight.
-        let scale = (5.0 + 0.25 + 1.0)
-            / (CostModel::static_cost(&a)
-                + CostModel::static_cost(&b)
-                + CostModel::static_cost(&c));
-        assert!((model.estimate(&a) - CostModel::static_cost(&a) * scale).abs() < 1e-12);
-        // Survivors keep their exact observations.
-        assert!((model.estimate(&b) - 0.25).abs() < 1e-12);
-        assert!((model.estimate(&c) - 1.0).abs() < 1e-12);
-        // Deterministic: the same observation sequence evicts the same
-        // shape, every run.
-        let rebuild = || {
-            let mut m = CostModel::with_shape_capacity(2);
-            m.observe(&a, &stats_with_merge_seconds(5.0));
-            m.observe(&b, &stats_with_merge_seconds(0.25));
-            m.observe(&c, &stats_with_merge_seconds(1.0));
-            (m.estimate(&a), m.estimate(&b), m.estimate(&c))
-        };
-        assert_eq!(rebuild(), rebuild());
+        assert!(static_cost(&large) > static_cost(&small));
     }
 
     #[test]
@@ -946,12 +679,7 @@ mod tests {
     fn empty_batch_plan_has_no_order_and_routes_to_nothing() {
         let plan = BatchPlan::new(&[]);
         assert!(plan.order().is_empty());
-        assert!(plan.costs().is_empty());
         assert!(plan.route(&[], &AstDme::new()).is_empty());
-        // With a calibrated model too.
-        let mut model = CostModel::new();
-        model.observe(&inst(8, 0.0), &stats_with_merge_seconds(1.0));
-        assert!(BatchPlan::with_model(&[], &model).order().is_empty());
     }
 
     #[test]
@@ -959,13 +687,10 @@ mod tests {
         let tiny = one_sink_inst();
         // n=1 ⇒ log2(n) = 0; the .max(1.0) floor keeps the cost positive
         // and finite, never NaN.
-        let cost = CostModel::static_cost(&tiny);
+        let cost = static_cost(&tiny);
         assert!(cost.is_finite() && cost > 0.0, "got {cost}");
-        let model = CostModel::new();
-        assert!(model.estimate(&tiny).is_finite());
         let plan = BatchPlan::new(std::slice::from_ref(&tiny));
         assert_eq!(plan.order(), &[0]);
-        assert!(plan.costs()[0].is_finite());
         let batch = plan.route(std::slice::from_ref(&tiny), &AstDme::new());
         let out = batch[0].as_ref().expect("1-sink instance routes");
         assert_eq!(out.tree.sink_nodes().count(), 1);
@@ -976,17 +701,6 @@ mod tests {
         assert!(route_batch(&mixed, &AstDme::new())
             .iter()
             .all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn observing_a_one_sink_instance_keeps_estimates_finite() {
-        let tiny = one_sink_inst();
-        let mut model = CostModel::new();
-        model.observe(&tiny, &stats_with_merge_seconds(0.25));
-        assert!((model.estimate(&tiny) - 0.25).abs() < 1e-12);
-        // Calibration from the 1-sink observation must not poison unseen
-        // shapes either.
-        assert!(model.estimate(&inst(10, 0.0)).is_finite());
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub use eco::{EcoEdit, EcoSession, EcoStats};
 pub use error::RouteError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use fleet::{
-    route_batch, route_stream, BatchPlan, BatchPolicy, CostModel, RouteStream, StealStats,
-    StreamPolicy, COST_MODEL_SHAPES, DEFAULT_STREAM_IN_FLIGHT,
+    route_batch, route_stream, BatchPlan, BatchPolicy, RouteStream, StealStats, StreamPolicy,
+    DEFAULT_STREAM_IN_FLIGHT,
 };
 pub use pipeline::{
     GroupingStage, MergeStage, RouteOutcome, RouteStats, StageId, StagePlan, StageStats,
@@ -83,10 +83,7 @@ pub use robustness::{
 pub use routers::{AstDme, ClockRouter, ExtBst, GreedyDme, StitchPerGroup};
 
 // The full modelling vocabulary, so downstream users need only this crate.
-pub use astdme_cache::{
-    region_fingerprint, splice_region, BoundedLru, CacheStats, CachedRegion, DenseIdMap,
-    Fingerprint, SubtreeCache,
-};
+pub use astdme_cache::{region_fingerprint, CacheStats, CachedRegion, Fingerprint, SubtreeCache};
 pub use astdme_delay::{DelayModel, RcParams};
 pub use astdme_engine::{
     audit, group_ranges, repair_group_skew, AuditReport, CandKind, Candidate, DelayMap, DelayRange,

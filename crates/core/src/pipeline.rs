@@ -90,10 +90,6 @@ impl fmt::Display for StageId {
 
 /// Wall-clock and work counters for one pipeline stage. Fields that do
 /// not apply to a stage (e.g. `rounds` outside the merge stage) stay zero.
-///
-/// The `seconds` fields are also the fleet layer's scheduling feedback:
-/// observed stage wall-clock fed to a [`crate::fleet::CostModel`] refines
-/// the cost estimates its [`crate::fleet::BatchPlan`] orders batches by.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageStats {
     /// Wall-clock seconds spent in the stage.
@@ -120,7 +116,7 @@ pub struct StageStats {
     pub repair_iterations: usize,
     /// Heap allocations observed during the stage, via
     /// [`crate::allocmeter`]. Zero unless the hosting binary installs an
-    /// instrumented allocator (the scaling bench does).
+    /// instrumented allocator (the alloc-budget tests do).
     pub allocs: u64,
 }
 

@@ -195,12 +195,10 @@ pub(crate) fn fanout_threads(len: usize) -> usize {
     }
 }
 
-/// Per-producer scheduling statistics of one [`claim_loop`] call: the raw
-/// material for load-balance and latency measurements (the scaling
-/// bench's skewed fleet portfolio records [`StealStats::balance`], and
-/// its `latency` section reads the queue-wait and idle columns).
+/// Per-producer scheduling statistics of one [`claim_loop`] call: busy
+/// time and item counts, the raw material for [`StealStats::balance`].
 ///
-/// All four vectors are parallel: entry *j* describes producer *j* of the
+/// Both vectors are parallel: entry *j* describes producer *j* of the
 /// call — the caller and every pool helper that ran, in no fixed order;
 /// the multiset of entries is what's meaningful.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -211,14 +209,6 @@ pub struct StealStats {
     pub worker_busy_seconds: Vec<f64>,
     /// Items produced per producer (sums to the input length).
     pub worker_items: Vec<usize>,
-    /// Seconds each producer waited between call submission and its loop
-    /// starting — pool wakeup latency (zero for the caller, who starts
-    /// immediately).
-    pub worker_queue_wait_seconds: Vec<f64>,
-    /// Seconds of each producer's busy window *not* spent producing
-    /// items: cursor claims, result delivery, and (on the caller)
-    /// consuming.
-    pub worker_idle_seconds: Vec<f64>,
 }
 
 impl StealStats {
@@ -255,26 +245,9 @@ impl StealStats {
         }
     }
 
-    /// The worst queue wait across producers (0.0 with none): how long
-    /// the slowest-to-wake helper sat between submission and its first
-    /// cursor claim.
-    pub fn max_queue_wait_seconds(&self) -> f64 {
-        self.worker_queue_wait_seconds
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    /// Total non-item seconds inside producers' busy windows, summed
-    /// across producers — the scheduling overhead of the call.
-    pub fn total_idle_seconds(&self) -> f64 {
-        self.worker_idle_seconds.iter().sum()
-    }
-
     fn push(&mut self, clock: Clock) {
         self.worker_busy_seconds.push(clock.busy);
         self.worker_items.push(clock.items);
-        self.worker_queue_wait_seconds.push(clock.queue_wait);
-        self.worker_idle_seconds.push(clock.idle);
     }
 }
 
@@ -283,8 +256,6 @@ impl StealStats {
 struct Clock {
     busy: f64,
     items: usize,
-    queue_wait: f64,
-    idle: f64,
 }
 
 /// Locks `m`, ignoring poison: every value guarded here stays consistent
@@ -331,31 +302,24 @@ impl Claims {
         &self,
         produce: &impl Fn(usize) -> R,
         mut deliver: impl FnMut(usize, R) -> bool,
-        queue_wait: f64,
     ) -> Clock {
         let _stop = StopOnUnwind(&self.stop);
         let t0 = Instant::now();
         let mut items = 0usize;
-        let mut item_seconds = 0.0f64;
         while !self.stop.load(Ordering::Relaxed) {
             let index = self.next.fetch_add(1, Ordering::Relaxed);
             if index >= self.len {
                 break;
             }
-            let tb = Instant::now();
             let result = produce(index);
-            item_seconds += tb.elapsed().as_secs_f64();
             items += 1;
             if !deliver(index, result) {
                 break;
             }
         }
-        let busy = t0.elapsed().as_secs_f64();
         Clock {
-            busy,
+            busy: t0.elapsed().as_secs_f64(),
             items,
-            queue_wait,
-            idle: (busy - item_seconds).max(0.0),
         }
     }
 }
@@ -393,16 +357,11 @@ where
     // leaves, and the caller's final drain ends with the last helper.
     let sender = Mutex::new(Some(tx));
     let clocks = Mutex::new(Vec::new());
-    let submitted = Instant::now();
     let helper = |_slot: usize| {
-        let queue_wait = submitted.elapsed().as_secs_f64();
         let tx = lock(&sender).clone();
         let clock = match tx {
-            Some(tx) => claims.run(&produce, |i, r| tx.send((i, r)).is_ok(), queue_wait),
-            None => Clock {
-                queue_wait,
-                ..Clock::default()
-            },
+            Some(tx) => claims.run(&produce, |i, r| tx.send((i, r)).is_ok()),
+            None => Clock::default(),
         };
         lock(&clocks).push(clock);
     };
@@ -411,15 +370,11 @@ where
         // drops with it and every helper blocked on a full channel gets a
         // send error instead of waiting forever.
         let rx = rx;
-        let clock = claims.run(
-            &produce,
-            |i, r| {
-                consume(i, r);
-                rx.try_iter().for_each(|(i, r)| consume(i, r));
-                true
-            },
-            0.0,
-        );
+        let clock = claims.run(&produce, |i, r| {
+            consume(i, r);
+            rx.try_iter().for_each(|(i, r)| consume(i, r));
+            true
+        });
         drop(lock(&sender).take());
         rx.iter().for_each(|(i, r)| consume(i, r));
         lock(&clocks).push(clock);
@@ -487,7 +442,7 @@ where
     for _ in 0..workers.max(1).min(len) {
         let (claims, produce, tx) = (Arc::clone(&claims), Arc::clone(&produce), tx.clone());
         pool::spawn_pooled(move || {
-            claims.run(&*produce, |i, r| tx.send((i, r)).is_ok(), 0.0);
+            claims.run(&*produce, |i, r| tx.send((i, r)).is_ok());
         });
     }
     ClaimStream { rx, claims }

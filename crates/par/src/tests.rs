@@ -112,10 +112,7 @@ fn stats_cover_every_item_and_producer() {
     assert_eq!(stats.workers(), 4);
     assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
     assert!(stats.balance() >= 1.0);
-    assert_eq!(stats.worker_queue_wait_seconds.len(), 4);
-    assert_eq!(stats.worker_idle_seconds.len(), 4);
-    assert!(stats.max_queue_wait_seconds() >= 0.0);
-    assert!(stats.total_idle_seconds() >= 0.0);
+    assert_eq!(stats.worker_busy_seconds.len(), 4);
 }
 
 #[test]
@@ -125,13 +122,11 @@ fn balance_ignores_workers_that_claimed_nothing() {
     let stats = StealStats {
         worker_busy_seconds: vec![2.0, 1.0, 1e-7],
         worker_items: vec![5, 3, 0],
-        ..StealStats::default()
     };
     assert_eq!(stats.balance(), 2.0);
     let one_loaded = StealStats {
         worker_busy_seconds: vec![2.0, 1e-7],
         worker_items: vec![8, 0],
-        ..StealStats::default()
     };
     assert_eq!(one_loaded.balance(), 1.0);
 }
@@ -148,7 +143,6 @@ fn one_thread_runs_inline_as_one_producer() {
     );
     assert_eq!(stats.workers(), 1);
     assert_eq!(stats.worker_items, vec![10]);
-    assert_eq!(stats.worker_queue_wait_seconds, vec![0.0]);
     assert_eq!(stats.balance(), 1.0);
 }
 

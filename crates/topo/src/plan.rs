@@ -4,8 +4,8 @@
 //! every nearest neighbor on each call. The production path is the
 //! incremental [`MergePlanner`](crate::MergePlanner), which maintains the
 //! same nearest-neighbor structure across rounds; `plan_round` remains the
-//! specification the planner is tested against (and the baseline the
-//! `scaling` bench compares runtime with).
+//! specification the planner is tested against (and the from-scratch
+//! side of the `scaling` bench's planner timing).
 
 use astdme_geom::Trr;
 

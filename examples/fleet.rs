@@ -3,22 +3,20 @@
 //! The paper's evaluation routes every circuit × group count × router;
 //! this example does the miniature version — one placement partitioned
 //! five ways, routed by two routers via the fleet layer (the same code
-//! path the bench tables and the `scaling` bench's `batch_throughput`
-//! section drive). Each outcome carries the audit report and per-stage
-//! stats, so the table below needs no external timers or re-audits.
+//! path the bench tables drive). Each outcome carries the audit report
+//! and per-stage stats, so the table below needs no external timers or
+//! re-audits.
 //!
-//! Both batches run through an explicit `BatchPlan` (what `route_batch`
-//! builds internally): the first router's plan uses the a-priori cost
-//! model, its observed per-stage seconds then calibrate a shared
-//! `CostModel`, and the second router's plan is refined by those
-//! measurements — the schedule and the per-worker busy times are printed
-//! with each batch.
+//! The instances run through an explicit `BatchPlan` (what `route_batch`
+//! builds internally), which schedules them largest-first by sink count
+//! and group structure. The schedule is printed with each batch, and the
+//! per-worker busy times after it.
 //!
 //! Run with: `cargo run --release --example fleet`
 
 use astdme::instances::{partition, r_benchmark, RBench};
 use astdme::{AstDme, GreedyDme};
-use astdme::{BatchPlan, BatchPolicy, ClockRouter, CostModel, Instance};
+use astdme::{BatchPlan, BatchPolicy, ClockRouter, Instance};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = r_benchmark(RBench::R1, 7);
@@ -37,11 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let routers: Vec<Box<dyn ClockRouter + Sync>> =
         vec![Box::new(AstDme::new()), Box::new(GreedyDme::new())];
-    // Calibrated across batches: the first batch's observed stage seconds
-    // refine the schedule of the second.
-    let mut model = CostModel::new();
+    let plan = BatchPlan::new(&instances);
     for router in &routers {
-        let plan = BatchPlan::with_model(&instances, &model);
         println!(
             "router: {} ({} instances batched, schedule {:?})",
             router.name(),
@@ -52,9 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("|----------|--------------|-----------------|--------|--------|--------|-----------|-----------|");
         let (outcomes, stats) =
             plan.route_with_policy(&instances, router.as_ref(), &BatchPolicy::default());
-        for ((label, inst), out) in labels.iter().zip(&instances).zip(outcomes) {
+        for (label, out) in labels.iter().zip(outcomes) {
             let out = out?;
-            model.observe(inst, &out.stats);
             println!(
                 "| {label} | {:.0} | {:.4} | {} | {} | {} | {:.3} | {:.3} |",
                 out.report.wirelength(),

@@ -17,7 +17,7 @@
 //!   with its audit report and per-stage [`StageStats`], and
 //!   [`route_batch`] fans whole instance portfolios out across
 //!   work-stealing threads — scheduled costliest-first by a
-//!   [`CostModel`]-driven [`BatchPlan`] — with input-ordered,
+//!   [`BatchPlan`] — with input-ordered,
 //!   bit-identical results and per-instance failure isolation (a
 //!   panicking route surfaces as [`RouteError::Panicked`] in its own
 //!   slot).

@@ -81,7 +81,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Measured here (n = 500, fast preset): 5.53 allocs/merge greedy, 3.67
-/// multi-merge; the `scaling` smoke measures 5.82 / 3.99 at n = 250. The
+/// multi-merge; the `scaling` smoke measures 5.82 / 3.86 at n = 250. The
 /// engine itself allocates once per merge (the new node's exact-size
 /// candidate list); the rest is planner bookkeeping. A reintroduced
 /// per-pair allocation adds at least one per merge and trips the budget.
