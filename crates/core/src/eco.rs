@@ -104,7 +104,7 @@ use crate::stopwatch::Stopwatch;
 use astdme_cache::SubtreeCache;
 use astdme_delay::RcParams;
 use astdme_engine::{GroupId, Groups, Instance, MergeForest, NodeId, Sink, NO_NODE};
-use astdme_geom::Point;
+use astdme_geom::{Point, Trr};
 use astdme_topo::{
     pair_score, plan_round, round_limit, score_bits, select_disjoint, MergeOrder, NnSnapshotRow,
     BRUTE_FORCE_CUTOFF,
@@ -608,11 +608,23 @@ fn replay_merges(
 
     // Active set with the exact swap_remove discipline both drivers use —
     // active order is what breaks exact score ties, so it must match.
+    // `hulls` holds each active subtree's representative region in step
+    // with `active`, so the scans below read one dense array.
     let mut active: Vec<usize> = leaves.iter().map(|l| l.index()).collect();
+    let mut hulls: Vec<Trr> = leaves
+        .iter()
+        .map(|&l| forest.representative_region(l))
+        .collect();
     let mut pos: Vec<u32> = vec![NO_POS; n];
     for (i, &k) in active.iter().enumerate() {
         pos[k] = i as u32;
     }
+    // Per-round planning buffers, cleared and reused every replayed round.
+    let mut nn_of: Vec<Option<(usize, f64, u64)>> = Vec::new();
+    let mut inherited: Vec<bool> = Vec::new();
+    let mut refresh: Vec<usize> = Vec::new();
+    let mut novel: Vec<usize> = Vec::new();
+    let mut ranked: Vec<(u64, u32, u32)> = Vec::new();
 
     let mut trace = MergeTrace::default();
     let (mut adopted, mut fresh) = (0usize, 0usize);
@@ -651,10 +663,12 @@ fn replay_merges(
                         row_slot[row.key] = ri as u32;
                     }
                 }
-                let mut nn_of: Vec<Option<(usize, f64, u64)>> = vec![None; n_present];
-                let mut inherited = vec![false; n_present];
-                let mut refresh: Vec<usize> = Vec::new();
-                let mut novel: Vec<usize> = Vec::new();
+                nn_of.clear();
+                nn_of.resize(n_present, None);
+                inherited.clear();
+                inherited.resize(n_present, false);
+                refresh.clear();
+                novel.clear();
                 for (ai, &x) in active.iter().enumerate() {
                     let m = new_to_std[x];
                     if m == NO_NODE || row_stamp[m as usize] != stamp {
@@ -689,20 +703,19 @@ fn replay_merges(
                     // argmin, first-wins in active order (the brute-force
                     // planner's tie rule).
                     for &ai in &refresh {
-                        let x = active[ai];
-                        let rx = forest.representative_region(NodeId::from_index(x));
+                        let (x, rx) = (active[ai], hulls[ai]);
                         let mut best: Option<(usize, f64)> = None;
-                        for &y in &active {
-                            if y == x {
+                        for (yi, hy) in hulls.iter().enumerate() {
+                            if yi == ai {
                                 continue;
                             }
-                            let d =
-                                rx.distance(&forest.representative_region(NodeId::from_index(y)));
+                            let d = rx.distance(hy);
                             if best.is_none_or(|(_, bd)| d < bd) {
-                                best = Some((y, d));
+                                best = Some((yi, d));
                             }
                         }
-                        let (v, rd) = best.expect("two or more active subtrees");
+                        let (vi, rd) = best.expect("two or more active subtrees");
+                        let v = active[vi];
                         let exact =
                             forest.merge_distance(NodeId::from_index(x), NodeId::from_index(v));
                         let (lo, hi) = if x < v { (x, v) } else { (v, x) };
@@ -712,8 +725,7 @@ fn replay_merges(
                     // Takeover: a novel subtree strictly closer than an
                     // inherited entry's recorded neighbor supersedes it.
                     for &ci in &novel {
-                        let d = active[ci];
-                        let rd_region = forest.representative_region(NodeId::from_index(d));
+                        let (d, rd_region) = (active[ci], hulls[ci]);
                         for ui in 0..n_present {
                             if ui == ci || !inherited[ui] {
                                 continue;
@@ -722,9 +734,7 @@ fn replay_merges(
                                 continue;
                             };
                             let u = active[ui];
-                            let nd = forest
-                                .representative_region(NodeId::from_index(u))
-                                .distance(&rd_region);
+                            let nd = hulls[ui].distance(&rd_region);
                             if nd < urd {
                                 let exact = forest
                                     .merge_distance(NodeId::from_index(u), NodeId::from_index(d));
@@ -739,17 +749,20 @@ fn replay_merges(
                     }
                 }
                 // Rank by the planner's (score bits, lo, hi) key and take
-                // disjoint pairs up to the round limit.
-                let mut ranked: Vec<(u64, usize, usize)> = Vec::with_capacity(n_present);
+                // disjoint pairs up to the round limit. Node indices fit
+                // `u32` (the forest packs its ids so), which keeps the keys
+                // small to sort.
+                let key = |i: usize| u32::try_from(i).expect("node indices fit u32");
+                ranked.clear();
                 for (ai, &x) in active.iter().enumerate() {
                     let (v, _, score) = nn_of[ai]?;
                     let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                    ranked.push((score, lo, hi));
+                    ranked.push((score, key(lo), key(hi)));
                 }
                 ranked.sort_unstable();
                 ranked.dedup();
                 let pairs = select_disjoint(
-                    ranked.iter().map(|&(_, a, b)| (a, b)),
+                    ranked.iter().map(|&(_, a, b)| (a as usize, b as usize)),
                     round_limit(topo.order, n_present),
                 );
                 if pairs.is_empty() {
@@ -819,6 +832,7 @@ fn replay_merges(
                 let i = pos[k] as usize;
                 pos[k] = NO_POS;
                 active.swap_remove(i);
+                hulls.swap_remove(i);
                 if i < active.len() {
                     pos[active[i]] = i as u32;
                 }
@@ -828,6 +842,7 @@ fn replay_merges(
             }
             pos[mk] = active.len() as u32;
             active.push(mk);
+            hulls.push(forest.representative_region(m));
             if mk >= new_to_std.len() {
                 new_to_std.resize(mk + 1, NO_NODE);
             }

@@ -1,25 +1,44 @@
 //! Subtree-root candidates: exact iso-delay embeddings with provenance.
+//!
+//! # Layout
+//!
+//! A routed forest holds several candidates per node, so a candidate's
+//! size is most of a route's memory. A candidate is 144 B: the region
+//! (32 B), the delay map (72 B: inline up to four groups with one-byte
+//! ids, see [`DelayMap`]), load and wirelength (16 B) and the provenance
+//! record (24 B: two `u32` child-candidate indices and two wire lengths).
+//! The provenance carries no leaf variant: whether a candidate is a leaf
+//! is a property of its node (a leaf node has no children and records its
+//! sink), so a leaf's record is all zeros.
 
 use astdme_geom::Trr;
 
 use crate::DelayMap;
 
-/// How a candidate came to be — the provenance used by top-down embedding.
+/// How a candidate came to be — the provenance used by top-down embedding:
+/// which candidate of each child node the merge combined, and the wire it
+/// spent on each side. On a leaf node's candidate it is
+/// [`CandKind::LEAF`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CandKind {
-    /// A leaf: the subtree is the single sink with this index.
-    Leaf(usize),
-    /// A merge of two child nodes' candidates.
-    Merge {
-        /// Index of the chosen candidate within the first child node.
-        cand_a: usize,
-        /// Index of the chosen candidate within the second child node.
-        cand_b: usize,
-        /// Electrical wire length from the merge point to child `a`'s root.
-        ea: f64,
-        /// Electrical wire length from the merge point to child `b`'s root.
-        eb: f64,
-    },
+pub struct CandKind {
+    /// Index of the chosen candidate within the first child node.
+    pub cand_a: u32,
+    /// Index of the chosen candidate within the second child node.
+    pub cand_b: u32,
+    /// Electrical wire length from the merge point to child `a`'s root.
+    pub ea: f64,
+    /// Electrical wire length from the merge point to child `b`'s root.
+    pub eb: f64,
+}
+
+impl CandKind {
+    /// The record of a leaf's candidate: no children, no wire.
+    pub const LEAF: Self = Self {
+        cand_a: 0,
+        cand_b: 0,
+        ea: 0.0,
+        eb: 0.0,
+    };
 }
 
 /// One feasible embedding of a subtree root.
@@ -44,13 +63,20 @@ pub struct Candidate {
     pub kind: CandKind,
 }
 
+/// The layout described in the module docs; growing a candidate grows
+/// every route's footprint, so it fails the build instead.
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 144);
+
+/// A candidate index as provenance stores it. Nodes keep a handful of
+/// candidates, so every index fits.
+pub(crate) fn cand_index(i: usize) -> u32 {
+    u32::try_from(i).expect("candidate indices fit u32")
+}
+
 impl Candidate {
     /// Total wire this merge spent, per the provenance (0 for leaves).
     pub fn merge_wire(&self) -> f64 {
-        match self.kind {
-            CandKind::Leaf(_) => 0.0,
-            CandKind::Merge { ea, eb, .. } => ea + eb,
-        }
+        self.kind.ea + self.kind.eb
     }
 }
 
@@ -67,11 +93,11 @@ mod tests {
             delays: DelayMap::leaf(GroupId(0)),
             cap: 1e-14,
             wirelen: 0.0,
-            kind: CandKind::Leaf(7),
+            kind: CandKind::LEAF,
         };
         assert_eq!(leaf.merge_wire(), 0.0);
         let merged = Candidate {
-            kind: CandKind::Merge {
+            kind: CandKind {
                 cand_a: 0,
                 cand_b: 1,
                 ea: 3.0,

@@ -1,16 +1,5 @@
 //! Engine tuning knobs.
 
-use std::sync::OnceLock;
-
-/// Cached result of the `ASTDME_DEBUG` environment lookup: the hot merge
-/// path must not call `env::var_os` per merge, so the environment is read
-/// once per process and latched into every [`EngineConfig`] at
-/// construction.
-fn debug_from_env() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var_os("ASTDME_DEBUG").is_some())
-}
-
 /// Configuration of the merge engine.
 ///
 /// The defaults reproduce the paper's setup; the knobs exist for the
@@ -39,11 +28,6 @@ pub struct EngineConfig {
     /// general per-subtree offset-adjustment machinery instead (more
     /// faithful to reading instance 2 literally, usually more wire).
     pub fuse_groups: bool,
-    /// Emit diagnostics for anomalous merges (oversized snakes, offset
-    /// conflicts) to stderr. Defaults to whether `ASTDME_DEBUG` was set in
-    /// the environment when the first config was built; the lookup happens
-    /// once per process, never in the merge loop.
-    pub debug: bool,
 }
 
 impl EngineConfig {
@@ -56,15 +40,11 @@ impl EngineConfig {
             pair_limit: 2,
             skew_tol: 1e-18,
             fuse_groups: true,
-            debug: debug_from_env(),
         }
     }
 
-    /// Stable `u64` encoding of the routing-relevant knobs for
-    /// content-addressed cache fingerprints. `debug` is deliberately
-    /// excluded: it only gates stderr diagnostics and never changes a
-    /// routed bit, so configs differing in `debug` alone must share a
-    /// fingerprint.
+    /// Stable `u64` encoding of every knob, for content-addressed cache
+    /// fingerprints.
     #[inline]
     pub fn fingerprint_words(&self) -> [u64; 5] {
         [
@@ -84,7 +64,6 @@ impl EngineConfig {
             pair_limit: 4,
             skew_tol: 1e-18,
             fuse_groups: true,
-            debug: debug_from_env(),
         }
     }
 }
@@ -97,7 +76,6 @@ impl Default for EngineConfig {
             pair_limit: 3,
             skew_tol: 1e-18,
             fuse_groups: true,
-            debug: debug_from_env(),
         }
     }
 }
@@ -118,21 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_words_ignore_debug_but_track_knobs() {
+    fn fingerprint_words_track_knobs() {
         let base = EngineConfig::default();
-        let loud = EngineConfig {
-            debug: true,
-            ..base
-        };
-        let quiet = EngineConfig {
-            debug: false,
-            ..base
-        };
-        assert_eq!(
-            loud.fingerprint_words(),
-            quiet.fingerprint_words(),
-            "debug is diagnostics-only"
-        );
         assert_ne!(
             base.fingerprint_words(),
             EngineConfig::fast().fingerprint_words()
@@ -147,19 +112,5 @@ mod tests {
             ..base
         };
         assert_ne!(base.fingerprint_words(), unfused.fingerprint_words());
-    }
-
-    #[test]
-    fn debug_flag_is_a_plain_field() {
-        let quiet = EngineConfig {
-            debug: false,
-            ..EngineConfig::default()
-        };
-        let loud = EngineConfig {
-            debug: true,
-            ..quiet
-        };
-        assert!(!quiet.debug);
-        assert!(loud.debug);
     }
 }

@@ -1,5 +1,6 @@
 //! Per-group delay bookkeeping for subtree roots.
 
+use core::cmp::Ordering;
 use core::fmt;
 
 use crate::GroupId;
@@ -66,65 +67,47 @@ type Entry = (GroupId, DelayRange);
 /// that actually reach it, so spills are rare even on unusual workloads.
 const INLINE_GROUPS: usize = 4;
 
-/// Small-map storage: inline array for the common case, heap spill beyond
-/// [`INLINE_GROUPS`]. Keeping candidates' delay maps off the heap removes
-/// one allocation per candidate from the merge hot path.
+/// The all-zero range filling unused inline slots.
+const ZERO: DelayRange = DelayRange { lo: 0.0, hi: 0.0 };
+
+/// Small-map storage, sorted by group in either form.
+///
+/// A map of at most [`INLINE_GROUPS`] groups whose ids all fit a byte is
+/// stored inline as parallel arrays: one byte per id, so an entry costs
+/// 17 B instead of the 24 B a padded `(GroupId, DelayRange)` pair takes,
+/// and the whole store is 72 B. Anything else spills to a `Vec` of
+/// entries. The form is canonical (inline exactly when the entries fit),
+/// and a merge of a spilled map is itself spilled, since it keeps every
+/// group of both sides. Keeping candidates' delay maps off the heap
+/// removes one allocation per candidate from the merge hot path.
 #[derive(Clone)]
 enum Store {
-    Inline(u8, [Entry; INLINE_GROUPS]),
+    Inline {
+        n: u8,
+        ids: [u8; INLINE_GROUPS],
+        ranges: [DelayRange; INLINE_GROUPS],
+    },
     Heap(Vec<Entry>),
 }
 
 impl Store {
-    const EMPTY_ENTRY: Entry = (GroupId(0), DelayRange { lo: 0.0, hi: 0.0 });
-
-    fn as_slice(&self) -> &[Entry] {
-        match self {
-            Store::Inline(n, buf) => &buf[..*n as usize],
-            Store::Heap(v) => v,
+    /// Stores sorted, distinct entries in the canonical form.
+    fn from_sorted(entries: &[Entry]) -> Self {
+        let fits = entries.len() <= INLINE_GROUPS
+            && entries.iter().all(|(g, _)| u8::try_from(g.0).is_ok());
+        if !fits {
+            return Store::Heap(entries.to_vec());
         }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Entry] {
-        match self {
-            Store::Inline(n, buf) => &mut buf[..*n as usize],
-            Store::Heap(v) => v,
+        let (mut ids, mut ranges) = ([0; INLINE_GROUPS], [ZERO; INLINE_GROUPS]);
+        for (i, &(g, r)) in entries.iter().enumerate() {
+            ids[i] = g.0 as u8;
+            ranges[i] = r;
         }
-    }
-
-    /// Appends an entry, spilling to the heap at capacity. Callers keep
-    /// ascending group order themselves.
-    fn push(&mut self, e: Entry) {
-        match self {
-            Store::Inline(n, buf) => {
-                if (*n as usize) < INLINE_GROUPS {
-                    buf[*n as usize] = e;
-                    *n += 1;
-                } else {
-                    let mut v = Vec::with_capacity(INLINE_GROUPS * 2);
-                    v.extend_from_slice(buf);
-                    v.push(e);
-                    *self = Store::Heap(v);
-                }
-            }
-            Store::Heap(v) => v.push(e),
+        Store::Inline {
+            n: entries.len() as u8,
+            ids,
+            ranges,
         }
-    }
-
-    fn from_vec(v: Vec<Entry>) -> Self {
-        if v.len() <= INLINE_GROUPS {
-            let mut buf = [Self::EMPTY_ENTRY; INLINE_GROUPS];
-            buf[..v.len()].copy_from_slice(&v);
-            Store::Inline(v.len() as u8, buf)
-        } else {
-            Store::Heap(v)
-        }
-    }
-}
-
-impl Default for Store {
-    fn default() -> Self {
-        Store::Inline(0, [Self::EMPTY_ENTRY; INLINE_GROUPS])
     }
 }
 
@@ -136,10 +119,11 @@ impl Default for Store {
 /// the four merge cases of the paper's Fig. 6 reduce to which groups two
 /// maps share.
 ///
-/// Maps of up to `INLINE_GROUPS` groups are stored inline (no heap
-/// allocation); larger maps spill to a `Vec` transparently. Since every
-/// merge candidate carries a map, this keeps candidate construction — the
-/// engine's innermost loop — allocation-free for realistic group counts.
+/// Maps of up to `INLINE_GROUPS` groups with ids below 256 are stored
+/// inline in 72 B (no heap allocation); larger maps spill to a `Vec`
+/// transparently. Since every merge candidate carries a map, this keeps
+/// candidate construction — the engine's innermost loop — allocation-free
+/// for realistic group counts.
 ///
 /// ```
 /// use astdme_engine::{DelayMap, DelayRange, GroupId};
@@ -151,19 +135,31 @@ impl Default for Store {
 /// assert_eq!(m.range(GroupId(0)).unwrap().lo, 1e-12);
 /// assert_eq!(m.range(GroupId(1)).unwrap().hi, 2e-12);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct DelayMap {
     // Sorted by GroupId; typically 1-4 entries, so a flat store beats any
     // tree or hash map.
     entries: Store,
 }
 
+/// A map's size is the layout every merge candidate carries; `Candidate`
+/// asserts its own total.
+const _: () = assert!(std::mem::size_of::<DelayMap>() <= 72);
+
+impl Default for DelayMap {
+    fn default() -> Self {
+        Self {
+            entries: Store::from_sorted(&[]),
+        }
+    }
+}
+
 impl DelayMap {
     /// The map of a leaf subtree: one group at delay zero.
     pub fn leaf(g: GroupId) -> Self {
-        let mut entries = Store::default();
-        entries.push((g, DelayRange::point(0.0)));
-        Self { entries }
+        Self {
+            entries: Store::from_sorted(&[(g, DelayRange::point(0.0))]),
+        }
     }
 
     /// Builds from entries, sorting by group.
@@ -177,46 +173,66 @@ impl DelayMap {
             assert!(w[0].0 != w[1].0, "duplicate group {} in delay map", w[0].0);
         }
         Self {
-            entries: Store::from_vec(entries),
+            entries: Store::from_sorted(&entries),
         }
     }
 
-    /// The entries as a sorted slice.
+    /// The store as slices: the inline ids and ranges, then the spilled
+    /// entries. Exactly one side is non-empty (unless the map is), so a
+    /// walk over both reads each form's slices directly.
     #[inline]
-    fn as_slice(&self) -> &[Entry] {
-        self.entries.as_slice()
+    fn parts(&self) -> (&[u8], &[DelayRange], &[Entry]) {
+        match &self.entries {
+            Store::Inline { n, ids, ranges } => {
+                let n = *n as usize;
+                (&ids[..n], &ranges[..n], &[])
+            }
+            Store::Heap(v) => (&[], &[], v),
+        }
     }
 
     /// The delay range for group `g`, if present.
     pub fn range(&self, g: GroupId) -> Option<DelayRange> {
-        let s = self.as_slice();
-        s.binary_search_by_key(&g, |(gg, _)| *gg)
-            .ok()
-            .map(|i| s[i].1)
+        self.iter().find(|&(h, _)| h == g).map(|(_, r)| r)
     }
 
     /// Iterates `(group, range)` pairs in ascending group order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (GroupId, DelayRange)> + '_ {
-        self.as_slice().iter().copied()
+        let (ids, ranges, spilled) = self.parts();
+        ids.iter()
+            .zip(ranges)
+            .map(|(&g, &r)| (GroupId(u32::from(g)), r))
+            .chain(spilled.iter().copied())
     }
 
     /// Iterates the groups present.
     pub fn groups(&self) -> impl Iterator<Item = GroupId> + '_ {
-        self.as_slice().iter().map(|(g, _)| *g)
+        self.iter().map(|(g, _)| g)
     }
 
     /// Number of groups present.
     #[inline]
     pub fn group_count(&self) -> usize {
-        self.as_slice().len()
+        let (ids, _, spilled) = self.parts();
+        ids.len() + spilled.len()
     }
 
     /// All ranges shifted by a common wire delay `d` (the effect of the
     /// wire from a new merge point down to this subtree's root).
     pub fn shifted(&self, d: f64) -> Self {
         let mut out = self.clone();
-        for (_, r) in out.entries.as_mut_slice() {
-            *r = r.shift(d);
+        match &mut out.entries {
+            Store::Inline { n, ranges, .. } => {
+                for r in &mut ranges[..*n as usize] {
+                    *r = r.shift(d);
+                }
+            }
+            Store::Heap(v) => {
+                for (_, r) in v {
+                    *r = r.shift(d);
+                }
+            }
         }
         out
     }
@@ -234,76 +250,58 @@ impl DelayMap {
         &'a self,
         other: &'a Self,
     ) -> impl Iterator<Item = (GroupId, DelayRange, DelayRange)> + 'a {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j) = (0, 0);
-        std::iter::from_fn(move || {
-            while i < a.len() && j < b.len() {
-                match a[i].0.cmp(&b[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let out = (a[i].0, a[i].1, b[j].1);
-                        i += 1;
-                        j += 1;
-                        return Some(out);
-                    }
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        std::iter::from_fn(move || loop {
+            let (&(ga, ra), &(gb, rb)) = (a.peek()?, b.peek()?);
+            match ga.cmp(&gb) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    a.next();
+                    b.next();
+                    return Some((ga, ra, rb));
                 }
-            }
-            None
+            };
         })
     }
 
     /// Merges two maps (ranges hulled for shared groups). Callers are
     /// responsible for shifting each side by its wire delay first.
     pub fn merge(&self, other: &Self) -> Self {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j) = (0, 0);
-        let mut entries = Store::default();
-        while i < a.len() || j < b.len() {
-            if j >= b.len() {
-                entries.push(a[i]);
-                i += 1;
-            } else if i >= a.len() {
-                entries.push(b[j]);
-                j += 1;
-            } else {
-                match a[i].0.cmp(&b[j].0) {
-                    std::cmp::Ordering::Less => {
-                        entries.push(a[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        entries.push(b[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        entries.push((a[i].0, a[i].1.hull(&b[j].1)));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
+        let total = self.group_count() + other.group_count();
+        let entries = if total <= 2 * INLINE_GROUPS {
+            // The union fits a stack buffer, so only a spilled result
+            // allocates.
+            let mut buf = [(GroupId(0), ZERO); 2 * INLINE_GROUPS];
+            let mut n = 0;
+            union(self, other, |e| {
+                buf[n] = e;
+                n += 1;
+            });
+            Store::from_sorted(&buf[..n])
+        } else {
+            // One side holds more than `INLINE_GROUPS` groups, and the
+            // union keeps them all, so it spills too.
+            let mut v = Vec::with_capacity(total);
+            union(self, other, |e| v.push(e));
+            Store::Heap(v)
+        };
         Self { entries }
     }
 
     /// The largest spread across all groups (for invariant checks).
     pub fn max_spread(&self) -> f64 {
-        self.as_slice()
-            .iter()
-            .map(|(_, r)| r.spread())
-            .fold(0.0, f64::max)
+        self.iter().map(|(_, r)| r.spread()).fold(0.0, f64::max)
     }
 
     /// Extremes over all groups: `(min lo, max hi)`, or `None` if empty.
     pub fn overall_range(&self) -> Option<DelayRange> {
-        let s = self.as_slice();
-        let lo = s.iter().map(|(_, r)| r.lo).fold(f64::INFINITY, f64::min);
-        let hi = s
+        let lo = self.iter().map(|(_, r)| r.lo).fold(f64::INFINITY, f64::min);
+        let hi = self
             .iter()
             .map(|(_, r)| r.hi)
             .fold(f64::NEG_INFINITY, f64::max);
-        if s.is_empty() {
+        if self.group_count() == 0 {
             None
         } else {
             Some(DelayRange { lo, hi })
@@ -311,16 +309,40 @@ impl DelayMap {
     }
 }
 
+/// Walks two maps in ascending group order, emitting every group of
+/// either with its range hulled where both carry it.
+#[inline]
+fn union(a: &DelayMap, b: &DelayMap, mut emit: impl FnMut(Entry)) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&(ga, ra)), Some(&(gb, rb))) => match ga.cmp(&gb) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    b.next();
+                    a.next().map(|_| (ga, ra.hull(&rb)))
+                }
+            },
+            _ => a.next().or_else(|| b.next()),
+        };
+        match next {
+            Some(e) => emit(e),
+            None => return,
+        }
+    }
+}
+
 impl PartialEq for DelayMap {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.iter().eq(other.iter())
     }
 }
 
 impl fmt::Debug for DelayMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DelayMap")
-            .field("entries", &self.as_slice())
+            .field("entries", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -328,7 +350,7 @@ impl fmt::Debug for DelayMap {
 impl fmt::Display for DelayMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (g, r)) in self.as_slice().iter().enumerate() {
+        for (i, (g, r)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -339,123 +361,4 @@ impl fmt::Display for DelayMap {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn g(i: u32) -> GroupId {
-        GroupId(i)
-    }
-
-    #[test]
-    fn leaf_is_zero_point() {
-        let m = DelayMap::leaf(g(3));
-        assert_eq!(m.group_count(), 1);
-        let r = m.range(g(3)).unwrap();
-        assert_eq!((r.lo, r.hi), (0.0, 0.0));
-        assert!(m.range(g(0)).is_none());
-    }
-
-    #[test]
-    fn shift_moves_all_ranges() {
-        let m = DelayMap::from_entries(vec![
-            (g(0), DelayRange { lo: 1.0, hi: 2.0 }),
-            (g(1), DelayRange::point(5.0)),
-        ])
-        .shifted(10.0);
-        assert_eq!(m.range(g(0)).unwrap().lo, 11.0);
-        assert_eq!(m.range(g(1)).unwrap().hi, 15.0);
-        // Spread is invariant under shift.
-        assert_eq!(m.range(g(0)).unwrap().spread(), 1.0);
-    }
-
-    #[test]
-    fn shared_groups_intersection() {
-        let a = DelayMap::from_entries(vec![
-            (g(0), DelayRange::point(0.0)),
-            (g(2), DelayRange::point(0.0)),
-            (g(5), DelayRange::point(0.0)),
-        ]);
-        let b = DelayMap::from_entries(vec![
-            (g(2), DelayRange::point(0.0)),
-            (g(3), DelayRange::point(0.0)),
-            (g(5), DelayRange::point(0.0)),
-        ]);
-        assert_eq!(a.shared_groups(&b), vec![g(2), g(5)]);
-        assert_eq!(
-            DelayMap::leaf(g(0)).shared_groups(&DelayMap::leaf(g(1))),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn merge_hulls_shared_ranges() {
-        let a = DelayMap::from_entries(vec![(g(0), DelayRange { lo: 1.0, hi: 2.0 })]);
-        let b = DelayMap::from_entries(vec![
-            (g(0), DelayRange { lo: 0.5, hi: 1.5 }),
-            (g(1), DelayRange::point(7.0)),
-        ]);
-        let m = a.merge(&b);
-        assert_eq!(m.group_count(), 2);
-        let r0 = m.range(g(0)).unwrap();
-        assert_eq!((r0.lo, r0.hi), (0.5, 2.0));
-        assert_eq!(m.range(g(1)).unwrap().lo, 7.0);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = DelayMap::from_entries(vec![
-            (g(0), DelayRange { lo: 0.0, hi: 1.0 }),
-            (g(2), DelayRange::point(3.0)),
-        ]);
-        let b = DelayMap::from_entries(vec![
-            (g(1), DelayRange::point(4.0)),
-            (g(2), DelayRange { lo: 2.0, hi: 5.0 }),
-        ]);
-        assert_eq!(a.merge(&b), b.merge(&a));
-    }
-
-    #[test]
-    fn max_spread_and_overall_range() {
-        let m = DelayMap::from_entries(vec![
-            (g(0), DelayRange { lo: 1.0, hi: 4.0 }),
-            (g(1), DelayRange { lo: 0.0, hi: 2.0 }),
-        ]);
-        assert_eq!(m.max_spread(), 3.0);
-        let o = m.overall_range().unwrap();
-        assert_eq!((o.lo, o.hi), (0.0, 4.0));
-        assert!(DelayMap::default().overall_range().is_none());
-    }
-
-    #[test]
-    fn maps_larger_than_inline_capacity_spill_transparently() {
-        // 6 groups: exceeds INLINE_GROUPS both via from_entries and via
-        // merge-driven growth; behavior must be identical to the inline
-        // case.
-        let big = DelayMap::from_entries(
-            (0..6)
-                .map(|i| (g(i), DelayRange::point(i as f64)))
-                .collect(),
-        );
-        assert_eq!(big.group_count(), 6);
-        for i in 0..6 {
-            assert_eq!(big.range(g(i)).unwrap().lo, i as f64);
-        }
-        // Merge two disjoint 3-group maps: pushes past the inline capacity
-        // one entry at a time.
-        let lo = DelayMap::from_entries((0..3).map(|i| (g(i), DelayRange::point(0.0))).collect());
-        let hi = DelayMap::from_entries((3..7).map(|i| (g(i), DelayRange::point(1.0))).collect());
-        let m = lo.merge(&hi);
-        assert_eq!(m.group_count(), 7);
-        assert_eq!(m.shifted(2.0).range(g(6)).unwrap().hi, 3.0);
-        assert_eq!(m, hi.merge(&lo));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate group")]
-    fn duplicate_groups_rejected() {
-        let _ = DelayMap::from_entries(vec![
-            (g(0), DelayRange::point(0.0)),
-            (g(0), DelayRange::point(1.0)),
-        ]);
-    }
-}
+mod tests;

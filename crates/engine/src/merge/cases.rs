@@ -7,6 +7,7 @@
 use astdme_delay::{feasible_splits, min_total_for_feasibility, SharedConstraint};
 use astdme_geom::{merge_locus, Interval};
 
+use crate::candidate::cand_index;
 use crate::{CandKind, Candidate};
 
 use super::context::{MergeCtx, Scratch};
@@ -39,22 +40,6 @@ impl MergeCtx<'_> {
         }
         // Case 4: conflicting δ-windows — only re-balancing inside a child
         // can align the groups (the paper's wire sneaking, Fig. 5).
-        let debug = self.cfg.debug;
-        if debug {
-            eprintln!(
-                "[conflict] merge {}x{} cands {ia},{ib}: {} shared groups",
-                a.0,
-                b.0,
-                scratch.cons.len()
-            );
-            for c in &scratch.cons {
-                eprintln!(
-                    "  cons: a=[{:.6e},{:.6e}] b=[{:.6e},{:.6e}] bound={:.1e} spread_a={:.2e} spread_b={:.2e}",
-                    c.lo_a, c.hi_a, c.lo_b, c.hi_b, c.bound,
-                    c.hi_a - c.lo_a, c.hi_b - c.lo_b
-                );
-            }
-        }
         if let Some((ia2, ib2)) = self.adjust_offsets(a, b, ia, ib, scratch) {
             self.shared_constraints_in(a, b, ia2, ib2, scratch);
             let (cons, samples, out) = (&scratch.cons, &mut scratch.samples, &mut scratch.cands);
@@ -63,9 +48,6 @@ impl MergeCtx<'_> {
             }
         }
         // Best effort: minimize the worst window violation.
-        if debug {
-            eprintln!("[conflict] -> best_effort");
-        }
         // Re-derive the original pair's constraints (the adjustment path
         // reused the buffers); assembly is deterministic, so this is the
         // same constraint set the first attempt saw.
@@ -152,9 +134,9 @@ impl MergeCtx<'_> {
             delays: ca.delays.shifted(da).merge(&cb.delays.shifted(db)),
             cap: ca.cap + cb.cap + self.model.wire_cap(ea + eb),
             wirelen: ca.wirelen + cb.wirelen + ea + eb,
-            kind: CandKind::Merge {
-                cand_a: ia,
-                cand_b: ib,
+            kind: CandKind {
+                cand_a: cand_index(ia),
+                cand_b: cand_index(ib),
                 ea,
                 eb,
             },

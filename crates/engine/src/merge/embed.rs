@@ -51,16 +51,14 @@ impl MergeForest {
                 wire,
                 sink: self.nodes[nid.0].sink(),
             });
-            if let CandKind::Merge {
-                cand_a,
-                cand_b,
-                ea,
-                eb,
-            } = cand.kind
-            {
-                let (a, b) = self.nodes[nid.0]
-                    .children()
-                    .expect("merge candidates only on merge nodes");
+            if let Some((a, b)) = self.nodes[nid.0].children() {
+                let CandKind {
+                    cand_a,
+                    cand_b,
+                    ea,
+                    eb,
+                } = cand.kind;
+                let (cand_a, cand_b) = (cand_a as usize, cand_b as usize);
                 let pa = self.nodes[a.0].cands[cand_a].region.nearest_point(pos);
                 let pb = self.nodes[b.0].cands[cand_b].region.nearest_point(pos);
                 debug_assert!(

@@ -11,7 +11,8 @@
 //! See the module docs in `mod.rs` for the borrow discipline that makes
 //! expansions independent.
 
-use crate::{CandKind, Candidate};
+use crate::candidate::cand_index;
+use crate::Candidate;
 
 use super::context::{Expansion, Scratch};
 use super::{MergeForest, NodeId};
@@ -81,17 +82,10 @@ impl MergeForest {
         // Within one expansion's replay, a node's overlay candidates commit
         // at consecutive indices (nothing else touches the node), so the
         // remap only needs the node's candidate count at first touch.
-        fn remap(
-            bases: &[(usize, usize)],
-            snap: &[(usize, usize)],
-            node: usize,
-            idx: usize,
-        ) -> usize {
-            match lookup(snap, node) {
-                Some(s) if idx >= s => {
-                    lookup(bases, node).expect("remapped node has a base") + (idx - s)
-                }
-                _ => idx,
+        fn remap(bases: &[(usize, usize)], snap: &[(usize, usize)], node: usize, idx: &mut u32) {
+            let i = *idx as usize;
+            if let Some(s) = lookup(snap, node).filter(|&s| i >= s) {
+                *idx = cand_index(lookup(bases, node).expect("remapped node has a base") + (i - s));
             }
         }
         let mut worst_residual = 0.0f64;
@@ -102,13 +96,11 @@ impl MergeForest {
             // per node.
             bases.clear();
             for (n, mut cand) in exp.overlay.into_entries() {
-                if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
-                    let (l, r) = self.nodes[n]
-                        .children()
-                        .expect("overlay candidates extend merge nodes");
-                    *cand_a = remap(bases, snap, l.0, *cand_a);
-                    *cand_b = remap(bases, snap, r.0, *cand_b);
-                }
+                let (l, r) = self.nodes[n]
+                    .children()
+                    .expect("overlay candidates extend merge nodes");
+                remap(bases, snap, l.0, &mut cand.kind.cand_a);
+                remap(bases, snap, r.0, &mut cand.kind.cand_b);
                 if !bases.iter().any(|&(bn, _)| bn == n) {
                     // The node's length so far: its pre-commit count plus
                     // what earlier expansions appended to it.
@@ -119,10 +111,8 @@ impl MergeForest {
                 appended.push((n, cand));
             }
             for cand in &mut cands[start..exp.end] {
-                if let CandKind::Merge { cand_a, cand_b, .. } = &mut cand.kind {
-                    *cand_a = remap(bases, snap, a.0, *cand_a);
-                    *cand_b = remap(bases, snap, b.0, *cand_b);
-                }
+                remap(bases, snap, a.0, &mut cand.kind.cand_a);
+                remap(bases, snap, b.0, &mut cand.kind.cand_b);
             }
             start = exp.end;
         }

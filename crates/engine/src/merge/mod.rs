@@ -48,6 +48,13 @@
 //!    capacity, and an adopted merge (see `record`) or a cloned forest
 //!    shares the list instead of copying it.
 //!
+//! That one allocation is sized by the candidate layout (see `candidate`):
+//! 144 B per candidate, of which the delay map takes 72 B inline (up to
+//! four groups with ids below 256; more spill to a heap list, one more
+//! allocation per spilled candidate) and the provenance 24 B (`u32`
+//! child-candidate indices plus the two wire lengths; a leaf is known by
+//! its node, not by its candidates).
+//!
 //! # Borrow discipline
 //!
 //! [`MergeForest::merge`] never hands `&mut self` to the case analysis.
@@ -186,7 +193,7 @@ impl MergeForest {
                 delays: DelayMap::leaf(group),
                 cap,
                 wirelen: 0.0,
-                kind: CandKind::Leaf(sink_idx),
+                kind: CandKind::LEAF,
             }]),
             None,
             Some(sink_idx),
@@ -307,22 +314,6 @@ impl MergeForest {
         self.ctx().rank_pairs(a, b, bounded, &mut scratch);
         self.expand_pairs(a, b, &mut scratch);
         let (worst_residual, appends) = self.commit_expansions(a, b, &mut scratch, rec.is_some());
-        if self.cfg.debug {
-            if let Some(c) = scratch.cands.first() {
-                let d = self.nodes[a.0].cands[0]
-                    .region
-                    .distance(&self.nodes[b.0].cands[0].region);
-                if c.merge_wire() > 20.0 * (d + 100.0) {
-                    eprintln!(
-                        "[bigmerge] {}x{}: wire {:.0} vs dist {:.0}",
-                        a.0,
-                        b.0,
-                        c.merge_wire(),
-                        d
-                    );
-                }
-            }
-        }
         if scratch.cands.is_empty() {
             // All pairs failed even best-effort: should be unreachable, but
             // degrade gracefully with the closest pair at face value.

@@ -196,16 +196,15 @@ impl MergeCtx<'_> {
         if s_max - s_min <= 1e-12 * scale + 1e-30 {
             return Some(ic);
         }
+        // A leaf has one group, so it never needs distinct shifts.
         let (l, r) = self.nodes[node.0].children()?;
-        let CandKind::Merge {
-            cand_a: il,
-            cand_b: ir,
+        let CandKind {
+            cand_a,
+            cand_b,
             ea: el_star,
             eb: er_star,
-        } = cand.kind
-        else {
-            return None; // leaf with >1 distinct shifts: impossible
-        };
+        } = cand.kind;
+        let (il, ir) = (cand_a as usize, cand_b as usize);
         let (lc, rc) = (self.cand(l, il).clone(), self.cand(r, ir).clone());
 
         // Decompose per child: common part on the edge, residual recursed.

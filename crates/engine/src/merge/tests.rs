@@ -37,9 +37,7 @@ fn same_group_zero_skew_merge_is_classic_dme() {
     let m = f.merge(a, b);
     for c in f.candidates(m) {
         // Zero-skew with equal loads: split in half, region is an arc.
-        let CandKind::Merge { ea, eb, .. } = c.kind else {
-            panic!("expected merge provenance")
-        };
+        let CandKind { ea, eb, .. } = c.kind;
         assert!((ea - 500.0).abs() < 1e-6);
         assert!((eb - 500.0).abs() < 1e-6);
         assert!(c.region.is_arc(1e-9));
@@ -73,13 +71,7 @@ fn different_groups_merge_spans_the_sdr() {
         assert_eq!(c.delays.group_count(), 2);
     }
     // The extreme samples touch the child positions.
-    let spans: Vec<f64> = cands
-        .iter()
-        .map(|c| match c.kind {
-            CandKind::Merge { ea, .. } => ea,
-            _ => unreachable!(),
-        })
-        .collect();
+    let spans: Vec<f64> = cands.iter().map(|c| c.kind.ea).collect();
     let min = spans.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = spans.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     assert!(min < 1e-6);
@@ -118,9 +110,7 @@ fn unbalanced_zero_skew_merge_snakes() {
     // b is tiny and close to a's merging arc: zero skew demands more
     // wire to b than the distance.
     let c = &f.candidates(m)[0];
-    let CandKind::Merge { ea, eb, .. } = c.kind else {
-        panic!("expected merge")
-    };
+    let CandKind { ea, eb, .. } = c.kind;
     let d = f
         .candidates(a)
         .iter()

@@ -117,11 +117,9 @@ proptest! {
             let id = astdme_engine::NodeId::from_index(idx);
             let Some((a, b)) = forest.children(id) else { continue };
             for cand in forest.candidates(id) {
-                let CandKind::Merge { cand_a, cand_b, ea, eb } = cand.kind else {
-                    continue;
-                };
-                let ra = forest.candidates(a)[cand_a].region;
-                let rb = forest.candidates(b)[cand_b].region;
+                let CandKind { cand_a, cand_b, ea, eb } = cand.kind;
+                let ra = forest.candidates(a)[cand_a as usize].region;
+                let rb = forest.candidates(b)[cand_b as usize].region;
                 prop_assert!(ra.distance(&cand.region) <= ea + 1e-6 * (1.0 + ea));
                 prop_assert!(rb.distance(&cand.region) <= eb + 1e-6 * (1.0 + eb));
             }
