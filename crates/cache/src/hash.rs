@@ -31,17 +31,6 @@ impl fmt::Display for Fingerprint {
 }
 
 /// The SipHash-style streaming hasher behind [`Fingerprint`].
-///
-/// ```
-/// use astdme_cache::SipHasher128;
-///
-/// let mut h = SipHasher128::new(1, 2);
-/// h.write_u64(42);
-/// let a = h.finish128();
-/// let mut h = SipHasher128::new(1, 2);
-/// h.write_u64(43);
-/// assert_ne!(a, h.finish128(), "different words, different digests");
-/// ```
 #[derive(Debug, Clone)]
 pub struct SipHasher128 {
     v0: u64,

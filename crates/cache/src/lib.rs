@@ -7,25 +7,21 @@
 //! provides the machinery that lets the pipeline recognize a repeat and
 //! splice the previously planned and embedded subtree instead of
 //! recomputing it — the dedup-on-merge design of miden-vm's
-//! `MastForestMerger` (node fingerprints, dense id remapping) transplanted
-//! to clock routing:
+//! `MastForestMerger` (node fingerprints) transplanted to clock routing:
 //!
-//! * [`SipHasher128`] — a vendored, word-oriented SipHash-style hasher
-//!   producing a 128-bit [`Fingerprint`]; no external dependency, stable
-//!   across platforms and releases of this workspace.
+//! * [`Fingerprint`] — a 128-bit digest from a vendored, word-oriented
+//!   SipHash-style hasher; no external dependency, stable across
+//!   platforms and releases of this workspace.
 //! * [`region_fingerprint`] — the canonical fingerprint of a merge region:
 //!   a translation-normalized instance plus the routing-relevant plan
 //!   configuration, hashed field by field (see **Canonicalization** below).
-//! * [`DenseIdMap`] + [`splice_region`] — the remap table used to splice a
-//!   cached node vector into a destination tree, rewriting parent indices
-//!   through the dense old-index → new-index map.
-//! * [`BoundedLru`] — a bounded, deterministically evicted
-//!   least-recently-used map (monotonic recency ticks, argmin eviction; no
-//!   randomized or address-dependent state anywhere).
 //! * [`SubtreeCache`] — the shared, thread-safe handle the fleet layer
 //!   threads through batches and sweeps: fingerprint → [`CachedRegion`]
 //!   (the planned merge region's embedded node vector plus its trace
-//!   counters), with hit/miss/insert/eviction [`CacheStats`].
+//!   counters), with hit/miss/insert/eviction [`CacheStats`]. Its bound is
+//!   a deterministically evicted least-recently-used map (monotonic
+//!   recency ticks, argmin eviction; no randomized or address-dependent
+//!   state anywhere).
 //!
 //! # Canonicalization rules
 //!
@@ -43,8 +39,7 @@
 //! 5. the caller-supplied plan words — the routing-relevant stage
 //!    configuration (delay model, engine preset, merge order, grouping
 //!    and merge-stage discriminants), encoded by the crate that owns each
-//!    config type. Diagnostic-only knobs (e.g. the engine's `debug` flag)
-//!    are deliberately excluded: they never change a routed bit.
+//!    config type.
 //!
 //! Everything is hashed as raw `u64` words — coordinate *bits*, never
 //! rounded values — so the fingerprint inherits f64 equality exactly: no
@@ -71,9 +66,6 @@
 mod hash;
 mod lru;
 mod region;
-mod remap;
 
-pub use hash::{Fingerprint, SipHasher128};
-pub use lru::BoundedLru;
+pub use hash::Fingerprint;
 pub use region::{region_fingerprint, CacheStats, CachedRegion, SubtreeCache};
-pub use remap::{splice_region, DenseIdMap};

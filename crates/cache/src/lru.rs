@@ -9,18 +9,6 @@ use std::hash::Hash;
 /// sequence of [`BoundedLru::get`] / [`BoundedLru::insert`] calls the
 /// eviction order is a pure function of that sequence — the property that
 /// lets cache behavior pin into golden tests.
-///
-/// ```
-/// use astdme_cache::BoundedLru;
-///
-/// let mut lru = BoundedLru::new(2);
-/// assert!(lru.insert("a", 1).is_none());
-/// assert!(lru.insert("b", 2).is_none());
-/// lru.get(&"a"); // touch: "b" is now least recent
-/// assert_eq!(lru.insert("c", 3), Some(("b", 2)));
-/// assert!(lru.contains(&"a"));
-/// assert!(!lru.contains(&"b"));
-/// ```
 #[derive(Debug, Clone)]
 pub struct BoundedLru<K, V> {
     capacity: usize,
@@ -57,11 +45,6 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Whether `key` is present (does not touch recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
     }
 
     /// Looks `key` up and marks it most recently used.
@@ -108,11 +91,6 @@ impl<K: Eq + Hash + Clone, V> BoundedLru<K, V> {
         self.slots.clear();
         self.index.clear();
     }
-
-    /// Iterates `(key, value)` in unspecified order (recency untouched).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots.iter().map(|(k, v, _)| (k, v))
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +116,8 @@ mod tests {
         lru.get(&0);
         lru.get(&2);
         assert_eq!(lru.insert(3, 30), Some((1, 10)));
-        assert!(lru.contains(&0) && lru.contains(&2) && lru.contains(&3));
+        let held = |k| lru.index.contains_key(&k);
+        assert!(held(0) && held(2) && held(3));
     }
 
     #[test]
@@ -180,6 +159,6 @@ mod tests {
         assert!(lru.is_empty());
         assert_eq!(lru.capacity(), 2);
         assert!(lru.insert(1, 1).is_none());
-        assert_eq!(lru.iter().count(), 1);
+        assert_eq!(lru.len(), 1);
     }
 }

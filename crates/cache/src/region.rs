@@ -8,7 +8,6 @@ use astdme_geom::Point;
 
 use crate::hash::{Fingerprint, SipHasher128};
 use crate::lru::BoundedLru;
-use crate::remap::splice_region;
 
 /// Key pair of the primary (lookup) fingerprint.
 const PRIMARY_KEYS: (u64, u64) = (0x4153_545f_444d_4531, 0x6361_6368_655f_6b31);
@@ -82,8 +81,14 @@ impl CachedRegion {
     /// one function — identical arithmetic is what makes hit ≡ recompute
     /// bit-exact.
     pub fn splice(&self, anchor: Point, source: Point) -> RoutedTree {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        splice_region(&mut nodes, &self.nodes, anchor, None);
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| RoutedNode {
+                pos: Point::new(node.pos.x + anchor.x, node.pos.y + anchor.y),
+                ..*node
+            })
+            .collect();
         RoutedTree::new(source, nodes)
     }
 }
@@ -126,7 +131,7 @@ struct CacheInner {
 /// robustness sweeps. Entries are `Arc`-shared, so a hit costs a lock, a
 /// map probe, and a pointer clone — never a node-vector copy.
 ///
-/// Capacity is a hard bound enforced by a deterministic [`BoundedLru`]:
+/// Capacity is a hard bound enforced by a deterministic LRU map:
 /// for a fixed lookup/insert sequence the eviction order is a pure
 /// function of that sequence. Under concurrent batches the *interleaving*
 /// (and hence hit counts) may vary run to run — what never varies is any

@@ -89,13 +89,13 @@ fn static_cost(inst: &Instance) -> f64 {
     n * n.log2().max(1.0) * (1.0 + 0.1 * (k - 1.0))
 }
 
-/// Per-batch hardening policy: deadline budgets, fault injection, and
-/// index attribution for errors.
+/// Per-batch hardening policy: deadline budgets, fault injection, and a
+/// shared subtree cache.
 ///
-/// The default policy is exactly the historic behavior — no deadline, no
-/// injected faults, errors attributed by position in the batch — so
-/// [`route_batch`] and [`BatchPlan::route`] are unchanged for existing
-/// callers. The robustness sweep ([`crate::robustness`]) and the
+/// The default policy sets none of them: no deadline, no injected
+/// faults, no cache. That is what [`route_batch`] and [`BatchPlan::route`]
+/// run under. Errors always name the instance by its position in the
+/// batch. The robustness sweep ([`crate::robustness`]) and the
 /// fault-tolerance tests construct explicit policies.
 #[derive(Debug, Clone, Default)]
 pub struct BatchPolicy {
@@ -104,13 +104,8 @@ pub struct BatchPolicy {
     /// instance's slot with [`RouteError::DeadlineExceeded`] while the
     /// rest of the batch returns unchanged. `None` disables the check.
     pub deadline_seconds: Option<f64>,
-    /// Deterministic fault schedule, keyed by *attributed* instance index
-    /// (i.e. batch position plus [`BatchPolicy::index_offset`]).
+    /// Deterministic fault schedule, keyed by batch position.
     pub faults: FaultPlan,
-    /// Added to each instance's batch position for error attribution and
-    /// fault lookup — a chunked sweep sets this to the chunk's base so
-    /// errors carry sweep-global variant indices.
-    pub index_offset: usize,
     /// Shared content-addressed subtree cache consulted by every route in
     /// the batch ([`SubtreeCache`] is a cheap `Arc` handle). Repeated
     /// merge regions across the batch — duplicate placements, translated
@@ -136,7 +131,7 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// The default policy: no deadline, no faults, zero offset, no cache.
+    /// The default policy: no deadline, no faults, no cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -205,12 +200,11 @@ impl BatchPlan {
     }
 
     /// Like [`BatchPlan::route`], under an explicit [`BatchPolicy`] —
-    /// per-instance deadlines, deterministic fault injection, index-offset
-    /// attribution, a shared subtree cache — and additionally returning
-    /// the fan-out's per-worker [`StealStats`] (busy seconds and items per
-    /// worker). Instances the policy does not
-    /// touch return outcomes bit-identical to a policy-free run at every
-    /// thread count.
+    /// per-instance deadlines, deterministic fault injection, a shared
+    /// subtree cache — and additionally returning the fan-out's per-worker
+    /// [`StealStats`] (busy seconds and items per worker). Instances the
+    /// policy does not touch return outcomes bit-identical to a
+    /// policy-free run at every thread count.
     ///
     /// This is the collect-and-reorder form of the streaming execution:
     /// the calling thread and pool helpers claim schedule slots from one
@@ -242,7 +236,7 @@ impl BatchPlan {
             len,
             |slot| {
                 let idx = self.order[slot];
-                route_caught(router, &instances[idx], idx + policy.index_offset, policy)
+                route_caught(router, &instances[idx], idx, policy)
             },
             |slot, result| out[self.order[slot]] = Some(result),
         );
@@ -327,22 +321,20 @@ where
 pub const DEFAULT_STREAM_IN_FLIGHT: usize = 16;
 
 /// How a [`route_stream`] call runs: the per-instance hardening policy
-/// plus the stream's in-flight bound and worker count.
+/// plus the stream's in-flight bound. The stream runs
+/// [`astdme_par::effective_threads`] workers, capped at the instance
+/// count.
 #[derive(Debug, Clone)]
 pub struct StreamPolicy {
     /// Per-instance hardening applied to every routed instance: deadline,
-    /// fault injection, index-offset attribution, subtree cache — exactly
-    /// the [`BatchPolicy`] semantics of the barrier path.
+    /// fault injection, subtree cache — exactly the [`BatchPolicy`]
+    /// semantics of the barrier path.
     pub batch: BatchPolicy,
     /// Bound on completed-but-unconsumed outcomes (clamped to ≥ 1 at
     /// stream construction). Workers that finish an instance while the
     /// buffer is full block until the consumer catches up, so peak live
     /// trees stay at `in_flight` plus one per worker.
     pub in_flight: usize,
-    /// Number of stream workers, capped at the instance count; `None`
-    /// (the default) uses [`astdme_par::effective_threads`] — the thread
-    /// override when set, else `ASTDME_THREADS`/`available_parallelism`.
-    pub workers: Option<usize>,
 }
 
 impl Default for StreamPolicy {
@@ -350,14 +342,13 @@ impl Default for StreamPolicy {
         Self {
             batch: BatchPolicy::default(),
             in_flight: DEFAULT_STREAM_IN_FLIGHT,
-            workers: None,
         }
     }
 }
 
 impl StreamPolicy {
     /// The default policy: no hardening, [`DEFAULT_STREAM_IN_FLIGHT`]
-    /// outcomes in flight, automatic worker count.
+    /// outcomes in flight.
     pub fn new() -> Self {
         Self::default()
     }
@@ -371,13 +362,6 @@ impl StreamPolicy {
     /// Sets the in-flight bound (clamped to at least 1); returns `self`.
     pub fn with_in_flight(mut self, in_flight: usize) -> Self {
         self.in_flight = in_flight.max(1);
-        self
-    }
-
-    /// Pins the worker count (capped at the instance count when the
-    /// stream starts); returns `self`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
         self
     }
 }
@@ -473,16 +457,11 @@ pub fn route_stream(
 ) -> RouteStream {
     let total = instances.len();
     let order = BatchPlan::new(&instances).order;
-    let workers = policy.workers.unwrap_or_else(astdme_par::effective_threads);
+    let workers = astdme_par::effective_threads();
     let batch = policy.batch;
     let claims = astdme_par::claim_stream(total, workers, policy.in_flight, move |slot| {
         let idx = order[slot];
-        let result = route_caught(
-            router.as_ref(),
-            &instances[idx],
-            idx + batch.index_offset,
-            &batch,
-        );
+        let result = route_caught(router.as_ref(), &instances[idx], idx, &batch);
         (idx, result)
     });
     RouteStream {
@@ -704,38 +683,37 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_fault_is_attributed_with_the_offset() {
+    fn injected_panic_fault_is_attributed_by_batch_position() {
         use crate::fault::{Fault, FaultKind};
         use crate::pipeline::StageId;
+        // The schedule runs the largest instance first, so position 0 is
+        // the last slot claimed: the fault and its error follow position.
         let instances = vec![inst(8, 0.0), inst(9, 1.0), inst(10, 2.0)];
         let policy = BatchPolicy::new().with_faults(FaultPlan::new().inject(
-            101,
+            0,
             Fault {
                 stage: StageId::Merge,
                 kind: FaultKind::Panic,
             },
         ));
-        let policy = BatchPolicy {
-            index_offset: 100,
-            ..policy
-        };
         let plan = BatchPlan::new(&instances);
+        assert_eq!(plan.order(), &[2, 1, 0]);
         let (batch, _) = plan.route_with_policy(&instances, &AstDme::new(), &policy);
-        match &batch[1] {
+        match &batch[0] {
             Err(RouteError::Panicked {
                 instance,
                 sinks,
                 message,
             }) => {
-                assert_eq!(*instance, 101, "offset must flow into attribution");
-                assert_eq!(*sinks, 9);
+                assert_eq!(*instance, 0, "panic attributed to the wrong position");
+                assert_eq!(*sinks, 8);
                 assert!(message.contains("injected fault"), "{message}");
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
         // Survivors are bit-identical to a policy-free run.
         let clean = route_batch(&instances, &AstDme::new());
-        for i in [0usize, 2] {
+        for i in [1usize, 2] {
             assert_eq!(
                 batch[i].as_ref().unwrap().tree,
                 clean[i].as_ref().unwrap().tree,

@@ -232,9 +232,9 @@ impl StagePlan {
     /// Stable `u64` encoding of every routing-relevant knob of the plan,
     /// for content-addressed cache fingerprints: the delay-model override
     /// (tagged; `None` = Elmore over the instance's own RC, which the
-    /// instance fingerprint already covers), the engine words (excluding
-    /// the diagnostics-only `debug` flag), the merge-order words, and the
-    /// grouping/merge-stage discriminants with the grouping bound bits.
+    /// instance fingerprint already covers), the engine words, the
+    /// merge-order words, and the grouping/merge-stage discriminants with
+    /// the grouping bound bits.
     /// Two plans route any instance identically iff their words agree.
     pub fn fingerprint_words(&self) -> Vec<u64> {
         let mut words = Vec::with_capacity(16);

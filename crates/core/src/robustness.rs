@@ -266,29 +266,21 @@ pub struct SweepConfig {
     /// Number of Monte Carlo variants to route.
     pub variants: usize,
     /// Bound on routed-but-not-yet-accumulated variant results in flight
-    /// between the pool workers and the accumulating caller — workers
-    /// that run ahead of the accumulator block instead of piling up
-    /// results. Historically the chunk size of a barriered sweep; since
-    /// the barrier-free rewrite it only bounds memory and never affects
-    /// results (variants are index-seeded, so delivery order is
-    /// invisible to the report).
+    /// between the pool workers and the accumulating caller: workers that
+    /// run ahead of the accumulator block instead of piling up results.
+    /// It bounds memory only and never affects the report (variants are
+    /// index-seeded, so delivery order is invisible to it).
     pub chunk: usize,
-    /// Per-variant deadline budget in seconds, if any (see
-    /// [`BatchPolicy::deadline_seconds`]).
-    pub deadline_seconds: Option<f64>,
-    /// Deterministic fault schedule, keyed by sweep-global variant index.
-    pub faults: FaultPlan,
-    /// Shared content-addressed subtree cache threaded through every chunk
-    /// (see [`BatchPolicy::cache`]). A zero-jitter spec — or one whose
-    /// noise leaves some variants' normalized geometry identical — routes
-    /// each distinct region once and splices the repeats. The report is a
-    /// pure function of the nominal instance, spec, config, and router:
-    /// hits are **bit-identical to the recompute** a miss performs, so
-    /// cache capacity, sharing across sweeps, eviction order, and thread
-    /// count can never move a reported bit. `None` (the default) routes
-    /// every variant in the raw frame (which cached runs match exactly
-    /// for origin-anchored variants; see [`BatchPolicy::cache`]).
-    pub cache: Option<crate::SubtreeCache>,
+    /// The [`BatchPolicy`] every variant routes under, with faults and
+    /// errors keyed by variant index. A shared subtree cache in it routes
+    /// each distinct normalized region once and splices the repeats (a
+    /// zero-jitter spec, or noise that leaves some variants' normalized
+    /// geometry identical). Hits are **bit-identical to the recompute** a
+    /// miss performs, so cache capacity, sharing across sweeps, eviction
+    /// order, and thread count never move a reported bit. Without a cache
+    /// every variant routes in the raw frame, which cached runs match
+    /// exactly for origin-anchored variants (see [`BatchPolicy::cache`]).
+    pub policy: BatchPolicy,
 }
 
 impl SweepConfig {
@@ -298,9 +290,7 @@ impl SweepConfig {
         Self {
             variants,
             chunk: 64,
-            deadline_seconds: None,
-            faults: FaultPlan::new(),
-            cache: None,
+            policy: BatchPolicy::new(),
         }
     }
 
@@ -312,13 +302,13 @@ impl SweepConfig {
 
     /// Sets the per-variant deadline budget; returns `self`.
     pub fn with_deadline(mut self, seconds: f64) -> Self {
-        self.deadline_seconds = Some(seconds);
+        self.policy = self.policy.with_deadline(seconds);
         self
     }
 
-    /// Sets the fault schedule; returns `self`.
+    /// Sets the fault schedule, keyed by variant index; returns `self`.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.policy = self.policy.with_faults(faults);
         self
     }
 
@@ -326,7 +316,7 @@ impl SweepConfig {
     /// handle); returns `self`. Pass the same handle to successive sweeps
     /// to carry warmed regions between them.
     pub fn with_cache(mut self, cache: crate::SubtreeCache) -> Self {
-        self.cache = Some(cache);
+        self.policy = self.policy.with_cache(cache);
         self
     }
 }
@@ -587,12 +577,6 @@ where
     R: ClockRouter + Sync + ?Sized,
 {
     spec.validate()?;
-    let policy = BatchPolicy {
-        deadline_seconds: config.deadline_seconds,
-        faults: config.faults.clone(),
-        index_offset: 0,
-        cache: config.cache.clone(),
-    };
     let mut acc = ReportAcc::default();
     // Consume in completion order, accumulate in index order: a small
     // reorder buffer holds early arrivals until their predecessors land.
@@ -601,7 +585,7 @@ where
     astdme_par::claim_loop(
         config.variants,
         config.chunk,
-        |index| route_variant(nominal, spec, &policy, router, index),
+        |index| route_variant(nominal, spec, &config.policy, router, index),
         |index, outcome| {
             pending.insert(index, outcome);
             while let Some(outcome) = pending.remove(&next_index) {

@@ -2,7 +2,12 @@
 //!
 //! Every router is a thin stage configuration — a
 //! [`StagePlan`](crate::pipeline::StagePlan) — over the shared
-//! [`pipeline`](crate::pipeline): the bespoke `route()` bodies are gone.
+//! [`pipeline`](crate::pipeline). The baselines differ from [`AstDme`]
+//! only in their grouping and merge stages, so each `plan()` is AST-DME's
+//! plan with those fields replaced. The engine, merge-order and
+//! delay-model builders exist once, on [`AstDme`]; to run a baseline
+//! under other settings, set those fields of its `plan()` and call
+//! [`pipeline::run`].
 
 use astdme_delay::DelayModel;
 use astdme_engine::{EngineConfig, Instance, RoutedTree};
@@ -147,21 +152,13 @@ impl ClockRouter for AstDme {
 #[derive(Debug, Clone)]
 pub struct ExtBst {
     bound: f64,
-    engine: EngineConfig,
-    topo: TopoConfig,
-    model: Option<DelayModel>,
 }
 
 impl ExtBst {
     /// EXT-BST with a global skew bound in seconds (the paper uses
     /// `10e-12`).
     pub fn new(bound: f64) -> Self {
-        Self {
-            bound,
-            engine: EngineConfig::default(),
-            topo: TopoConfig::default(),
-            model: None,
-        }
+        Self { bound }
     }
 
     /// The paper's configuration: 10 ps global bound.
@@ -169,34 +166,13 @@ impl ExtBst {
         Self::new(10e-12)
     }
 
-    /// Overrides the engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the merge-order configuration.
-    pub fn with_topo(mut self, topo: TopoConfig) -> Self {
-        self.topo = topo;
-        self
-    }
-
-    /// Overrides the delay model.
-    pub fn with_model(mut self, model: DelayModel) -> Self {
-        self.model = Some(model);
-        self
-    }
-
     /// The router as explicit stage configuration (see [`AstDme::plan`]).
     pub fn plan(&self) -> StagePlan {
         StagePlan {
-            model: self.model,
-            engine: self.engine,
-            topo: self.topo,
             grouping: GroupingStage::Single {
                 bound: Some(self.bound),
             },
-            merge: MergeStage::Flat,
+            ..AstDme::new().plan()
         }
     }
 }
@@ -214,56 +190,21 @@ impl ClockRouter for ExtBst {
 /// **greedy-DME** — classic zero-skew routing: every sink at identical
 /// delay, the strictest (and longest-wire) discipline. Equivalent to
 /// [`ExtBst`] with bound zero.
-#[derive(Debug, Clone)]
-pub struct GreedyDme {
-    engine: EngineConfig,
-    topo: TopoConfig,
-    model: Option<DelayModel>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct GreedyDme;
 
 impl GreedyDme {
     /// Zero-skew routing with default settings.
     pub fn new() -> Self {
-        Self {
-            engine: EngineConfig::default(),
-            topo: TopoConfig::default(),
-            model: None,
-        }
-    }
-
-    /// Overrides the engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the merge-order configuration.
-    pub fn with_topo(mut self, topo: TopoConfig) -> Self {
-        self.topo = topo;
-        self
-    }
-
-    /// Overrides the delay model.
-    pub fn with_model(mut self, model: DelayModel) -> Self {
-        self.model = Some(model);
-        self
+        Self
     }
 
     /// The router as explicit stage configuration (see [`AstDme::plan`]).
     pub fn plan(&self) -> StagePlan {
         StagePlan {
-            model: self.model,
-            engine: self.engine,
-            topo: self.topo,
             grouping: GroupingStage::Single { bound: None },
-            merge: MergeStage::Flat,
+            ..AstDme::new().plan()
         }
-    }
-}
-
-impl Default for GreedyDme {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -284,33 +225,13 @@ impl ClockRouter for GreedyDme {
 ///
 /// On intermingled groups this wastes wire through overlap (the paper's
 /// Fig. 2a observation); it exists as the comparison strawman.
-#[derive(Debug, Clone)]
-pub struct StitchPerGroup {
-    engine: EngineConfig,
-    topo: TopoConfig,
-    model: Option<DelayModel>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct StitchPerGroup;
 
 impl StitchPerGroup {
     /// Stitching router with default settings.
     pub fn new() -> Self {
-        Self {
-            engine: EngineConfig::default(),
-            topo: TopoConfig::default(),
-            model: None,
-        }
-    }
-
-    /// Overrides the engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Overrides the delay model.
-    pub fn with_model(mut self, model: DelayModel) -> Self {
-        self.model = Some(model);
-        self
+        Self
     }
 
     /// The router as explicit stage configuration (see [`AstDme::plan`]).
@@ -319,18 +240,10 @@ impl StitchPerGroup {
     /// each group before any cross-group merge.
     pub fn plan(&self) -> StagePlan {
         StagePlan {
-            model: self.model,
-            engine: self.engine,
-            topo: self.topo,
             grouping: GroupingStage::Single { bound: None },
             merge: MergeStage::PerGroupThenStitch,
+            ..AstDme::new().plan()
         }
-    }
-}
-
-impl Default for StitchPerGroup {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -456,6 +369,17 @@ mod tests {
         let tree = StitchPerGroup::new().route(&inst).unwrap();
         let report = audit(&tree, &inst, &DelayModel::elmore(*inst.rc()));
         assert!(report.max_intra_group_skew() < 1e-16);
+    }
+
+    #[test]
+    fn zero_bound_ext_bst_routes_exactly_as_greedy_dme() {
+        // The crate docs' claim: a zero global bound is zero skew, so the
+        // two routers must agree to the bit, audit report included.
+        let inst = interleaved(12);
+        let greedy = GreedyDme::new().route_traced(&inst).unwrap();
+        let bst = ExtBst::new(0.0).route_traced(&inst).unwrap();
+        assert_eq!(bst.tree, greedy.tree);
+        assert_eq!(bst.report, greedy.report);
     }
 
     #[test]

@@ -246,20 +246,6 @@ impl MergeForest {
         best
     }
 
-    /// Minimum estimated merge cost over all candidate pairs (see
-    /// [`MergeForest::merge_distance`] for the purely geometric variant).
-    pub fn merge_cost(&self, a: NodeId, b: NodeId) -> f64 {
-        let ctx = self.ctx();
-        let mut scratch = Scratch::default();
-        let mut best = f64::INFINITY;
-        for ia in 0..self.nodes[a.0].cands.len() {
-            for ib in 0..self.nodes[b.0].cands.len() {
-                best = best.min(ctx.pair_cost_estimate(a, b, ia, ib, &mut scratch));
-            }
-        }
-        best
-    }
-
     /// The largest root-to-sink delay among a node's candidates (used by
     /// the delay-target merging-order enhancement, Ch. V.F). O(1): cached
     /// at candidate creation like [`MergeForest::representative_region`].
