@@ -19,14 +19,18 @@
 //!
 //! The binary runs under a counting global allocator; every run emits an
 //! `allocs_per_merge` section recording total allocations per merge for
-//! the incremental planner under both merge orders.
+//! the incremental planner under both merge orders, and a
+//! `planner_counters` section with the merge stage's deterministic planner
+//! counters (rounds, grid builds, grid neighbor queries) for the same
+//! routes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::time::Instant;
 
 use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
-    run_bottom_up, run_bottom_up_from_scratch, DelayModel, EngineConfig, Instance, TopoConfig,
+    run_bottom_up, run_bottom_up_from_scratch, AstDme, ClockRouter, DelayModel, EngineConfig,
+    Instance, StageStats, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
@@ -216,7 +220,34 @@ fn measure_allocs(n: usize, inst: &Instance) -> Vec<AllocMeasurement> {
     out
 }
 
-fn to_json(measurements: &[Measurement], allocs: &[AllocMeasurement]) -> String {
+/// The merge stage's planner counters for one route per merge order (the
+/// configuration the timing and allocation runs use, routed through the
+/// pipeline so the counters come from its merge-stage [`StageStats`]).
+/// Deterministic for a fixed build, like the allocation counts.
+fn measure_counters(n: usize, inst: &Instance) -> Vec<(usize, &'static str, StageStats)> {
+    let mut out = Vec::new();
+    for (order_name, topo) in [
+        ("greedy", TopoConfig::greedy()),
+        ("multi_merge", TopoConfig::default()),
+    ] {
+        let router = AstDme::new()
+            .with_engine(EngineConfig::fast())
+            .with_topo(topo);
+        let m = router.route_traced(inst).expect("routes").stats.merge;
+        eprintln!(
+            "n={n:>6} {order_name:<12} rounds {:>6}  grid builds {:>5}  nn queries {:>8}",
+            m.rounds, m.grid_builds, m.nn_queries
+        );
+        out.push((n, order_name, m));
+    }
+    out
+}
+
+fn to_json(
+    measurements: &[Measurement],
+    allocs: &[AllocMeasurement],
+    counters: &[(usize, &'static str, StageStats)],
+) -> String {
     let items: Vec<String> = measurements
         .iter()
         .map(|m| {
@@ -275,11 +306,30 @@ fn to_json(measurements: &[Measurement], allocs: &[AllocMeasurement]) -> String 
             )
         })
         .collect();
+    // Planner counters: deterministic, CI-regressable.
+    let counter_items: Vec<String> = counters
+        .iter()
+        .map(|(n, order, m)| {
+            json::object(
+                &[
+                    json::field("n", format!("{n}")),
+                    json::field("order", json::quote(order)),
+                    json::field("engine", json::quote("fast")),
+                    json::field("rounds", format!("{}", m.rounds)),
+                    json::field("merges", format!("{}", m.merges)),
+                    json::field("grid_builds", format!("{}", m.grid_builds)),
+                    json::field("nn_queries", format!("{}", m.nn_queries)),
+                ],
+                4,
+            )
+        })
+        .collect();
     format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {}\n}}\n",
+        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {},\n  \"planner_counters\": {}\n}}\n",
         json::array(&items, 2),
         json::array(&summaries, 2),
-        json::array(&alloc_items, 2)
+        json::array(&alloc_items, 2),
+        json::array(&counter_items, 2)
     )
 }
 
@@ -311,12 +361,14 @@ fn main() {
 
     let mut measurements = Vec::new();
     let mut alloc_measurements = Vec::new();
+    let mut counters = Vec::new();
     for &n in &sizes {
         let inst = instance(n);
         measurements.extend(measure(n, &inst));
         alloc_measurements.extend(measure_allocs(n, &inst));
+        counters.extend(measure_counters(n, &inst));
     }
-    let doc = to_json(&measurements, &alloc_measurements);
+    let doc = to_json(&measurements, &alloc_measurements, &counters);
     std::fs::write(&out_path, &doc).expect("write BENCH_scaling.json");
     eprintln!("wrote {out_path}");
 

@@ -59,6 +59,12 @@ pub(crate) struct MergeTrace {
     pub(crate) engine_seconds: f64,
     /// Seconds reporting merged rounds back to the planner.
     pub(crate) apply_seconds: f64,
+    /// Grid builds by the incremental planner
+    /// ([`MergePlanner::grid_builds`]).
+    pub(crate) grid_builds: usize,
+    /// Grid neighbor queries by the incremental planner
+    /// ([`MergePlanner::nn_queries`]).
+    pub(crate) nn_queries: usize,
 }
 
 impl MergeTrace {
@@ -70,6 +76,8 @@ impl MergeTrace {
         self.plan_seconds += other.plan_seconds;
         self.engine_seconds += other.engine_seconds;
         self.apply_seconds += other.apply_seconds;
+        self.grid_builds += other.grid_builds;
+        self.nn_queries += other.nn_queries;
     }
 }
 
@@ -162,6 +170,8 @@ pub(crate) fn merge_until_one_traced(
         trace.rounds += 1;
         trace.merges += round.len();
     }
+    trace.grid_builds = planner.grid_builds();
+    trace.nn_queries = planner.nn_queries();
     (NodeId::from_index(planner.sole_key()), trace)
 }
 

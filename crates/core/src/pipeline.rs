@@ -111,6 +111,16 @@ pub struct StageStats {
     /// step). The three splits sum to at most `seconds`: forest
     /// construction and loop bookkeeping are in none of them.
     pub apply_seconds: f64,
+    /// Grid neighbor-index builds by the incremental merge planner: one at
+    /// construction, one per multi-merge (refresh) round, plus amortized
+    /// rebuilds and takeover grids on the point-update path (merge stage
+    /// only; zero on a cache hit and in an ECO replay's planning).
+    /// Deterministic for a fixed instance and plan.
+    pub grid_builds: usize,
+    /// Grid nearest-neighbor and range queries by the incremental merge
+    /// planner (merge stage only; zero on a cache hit and in an ECO
+    /// replay's planning). Deterministic for a fixed instance and plan.
+    pub nn_queries: usize,
     /// Iterations of the skew-repair loop (repair stage only; zero when
     /// the stage was a no-op).
     pub repair_iterations: usize,
@@ -440,6 +450,8 @@ pub(crate) fn run_with<'a>(
         st.plan_seconds = trace.plan_seconds;
         st.engine_seconds = trace.engine_seconds;
         st.apply_seconds = trace.apply_seconds;
+        st.grid_builds = trace.grid_builds;
+        st.nn_queries = trace.nn_queries;
         Ok(Some(Planned::Fresh(forest, root)))
     })?;
     let Some(merged) = merged else {

@@ -1,11 +1,12 @@
 //! Ring-walk queries over the [`GridIndex`]: exact nearest-neighbor and
-//! bounded neighborhood visits. Split from the index maintenance in
+//! bounded neighborhood visits, all driven by the one ring walk
+//! ([`GridIndex::ring_walk`]). Split from the index maintenance in
 //! `mod.rs`; the ring visit order is part of the planner's deterministic
 //! tie-breaking (see [`for_ring_cells`]).
 
 use astdme_geom::Trr;
 
-use super::GridIndex;
+use super::{Cell, GridIndex};
 
 impl GridIndex {
     /// The nearest other item to `region` (excluding `key` itself), by
@@ -29,51 +30,8 @@ impl GridIndex {
         if self.len <= 1 {
             return None;
         }
-        let center_cell = self.cell_of(region.center());
-        // Every populated cell lies within Chebyshev distance `max_ring` of
-        // the query cell, so rings beyond it cannot contain items.
-        let max_ring = (center_cell.0 - self.cell_min.0)
-            .abs()
-            .max((self.cell_max.0 - center_cell.0).abs())
-            .max((center_cell.1 - self.cell_min.1).abs())
-            .max((self.cell_max.1 - center_cell.1).abs())
-            .max(0);
-        let mut best: Option<(usize, f64)> = hint;
-        for ring in 0..=max_ring {
-            // Lower bound on distance for items in this ring: their center
-            // is at least (ring - 1) cells away (center-to-center L1 is at
-            // least the per-axis gap); region distance trims at most half
-            // of each diameter off that.
-            let base = ((ring - 1).max(0) as f64) * self.cell_size;
-            let ring_lb = base - 0.5 * (self.max_extent + region.diameter());
-            if let Some((_, d)) = best {
-                if d <= ring_lb {
-                    break;
-                }
-            }
-            for_ring_cells(center_cell, ring, |cx, cy| {
-                let Some((items, ext)) = self.slot(cx, cy) else {
-                    return;
-                };
-                // The same bound with the cell's own extent: a far-away
-                // huge region cannot force item scans here.
-                if let Some((_, d)) = best {
-                    if d <= base - 0.5 * (ext + region.diameter()) {
-                        return;
-                    }
-                }
-                for (k, t) in items {
-                    if *k == key {
-                        continue;
-                    }
-                    let d = region.distance(t);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((*k, d));
-                    }
-                }
-            });
-        }
-        best
+        let horizon = hint.map_or(f64::INFINITY, |(_, d)| d);
+        self.nearest_below(key, region, hint, horizon)
     }
 
     /// The nearest other item to `region` at exact region distance
@@ -88,50 +46,45 @@ impl GridIndex {
         if self.len == 0 {
             return None;
         }
-        let center_cell = self.cell_of(region.center());
-        let max_ring = (center_cell.0 - self.cell_min.0)
-            .abs()
-            .max((self.cell_max.0 - center_cell.0).abs())
-            .max((center_cell.1 - self.cell_min.1).abs())
-            .max((self.cell_max.1 - center_cell.1).abs())
-            .max(0);
-        let mut best: Option<(usize, f64)> = None;
-        for ring in 0..=max_ring {
-            let base = ((ring - 1).max(0) as f64) * self.cell_size;
-            let ring_lb = base - 0.5 * (self.max_extent + region.diameter());
-            let cap = best.map_or(bound, |(_, d)| d);
-            if ring_lb >= cap {
-                break;
+        self.nearest_below(key, region, None, bound)
+    }
+
+    /// The nearest item other than `key` strictly closer than `horizon`,
+    /// or `best` when none is. Each strictly closer item found replaces
+    /// `best` and tightens the horizon to its distance.
+    fn nearest_below(
+        &self,
+        key: usize,
+        region: &Trr,
+        mut best: Option<(usize, f64)>,
+        mut horizon: f64,
+    ) -> Option<(usize, f64)> {
+        self.ring_walk(region, horizon, |items, _, _| {
+            for (k, t) in items {
+                if *k == key {
+                    continue;
+                }
+                let d = region.distance(t);
+                if d < horizon {
+                    best = Some((*k, d));
+                    horizon = d;
+                }
             }
-            for_ring_cells(center_cell, ring, |cx, cy| {
-                let Some((items, ext)) = self.slot(cx, cy) else {
-                    return;
-                };
-                let cap = best.map_or(bound, |(_, d)| d);
-                if base - 0.5 * (ext + region.diameter()) >= cap {
-                    return;
-                }
-                for (k, t) in items {
-                    if *k == key {
-                        continue;
-                    }
-                    let d = region.distance(t);
-                    if d < bound && best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((*k, d));
-                    }
-                }
-            });
-        }
+            horizon
+        });
         best
     }
 
-    /// [`GridIndex::neighbors_within`], additionally skipping cells whose
-    /// noted cap ([`GridIndex::note_cap`]) rules every item out: a cell is
-    /// visited only if some item in it could lie *strictly closer* than
-    /// the cell's own cap. The planner's neighbor-takeover scan uses this
-    /// with per-entry cached distances as caps, so the global `bound`
-    /// (the largest cached distance anywhere) only sets the ring-walk
-    /// horizon while dense regions prune themselves locally.
+    /// Visits every item (other than `key`) whose exact region distance to
+    /// `region` is at most `bound`, calling `f(item_key, distance)` —
+    /// except in cells whose noted cap ([`GridIndex::note_cap`]) rules
+    /// every item out: a cell is visited only if some item in it could lie
+    /// *strictly closer* than both the cell's own cap and `bound`. The
+    /// planner's neighbor-takeover scan uses this with per-entry cached
+    /// distances as caps, so the global `bound` (the largest cached
+    /// distance anywhere) only sets the ring-walk horizon while dense
+    /// regions prune themselves locally. With caps of at least `bound`
+    /// this is a plain range query.
     pub fn neighbors_within_capped<F: FnMut(usize, f64)>(
         &self,
         key: usize,
@@ -142,28 +95,8 @@ impl GridIndex {
         if self.len == 0 {
             return;
         }
-        let center_cell = self.cell_of(region.center());
-        let max_ring = (center_cell.0 - self.cell_min.0)
-            .abs()
-            .max((self.cell_max.0 - center_cell.0).abs())
-            .max((center_cell.1 - self.cell_min.1).abs())
-            .max((self.cell_max.1 - center_cell.1).abs())
-            .max(0);
-        for ring in 0..=max_ring {
-            let base = ((ring - 1).max(0) as f64) * self.cell_size;
-            let ring_lb = base - 0.5 * (self.max_extent + region.diameter());
-            if ring_lb > bound {
-                break;
-            }
-            for_ring_cells(center_cell, ring, |cx, cy| {
-                let Some((items, ext)) = self.slot(cx, cy) else {
-                    return;
-                };
-                let i = (cy * self.grid_w + cx) as usize;
-                let cell_bound = self.cell_caps[i].min(bound);
-                if base - 0.5 * (ext + region.diameter()) >= cell_bound {
-                    return;
-                }
+        self.ring_walk(region, bound, |items, cell, lb| {
+            if lb < cell.cap {
                 for (k, t) in items {
                     if *k == key {
                         continue;
@@ -173,25 +106,26 @@ impl GridIndex {
                         f(*k, d);
                     }
                 }
-            });
-        }
+            }
+            bound
+        });
     }
 
-    /// Visits every item (other than `key`) whose exact region distance to
-    /// `region` is at most `bound`, calling `f(item_key, distance)`.
-    /// Ring expansion stops as soon as no unvisited cell can hold an item
-    /// within the bound, so tight bounds touch only a few cells.
-    pub fn neighbors_within<F: FnMut(usize, f64)>(
+    /// The one ring walk behind every query: visits the populated cells
+    /// ring by ring outward from `region`'s cell, stopping once no
+    /// unvisited cell can hold an item strictly closer than `horizon`, and
+    /// skipping each cell that cannot. `visit(items, cell, lb)` sees the
+    /// cell's live items and the cell's distance lower bound `lb`, and
+    /// returns the (possibly tightened) horizon.
+    fn ring_walk(
         &self,
-        key: usize,
         region: &Trr,
-        bound: f64,
-        mut f: F,
+        mut horizon: f64,
+        mut visit: impl FnMut(&[(usize, Trr)], &Cell, f64) -> f64,
     ) {
-        if self.len == 0 {
-            return;
-        }
         let center_cell = self.cell_of(region.center());
+        // Every populated cell lies within Chebyshev distance `max_ring` of
+        // the query cell, so rings beyond it cannot contain items.
         let max_ring = (center_cell.0 - self.cell_min.0)
             .abs()
             .max((self.cell_max.0 - center_cell.0).abs())
@@ -199,27 +133,25 @@ impl GridIndex {
             .max((self.cell_max.1 - center_cell.1).abs())
             .max(0);
         for ring in 0..=max_ring {
+            // Lower bound on distance for items in this ring: their center
+            // is at least (ring - 1) cells away (center-to-center L1 is at
+            // least the per-axis gap); region distance trims at most half
+            // of each diameter off that.
             let base = ((ring - 1).max(0) as f64) * self.cell_size;
-            let ring_lb = base - 0.5 * (self.max_extent + region.diameter());
-            if ring_lb > bound {
+            if base - 0.5 * (self.max_extent + region.diameter()) >= horizon {
                 break;
             }
             for_ring_cells(center_cell, ring, |cx, cy| {
-                let Some((items, ext)) = self.slot(cx, cy) else {
+                let Some((items, cell)) = self.cell(cx, cy) else {
                     return;
                 };
-                if base - 0.5 * (ext + region.diameter()) > bound {
+                // The same bound with the cell's own extent: a far-away
+                // huge region cannot force item scans here.
+                let lb = base - 0.5 * (cell.ext + region.diameter());
+                if lb >= horizon {
                     return;
                 }
-                for (k, t) in items {
-                    if *k == key {
-                        continue;
-                    }
-                    let d = region.distance(t);
-                    if d <= bound {
-                        f(*k, d);
-                    }
-                }
+                horizon = visit(items, cell, lb);
             });
         }
     }

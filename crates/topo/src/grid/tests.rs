@@ -2,6 +2,7 @@
 
 use super::*;
 use astdme_geom::{Point, Trr};
+use proptest::prelude::*;
 
 fn pts(coords: &[(f64, f64)]) -> Vec<(usize, Trr)> {
     coords
@@ -9,6 +10,18 @@ fn pts(coords: &[(f64, f64)]) -> Vec<(usize, Trr)> {
         .enumerate()
         .map(|(i, &(x, y))| (i, Trr::from_point(Point::new(x, y))))
         .collect()
+}
+
+fn build(items: &[(usize, Trr)]) -> GridIndex {
+    GridIndex::build(items.iter().copied())
+}
+
+/// Notes a cap of `f64::INFINITY` on every item's cell, which turns
+/// [`GridIndex::neighbors_within_capped`] into a plain range query.
+fn uncap(idx: &mut GridIndex, items: &[(usize, Trr)]) {
+    for (_, t) in items {
+        idx.note_cap(t, f64::INFINITY);
+    }
 }
 
 #[test]
@@ -28,7 +41,7 @@ fn nearest_matches_bruteforce_on_random_points() {
         coords.push((x, y));
     }
     let items = pts(&coords);
-    let idx = GridIndex::build(&items);
+    let idx = build(&items);
     for (key, region) in &items {
         let (nn, d) = idx.nearest(*key, region).unwrap();
         // Brute force.
@@ -48,14 +61,14 @@ fn nearest_matches_bruteforce_on_random_points() {
 #[test]
 fn nearest_none_for_single_item() {
     let items = pts(&[(0.0, 0.0)]);
-    let idx = GridIndex::build(&items);
+    let idx = build(&items);
     assert!(idx.nearest(0, &items[0].1).is_none());
 }
 
 #[test]
 fn insert_remove_roundtrip() {
     let items = pts(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]);
-    let mut idx = GridIndex::build(&items);
+    let mut idx = build(&items);
     assert_eq!(idx.len(), 3);
     assert!(idx.remove(1, &items[1].1));
     assert!(!idx.remove(1, &items[1].1));
@@ -75,14 +88,14 @@ fn regions_with_extent_use_region_distance() {
     let big = (1usize, Trr::from_point(Point::new(100.0, 0.0)).dilate(95.0));
     let far = (2usize, Trr::from_point(Point::new(30.0, 0.0)));
     let items = vec![a, big, far];
-    let idx = GridIndex::build(&items);
+    let idx = build(&items);
     let (nn, d) = idx.nearest(0, &items[0].1).unwrap();
     assert_eq!(nn, 1, "the dilated region is nearer by set distance");
     assert!((d - 5.0).abs() < 1e-9);
 }
 
 #[test]
-fn neighbors_within_finds_exactly_the_in_range_items() {
+fn uncapped_range_query_finds_exactly_the_in_range_items() {
     let items = pts(&[
         (0.0, 0.0),
         (10.0, 0.0),
@@ -90,14 +103,15 @@ fn neighbors_within_finds_exactly_the_in_range_items() {
         (100.0, 0.0),
         (31.0, 0.0),
     ]);
-    let idx = GridIndex::build(&items);
+    let mut idx = build(&items);
+    uncap(&mut idx, &items);
     let mut found: Vec<(usize, f64)> = Vec::new();
-    idx.neighbors_within(0, &items[0].1, 30.0, |k, d| found.push((k, d)));
+    idx.neighbors_within_capped(0, &items[0].1, 30.0, |k, d| found.push((k, d)));
     found.sort_by_key(|&(k, _)| k);
     assert_eq!(found, vec![(1, 10.0), (2, 25.0)]);
-    // Zero bound: only exact-contact items; none here.
+    // A tight bound: nothing else lies within 1.0 of the far item.
     let mut none = 0;
-    idx.neighbors_within(3, &items[3].1, 1.0, |_, _| none += 1);
+    idx.neighbors_within_capped(3, &items[3].1, 1.0, |_, _| none += 1);
     assert_eq!(none, 0);
 }
 
@@ -109,10 +123,180 @@ fn clustered_points_found_across_cells() {
         (1000.5, 1000.5),
         (2000.0, 0.0),
     ]);
-    let idx = GridIndex::build(&items);
+    let idx = build(&items);
     let (nn, _) = idx.nearest(1, &items[1].1).unwrap();
     assert_eq!(nn, 2);
     let (nn0, d0) = idx.nearest(0, &items[0].1).unwrap();
     assert_eq!(nn0, 1);
     assert!((d0 - 2000.0).abs() < 1e-9);
+}
+
+#[test]
+fn build_keeps_input_order_within_each_cell() {
+    // Four coincident items share a cell; their order is the input order,
+    // and `iter` walks cells in row-major order.
+    let items = pts(&[(5.0, 5.0), (0.0, 0.0), (5.0, 5.0), (5.0, 5.0), (5.0, 5.0)]);
+    let idx = build(&items);
+    let keys: Vec<usize> = idx.iter().map(|&(k, _)| k).collect();
+    assert_eq!(keys, vec![1, 0, 2, 3, 4]);
+    assert_eq!(idx.items.len(), items.len(), "a build leaves no free slots");
+}
+
+/// A small deterministic generator for the property test's layouts.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self, m: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % m
+    }
+
+    /// A region on a coarse lattice (so centers often coincide), sometimes
+    /// dilated (so regions overlap at distance 0), and with `outside`
+    /// sometimes far beyond the lattice (so it clamps into a border cell).
+    fn region(&mut self, outside: bool) -> Trr {
+        let (mut x, mut y) = (self.next(12) as f64 * 7.5, self.next(12) as f64 * 7.5);
+        if outside && self.next(4) == 0 {
+            x = if self.next(2) == 0 { -400.0 } else { 900.0 } + self.next(50) as f64;
+            y += self.next(3) as f64 * 300.0 - 300.0;
+        }
+        let t = Trr::from_point(Point::new(x, y));
+        match self.next(5) {
+            0 => t.dilate(self.next(4) as f64 * 6.0),
+            _ => t,
+        }
+    }
+}
+
+/// The brute-force nearest distance from `region` to every live item
+/// other than `key`.
+fn bf_min(live: &[(usize, Trr)], key: usize, region: &Trr) -> Option<f64> {
+    live.iter()
+        .filter(|(k, _)| *k != key)
+        .map(|(_, t)| region.distance(t))
+        .min_by(f64::total_cmp)
+}
+
+/// Checks every query against brute force over `live`, for each live item
+/// and a few absent probes, and every cell's item order against `model`.
+fn check(idx: &GridIndex, live: &[(usize, Trr)], model: &[Vec<(usize, Trr)>], rng: &mut Lcg) {
+    assert_eq!(idx.len(), live.len());
+    for (i, c) in idx.cells.iter().enumerate() {
+        let cell = &idx.items[c.start as usize..(c.start + c.len) as usize];
+        assert_eq!(cell, &model[i][..], "cell {i} order");
+        assert!(c.start + c.len <= c.end);
+    }
+    let probes: Vec<(usize, Trr)> = (0..3).map(|_| (usize::MAX, rng.region(true))).collect();
+    for &(key, region) in live.iter().chain(&probes) {
+        let want = bf_min(live, key, &region);
+        let got = idx.nearest(key, &region);
+        if idx.len() <= 1 {
+            assert!(got.is_none());
+        } else {
+            let (k, d) = got.expect("other items exist");
+            assert_eq!(Some(d), want, "nearest of {key}");
+            assert_ne!(k, key);
+            assert!(live
+                .iter()
+                .any(|(lk, t)| *lk == k && region.distance(t) == d));
+        }
+        // Hints at the worst live distance and at the last (largest-key)
+        // item tied for nearest: the answer is the true nearest distance,
+        // and an exact tie with the hint keeps the hint.
+        let others = || {
+            live.iter()
+                .filter(|(k, _)| *k != key)
+                .map(|(k, t)| (*k, region.distance(t)))
+        };
+        let worst = others().max_by(|a, b| a.1.total_cmp(&b.1));
+        let tied = others()
+            .filter(|&(_, d)| Some(d) == want)
+            .max_by_key(|&(k, _)| k);
+        for h in [worst, tied].into_iter().flatten() {
+            if idx.len() > 1 {
+                let (k, d) = idx.nearest_with_hint(key, &region, Some(h)).unwrap();
+                assert_eq!(Some(d), want, "hinted nearest of {key}");
+                if d == h.1 {
+                    assert_eq!(k, h.0, "ties resolve toward the hint");
+                }
+            }
+        }
+        // Bounds below, at, and above the true nearest distance.
+        let base = want.unwrap_or(10.0);
+        for bound in [0.0, base, base + 0.5, base + 40.0] {
+            let got = idx.nearest_within(key, &region, bound);
+            match want.filter(|&w| w < bound) {
+                Some(w) => assert_eq!(got.map(|(_, d)| d), Some(w), "within {bound}"),
+                None => assert!(got.is_none(), "nothing lies below {bound}"),
+            }
+            // Range query: every reported item is in range; every item
+            // strictly inside both the bound and its cell's cap is
+            // reported.
+            let mut seen: Vec<usize> = Vec::new();
+            idx.neighbors_within_capped(key, &region, bound, |k, d| {
+                assert!(d <= bound && k != key);
+                seen.push(k);
+            });
+            seen.sort_unstable();
+            let before = seen.len();
+            seen.dedup();
+            assert_eq!(before, seen.len(), "each item reported once");
+            for (k, t) in live.iter().filter(|(k, _)| *k != key) {
+                let d = region.distance(t);
+                let cap = idx.cells[idx.index_of(t)].cap;
+                if d < bound.min(cap) {
+                    assert!(seen.contains(k), "item {k}@{d} missed (bound {bound})");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random builds followed by random inserts and removes: every query
+    /// agrees with brute force, and every cell keeps exactly the order a
+    /// `Vec` per cell would under `push` and `swap_remove` — the
+    /// tie-break contract the greedy planner relies on.
+    #[test]
+    fn mixed_updates_match_bruteforce_and_the_vec_model(seed in any::<u64>()) {
+        let mut rng = Lcg(seed);
+        let n0 = rng.next(40) as usize;
+        let mut live: Vec<(usize, Trr)> = (0..n0).map(|k| (k, rng.region(false))).collect();
+        let mut idx = GridIndex::build(live.iter().copied());
+        let mut model: Vec<Vec<(usize, Trr)>> = vec![Vec::new(); idx.cells.len()];
+        for &(k, t) in &live {
+            model[idx.index_of(&t)].push((k, t));
+        }
+        let mut next_key = n0;
+        for step in 0..60 {
+            if step % 5 == 0 {
+                // Caps on a random subset of the live items' cells.
+                for &(_, t) in &live {
+                    if rng.next(3) == 0 {
+                        idx.note_cap(&t, rng.next(40) as f64);
+                    }
+                }
+            }
+            if live.is_empty() || rng.next(5) < 3 {
+                let t = rng.region(true);
+                idx.insert(next_key, t);
+                model[idx.index_of(&t)].push((next_key, t));
+                live.push((next_key, t));
+                next_key += 1;
+            } else {
+                let (k, t) = live.swap_remove(rng.next(live.len() as u64) as usize);
+                prop_assert!(idx.remove(k, &t));
+                prop_assert!(!idx.remove(k, &t), "a removed key is gone");
+                let cell = &mut model[idx.index_of(&t)];
+                let j = cell.iter().position(|&(mk, _)| mk == k).expect("modelled");
+                cell.swap_remove(j);
+            }
+            check(&idx, &live, &model, &mut rng);
+        }
+    }
 }

@@ -9,10 +9,12 @@
 //!   **from scratch** (rebuilds the index and re-queries every neighbor on
 //!   each call): the reference implementation;
 //! * [`MergePlanner`] — the **incremental planner** the routing drivers
-//!   use: the index is built once, merges patch it in place, and only
-//!   invalidated neighbor caches are re-queried, making a full bottom-up
-//!   run near-linear instead of quadratic (see the `planner` module docs
-//!   for the data structures and the equivalence argument);
+//!   use: neighbor caches and pair scores survive across rounds, so only
+//!   invalidated caches pay the exact-distance refinement, making a full
+//!   bottom-up run near-linear instead of quadratic. Multi-merge rounds
+//!   rebuild the flat grid once per round; greedy rounds patch it in place
+//!   (see the `planner` module docs for the data structures and the
+//!   equivalence argument);
 //! * two merge orders under either planner:
 //!   * [`MergeOrder::GreedyNearest`]: the paper's base scheme, one
 //!     minimum-cost pair per round;

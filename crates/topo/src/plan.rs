@@ -236,7 +236,7 @@ pub(crate) fn nearest_bruteforce<S: MergeSpace>(
 
 fn nearest_with_grid<S: MergeSpace>(space: &S, active: &[usize]) -> Vec<(usize, usize, f64)> {
     let items: Vec<(usize, Trr)> = active.iter().map(|&id| (id, space.region(id))).collect();
-    let grid = GridIndex::build(&items);
+    let grid = GridIndex::build(items.iter().copied());
     // Grid distance is between representative regions; refine with the
     // exact candidate-level cost.
     let pairs = items.iter().filter_map(|(id, region)| {

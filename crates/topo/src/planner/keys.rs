@@ -19,11 +19,14 @@ impl MergePlanner {
         }
     }
 
-    /// Grows the dense per-key tables to cover `key`.
+    /// Grows the dense per-key tables to cover `key` (`rev` only while
+    /// the point-update path maintains it).
     pub(super) fn ensure_key(&mut self, key: usize) {
         assert!(key < NO_POS as usize, "planner keys must fit u32");
         if key >= self.pos.len() {
             self.pos.resize(key + 1, NO_POS);
+        }
+        if self.point_valid && key >= self.rev.len() {
             self.rev.resize_with(key + 1, Vec::new);
         }
     }
@@ -60,11 +63,9 @@ impl MergePlanner {
         }
     }
 
-    /// Removes `key` from the active set and the grid only — no pair-set
-    /// or back-reference maintenance. Valid solely on the refresh path,
-    /// which rebuilds those from the surviving entries (the grid, by
-    /// contrast, is patched here per merge: O(round) beats the O(n)
-    /// wholesale rebuild the refresh would otherwise need). Uses the same
+    /// Removes `key` from the active set only — no grid, pair-set or
+    /// back-reference maintenance. Valid solely on the refresh path, which
+    /// rebuilds all of those from the surviving entries. Uses the same
     /// swap-remove discipline as [`MergePlanner::remove_key`], so the
     /// entries order (and hence tie-breaking) is identical on both paths.
     pub(super) fn drop_key(&mut self, key: usize) {
@@ -72,20 +73,18 @@ impl MergePlanner {
             .pos_of(key)
             .expect("apply_merge called with an inactive key");
         self.pos[key] = NO_POS;
-        let entry = self.entries.swap_remove(i);
+        self.entries.swap_remove(i);
         if i < self.entries.len() {
             self.pos[self.entries[i].key] = i as u32;
         }
-        self.grid.remove(key, &entry.region);
     }
 
-    /// Adds `key` to the active set and the grid only (refresh path; see
+    /// Adds `key` to the active set only (refresh path; see
     /// [`MergePlanner::drop_key`]).
     pub(super) fn add_key_deferred<S: MergeSpace>(&mut self, space: &S, key: usize) {
         let region = space.region(key);
         self.ensure_key(key);
         assert!(self.pos[key] == NO_POS, "duplicate planner key {key}");
-        self.grid.insert(key, region);
         self.pos[key] = self.entries.len() as u32;
         self.entries.push(Entry {
             key,

@@ -5,9 +5,12 @@
 //! every pair, making the driving loop O(n²)–O(n³) over a whole routing
 //! run. [`MergePlanner`] keeps that work alive across rounds:
 //!
-//! * the [`GridIndex`] is built **once** and maintained by removal and
-//!   insertion (with amortized rebuilds when the active set halves or
-//!   region extents outgrow the cell size, keeping queries local);
+//! * the [`GridIndex`] answers every neighbor query. Multi-merge rounds
+//!   rebuild it from the survivors (one flat counting-sort build, so the
+//!   cell size tracks the live set every round); greedy rounds maintain it
+//!   by removal and insertion, with amortized rebuilds when the active set
+//!   halves or region extents outgrow the cell size, keeping queries
+//!   local;
 //! * each active subtree caches its nearest neighbor; a merge invalidates
 //!   only the entries whose neighbor was consumed (re-queried against the
 //!   grid) plus a bounded grid range query deciding whether the newly
@@ -31,11 +34,12 @@
 //! large fraction of the active set (Edahiro-style multi-merging pairs
 //! off ~a quarter of the subtrees per round), incremental patching is
 //! slower than starting over, so past [`ROUND_REFRESH_DIVISOR`] the sweep
-//! switches to a **refresh**: patch the grid per merge (amortized rebuilds
-//! as usual) and re-derive every neighbor cache, reusing the cached pair
-//! score whenever
-//! a subtree's neighbor did not change (which skips the expensive exact
-//! `MergeSpace::distance` refinement — the bulk of a from-scratch round).
+//! switches to a **refresh**: the round's merges touch only the active
+//! set, then one grid build over the survivors and a sweep re-deriving
+//! every neighbor cache in the grid's cell order, reusing the cached pair
+//! score whenever a subtree's neighbor did not change (which skips the
+//! expensive exact `MergeSpace::distance` refinement — the bulk of a
+//! from-scratch round).
 //!
 //! All per-key state lives in flat vectors indexed by key (`NO_POS`
 //! sentinel for inactive): the planner assumes **dense keys** — merged
@@ -65,7 +69,7 @@
 //! | `keys` | the dense key tables: position map growth, active-set removal/insertion, back-reference invalidation |
 //! | `pairs` | the pair ranking: score folding, the lazy min-heap, the flat post-refresh ranking, round selection |
 //! | `points` | the point-update maintenance path: dirty-cache flushes, neighbor takeover scans, the takeover bound |
-//! | `refresh` | bulk maintenance: the initial derivation, the multi-merge refresh sweep, amortized grid rebuilds |
+//! | `refresh` | bulk maintenance: the initial derivation, the multi-merge refresh sweep, grid (re)builds |
 //! | `tail` | the brute-force tail below the cutoff, with its memoized distance matrix |
 
 use std::cmp::Reverse;
@@ -94,11 +98,12 @@ const NO_HINT: usize = usize::MAX;
 
 /// When one round's merges replace at least `1/ROUND_REFRESH_DIVISOR` of
 /// the surviving active set, [`MergePlanner::apply_round`] refreshes the
-/// whole neighbor structure instead of patching it: the patching constant
-/// (takeover range queries, invalidation re-queries) exceeds the refresh
-/// cost once most caches are invalidated anyway. Multi-merge rounds
-/// (fraction ≥ ~1/8) always refresh; greedy rounds (one merge) never do
-/// above the brute-force cutoff.
+/// whole neighbor structure — grid included — instead of patching it: the
+/// patching constant (per-merge grid updates, takeover range queries,
+/// invalidation re-queries) exceeds the cost of a grid build plus a
+/// refresh sweep once most caches are invalidated anyway. Multi-merge
+/// rounds (fraction ≥ ~1/8) always refresh; greedy rounds (one merge)
+/// never do above the brute-force cutoff.
 const ROUND_REFRESH_DIVISOR: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
@@ -178,11 +183,18 @@ pub struct MergePlanner {
     /// see the module docs for the dense-key invariant.
     pos: Vec<u32>,
     grid: GridIndex,
-    /// Active count and max extent at the last grid (re)build; when the
-    /// set halves or extents quadruple, the grid is rebuilt so cell size
-    /// and query bounds track the surviving subtrees.
+    /// Active count and max extent at the last grid (re)build; on the
+    /// point-update path, when the set halves or extents quadruple, the
+    /// grid is rebuilt so cell size and query bounds track the surviving
+    /// subtrees.
     built_len: usize,
     built_extent: f64,
+    /// Grid builds so far: construction, every refresh round, amortized
+    /// point-path rebuilds, and takeover grids over a round's new subtrees.
+    grid_builds: usize,
+    /// Grid neighbor queries so far (nearest, bounded nearest and range
+    /// queries, in every maintenance path).
+    nn_queries: usize,
     /// Current nearest-neighbor pairs as a lazy min-heap over
     /// `(score, lo, hi)` — the exact ranking the from-scratch planner
     /// sorts into. Entries are never removed eagerly: a pair is live iff
@@ -204,7 +216,9 @@ pub struct MergePlanner {
     sorted_valid: bool,
     /// key → keys whose cached neighbor is that key (lazily validated),
     /// dense-indexed like `pos`. Inner buffers are recycled through
-    /// `rev_pool` when their key is consumed.
+    /// `rev_pool` when their key is consumed. Sized only while
+    /// `point_valid`: the refresh regime never reads it, so a multi-merge
+    /// route never allocates it.
     rev: Vec<Vec<u32>>,
     rev_pool: Vec<Vec<u32>>,
     /// Keys whose neighbor cache must be refilled from the grid, paired
@@ -232,10 +246,10 @@ pub struct MergePlanner {
     /// never go stale; the matrix stays tiny (pairs among the final few
     /// dozen subtrees).
     bf_cache: BfMemo,
-    /// Whether `rev` and `rd_heap` reflect the current caches. A refresh
-    /// re-derives every cache without maintaining either (the refresh
-    /// regime never reads them); the point-update path rebuilds both on
-    /// demand ([`MergePlanner::ensure_point_mode`]).
+    /// Whether `rev` and `rd_heap` reflect the current caches. Construction
+    /// and every refresh leave both unbuilt (the refresh regime never reads
+    /// them); the point-update path builds both on demand
+    /// ([`MergePlanner::ensure_point_mode`]).
     point_valid: bool,
     /// Set by [`MergePlanner::new`], cleared by the first flush or apply:
     /// while fresh, the initial neighbor derivation can go through the
@@ -257,8 +271,7 @@ impl MergePlanner {
                 nn: None,
             })
             .collect();
-        let items: Vec<(usize, Trr)> = entries.iter().map(|e| (e.key, e.region)).collect();
-        let grid = GridIndex::build(&items);
+        let grid = GridIndex::build(entries.iter().map(|e| (e.key, e.region)));
         let max_key = active.iter().copied().max().unwrap_or(0);
         assert!(max_key < NO_POS as usize, "planner keys must fit u32");
         let mut pos = vec![NO_POS; max_key + 1];
@@ -271,7 +284,6 @@ impl MergePlanner {
         }
         let built_extent = grid.max_extent();
         let dirty = entries.iter().map(|e| (e.key, NO_HINT)).collect();
-        let rev = vec![Vec::new(); pos.len()];
         Self {
             cfg,
             built_len: entries.len(),
@@ -279,10 +291,12 @@ impl MergePlanner {
             pos,
             grid,
             built_extent,
+            grid_builds: 1,
+            nn_queries: 0,
             pairs: BinaryHeap::new(),
             sorted_pairs: Vec::new(),
             sorted_valid: false,
-            rev,
+            rev: Vec::new(),
             rev_pool: Vec::new(),
             dirty,
             rd_heap: BinaryHeap::new(),
@@ -291,7 +305,7 @@ impl MergePlanner {
             consumed_buf: Vec::new(),
             seed_buf: Vec::new(),
             bf_cache: BfMemo::default(),
-            point_valid: true,
+            point_valid: false,
             fresh: true,
         }
     }
@@ -318,6 +332,21 @@ impl MergePlanner {
             "planner still holds multiple subtrees"
         );
         self.entries[0].key
+    }
+
+    /// Grid builds so far: one at construction, one per refresh round, one
+    /// per amortized rebuild on the point-update path, and one per
+    /// round-batched takeover check. Deterministic for a fixed merge
+    /// sequence, like [`MergePlanner::nn_queries`].
+    pub fn grid_builds(&self) -> usize {
+        self.grid_builds
+    }
+
+    /// Grid neighbor queries so far: one per neighbor cache derived or
+    /// checked, plus one range query per greedy round's new subtree. The
+    /// brute-force tail below [`BRUTE_FORCE_CUTOFF`] makes none.
+    pub fn nn_queries(&self) -> usize {
+        self.nn_queries
     }
 
     /// Whether the planner is above the brute-force cutoff, i.e. the last
@@ -380,8 +409,9 @@ impl MergePlanner {
     /// Applies one whole round of merges `(a, b, merged)` and then runs a
     /// single maintenance sweep: one combined invalidation pass, one
     /// takeover bound, one bounded range query per new subtree, and one
-    /// amortized grid-upkeep check — or a wholesale refresh when the round
-    /// replaced a large fraction of the active set (see the module docs).
+    /// amortized grid-upkeep check — or a wholesale refresh, grid build
+    /// included, when the round replaced a large fraction of the active
+    /// set (see the module docs).
     ///
     /// Produces the same observable state as applying the merges one at a
     /// time (modulo exact region-distance ties).
@@ -396,12 +426,12 @@ impl MergePlanner {
             // A round this large (multi-merge) invalidates nearly every
             // cache — merged subtrees are exactly the popular neighbors —
             // so patching would re-derive almost everything through the
-            // point-update machinery. The refresh rebuilds the ranking and
-            // every cache in bulk instead (seeded by this round's merges);
-            // the per-merge bookkeeping that would be thrown away (pair
-            // unreferencing, back-reference invalidation, takeover
-            // queries) is skipped here — only the active set and the grid
-            // are updated.
+            // point-update machinery. The refresh rebuilds the grid, the
+            // ranking and every cache in bulk instead (seeded by this
+            // round's merges); the per-merge bookkeeping that would be
+            // thrown away (grid updates, pair unreferencing,
+            // back-reference invalidation, takeover queries) is skipped
+            // here — only the active set is updated.
             for &(a, b, m) in merges {
                 self.drop_key(a);
                 self.drop_key(b);

@@ -9,8 +9,6 @@
 
 use std::collections::BinaryHeap;
 
-use astdme_geom::Trr;
-
 use super::{MergePlanner, NO_HINT, NO_POS};
 use crate::{GridIndex, MergeSpace};
 
@@ -27,6 +25,7 @@ impl MergePlanner {
         for slot in &mut self.rev {
             slot.clear();
         }
+        self.rev.resize_with(self.pos.len(), Vec::new);
         let mut heap_vec = std::mem::take(&mut self.rd_heap).into_vec();
         heap_vec.clear();
         for i in 0..self.entries.len() {
@@ -68,6 +67,7 @@ impl MergePlanner {
                 .then(|| self.pos_of(hint_key))
                 .flatten()
                 .map(|hi| (hint_key, region.distance(&self.entries[hi].region)));
+            self.nn_queries += 1;
             let Some((nn_key, rd)) = self.grid.nearest_with_hint(k, &region, hint) else {
                 continue; // sole survivor
             };
@@ -96,19 +96,17 @@ impl MergePlanner {
     /// sparse. Survivors without a cache (invalidated this round) are
     /// already dirty and re-query the full grid lazily.
     pub(super) fn takeover_round<S: MergeSpace>(&mut self, space: &S, fresh: &[usize]) {
-        let items: Vec<(usize, Trr)> = fresh
-            .iter()
-            .map(|&k| {
-                let i = self.pos_of(k).expect("new key is active");
-                (k, self.entries[i].region)
-            })
-            .collect();
-        let new_grid = GridIndex::build(&items);
+        let new_grid = GridIndex::build(fresh.iter().map(|&k| {
+            let i = self.pos_of(k).expect("new key is active");
+            (k, self.entries[i].region)
+        }));
+        self.grid_builds += 1;
         for i in 0..self.entries.len() {
             let Some(nn) = self.entries[i].nn else {
                 continue; // dirty or new: full re-query at the next flush
             };
             let k = self.entries[i].key;
+            self.nn_queries += 1;
             if let Some((m_key, rd)) =
                 new_grid.nearest_within(k, &self.entries[i].region, nn.region_dist)
             {
@@ -126,6 +124,7 @@ impl MergePlanner {
         let region = self.entries[i].region;
         let mut takeovers = std::mem::take(&mut self.takeover_buf);
         takeovers.clear();
+        self.nn_queries += 1;
         {
             let (grid, pos, entries) = (&self.grid, &self.pos, &self.entries);
             grid.neighbors_within_capped(key, &region, bound, |k, rd| {

@@ -1,13 +1,12 @@
 //! Bulk maintenance: the initial neighbor derivation, the multi-merge
-//! refresh sweep, and amortized grid rebuilds.
+//! refresh sweep, and grid (re)builds.
 //!
 //! When a round replaces a large fraction of the active set, per-merge
 //! patching re-derives almost everything anyway — so the planner starts
-//! over in bulk, reusing every cached pair score a survivor can still
-//! vouch for (which skips the exact-distance refinement, the bulk of a
+//! over in bulk: a fresh grid over the survivors, then every cache
+//! re-derived, reusing every cached pair score a survivor can still vouch
+//! for (which skips the exact-distance refinement, the bulk of a
 //! from-scratch round's cost).
-
-use astdme_geom::Trr;
 
 use super::pairs::score_bits;
 use super::{MergePlanner, Nn};
@@ -28,12 +27,13 @@ impl MergePlanner {
         self.point_valid = false;
         let mut staged = std::mem::take(&mut self.sorted_pairs);
         staged.clear();
-        for i in 0..self.entries.len() {
-            let k = self.entries[i].key;
-            let region = self.entries[i].region;
+        // Cell order keeps consecutive queries in neighboring cells.
+        for &(k, region) in self.grid.iter() {
+            self.nn_queries += 1;
             let Some((nn_key, rd)) = self.grid.nearest(k, &region) else {
                 continue; // sole entry
             };
+            let i = self.pos_of(k).expect("grid holds active keys");
             let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
             let score = match self.pos_of(nn_key).and_then(|j| self.entries[j].nn) {
                 Some(p) if p.key == k => p.score,
@@ -55,9 +55,20 @@ impl MergePlanner {
         self.sorted_valid = true;
     }
 
-    /// Amortized grid rebuild: when the active set has halved (stale cell
-    /// size) or region extents have far outgrown the build-time extent
-    /// (stale query bounds), rebuild from the live entries.
+    /// Rebuilds the grid over the live entries (in entries order), so the
+    /// cell size and query bounds track the current active set. The new
+    /// grid's caps start at zero.
+    pub(super) fn rebuild_grid(&mut self) {
+        self.grid = GridIndex::build(self.entries.iter().map(|e| (e.key, e.region)));
+        self.grid_builds += 1;
+        self.built_len = self.entries.len();
+        self.built_extent = self.grid.max_extent();
+    }
+
+    /// Amortized grid rebuild on the point-update path: when the active set
+    /// has halved (stale cell size) or region extents have far outgrown the
+    /// build-time extent (stale query bounds), rebuild from the live
+    /// entries.
     pub(super) fn maybe_rebuild(&mut self) {
         let shrunk = 2 * self.entries.len() <= self.built_len;
         // Floor the extent baseline at a fraction of the cell size:
@@ -72,15 +83,9 @@ impl MergePlanner {
         if !(shrunk || outgrown) || self.entries.len() < 2 {
             return;
         }
-        let items: Vec<(usize, Trr)> = self.entries.iter().map(|e| (e.key, e.region)).collect();
-        self.grid = GridIndex::build(&items);
-        self.built_len = self.entries.len();
-        self.built_extent = self.grid.max_extent();
+        self.rebuild_grid();
         // A rebuild resets the grid's per-cell caps; re-note the live
-        // caches so the takeover scan keeps its local pruning. (In the
-        // refresh regime caches may be mid-rewrite here — noting stale
-        // distances is conservative, and the point-mode transition
-        // re-notes everything.)
+        // caches so the takeover scan keeps its local pruning.
         for i in 0..self.entries.len() {
             if let Some(nn) = self.entries[i].nn {
                 self.grid.note_cap(&self.entries[i].region, nn.region_dist);
@@ -88,16 +93,17 @@ impl MergePlanner {
         }
     }
 
-    /// Bulk maintenance sweep for a large round: one amortized grid-upkeep
-    /// check (the round's merges already patched the grid — see
-    /// [`MergePlanner::drop_key`]), then every neighbor cache re-derived.
-    /// The invariant "every cache holds the exact nearest active neighbor"
-    /// makes most of the work avoidable:
+    /// Bulk maintenance sweep for a large round: one grid build over the
+    /// survivors (the round's merges touched only the active set — see
+    /// [`MergePlanner::drop_key`]), then every neighbor cache re-derived,
+    /// sweeping the entries in the new grid's cell order. The invariant
+    /// "every cache holds the exact nearest active neighbor" makes most of
+    /// the work avoidable:
     ///
     /// * a cache whose neighbor **survived** is still the nearest among
     ///   survivors (removals cannot bring anyone closer), so anything
     ///   strictly closer must be one of the round's *new* subtrees — one
-    ///   main-grid query bounded by its own cached distance decides it,
+    ///   grid query bounded by its own cached distance decides it,
     ///   and usually comes back empty-handed (keep cache, score and all:
     ///   no exact distance refinement);
     /// * a cache whose neighbor was **consumed** re-queries the full grid,
@@ -108,10 +114,10 @@ impl MergePlanner {
     /// The ranking is then rebuilt as a flat sorted vector
     /// (`sorted_valid`) — in this regime it is replaced wholesale every
     /// round, so tree nodes would be built just to be dropped. Likewise
-    /// `rev` and `rd_heap` are left stale (`point_valid`): only the
-    /// point-update path reads them.
+    /// `rev`, `rd_heap` and the grid's caps are left stale
+    /// (`point_valid`): only the point-update path reads them.
     pub(super) fn refresh<S: MergeSpace>(&mut self, space: &S, merges: &[(usize, usize, usize)]) {
-        self.maybe_rebuild();
+        self.rebuild_grid();
         self.dirty.clear();
         self.pairs.clear();
         self.point_valid = false;
@@ -139,15 +145,16 @@ impl MergePlanner {
         if m_span <= 4 * merges.len() + 16 {
             seeds.resize(m_span, NO_SEED);
         }
-        for i in 0..self.entries.len() {
-            let k = self.entries[i].key;
-            let region = self.entries[i].region;
+        // Cell order keeps consecutive queries in neighboring cells.
+        for &(k, region) in self.grid.iter() {
+            self.nn_queries += 1;
+            let i = self.pos_of(k).expect("grid holds active keys");
             let old = self.entries[i].nn.take();
             let (nn_key, rd, reused_score) = match old {
                 Some(o) if self.pos_of(o.key).is_some() => {
                     // Neighbor survived: the nearest survivor is unchanged,
-                    // so anything strictly closer in the (already patched)
-                    // main grid is necessarily a new subtree taking over.
+                    // so anything strictly closer in the fresh grid is
+                    // necessarily a new subtree taking over.
                     // The tight per-cache bound keeps the query local.
                     match self.grid.nearest_within(k, &region, o.region_dist) {
                         Some((mk, rd)) => (mk, rd, None),

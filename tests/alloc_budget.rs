@@ -80,8 +80,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measured here (n = 500, fast preset): 5.53 allocs/merge greedy, 3.59
-/// multi-merge; the `scaling` smoke measures 5.82 / 3.86 at n = 250. The
+/// Measured here (n = 500, fast preset): 4.08 allocs/merge greedy, 2.34
+/// multi-merge; the `scaling` smoke measures 4.37 / 2.59 at n = 250. The
 /// engine itself allocates once per merge (the new node's exact-size
 /// candidate list); the rest is planner bookkeeping. A reintroduced
 /// per-pair allocation adds at least one per merge and trips the budget.

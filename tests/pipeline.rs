@@ -143,3 +143,24 @@ fn merge_stage_splits_plan_engine_and_apply_time() {
         "the split exceeds the merge stage: {m:?}"
     );
 }
+
+/// The merge stage's planner counters are deterministic, so they are
+/// pinned exactly on one fixed multi-merge route: one grid build at
+/// construction plus one per refresh round, and one grid query per
+/// neighbor cache derived or checked. A change to how often the planner
+/// builds its grid or queries it shows up here, where timings cannot.
+#[test]
+fn merge_stage_counts_grid_builds_and_nn_queries() {
+    let p = synthetic_instance(1000, 2006, "counters");
+    let inst = partition::intermingled(&p, 4, 7).expect("valid partition");
+    let m = AstDme::new()
+        .route_traced(&inst)
+        .expect("routes")
+        .stats
+        .merge;
+    assert_eq!(
+        (m.rounds, m.merges, m.grid_builds, m.nn_queries),
+        (21, 999, 22, 3967),
+        "{m:?}"
+    );
+}
