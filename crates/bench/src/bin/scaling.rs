@@ -19,7 +19,8 @@
 //!
 //! The binary runs under a counting global allocator; every run emits an
 //! `allocs_per_merge` section recording total allocations per merge for
-//! the incremental planner under both merge orders, and a
+//! the incremental planner under both merge orders (with the candidates
+//! the finished forest retains), and a
 //! `planner_counters` section with the merge stage's deterministic planner
 //! counters (rounds, grid builds, grid neighbor queries) for the same
 //! routes.
@@ -30,7 +31,7 @@ use std::time::Instant;
 use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
     run_bottom_up, run_bottom_up_from_scratch, AstDme, ClockRouter, DelayModel, EngineConfig,
-    Instance, StageStats, TopoConfig,
+    Instance, NodeId, StageStats, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
@@ -93,13 +94,16 @@ struct Measurement {
 
 /// One allocation-count measurement (incremental planner, fast preset):
 /// total allocations across the bottom-up merge loop, divided by the
-/// `n - 1` merges it performs.
+/// `n - 1` merges it performs, and the candidates the finished forest
+/// retains over all its nodes (a consumed node keeps only those its
+/// parent references).
 #[derive(Debug, Clone)]
 struct AllocMeasurement {
     n: usize,
     order: &'static str,
     total_allocs: u64,
     allocs_per_merge: f64,
+    retained_candidates: usize,
 }
 
 fn instance(n: usize) -> Instance {
@@ -204,17 +208,22 @@ fn measure_allocs(n: usize, inst: &Instance) -> Vec<AllocMeasurement> {
         ("multi_merge", TopoConfig::default()),
     ] {
         let a0 = alloc_count();
-        let (_forest, _root) = run_bottom_up(inst, model, engine, &topo);
+        let (forest, _root) = run_bottom_up(inst, model, engine, &topo);
         let total_allocs = alloc_count() - a0;
         let allocs_per_merge = total_allocs as f64 / (n - 1) as f64;
+        let retained_candidates = (0..forest.node_count())
+            .map(|i| forest.candidates(NodeId::from_index(i)).len())
+            .sum();
         eprintln!(
-            "n={n:>6} {order_name:<12} allocs/merge {allocs_per_merge:7.2}  ({total_allocs} total)"
+            "n={n:>6} {order_name:<12} allocs/merge {allocs_per_merge:7.2}  ({total_allocs} total)  \
+             {retained_candidates} candidates retained"
         );
         out.push(AllocMeasurement {
             n,
             order: order_name,
             total_allocs,
             allocs_per_merge,
+            retained_candidates,
         });
     }
     out
@@ -301,6 +310,7 @@ fn to_json(
                     json::field("engine", json::quote("fast")),
                     json::field("total_allocs", format!("{}", m.total_allocs)),
                     json::field("allocs_per_merge", json::number(m.allocs_per_merge)),
+                    json::field("retained_candidates", format!("{}", m.retained_candidates)),
                 ],
                 4,
             )

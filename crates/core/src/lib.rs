@@ -87,8 +87,8 @@ pub use astdme_cache::{region_fingerprint, CacheStats, CachedRegion, Fingerprint
 pub use astdme_delay::{DelayModel, RcParams};
 pub use astdme_engine::{
     audit, group_ranges, repair_group_skew, AuditReport, CandKind, Candidate, DelayMap, DelayRange,
-    EngineConfig, GroupId, Groups, Instance, InstanceError, MergeForest, NodeId, RoutedNode,
-    RoutedTree, Sink,
+    EngineConfig, GroupId, Groups, Instance, InstanceError, MergeForest, MergeRecording, NodeId,
+    RoutedNode, RoutedTree, Sink,
 };
 pub use astdme_geom::{Point, Rect, Trr};
 pub use astdme_topo::{plan_round, MergeOrder, MergePlanner, MergeSpace, TopoConfig};

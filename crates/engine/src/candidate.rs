@@ -2,8 +2,10 @@
 //!
 //! # Layout
 //!
-//! A routed forest holds several candidates per node, so a candidate's
-//! size is most of a route's memory. A candidate is 144 B: the region
+//! A routed forest holds several candidates per root and, once a merge
+//! consumes a node, the candidates its parent references (one to a few;
+//! see `merge::frozen`), so a candidate's size is most of a route's
+//! memory. A candidate is 144 B: the region
 //! (32 B), the delay map (72 B: inline up to four groups with one-byte
 //! ids, see [`DelayMap`]), load and wirelength (16 B) and the provenance
 //! record (24 B: two `u32` child-candidate indices and two wire lengths).

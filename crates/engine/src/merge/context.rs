@@ -27,6 +27,7 @@ use astdme_delay::{DelayModel, SharedConstraint};
 
 use crate::{Candidate, EngineConfig, GroupId};
 
+use super::frozen::FrozenStore;
 use super::node::Node;
 use super::NodeId;
 
@@ -60,6 +61,9 @@ pub(crate) struct Scratch {
     /// Commit-phase `(node, candidate)` appends, in commit order, held
     /// back so each touched node's shared list is rebuilt once per commit.
     pub(crate) appended: Vec<(usize, Candidate)>,
+    /// Compaction's child-candidate renumbering (`freeze_children`): the
+    /// compacted index of every referenced candidate.
+    pub(crate) remap: Vec<u32>,
 }
 
 /// Candidates derived on *existing* nodes during one pair expansion
@@ -141,6 +145,7 @@ impl Overlay {
 /// discipline.
 pub(crate) struct MergeCtx<'a> {
     pub(crate) nodes: &'a [Node],
+    store: &'a FrozenStore,
     pub(crate) model: &'a DelayModel,
     pub(crate) bounds: &'a [f64],
     pub(crate) cfg: &'a EngineConfig,
@@ -152,6 +157,7 @@ pub(crate) struct MergeCtx<'a> {
 impl<'a> MergeCtx<'a> {
     pub(crate) fn new(
         nodes: &'a [Node],
+        store: &'a FrozenStore,
         model: &'a DelayModel,
         bounds: &'a [f64],
         cfg: &'a EngineConfig,
@@ -160,6 +166,7 @@ impl<'a> MergeCtx<'a> {
     ) -> Self {
         Self {
             nodes,
+            store,
             model,
             bounds,
             cfg,
@@ -169,10 +176,18 @@ impl<'a> MergeCtx<'a> {
         }
     }
 
+    /// The committed candidates of `node`: a consumed node's compacted
+    /// list once it is frozen.
+    pub(crate) fn list(&self, node: NodeId) -> &'a [Candidate] {
+        self.nodes[node.0].list(self.store)
+    }
+
     /// Candidate `i` of `node`: a committed candidate when `i` is below the
-    /// node's pre-merge count, an overlay entry otherwise.
+    /// node's pre-merge count, an overlay entry otherwise. Offset
+    /// adjustment follows provenance into consumed nodes, whose indices
+    /// are those of their compacted lists.
     pub(crate) fn cand(&self, node: NodeId, i: usize) -> &Candidate {
-        let base = &self.nodes[node.0].cands;
+        let base = self.list(node);
         if i < base.len() {
             &base[i]
         } else {
@@ -183,7 +198,7 @@ impl<'a> MergeCtx<'a> {
     /// Parks a derived candidate on `node`, returning the index future
     /// [`MergeCtx::cand`] calls (and provenance) can use for it.
     pub(crate) fn push_overlay(&mut self, node: NodeId, cand: Candidate) -> usize {
-        let base = self.nodes[node.0].cands.len();
+        let base = self.list(node).len();
         base + self.overlay.push(node.0, cand)
     }
 

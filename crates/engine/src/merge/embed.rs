@@ -22,8 +22,8 @@ impl MergeForest {
     pub fn embed(&self, root: NodeId, source: Point) -> RoutedTree {
         // Choose the root candidate. total_cmp: a poisoned (NaN) cost must
         // lose deterministically to every finite one, not panic here.
-        let (best_idx, _) = self.nodes[root.0]
-            .cands
+        let (best_idx, _) = self
+            .list(root)
             .iter()
             .enumerate()
             .map(|(i, c)| (i, c.wirelen + c.region.distance_to_point(source)))
@@ -33,7 +33,7 @@ impl MergeForest {
         let mut nodes: Vec<RoutedNode> = Vec::new();
         // Stack of (forest node, candidate index, parent routed index,
         // electrical wire to parent, parent point).
-        let root_cand = &self.nodes[root.0].cands[best_idx];
+        let root_cand = &self.list(root)[best_idx];
         let root_pos = root_cand.region.nearest_point(source);
         let mut stack = vec![(
             root,
@@ -44,7 +44,7 @@ impl MergeForest {
         )];
         while let Some((nid, cidx, parent, wire, pos)) = stack.pop() {
             let me = nodes.len();
-            let cand = &self.nodes[nid.0].cands[cidx];
+            let cand = &self.list(nid)[cidx];
             nodes.push(RoutedNode {
                 pos,
                 parent,
@@ -59,8 +59,8 @@ impl MergeForest {
                     eb,
                 } = cand.kind;
                 let (cand_a, cand_b) = (cand_a as usize, cand_b as usize);
-                let pa = self.nodes[a.0].cands[cand_a].region.nearest_point(pos);
-                let pb = self.nodes[b.0].cands[cand_b].region.nearest_point(pos);
+                let pa = self.list(a)[cand_a].region.nearest_point(pos);
+                let pb = self.list(b)[cand_b].region.nearest_point(pos);
                 debug_assert!(
                     pos.dist(pa) <= ea + 1e-6 * (1.0 + ea),
                     "child a unreachable: {} > {}",

@@ -72,7 +72,7 @@ impl MergeForest {
         for exp in exps.iter() {
             for n in exp.overlay.nodes() {
                 if !snap.iter().any(|&(sn, _)| sn == n) {
-                    snap.push((n, self.nodes[n].cands.len()));
+                    snap.push((n, self.list(NodeId(n)).len()));
                 }
             }
         }
@@ -123,8 +123,8 @@ impl MergeForest {
         let mut appends = Vec::new();
         while let Some(&(n, _)) = appended.first() {
             let run = appended.iter().take_while(|&&(an, _)| an == n).count();
-            let pre = self.nodes[n].cands.len();
-            self.nodes[n].extend_candidates(appended.drain(..run).map(|(_, c)| c));
+            let pre = self.list(NodeId(n)).len();
+            self.nodes[n].extend_candidates(&self.store, appended.drain(..run).map(|(_, c)| c));
             if record {
                 appends.push((n as u32, pre as u32, run as u32));
             }

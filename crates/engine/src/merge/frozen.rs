@@ -1,0 +1,152 @@
+//! The frozen store: consumed subtrees compacted to the candidates their
+//! parent references.
+//!
+//! A node keeps several candidates while it is a root, because its parent
+//! merge may pick any of them. Once that merge commits, the top-down
+//! embedding can only reach the child candidates the new node's
+//! candidates point at (each parent candidate names one candidate per
+//! child), so the rest are dead. On typical routes a parent references
+//! about a third of its children's candidates.
+//!
+//! After each unrecorded merge, [`MergeForest::freeze_children`] copies
+//! each child's referenced candidates, in their original order, into the
+//! forest's [`FrozenStore`], remaps the new candidates' `cand_a`/`cand_b`
+//! to the compacted positions, and drops the child's live list. The store
+//! is a list of fixed-capacity chunks that are never reallocated: growth
+//! appends a chunk and never copies or doubles what is already stored.
+//!
+//! Leaves are born frozen (`Node::leaf`): `add_leaf` writes a sink's one
+//! candidate straight into the store, because every parent references
+//! it. Consuming a leaf then compacts nothing, and a forest allocates no
+//! list per sink. Compacting costs a route little beyond freeing each
+//! consumed merge node's live list.
+//!
+//! Only the indices change, never a candidate's value, and nothing ranks
+//! or prunes by the index of a consumed node's candidate, so a compacting
+//! route embeds the same tree bit for bit as a recorded one (which keeps
+//! every list whole, see `record`). Offset adjustment still reads and
+//! appends to consumed nodes through the compacted indices; an append
+//! thaws the node into a live list (see `Node::extend_candidates`).
+
+use crate::{CandKind, Candidate};
+
+use super::context::Scratch;
+use super::node::Cands;
+use super::{MergeForest, NodeId};
+
+/// Candidates per chunk: 72 KiB of 144 B candidates, small enough that a
+/// short route's partly filled last chunk costs little, large enough that
+/// a 64k-sink route allocates a few hundred chunks in all.
+const CHUNK: usize = 512;
+
+/// Marks a child candidate no new candidate references (in
+/// [`Scratch::remap`]).
+const UNREFERENCED: u32 = u32::MAX;
+
+/// A node's run of frozen candidates: `len` entries from `start` in chunk
+/// `chunk`. Eight bytes, so a node's [`Cands`] stays as small as the
+/// shared list it replaces.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    chunk: u32,
+    start: u16,
+    len: u16,
+}
+
+/// Chunked storage for frozen candidate runs. A chunk never grows past
+/// the capacity it was created with, so a run never moves.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrozenStore {
+    chunks: Vec<Vec<Candidate>>,
+}
+
+impl FrozenStore {
+    /// The candidates of `run`.
+    pub(crate) fn get(&self, run: Run) -> &[Candidate] {
+        let start = run.start as usize;
+        &self.chunks[run.chunk as usize][start..start + run.len as usize]
+    }
+
+    /// Stores the `len` candidates `cands` yields as one run. Starts a
+    /// new chunk when the last one lacks room, judged by its actual spare
+    /// capacity (a cloned forest's chunks have none); a run longer than
+    /// [`CHUNK`] gets a chunk of its own.
+    pub(crate) fn freeze(&mut self, len: u16, cands: impl Iterator<Item = Candidate>) -> Run {
+        let n = usize::from(len);
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.capacity() - c.len() < n)
+        {
+            self.chunks.push(Vec::with_capacity(CHUNK.max(n)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let store = &mut self.chunks[chunk];
+        let start = store.len();
+        store.extend(cands);
+        debug_assert_eq!(store.len() - start, n, "run length as announced");
+        Run {
+            chunk: u32::try_from(chunk).expect("frozen chunk count fits u32"),
+            start: u16::try_from(start).expect("a chunk holds at most u16::MAX candidates"),
+            len,
+        }
+    }
+}
+
+/// The provenance index a candidate keeps into its first (`first`) or
+/// second child.
+fn side(kind: &mut CandKind, first: bool) -> &mut u32 {
+    if first {
+        &mut kind.cand_a
+    } else {
+        &mut kind.cand_b
+    }
+}
+
+impl MergeForest {
+    /// Freezes the children `a` and `b` of the merge whose kept candidates
+    /// are `scratch.cands`, remapping those candidates' provenance to the
+    /// compacted lists. Only a child's first consumer freezes it: a second
+    /// parent would remap provenance the first one still points through.
+    pub(super) fn freeze_children(&mut self, a: NodeId, b: NodeId, scratch: &mut Scratch) {
+        self.freeze_child(a, true, scratch);
+        self.freeze_child(b, false, scratch);
+    }
+
+    fn freeze_child(&mut self, child: NodeId, first: bool, scratch: &mut Scratch) {
+        if !self.nodes[child.0].consume() {
+            return;
+        }
+        let Cands::Live(list) = &self.nodes[child.0].cands else {
+            // A leaf, born frozen (see `Node::leaf`).
+            return;
+        };
+        let Scratch { cands, remap, .. } = scratch;
+        // Mark the referenced candidates, then number them in order.
+        remap.clear();
+        remap.resize(list.len(), UNREFERENCED);
+        for c in cands.iter_mut() {
+            remap[*side(&mut c.kind, first) as usize] = 0;
+        }
+        let Ok(kept) = u16::try_from(remap.iter().filter(|&&r| r != UNREFERENCED).count()) else {
+            // Past any configured candidate limit: keep the list whole.
+            return;
+        };
+        for (slot, i) in remap.iter_mut().filter(|s| **s != UNREFERENCED).zip(0..) {
+            *slot = i;
+        }
+        for c in cands.iter_mut() {
+            let i = side(&mut c.kind, first);
+            *i = remap[*i as usize];
+        }
+        let run = self.store.freeze(
+            kept,
+            list.iter()
+                .zip(remap.iter())
+                .filter(|&(_, &r)| r != UNREFERENCED)
+                .map(|(c, _)| c.clone()),
+        );
+        // Drops the live list (freeing it unless a cloned forest shares it).
+        self.nodes[child.0].cands = Cands::Frozen(run);
+    }
+}

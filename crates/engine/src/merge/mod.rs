@@ -19,8 +19,9 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse → exact-size node) |
-//! | `node` | [`NodeId`], the per-node shared, copy-on-write candidate lists and cached hull / max-delay / finiteness summaries |
+//! | [`mod@self`] | [`MergeForest`]: construction, accessors, the `merge` orchestration (rank → expand → commit → prune/fuse → freeze → exact-size node) |
+//! | `node` | [`NodeId`], the per-node candidate lists (shared and copy-on-write while live, a frozen run once consumed) and cached hull / max-delay / finiteness summaries |
+//! | `frozen` | the chunked store consumed nodes are compacted into, and the compaction itself |
 //! | `context` | `MergeCtx` (the immutable expansion view), the candidate `Overlay`, the `Scratch` buffers a merge reuses |
 //! | `expand` | expansion into the scratch candidate list, the in-place overlay-replay commit, candidate pruning |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, the bounded cheapest-first pair ranking |
@@ -33,27 +34,42 @@
 //! A merge works in the forest's `Scratch` and allocates once, for the
 //! new node's candidate list:
 //!
-//! 1. **Rank** — `rank_pairs` prices child-candidate pairs in order of
-//!    their region distance, which bounds every pair's cost from below,
-//!    and stops once no unpriced pair can enter the top `pair_limit`.
+//! 1. **Rank** — `rank_pairs` prices the `pair_limit` nearest
+//!    child-candidate pairs, then every other pair whose region distance,
+//!    a lower bound on its cost, could still enter the top `pair_limit`.
 //!    The result is exactly that of stably sorting every pair's cost;
 //!    nodes or class state carrying a non-finite value price every pair.
 //! 2. **Expand** — each ranked pair appends its merged candidates to the
 //!    one scratch candidate list.
 //! 3. **Commit** — overlays replay onto their nodes and provenance is
 //!    remapped in place in that list; `prune` and class fusion then sort,
-//!    dedup, truncate and filter the same list.
-//! 4. The new node takes the kept candidates in an exact-size shared
-//!    slice, so a finished forest holds its candidates' bytes and no spare
-//!    capacity, and an adopted merge (see `record`) or a cloned forest
-//!    shares the list instead of copying it.
+//!    dedup, truncate and filter the same list. An overlay that appends
+//!    to a frozen node thaws it into a live list, copy-on-write.
+//! 4. **Freeze** — the two children are consumed: unless the merge is
+//!    recorded, each child's candidates that the kept ones reference are
+//!    copied, in order, into the forest's frozen store, the kept
+//!    candidates' provenance is remapped to the compacted positions, and
+//!    the child's live list is freed. The store grows in fixed-size
+//!    chunks, one allocation per 512 frozen candidates, so freezing adds
+//!    no per-merge allocation. Leaves are born in the store, so a forest
+//!    allocates no list per sink either.
+//! 5. The new node takes the kept candidates in an exact-size shared
+//!    slice, so a root holds its candidates' bytes and no spare capacity,
+//!    and an adopted merge (see `record`) or a cloned forest shares the
+//!    list instead of copying it.
 //!
-//! That one allocation is sized by the candidate layout (see `candidate`):
-//! 144 B per candidate, of which the delay map takes 72 B inline (up to
-//! four groups with ids below 256; more spill to a heap list, one more
-//! allocation per spilled candidate) and the provenance 24 B (`u32`
-//! child-candidate indices plus the two wire lengths; a leaf is known by
-//! its node, not by its candidates).
+//! A finished forest therefore holds the root's candidates plus, for
+//! every other node, only the candidates its parent references (about a
+//! third of those it was created with): the rest can never be reached by
+//! the top-down embedding. A recorded forest keeps whole lists (see
+//! `record` for why).
+//!
+//! The new node's allocation is sized by the candidate layout (see
+//! `candidate`): 144 B per candidate, of which the delay map takes 72 B
+//! inline (up to four groups with ids below 256; more spill to a heap
+//! list, one more allocation per spilled candidate) and the provenance
+//! 24 B (`u32` child-candidate indices plus the two wire lengths; a leaf
+//! is known by its node, not by its candidates).
 //!
 //! # Borrow discipline
 //!
@@ -81,6 +97,7 @@ mod cases;
 mod context;
 mod embed;
 mod expand;
+mod frozen;
 mod node;
 mod offset;
 mod pairing;
@@ -93,6 +110,7 @@ pub use node::NodeId;
 pub use record::{MergeLog, MergeRecording, NO_NODE};
 
 use context::{class_of_in, MergeCtx, Scratch};
+use frozen::FrozenStore;
 use node::Node;
 
 /// Bottom-up merge state for one routing run.
@@ -106,6 +124,8 @@ use node::Node;
 #[derive(Debug, Clone)]
 pub struct MergeForest {
     nodes: Vec<Node>,
+    /// The compacted candidate runs of frozen (consumed) nodes.
+    store: FrozenStore,
     model: DelayModel,
     bounds: Vec<f64>,
     cfg: EngineConfig,
@@ -130,6 +150,7 @@ impl MergeForest {
         let k = bounds.len();
         let mut f = Self {
             nodes: Vec::new(),
+            store: FrozenStore::default(),
             model,
             bounds,
             cfg,
@@ -172,6 +193,7 @@ impl MergeForest {
     pub(crate) fn ctx(&self) -> MergeCtx<'_> {
         MergeCtx::new(
             &self.nodes,
+            &self.store,
             &self.model,
             &self.bounds,
             &self.cfg,
@@ -187,17 +209,16 @@ impl MergeForest {
             "group {group} has no declared bound"
         );
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node::new(
-            Arc::from([Candidate {
-                region: Trr::from_point(pos),
-                delays: DelayMap::leaf(group),
-                cap,
-                wirelen: 0.0,
-                kind: CandKind::LEAF,
-            }]),
-            None,
-            Some(sink_idx),
-        ));
+        let cand = Candidate {
+            region: Trr::from_point(pos),
+            delays: DelayMap::leaf(group),
+            cap,
+            wirelen: 0.0,
+            kind: CandKind::LEAF,
+        };
+        let run = self.store.freeze(1, std::iter::once(cand));
+        let leaf = Node::leaf(run, &self.store.get(run)[0], sink_idx);
+        self.nodes.push(leaf);
         self.leaves += 1;
         id
     }
@@ -213,8 +234,19 @@ impl MergeForest {
     }
 
     /// The candidates of a node.
+    ///
+    /// A root exposes every candidate it keeps. Once an unrecorded merge
+    /// consumes a node, it exposes only the candidates that merge's
+    /// candidates reference, in their original order, and the parent's
+    /// provenance indices count within that compacted list (plus anything
+    /// later offset adjustment appends). A recorded forest
+    /// ([`MergeForest::merge_recorded`]) keeps every list whole.
     pub fn candidates(&self, id: NodeId) -> &[Candidate] {
-        &self.nodes[id.0].cands
+        self.list(id)
+    }
+
+    fn list(&self, id: NodeId) -> &[Candidate] {
+        self.nodes[id.0].list(&self.store)
     }
 
     /// The children of a node, if it is a merge.
@@ -235,8 +267,8 @@ impl MergeForest {
     /// clamp at zero, so the scan stops at the first touching pair.
     pub fn merge_distance(&self, a: NodeId, b: NodeId) -> f64 {
         let mut best = f64::INFINITY;
-        for ca in self.nodes[a.0].cands.iter() {
-            for cb in self.nodes[b.0].cands.iter() {
+        for ca in self.list(a) {
+            for cb in self.list(b) {
                 best = best.min(ca.region.distance(&cb.region));
                 if best <= 0.0 {
                     return best;
@@ -304,9 +336,7 @@ impl MergeForest {
             // All pairs failed even best-effort: should be unreachable, but
             // degrade gracefully with the closest pair at face value.
             let (_, ia, ib) = scratch.ranked[0];
-            let d = self.nodes[a.0].cands[ia]
-                .region
-                .distance(&self.nodes[b.0].cands[ib].region);
+            let d = self.list(a)[ia].region.distance(&self.list(b)[ib].region);
             let half = 0.5 * d;
             let fallback = self.ctx().build_candidate(a, b, ia, ib, half, d - half);
             scratch.cands.push(fallback);
@@ -321,6 +351,13 @@ impl MergeForest {
             Some(r) if self.cfg.fuse_groups => r.note_class_state(&self.class_parent, &self.phi),
             _ => epoch_before,
         };
+        // Unrecorded, the children freeze to the candidates the kept ones
+        // reference; a recorded forest keeps whole lists, because an ECO
+        // flush may freshly merge an adopted child and needs its creation
+        // list.
+        if rec.is_none() {
+            self.freeze_children(a, b, &mut scratch);
+        }
         // The node takes exactly the kept candidates (one exact-size
         // allocation per merge); the scratch list keeps its capacity.
         let cands: Arc<[Candidate]> = scratch.cands.drain(..).collect();

@@ -1,9 +1,9 @@
 //! Candidate-pair selection: shared-constraint assembly, merge-cost
 //! estimation, and the bounded cheapest-first ranking that decides which
-//! child candidate pairs a merge expands. The ranking prices pairs in
-//! distance order and stops as soon as no unpriced pair can enter the
-//! top `pair_limit`, which on typical merges prices a few pairs out of
-//! dozens.
+//! child candidate pairs a merge expands. The ranking prices the
+//! `pair_limit` nearest pairs and then only the pairs whose distance could
+//! still enter the top `pair_limit`, which on typical merges prices a few
+//! pairs out of dozens, without sorting them.
 
 use astdme_delay::{intersect_delta_windows, SharedConstraint};
 
@@ -187,42 +187,51 @@ impl MergeCtx<'_> {
     ///
     /// With `bounded` set the caller vouches that every input is finite,
     /// so each estimate is a number no smaller than its pair's distance
-    /// `d`. Pairs are then priced in order of `d` and pricing stops once
-    /// the next `d` exceeds the current `pair_limit`-th cost: no unpriced
-    /// pair can beat it (equal `d`s may price in any order; the insertion
-    /// breaks cost ties by index). Without `bounded` every pair is priced.
-    /// Either way the result equals stably sorting all pairs by
-    /// `total_cmp` cost and truncating as above.
+    /// `d`. The `pair_limit` nearest pairs (an unordered selection, no
+    /// sort) are priced first; one pass then prices every other pair whose
+    /// `d` does not exceed the current `pair_limit`-th cost, since no other
+    /// pair can beat it (the insertion breaks cost ties by index, so the
+    /// pricing order never matters). A NaN estimate means the bound failed
+    /// after all, and every pair is priced from scratch. Without `bounded`
+    /// every pair is priced. Either way the result equals stably sorting
+    /// all pairs by `total_cmp` cost and truncating as above.
     pub(crate) fn rank_pairs(&self, a: NodeId, b: NodeId, bounded: bool, scratch: &mut Scratch) {
         let k = self.cfg.pair_limit;
-        let nb = self.nodes[b.0].cands.len();
+        let nb = self.list(b).len();
         let mut dists = std::mem::take(&mut scratch.dists);
         let mut ranked = std::mem::take(&mut scratch.ranked);
         dists.clear();
         ranked.clear();
-        for (ia, ca) in self.nodes[a.0].cands.iter().enumerate() {
-            for (ib, cb) in self.nodes[b.0].cands.iter().enumerate() {
+        for (ia, ca) in self.list(a).iter().enumerate() {
+            for (ib, cb) in self.list(b).iter().enumerate() {
                 dists.push((ca.region.distance(&cb.region), ia * nb + ib));
             }
         }
-        let mut bounded = bounded;
-        if bounded {
-            dists.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        }
-        for &(d, i) in &dists {
-            if bounded && ranked.len() == k && ranked.last().is_none_or(|kth| d > kth.0) {
-                break;
-            }
+        let mut price = |ranked: &mut Vec<(f64, usize, usize)>, i: usize| {
             let cost = self.pair_cost_estimate(a, b, i / nb, i % nb, scratch);
-            // A NaN here means the finite-input bound failed after all;
-            // price the rest rather than trust it.
-            bounded &= !cost.is_nan();
             let at = ranked.partition_point(|&(c, ja, jb)| {
                 c.total_cmp(&cost).then((ja * nb + jb).cmp(&i)).is_lt()
             });
             if at < k {
                 ranked.truncate(k - 1);
                 ranked.insert(at, (cost, i / nb, i % nb));
+            }
+            !cost.is_nan()
+        };
+        let sound = bounded && {
+            if (1..dists.len()).contains(&k) {
+                dists.select_nth_unstable_by(k - 1, |x, y| x.0.total_cmp(&y.0));
+            }
+            let (nearest, rest) = dists.split_at(k.min(dists.len()));
+            nearest.iter().all(|&(_, i)| price(&mut ranked, i))
+                && rest.iter().all(|&(d, i)| {
+                    ranked.last().is_none_or(|kth| d > kth.0) || price(&mut ranked, i)
+                })
+        };
+        if !sound {
+            ranked.clear();
+            for &(_, i) in &dists {
+                price(&mut ranked, i);
             }
         }
         match ranked.iter().position(|p| p.0.is_nan()) {

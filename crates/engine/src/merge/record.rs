@@ -32,10 +32,22 @@
 //! have produced — adoption just skips the expansion work. Any validation
 //! failure returns `None` and the caller falls back to a fresh
 //! [`MergeForest::merge`], which is always correct.
+//!
+//! # Recorded forests keep whole lists
+//!
+//! An unrecorded merge freezes its consumed children to the candidates
+//! it references (see `frozen`). A recorded merge does not, and neither
+//! does an adoption: the recording names creation lists and append
+//! slices by position in the *whole* lists, and a later flush may pair
+//! an adopted node with a different partner in a fresh merge, which may
+//! pick any candidate the node was created with, not only those the
+//! recorded parent referenced. So a recorded forest (an ECO session's
+//! standing route and every flush) holds about three times the
+//! candidates of a plain route's forest.
 
 use std::sync::Arc;
 
-use super::node::Node;
+use super::node::{Cands, Node};
 use super::{MergeForest, NodeId};
 use crate::Candidate;
 
@@ -177,19 +189,19 @@ impl MergeForest {
             if mapped == NO_NODE {
                 return None;
             }
-            if std.nodes[n as usize].cands.len() < (start + len) as usize {
+            if std.list(NodeId(n as usize)).len() < (start + len) as usize {
                 return None;
             }
             // Positional alignment: the counterpart's list must sit at
             // exactly the recorded pre-append length, or the adopted
             // candidates' provenance indices (positional into child lists)
             // would refer to different candidates than they did on record.
-            if self.nodes[mapped as usize].cands.len() != start as usize {
+            if self.list(NodeId(mapped as usize)).len() != start as usize {
                 return None;
             }
         }
-        let src = &std.nodes[log.result as usize];
-        if src.cands.len() < log.creation_len as usize {
+        let result = NodeId(log.result as usize);
+        if std.list(result).len() < log.creation_len as usize {
             return None;
         }
         // Validated — mutate. Replay order (appends, then node creation)
@@ -198,15 +210,17 @@ impl MergeForest {
         // later appends never shift.
         for &(n, start, len) in &log.appends {
             let mapped = std_to_new[n as usize] as usize;
-            let run = &std.nodes[n as usize].cands[start as usize..(start + len) as usize];
-            self.nodes[mapped].extend_candidates(run.iter().cloned());
+            let run = &std.list(NodeId(n as usize))[start as usize..(start + len) as usize];
+            self.nodes[mapped].extend_candidates(&self.store, run.iter().cloned());
         }
         let creation_len = log.creation_len as usize;
-        let node = if src.cands.len() == creation_len {
-            Node::sharing(src, (x, y))
-        } else {
-            let cands: Arc<[Candidate]> = Arc::from(&src.cands[..creation_len]);
-            Node::new(cands, Some((x, y)), None)
+        let src = &std.nodes[result.0];
+        let node = match &src.cands {
+            Cands::Live(list) if list.len() == creation_len => Node::sharing(src, list, (x, y)),
+            _ => {
+                let cands: Arc<[Candidate]> = Arc::from(&std.list(result)[..creation_len]);
+                Node::new(cands, Some((x, y)), None)
+            }
         };
         self.residual = self.residual.max(log.residual);
         if self.cfg.fuse_groups && log.epoch_after != log.epoch_before {

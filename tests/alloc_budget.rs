@@ -13,9 +13,12 @@ use std::cell::Cell;
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
     run_bottom_up, AstDme, Candidate, DelayModel, EcoEdit, EcoSession, EngineConfig, Instance,
-    MergeForest, NodeId, Point, TopoConfig,
+    MergeForest, Point, TopoConfig,
 };
 use astdme_core::allocmeter;
+
+mod common;
+use common::{recorded_bottom_up, retained_candidates};
 
 /// Twin of the counting allocator in `crates/bench/src/bin/scaling.rs` —
 /// the library crates forbid `unsafe_code`, so each binary hosts its own
@@ -80,12 +83,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measured here (n = 500, fast preset): 4.08 allocs/merge greedy, 2.34
-/// multi-merge; the `scaling` smoke measures 4.37 / 2.59 at n = 250. The
+/// Measured here (n = 500, fast preset): 3.09 allocs/merge greedy, 1.35
+/// multi-merge; the `scaling` smoke measures 3.39 / 1.60 at n = 250. The
 /// engine itself allocates once per merge (the new node's exact-size
-/// candidate list); the rest is planner bookkeeping. A reintroduced
-/// per-pair allocation adds at least one per merge and trips the budget.
-/// CI's `scaling --alloc-budget` uses the same value.
+/// candidate list) plus one frozen-store chunk per 512 candidates the
+/// leaves and consumed nodes keep; the rest is planner bookkeeping. Before
+/// leaves lived in the frozen store, each sink's own list added one more
+/// allocation per merge (4.08 / 2.34 here). A reintroduced per-pair
+/// allocation adds at least one per merge and trips the budget. CI's
+/// `scaling --alloc-budget` uses the same value.
 const BUDGET_PER_MERGE: f64 = 6.5;
 
 fn instance(n: usize) -> Instance {
@@ -153,12 +159,16 @@ fn merge_loop_allocations_stay_in_budget() {
 /// table entry, with headroom for the table's doubling growth.
 const NODE_ALLOWANCE_BYTES: f64 = 256.0;
 
-/// Every node stores its kept candidates in an exact-size list, so the
-/// heap a finished forest retains is its candidates' bytes plus a fixed
-/// per-node allowance — not the capacity of the working lists the merges
-/// built them in. Measured here (n = 4000, default preset): 5.27 MB
-/// retained for 4.55 MB of 144 B candidates, 1.16 times their bytes and
-/// well inside the bound once the node allowance is added.
+/// Every merge root stores its kept candidates in an exact-size list, and
+/// every leaf and consumed node a run in fixed-size chunks, so the heap a
+/// finished forest retains is its candidates' bytes plus a fixed per-node
+/// allowance — not the capacity of the working lists the merges built
+/// them in, nor the candidates no parent references. Measured here
+/// (n = 4000, default preset): 2.22 MB retained for the 1.58 MB of its
+/// 10 977 144 B candidates (the 72 B node table is most of the rest),
+/// well inside the bound once the node allowance is added. Before
+/// consumed nodes were compacted the same forest kept all 31 602
+/// candidates and retained 5.27 MB.
 #[test]
 fn forest_retains_only_its_candidates() {
     let n = 4000;
@@ -172,9 +182,7 @@ fn forest_retains_only_its_candidates() {
         &TopoConfig::default(),
     );
     let retained = (live_bytes() - before) as f64;
-    let cands: usize = (0..forest.node_count())
-        .map(|i| forest.candidates(NodeId::from_index(i)).len())
-        .sum();
+    let cands = retained_candidates(&forest);
     let cand_bytes = (cands * std::mem::size_of::<Candidate>()) as f64;
     let allowance = forest.node_count() as f64 * NODE_ALLOWANCE_BYTES;
     eprintln!(
@@ -190,14 +198,16 @@ fn forest_retains_only_its_candidates() {
 }
 
 /// Measured here (n = 4000, one sink moved, default preset): the flush's
-/// merge stage allocates 1.08 times per adopted merge (4247 over 3946),
-/// and the flush's peak adds 0.74 of the recorded forest's candidate
-/// bytes (144 B candidates; the flush's other buffers do not scale with
-/// the candidate size, so the share grows as candidates shrink).
-/// Most of those allocations are the fresh forest's leaves, one list per
-/// sink; an adopted merge itself allocates nothing, because it shares the
-/// recorded node's candidate list. Cloning that list instead measured
-/// 2.12 allocations per adopted merge and a peak of 1.50 of the
+/// merge stage allocates 0.07 times per adopted merge (257 over 3946),
+/// and the flush's peak adds 0.732 of the recorded forest's candidate
+/// bytes (3 333 240 B against 4 550 688 B of 144 B candidates; the
+/// flush's other buffers do not scale with the candidate size, so the
+/// share grows as candidates shrink). An adopted merge allocates nothing,
+/// because it shares the recorded node's candidate list, and the fresh
+/// forest's leaves live in its frozen store's chunks, not one list per
+/// sink; with a list per leaf the flush measured 1.08 allocations per
+/// adopted merge and a share of 0.743. Cloning the adopted lists instead
+/// measured 2.12 allocations per adopted merge and a peak of 1.50 of the
 /// candidate bytes (with 192 B candidates), and fails both checks.
 const ECO_BUDGET_PER_ADOPTED_MERGE: f64 = 1.5;
 /// The share of the recorded forest's candidate bytes a flush may add to
@@ -227,16 +237,16 @@ fn eco_flush_shares_adopted_candidate_lists() {
     assert!(!fs.full_reroute, "must replay: {fs:?}");
     assert!(fs.adopted_merges * 10 > 9 * (n - 1), "{fs:?}");
 
-    // The standing route's forest is the forest of a plain route.
-    let (forest, _root) = run_bottom_up(
+    // The standing route records its merges, so its forest keeps every
+    // candidate list whole; a plain route's forest compacts consumed nodes
+    // and would understate the recorded bytes about threefold.
+    let (forest, _root, _rec) = recorded_bottom_up(
         &inst,
         DelayModel::elmore(*inst.rc()),
         plan.engine,
         &plan.topo,
     );
-    let cands: usize = (0..forest.node_count())
-        .map(|i| forest.candidates(NodeId::from_index(i)).len())
-        .sum();
+    let cands = retained_candidates(&forest);
     let cand_bytes = (cands * std::mem::size_of::<Candidate>()) as f64;
     let per_adopted = allocs as f64 / fs.adopted_merges as f64;
     eprintln!(
