@@ -12,6 +12,10 @@
 //! The provenance carries no leaf variant: whether a candidate is a leaf
 //! is a property of its node (a leaf node has no children and records its
 //! sink), so a leaf's record is all zeros.
+//!
+//! A delay map of more than four groups adds one heap list per
+//! candidate, allocated once when the merge builds the candidate and
+//! moved, not cloned, when compaction freezes it.
 
 use astdme_geom::Trr;
 

@@ -158,16 +158,16 @@ impl Lcg {
     }
 }
 
-/// `k` distinct groups with ids in `0..300`, each drawn from `reuse` half
-/// the time (so two models share groups), with random ranges, some of
-/// them points.
-fn model(rng: &mut Lcg, k: usize, reuse: &[GroupId]) -> Model {
+/// `k` distinct groups with ids in `0..span`, each drawn from `reuse`
+/// half the time (so two models share groups), with random ranges, some
+/// of them points.
+fn model(rng: &mut Lcg, k: usize, reuse: &[GroupId], span: u64) -> Model {
     let mut m: Model = Vec::new();
     while m.len() < k {
         let id = if !reuse.is_empty() && rng.next().is_multiple_of(2) {
             reuse[rng.next() as usize % reuse.len()]
         } else {
-            g((rng.next() % 300) as u32)
+            g((rng.next() % span) as u32)
         };
         if m.iter().any(|&(h, _)| h == id) {
             continue;
@@ -240,9 +240,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = Lcg(seed);
-        let ma = model(&mut rng, ka, &[]);
+        let ma = model(&mut rng, ka, &[], 300);
         let reuse: Vec<GroupId> = ma.iter().map(|&(id, _)| id).collect();
-        let mb = model(&mut rng, kb, &reuse);
+        let mb = model(&mut rng, kb, &reuse, 300);
         let mut shuffled = ma.clone();
         shuffled.reverse();
         let a = DelayMap::from_entries(shuffled);
@@ -281,5 +281,67 @@ proptest! {
             a.shared_groups(&b),
             shared.iter().map(|&(id, ..)| id).collect::<Vec<_>>()
         );
+    }
+}
+
+/// A map's stored form, bit for bit: whether it is inline, and every
+/// entry's id and range bits.
+fn stored_bits(m: &DelayMap) -> (bool, Vec<(u32, u64, u64)>) {
+    let entries = m.iter().map(|(g, r)| (g.0, r.lo.to_bits(), r.hi.to_bits()));
+    (is_inline(m), entries.collect())
+}
+
+/// A model whose ranges are sometimes signed-zero points.
+fn zeroed(rng: &mut Lcg, mut m: Model) -> Model {
+    for (_, r) in &mut m {
+        match rng.next() % 6 {
+            0 => *r = DelayRange::point(0.0),
+            1 => *r = DelayRange::point(-0.0),
+            _ => {}
+        }
+    }
+    m
+}
+
+proptest! {
+    #[test]
+    fn shifted_merge_is_shift_then_merge_bit_for_bit(
+        ka in 0usize..11,
+        kb in 0usize..11,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // Narrow ids keep maps of up to four groups inline; wide ones
+        // (up to 299) spill at any size.
+        let span = if wide { 300 } else { 12 };
+        let mut rng = Lcg(seed);
+        let ma = model(&mut rng, ka.min(span as usize), &[], span);
+        let ma = zeroed(&mut rng, ma);
+        let reuse: Vec<GroupId> = ma.iter().map(|&(id, _)| id).collect();
+        let mb = model(&mut rng, kb.min(span as usize), &reuse, span);
+        let mb = zeroed(&mut rng, mb);
+        let (a, b) = (DelayMap::from_entries(ma), DelayMap::from_entries(mb));
+        let shifts = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            rng.unit() * 1e-11,
+        ];
+        for da in shifts {
+            for db in shifts {
+                let fused = a.shifted_merge(da, &b, db);
+                let want = a.shifted(da).merge(&b.shifted(db));
+                prop_assert_eq!(
+                    stored_bits(&fused),
+                    stored_bits(&want),
+                    "shifts {:?}/{:?} of {:?} and {:?}", da, db, a, b
+                );
+                if let Store::Heap(v) = &fused.entries {
+                    prop_assert_eq!(v.capacity(), v.len(), "one exact-size list");
+                }
+            }
+        }
     }
 }

@@ -131,7 +131,7 @@ impl MergeCtx<'_> {
             .expect("split must cover the geometric distance");
         Candidate {
             region,
-            delays: ca.delays.shifted(da).merge(&cb.delays.shifted(db)),
+            delays: ca.delays.shifted_merge(da, &cb.delays, db),
             cap: ca.cap + cb.cap + self.model.wire_cap(ea + eb),
             wirelen: ca.wirelen + cb.wirelen + ea + eb,
             kind: CandKind {

@@ -8,12 +8,13 @@
 //! child), so the rest are dead. On typical routes a parent references
 //! about a third of its children's candidates.
 //!
-//! After each unrecorded merge, [`MergeForest::freeze_children`] copies
+//! After each unrecorded merge, [`MergeForest::freeze_children`] moves
 //! each child's referenced candidates, in their original order, into the
 //! forest's [`FrozenStore`], remaps the new candidates' `cand_a`/`cand_b`
-//! to the compacted positions, and drops the child's live list. The store
-//! is a list of fixed-capacity chunks that are never reallocated: growth
-//! appends a chunk and never copies or doubles what is already stored.
+//! to the compacted positions, and drops the child's live list. A list a
+//! cloned forest still shares is copied first. The store is a list of
+//! fixed-capacity chunks that are never reallocated: growth appends a
+//! chunk and never copies or doubles what is already stored.
 //!
 //! Leaves are born frozen (`Node::leaf`): `add_leaf` writes a sink's one
 //! candidate straight into the store, because every parent references
@@ -27,6 +28,8 @@
 //! every list whole, see `record`). Offset adjustment still reads and
 //! appends to consumed nodes through the compacted indices; an append
 //! thaws the node into a live list (see `Node::extend_candidates`).
+
+use std::sync::Arc;
 
 use crate::{CandKind, Candidate};
 
@@ -114,10 +117,12 @@ impl MergeForest {
     }
 
     fn freeze_child(&mut self, child: NodeId, first: bool, scratch: &mut Scratch) {
-        if !self.nodes[child.0].consume() {
+        let Self { nodes, store, .. } = self;
+        let node = &mut nodes[child.0];
+        if !node.consume() {
             return;
         }
-        let Cands::Live(list) = &self.nodes[child.0].cands else {
+        let Cands::Live(list) = &mut node.cands else {
             // A leaf, born frozen (see `Node::leaf`).
             return;
         };
@@ -139,14 +144,21 @@ impl MergeForest {
             let i = side(&mut c.kind, first);
             *i = remap[*i as usize];
         }
-        let run = self.store.freeze(
+        // The list is dropped below, so move the kept candidates out of it
+        // (a spilled delay map moves its heap list instead of copying
+        // it). A list a cloned forest still shares is copied first.
+        let list = Arc::make_mut(list);
+        let run = store.freeze(
             kept,
-            list.iter()
+            list.iter_mut()
                 .zip(remap.iter())
                 .filter(|&(_, &r)| r != UNREFERENCED)
-                .map(|(c, _)| c.clone()),
+                .map(|(c, _)| Candidate {
+                    delays: std::mem::take(&mut c.delays),
+                    ..*c
+                }),
         );
-        // Drops the live list (freeing it unless a cloned forest shares it).
-        self.nodes[child.0].cands = Cands::Frozen(run);
+        // Drops the live list.
+        node.cands = Cands::Frozen(run);
     }
 }

@@ -47,12 +47,13 @@
 //!    to a frozen node thaws it into a live list, copy-on-write.
 //! 4. **Freeze** — the two children are consumed: unless the merge is
 //!    recorded, each child's candidates that the kept ones reference are
-//!    copied, in order, into the forest's frozen store, the kept
-//!    candidates' provenance is remapped to the compacted positions, and
-//!    the child's live list is freed. The store grows in fixed-size
-//!    chunks, one allocation per 512 frozen candidates, so freezing adds
-//!    no per-merge allocation. Leaves are born in the store, so a forest
-//!    allocates no list per sink either.
+//!    moved, in order, into the forest's frozen store (copied only when a
+//!    cloned forest shares the list), the kept candidates' provenance is
+//!    remapped to the compacted positions, and the child's live list is
+//!    freed. The store grows in fixed-size chunks, one allocation per 512
+//!    frozen candidates, so freezing adds no per-merge allocation. Leaves
+//!    are born in the store, so a forest allocates no list per sink
+//!    either.
 //! 5. The new node takes the kept candidates in an exact-size shared
 //!    slice, so a root holds its candidates' bytes and no spare capacity,
 //!    and an adopted merge (see `record`) or a cloned forest shares the
@@ -66,10 +67,14 @@
 //!
 //! The new node's allocation is sized by the candidate layout (see
 //! `candidate`): 144 B per candidate, of which the delay map takes 72 B
-//! inline (up to four groups with ids below 256; more spill to a heap
-//! list, one more allocation per spilled candidate) and the provenance
-//! 24 B (`u32` child-candidate indices plus the two wire lengths; a leaf
-//! is known by its node, not by its candidates).
+//! inline (up to four groups with ids below 256) and the provenance 24 B
+//! (`u32` child-candidate indices plus the two wire lengths; a leaf is
+//! known by its node, not by its candidates).
+//!
+//! A larger map spills to a heap list. Expansion builds each candidate's
+//! map in one pass (`DelayMap::shifted_merge`), so every built candidate
+//! with a spilled map costs exactly one more allocation, and freezing
+//! moves a kept one's list into the store instead of cloning it.
 //!
 //! # Borrow discipline
 //!

@@ -213,6 +213,6 @@ fn cand_finite(c: &Candidate) -> bool {
         .iter()
         .all(|x| x.is_finite())
         && c.delays
-            .iter()
-            .all(|(_, r)| r.lo.is_finite() && r.hi.is_finite())
+            .ranges()
+            .all(|r| r.lo.is_finite() && r.hi.is_finite())
 }

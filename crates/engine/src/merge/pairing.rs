@@ -252,3 +252,6 @@ impl MergeForest {
         self.finite_state && self.nodes[a.0].finite && self.nodes[b.0].finite
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -437,3 +437,49 @@ fn adopted_merges_share_the_recorded_candidate_lists() {
         );
     }
 }
+
+/// Compaction moves the kept candidates out of a list only its node
+/// holds and copies them out of a list a cloned forest shares. A forest
+/// cloned mid-route and the original, merged on in the same order, must
+/// both end as a forest that was never cloned, spilled (ten-group)
+/// delay maps included.
+#[test]
+fn cloned_forests_compact_like_the_original() {
+    let mut rng = Rng(7);
+    let bounds = vec![1e-11; 10];
+    let mut f = forest_with(bounds.clone());
+    let mut leaves = Vec::new();
+    for i in 0..40 {
+        let (x, y) = (rng.below(20) as f64 * 50.0, rng.below(20) as f64 * 50.0);
+        leaves.push(f.add_leaf(i, pt(x, y), 1e-14, GroupId(rng.below(10) as u32)));
+    }
+    let mut order = Vec::new();
+    let mut active = leaves;
+    while active.len() > 1 {
+        let a = active.swap_remove(rng.below(active.len()));
+        let b = active.swap_remove(rng.below(active.len()));
+        order.push((a, b));
+        active.push(NodeId(f.node_count() + order.len() - 1));
+    }
+    // A copy of the leaves alone shares no live list.
+    let mut reference = f.clone();
+    for &(a, b) in &order {
+        reference.merge(a, b);
+    }
+    let (first, rest) = order.split_at(order.len() / 2);
+    for &(a, b) in first {
+        f.merge(a, b);
+    }
+    let mut twin = f.clone();
+    for &(a, b) in rest {
+        f.merge(a, b);
+        twin.merge(a, b);
+    }
+    let root = NodeId(reference.node_count() - 1);
+    assert!(reference.candidates(root)[0].delays.group_count() > 4);
+    for i in 0..reference.node_count() {
+        let id = NodeId(i);
+        assert_eq!(f.candidates(id), reference.candidates(id), "node {i}");
+        assert_eq!(twin.candidates(id), reference.candidates(id), "node {i}");
+    }
+}

@@ -1,7 +1,9 @@
 //! Deterministic allocation-budget regression test for the merge hot
 //! path: the bottom-up merge loop (incremental planner + engine expansion)
 //! must stay at O(1) amortized heap allocations per merge — no per-pair
-//! `Scratch`, overlay hash maps, or per-candidate `DelayMap` spills.
+//! `Scratch` or overlay hash maps. A candidate whose `DelayMap` holds more
+//! than four groups does spill, once per built candidate, so the budget
+//! is checked on a ten-group instance as well as a four-group one.
 //!
 //! Allocation *counts* are deterministic for a fixed build where timings
 //! are not, so this is the CI-stable form of the `scaling` bench's
@@ -84,19 +86,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Measured here (n = 500, fast preset): 3.09 allocs/merge greedy, 1.35
-/// multi-merge; the `scaling` smoke measures 3.39 / 1.60 at n = 250. The
-/// engine itself allocates once per merge (the new node's exact-size
-/// candidate list) plus one frozen-store chunk per 512 candidates the
-/// leaves and consumed nodes keep; the rest is planner bookkeeping. Before
-/// leaves lived in the frozen store, each sink's own list added one more
-/// allocation per merge (4.08 / 2.34 here). A reintroduced per-pair
-/// allocation adds at least one per merge and trips the budget. CI's
-/// `scaling --alloc-budget` uses the same value.
+/// multi-merge with four groups; the `scaling` smoke measures 3.39 / 1.60
+/// at n = 250. The engine itself allocates once per merge (the new node's
+/// exact-size candidate list) plus one frozen-store chunk per 512
+/// candidates the leaves and consumed nodes keep; the rest is planner
+/// bookkeeping. Before leaves lived in the frozen store, each sink's own
+/// list added one more allocation per merge (4.08 / 2.34 here). With ten
+/// groups, spilled delay maps add one allocation per built candidate:
+/// 4.70 / 2.88. When each spilled candidate's map was built from two
+/// shifted copies (up to three allocations) it read 6.52 / 4.63. A
+/// reintroduced per-pair allocation adds at least one per merge and
+/// trips the budget. CI's `scaling --alloc-budget` uses the same value.
 const BUDGET_PER_MERGE: f64 = 6.5;
 
 fn instance(n: usize) -> Instance {
+    instance_with_groups(n, 4)
+}
+
+/// `n` sinks intermingled over `groups` groups, each bound to 10 ps.
+fn instance_with_groups(n: usize, groups: usize) -> Instance {
     let p = synthetic_instance(n, 2006, &format!("a{n}"));
-    let inst = partition::intermingled(&p, 4, 2006 ^ 0xBEEF).expect("valid partition");
+    let inst = partition::intermingled(&p, groups, 2006 ^ 0xBEEF).expect("valid partition");
     inst.with_groups(
         inst.groups()
             .clone()
@@ -128,30 +138,35 @@ fn merge_loop_allocations_stay_in_budget() {
     // Large enough to leave the planner's brute-force regime and trigger
     // multi-merge refresh sweeps; small enough for a debug-build test.
     let n = 500;
-    let inst = instance(n);
-    let model = DelayModel::elmore(*inst.rc());
     let engine = EngineConfig::fast();
-    let count = |topo: &TopoConfig| {
-        let before = allocmeter::current();
-        let (_forest, _root) = run_bottom_up(&inst, model, engine, topo);
-        allocmeter::current() - before
-    };
-    for (name, topo) in [
-        ("greedy", TopoConfig::greedy()),
-        ("multi_merge", TopoConfig::default()),
-    ] {
-        let first = count(&topo);
-        let second = count(&topo);
-        // Counts are per thread and the routing is deterministic, so two
-        // runs allocate exactly alike.
-        assert_eq!(first, second, "{name}: allocation counts diverged");
-        let per_merge = first as f64 / (n - 1) as f64;
-        assert!(
-            per_merge <= BUDGET_PER_MERGE,
-            "{name}: {per_merge:.2} allocs/merge exceeds the {BUDGET_PER_MERGE} budget \
-             ({first} allocations over {} merges)",
-            n - 1
-        );
+    // Four groups keep every delay map inline; with ten, the maps of
+    // subtrees reaching more than four groups spill to the heap.
+    for groups in [4, 10] {
+        let inst = instance_with_groups(n, groups);
+        let model = DelayModel::elmore(*inst.rc());
+        let count = |topo: &TopoConfig| {
+            let before = allocmeter::current();
+            let (_forest, _root) = run_bottom_up(&inst, model, engine, topo);
+            allocmeter::current() - before
+        };
+        for (name, topo) in [
+            ("greedy", TopoConfig::greedy()),
+            ("multi_merge", TopoConfig::default()),
+        ] {
+            let first = count(&topo);
+            let second = count(&topo);
+            // Counts are per thread and the routing is deterministic, so
+            // two runs allocate exactly alike.
+            assert_eq!(first, second, "{name}: allocation counts diverged");
+            let per_merge = first as f64 / (n - 1) as f64;
+            eprintln!("{groups} groups, {name}: {per_merge:.2} allocs/merge");
+            assert!(
+                per_merge <= BUDGET_PER_MERGE,
+                "{groups} groups, {name}: {per_merge:.2} allocs/merge exceeds the \
+                 {BUDGET_PER_MERGE} budget ({first} allocations over {} merges)",
+                n - 1
+            );
+        }
     }
 }
 
