@@ -28,14 +28,15 @@ impl MergeSpace for ForestSpace<'_> {
         self.forest.representative_region(NodeId::from_index(id))
     }
 
-    fn distance(&self, a: usize, b: usize) -> f64 {
-        // Geometric distance, deliberately: ranking node pairs by full
-        // merge-cost estimates defers delay-imbalanced pairs, which strands
-        // slow subtrees until only expensive partners remain. Offset
+    fn regions(&self, id: usize, out: &mut Vec<Trr>) {
+        // The planner ranks pairs by geometric distance between candidate
+        // regions, deliberately: ranking node pairs by full merge-cost
+        // estimates defers delay-imbalanced pairs, which strands slow
+        // subtrees until only expensive partners remain. Offset
         // compatibility is handled *inside* a merge by candidate-pair
         // ranking (see MergeForest::merge).
-        self.forest
-            .merge_distance(NodeId::from_index(a), NodeId::from_index(b))
+        let cands = self.forest.candidates(NodeId::from_index(id));
+        out.extend(cands.iter().map(|c| c.region));
     }
 
     fn delay(&self, id: usize) -> f64 {
@@ -65,6 +66,9 @@ pub(crate) struct MergeTrace {
     /// Grid neighbor queries by the incremental planner
     /// ([`MergePlanner::nn_queries`]).
     pub(crate) nn_queries: usize,
+    /// Exact pair distances evaluated by the incremental planner
+    /// ([`MergePlanner::exact_distances`]).
+    pub(crate) exact_distances: usize,
 }
 
 impl MergeTrace {
@@ -78,6 +82,7 @@ impl MergeTrace {
         self.apply_seconds += other.apply_seconds;
         self.grid_builds += other.grid_builds;
         self.nn_queries += other.nn_queries;
+        self.exact_distances += other.exact_distances;
     }
 }
 
@@ -172,6 +177,7 @@ pub(crate) fn merge_until_one_traced(
     }
     trace.grid_builds = planner.grid_builds();
     trace.nn_queries = planner.nn_queries();
+    trace.exact_distances = planner.exact_distances();
     (NodeId::from_index(planner.sole_key()), trace)
 }
 

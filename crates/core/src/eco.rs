@@ -106,8 +106,8 @@ use astdme_delay::RcParams;
 use astdme_engine::{GroupId, Groups, Instance, MergeForest, NodeId, Sink, NO_NODE};
 use astdme_geom::{Point, Trr};
 use astdme_topo::{
-    pair_score, plan_round, round_limit, score_bits, select_disjoint, MergeOrder, NnSnapshotRow,
-    BRUTE_FORCE_CUTOFF,
+    pair_score, plan_round, round_limit, score_bits, select_disjoint, space_distance, MergeOrder,
+    MergeSpace, NnSnapshotRow, BRUTE_FORCE_CUTOFF,
 };
 
 use crate::drivers::{merge_until_one_traced, ForestSpace, MergeScript, MergeTrace};
@@ -625,6 +625,7 @@ fn replay_merges(
     let mut refresh: Vec<usize> = Vec::new();
     let mut novel: Vec<usize> = Vec::new();
     let mut ranked: Vec<(u64, u32, u32)> = Vec::new();
+    let mut region_bufs: [Vec<Trr>; 2] = Default::default();
 
     let mut trace = MergeTrace::default();
     let (mut adopted, mut fresh) = (0usize, 0usize);
@@ -716,11 +717,10 @@ fn replay_merges(
                         }
                         let (vi, rd) = best.expect("two or more active subtrees");
                         let v = active[vi];
-                        let exact =
-                            forest.merge_distance(NodeId::from_index(x), NodeId::from_index(v));
+                        let exact = space_distance(&space, x, v, &mut region_bufs);
                         let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                        nn_of[ai] =
-                            Some((v, rd, score_bits(pair_score(&space, topo, lo, hi, exact))));
+                        let score = pair_score(topo, space.delay(lo), space.delay(hi), exact);
+                        nn_of[ai] = Some((v, rd, score_bits(score)));
                     }
                     // Takeover: a novel subtree strictly closer than an
                     // inherited entry's recorded neighbor supersedes it.
@@ -736,14 +736,11 @@ fn replay_merges(
                             let u = active[ui];
                             let nd = hulls[ui].distance(&rd_region);
                             if nd < urd {
-                                let exact = forest
-                                    .merge_distance(NodeId::from_index(u), NodeId::from_index(d));
+                                let exact = space_distance(&space, u, d, &mut region_bufs);
                                 let (lo, hi) = if u < d { (u, d) } else { (d, u) };
-                                nn_of[ui] = Some((
-                                    d,
-                                    nd,
-                                    score_bits(pair_score(&space, topo, lo, hi, exact)),
-                                ));
+                                let (dl, dh) = (space.delay(lo), space.delay(hi));
+                                let score = pair_score(topo, dl, dh, exact);
+                                nn_of[ui] = Some((d, nd, score_bits(score)));
                             }
                         }
                     }

@@ -121,6 +121,12 @@ pub struct StageStats {
     /// planner (merge stage only; zero on a cache hit and in an ECO
     /// replay's planning). Deterministic for a fixed instance and plan.
     pub nn_queries: usize,
+    /// Exact pair-distance evaluations by the incremental merge planner:
+    /// candidate-region minimum distances it could not reuse from a
+    /// cached pair score (merge stage only; zero on a cache hit and in an
+    /// ECO replay's planning). Deterministic for a fixed instance and
+    /// plan.
+    pub exact_distances: usize,
     /// Iterations of the skew-repair loop (repair stage only; zero when
     /// the stage was a no-op).
     pub repair_iterations: usize,
@@ -452,6 +458,7 @@ pub(crate) fn run_with<'a>(
         st.apply_seconds = trace.apply_seconds;
         st.grid_builds = trace.grid_builds;
         st.nn_queries = trace.nn_queries;
+        st.exact_distances = trace.exact_distances;
         Ok(Some(Planned::Fresh(forest, root)))
     })?;
     let Some(merged) = merged else {

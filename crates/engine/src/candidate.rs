@@ -14,7 +14,8 @@
 //! sink), so a leaf's record is all zeros.
 //!
 //! A delay map of more than four groups adds one heap list per
-//! candidate, allocated once when the merge builds the candidate and
+//! candidate, allocated once when the merge gives a kept candidate its
+//! map (after pruning, so a discarded candidate allocates none) and
 //! moved, not cloned, when compaction freezes it.
 
 use astdme_geom::Trr;

@@ -4,11 +4,11 @@
 //! windows (case 4, delegated to [`super::offset`]), and the best-effort
 //! fallback that records a skew residual.
 
-use astdme_delay::{feasible_splits, min_total_for_feasibility, SharedConstraint};
+use astdme_delay::{feasible_splits, min_total_for_feasibility, DelayModel, SharedConstraint};
 use astdme_geom::{merge_locus, Interval};
 
 use crate::candidate::cand_index;
-use crate::{CandKind, Candidate};
+use crate::{CandKind, Candidate, DelayMap};
 
 use super::context::{MergeCtx, Scratch};
 use super::NodeId;
@@ -110,11 +110,13 @@ impl MergeCtx<'_> {
         set.sample_into(self.cfg.split_samples, samples);
         out.extend(samples.iter().map(|&ea| {
             let ea = ea.clamp(0.0, total);
-            self.build_candidate(a, b, ia, ib, ea, total - ea)
+            self.expanded_candidate(a, b, ia, ib, ea, total - ea)
         }));
     }
 
-    /// Constructs the merged candidate for an explicit wire split.
+    /// Constructs the merged candidate for an explicit wire split, delay
+    /// map included. Offset adjustment builds its overlay candidates this
+    /// way: later expansions read their maps.
     pub(crate) fn build_candidate(
         &self,
         a: NodeId,
@@ -124,14 +126,33 @@ impl MergeCtx<'_> {
         ea: f64,
         eb: f64,
     ) -> Candidate {
+        let mut cand = self.expanded_candidate(a, b, ia, ib, ea, eb);
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
-        let da = self.model.wire_delay(ea, ca.cap);
-        let db = self.model.wire_delay(eb, cb.cap);
+        cand.delays = merged_delays(self.model, &cand.kind, ca, cb);
+        cand
+    }
+
+    /// [`MergeCtx::build_candidate`] without the delay map (left empty):
+    /// how expansion builds a merge's own candidates. `prune` orders and
+    /// dedups on wirelength and region alone and drops about 40% of them,
+    /// so the merge gives only the kept ones their maps, after `prune`
+    /// (`MergeForest::fill_delays`), and a discarded candidate never
+    /// builds (or, past four groups, allocates) one.
+    pub(crate) fn expanded_candidate(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        ia: usize,
+        ib: usize,
+        ea: f64,
+        eb: f64,
+    ) -> Candidate {
+        let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
         let region = merge_locus(&ca.region, &cb.region, ea, eb)
             .expect("split must cover the geometric distance");
         Candidate {
             region,
-            delays: ca.delays.shifted_merge(da, &cb.delays, db),
+            delays: DelayMap::default(),
             cap: ca.cap + cb.cap + self.model.wire_cap(ea + eb),
             wirelen: ca.wirelen + cb.wirelen + ea + eb,
             kind: CandKind {
@@ -195,7 +216,21 @@ impl MergeCtx<'_> {
             .monotone_root(Interval::new(0.0, total))
             .unwrap_or(0.5 * total)
             .clamp(0.0, total);
-        out.push(self.build_candidate(a, b, ia, ib, ea, total - ea));
+        out.push(self.expanded_candidate(a, b, ia, ib, ea, total - ea));
         residual
     }
+}
+
+/// The delay map of the candidate merging child candidates `ca` and `cb`
+/// with the wire `kind` records: each child's map shifted by its edge's
+/// delay, then merged (`DelayMap::shifted_merge`, one pass).
+pub(crate) fn merged_delays(
+    model: &DelayModel,
+    kind: &CandKind,
+    ca: &Candidate,
+    cb: &Candidate,
+) -> DelayMap {
+    let da = model.wire_delay(kind.ea, ca.cap);
+    let db = model.wire_delay(kind.eb, cb.cap);
+    ca.delays.shifted_merge(da, &cb.delays, db)
 }

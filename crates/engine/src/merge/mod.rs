@@ -42,9 +42,10 @@
 //! 2. **Expand** — each ranked pair appends its merged candidates to the
 //!    one scratch candidate list.
 //! 3. **Commit** — overlays replay onto their nodes and provenance is
-//!    remapped in place in that list; `prune` and class fusion then sort,
-//!    dedup, truncate and filter the same list. An overlay that appends
-//!    to a frozen node thaws it into a live list, copy-on-write.
+//!    remapped in place in that list; `prune` then sorts, dedups and
+//!    truncates it, the kept candidates get their delay maps, and class
+//!    fusion filters it. An overlay that appends to a frozen node thaws it
+//!    into a live list, copy-on-write.
 //! 4. **Freeze** — the two children are consumed: unless the merge is
 //!    recorded, each child's candidates that the kept ones reference are
 //!    moved, in order, into the forest's frozen store (copied only when a
@@ -71,10 +72,14 @@
 //! (`u32` child-candidate indices plus the two wire lengths; a leaf is
 //! known by its node, not by its candidates).
 //!
-//! A larger map spills to a heap list. Expansion builds each candidate's
-//! map in one pass (`DelayMap::shifted_merge`), so every built candidate
-//! with a spilled map costs exactly one more allocation, and freezing
-//! moves a kept one's list into the store instead of cloning it.
+//! A larger map spills to a heap list. Expansion leaves a merge's own
+//! candidates without maps; after `prune`, each kept candidate gets its
+//! map in one pass (`DelayMap::shifted_merge`) from the committed child
+//! candidates its provenance names. So only a *kept* candidate with a
+//! spilled map costs one more allocation (the ≈40% `prune` drops cost
+//! none), and freezing moves a kept one's list into the store instead of
+//! cloning it. Offset adjustment's overlay candidates are built whole,
+//! because later expansions read their maps.
 //!
 //! # Borrow discipline
 //!
@@ -267,22 +272,6 @@ impl MergeForest {
         self.nodes[id.0].hull
     }
 
-    /// Minimum distance between the best candidates of two nodes — the
-    /// merging cost used for nearest-neighbor selection. Region distances
-    /// clamp at zero, so the scan stops at the first touching pair.
-    pub fn merge_distance(&self, a: NodeId, b: NodeId) -> f64 {
-        let mut best = f64::INFINITY;
-        for ca in self.list(a) {
-            for cb in self.list(b) {
-                best = best.min(ca.region.distance(&cb.region));
-                if best <= 0.0 {
-                    return best;
-                }
-            }
-        }
-        best
-    }
-
     /// The largest root-to-sink delay among a node's candidates (used by
     /// the delay-target merging-order enhancement, Ch. V.F). O(1): cached
     /// at candidate creation like [`MergeForest::representative_region`].
@@ -311,6 +300,18 @@ impl MergeForest {
     /// The prescribed offset of a group relative to its class reference.
     pub fn class_offset(&self, g: GroupId) -> f64 {
         self.phi[g.index()]
+    }
+
+    /// Gives each kept candidate of the merge of `a` and `b` its delay map,
+    /// from the committed child candidates its provenance names (commit
+    /// has remapped those indices to final positions, overlay appends
+    /// included). The maps are the bits expansion would have built.
+    fn fill_delays(&self, a: NodeId, b: NodeId, cands: &mut [Candidate]) {
+        let (la, lb) = (self.list(a), self.list(b));
+        for c in cands {
+            let (ca, cb) = (&la[c.kind.cand_a as usize], &lb[c.kind.cand_b as usize]);
+            c.delays = cases::merged_delays(&self.model, &c.kind, ca, cb);
+        }
     }
 
     /// Merges subtrees `a` and `b` into a new subtree, satisfying every
@@ -343,10 +344,11 @@ impl MergeForest {
             let (_, ia, ib) = scratch.ranked[0];
             let d = self.list(a)[ia].region.distance(&self.list(b)[ib].region);
             let half = 0.5 * d;
-            let fallback = self.ctx().build_candidate(a, b, ia, ib, half, d - half);
+            let fallback = self.ctx().expanded_candidate(a, b, ia, ib, half, d - half);
             scratch.cands.push(fallback);
         }
         Self::prune(&mut scratch.cands, self.cfg.max_candidates);
+        self.fill_delays(a, b, &mut scratch.cands);
         self.residual = self.residual.max(worst_residual);
         let epoch_before = rec.as_ref().map_or(0, |r| r.epoch());
         if self.cfg.fuse_groups {

@@ -141,11 +141,11 @@ fn embed_realizes_bookkept_wirelength_and_delays() {
 }
 
 #[test]
-fn merge_distance_and_representative_region() {
+fn representative_region_covers_every_candidate() {
     let mut f = forest_with(vec![0.0, 0.0]);
     let a = f.add_leaf(0, pt(0.0, 0.0), 1e-14, GroupId(0));
     let b = f.add_leaf(1, pt(100.0, 0.0), 1e-14, GroupId(1));
-    assert_eq!(f.merge_distance(a, b), 100.0);
+    assert_eq!(f.representative_region(a), f.candidates(a)[0].region);
     let m = f.merge(a, b);
     let rep = f.representative_region(m);
     for c in f.candidates(m) {

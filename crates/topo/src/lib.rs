@@ -8,10 +8,15 @@
 //! * [`plan_round`] — one round of merge planning under a [`TopoConfig`],
 //!   **from scratch** (rebuilds the index and re-queries every neighbor on
 //!   each call): the reference implementation;
+//! * [`min_region_distance`] — the exact merging cost of two subtrees
+//!   (minimum distance between their candidate regions), the one kernel
+//!   every planner scores pairs with;
 //! * [`MergePlanner`] — the **incremental planner** the routing drivers
 //!   use: neighbor caches and pair scores survive across rounds, so only
 //!   invalidated caches pay the exact-distance refinement, making a full
-//!   bottom-up run near-linear instead of quadratic. Multi-merge rounds
+//!   bottom-up run near-linear instead of quadratic. It copies each
+//!   subtree's hull, delay and candidate regions once, when the subtree
+//!   becomes active, and scores pairs from that copy alone. Multi-merge rounds
 //!   rebuild the flat grid once per round; greedy rounds patch it in place
 //!   (see the `planner` module docs for the data structures and the
 //!   equivalence argument);
@@ -38,7 +43,7 @@ mod planner;
 
 pub use grid::GridIndex;
 pub use plan::{
-    pair_score, plan_round, round_limit, score_bits, select_disjoint, MergeOrder, MergeSpace,
-    TopoConfig, BRUTE_FORCE_CUTOFF,
+    min_region_distance, pair_score, plan_round, round_limit, score_bits, select_disjoint,
+    space_distance, MergeOrder, MergeSpace, TopoConfig, BRUTE_FORCE_CUTOFF,
 };
 pub use planner::{MergePlanner, NnSnapshotRow};

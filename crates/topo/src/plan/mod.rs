@@ -21,16 +21,43 @@ pub const BRUTE_FORCE_CUTOFF: usize = 32;
 /// What the planner needs to know about the current set of subtrees.
 ///
 /// Implemented by the routing driver over its merge forest; keys are the
-/// driver's node identifiers.
+/// driver's node identifiers. A subtree is read when it enters the active
+/// set and never again: subtrees are immutable once created, so the
+/// incremental [`MergePlanner`](crate::MergePlanner) keeps its own copy of
+/// what it needs (the hull, the candidate regions, the delay) and ranks
+/// pairs from that copy alone.
 pub trait MergeSpace {
-    /// Representative region of subtree `id` (hull of its candidates).
+    /// Representative region of subtree `id` (hull of its candidates). A
+    /// subtree with a single candidate region reports that region itself,
+    /// bit for bit, so the planner can use the hull in its place.
     fn region(&self, id: usize) -> Trr;
-    /// Exact merging cost between two subtrees (minimum candidate
-    /// distance).
-    fn distance(&self, a: usize, b: usize) -> f64;
+    /// Appends the candidate regions of subtree `id` to `out`, in candidate
+    /// order. The exact merging cost of two subtrees is
+    /// [`min_region_distance`] over their region lists.
+    fn regions(&self, id: usize, out: &mut Vec<Trr>);
     /// Largest accumulated root-to-sink delay of the subtree (seconds),
     /// for the delay-target bias.
     fn delay(&self, id: usize) -> f64;
+}
+
+/// The exact merging cost of two subtrees: the minimum distance between
+/// any candidate region of `a` and any of `b`. `a` is the outer loop, and
+/// region distances clamp at zero, so the scan stops at the first touching
+/// pair. Every planner (incremental, from scratch, the brute-force tail
+/// and replay drivers) evaluates exact costs through this one kernel, so
+/// their scores agree bit for bit.
+#[inline]
+pub fn min_region_distance(a: &[Trr], b: &[Trr]) -> f64 {
+    let mut best = f64::INFINITY;
+    for ra in a {
+        for rb in b {
+            best = best.min(ra.distance(rb));
+            if best <= 0.0 {
+                return best;
+            }
+        }
+    }
+    best
 }
 
 /// Merge ordering scheme.
@@ -106,10 +133,30 @@ pub fn round_limit(order: MergeOrder, n: usize) -> usize {
     }
 }
 
-/// The pair score used for ranking: exact distance minus the delay-target
-/// bias. Lower merges earlier.
-pub fn pair_score<S: MergeSpace>(space: &S, cfg: &TopoConfig, a: usize, b: usize, d: f64) -> f64 {
-    d - cfg.delay_weight * (space.delay(a) + space.delay(b))
+/// The exact merging cost of subtrees `a` and `b` read through `space`
+/// ([`min_region_distance`], `a`'s regions in the outer loop), for
+/// planners without their own region copies: the from-scratch
+/// [`plan_round`] and replay drivers. `bufs` are reused region buffers.
+pub fn space_distance<S: MergeSpace>(
+    space: &S,
+    a: usize,
+    b: usize,
+    bufs: &mut [Vec<Trr>; 2],
+) -> f64 {
+    let [ra, rb] = bufs;
+    ra.clear();
+    rb.clear();
+    space.regions(a, ra);
+    space.regions(b, rb);
+    min_region_distance(ra, rb)
+}
+
+/// The pair score used for ranking: exact distance `d` minus the
+/// delay-target bias over the two subtrees' delays (the smaller key's
+/// first). Lower merges earlier.
+#[inline]
+pub fn pair_score(cfg: &TopoConfig, delay_lo: f64, delay_hi: f64, d: f64) -> f64 {
+    d - cfg.delay_weight * (delay_lo + delay_hi)
 }
 
 /// Maps a non-NaN `f64` to bits whose unsigned order matches the float
@@ -179,40 +226,54 @@ pub fn plan_round<S: MergeSpace>(
     }
     // Exact all-pairs for small sets; grid-accelerated NN otherwise.
     let nn: Vec<(usize, usize, f64)> = if active.len() <= BRUTE_FORCE_CUTOFF {
-        nearest_bruteforce(space, active)
+        let mut regions = Vec::new();
+        let mut spans = Vec::with_capacity(active.len());
+        for &k in active {
+            let start = regions.len();
+            space.regions(k, &mut regions);
+            spans.push(start..regions.len());
+        }
+        nearest_bruteforce(active, |i, j| {
+            min_region_distance(&regions[spans[i].clone()], &regions[spans[j].clone()])
+        })
     } else {
         nearest_with_grid(space, active)
     };
-    rank_and_select(space, cfg, nn, active.len())
+    rank_and_select(cfg, nn, active.len(), |k| space.delay(k))
 }
 
 /// Ranks deduplicated nearest pairs by score and selects the round — the
 /// tail both [`plan_round`] and the incremental planner's brute-force
-/// delegation share, so their orderings cannot drift apart.
-pub(crate) fn rank_and_select<S: MergeSpace>(
-    space: &S,
+/// delegation share, so their orderings cannot drift apart. `delay` maps a
+/// key to its subtree's delay.
+pub(crate) fn rank_and_select(
     cfg: &TopoConfig,
-    mut ranked: Vec<(usize, usize, f64)>,
+    ranked: Vec<(usize, usize, f64)>,
     n_active: usize,
+    delay: impl Fn(usize) -> f64,
 ) -> Vec<(usize, usize)> {
-    ranked.sort_by(|x, y| {
-        pair_score(space, cfg, x.0, x.1, x.2)
-            .partial_cmp(&pair_score(space, cfg, y.0, y.1, y.2))
+    let mut scored: Vec<(f64, usize, usize)> = ranked
+        .into_iter()
+        .map(|(a, b, d)| (pair_score(cfg, delay(a), delay(b), d), a, b))
+        .collect();
+    scored.sort_by(|x, y| {
+        x.0.partial_cmp(&y.0)
             .expect("scores are not NaN")
-            .then(x.0.cmp(&y.0))
             .then(x.1.cmp(&y.1))
+            .then(x.2.cmp(&y.2))
     });
     select_disjoint(
-        ranked.into_iter().map(|(a, b, _)| (a, b)),
+        scored.into_iter().map(|(_, a, b)| (a, b)),
         round_limit(cfg.order, n_active),
     )
 }
 
 /// For every active subtree, its nearest neighbor by exact merge cost
-/// (deduplicated to unordered pairs).
-pub(crate) fn nearest_bruteforce<S: MergeSpace>(
-    space: &S,
+/// (deduplicated to unordered key pairs). `dist(i, j)` is the exact cost
+/// between the subtrees at active positions `i` and `j`.
+pub(crate) fn nearest_bruteforce(
     active: &[usize],
+    mut dist: impl FnMut(usize, usize) -> f64,
 ) -> Vec<(usize, usize, f64)> {
     let mut pairs = Vec::with_capacity(active.len());
     for (i, &a) in active.iter().enumerate() {
@@ -221,7 +282,7 @@ pub(crate) fn nearest_bruteforce<S: MergeSpace>(
             if i == j {
                 continue;
             }
-            let d = space.distance(a, b);
+            let d = dist(i, j);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((b, d));
             }
@@ -239,9 +300,10 @@ fn nearest_with_grid<S: MergeSpace>(space: &S, active: &[usize]) -> Vec<(usize, 
     let grid = GridIndex::build(items.iter().copied());
     // Grid distance is between representative regions; refine with the
     // exact candidate-level cost.
+    let mut bufs = Default::default();
     let pairs = items.iter().filter_map(|(id, region)| {
         grid.nearest(*id, region).map(|(nn, _)| {
-            let d = space.distance(*id, nn);
+            let d = space_distance(space, *id, nn, &mut bufs);
             let (lo, hi) = if *id < nn { (*id, nn) } else { (nn, *id) };
             (lo, hi, d)
         })
@@ -256,170 +318,4 @@ fn dedup_pairs(mut pairs: Vec<(usize, usize, f64)>) -> Vec<(usize, usize, f64)> 
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use astdme_geom::Point;
-
-    /// A toy space over explicit points with optional delays.
-    pub(crate) struct Pts {
-        pub(crate) pts: Vec<Point>,
-        pub(crate) delays: Vec<f64>,
-    }
-
-    impl Pts {
-        pub(crate) fn new(coords: &[(f64, f64)]) -> Self {
-            Self {
-                pts: coords.iter().map(|&(x, y)| Point::new(x, y)).collect(),
-                delays: vec![0.0; coords.len()],
-            }
-        }
-    }
-
-    impl MergeSpace for Pts {
-        fn region(&self, id: usize) -> Trr {
-            Trr::from_point(self.pts[id])
-        }
-        fn distance(&self, a: usize, b: usize) -> f64 {
-            self.pts[a].dist(self.pts[b])
-        }
-        fn delay(&self, id: usize) -> f64 {
-            self.delays[id]
-        }
-    }
-
-    #[test]
-    fn greedy_picks_the_global_minimum_pair() {
-        let s = Pts::new(&[(0.0, 0.0), (5.0, 0.0), (100.0, 0.0), (101.0, 0.0)]);
-        let plan = plan_round(&s, &[0, 1, 2, 3], &TopoConfig::greedy());
-        assert_eq!(plan, vec![(2, 3)]);
-    }
-
-    #[test]
-    fn multi_merge_returns_disjoint_pairs() {
-        let s = Pts::new(&[
-            (0.0, 0.0),
-            (1.0, 0.0),
-            (10.0, 0.0),
-            (11.0, 0.0),
-            (20.0, 0.0),
-            (21.5, 0.0),
-        ]);
-        let cfg = TopoConfig {
-            order: MergeOrder::MultiMerge { fraction: 0.5 },
-            delay_weight: 0.0,
-        };
-        let plan = plan_round(&s, &[0, 1, 2, 3, 4, 5], &cfg);
-        assert_eq!(plan.len(), 3);
-        let mut seen = std::collections::HashSet::new();
-        for (a, b) in &plan {
-            assert!(seen.insert(*a));
-            assert!(seen.insert(*b));
-        }
-        // Best pair first.
-        assert_eq!(plan[0], (0, 1));
-    }
-
-    #[test]
-    fn select_disjoint_matches_a_set_based_selection() {
-        // Keys straddle several bitset words, repeat, and include the
-        // first and last bit of a word.
-        let mut s: u64 = 11;
-        let ranked: Vec<(usize, usize)> = (0..400)
-            .map(|_| {
-                s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                let a = ((s >> 20) % 300) as usize;
-                (a, (a + 1 + ((s >> 40) % 63) as usize) % 300)
-            })
-            .chain([(0, 63), (64, 127), (1000, 1001)])
-            .collect();
-        for limit in [2, 7, 50, 1000] {
-            let mut used = std::collections::BTreeSet::new();
-            let mut want = Vec::new();
-            for &(a, b) in &ranked {
-                if want.len() < limit && !used.contains(&a) && !used.contains(&b) {
-                    used.insert(a);
-                    used.insert(b);
-                    want.push((a, b));
-                }
-            }
-            assert_eq!(select_disjoint(ranked.iter().copied(), limit), want);
-        }
-    }
-
-    #[test]
-    fn empty_and_single_return_no_pairs() {
-        let s = Pts::new(&[(0.0, 0.0)]);
-        assert!(plan_round(&s, &[], &TopoConfig::default()).is_empty());
-        assert!(plan_round(&s, &[0], &TopoConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn delay_bias_promotes_slow_subtrees() {
-        let mut s = Pts::new(&[(0.0, 0.0), (10.0, 0.0), (100.0, 0.0), (115.0, 0.0)]);
-        // The far pair is slower; with enough bias it merges first even
-        // though it is geometrically more expensive.
-        s.delays = vec![0.0, 0.0, 1e-12, 1e-12];
-        let unbiased = plan_round(&s, &[0, 1, 2, 3], &TopoConfig::greedy());
-        assert_eq!(unbiased, vec![(0, 1)]);
-        let biased = plan_round(
-            &s,
-            &[0, 1, 2, 3],
-            &TopoConfig {
-                order: MergeOrder::GreedyNearest,
-                delay_weight: 1e13, // 10 um per 1e-12 s
-            },
-        );
-        assert_eq!(biased, vec![(2, 3)]);
-    }
-
-    #[test]
-    fn grid_and_bruteforce_agree_on_larger_sets() {
-        // 40 points: exercises the grid path (> 32) against brute force.
-        let mut coords = Vec::new();
-        let mut s: u64 = 7;
-        for _ in 0..40 {
-            s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            coords.push((((s >> 20) % 1000) as f64, ((s >> 40) % 1000) as f64));
-        }
-        let space = Pts::new(&coords);
-        let active: Vec<usize> = (0..coords.len()).collect();
-        let greedy = plan_round(&space, &active, &TopoConfig::greedy());
-        let bf = nearest_bruteforce(&space, &active);
-        let best_bf = bf
-            .iter()
-            .min_by(|x, y| x.2.partial_cmp(&y.2).unwrap())
-            .unwrap();
-        assert_eq!(greedy[0], (best_bf.0, best_bf.1));
-    }
-
-    #[test]
-    fn fingerprint_words_separate_configs() {
-        let default = TopoConfig::default().fingerprint_words();
-        assert_eq!(default, TopoConfig::default().fingerprint_words());
-        assert_ne!(default, TopoConfig::greedy().fingerprint_words());
-        let biased = TopoConfig {
-            delay_weight: 1e13,
-            ..TopoConfig::default()
-        };
-        assert_ne!(default, biased.fingerprint_words());
-        let half = TopoConfig {
-            order: MergeOrder::MultiMerge { fraction: 0.5 },
-            delay_weight: 0.0,
-        };
-        assert_ne!(default, half.fingerprint_words());
-    }
-
-    #[test]
-    fn multi_merge_fraction_bounds_pair_count() {
-        let coords: Vec<(f64, f64)> = (0..100).map(|i| (i as f64 * 3.0, 0.0)).collect();
-        let s = Pts::new(&coords);
-        let active: Vec<usize> = (0..100).collect();
-        let cfg = TopoConfig {
-            order: MergeOrder::MultiMerge { fraction: 0.25 },
-            delay_weight: 0.0,
-        };
-        let plan = plan_round(&s, &active, &cfg);
-        assert!(!plan.is_empty());
-        assert!(plan.len() <= 25);
-    }
-}
+pub(crate) mod tests;

@@ -6,15 +6,32 @@
 //! refresh paths, so the entries order (and hence exact-tie breaking) is
 //! identical on both.
 
-use super::{Entry, MergePlanner, NO_POS};
+use super::{Entry, MergePlanner, CONSUMED, NO_POS};
 use crate::MergeSpace;
+
+/// The entry index a `pos` table holds for `key`, if the key is active.
+#[inline]
+pub(super) fn active_pos(pos: &[u32], key: usize) -> Option<usize> {
+    match pos.get(key) {
+        Some(&p) if p < CONSUMED => Some(p as usize),
+        _ => None,
+    }
+}
 
 impl MergePlanner {
     /// The entry index of an active key, if any.
     #[inline]
     pub(super) fn pos_of(&self, key: usize) -> Option<usize> {
+        active_pos(&self.pos, key)
+    }
+
+    /// The result key of the refresh merge that consumed `key`, if a
+    /// refresh round consumed it ([`MergePlanner::drop_key`] tags it). The
+    /// refresh sweep asks only about neighbors consumed in its own round.
+    #[inline]
+    pub(super) fn consumer_of(&self, key: usize) -> Option<usize> {
         match self.pos.get(key) {
-            Some(&p) if p != NO_POS => Some(p as usize),
+            Some(&p) if p != NO_POS && p >= CONSUMED => Some((p - CONSUMED) as usize),
             _ => None,
         }
     }
@@ -22,7 +39,7 @@ impl MergePlanner {
     /// Grows the dense per-key tables to cover `key` (`rev` only while
     /// the point-update path maintains it).
     pub(super) fn ensure_key(&mut self, key: usize) {
-        assert!(key < NO_POS as usize, "planner keys must fit u32");
+        assert!(key < CONSUMED as usize, "planner keys must be below 2^31");
         if key >= self.pos.len() {
             self.pos.resize(key + 1, NO_POS);
         }
@@ -42,7 +59,7 @@ impl MergePlanner {
         self.clear_nn(i);
         let entry = self.entries.swap_remove(i);
         if i < self.entries.len() {
-            self.pos[self.entries[i].key] = i as u32;
+            self.pos[self.entries[i].key()] = i as u32;
         }
         self.grid.remove(key, &entry.region);
         // Whoever pointed at the removed key loses its neighbor: re-query.
@@ -53,7 +70,7 @@ impl MergePlanner {
                 let Some(ki) = self.pos_of(k) else {
                     continue; // stale back-reference
                 };
-                if self.entries[ki].nn.is_some_and(|nn| nn.key == key) {
+                if self.entries[ki].nn().is_some_and(|nn| nn.key == key) {
                     self.clear_nn(ki);
                     self.dirty.push((k, hint));
                 }
@@ -63,49 +80,45 @@ impl MergePlanner {
         }
     }
 
-    /// Removes `key` from the active set only — no grid, pair-set or
-    /// back-reference maintenance. Valid solely on the refresh path, which
-    /// rebuilds all of those from the surviving entries. Uses the same
-    /// swap-remove discipline as [`MergePlanner::remove_key`], so the
-    /// entries order (and hence tie-breaking) is identical on both paths.
-    pub(super) fn drop_key(&mut self, key: usize) {
+    /// Removes `key`, consumed by the merge that created `merged`, from the
+    /// active set only — no grid, pair-set or back-reference maintenance.
+    /// Valid solely on the refresh path, which rebuilds all of those from
+    /// the surviving entries. The key's `pos` slot keeps `merged` as the
+    /// refresh sweep's re-query hint ([`MergePlanner::consumer_of`]). Uses
+    /// the same swap-remove discipline as [`MergePlanner::remove_key`], so
+    /// the entries order (and hence tie-breaking) is identical on both
+    /// paths.
+    pub(super) fn drop_key(&mut self, key: usize, merged: usize) {
         let i = self
             .pos_of(key)
             .expect("apply_merge called with an inactive key");
-        self.pos[key] = NO_POS;
+        // `merged` < CONSUMED: checked by `ensure_key` when it registers.
+        self.pos[key] = CONSUMED | merged as u32;
         self.entries.swap_remove(i);
         if i < self.entries.len() {
-            self.pos[self.entries[i].key] = i as u32;
+            self.pos[self.entries[i].key()] = i as u32;
         }
     }
 
     /// Adds `key` to the active set only (refresh path; see
     /// [`MergePlanner::drop_key`]).
     pub(super) fn add_key_deferred<S: MergeSpace>(&mut self, space: &S, key: usize) {
-        let region = space.region(key);
         self.ensure_key(key);
-        assert!(self.pos[key] == NO_POS, "duplicate planner key {key}");
+        assert!(self.pos_of(key).is_none(), "duplicate planner key {key}");
         self.pos[key] = self.entries.len() as u32;
-        self.entries.push(Entry {
-            key,
-            region,
-            nn: None,
-        });
+        let entry = Entry::new(space, &mut self.arena, key);
+        self.entries.push(entry);
     }
 
     /// Registers a new key in the grid and active set, deferring neighbor
     /// derivation to the round's maintenance sweep.
     pub(super) fn register_key<S: MergeSpace>(&mut self, space: &S, key: usize) {
-        let region = space.region(key);
         self.ensure_key(key);
-        assert!(self.pos[key] == NO_POS, "duplicate planner key {key}");
-        self.grid.insert(key, region);
+        assert!(self.pos_of(key).is_none(), "duplicate planner key {key}");
+        let entry = Entry::new(space, &mut self.arena, key);
+        self.grid.insert(key, entry.region);
         self.pos[key] = self.entries.len() as u32;
-        self.entries.push(Entry {
-            key,
-            region,
-            nn: None,
-        });
+        self.entries.push(entry);
         self.dirty.push((key, super::NO_HINT));
     }
 }

@@ -38,11 +38,29 @@
 //! set, then one grid build over the survivors and a sweep re-deriving
 //! every neighbor cache in the grid's cell order, reusing the cached pair
 //! score whenever a subtree's neighbor did not change (which skips the
-//! expensive exact `MergeSpace::distance` refinement — the bulk of a
-//! from-scratch round).
+//! exact-distance refinement for that pair). The sweep also re-lays the
+//! region arena out in the same cell order as it goes.
+//!
+//! # Scoring from the planner's own state
+//!
+//! A pair is ranked by its exact merging cost
+//! ([`min_region_distance`](crate::min_region_distance) over the two
+//! subtrees' candidate regions) minus the delay bias. The merge space is
+//! read once per subtree, when it enters the active set: the entry keeps
+//! the hull and the delay, and the region arena (`arena`) keeps the
+//! candidate regions, contiguous and in the grid's cell order. Exact
+//! distances and scores then read only planner state, never the space,
+//! so a sweep's reads stay within a few cells of each other in memory
+//! instead of chasing two scattered candidate lists per evaluation. Every
+//! path (bulk derivation, refresh, point updates, the brute-force tail)
+//! and the from-scratch [`plan_round`](crate::plan_round) share the one
+//! kernel, so their scores are bit-identical;
+//! [`MergePlanner::exact_distances`] counts the evaluations.
 //!
 //! All per-key state lives in flat vectors indexed by key (`NO_POS`
-//! sentinel for inactive): the planner assumes **dense keys** — merged
+//! sentinel for inactive; a refresh round tags each key it consumed with
+//! the merge result that swallowed it, the hint its sweep seeds re-queries
+//! with): the planner assumes **dense keys** — merged
 //! subtrees get fresh keys that grow by roughly one per merge, as forest
 //! node indices do — so a `Vec` position map replaces the old `HashMap`s
 //! (`pos`, `pair_info`, `rev`) without a memory blow-up, and steady-state
@@ -66,6 +84,8 @@
 //! | module | contents |
 //! |---|---|
 //! | [`mod@self`] | [`MergePlanner`]: construction, accessors, [`MergePlanner::plan_round`] / [`MergePlanner::apply_round`] orchestration |
+//! | `arena` | the region arena: per-subtree candidate regions, contiguous and re-laid out in cell order |
+//! | `entry` | the per-subtree [`Entry`] (its copied hull, delay and arena span, and its flat neighbor cache) and the exact-distance and score helpers that read it |
 //! | `keys` | the dense key tables: position map growth, active-set removal/insertion, back-reference invalidation |
 //! | `pairs` | the pair ranking: score folding, the lazy min-heap, the flat post-refresh ranking, round selection |
 //! | `points` | the point-update maintenance path: dirty-cache flushes, neighbor takeover scans, the takeover bound |
@@ -75,11 +95,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use astdme_geom::Trr;
-
 use crate::plan::{round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
 use crate::{GridIndex, MergeSpace, TopoConfig};
 
+mod arena;
+mod entry;
 mod keys;
 mod pairs;
 mod points;
@@ -88,10 +108,18 @@ mod tail;
 #[cfg(test)]
 mod tests;
 
+use arena::RegionArena;
+use entry::{Entry, Nn};
 use tail::BfMemo;
 
 /// Sentinel in the dense `pos` map: the key is not active.
 const NO_POS: u32 = u32::MAX;
+
+/// Tag bit in the dense `pos` map: the key was consumed by the refresh
+/// round's merge whose result key is the low bits. Any tagged value is
+/// inactive, like [`NO_POS`]; only the refresh sweep reads the result key
+/// (see [`MergePlanner::consumer_of`]).
+const CONSUMED: u32 = 1 << 31;
 
 /// Sentinel in the `dirty` list: no re-query seed available.
 const NO_HINT: usize = usize::MAX;
@@ -105,27 +133,6 @@ const NO_HINT: usize = usize::MAX;
 /// rounds (fraction ≥ ~1/8) always refresh; greedy rounds (one merge)
 /// never do above the brute-force cutoff.
 const ROUND_REFRESH_DIVISOR: usize = 8;
-
-#[derive(Debug, Clone, Copy)]
-struct Nn {
-    /// The neighbor's key.
-    key: usize,
-    /// Representative-region distance to it (the grid's metric, used to
-    /// decide whether a new subtree supersedes the cached neighbor).
-    region_dist: f64,
-    /// Folded score bits of the `(lo, hi)` pair this cache references.
-    /// Both endpoints of a pair derive bit-identical scores (the exact
-    /// distance is symmetric), so membership of the pair in the ranking
-    /// set is simply "some endpoint caches the other" — no refcount map.
-    score: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    key: usize,
-    region: Trr,
-    nn: Option<Nn>,
-}
 
 /// One row of [`MergePlanner::nn_snapshot`]: an active subtree plus its
 /// cached nearest neighbor, if one is cached.
@@ -152,7 +159,7 @@ pub struct NnSnapshotRow {
 /// struct Pts(Vec<Point>);
 /// impl MergeSpace for Pts {
 ///     fn region(&self, id: usize) -> Trr { Trr::from_point(self.0[id]) }
-///     fn distance(&self, a: usize, b: usize) -> f64 { self.0[a].dist(self.0[b]) }
+///     fn regions(&self, id: usize, out: &mut Vec<Trr>) { out.push(self.region(id)) }
 ///     fn delay(&self, _id: usize) -> f64 { 0.0 }
 /// }
 ///
@@ -195,6 +202,11 @@ pub struct MergePlanner {
     /// Grid neighbor queries so far (nearest, bounded nearest and range
     /// queries, in every maintenance path).
     nn_queries: usize,
+    /// Exact pair distances evaluated so far (memo hits in the tail are
+    /// not evaluations). A cell, so the `&self` scoring helpers count.
+    exact_distances: std::cell::Cell<usize>,
+    /// Every active entry's candidate regions (see `arena`).
+    arena: RegionArena,
     /// Current nearest-neighbor pairs as a lazy min-heap over
     /// `(score, lo, hi)` — the exact ranking the from-scratch planner
     /// sorts into. Entries are never removed eagerly: a pair is live iff
@@ -207,12 +219,12 @@ pub struct MergePlanner {
     /// as the flat `sorted_pairs` instead, and the heap is only
     /// materialized when the incremental maintenance path next needs
     /// point updates ([`MergePlanner::ensure_heap`]).
-    pairs: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    pairs: BinaryHeap<Reverse<(u64, u32, u32)>>,
     /// Sorted, deduplicated pair ranking as of the last refresh; the
     /// active representation while `sorted_valid`. Selection walks this
     /// vector — no tree nodes are built in the refresh regime, where the
     /// whole ranking is replaced every round anyway.
-    sorted_pairs: Vec<(u64, usize, usize)>,
+    sorted_pairs: Vec<(u64, u32, u32)>,
     sorted_valid: bool,
     /// key → keys whose cached neighbor is that key (lazily validated),
     /// dense-indexed like `pos`. Inner buffers are recycled through
@@ -235,8 +247,6 @@ pub struct MergePlanner {
     /// Reused round buffers (new keys of the round; takeover victims).
     round_new: Vec<usize>,
     takeover_buf: Vec<(usize, f64)>,
-    /// Reused refresh staging: consumed key → merge result, sorted.
-    consumed_buf: Vec<(usize, usize)>,
     /// Reused refresh staging: per new key (offset by the round's smallest
     /// new key), the first sweep entry that picked it as neighbor plus
     /// their region distance — the seed for the new key's own re-query.
@@ -260,31 +270,32 @@ pub struct MergePlanner {
 
 impl MergePlanner {
     /// Builds a planner over the subtrees in `active` (keys must be
-    /// unique). Costs one grid build plus one neighbor query per subtree —
-    /// the same work as a single from-scratch round.
+    /// unique and below 2^31). Costs one grid build plus one neighbor
+    /// query per subtree — the same work as a single from-scratch round —
+    /// and reads each subtree from `space` once (see the module docs).
     pub fn new<S: MergeSpace>(space: &S, active: &[usize], cfg: TopoConfig) -> Self {
+        let max_key = active.iter().copied().max().unwrap_or(0);
+        assert!(
+            max_key < CONSUMED as usize,
+            "planner keys must be below 2^31"
+        );
+        let mut arena = RegionArena::default();
         let entries: Vec<Entry> = active
             .iter()
-            .map(|&k| Entry {
-                key: k,
-                region: space.region(k),
-                nn: None,
-            })
+            .map(|&k| Entry::new(space, &mut arena, k))
             .collect();
-        let grid = GridIndex::build(entries.iter().map(|e| (e.key, e.region)));
-        let max_key = active.iter().copied().max().unwrap_or(0);
-        assert!(max_key < NO_POS as usize, "planner keys must fit u32");
+        let grid = GridIndex::build(entries.iter().map(|e| (e.key(), e.region)));
         let mut pos = vec![NO_POS; max_key + 1];
         for (i, e) in entries.iter().enumerate() {
             // Hard assert (matching merge_until_one_from_scratch): a
             // duplicate key would silently corrupt `pos`/the grid and hang
             // the merge loop in release builds.
-            assert!(pos[e.key] == NO_POS, "duplicate planner key {}", e.key);
-            pos[e.key] = i as u32;
+            assert!(pos[e.key()] == NO_POS, "duplicate planner key {}", e.key);
+            pos[e.key()] = i as u32;
         }
         let built_extent = grid.max_extent();
-        let dirty = entries.iter().map(|e| (e.key, NO_HINT)).collect();
-        Self {
+        let dirty = entries.iter().map(|e| (e.key(), NO_HINT)).collect();
+        let mut planner = Self {
             cfg,
             built_len: entries.len(),
             entries,
@@ -293,6 +304,8 @@ impl MergePlanner {
             built_extent,
             grid_builds: 1,
             nn_queries: 0,
+            exact_distances: std::cell::Cell::new(0),
+            arena,
             pairs: BinaryHeap::new(),
             sorted_pairs: Vec::new(),
             sorted_valid: false,
@@ -302,12 +315,13 @@ impl MergePlanner {
             rd_heap: BinaryHeap::new(),
             round_new: Vec::new(),
             takeover_buf: Vec::new(),
-            consumed_buf: Vec::new(),
             seed_buf: Vec::new(),
             bf_cache: BfMemo::default(),
             point_valid: false,
             fresh: true,
-        }
+        };
+        planner.relayout();
+        planner
     }
 
     /// Number of active subtrees.
@@ -331,7 +345,7 @@ impl MergePlanner {
             1,
             "planner still holds multiple subtrees"
         );
-        self.entries[0].key
+        self.entries[0].key()
     }
 
     /// Grid builds so far: one at construction, one per refresh round, one
@@ -347,6 +361,15 @@ impl MergePlanner {
     /// brute-force tail below [`BRUTE_FORCE_CUTOFF`] makes none.
     pub fn nn_queries(&self) -> usize {
         self.nn_queries
+    }
+
+    /// Exact pair distances evaluated so far: one per neighbor cache whose
+    /// pair score could not be reused, and one per pair the brute-force
+    /// tail meets for the first time (its memo answers repeats).
+    /// Deterministic for a fixed merge sequence, like
+    /// [`MergePlanner::nn_queries`].
+    pub fn exact_distances(&self) -> usize {
+        self.exact_distances.get()
     }
 
     /// Whether the planner is above the brute-force cutoff, i.e. the last
@@ -371,8 +394,8 @@ impl MergePlanner {
         self.entries
             .iter()
             .map(|e| NnSnapshotRow {
-                key: e.key,
-                nn: e.nn.map(|nn| (nn.key, nn.region_dist, nn.score)),
+                key: e.key(),
+                nn: e.nn().map(|nn| (nn.key, nn.region_dist, nn.score)),
             })
             .collect()
     }
@@ -381,18 +404,24 @@ impl MergePlanner {
     /// best first, exactly as [`plan_round`](crate::plan_round) would
     /// return them. Does not modify the active set — report merges back
     /// via [`MergePlanner::apply_round`] / [`MergePlanner::apply_merge`].
+    ///
+    /// Planning reads only the planner's own copy of each subtree (see the
+    /// module docs), so `space` is not consulted here; it is taken for
+    /// symmetry with [`MergePlanner::apply_round`].
     pub fn plan_round<S: MergeSpace>(&mut self, space: &S) -> Vec<(usize, usize)> {
+        let _ = space;
         let n = self.entries.len();
         if n < 2 {
             return Vec::new();
         }
         if n <= BRUTE_FORCE_CUTOFF {
-            return self.plan_tail(space);
+            return self.plan_tail();
         }
-        self.flush_dirty(space);
+        self.flush_dirty();
         let limit = round_limit(self.cfg.order, n);
         if self.sorted_valid {
-            select_disjoint(self.sorted_pairs.iter().map(|&(_, a, b)| (a, b)), limit)
+            let ranked = self.sorted_pairs.iter();
+            select_disjoint(ranked.map(|&(_, a, b)| (a as usize, b as usize)), limit)
         } else {
             self.select_from_heap(limit)
         }
@@ -433,11 +462,11 @@ impl MergePlanner {
             // back-reference invalidation, takeover queries) is skipped
             // here — only the active set is updated.
             for &(a, b, m) in merges {
-                self.drop_key(a);
-                self.drop_key(b);
+                self.drop_key(a, m);
+                self.drop_key(b, m);
                 self.add_key_deferred(space, m);
             }
-            self.refresh(space, merges);
+            self.refresh(merges);
             return;
         }
         self.ensure_point_mode();
@@ -459,11 +488,11 @@ impl MergePlanner {
             // largest cached distance finds every victim.
             if let Some(bound) = self.current_max_rd() {
                 for &m in &fresh {
-                    self.takeover_from(space, m, bound);
+                    self.takeover_from(m, bound);
                 }
             }
         } else {
-            self.takeover_round(space, &fresh);
+            self.takeover_round(&fresh);
         }
         self.maybe_rebuild();
         self.round_new = fresh;

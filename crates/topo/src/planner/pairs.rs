@@ -10,21 +10,18 @@
 use std::cmp::Reverse;
 
 use super::{MergePlanner, Nn};
-use crate::plan::{pair_score, select_disjoint};
-use crate::MergeSpace;
-
-pub(super) use crate::plan::score_bits;
+use crate::plan::select_disjoint;
 
 impl MergePlanner {
     /// Whether the ranking entry `(score, lo, hi)` still describes a live
     /// pair: some endpoint caches the other at that score. (A pair's score
     /// is a pure function of the pair, so a re-formed pair reproduces the
     /// recorded score bit-for-bit.)
-    fn pair_live(&self, score: u64, lo: usize, hi: usize) -> bool {
-        let caches = |a: usize, b: usize| {
-            self.pos_of(a)
-                .and_then(|i| self.entries[i].nn)
-                .is_some_and(|nn| nn.key == b && nn.score == score)
+    fn pair_live(&self, score: u64, lo: u32, hi: u32) -> bool {
+        let caches = |a: u32, b: u32| {
+            self.pos_of(a as usize)
+                .and_then(|i| self.entries[i].nn())
+                .is_some_and(|nn| nn.key == b as usize && nn.score == score)
         };
         caches(lo, hi) || caches(hi, lo)
     }
@@ -38,7 +35,7 @@ impl MergePlanner {
         if limit == 1 {
             while let Some(&Reverse((s, lo, hi))) = self.pairs.peek() {
                 if self.pair_live(s, lo, hi) {
-                    return vec![(lo, hi)];
+                    return vec![(lo as usize, hi as usize)];
                 }
                 self.pairs.pop();
             }
@@ -50,7 +47,10 @@ impl MergePlanner {
                 sorted.push(t);
             }
         }
-        let out = select_disjoint(sorted.iter().map(|&(_, a, b)| (a, b)), limit);
+        let out = select_disjoint(
+            sorted.iter().map(|&(_, a, b)| (a as usize, b as usize)),
+            limit,
+        );
         self.pairs = sorted.into_iter().map(Reverse).collect();
         out
     }
@@ -65,28 +65,20 @@ impl MergePlanner {
         }
     }
 
-    /// Points entry `i` at neighbor `nn_key`, maintaining the pair set.
-    pub(super) fn set_nn<S: MergeSpace>(
-        &mut self,
-        space: &S,
-        i: usize,
-        nn_key: usize,
-        region_dist: f64,
-        exact: f64,
-    ) {
-        let k = self.entries[i].key;
-        let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
-        let score = score_bits(pair_score(space, &self.cfg, lo, hi, exact));
-        self.set_nn_scored(i, nn_key, region_dist, score);
+    /// Points entry `i` at the neighbor entry `j`, scoring the pair from
+    /// its exact distance, and maintains the pair set.
+    pub(super) fn set_nn(&mut self, i: usize, j: usize, region_dist: f64) {
+        let score = self.exact_score(i, j);
+        self.set_nn_scored(i, self.entries[j].key(), region_dist, score);
     }
 
-    /// [`MergePlanner::set_nn`] with a pre-derived score (reused from the
-    /// partner's cache — scores are symmetric and bit-stable per pair).
+    /// Points entry `i` at neighbor `nn_key` with a pre-derived score
+    /// (reused from the partner's cache — scores are symmetric and
+    /// bit-stable per pair), maintaining the pair set.
     pub(super) fn set_nn_scored(&mut self, i: usize, nn_key: usize, region_dist: f64, score: u64) {
-        let k = self.entries[i].key;
-        self.clear_nn(i);
+        let k = self.entries[i].key();
         let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
-        self.entries[i].nn = Some(Nn {
+        self.entries[i].set_nn(Nn {
             key: nn_key,
             region_dist,
             score,
@@ -94,14 +86,14 @@ impl MergePlanner {
         self.rd_heap.push((region_dist.to_bits(), k));
         self.grid.note_cap(&self.entries[i].region, region_dist);
         self.rev_push(nn_key, k);
-        self.pairs.push(Reverse((score, lo, hi)));
+        self.pairs.push(Reverse((score, lo as u32, hi as u32)));
     }
 
     /// Drops entry `i`'s cached neighbor (if any). The ranking heap is
     /// lazy: the pair's entry goes stale in place and is dropped whenever
     /// selection next reaches it.
     pub(super) fn clear_nn(&mut self, i: usize) {
-        self.entries[i].nn = None;
+        self.entries[i].clear_nn();
     }
 
     /// Records `k` in `nn_key`'s back-reference list, recycling a pooled

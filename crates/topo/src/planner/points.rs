@@ -9,8 +9,9 @@
 
 use std::collections::BinaryHeap;
 
-use super::{MergePlanner, NO_HINT, NO_POS};
-use crate::{GridIndex, MergeSpace};
+use super::keys::active_pos;
+use super::{MergePlanner, NO_HINT};
+use crate::GridIndex;
 
 impl MergePlanner {
     /// Rebuilds the back-reference lists and the takeover max-heap from
@@ -29,8 +30,8 @@ impl MergePlanner {
         let mut heap_vec = std::mem::take(&mut self.rd_heap).into_vec();
         heap_vec.clear();
         for i in 0..self.entries.len() {
-            let k = self.entries[i].key;
-            if let Some(nn) = self.entries[i].nn {
+            let k = self.entries[i].key();
+            if let Some(nn) = self.entries[i].nn() {
                 self.rev[nn.key].push(k as u32);
                 heap_vec.push((nn.region_dist.to_bits(), k));
                 // The refresh regime sets caches without noting grid caps
@@ -43,12 +44,12 @@ impl MergePlanner {
     }
 
     /// Re-queries every key whose cached neighbor was invalidated.
-    pub(super) fn flush_dirty<S: MergeSpace>(&mut self, space: &S) {
+    pub(super) fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return; // steady state after a refresh: nothing to patch
         }
         if std::mem::take(&mut self.fresh) {
-            self.bulk_derive(space);
+            self.bulk_derive();
             return;
         }
         self.ensure_point_mode();
@@ -56,7 +57,7 @@ impl MergePlanner {
             let Some(i) = self.pos_of(k) else {
                 continue; // consumed after being marked dirty
             };
-            if self.entries[i].nn.is_some() {
+            if self.entries[i].nn().is_some() {
                 continue; // refilled (or re-listed) in the meantime
             }
             // Seed the query with the merge result that consumed the old
@@ -73,18 +74,11 @@ impl MergePlanner {
             };
             // Scores are symmetric: when the partner already caches this
             // pair, its score is reused and the exact-distance refinement
-            // (the expensive part) is skipped.
-            let reused = self
-                .pos_of(nn_key)
-                .and_then(|j| self.entries[j].nn)
-                .filter(|p| p.key == k)
-                .map(|p| p.score);
-            match reused {
-                Some(score) => self.set_nn_scored(i, nn_key, rd, score),
-                None => {
-                    let exact = space.distance(k, nn_key);
-                    self.set_nn(space, i, nn_key, rd, exact);
-                }
+            // is skipped.
+            let j = self.pos_of(nn_key).expect("grid holds active keys");
+            match self.entries[j].nn().filter(|p| p.key == k) {
+                Some(p) => self.set_nn_scored(i, nn_key, rd, p.score),
+                None => self.set_nn(i, j, rd),
             }
         }
     }
@@ -95,23 +89,23 @@ impl MergePlanner {
     /// global-max bound, and O(1)-ish per survivor since the small grid is
     /// sparse. Survivors without a cache (invalidated this round) are
     /// already dirty and re-query the full grid lazily.
-    pub(super) fn takeover_round<S: MergeSpace>(&mut self, space: &S, fresh: &[usize]) {
+    pub(super) fn takeover_round(&mut self, fresh: &[usize]) {
         let new_grid = GridIndex::build(fresh.iter().map(|&k| {
             let i = self.pos_of(k).expect("new key is active");
             (k, self.entries[i].region)
         }));
         self.grid_builds += 1;
         for i in 0..self.entries.len() {
-            let Some(nn) = self.entries[i].nn else {
+            let Some(nn) = self.entries[i].nn() else {
                 continue; // dirty or new: full re-query at the next flush
             };
-            let k = self.entries[i].key;
+            let k = self.entries[i].key();
             self.nn_queries += 1;
             if let Some((m_key, rd)) =
                 new_grid.nearest_within(k, &self.entries[i].region, nn.region_dist)
             {
-                let exact = space.distance(k, m_key);
-                self.set_nn(space, i, m_key, rd, exact);
+                let j = self.pos_of(m_key).expect("new key is active");
+                self.set_nn(i, j, rd);
             }
         }
     }
@@ -119,7 +113,7 @@ impl MergePlanner {
     /// Re-points every cached neighbor that the new subtree `key` beats,
     /// via one range query bounded by `bound` (≥ every live cached
     /// distance).
-    pub(super) fn takeover_from<S: MergeSpace>(&mut self, space: &S, key: usize, bound: f64) {
+    pub(super) fn takeover_from(&mut self, key: usize, bound: f64) {
         let i = self.pos_of(key).expect("new key is active");
         let region = self.entries[i].region;
         let mut takeovers = std::mem::take(&mut self.takeover_buf);
@@ -128,18 +122,16 @@ impl MergePlanner {
         {
             let (grid, pos, entries) = (&self.grid, &self.pos, &self.entries);
             grid.neighbors_within_capped(key, &region, bound, |k, rd| {
-                let ki = match pos.get(k) {
-                    Some(&p) if p != NO_POS => p as usize,
-                    _ => return,
+                let Some(ki) = active_pos(pos, k) else {
+                    return;
                 };
-                if entries[ki].nn.is_some_and(|nn| rd < nn.region_dist) {
+                if entries[ki].nn().is_some_and(|nn| rd < nn.region_dist) {
                     takeovers.push((ki, rd));
                 }
             });
         }
         for &(ti, rd) in &takeovers {
-            let exact = space.distance(self.entries[ti].key, key);
-            self.set_nn(space, ti, key, rd, exact);
+            self.set_nn(ti, i, rd);
         }
         self.takeover_buf = takeovers;
     }
@@ -150,7 +142,7 @@ impl MergePlanner {
         while let Some(&(bits, k)) = self.rd_heap.peek() {
             let live = self.pos_of(k).is_some_and(|i| {
                 self.entries[i]
-                    .nn
+                    .nn()
                     .is_some_and(|nn| nn.region_dist.to_bits() == bits)
             });
             if live {

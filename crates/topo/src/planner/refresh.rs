@@ -5,13 +5,12 @@
 //! patching re-derives almost everything anyway — so the planner starts
 //! over in bulk: a fresh grid over the survivors, then every cache
 //! re-derived, reusing every cached pair score a survivor can still vouch
-//! for (which skips the exact-distance refinement, the bulk of a
-//! from-scratch round's cost).
+//! for (which skips that pair's exact-distance refinement). The sweep runs
+//! in the grid's cell order and relocates each entry's arena span as it
+//! reaches it, so the arena leaves every refresh in cell order too.
 
-use super::pairs::score_bits;
 use super::{MergePlanner, Nn};
-use crate::plan::pair_score;
-use crate::{GridIndex, MergeSpace};
+use crate::GridIndex;
 
 impl MergePlanner {
     /// Derives every neighbor cache and the flat sorted ranking in one
@@ -21,7 +20,7 @@ impl MergePlanner {
     /// first round, and the point-update path rebuilds them on demand —
     /// and mutual nearest pairs pay the exact-distance refinement once,
     /// not twice (scores are symmetric).
-    pub(super) fn bulk_derive<S: MergeSpace>(&mut self, space: &S) {
+    pub(super) fn bulk_derive(&mut self) {
         self.dirty.clear();
         self.pairs.clear();
         self.point_valid = false;
@@ -34,20 +33,18 @@ impl MergePlanner {
                 continue; // sole entry
             };
             let i = self.pos_of(k).expect("grid holds active keys");
+            let j = self.pos_of(nn_key).expect("grid holds active keys");
             let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
-            let score = match self.pos_of(nn_key).and_then(|j| self.entries[j].nn) {
+            let score = match self.entries[j].nn() {
                 Some(p) if p.key == k => p.score,
-                _ => {
-                    let exact = space.distance(k, nn_key);
-                    score_bits(pair_score(space, &self.cfg, lo, hi, exact))
-                }
+                _ => self.exact_score(i, j),
             };
-            self.entries[i].nn = Some(Nn {
+            self.entries[i].set_nn(Nn {
                 key: nn_key,
                 region_dist: rd,
                 score,
             });
-            staged.push((score, lo, hi));
+            staged.push((score, lo as u32, hi as u32));
         }
         staged.sort_unstable();
         staged.dedup();
@@ -57,12 +54,28 @@ impl MergePlanner {
 
     /// Rebuilds the grid over the live entries (in entries order), so the
     /// cell size and query bounds track the current active set. The new
-    /// grid's caps start at zero.
+    /// grid's caps start at zero. The caller re-lays the region arena out
+    /// in the new cell order (a refresh does so during its sweep).
     pub(super) fn rebuild_grid(&mut self) {
-        self.grid = GridIndex::build(self.entries.iter().map(|e| (e.key, e.region)));
+        self.grid = GridIndex::build(self.entries.iter().map(|e| (e.key(), e.region)));
         self.grid_builds += 1;
         self.built_len = self.entries.len();
         self.built_extent = self.grid.max_extent();
+    }
+
+    /// Re-lays the region arena out in the grid's cell order (and drops
+    /// the spans of consumed entries). A refresh does the same inside its
+    /// sweep instead of in a pass of its own.
+    pub(super) fn relayout(&mut self) {
+        if self.arena.is_empty() {
+            return; // every active subtree is a single region
+        }
+        self.arena.begin_relayout();
+        for &(k, _) in self.grid.iter() {
+            let i = self.pos_of(k).expect("grid holds active keys");
+            self.arena.relocate(&mut self.entries[i]);
+        }
+        self.arena.end_relayout();
     }
 
     /// Amortized grid rebuild on the point-update path: when the active set
@@ -84,10 +97,11 @@ impl MergePlanner {
             return;
         }
         self.rebuild_grid();
+        self.relayout();
         // A rebuild resets the grid's per-cell caps; re-note the live
         // caches so the takeover scan keeps its local pruning.
         for i in 0..self.entries.len() {
-            if let Some(nn) = self.entries[i].nn {
+            if let Some(nn) = self.entries[i].nn() {
                 self.grid.note_cap(&self.entries[i].region, nn.region_dist);
             }
         }
@@ -116,21 +130,17 @@ impl MergePlanner {
     /// round, so tree nodes would be built just to be dropped. Likewise
     /// `rev`, `rd_heap` and the grid's caps are left stale
     /// (`point_valid`): only the point-update path reads them.
-    pub(super) fn refresh<S: MergeSpace>(&mut self, space: &S, merges: &[(usize, usize, usize)]) {
+    ///
+    /// Each entry's arena span moves to the new cell order as the sweep
+    /// reaches it, before its own exact distances are evaluated.
+    pub(super) fn refresh(&mut self, merges: &[(usize, usize, usize)]) {
         self.rebuild_grid();
+        self.arena.begin_relayout();
         self.dirty.clear();
         self.pairs.clear();
         self.point_valid = false;
         let mut staged = std::mem::take(&mut self.sorted_pairs);
         staged.clear();
-        // consumed key → the merge result that swallowed it, for hints.
-        let mut consumed = std::mem::take(&mut self.consumed_buf);
-        consumed.clear();
-        for &(a, b, m) in merges {
-            consumed.push((a, m));
-            consumed.push((b, m));
-        }
-        consumed.sort_unstable();
         // Seed table for the new keys' own re-queries: the first sweep
         // entry that picks a new key as its neighbor donates the exact
         // region distance (symmetric), bounding the new key's ring
@@ -149,7 +159,8 @@ impl MergePlanner {
         for &(k, region) in self.grid.iter() {
             self.nn_queries += 1;
             let i = self.pos_of(k).expect("grid holds active keys");
-            let old = self.entries[i].nn.take();
+            self.arena.relocate(&mut self.entries[i]);
+            let old = self.entries[i].take_nn();
             let (nn_key, rd, reused_score) = match old {
                 Some(o) if self.pos_of(o.key).is_some() => {
                     // Neighbor survived: the nearest survivor is unchanged,
@@ -166,8 +177,7 @@ impl MergePlanner {
                     // new subtree (unseeded): full re-query.
                     let hint = old
                         .and_then(|o| {
-                            let ci = consumed.binary_search_by_key(&o.key, |&(c, _)| c).ok()?;
-                            let mk = consumed[ci].1;
+                            let mk = self.consumer_of(o.key)?;
                             let mi = self.pos_of(mk)?;
                             Some((mk, region.distance(&self.entries[mi].region)))
                         })
@@ -189,30 +199,26 @@ impl MergePlanner {
             let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
             // Where the pair is new, the partner may still hold its score
             // (scores are symmetric); only genuinely new pairs pay the
-            // exact-distance refinement — the expensive part of a
-            // from-scratch round.
+            // exact-distance refinement.
             let score = reused_score.unwrap_or_else(|| {
-                match self.pos_of(nn_key).and_then(|j| self.entries[j].nn) {
+                let j = self.pos_of(nn_key).expect("grid holds active keys");
+                match self.entries[j].nn() {
                     Some(p) if p.key == k => p.score,
-                    _ => {
-                        let exact = space.distance(k, nn_key);
-                        score_bits(pair_score(space, &self.cfg, lo, hi, exact))
-                    }
+                    _ => self.exact_score(i, j),
                 }
             });
-            self.entries[i].nn = Some(Nn {
+            self.entries[i].set_nn(Nn {
                 key: nn_key,
                 region_dist: rd,
                 score,
             });
-            staged.push((score, lo, hi));
+            staged.push((score, lo as u32, hi as u32));
         }
+        self.arena.end_relayout();
         staged.sort_unstable();
         staged.dedup();
         self.sorted_pairs = staged;
         self.sorted_valid = true;
-        consumed.clear();
-        self.consumed_buf = consumed;
         self.seed_buf = seeds;
     }
 }

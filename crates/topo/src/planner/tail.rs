@@ -7,13 +7,12 @@
 //! directly by exact cost. Unlike the from-scratch reference, exact
 //! distances are memoized across rounds: subtrees are immutable, so a
 //! pair's distance never changes, and the reference recomputing the same
-//! all-pairs matrix every round is most of its tail cost.
-
-use astdme_geom::Trr;
+//! all-pairs matrix every round is most of its tail cost. Distances are
+//! evaluated from the planner's own entries and region arena, like every
+//! other path, so memoized and fresh values are the same bits.
 
 use super::MergePlanner;
 use crate::plan::{nearest_bruteforce, rank_and_select, BRUTE_FORCE_CUTOFF};
-use crate::MergeSpace;
 
 /// Dense distance memo for the brute-force tail: keys seen below the
 /// cutoff get small slots, pair distances live in a flat matrix (NaN =
@@ -52,53 +51,37 @@ impl BfMemo {
         }
         self.slot[key] as usize - 1
     }
-}
 
-/// Memoizing [`MergeSpace`] adapter for the brute-force tail: exact
-/// distances are cached by normalized pair (distance is symmetric —
-/// both orientations minimize over the same candidate set), everything
-/// else delegates. Values are bit-identical to the wrapped space's, so
-/// planning through this wrapper matches the reference exactly.
-struct CachedSpace<'a, S> {
-    inner: &'a S,
-    cache: std::cell::RefCell<&'a mut BfMemo>,
-}
-
-impl<S: MergeSpace> MergeSpace for CachedSpace<'_, S> {
-    fn region(&self, id: usize) -> Trr {
-        self.inner.region(id)
-    }
-
-    fn distance(&self, a: usize, b: usize) -> f64 {
-        let mut memo = self.cache.borrow_mut();
-        let (sa, sb) = (memo.slot_of(a), memo.slot_of(b));
-        let idx = sa.min(sb) * memo.stride + sa.max(sb);
-        let hit = memo.matrix[idx];
+    /// The memoized distance of the pair `(a, b)`, computing it with
+    /// `eval` on a miss. Distances are cached by normalized pair (both
+    /// orientations minimize over the same region sets), so the first
+    /// orientation evaluated answers both.
+    fn get_or(&mut self, a: usize, b: usize, eval: impl FnOnce() -> f64) -> f64 {
+        let (sa, sb) = (self.slot_of(a), self.slot_of(b));
+        let idx = sa.min(sb) * self.stride + sa.max(sb);
+        let hit = self.matrix[idx];
         if !hit.is_nan() {
             return hit;
         }
-        let d = self.inner.distance(a, b);
-        memo.matrix[idx] = d;
+        let d = eval();
+        self.matrix[idx] = d;
         d
-    }
-
-    fn delay(&self, id: usize) -> f64 {
-        self.inner.delay(id)
     }
 }
 
 impl MergePlanner {
     /// Plans a round at or below the cutoff by delegating to the reference
-    /// semantics over the memoizing adapter. At this size the exact
+    /// semantics, with exact distances memoized. At this size the exact
     /// all-pairs scan is cheaper than index maintenance (and ranks by
     /// exact cost, which the reference also switches to).
-    pub(super) fn plan_tail<S: MergeSpace>(&mut self, space: &S) -> Vec<(usize, usize)> {
-        let active: Vec<usize> = self.entries.iter().map(|e| e.key).collect();
-        let cached = CachedSpace {
-            inner: space,
-            cache: std::cell::RefCell::new(&mut self.bf_cache),
-        };
-        let nn = nearest_bruteforce(&cached, &active);
-        rank_and_select(&cached, &self.cfg, nn, active.len())
+    pub(super) fn plan_tail(&mut self) -> Vec<(usize, usize)> {
+        let active: Vec<usize> = self.entries.iter().map(|e| e.key()).collect();
+        let mut memo = std::mem::take(&mut self.bf_cache);
+        let nn = nearest_bruteforce(&active, |i, j| {
+            memo.get_or(active[i], active[j], || self.exact(i, j))
+        });
+        self.bf_cache = memo;
+        let delay = |k: usize| self.entries[self.pos_of(k).expect("ranked keys are active")].delay;
+        rank_and_select(&self.cfg, nn, active.len(), delay)
     }
 }

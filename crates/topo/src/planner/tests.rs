@@ -1,6 +1,6 @@
-use super::pairs::score_bits;
 use super::*;
 use crate::plan::tests::Pts;
+use crate::score_bits;
 use crate::{plan_round, MergeOrder};
 use astdme_geom::Point;
 

@@ -4,23 +4,36 @@
 //! grid regime down through the brute-force tail.
 
 use astdme_geom::{Point, Trr};
-use astdme_topo::{plan_round, MergeOrder, MergePlanner, MergeSpace, TopoConfig};
+use astdme_topo::{
+    min_region_distance, plan_round, MergeOrder, MergePlanner, MergeSpace, TopoConfig,
+};
 use proptest::prelude::*;
 
-/// A mergeable space: points that weld into hulls, with delays that grow
-/// by the merge distance (so the delay bias sees evolving values).
+/// A mergeable space: points that weld into subtrees with several
+/// candidate regions each, with delays that grow by the merge distance (so
+/// the delay bias sees evolving values). Leaves have one region; a merged
+/// key keeps up to three regions of each child plus a diamond around the
+/// midpoint of the children's hull centers, dilated by an eighth of the
+/// merge distance. Exact costs (the minimum over region pairs) then differ
+/// from hull distances, and the planner's multi-region arena path, its
+/// relayouts, the point updates and the tail all see real spans. (Larger
+/// dilations make regions overlap, and exact zero-distance ties are
+/// outside what the planners promise to break alike.)
 struct Welds {
-    regions: Vec<Trr>,
+    regions: Vec<Vec<Trr>>,
+    hulls: Vec<Trr>,
     delays: Vec<f64>,
 }
 
 impl Welds {
     fn new(coords: &[(f64, f64)]) -> Self {
+        let hulls: Vec<Trr> = coords
+            .iter()
+            .map(|&(x, y)| Trr::from_point(Point::new(x, y)))
+            .collect();
         Self {
-            regions: coords
-                .iter()
-                .map(|&(x, y)| Trr::from_point(Point::new(x, y)))
-                .collect(),
+            regions: hulls.iter().map(|&h| vec![h]).collect(),
+            hulls,
             delays: vec![0.0; coords.len()],
         }
     }
@@ -28,8 +41,18 @@ impl Welds {
     /// Registers the merge of `a` and `b`; returns the new key.
     fn merge(&mut self, a: usize, b: usize) -> usize {
         let m = self.regions.len();
-        let d = self.regions[a].distance(&self.regions[b]);
-        self.regions.push(self.regions[a].hull(&self.regions[b]));
+        let d = min_region_distance(&self.regions[a], &self.regions[b]);
+        let (ca, cb) = (self.hulls[a].center(), self.hulls[b].center());
+        let mid = Trr::from_point(Point::new(0.5 * (ca.x + cb.x), 0.5 * (ca.y + cb.y)));
+        let regions: Vec<Trr> = [a, b]
+            .iter()
+            .flat_map(|&c| self.regions[c].iter().take(3))
+            .copied()
+            .chain([mid.dilate(d / 8.0)])
+            .collect();
+        let hull = regions[1..].iter().fold(regions[0], |h, r| h.hull(r));
+        self.regions.push(regions);
+        self.hulls.push(hull);
         // Proportional to added wire: exercises the delay-target bias.
         self.delays
             .push(self.delays[a].max(self.delays[b]) + d * 1e-16);
@@ -39,10 +62,10 @@ impl Welds {
 
 impl MergeSpace for Welds {
     fn region(&self, id: usize) -> Trr {
-        self.regions[id]
+        self.hulls[id]
     }
-    fn distance(&self, a: usize, b: usize) -> f64 {
-        self.regions[a].distance(&self.regions[b])
+    fn regions(&self, id: usize, out: &mut Vec<Trr>) {
+        out.extend_from_slice(&self.regions[id]);
     }
     fn delay(&self, id: usize) -> f64 {
         self.delays[id]

@@ -85,18 +85,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measured here (n = 500, fast preset): 3.09 allocs/merge greedy, 1.35
+/// Measured here (n = 500, fast preset): 3.13 allocs/merge greedy, 1.37
 /// multi-merge with four groups; the `scaling` smoke measures 3.39 / 1.60
 /// at n = 250. The engine itself allocates once per merge (the new node's
 /// exact-size candidate list) plus one frozen-store chunk per 512
 /// candidates the leaves and consumed nodes keep; the rest is planner
-/// bookkeeping. Before leaves lived in the frozen store, each sink's own
-/// list added one more allocation per merge (4.08 / 2.34 here). With ten
-/// groups, spilled delay maps add one allocation per built candidate:
-/// 4.70 / 2.88. When each spilled candidate's map was built from two
-/// shifted copies (up to three allocations) it read 6.52 / 4.63. A
-/// reintroduced per-pair allocation adds at least one per merge and
-/// trips the budget. CI's `scaling --alloc-budget` uses the same value.
+/// bookkeeping (the planner's region arena grows by doubling, a few
+/// hundredths per merge). Before leaves lived in the frozen store, each
+/// sink's own list added one more allocation per merge (4.08 / 2.34
+/// here). With ten groups, spilled delay maps add one allocation per
+/// *kept* candidate: 4.24 / 2.42 with the fast preset and 5.41 / 3.65
+/// with the default one, which keeps more candidates. When every built
+/// candidate got its map, including the ≈40% that pruning drops, they
+/// read 4.70 / 2.88 and 7.24 / 5.46 (the default preset's greedy order
+/// over budget); when each spilled map was built from two shifted copies
+/// (up to three allocations) the fast preset read 6.52 / 4.63. A
+/// reintroduced per-pair allocation adds at least one per merge and trips
+/// the budget. CI's `scaling --alloc-budget` uses the same value.
 const BUDGET_PER_MERGE: f64 = 6.5;
 
 fn instance(n: usize) -> Instance {
@@ -138,10 +143,15 @@ fn merge_loop_allocations_stay_in_budget() {
     // Large enough to leave the planner's brute-force regime and trigger
     // multi-merge refresh sweeps; small enough for a debug-build test.
     let n = 500;
-    let engine = EngineConfig::fast();
     // Four groups keep every delay map inline; with ten, the maps of
-    // subtrees reaching more than four groups spill to the heap.
-    for groups in [4, 10] {
+    // subtrees reaching more than four groups spill to the heap. The
+    // default preset keeps more candidates per merge than the fast one,
+    // so it spills more.
+    for (preset, engine, groups) in [
+        ("fast", EngineConfig::fast(), 4),
+        ("fast", EngineConfig::fast(), 10),
+        ("default", EngineConfig::default(), 10),
+    ] {
         let inst = instance_with_groups(n, groups);
         let model = DelayModel::elmore(*inst.rc());
         let count = |topo: &TopoConfig| {
@@ -159,11 +169,11 @@ fn merge_loop_allocations_stay_in_budget() {
             // two runs allocate exactly alike.
             assert_eq!(first, second, "{name}: allocation counts diverged");
             let per_merge = first as f64 / (n - 1) as f64;
-            eprintln!("{groups} groups, {name}: {per_merge:.2} allocs/merge");
+            eprintln!("{preset}, {groups} groups, {name}: {per_merge:.2} allocs/merge");
             assert!(
                 per_merge <= BUDGET_PER_MERGE,
-                "{groups} groups, {name}: {per_merge:.2} allocs/merge exceeds the \
-                 {BUDGET_PER_MERGE} budget ({first} allocations over {} merges)",
+                "{preset}, {groups} groups, {name}: {per_merge:.2} allocs/merge exceeds \
+                 the {BUDGET_PER_MERGE} budget ({first} allocations over {} merges)",
                 n - 1
             );
         }
