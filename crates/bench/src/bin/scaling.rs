@@ -5,7 +5,7 @@
 //! `run_bottom_up_from_scratch` on the reference planner) under both merge
 //! orders, asserts that both drivers route the same wirelength, and writes
 //! `BENCH_scaling.json` at the repo root. Timings are recorded, never
-//! asserted; end-to-end, fleet, cache, ECO and sweep timings live in
+//! asserted; end-to-end, fleet, ECO and sweep timings live in
 //! `perfbench`.
 //!
 //! Usage: `scaling [--quick] [--out PATH] [--sizes a,b,c] [--alloc-budget N]`

@@ -47,10 +47,10 @@
 //!   (bit-correct by construction).
 //!
 //! The replay is only the merge step: every session route — creation,
-//! replayed flush, cache-hit flush, full reroute — runs the staged
-//! pipeline's one body ([`crate::pipeline`]), so grouping, embedding,
-//! repair, validation, the audit, and the fault checkpoints between
-//! stages are the pipeline's own, and a flushed session is
+//! replayed flush, full reroute — runs the staged pipeline's one body
+//! ([`crate::pipeline`]), so grouping, embedding, repair, validation, the
+//! audit, and the fault checkpoints between stages are the pipeline's
+//! own, and a flushed session is
 //! **bit-identical to a from-scratch route of the edited instance** —
 //! same tree, same audit report, at every thread count. Update latency
 //! is sublinear in `n` for small edit sets: inherited entries cost `O(1)`
@@ -63,19 +63,6 @@
 //! [`MergeOrder::MultiMerge`] (the default of every router except the
 //! stitching strawman); other plans still flush correctly via a full
 //! reroute each time.
-//!
-//! # Caching
-//!
-//! A session created with [`EcoSession::with_cache`] routes in the same
-//! translation-normalized frame as [`pipeline::run`] with that cache, and
-//! keeps the cache coherent: every flushed tree is fingerprinted and
-//! inserted, and a flush whose edited instance is already cached (e.g.
-//! an edit that returns to a previously routed placement) is satisfied by
-//! splicing — the cached pipeline's own hit path. Session creation of a
-//! replayable plan never *consults* the cache (it must route fresh to
-//! produce the replay recording); outcomes are a pure function of
-//! instance and plan, never of cache state, so this costs correctness
-//! nothing.
 //!
 //! # Example
 //!
@@ -101,7 +88,6 @@
 
 use crate::stopwatch::Stopwatch;
 
-use astdme_cache::SubtreeCache;
 use astdme_delay::RcParams;
 use astdme_engine::{GroupId, Groups, Instance, MergeForest, NodeId, Sink, NO_NODE};
 use astdme_geom::{Point, Trr};
@@ -174,10 +160,9 @@ pub struct EcoStats {
     /// Planning rounds re-planned from scratch (brute-force tail rounds
     /// and rounds the recording could not cover).
     pub planned_rounds: usize,
-    /// Whether the flush fell back to a full pipeline reroute.
+    /// Whether the flush fell back to a full pipeline reroute: a
+    /// structural edit, a plan without replay, or a declined replay.
     pub full_reroute: bool,
-    /// Whether the flush was satisfied by a subtree-cache hit.
-    pub cache_hit: bool,
     /// Whether the batch was a net no-op (standing tree returned
     /// unchanged, by reference).
     pub noop: bool,
@@ -185,13 +170,9 @@ pub struct EcoStats {
     pub seconds: f64,
 }
 
-/// Everything a flush needs to replay the standing route: the frame it
-/// was routed in, the routed (framed, regrouped) instance, its merge
-/// forest, and the replay script.
+/// Everything a flush needs to replay the standing route: the routed
+/// (regrouped) instance, its merge forest, and the replay script.
 struct Recording {
-    /// The normalization anchor when the session routes in the cached
-    /// pipeline's translation-normalized frame; `None` in the raw frame.
-    anchor: Option<Point>,
     routed: Instance,
     forest: MergeForest,
     script: MergeScript,
@@ -201,7 +182,6 @@ struct Recording {
 /// [module docs](self) for the lifecycle.
 pub struct EcoSession {
     plan: StagePlan,
-    cache: Option<SubtreeCache>,
     inst: Instance,
     outcome: RouteOutcome,
     rec: Option<Recording>,
@@ -211,8 +191,7 @@ pub struct EcoSession {
 
 impl EcoSession {
     /// Routes `inst` under `plan` (with replay recording when the plan
-    /// supports it) and opens the session. The route runs in the raw
-    /// frame with no cache, even inside a fleet batch that attached one.
+    /// supports it) and opens the session.
     ///
     /// # Errors
     ///
@@ -220,33 +199,9 @@ impl EcoSession {
     /// plan with a negative or NaN global skew bound
     /// ([`RouteError::BadParameter`]).
     pub fn new(inst: &Instance, plan: StagePlan) -> Result<Self, RouteError> {
-        Self::build(inst, plan, None)
-    }
-
-    /// Like [`EcoSession::new`], routing in the content-addressed cache's
-    /// normalized frame and keeping `cache` coherent across flushes (see
-    /// the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError`] if the initial route fails.
-    pub fn with_cache(
-        inst: &Instance,
-        plan: StagePlan,
-        cache: SubtreeCache,
-    ) -> Result<Self, RouteError> {
-        Self::build(inst, plan, Some(cache))
-    }
-
-    fn build(
-        inst: &Instance,
-        plan: StagePlan,
-        cache: Option<SubtreeCache>,
-    ) -> Result<Self, RouteError> {
-        let (outcome, rec) = route_full(inst, &plan, cache.as_ref(), false)?;
+        let (outcome, rec) = route_full(inst, &plan)?;
         Ok(Self {
             plan,
-            cache,
             inst: inst.clone(),
             outcome,
             rec,
@@ -285,7 +240,7 @@ impl EcoSession {
     /// invalidates the dirty region, re-plans it against the recorded
     /// route, and splices the repaired region back. Returns the standing
     /// outcome — **bit-identical to a from-scratch route of the edited
-    /// instance** under the session's plan (and cache mode).
+    /// instance** under the session's plan.
     ///
     /// An empty (or net no-op) batch returns the standing outcome by
     /// reference without routing anything.
@@ -331,7 +286,6 @@ impl EcoSession {
         };
         let (outcome, rec) = route_edited(
             &self.plan,
-            self.cache.as_ref(),
             self.rec.as_ref(),
             &edited,
             structural,
@@ -436,60 +390,42 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
     ))
 }
 
-/// Routes the edited instance, cheapest strategy first: subtree-cache
-/// splice, then recorded replay, then full reroute. The pipeline body
-/// tries the first two in one run — it consults the cache before its
-/// merge step, and the merge step replays.
+/// Routes the edited instance: replays the standing recording when the
+/// edit is not structural, and falls back to a full reroute when there is
+/// no recording or the replay declines.
 fn route_edited(
     plan: &StagePlan,
-    cache: Option<&SubtreeCache>,
     standing: Option<&Recording>,
     edited: &Instance,
     structural: bool,
     stats: &mut EcoStats,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
-    let mut lookup = true;
     if let (false, Some(rec)) = (structural, standing) {
         let mut script = None;
-        let run = pipeline::run_with(edited, plan, cache, true, |forest, routed, anchor| {
-            let (root, trace, replayed) = replay_merges(rec, forest, routed, anchor, plan, stats)?;
+        let run = pipeline::run_with(edited, plan, |forest, routed| {
+            let (root, trace, replayed) = replay_merges(rec, forest, routed, plan, stats)?;
             script = Some(replayed);
             Some((root, trace))
         })?;
-        match run {
-            Some(run) => {
-                stats.cache_hit = run.outcome.stats.cache_hit;
-                return Ok(recorded(run, script));
-            }
-            // The replay declined after this flush's lookup missed; the
-            // full reroute must not count a second miss.
-            None => lookup = false,
+        if let Some(run) = run {
+            return Ok(recorded(run, script));
         }
     }
-    let (mut outcome, recording) = route_full(edited, plan, cache, lookup)?;
-    stats.cache_hit = outcome.stats.cache_hit;
-    stats.full_reroute = !outcome.stats.cache_hit;
-    if cache.is_some() && outcome.stats.cache_hits == 0 {
-        outcome.stats.cache_misses = outcome.stats.cache_misses.max(1);
-    }
-    Ok((outcome, recording))
+    stats.full_reroute = true;
+    route_full(edited, plan)
 }
 
 /// A full pipeline route of `inst`, recording the replay script when the
-/// plan supports replay. `lookup` consults the cache first; session
-/// creation turns it off, since it must route fresh to record. Plans
-/// without replay always consult an attached cache.
+/// plan supports replay.
 fn route_full(
     inst: &Instance,
     plan: &StagePlan,
-    cache: Option<&SubtreeCache>,
-    lookup: bool,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
     if !recordable(plan) {
-        return Ok((pipeline::run(inst, plan, cache)?, None));
+        return Ok((pipeline::run(inst, plan)?, None));
     }
     let mut script = None;
-    let run = pipeline::run_with(inst, plan, cache, lookup, |forest, _, _| {
+    let run = pipeline::run_with(inst, plan, |forest, _| {
         let mut recording = MergeScript::for_forest(forest);
         let leaves = forest.leaves();
         let merged = merge_until_one_traced(forest, leaves, &plan.topo, Some(&mut recording));
@@ -503,18 +439,13 @@ fn route_full(
 }
 
 /// Splits a pipeline run into its outcome and the recording the next
-/// flush replays. A cache hit leaves no recording (it merged nothing), so
-/// the next flush starts from a full reroute.
+/// flush replays.
 fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<Recording>) {
-    let recording = match (run.forest, script) {
-        (Some(forest), Some(script)) => Some(Recording {
-            anchor: run.anchor,
-            routed: run.routed.into_owned(),
-            forest,
-            script,
-        }),
-        _ => None,
-    };
+    let recording = script.map(|script| Recording {
+        routed: run.routed.into_owned(),
+        forest: run.forest,
+        script,
+    });
     (run.outcome, recording)
 }
 
@@ -548,29 +479,25 @@ fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<
 /// replay degenerates.
 ///
 /// This is the flush's merge step: `forest` is the pipeline's fresh
-/// forest of `edited` (the edited instance, framed and regrouped like the
-/// recording), `anchor` its frame. Returns the surviving root, the loop's
-/// counters, and the replay's own script (in the new id space, so flushes
-/// chain), and fills `stats`' dirty and replay counters. Returns `None`
-/// (fall back to a full reroute) when the frame drifted from the
-/// recording's — normalization must subtract the exact same anchor bits,
-/// or clean sinks would land on different coordinates — when the sink
-/// count drifted, or if a round produced no entries (never the case for
-/// well-formed recordings, but cheap to guard).
+/// forest of `edited` (the edited instance, regrouped like the
+/// recording). Returns the surviving root, the loop's counters, and the
+/// replay's own script (in the new id space, so flushes chain), and fills
+/// `stats`' dirty and replay counters. Returns `None` (fall back to a full
+/// reroute) when the sink count drifted from the recording's, or if a
+/// round produced no entries (never the case for well-formed recordings,
+/// but cheap to guard).
 fn replay_merges(
     rec: &Recording,
     forest: &mut MergeForest,
     edited: &Instance,
-    anchor: Option<Point>,
     plan: &StagePlan,
     stats: &mut EcoStats,
 ) -> Option<(NodeId, MergeTrace, MergeScript)> {
-    let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
     let n = edited.sink_count();
-    if bits(anchor) != bits(rec.anchor) || n != rec.routed.sink_count() {
+    if n != rec.routed.sink_count() {
         return None;
     }
-    // The dirty set, in the routed frame: sinks whose bits changed.
+    // The dirty set: sinks whose bits changed.
     let dirty: Vec<bool> = edited
         .sinks()
         .iter()
@@ -917,7 +844,7 @@ mod tests {
         assert!(!fs.full_reroute, "must replay, not reroute");
         assert!(fs.adopted_merges > fs.fresh_merges, "{fs:?}");
         let edited = apply_edits(&inst, &[EcoEdit::Move { sink: 5, to }]).expect("valid");
-        let want = pipeline::run(&edited, &plan, None).expect("routes");
+        let want = pipeline::run(&edited, &plan).expect("routes");
         assert_eq!(out.tree, want.tree);
         assert_eq!(out.report, want.report);
         session.queue(EcoEdit::Move { sink: 5, to: from });

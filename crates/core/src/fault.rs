@@ -32,8 +32,6 @@ use crate::stopwatch::Stopwatch;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use astdme_cache::SubtreeCache;
-
 use crate::pipeline::StageId;
 use crate::RouteError;
 
@@ -134,10 +132,6 @@ struct RouteCtx {
     deadline_seconds: Option<f64>,
     /// The fault injected into this instance, if any.
     fault: Option<Fault>,
-    /// The batch's shared subtree cache, if the policy attached one. Read
-    /// (via [`current_cache`]) only where a [`crate::ClockRouter`] enters
-    /// the pipeline, which takes the cache as an explicit argument.
-    cache: Option<SubtreeCache>,
 }
 
 thread_local! {
@@ -168,7 +162,6 @@ pub(crate) fn install(
     instance: usize,
     deadline_seconds: Option<f64>,
     fault: Option<Fault>,
-    cache: Option<SubtreeCache>,
 ) -> CtxGuard {
     CTX.with(|c| {
         *c.borrow_mut() = Some(RouteCtx {
@@ -176,7 +169,6 @@ pub(crate) fn install(
             started: Stopwatch::start(),
             deadline_seconds,
             fault,
-            cache,
         });
     });
     CtxGuard
@@ -242,13 +234,6 @@ pub(crate) fn current_instance() -> Option<usize> {
     CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.instance))
 }
 
-/// The shared subtree cache of the batch currently routing on this
-/// thread, if the batch policy attached one. A cheap `Arc` clone. The
-/// routers pass it to [`crate::pipeline::run`]; nothing else reads it.
-pub(crate) fn current_cache() -> Option<SubtreeCache> {
-    CTX.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.cache.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +281,6 @@ mod tests {
                     stage: StageId::Group,
                     kind: FaultKind::Panic,
                 }),
-                None,
             );
             assert_eq!(current_instance(), Some(9));
             checkpoint(StageId::Group).unwrap();
@@ -314,7 +298,6 @@ mod tests {
                 stage: StageId::Embed,
                 kind: FaultKind::Stall { seconds: 0.02 },
             }),
-            None,
         );
         // A checkpoint at a different stage passes (no stall, within
         // budget so far).
@@ -345,7 +328,6 @@ mod tests {
                 stage: StageId::Repair,
                 kind: FaultKind::Corrupt,
             }),
-            None,
         );
         assert_eq!(checkpoint(StageId::Repair), Ok(()));
         assert!(corrupt_requested(StageId::Repair));

@@ -69,7 +69,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use astdme_cache::SubtreeCache;
 use astdme_engine::Instance;
 use astdme_par::ClaimStream;
 
@@ -89,14 +88,13 @@ fn static_cost(inst: &Instance) -> f64 {
     n * n.log2().max(1.0) * (1.0 + 0.1 * (k - 1.0))
 }
 
-/// Per-batch hardening policy: deadline budgets, fault injection, and a
-/// shared subtree cache.
+/// Per-batch hardening policy: deadline budgets and fault injection.
 ///
-/// The default policy sets none of them: no deadline, no injected
-/// faults, no cache. That is what [`route_batch`] and [`BatchPlan::route`]
-/// run under. Errors always name the instance by its position in the
-/// batch. The robustness sweep ([`crate::robustness`]) and the
-/// fault-tolerance tests construct explicit policies.
+/// The default policy sets neither: no deadline, no injected faults.
+/// That is what [`route_batch`] and [`BatchPlan::route`] run under.
+/// Errors always name the instance by its position in the batch. The
+/// robustness sweep ([`crate::robustness`]) and the fault-tolerance
+/// tests construct explicit policies.
 #[derive(Debug, Clone, Default)]
 pub struct BatchPolicy {
     /// Per-instance wall-clock budget in seconds, checked cooperatively at
@@ -106,32 +104,10 @@ pub struct BatchPolicy {
     pub deadline_seconds: Option<f64>,
     /// Deterministic fault schedule, keyed by batch position.
     pub faults: FaultPlan,
-    /// Shared content-addressed subtree cache consulted by every route in
-    /// the batch ([`SubtreeCache`] is a cheap `Arc` handle). Repeated
-    /// merge regions across the batch — duplicate placements, translated
-    /// copies, re-planned portfolios — route once and splice thereafter.
-    ///
-    /// The cache reaches the routers through the thread-local route
-    /// context; each of this crate's routers hands it to
-    /// [`crate::pipeline::run`] as that call's explicit `cache`
-    /// argument. Nothing else picks it up: an
-    /// [`EcoSession`](crate::eco::EcoSession) opened inside the batch
-    /// uses only the cache it was given.
-    ///
-    /// A hit is **bit-identical to the recompute** the miss path would
-    /// perform: cached outcomes are a pure function of the instance and
-    /// plan, never of cache state, capacity, sharing, eviction order, or
-    /// thread count. (The cached pipeline routes in the
-    /// translation-normalized frame, so its outcomes coincide with the
-    /// cache-*free* path exactly when the instance's bounding-box minimum
-    /// corner is already the origin; otherwise last-ulp merge coordinates
-    /// may differ between the two modes, both independently audited.)
-    /// `None` (the default) routes every instance in the raw frame.
-    pub cache: Option<SubtreeCache>,
 }
 
 impl BatchPolicy {
-    /// The default policy: no deadline, no faults, no cache.
+    /// The default policy: no deadline, no faults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -145,13 +121,6 @@ impl BatchPolicy {
     /// Sets the fault schedule; returns `self` for chaining.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches a shared subtree cache (a cheap `Arc` clone of the handle);
-    /// returns `self` for chaining.
-    pub fn with_cache(mut self, cache: SubtreeCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 }
@@ -200,8 +169,8 @@ impl BatchPlan {
     }
 
     /// Like [`BatchPlan::route`], under an explicit [`BatchPolicy`] —
-    /// per-instance deadlines, deterministic fault injection, a shared
-    /// subtree cache — and additionally returning the fan-out's per-worker
+    /// per-instance deadlines and deterministic fault injection — and
+    /// additionally returning the fan-out's per-worker
     /// [`StealStats`] (busy seconds and items per worker). Instances the
     /// policy does not touch return outcomes bit-identical to a
     /// policy-free run at every thread count.
@@ -266,12 +235,7 @@ where
     R: ClockRouter + ?Sized,
 {
     catch_unwind(AssertUnwindSafe(|| {
-        let _ctx = crate::fault::install(
-            index,
-            policy.deadline_seconds,
-            policy.faults.get(index),
-            policy.cache.clone(),
-        );
+        let _ctx = crate::fault::install(index, policy.deadline_seconds, policy.faults.get(index));
         router.route_traced(inst)
     }))
     .unwrap_or_else(|payload| {
@@ -305,7 +269,7 @@ where
 ///
 /// Equivalent to `BatchPlan::new(instances).route(instances, router)`;
 /// call [`BatchPlan::route_with_policy`] to attach a [`BatchPolicy`]
-/// (deadlines, faults, a shared [`SubtreeCache`]) or to read the
+/// (deadlines, faults) or to read the
 /// fan-out's [`StealStats`].
 pub fn route_batch<R>(instances: &[Instance], router: &R) -> Vec<Result<RouteOutcome, RouteError>>
 where
@@ -327,7 +291,7 @@ pub const DEFAULT_STREAM_IN_FLIGHT: usize = 16;
 #[derive(Debug, Clone)]
 pub struct StreamPolicy {
     /// Per-instance hardening applied to every routed instance: deadline,
-    /// fault injection, subtree cache — exactly the [`BatchPolicy`]
+    /// fault injection — exactly the [`BatchPolicy`]
     /// semantics of the barrier path.
     pub batch: BatchPolicy,
     /// Bound on completed-but-unconsumed outcomes (clamped to ≥ 1 at
@@ -442,7 +406,7 @@ impl Iterator for RouteStream {
 /// Per-instance semantics are identical to the batch path: outcomes are a
 /// pure function of `(instance, router, policy.batch)`, panics surface as
 /// [`RouteError::Panicked`] in their own instance's pair while later
-/// completions keep arriving, and deadlines/faults/caches apply per
+/// completions keep arriving, and deadlines and faults apply per
 /// [`BatchPolicy`]. Collecting the stream and sorting by index reproduces
 /// [`route_batch`] bit for bit.
 ///
@@ -548,43 +512,6 @@ mod tests {
         let small = inst(10, 0.0);
         let large = inst(200, 0.0);
         assert!(static_cost(&large) > static_cost(&small));
-    }
-
-    #[test]
-    fn cached_batch_is_bit_identical_and_hits_on_duplicates() {
-        use astdme_cache::SubtreeCache;
-        // Three copies of one placement plus a distinct one, all anchored
-        // at the origin (sink 0 sits at (0, 0), so translation
-        // normalization is the exact identity): the duplicate region
-        // routes once, splices twice, and every tree matches the
-        // cache-free batch bit for bit.
-        let instances = vec![inst(12, 0.0), inst(12, 0.0), inst(9, 0.0), inst(12, 0.0)];
-        let router = AstDme::new();
-        let cold = route_batch(&instances, &router);
-        let cache = SubtreeCache::new(64);
-        let plan = BatchPlan::new(&instances);
-        let cached = BatchPolicy::new().with_cache(cache.clone());
-        let warm = plan.route_with_policy(&instances, &router, &cached).0;
-        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
-            let (c, w) = (c.as_ref().unwrap(), w.as_ref().unwrap());
-            assert_eq!(c.tree, w.tree, "instance {i} tree diverged under cache");
-            assert_eq!(c.report, w.report, "instance {i} report diverged");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 4);
-        // Concurrent duplicates may race their first lookups, but after a
-        // full pass both distinct regions are resident: a second pass must
-        // hit on every instance — and still match bit for bit.
-        let rewarm = plan.route_with_policy(&instances, &router, &cached).0;
-        for (i, (c, w)) in cold.iter().zip(&rewarm).enumerate() {
-            assert_eq!(
-                c.as_ref().unwrap().tree,
-                w.as_ref().unwrap().tree,
-                "instance {i} tree diverged on the warm pass"
-            );
-            assert!(w.as_ref().unwrap().stats.cache_hit, "instance {i} must hit");
-        }
-        assert_eq!(cache.stats().hits, stats.hits + 4);
     }
 
     #[test]

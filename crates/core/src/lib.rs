@@ -21,12 +21,11 @@
 //! All four implement [`ClockRouter`]; results are
 //! [`RoutedTree`]s that can be audited independently with [`audit`].
 //!
-//! Fleet workloads (batches, Monte Carlo sweeps) can attach a
-//! content-addressed [`SubtreeCache`]: repeated merge regions —
-//! duplicate or translated placements under the same stage plan — are
-//! fingerprinted, memoized, and spliced instead of re-routed, with hits
-//! **bit-identical** to a recompute (see [`astdme_cache`] and
-//! [`BatchPolicy::cache`]).
+//! Every route runs through one staged [`pipeline`] (group, merge,
+//! embed, repair, audit) on the instance's own coordinates. Fleet batches
+//! and streams ([`route_batch`], [`route_stream`]), Monte Carlo sweeps
+//! ([`sweep`]) and incremental ECO sessions ([`EcoSession`]) all route
+//! through that same body.
 //!
 //! # Example
 //!
@@ -83,7 +82,6 @@ pub use robustness::{
 pub use routers::{AstDme, ClockRouter, ExtBst, GreedyDme, StitchPerGroup};
 
 // The full modelling vocabulary, so downstream users need only this crate.
-pub use astdme_cache::{region_fingerprint, CacheStats, CachedRegion, Fingerprint, SubtreeCache};
 pub use astdme_delay::{DelayModel, RcParams};
 pub use astdme_engine::{
     audit, group_ranges, repair_group_skew, AuditReport, CandKind, Candidate, DelayMap, DelayRange,

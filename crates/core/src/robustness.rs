@@ -272,20 +272,14 @@ pub struct SweepConfig {
     /// index-seeded, so delivery order is invisible to it).
     pub chunk: usize,
     /// The [`BatchPolicy`] every variant routes under, with faults and
-    /// errors keyed by variant index. A shared subtree cache in it routes
-    /// each distinct normalized region once and splices the repeats (a
-    /// zero-jitter spec, or noise that leaves some variants' normalized
-    /// geometry identical). Hits are **bit-identical to the recompute** a
-    /// miss performs, so cache capacity, sharing across sweeps, eviction
-    /// order, and thread count never move a reported bit. Without a cache
-    /// every variant routes in the raw frame, which cached runs match
-    /// exactly for origin-anchored variants (see [`BatchPolicy::cache`]).
+    /// errors keyed by variant index. The thread count never moves a
+    /// reported bit.
     pub policy: BatchPolicy,
 }
 
 impl SweepConfig {
     /// A sweep of `variants` variants: 64 results in flight, no deadline,
-    /// no injected faults, no cache.
+    /// no injected faults.
     pub fn new(variants: usize) -> Self {
         Self {
             variants,
@@ -309,14 +303,6 @@ impl SweepConfig {
     /// Sets the fault schedule, keyed by variant index; returns `self`.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.policy = self.policy.with_faults(faults);
-        self
-    }
-
-    /// Attaches a shared subtree cache (a cheap `Arc` clone of the
-    /// handle); returns `self`. Pass the same handle to successive sweeps
-    /// to carry warmed regions between them.
-    pub fn with_cache(mut self, cache: crate::SubtreeCache) -> Self {
-        self.policy = self.policy.with_cache(cache);
         self
     }
 }

@@ -14,14 +14,7 @@ use astdme_engine::{EngineConfig, Instance, RoutedTree};
 use astdme_topo::TopoConfig;
 
 use crate::pipeline::{self, GroupingStage, MergeStage, RouteOutcome, StagePlan};
-use crate::{fault, RouteError};
-
-/// Where a [`ClockRouter`] enters the pipeline: the one place the cache a
-/// fleet batch attached to this thread's route context is picked up (see
-/// [`BatchPolicy::cache`](crate::fleet::BatchPolicy::cache)).
-fn enter(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
-    pipeline::run(inst, plan, fault::current_cache().as_ref())
-}
+use crate::RouteError;
 
 /// A clock-tree router: consumes an [`Instance`], produces a
 /// [`RoutedTree`].
@@ -138,7 +131,7 @@ impl Default for AstDme {
 
 impl ClockRouter for AstDme {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        enter(inst, &self.plan())
+        pipeline::run(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -179,7 +172,7 @@ impl ExtBst {
 
 impl ClockRouter for ExtBst {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        enter(inst, &self.plan())
+        pipeline::run(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -210,7 +203,7 @@ impl GreedyDme {
 
 impl ClockRouter for GreedyDme {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        enter(inst, &self.plan())
+        pipeline::run(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -249,7 +242,7 @@ impl StitchPerGroup {
 
 impl ClockRouter for StitchPerGroup {
     fn route_traced(&self, inst: &Instance) -> Result<RouteOutcome, RouteError> {
-        enter(inst, &self.plan())
+        pipeline::run(inst, &self.plan())
     }
 
     fn name(&self) -> &'static str {
@@ -391,7 +384,7 @@ mod tests {
             let plan = ExtBst::new(bound).plan();
             let errs = [
                 ExtBst::new(bound).route(&inst).unwrap_err(),
-                pipeline::run(&inst, &plan, None).unwrap_err(),
+                pipeline::run(&inst, &plan).unwrap_err(),
                 EcoSession::new(&inst, plan)
                     .err()
                     .expect("session must fail"),

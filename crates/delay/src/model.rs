@@ -81,18 +81,6 @@ impl DelayModel {
         }
     }
 
-    /// Stable `u64` encoding of the model for content-addressed cache
-    /// fingerprints: a variant tag followed by the RC parameter bits
-    /// (`f64::to_bits`; zero for [`DelayModel::Pathlength`]). Two models
-    /// route identically iff their words agree.
-    #[inline]
-    pub fn fingerprint_words(&self) -> [u64; 3] {
-        match self {
-            Self::Elmore(p) => [0, p.r_per_um().to_bits(), p.c_per_um().to_bits()],
-            Self::Pathlength => [1, 0, 0],
-        }
-    }
-
     /// Delay of a wire of length `len` driving `downstream_cap` at its far
     /// end.
     ///
@@ -303,17 +291,6 @@ mod tests {
         // ea + 3 = eb, ea + eb = 10 -> ea = 3.5
         assert!((s.ea - 3.5).abs() < 1e-9);
         assert!((s.eb - 6.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fingerprint_words_separate_models() {
-        let elmore = m().fingerprint_words();
-        assert_eq!(elmore[0], 0);
-        assert_eq!(elmore[1], 0.003f64.to_bits());
-        assert_eq!(elmore, m().fingerprint_words(), "stable encoding");
-        assert_ne!(elmore, DelayModel::pathlength().fingerprint_words());
-        let other = DelayModel::elmore(RcParams::new(0.004, 2e-17));
-        assert_ne!(elmore, other.fingerprint_words());
     }
 
     #[test]

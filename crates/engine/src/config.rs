@@ -43,19 +43,6 @@ impl EngineConfig {
         }
     }
 
-    /// Stable `u64` encoding of every knob, for content-addressed cache
-    /// fingerprints.
-    #[inline]
-    pub fn fingerprint_words(&self) -> [u64; 5] {
-        [
-            self.split_samples as u64,
-            self.max_candidates as u64,
-            self.pair_limit as u64,
-            self.skew_tol.to_bits(),
-            self.fuse_groups as u64,
-        ]
-    }
-
     /// A thorough configuration: more positional diversity, slower.
     pub fn thorough() -> Self {
         Self {
@@ -93,24 +80,5 @@ mod tests {
         assert!(d.split_samples <= t.split_samples);
         assert!(f.max_candidates <= d.max_candidates);
         assert!(d.max_candidates <= t.max_candidates);
-    }
-
-    #[test]
-    fn fingerprint_words_track_knobs() {
-        let base = EngineConfig::default();
-        assert_ne!(
-            base.fingerprint_words(),
-            EngineConfig::fast().fingerprint_words()
-        );
-        let loose = EngineConfig {
-            skew_tol: 1e-15,
-            ..base
-        };
-        assert_ne!(base.fingerprint_words(), loose.fingerprint_words());
-        let unfused = EngineConfig {
-            fuse_groups: false,
-            ..base
-        };
-        assert_ne!(base.fingerprint_words(), unfused.fingerprint_words());
     }
 }

@@ -134,32 +134,6 @@ impl Instance {
         Rect::bounding(self.sinks.iter().map(|s| s.pos)).expect("validated non-empty")
     }
 
-    /// Returns a copy of the instance with every sink position and the
-    /// source translated by `(dx, dy)`. Groups, bounds, loads, and RC
-    /// technology are unchanged.
-    ///
-    /// This is the normalization primitive of the content-addressed
-    /// routing cache: translating by the negated bounding-box minimum
-    /// corner maps the instance into its canonical frame (that corner's
-    /// own coordinates become exactly `+0.0`).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a translated coordinate overflows to a non-finite value.
-    pub fn translated(&self, dx: f64, dy: f64) -> Result<Self, InstanceError> {
-        let sinks = self
-            .sinks
-            .iter()
-            .map(|s| Sink::new(s.pos.translated(dx, dy), s.cap))
-            .collect();
-        Self::new(
-            sinks,
-            self.groups.clone(),
-            self.rc,
-            self.source.translated(dx, dy),
-        )
-    }
-
     /// Returns a copy of the instance with the group partition replaced
     /// (e.g. to run the single-group baselines on the same placement).
     ///
@@ -241,29 +215,6 @@ mod tests {
             Point::default()
         )
         .is_err());
-    }
-
-    #[test]
-    fn translated_shifts_everything_and_validates() {
-        let inst = Instance::new(
-            sinks2(),
-            Groups::single(2).unwrap(),
-            RcParams::default(),
-            Point::new(5.0, 5.0),
-        )
-        .unwrap();
-        let moved = inst.translated(100.0, -50.0).unwrap();
-        assert_eq!(moved.sinks()[1].pos, Point::new(110.0, -45.0));
-        assert_eq!(moved.sinks()[1].cap, inst.sinks()[1].cap);
-        assert_eq!(moved.source(), Point::new(105.0, -45.0));
-        assert_eq!(moved.groups(), inst.groups());
-        // Normalizing by the bounding-box min corner lands exactly at +0.0.
-        let bb = moved.bounding_box();
-        let norm = moved.translated(-bb.x0(), -bb.y0()).unwrap();
-        assert_eq!(norm.bounding_box().x0().to_bits(), 0.0f64.to_bits());
-        assert_eq!(norm.bounding_box().y0().to_bits(), 0.0f64.to_bits());
-        // A translation producing non-finite coordinates is rejected.
-        assert!(inst.translated(f64::INFINITY, 0.0).is_err());
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Point {
         Self::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
     }
 
-    /// The point translated by `(dx, dy)`.
-    #[inline]
-    pub fn translated(self, dx: f64, dy: f64) -> Self {
-        Self::new(self.x + dx, self.y + dy)
-    }
-
     /// Returns `true` if both coordinates are within `tol` of `other`'s.
     #[inline]
     pub fn approx_eq(self, other: Self, tol: f64) -> bool {
@@ -167,18 +161,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn translated_shifts_componentwise() {
-        let p = Point::new(1.5, -2.0).translated(2.5, 3.0);
-        assert_eq!(p, Point::new(4.0, 1.0));
-        // Subtracting a coordinate from itself is exactly +0.0, the
-        // identity the routing cache's normalization leans on.
-        let q = Point::new(7.25, -3.5);
-        let n = q.translated(-q.x, -q.y);
-        assert_eq!(n.x.to_bits(), 0.0f64.to_bits());
-        assert_eq!(n.y.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

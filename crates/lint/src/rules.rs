@@ -27,7 +27,6 @@ const DET_CRATES: &[&str] = &[
     "crates/engine/src/",
     "crates/topo/src/",
     "crates/core/src/",
-    "crates/cache/src/",
     "crates/geom/src/",
     "crates/delay/src/",
 ];
@@ -373,9 +372,9 @@ mod tests {
     #[test]
     fn pragma_suppresses_with_reason_only() {
         let bad = "struct S { m: std::collections::HashMap<u32, u32> }\nimpl S {\n    fn f(&self) -> usize {\n        // astdme-lint: allow(map-iter): count is order-independent\n        self.m.keys().count()\n    }\n}\n";
-        assert!(check_source("crates/cache/src/x.rs", bad).is_empty());
+        assert!(check_source("crates/engine/src/x.rs", bad).is_empty());
         let unreasoned = bad.replace(": count is order-independent", ":");
-        let diags = check_source("crates/cache/src/x.rs", &unreasoned);
+        let diags = check_source("crates/engine/src/x.rs", &unreasoned);
         assert_eq!(
             diags.len(),
             2,

@@ -106,20 +106,6 @@ impl TopoConfig {
             delay_weight: 0.0,
         }
     }
-
-    /// Stable `u64` encoding of the planner configuration for
-    /// content-addressed cache fingerprints: an order tag, the multi-merge
-    /// fraction bits (`f64::to_bits`; zero for greedy), and the
-    /// delay-weight bits. Two configs plan identically iff their words
-    /// agree.
-    #[inline]
-    pub fn fingerprint_words(&self) -> [u64; 3] {
-        let (tag, fraction) = match self.order {
-            MergeOrder::GreedyNearest => (0, 0),
-            MergeOrder::MultiMerge { fraction } => (1, fraction.to_bits()),
-        };
-        [tag, fraction, self.delay_weight.to_bits()]
-    }
 }
 
 /// How many disjoint pairs one round may merge over `n` active subtrees.

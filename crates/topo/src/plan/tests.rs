@@ -225,23 +225,6 @@ fn grid_and_bruteforce_agree_on_larger_sets() {
 }
 
 #[test]
-fn fingerprint_words_separate_configs() {
-    let default = TopoConfig::default().fingerprint_words();
-    assert_eq!(default, TopoConfig::default().fingerprint_words());
-    assert_ne!(default, TopoConfig::greedy().fingerprint_words());
-    let biased = TopoConfig {
-        delay_weight: 1e13,
-        ..TopoConfig::default()
-    };
-    assert_ne!(default, biased.fingerprint_words());
-    let half = TopoConfig {
-        order: MergeOrder::MultiMerge { fraction: 0.5 },
-        delay_weight: 0.0,
-    };
-    assert_ne!(default, half.fingerprint_words());
-}
-
-#[test]
 fn multi_merge_fraction_bounds_pair_count() {
     let coords: Vec<(f64, f64)> = (0..100).map(|i| (i as f64 * 3.0, 0.0)).collect();
     let s = Pts::new(&coords);

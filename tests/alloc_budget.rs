@@ -135,7 +135,6 @@ fn pipeline_surfaces_per_stage_alloc_counts() {
         out.stats
     );
     assert!(out.stats.total_allocs() >= out.stats.merge.allocs);
-    assert!(!out.stats.cache_hit, "no cache attached");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! The contract of [`EcoSession::flush`]: after queueing any batch of
 //! sink edits, the flushed outcome is **bit-identical to a from-scratch
 //! route of the edited instance** under the session's plan — same tree,
-//! same audit report — at every thread count, with and without an
-//! attached subtree cache, across consecutive flushes (replay-of-replay),
+//! same audit report — at every thread count, inside and outside a fleet
+//! batch, across consecutive flushes (replay-of-replay),
 //! for structural edits (insert/delete/RC retune, which fall back to a
 //! full reroute), and for non-replayable plans. Net no-op batches
 //! (move-then-move-back, insert-then-delete) return the standing tree
@@ -15,11 +15,10 @@ use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
-use astdme::pipeline::run;
 use astdme::{
-    AstDme, BatchPlan, BatchPolicy, CacheStats, ClockRouter, EcoEdit, EcoSession, Fault, FaultKind,
-    FaultPlan, GroupId, Groups, Instance, Point, RouteError, RouteOutcome, Sink, StageId,
-    StagePlan, StitchPerGroup, SubtreeCache, TopoConfig,
+    route_batch, AstDme, BatchPlan, BatchPolicy, ClockRouter, EcoEdit, EcoSession, Fault,
+    FaultKind, FaultPlan, GroupId, Groups, Instance, Point, RouteError, RouteOutcome, Sink,
+    StageId, StagePlan, StitchPerGroup, TopoConfig,
 };
 use proptest::prelude::*;
 
@@ -161,64 +160,6 @@ fn flush_matches_from_scratch_across_thread_counts() {
     }
 }
 
-/// Cached sessions: a flush matches the cached pipeline bit for bit, a
-/// flush back to a memoized placement is satisfied by splicing, and the
-/// flush after a hit (which drops the stale recording) still matches.
-#[test]
-fn cached_flush_matches_cached_pipeline_and_hits_on_return() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
-    let inst = instance(100, 3, 13);
-    let plan = AstDme::new().plan();
-    let cache = SubtreeCache::new(64);
-    let mut session = EcoSession::with_cache(&inst, plan, cache.clone()).expect("routes");
-    let base = session.outcome().clone();
-
-    let moved = EcoEdit::Move {
-        sink: 31,
-        to: Point::new(
-            inst.sinks()[31].pos.x + 380.0,
-            inst.sinks()[31].pos.y + 140.0,
-        ),
-    };
-    let edited = apply_expected(&inst, &[moved]);
-    let want = run(&edited, &plan, Some(&SubtreeCache::new(4))).expect("routes");
-
-    session.queue(moved);
-    let out = session.flush().expect("flushes");
-    assert_eq!(out.tree, want.tree, "cached flush diverged from pipeline");
-    assert_eq!(out.report, want.report);
-    assert_eq!(out.stats.cache_misses, 1, "replayed flush missed the cache");
-    let fs = session.last_flush();
-    assert!(!fs.full_reroute && fs.adopted_merges > 0, "must replay");
-
-    // Moving back lands on the session-creation placement, which the
-    // session inserted — a pure splice, bit-identical to the original.
-    session.queue(EcoEdit::Move {
-        sink: 31,
-        to: inst.sinks()[31].pos,
-    });
-    let out = session.flush().expect("flushes back");
-    assert!(out.stats.cache_hit, "return to a routed placement must hit");
-    assert_eq!(out.tree, base.tree, "hit diverged from the original route");
-    assert_eq!(out.report, base.report);
-    assert!(session.last_flush().cache_hit);
-
-    // A hit drops the stale recording; the next novel edit takes the
-    // full-reroute path and must still match the pipeline.
-    let moved_again = EcoEdit::Move {
-        sink: 9,
-        to: Point::new(inst.sinks()[9].pos.x - 270.0, inst.sinks()[9].pos.y + 55.0),
-    };
-    let edited = apply_expected(&inst, &[moved_again]);
-    let want = run(&edited, &plan, Some(&SubtreeCache::new(4))).expect("routes");
-    session.queue(moved_again);
-    let out = session.flush().expect("flushes after hit");
-    assert_eq!(out.tree, want.tree, "post-hit flush diverged");
-    assert_eq!(out.report, want.report);
-    assert!(session.last_flush().full_reroute, "no recording to replay");
-}
-
 /// Structural edits (insert, delete, RC retune) and non-replayable plans
 /// fall back to a full reroute — and still match from-scratch exactly.
 #[test]
@@ -328,28 +269,16 @@ impl ClockRouter for SessionRouter {
     }
 }
 
-/// A session opened inside a cache-attached batch routes exactly as one
-/// opened outside any batch: the batch's cache is what the routers hand
-/// the pipeline, not ambient state a session picks up. The session's
-/// route still passes the pipeline's fault checkpoints, so a fault
-/// injected at the merge stage fails its slot. Both a non-replayable plan
+/// A session opened inside a fleet batch's worker routes exactly as one
+/// opened outside any batch, and its route passes the batch's fault
+/// checkpoints, so a fault injected at the merge stage fails its slot
+/// and leaves the other slot unchanged. Both a non-replayable plan
 /// (stitching) and a recording one (AST-DME) are checked.
 #[test]
-fn sessions_in_a_cached_batch_ignore_its_cache_and_pass_checkpoints() {
+fn sessions_in_a_batch_route_as_outside_and_pass_checkpoints() {
     let _lock = override_lock();
     let _guard = astdme_par::override_guard(NonZeroUsize::new(2));
-    let batch: Vec<Instance> = [(31, 1000.3), (37, 2500.9)]
-        .into_iter()
-        .map(|(seed, dx)| {
-            let inst = instance(40, 3, seed).translated(dx, 777.7).expect("finite");
-            let bb = inst.bounding_box();
-            assert!(
-                (bb.x0(), bb.y0()) != (0.0, 0.0),
-                "must not be origin-anchored"
-            );
-            inst
-        })
-        .collect();
+    let batch: Vec<Instance> = [31, 37].map(|seed| instance(40, 3, seed)).to_vec();
     let plan = BatchPlan::new(&batch);
     for router in [
         SessionRouter(StitchPerGroup::new().plan()),
@@ -360,18 +289,11 @@ fn sessions_in_a_cached_batch_ignore_its_cache_and_pass_checkpoints() {
             .map(|inst| router.route_traced(inst).expect("routes"))
             .collect();
 
-        let cache = SubtreeCache::new(8);
-        let policy = BatchPolicy::new().with_cache(cache.clone());
-        let (out, _) = plan.route_with_policy(&batch, &router, &policy);
-        for (got, want) in out.iter().zip(&want) {
+        for (got, want) in route_batch(&batch, &router).iter().zip(&want) {
             let got = got.as_ref().expect("routes");
-            assert_eq!(
-                got.tree, want.tree,
-                "the batch's cache leaked into a session"
-            );
+            assert_eq!(got.tree, want.tree, "a session diverged inside the batch");
             assert_eq!(got.report, want.report);
         }
-        assert_eq!(cache.stats(), CacheStats::default(), "cache untouched");
 
         let faults = FaultPlan::new().inject(
             0,
@@ -380,7 +302,8 @@ fn sessions_in_a_cached_batch_ignore_its_cache_and_pass_checkpoints() {
                 kind: FaultKind::Panic,
             },
         );
-        let (out, _) = plan.route_with_policy(&batch, &router, &policy.with_faults(faults));
+        let policy = BatchPolicy::new().with_faults(faults);
+        let (out, _) = plan.route_with_policy(&batch, &router, &policy);
         assert!(
             matches!(out[0], Err(RouteError::Panicked { instance: 0, .. })),
             "got {:?}",
