@@ -1,16 +1,26 @@
-//! Scaling bench: incremental vs from-scratch merge planning.
+//! Scaling bench: incremental vs from-scratch merge planning, and ECO
+//! flushes against from-scratch routes.
 //!
 //! Routes synthetic intermingled instances at n ∈ {250, 1000, 4000} with
 //! both drivers (`run_bottom_up` on the incremental `MergePlanner`,
 //! `run_bottom_up_from_scratch` on the reference planner) under both merge
 //! orders, asserts that both drivers route the same wirelength, and writes
 //! `BENCH_scaling.json` at the repo root. Timings are recorded, never
-//! asserted; end-to-end, fleet, ECO and sweep timings live in
-//! `perfbench`.
+//! asserted; end-to-end, fleet and sweep timings live in `perfbench`.
+//!
+//! The `eco` section opens an `EcoSession` on the design of perfbench's
+//! `eco-k1` workload (n = 16 000) and flushes cycles of k ∈ {1, 8, 64}
+//! seeded sink moves, each followed by the moves back. Per k it records
+//! the median flush time, the median from-scratch route time of the moved
+//! instances, their ratio, the flushes that fell back to a full reroute,
+//! and the median `EcoStats::scan_visits` per flush. Every moved flush is
+//! asserted equal to its from-scratch route, and every move back to the
+//! session's first tree.
 //!
 //! Usage: `scaling [--quick] [--out PATH] [--sizes a,b,c] [--alloc-budget N]`
 //!
-//! * `--quick` — n = 250 only (the CI smoke run);
+//! * `--quick` — n = 250 only, and the ECO section at n = 2 000 (the CI
+//!   smoke run);
 //! * `--out`   — output path (default `BENCH_scaling.json`);
 //! * `--sizes` — comma-separated instance sizes overriding the default;
 //! * `--alloc-budget` — fail (exit 1) if any `allocs_per_merge`
@@ -30,8 +40,8 @@ use std::time::Instant;
 
 use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
-    run_bottom_up, run_bottom_up_from_scratch, AstDme, ClockRouter, DelayModel, EngineConfig,
-    Instance, NodeId, StageStats, TopoConfig,
+    run_bottom_up, run_bottom_up_from_scratch, AstDme, ClockRouter, DelayModel, EcoEdit,
+    EcoSession, EngineConfig, Instance, NodeId, Point, StageStats, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
@@ -106,9 +116,44 @@ struct AllocMeasurement {
     retained_candidates: usize,
 }
 
+/// One ECO row: [`ECO_CYCLES`] cycles of `k` seeded moves and the moves
+/// back on the `n`-sink design.
+#[derive(Debug, Clone)]
+struct EcoMeasurement {
+    n: usize,
+    k: usize,
+    flushes: usize,
+    flush_s_p50: f64,
+    scratch_s_p50: f64,
+    full_reroutes: usize,
+    scan_visits_p50: u64,
+}
+
+/// Sinks of the ECO section's design: perfbench's `eco-k1` size, and the
+/// `--quick` size.
+const ECO_SINKS: usize = 16_000;
+const ECO_QUICK_SINKS: usize = 2_000;
+/// Sinks moved per batch.
+const ECO_KS: [usize; 3] = [1, 8, 64];
+/// Move-away / move-back cycles per k.
+const ECO_CYCLES: usize = 8;
+/// Largest displacement of a moved sink along each axis, in µm (as in
+/// `eco-k1`).
+const ECO_MAX_SHIFT: f64 = 400.0;
+
 fn instance(n: usize) -> Instance {
     let p = synthetic_instance(n, SEED, &format!("s{n}"));
-    let inst = partition::intermingled(&p, GROUPS, SEED ^ 0xBEEF).expect("valid partition");
+    bounded(partition::intermingled(&p, GROUPS, SEED ^ 0xBEEF).expect("valid partition"))
+}
+
+/// The ECO section's design: `eco-k1`'s placement and partition seeds.
+fn eco_instance(n: usize) -> Instance {
+    let p = synthetic_instance(n, SEED ^ 0x0EC0, "eco-16k");
+    bounded(partition::intermingled(&p, GROUPS, SEED ^ 0x5EED).expect("valid partition"))
+}
+
+/// Groups `inst` under the paper's uniform bound.
+fn bounded(inst: Instance) -> Instance {
     inst.with_groups(
         inst.groups()
             .clone()
@@ -252,10 +297,123 @@ fn measure_counters(n: usize, inst: &Instance) -> Vec<(usize, &'static str, Stag
     out
 }
 
+/// SplitMix64 step: the ECO section's seeded edit schedule.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Cycle `cycle`'s batch of `k` distinct seeded moves, and the batch
+/// moving them back.
+fn eco_cycle(inst: &Instance, k: usize, cycle: usize) -> (Vec<EcoEdit>, Vec<EcoEdit>) {
+    let mut state = SEED ^ ((k as u64) << 32) ^ cycle as u64;
+    let unit = |state: &mut u64| (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+    let mut sinks: Vec<usize> = Vec::with_capacity(k);
+    while sinks.len() < k {
+        let s = (splitmix(&mut state) % inst.sink_count() as u64) as usize;
+        if !sinks.contains(&s) {
+            sinks.push(s);
+        }
+    }
+    let away = sinks
+        .iter()
+        .map(|&s| {
+            let p = inst.sinks()[s].pos;
+            let dx = ECO_MAX_SHIFT * unit(&mut state);
+            let dy = ECO_MAX_SHIFT * unit(&mut state);
+            EcoEdit::Move {
+                sink: s,
+                to: Point::new(p.x + dx, p.y + dy),
+            }
+        })
+        .collect();
+    let back = sinks
+        .iter()
+        .map(|&s| EcoEdit::Move {
+            sink: s,
+            to: inst.sinks()[s].pos,
+        })
+        .collect();
+    (away, back)
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Flushes [`ECO_CYCLES`] cycles per k on one session each, timing every
+/// flush and a from-scratch route of every moved instance. Panics if a
+/// flush diverges from its from-scratch route or a move back does not
+/// restore the first tree.
+fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
+    let inst = eco_instance(n);
+    let router = AstDme::new();
+    let mut out = Vec::new();
+    for k in ECO_KS {
+        let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
+        let base = session.outcome().tree.clone();
+        let (mut flush_s, mut scratch_s, mut visits) = (Vec::new(), Vec::new(), Vec::new());
+        let mut full_reroutes = 0;
+        for cycle in 0..ECO_CYCLES {
+            let (away, back) = eco_cycle(&inst, k, cycle);
+            for (moved, batch) in [(true, away), (false, back)] {
+                for edit in batch {
+                    session.queue(edit);
+                }
+                let t0 = Instant::now();
+                session.flush().expect("flushes");
+                flush_s.push(t0.elapsed().as_secs_f64());
+                let stats = session.last_flush();
+                full_reroutes += usize::from(stats.full_reroute);
+                visits.push(stats.scan_visits as f64);
+                if moved {
+                    let t0 = Instant::now();
+                    let want = router.route_traced(session.instance()).expect("routes");
+                    scratch_s.push(t0.elapsed().as_secs_f64());
+                    let got = session.outcome();
+                    assert!(
+                        got.tree == want.tree && got.report == want.report,
+                        "eco flush diverged from the from-scratch route at n={n} k={k}"
+                    );
+                } else {
+                    assert!(
+                        session.outcome().tree == base,
+                        "moving back did not restore the tree at n={n} k={k}"
+                    );
+                }
+            }
+        }
+        let m = EcoMeasurement {
+            n,
+            k,
+            flushes: flush_s.len(),
+            flush_s_p50: median(&mut flush_s),
+            scratch_s_p50: median(&mut scratch_s),
+            full_reroutes,
+            scan_visits_p50: median(&mut visits) as u64,
+        };
+        eprintln!(
+            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits",
+            m.flush_s_p50,
+            m.scratch_s_p50,
+            m.flush_s_p50 / m.scratch_s_p50,
+            m.full_reroutes,
+            m.scan_visits_p50
+        );
+        out.push(m);
+    }
+    out
+}
+
 fn to_json(
     measurements: &[Measurement],
     allocs: &[AllocMeasurement],
     counters: &[(usize, &'static str, StageStats)],
+    eco: &[EcoMeasurement],
 ) -> String {
     let items: Vec<String> = measurements
         .iter()
@@ -334,12 +492,36 @@ fn to_json(
             )
         })
         .collect();
+    // ECO flushes against from-scratch routes: timings recorded, the
+    // reroute and visit counts deterministic.
+    let eco_items: Vec<String> = eco
+        .iter()
+        .map(|m| {
+            json::object(
+                &[
+                    json::field("n", format!("{}", m.n)),
+                    json::field("k", format!("{}", m.k)),
+                    json::field("flushes", format!("{}", m.flushes)),
+                    json::field("flush_s_p50", json::number(m.flush_s_p50)),
+                    json::field("scratch_s_p50", json::number(m.scratch_s_p50)),
+                    json::field(
+                        "flush_over_scratch",
+                        json::number(m.flush_s_p50 / m.scratch_s_p50),
+                    ),
+                    json::field("full_reroutes", format!("{}", m.full_reroutes)),
+                    json::field("scan_visits", format!("{}", m.scan_visits_p50)),
+                ],
+                4,
+            )
+        })
+        .collect();
     format!(
-        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {},\n  \"planner_counters\": {}\n}}\n",
+        "{{\n  \"bench\": \"scaling\",\n  \"groups\": {GROUPS},\n  \"seed\": {SEED},\n  \"measurements\": {},\n  \"speedups\": {},\n  \"allocs_per_merge\": {},\n  \"planner_counters\": {},\n  \"eco\": {}\n}}\n",
         json::array(&items, 2),
         json::array(&summaries, 2),
         json::array(&alloc_items, 2),
-        json::array(&counter_items, 2)
+        json::array(&counter_items, 2),
+        json::array(&eco_items, 2)
     )
 }
 
@@ -378,7 +560,8 @@ fn main() {
         alloc_measurements.extend(measure_allocs(n, &inst));
         counters.extend(measure_counters(n, &inst));
     }
-    let doc = to_json(&measurements, &alloc_measurements, &counters);
+    let eco = measure_eco(if quick { ECO_QUICK_SINKS } else { ECO_SINKS });
+    let doc = to_json(&measurements, &alloc_measurements, &counters, &eco);
     std::fs::write(&out_path, &doc).expect("write BENCH_scaling.json");
     eprintln!("wrote {out_path}");
 

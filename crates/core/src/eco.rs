@@ -54,10 +54,24 @@
 //! **bit-identical to a from-scratch route of the edited instance** —
 //! same tree, same audit report, at every thread count. Update latency
 //! is sublinear in `n` for small edit sets: inherited entries cost `O(1)`
-//! each, and fresh scans are bounded by a work budget (the session falls
-//! back to a full reroute when an edit storm exhausts it, or when the
-//! edit changes the instance structurally — sink count, group shape, or
-//! RC technology).
+//! each, and the fresh scans of a round run as linear sweeps when there
+//! are few of them and over one grid of the round's subtrees when there
+//! are many.
+//!
+//! # When a flush reroutes instead
+//!
+//! The session falls back to a full reroute when the edit changes the
+//! instance structurally (sink count, group shape, or RC technology),
+//! when the plan records no replay, and when a replay turns out dearer
+//! than the reroute. The last is decided on price, in one deterministic
+//! unit: a *visit*, one hull-distance evaluation of a replay scan. The
+//! replay counts the visits it makes ([`EcoStats::scan_visits`]) and
+//! declines once they pass what a from-scratch route of the `n` sinks
+//! costs in visits, a price that depends on `n` alone. The edit count
+//! does not enter: a one-sink move whose dirty cone runs long replays,
+//! and so does a large batch whose scans stay local, while a flush whose
+//! scans degrade toward all pairs (an edit storm that piles sinks onto
+//! one spot) falls back after spending about one route's worth.
 //!
 //! Replay is recorded for [`MergeStage::Flat`] plans under
 //! [`MergeOrder::MultiMerge`] (the default of every router except the
@@ -89,21 +103,16 @@
 use crate::stopwatch::Stopwatch;
 
 use astdme_delay::RcParams;
-use astdme_engine::{GroupId, Groups, Instance, MergeForest, NodeId, Sink, NO_NODE};
-use astdme_geom::{Point, Trr};
-use astdme_topo::{
-    pair_score, plan_round, round_limit, score_bits, select_disjoint, space_distance, MergeOrder,
-    MergeSpace, NnSnapshotRow, BRUTE_FORCE_CUTOFF,
-};
+use astdme_engine::{GroupId, Groups, Instance, MergeForest, Sink};
+use astdme_geom::Point;
+use astdme_topo::MergeOrder;
 
-use crate::drivers::{merge_until_one_traced, ForestSpace, MergeScript, MergeTrace};
+use crate::drivers::{merge_until_one_traced, MergeScript};
 use crate::pipeline::{self, MergeStage, RouteOutcome, Run, StagePlan};
 use crate::RouteError;
 
-/// Sentinel in the dense active-position table: the key is not active.
-const NO_POS: u32 = u32::MAX;
-/// Sentinel in the child → merge-log index: the node is never a child.
-const NO_LOG: u32 = u32::MAX;
+mod replay;
+mod scan;
 
 /// One queued engineering-change-order edit. Sink indices refer to the
 /// session's instance *at the point the edit applies* — edits in a batch
@@ -160,6 +169,13 @@ pub struct EcoStats {
     /// Planning rounds re-planned from scratch (brute-force tail rounds
     /// and rounds the recording could not cover).
     pub planned_rounds: usize,
+    /// The replay's scan work, in visits: one per hull-distance
+    /// evaluation of its nearest-neighbor and takeover scans, whether a
+    /// round sweeps linearly or queries a grid. Deterministic for a given
+    /// session and batch. The replay declines once this passes what a
+    /// from-scratch route costs in the same unit (see the
+    /// [module docs](self)); a declined replay's visits are counted too.
+    pub scan_visits: u64,
     /// Whether the flush fell back to a full pipeline reroute: a
     /// structural edit, a plan without replay, or a declined replay.
     pub full_reroute: bool,
@@ -403,7 +419,7 @@ fn route_edited(
     if let (false, Some(rec)) = (structural, standing) {
         let mut script = None;
         let run = pipeline::run_with(edited, plan, |forest, routed| {
-            let (root, trace, replayed) = replay_merges(rec, forest, routed, plan, stats)?;
+            let (root, trace, replayed) = replay::replay_merges(rec, forest, routed, plan, stats)?;
             script = Some(replayed);
             Some((root, trace))
         })?;
@@ -449,407 +465,5 @@ fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<
     (run.outcome, recording)
 }
 
-/// Replays the recorded merge script against the edited instance.
-///
-/// Per round, each active subtree is classified against the recorded
-/// nearest-neighbor snapshot:
-///
-/// * **inherited** — the subtree has a standing counterpart, the
-///   counterpart is in the round's snapshot, and the recorded neighbor's
-///   counterpart is still active: reuse the recorded `(neighbor,
-///   region-distance, score)` verbatim (`O(1)`);
-/// * **stale** — counterpart exists but its recorded neighbor was
-///   consumed: fresh nearest-neighbor scan (exactly what the incremental
-///   planner's dirty-list requery computes);
-/// * **novel** — no counterpart (the dirty cone): fresh scan, *and* the
-///   subtree may take over any inherited entry it sits strictly closer
-///   to, mirroring the planner's supersession rule for newly registered
-///   subtrees. (Mapped counterparts never take over: their effect on
-///   clean entries is already baked into the standing snapshots.)
-///
-/// Pair selection then ranks every entry by the planner's `(score bits,
-/// lo, hi)` key and takes disjoint pairs up to the round limit —
-/// the planner's exact selection semantics. Selected pairs whose children
-/// both map onto one recorded merge (same orientation) are adopted
-/// bit-for-bit; the rest merge fresh. Fresh scans are charged against a
-/// work budget of `(64·n + 65536) · max(k, 1)` subtree visits for a
-/// k-sink dirty set — the scans are what the dirty cone costs, so the
-/// allowance scales with it; exhausting the budget returns `None` (fall
-/// back to a full reroute) so flush latency stays bounded even when a
-/// replay degenerates.
-///
-/// This is the flush's merge step: `forest` is the pipeline's fresh
-/// forest of `edited` (the edited instance, regrouped like the
-/// recording). Returns the surviving root, the loop's counters, and the
-/// replay's own script (in the new id space, so flushes chain), and fills
-/// `stats`' dirty and replay counters. Returns `None` (fall back to a full
-/// reroute) when the sink count drifted from the recording's, or if a
-/// round produced no entries (never the case for well-formed recordings,
-/// but cheap to guard).
-fn replay_merges(
-    rec: &Recording,
-    forest: &mut MergeForest,
-    edited: &Instance,
-    plan: &StagePlan,
-    stats: &mut EcoStats,
-) -> Option<(NodeId, MergeTrace, MergeScript)> {
-    let n = edited.sink_count();
-    if n != rec.routed.sink_count() {
-        return None;
-    }
-    // The dirty set: sinks whose bits changed.
-    let dirty: Vec<bool> = edited
-        .sinks()
-        .iter()
-        .zip(rec.routed.sinks())
-        .map(|(a, b)| !sink_bits_equal(a, b))
-        .collect();
-    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
-    let topo = &plan.topo;
-    let leaves = forest.leaves();
-    let mut out = MergeScript::for_forest(forest);
-    if n == 1 {
-        return Some((leaves[0], MergeTrace::default(), out));
-    }
-
-    let std_nodes = rec.forest.node_count();
-    // Bidirectional node translation: clean leaves map index-for-index;
-    // adopted merges extend the maps as they land.
-    let mut std_to_new: Vec<u32> = vec![NO_NODE; std_nodes];
-    let mut new_to_std: Vec<u32> = vec![NO_NODE; n];
-    for i in 0..n {
-        if !dirty[i] {
-            std_to_new[i] = i as u32;
-            new_to_std[i] = i as u32;
-        }
-    }
-    // Which recorded merge consumed each standing node as a child.
-    let mut log_of_child: Vec<u32> = vec![NO_LOG; std_nodes];
-    for (li, log) in rec.script.merges.logs().iter().enumerate() {
-        log_of_child[log.a as usize] = li as u32;
-        log_of_child[log.b as usize] = li as u32;
-    }
-    // Per-round row lookup over the snapshot (stamped, reused each round).
-    let mut row_stamp: Vec<u32> = vec![0; std_nodes];
-    let mut row_slot: Vec<u32> = vec![0; std_nodes];
-
-    // Active set with the exact swap_remove discipline both drivers use —
-    // active order is what breaks exact score ties, so it must match.
-    // `hulls` holds each active subtree's representative region in step
-    // with `active`, so the scans below read one dense array.
-    let mut active: Vec<usize> = leaves.iter().map(|l| l.index()).collect();
-    let mut hulls: Vec<Trr> = leaves
-        .iter()
-        .map(|&l| forest.representative_region(l))
-        .collect();
-    let mut pos: Vec<u32> = vec![NO_POS; n];
-    for (i, &k) in active.iter().enumerate() {
-        pos[k] = i as u32;
-    }
-    // Per-round planning buffers, cleared and reused every replayed round.
-    let mut nn_of: Vec<Option<(usize, f64, u64)>> = Vec::new();
-    let mut inherited: Vec<bool> = Vec::new();
-    let mut refresh: Vec<usize> = Vec::new();
-    let mut novel: Vec<usize> = Vec::new();
-    let mut ranked: Vec<(u64, u32, u32)> = Vec::new();
-    let mut region_bufs: [Vec<Trr>; 2] = Default::default();
-
-    let mut trace = MergeTrace::default();
-    let (mut adopted, mut fresh) = (0usize, 0usize);
-    let (mut replayed_rounds, mut planned_rounds) = (0usize, 0usize);
-    let mut scan_work: u64 = 0;
-    let k_dirty = stats.dirty_sinks as u64;
-    let scan_budget: u64 = (64 * n as u64 + 65_536) * k_dirty.max(1);
-
-    let mut round_idx = 0usize;
-    while active.len() > 1 {
-        let n_present = active.len();
-        let snap = rec
-            .script
-            .rounds
-            .get(round_idx)
-            .and_then(Option::as_ref)
-            .filter(|_| n_present > BRUTE_FORCE_CUTOFF);
-        let t = Stopwatch::start();
-        let pairs: Vec<(usize, usize)> = match snap {
-            None => {
-                // Tail rounds (and rounds the recording cannot cover):
-                // re-plan from scratch — the reference planner, which the
-                // incremental planner is equivalence-tested against.
-                planned_rounds += 1;
-                out.rounds.push(None);
-                let pairs = plan_round(&ForestSpace::new(forest), &active, topo);
-                assert!(!pairs.is_empty(), "planner must make progress");
-                pairs
-            }
-            Some(rows) => {
-                replayed_rounds += 1;
-                let stamp = round_idx as u32 + 1;
-                for (ri, row) in rows.iter().enumerate() {
-                    if row.key < std_nodes {
-                        row_stamp[row.key] = stamp;
-                        row_slot[row.key] = ri as u32;
-                    }
-                }
-                nn_of.clear();
-                nn_of.resize(n_present, None);
-                inherited.clear();
-                inherited.resize(n_present, false);
-                refresh.clear();
-                novel.clear();
-                for (ai, &x) in active.iter().enumerate() {
-                    let m = new_to_std[x];
-                    if m == NO_NODE || row_stamp[m as usize] != stamp {
-                        refresh.push(ai);
-                        novel.push(ai);
-                        continue;
-                    }
-                    let row = &rows[row_slot[m as usize] as usize];
-                    let valid = row.nn.and_then(|(v, rd, score)| {
-                        let sv = *std_to_new.get(v)?;
-                        if sv == NO_NODE {
-                            return None;
-                        }
-                        let sv = sv as usize;
-                        (sv < pos.len() && pos[sv] != NO_POS).then_some((sv, rd, score))
-                    });
-                    match valid {
-                        Some(t) => {
-                            nn_of[ai] = Some(t);
-                            inherited[ai] = true;
-                        }
-                        None => refresh.push(ai),
-                    }
-                }
-                scan_work += (refresh.len() + novel.len()) as u64 * n_present as u64;
-                if scan_work > scan_budget {
-                    return None;
-                }
-                {
-                    let space = ForestSpace::new(forest);
-                    // Fresh own-neighbor scans: exact region-distance
-                    // argmin, first-wins in active order (the brute-force
-                    // planner's tie rule).
-                    for &ai in &refresh {
-                        let (x, rx) = (active[ai], hulls[ai]);
-                        let mut best: Option<(usize, f64)> = None;
-                        for (yi, hy) in hulls.iter().enumerate() {
-                            if yi == ai {
-                                continue;
-                            }
-                            let d = rx.distance(hy);
-                            if best.is_none_or(|(_, bd)| d < bd) {
-                                best = Some((yi, d));
-                            }
-                        }
-                        let (vi, rd) = best.expect("two or more active subtrees");
-                        let v = active[vi];
-                        let exact = space_distance(&space, x, v, &mut region_bufs);
-                        let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                        let score = pair_score(topo, space.delay(lo), space.delay(hi), exact);
-                        nn_of[ai] = Some((v, rd, score_bits(score)));
-                    }
-                    // Takeover: a novel subtree strictly closer than an
-                    // inherited entry's recorded neighbor supersedes it.
-                    for &ci in &novel {
-                        let (d, rd_region) = (active[ci], hulls[ci]);
-                        for ui in 0..n_present {
-                            if ui == ci || !inherited[ui] {
-                                continue;
-                            }
-                            let Some((_, urd, _)) = nn_of[ui] else {
-                                continue;
-                            };
-                            let u = active[ui];
-                            let nd = hulls[ui].distance(&rd_region);
-                            if nd < urd {
-                                let exact = space_distance(&space, u, d, &mut region_bufs);
-                                let (lo, hi) = if u < d { (u, d) } else { (d, u) };
-                                let (dl, dh) = (space.delay(lo), space.delay(hi));
-                                let score = pair_score(topo, dl, dh, exact);
-                                nn_of[ui] = Some((d, nd, score_bits(score)));
-                            }
-                        }
-                    }
-                }
-                // Rank by the planner's (score bits, lo, hi) key and take
-                // disjoint pairs up to the round limit. Node indices fit
-                // `u32` (the forest packs its ids so), which keeps the keys
-                // small to sort.
-                let key = |i: usize| u32::try_from(i).expect("node indices fit u32");
-                ranked.clear();
-                for (ai, &x) in active.iter().enumerate() {
-                    let (v, _, score) = nn_of[ai]?;
-                    let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                    ranked.push((score, key(lo), key(hi)));
-                }
-                ranked.sort_unstable();
-                ranked.dedup();
-                let pairs = select_disjoint(
-                    ranked.iter().map(|&(_, a, b)| (a as usize, b as usize)),
-                    round_limit(topo.order, n_present),
-                );
-                if pairs.is_empty() {
-                    return None;
-                }
-                // The replay's own snapshot, in the new id space, so the
-                // next flush replays off this route.
-                out.rounds.push(Some(
-                    active
-                        .iter()
-                        .enumerate()
-                        .map(|(ai, &x)| NnSnapshotRow {
-                            key: x,
-                            nn: nn_of[ai],
-                        })
-                        .collect(),
-                ));
-                pairs
-            }
-        };
-        trace.plan_seconds += t.seconds();
-
-        let t = Stopwatch::start();
-        for &(x, y) in &pairs {
-            let mx = new_to_std[x];
-            let my = new_to_std[y];
-            let mut adopted_as: Option<(NodeId, u32)> = None;
-            if mx != NO_NODE && my != NO_NODE {
-                let li = log_of_child[mx as usize];
-                if li != NO_LOG && li == log_of_child[my as usize] {
-                    let log = &rec.script.merges.logs()[li as usize];
-                    // Orientation matters: merge(a, b) != merge(b, a) in
-                    // candidate layout, so only the recorded orientation
-                    // reproduces what a from-scratch run would execute.
-                    if log.a == mx && log.b == my {
-                        if let Some(m) = forest.adopt_merge(
-                            NodeId::from_index(x),
-                            NodeId::from_index(y),
-                            &rec.forest,
-                            log,
-                            &rec.script.merges,
-                            &std_to_new,
-                            Some(&mut out.merges),
-                        ) {
-                            adopted_as = Some((m, log.result));
-                        }
-                    }
-                }
-            }
-            let m = match adopted_as {
-                Some((m, result)) => {
-                    adopted += 1;
-                    std_to_new[result as usize] = m.index() as u32;
-                    m
-                }
-                None => {
-                    fresh += 1;
-                    forest.merge_recorded(
-                        NodeId::from_index(x),
-                        NodeId::from_index(y),
-                        &mut out.merges,
-                    )
-                }
-            };
-            let mk = m.index();
-            for k in [x, y] {
-                let i = pos[k] as usize;
-                pos[k] = NO_POS;
-                active.swap_remove(i);
-                hulls.swap_remove(i);
-                if i < active.len() {
-                    pos[active[i]] = i as u32;
-                }
-            }
-            if mk >= pos.len() {
-                pos.resize(mk + 1, NO_POS);
-            }
-            pos[mk] = active.len() as u32;
-            active.push(mk);
-            hulls.push(forest.representative_region(m));
-            if mk >= new_to_std.len() {
-                new_to_std.resize(mk + 1, NO_NODE);
-            }
-            if let Some((_, result)) = adopted_as {
-                new_to_std[mk] = result;
-            }
-        }
-        trace.engine_seconds += t.seconds();
-        trace.rounds += 1;
-        trace.merges += pairs.len();
-        round_idx += 1;
-    }
-
-    stats.adopted_merges = adopted;
-    stats.fresh_merges = fresh;
-    stats.replayed_rounds = replayed_rounds;
-    stats.planned_rounds = planned_rounds;
-    Some((NodeId::from_index(active[0]), trace, out))
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::AstDme;
-    use astdme_engine::EngineConfig;
-
-    /// Sinks scattered by a multiplicative hash over three intermingled
-    /// zero-skew groups, whose conflicting windows force offset
-    /// adjustment once fusion is off.
-    fn scattered(n: usize) -> Instance {
-        let sinks: Vec<Sink> = (0..n as u64)
-            .map(|i| {
-                let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let (x, y) = ((h >> 20) % 4000, (h >> 40) % 4000);
-                Sink::new(Point::new(x as f64, y as f64), 1e-14)
-            })
-            .collect();
-        let groups = Groups::from_assignments((0..n).map(|i| i % 3).collect(), 3)
-            .and_then(|g| g.with_uniform_bound(0.0))
-            .expect("valid groups");
-        Instance::new(sinks, groups, RcParams::default(), Point::new(0.0, 4500.0))
-            .expect("valid instance")
-    }
-
-    /// Without group fusion, offset adjustment appends candidates to
-    /// descendants, so the replay re-appends recorded slices and copies
-    /// the creation prefix of every grown node. The flush must still equal
-    /// a from-scratch route, and moving the sink back must restore the
-    /// original tree.
-    #[test]
-    fn unfused_flush_with_appends_matches_from_scratch() {
-        let inst = scattered(120);
-        let plan = AstDme::new()
-            .with_engine(EngineConfig {
-                fuse_groups: false,
-                ..EngineConfig::default()
-            })
-            .plan();
-        let mut session = EcoSession::new(&inst, plan).expect("routes");
-        let base = session.outcome().clone();
-        let rec = session.rec.as_ref().expect("the plan records");
-        assert!(
-            rec.script
-                .merges
-                .logs()
-                .iter()
-                .any(|l| !l.appends.is_empty()),
-            "the recording must carry offset-adjustment appends"
-        );
-        let from = inst.sinks()[5].pos;
-        let to = Point::new(from.x + 300.0, from.y - 200.0);
-        session.queue(EcoEdit::Move { sink: 5, to });
-        let out = session.flush().expect("flushes").clone();
-        let fs = session.last_flush();
-        assert!(!fs.full_reroute, "must replay, not reroute");
-        assert!(fs.adopted_merges > fs.fresh_merges, "{fs:?}");
-        let edited = apply_edits(&inst, &[EcoEdit::Move { sink: 5, to }]).expect("valid");
-        let want = pipeline::run(&edited, &plan).expect("routes");
-        assert_eq!(out.tree, want.tree);
-        assert_eq!(out.report, want.report);
-        session.queue(EcoEdit::Move { sink: 5, to: from });
-        let back = session.flush().expect("flushes back");
-        assert_eq!(back.tree, base.tree);
-        assert_eq!(back.report, base.report);
-    }
-}
+mod tests;

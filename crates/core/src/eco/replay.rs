@@ -1,0 +1,297 @@
+//! The flush's merge step: the recorded merge rounds replayed against the
+//! edited instance.
+
+use astdme_engine::{Instance, MergeForest, NodeId, NO_NODE};
+use astdme_geom::Trr;
+use astdme_topo::{plan_round, round_limit, select_disjoint, NnSnapshotRow, BRUTE_FORCE_CUTOFF};
+
+use super::scan::{RoundScan, ROUTE_VISITS_PER_SINK};
+use super::{sink_bits_equal, EcoStats, Recording};
+use crate::drivers::{ForestSpace, MergeScript, MergeTrace};
+use crate::pipeline::StagePlan;
+use crate::stopwatch::Stopwatch;
+
+/// Sentinel in the dense active-position table: the key is not active.
+const NO_POS: u32 = u32::MAX;
+/// Sentinel in the child → merge-log index: the node is never a child.
+const NO_LOG: u32 = u32::MAX;
+
+/// Replays the recorded merge script against the edited instance.
+///
+/// Per round, each active subtree is classified against the recorded
+/// nearest-neighbor snapshot:
+///
+/// * **inherited** — the subtree has a standing counterpart, the
+///   counterpart is in the round's snapshot, and the recorded neighbor's
+///   counterpart is still active: reuse the recorded `(neighbor,
+///   region-distance, score)` verbatim (`O(1)`);
+/// * **stale** — counterpart exists but its recorded neighbor was
+///   consumed: fresh nearest-neighbor scan (exactly what the incremental
+///   planner's dirty-list requery computes);
+/// * **novel** — no counterpart (the dirty cone): fresh scan, *and* the
+///   subtree may take over any inherited entry it sits strictly closer
+///   to, mirroring the planner's supersession rule for newly registered
+///   subtrees. (Mapped counterparts never take over: their effect on
+///   clean entries is already baked into the standing snapshots.)
+///
+/// The scans run linearly or over a per-round grid, whichever costs
+/// fewer visits (see [`super::scan`]). Pair selection then ranks every
+/// entry by the planner's `(score bits, lo, hi)` key and takes disjoint
+/// pairs up to the round limit — the planner's exact selection
+/// semantics. Selected pairs whose children both map onto one recorded
+/// merge (same orientation) are adopted bit-for-bit; the rest merge
+/// fresh.
+///
+/// **Price.** The scans are charged the visits (hull-distance
+/// evaluations) they make, and the total lands in
+/// [`EcoStats::scan_visits`]. The replay declines — returns
+/// `None`, and the flush reroutes from scratch — only once the charge
+/// passes what a from-scratch route of the `n` sinks costs in the same
+/// unit, `n ·` [`ROUTE_VISITS_PER_SINK`]. The price depends on `n`
+/// alone: a replay that declines has spent at most about one route, so a
+/// flush never costs much more than two, and an edit set of any size
+/// replays as long as replaying is cheaper.
+///
+/// This is the flush's merge step: `forest` is the pipeline's fresh
+/// forest of `edited` (the edited instance, regrouped like the
+/// recording). Returns the surviving root, the loop's counters, and the
+/// replay's own script (in the new id space, so flushes chain), and fills
+/// `stats`' dirty, replay and visit counters. Also returns `None` when
+/// the sink count drifted from the recording's, or if a round produced
+/// no entries (never the case for well-formed recordings, but cheap to
+/// guard).
+pub(super) fn replay_merges(
+    rec: &Recording,
+    forest: &mut MergeForest,
+    edited: &Instance,
+    plan: &StagePlan,
+    stats: &mut EcoStats,
+) -> Option<(NodeId, MergeTrace, MergeScript)> {
+    let n = edited.sink_count();
+    if n != rec.routed.sink_count() {
+        return None;
+    }
+    // The dirty set: sinks whose bits changed.
+    let dirty: Vec<bool> = edited
+        .sinks()
+        .iter()
+        .zip(rec.routed.sinks())
+        .map(|(a, b)| !sink_bits_equal(a, b))
+        .collect();
+    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
+    let topo = &plan.topo;
+    let leaves = forest.leaves();
+    let mut out = MergeScript::for_forest(forest);
+    if n == 1 {
+        return Some((leaves[0], MergeTrace::default(), out));
+    }
+
+    let std_nodes = rec.forest.node_count();
+    // Bidirectional node translation: clean leaves map index-for-index;
+    // adopted merges extend the maps as they land.
+    let mut std_to_new: Vec<u32> = vec![NO_NODE; std_nodes];
+    let mut new_to_std: Vec<u32> = vec![NO_NODE; n];
+    for i in 0..n {
+        if !dirty[i] {
+            std_to_new[i] = i as u32;
+            new_to_std[i] = i as u32;
+        }
+    }
+    // Which recorded merge consumed each standing node as a child.
+    let mut log_of_child: Vec<u32> = vec![NO_LOG; std_nodes];
+    for (li, log) in rec.script.merges.logs().iter().enumerate() {
+        log_of_child[log.a as usize] = li as u32;
+        log_of_child[log.b as usize] = li as u32;
+    }
+    // Per-round row lookup over the snapshot (stamped, reused each round).
+    let mut row_stamp: Vec<u32> = vec![0; std_nodes];
+    let mut row_slot: Vec<u32> = vec![0; std_nodes];
+
+    // Active set with the exact swap_remove discipline both drivers use —
+    // active order is what breaks exact score ties, so it must match.
+    // `hulls` holds each active subtree's representative region in step
+    // with `active`, so the scans read one dense array.
+    let mut active: Vec<usize> = leaves.iter().map(|l| l.index()).collect();
+    let mut hulls: Vec<Trr> = leaves
+        .iter()
+        .map(|&l| forest.representative_region(l))
+        .collect();
+    let mut pos: Vec<u32> = vec![NO_POS; n];
+    for (i, &k) in active.iter().enumerate() {
+        pos[k] = i as u32;
+    }
+    // Per-round planning buffers, cleared and reused every replayed round.
+    let mut scan = RoundScan::default();
+    let mut ranked: Vec<(u64, u32, u32)> = Vec::new();
+
+    let mut trace = MergeTrace::default();
+    let (mut adopted, mut fresh) = (0usize, 0usize);
+    let (mut replayed_rounds, mut planned_rounds) = (0usize, 0usize);
+    let price = ROUTE_VISITS_PER_SINK * n as u64;
+
+    let mut round_idx = 0usize;
+    while active.len() > 1 {
+        let n_present = active.len();
+        let snap = rec
+            .script
+            .rounds
+            .get(round_idx)
+            .and_then(Option::as_ref)
+            .filter(|_| n_present > BRUTE_FORCE_CUTOFF);
+        let t = Stopwatch::start();
+        let pairs: Vec<(usize, usize)> = match snap {
+            None => {
+                // Tail rounds (and rounds the recording cannot cover):
+                // re-plan from scratch — the reference planner, which the
+                // incremental planner is equivalence-tested against.
+                planned_rounds += 1;
+                out.rounds.push(None);
+                let pairs = plan_round(&ForestSpace::new(forest), &active, topo);
+                assert!(!pairs.is_empty(), "planner must make progress");
+                pairs
+            }
+            Some(rows) => {
+                replayed_rounds += 1;
+                let stamp = round_idx as u32 + 1;
+                for (ri, row) in rows.iter().enumerate() {
+                    if row.key < std_nodes {
+                        row_stamp[row.key] = stamp;
+                        row_slot[row.key] = ri as u32;
+                    }
+                }
+                scan.begin(n_present);
+                for (ai, &x) in active.iter().enumerate() {
+                    let m = new_to_std[x];
+                    if m == NO_NODE || row_stamp[m as usize] != stamp {
+                        scan.novel(ai);
+                        continue;
+                    }
+                    let row = &rows[row_slot[m as usize] as usize];
+                    let valid = row.nn.and_then(|(v, rd, score)| {
+                        let sv = *std_to_new.get(v)?;
+                        if sv == NO_NODE {
+                            return None;
+                        }
+                        let sv = sv as usize;
+                        (sv < pos.len() && pos[sv] != NO_POS).then_some((sv, rd, score))
+                    });
+                    match valid {
+                        Some(nn) => scan.inherit(ai, nn),
+                        None => scan.stale(ai),
+                    }
+                }
+                stats.scan_visits += scan.scan(&ForestSpace::new(forest), topo, &active, &hulls);
+                if stats.scan_visits > price {
+                    return None;
+                }
+                // Rank by the planner's (score bits, lo, hi) key and take
+                // disjoint pairs up to the round limit. Node indices fit
+                // `u32` (the forest packs its ids so), which keeps the keys
+                // small to sort.
+                let key = |i: usize| u32::try_from(i).expect("node indices fit u32");
+                ranked.clear();
+                for (ai, &x) in active.iter().enumerate() {
+                    let (v, _, score) = scan.nn_of[ai]?;
+                    let (lo, hi) = if x < v { (x, v) } else { (v, x) };
+                    ranked.push((score, key(lo), key(hi)));
+                }
+                ranked.sort_unstable();
+                ranked.dedup();
+                let pairs = select_disjoint(
+                    ranked.iter().map(|&(_, a, b)| (a as usize, b as usize)),
+                    round_limit(topo.order, n_present),
+                );
+                if pairs.is_empty() {
+                    return None;
+                }
+                // The replay's own snapshot, in the new id space, so the
+                // next flush replays off this route.
+                out.rounds.push(Some(
+                    active
+                        .iter()
+                        .zip(&scan.nn_of)
+                        .map(|(&key, &nn)| NnSnapshotRow { key, nn })
+                        .collect(),
+                ));
+                pairs
+            }
+        };
+        trace.plan_seconds += t.seconds();
+
+        let t = Stopwatch::start();
+        for &(x, y) in &pairs {
+            let mx = new_to_std[x];
+            let my = new_to_std[y];
+            let mut adopted_as: Option<(NodeId, u32)> = None;
+            if mx != NO_NODE && my != NO_NODE {
+                let li = log_of_child[mx as usize];
+                if li != NO_LOG && li == log_of_child[my as usize] {
+                    let log = &rec.script.merges.logs()[li as usize];
+                    // Orientation matters: merge(a, b) != merge(b, a) in
+                    // candidate layout, so only the recorded orientation
+                    // reproduces what a from-scratch run would execute.
+                    if log.a == mx && log.b == my {
+                        if let Some(m) = forest.adopt_merge(
+                            NodeId::from_index(x),
+                            NodeId::from_index(y),
+                            &rec.forest,
+                            log,
+                            &rec.script.merges,
+                            &std_to_new,
+                            Some(&mut out.merges),
+                        ) {
+                            adopted_as = Some((m, log.result));
+                        }
+                    }
+                }
+            }
+            let m = match adopted_as {
+                Some((m, result)) => {
+                    adopted += 1;
+                    std_to_new[result as usize] = m.index() as u32;
+                    m
+                }
+                None => {
+                    fresh += 1;
+                    forest.merge_recorded(
+                        NodeId::from_index(x),
+                        NodeId::from_index(y),
+                        &mut out.merges,
+                    )
+                }
+            };
+            let mk = m.index();
+            for k in [x, y] {
+                let i = pos[k] as usize;
+                pos[k] = NO_POS;
+                active.swap_remove(i);
+                hulls.swap_remove(i);
+                if i < active.len() {
+                    pos[active[i]] = i as u32;
+                }
+            }
+            if mk >= pos.len() {
+                pos.resize(mk + 1, NO_POS);
+            }
+            pos[mk] = active.len() as u32;
+            active.push(mk);
+            hulls.push(forest.representative_region(m));
+            if mk >= new_to_std.len() {
+                new_to_std.resize(mk + 1, NO_NODE);
+            }
+            if let Some((_, result)) = adopted_as {
+                new_to_std[mk] = result;
+            }
+        }
+        trace.engine_seconds += t.seconds();
+        trace.rounds += 1;
+        trace.merges += pairs.len();
+        round_idx += 1;
+    }
+
+    stats.adopted_merges = adopted;
+    stats.fresh_merges = fresh;
+    stats.replayed_rounds = replayed_rounds;
+    stats.planned_rounds = planned_rounds;
+    Some((NodeId::from_index(active[0]), trace, out))
+}

@@ -1,0 +1,243 @@
+//! One replayed round's fresh nearest-neighbor scans, and what they cost.
+//!
+//! A replayed round inherits most of its neighbor table from the recorded
+//! snapshot; the rest must be scanned against the round's active hulls
+//! (see [`replay_merges`](super::replay::replay_merges)). The scans come
+//! in two kinds, and two ways of running them:
+//!
+//! * a **stale** or **novel** entry finds its own nearest neighbor, the
+//!   first in active order among equal distances;
+//! * a **novel** entry takes over every inherited entry it sits strictly
+//!   closer to than that entry's recorded neighbor.
+//!
+//! A linear sweep over the round's hulls answers one scan with `n` visits
+//! (hull-distance evaluations). When a round has enough sweeps to run
+//! ([`grid_pays`]), one [`GridIndex`] built over the round's hulls (keyed
+//! by active position) answers them instead: own neighbors through
+//! [`GridIndex::nearest_ranked`], whose smallest-key tie rule is the
+//! linear sweep's "first in active order", and takeovers through
+//! [`GridIndex::neighbors_within_capped`], each cell capped by the
+//! largest recorded neighbor distance among the inherited entries in it.
+//! Both ways produce the same table bit for bit; only the work differs.
+//! No grid outlives its round: keeping one up to date across a flush
+//! costs more than a one-sink flush's few linear sweeps.
+//!
+//! The scans report the visits they make, which the replay charges
+//! against its price (see [`ROUTE_VISITS_PER_SINK`]). A grid's build and
+//! the empty or capped cells its ring walks pass over are not charged:
+//! what the price guards against, scans that meet most of the round's
+//! subtrees (dense piles, edit storms), shows up in the visits either
+//! way.
+
+use astdme_geom::Trr;
+use astdme_topo::{pair_score, score_bits, space_distance, GridIndex, MergeSpace, TopoConfig};
+
+use crate::drivers::ForestSpace;
+
+/// The visits a from-scratch route costs per sink: a replay of an
+/// `n`-sink route declines once its scans pass `n` times this.
+///
+/// Calibrated on a shared 2-core x86-64 VM. The replay's linear sweep
+/// costs 5.2–6.3 ns per visit over 16 000 hulls. `AstDme::new()` routes
+/// the benchmark's intermingled 4-group 10 ps designs in a median of
+/// 31 ms at 4 000 sinks, 136 ms at 16 000 and 587 ms at 64 000, which
+/// is 1 240–1 450, 1 370–1 610 and 1 480–1 730 visits per sink. The
+/// route grows a little faster than `n`; 1 500 sits inside the
+/// 16 000-sink band, the size of the ECO benchmark.
+pub(super) const ROUTE_VISITS_PER_SINK: u64 = 1_500;
+
+/// A round's grid costs this many visits per hull: a
+/// [`GridIndex::build`] (90–115 ns per hull) plus the cap notes for
+/// takeovers (9–13 ns), over the 4–6 ns a visit cost in the same runs.
+const GRID_BUILD_VISITS: usize = 24;
+
+/// A [`GridIndex::nearest_ranked`] query costs this many visits, ring
+/// walk included (325–440 ns per query over 16 000 hulls; about 11 of
+/// them are the visits it makes).
+const GRID_QUERY_VISITS: usize = 80;
+
+/// A takeover query ([`GridIndex::neighbors_within_capped`] bounded by
+/// the largest recorded distance) costs this many visits (870–1 090 ns
+/// per query: its ring walk reaches two to three cells out).
+const GRID_TAKEOVER_VISITS: usize = 200;
+
+/// Whether a round over `n` hulls runs its scans faster over a grid:
+/// `refresh` own-neighbor sweeps and `novel` takeover sweeps cost about
+/// `n` visits each when linear, against one grid and a query each. At
+/// `n` = 16 000 the grid pays from about 25 sweeps on.
+fn grid_pays(n: usize, refresh: usize, novel: usize) -> bool {
+    let linear = (refresh + novel) * n;
+    let grid = GRID_BUILD_VISITS * n + GRID_QUERY_VISITS * refresh + GRID_TAKEOVER_VISITS * novel;
+    linear > grid
+}
+
+/// A replayed round's neighbor table, indexed by active position, and
+/// the entries it must re-scan. Reused round to round.
+#[derive(Default)]
+pub(super) struct RoundScan {
+    /// Per active position: `(neighbor key, hull distance, score bits)`,
+    /// the planner's snapshot triple.
+    pub(super) nn_of: Vec<Option<(usize, f64, u64)>>,
+    /// Per active position: whether the entry was inherited.
+    inherited: Vec<bool>,
+    /// Positions whose own neighbor must be scanned: stale and novel.
+    refresh: Vec<usize>,
+    /// Positions with no standing counterpart: they may take over.
+    novel: Vec<usize>,
+    region_bufs: [Vec<Trr>; 2],
+}
+
+impl RoundScan {
+    /// Starts a round over `n` active subtrees, every entry unset.
+    pub(super) fn begin(&mut self, n: usize) {
+        self.nn_of.clear();
+        self.nn_of.resize(n, None);
+        self.inherited.clear();
+        self.inherited.resize(n, false);
+        self.refresh.clear();
+        self.novel.clear();
+    }
+
+    /// Position `ai` inherits its recorded neighbor triple.
+    pub(super) fn inherit(&mut self, ai: usize, nn: (usize, f64, u64)) {
+        self.nn_of[ai] = Some(nn);
+        self.inherited[ai] = true;
+    }
+
+    /// Position `ai` has a standing counterpart whose recorded neighbor is
+    /// gone: it scans for its own neighbor.
+    pub(super) fn stale(&mut self, ai: usize) {
+        self.refresh.push(ai);
+    }
+
+    /// Position `ai` has no standing counterpart: it scans for its own
+    /// neighbor and for takeovers.
+    pub(super) fn novel(&mut self, ai: usize) {
+        self.refresh.push(ai);
+        self.novel.push(ai);
+    }
+
+    /// Runs the round's scans over `active` (keys) and `hulls` (their
+    /// representative regions, in step), linearly or over a grid as
+    /// [`grid_pays`] decides, and returns the visits they made.
+    pub(super) fn scan(
+        &mut self,
+        space: &ForestSpace<'_>,
+        topo: &TopoConfig,
+        active: &[usize],
+        hulls: &[Trr],
+    ) -> u64 {
+        if grid_pays(hulls.len(), self.refresh.len(), self.novel.len()) {
+            self.scan_grid(space, topo, active, hulls)
+        } else {
+            self.scan_linear(space, topo, active, hulls)
+        }
+    }
+
+    /// The linear sweeps: first strict minimum in active order for own
+    /// neighbors, then every inherited entry against each novel one.
+    fn scan_linear(
+        &mut self,
+        space: &ForestSpace<'_>,
+        topo: &TopoConfig,
+        active: &[usize],
+        hulls: &[Trr],
+    ) -> u64 {
+        let n = hulls.len();
+        for &ai in &self.refresh {
+            let rx = hulls[ai];
+            let mut best: Option<(usize, f64)> = None;
+            for (yi, hy) in hulls.iter().enumerate() {
+                if yi == ai {
+                    continue;
+                }
+                let d = rx.distance(hy);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((yi, d));
+                }
+            }
+            let (vi, rd) = best.expect("two or more active subtrees");
+            let bufs = &mut self.region_bufs;
+            self.nn_of[ai] = Some(scored(space, topo, bufs, active[ai], active[vi], rd));
+        }
+        let inherited = self.inherited.iter().filter(|&&i| i).count();
+        for &ci in &self.novel {
+            let (c, hc) = (active[ci], hulls[ci]);
+            for ui in 0..n {
+                if !self.inherited[ui] {
+                    continue;
+                }
+                let Some((_, urd, _)) = self.nn_of[ui] else {
+                    continue;
+                };
+                let nd = hulls[ui].distance(&hc);
+                if nd < urd {
+                    let bufs = &mut self.region_bufs;
+                    self.nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                }
+            }
+        }
+        (self.refresh.len() * (n - 1) + self.novel.len() * inherited) as u64
+    }
+
+    /// The same scans answered by one grid over the round's hulls.
+    fn scan_grid(
+        &mut self,
+        space: &ForestSpace<'_>,
+        topo: &TopoConfig,
+        active: &[usize],
+        hulls: &[Trr],
+    ) -> u64 {
+        let mut grid = GridIndex::build(hulls.iter().copied().enumerate());
+        let mut visits = 0u64;
+        for &ai in &self.refresh {
+            let (best, v) = grid.nearest_ranked(ai, &hulls[ai]);
+            visits += v as u64;
+            let (vi, rd) = best.expect("two or more active subtrees");
+            let bufs = &mut self.region_bufs;
+            self.nn_of[ai] = Some(scored(space, topo, bufs, active[ai], active[vi], rd));
+        }
+        if self.novel.is_empty() || !self.inherited.contains(&true) {
+            return visits;
+        }
+        // A takeover needs a hull distance strictly below the victim's
+        // recorded one, so each cell is capped by its inherited entries'
+        // largest, and the walk is bounded by the largest of all.
+        let mut bound = 0.0f64;
+        for (ui, nn) in self.nn_of.iter().enumerate() {
+            if let (true, Some((_, urd, _))) = (self.inherited[ui], nn) {
+                grid.note_cap(&hulls[ui], *urd);
+                bound = bound.max(*urd);
+            }
+        }
+        let (nn_of, inherited, bufs) = (&mut self.nn_of, &self.inherited, &mut self.region_bufs);
+        for &ci in &self.novel {
+            let c = active[ci];
+            visits += grid.neighbors_within_capped(ci, &hulls[ci], bound, |ui, nd| {
+                if !inherited[ui] {
+                    return;
+                }
+                if nn_of[ui].is_some_and(|(_, urd, _)| nd < urd) {
+                    nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                }
+            }) as u64;
+        }
+        visits
+    }
+}
+
+/// The snapshot triple for `x`'s neighbor `v` at hull distance `rd`: the
+/// pair's exact merging cost folded into the planner's score key.
+fn scored(
+    space: &ForestSpace<'_>,
+    topo: &TopoConfig,
+    bufs: &mut [Vec<Trr>; 2],
+    x: usize,
+    v: usize,
+    rd: f64,
+) -> (usize, f64, u64) {
+    let exact = space_distance(space, x, v, bufs);
+    let (lo, hi) = if x < v { (x, v) } else { (v, x) };
+    let score = pair_score(topo, space.delay(lo), space.delay(hi), exact);
+    (v, rd, score_bits(score))
+}

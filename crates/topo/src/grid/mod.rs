@@ -136,8 +136,10 @@ impl GridIndex {
             .max(h / n as f64)
             .max(1e-9 * (1.0 + w.max(h)))
             .max(1e-9);
-        let grid_w = ((w / cell_size).floor() as i64 + 1).max(1);
-        let grid_h = ((h / cell_size).floor() as i64 + 1).max(1);
+        // Truncation differs from `floor` only on negative non-integers,
+        // where both sides come out at most 1 and `max(1)` evens them.
+        let grid_w = ((w / cell_size) as i64 + 1).max(1);
+        let grid_h = ((h / cell_size) as i64 + 1).max(1);
         let mut g = Self {
             items: Vec::new(),
             cells: vec![Cell::default(); (grid_w * grid_h) as usize],
@@ -178,9 +180,16 @@ impl GridIndex {
     /// The cell coordinates of `p`, clamped into the dense array. Clamping
     /// moves a cell *toward* any query center, so ring lower bounds only
     /// under-estimate — conservative for exactness.
+    ///
+    /// The `as i64` cast truncates toward zero where `floor` rounds down,
+    /// but the two differ only on negative non-integers, which both land
+    /// below zero or on zero and clamp to cell 0; NaN casts to 0 and ±∞
+    /// saturate, again like the floored value. So the cell is exactly
+    /// the floored one, without a libm `floor` call on the baseline
+    /// x86-64 target (two per query, four per built item).
     fn cell_of(&self, p: Point) -> (i64, i64) {
-        let cx = ((p.x - self.origin.x) / self.cell_size).floor() as i64;
-        let cy = ((p.y - self.origin.y) / self.cell_size).floor() as i64;
+        let cx = ((p.x - self.origin.x) / self.cell_size) as i64;
+        let cy = ((p.y - self.origin.y) / self.cell_size) as i64;
         (cx.clamp(0, self.grid_w - 1), cy.clamp(0, self.grid_h - 1))
     }
 

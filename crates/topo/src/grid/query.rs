@@ -1,5 +1,5 @@
-//! Ring-walk queries over the [`GridIndex`]: exact nearest-neighbor and
-//! bounded neighborhood visits, all driven by the one ring walk
+//! Ring-walk queries over the [`GridIndex`]: exact nearest-neighbor (with
+//! ring-order or key-ranked ties) and bounded neighborhood visits, all driven by the one ring walk
 //! ([`GridIndex::ring_walk`]). Split from the index maintenance in
 //! `mod.rs`; the ring visit order is part of the planner's deterministic
 //! tie-breaking (see [`for_ring_cells`]).
@@ -49,6 +49,43 @@ impl GridIndex {
         self.nearest_below(key, region, None, bound)
     }
 
+    /// The nearest other item to `region` (excluding `key` itself), with
+    /// exact distance ties going to the **smallest key**, plus the number
+    /// of items whose distance the query measured.
+    ///
+    /// Unlike [`GridIndex::nearest`], whose ties follow the ring visit
+    /// order, the answer here is a function of the item set alone: it is
+    /// what a linear scan in key order keeping the first strict minimum
+    /// returns. A caller that keys items by their position in its own
+    /// list (the ECO replay does) thus gets exactly its brute-force
+    /// "first in list order wins" rule. Cells are pruned only when they
+    /// lie strictly farther than the best distance found, so an equally
+    /// near item with a smaller key is never skipped.
+    pub fn nearest_ranked(&self, key: usize, region: &Trr) -> (Option<(usize, f64)>, usize) {
+        let mut best: Option<(usize, f64)> = None;
+        let mut visits = 0usize;
+        if self.len <= 1 {
+            return (None, 0);
+        }
+        self.ring_walk(region, f64::INFINITY, |items, _, _| {
+            for (k, t) in items {
+                if *k == key {
+                    continue;
+                }
+                visits += 1;
+                let d = region.distance(t);
+                let better = best.is_none_or(|(bk, bd)| d < bd || (d <= bd && *k < bk));
+                if better {
+                    best = Some((*k, d));
+                }
+            }
+            // The walk skips cells whose lower bound reaches the horizon;
+            // one ulp past the best keeps cells that could tie it.
+            best.map_or(f64::INFINITY, |(_, d)| d.next_up())
+        });
+        (best, visits)
+    }
+
     /// The nearest item other than `key` strictly closer than `horizon`,
     /// or `best` when none is. Each strictly closer item found replaces
     /// `best` and tightens the horizon to its distance.
@@ -85,15 +122,18 @@ impl GridIndex {
     /// distance anywhere) only sets the ring-walk horizon while dense
     /// regions prune themselves locally. With caps of at least `bound`
     /// this is a plain range query.
+    ///
+    /// Returns the number of items whose distance the query measured.
     pub fn neighbors_within_capped<F: FnMut(usize, f64)>(
         &self,
         key: usize,
         region: &Trr,
         bound: f64,
         mut f: F,
-    ) {
+    ) -> usize {
+        let mut visits = 0usize;
         if self.len == 0 {
-            return;
+            return visits;
         }
         self.ring_walk(region, bound, |items, cell, lb| {
             if lb < cell.cap {
@@ -101,6 +141,7 @@ impl GridIndex {
                     if *k == key {
                         continue;
                     }
+                    visits += 1;
                     let d = region.distance(t);
                     if d <= bound {
                         f(*k, d);
@@ -109,6 +150,7 @@ impl GridIndex {
             }
             bound
         });
+        visits
     }
 
     /// The one ring walk behind every query: visits the populated cells

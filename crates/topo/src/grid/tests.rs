@@ -142,6 +142,48 @@ fn build_keeps_input_order_within_each_cell() {
     assert_eq!(idx.items.len(), items.len(), "a build leaves no free slots");
 }
 
+/// The cell the `floor` form of [`GridIndex::cell_of`] picks.
+fn floored_cell(idx: &GridIndex, p: Point) -> (i64, i64) {
+    let cx = ((p.x - idx.origin.x) / idx.cell_size).floor() as i64;
+    let cy = ((p.y - idx.origin.y) / idx.cell_size).floor() as i64;
+    (cx.clamp(0, idx.grid_w - 1), cy.clamp(0, idx.grid_h - 1))
+}
+
+#[test]
+fn truncating_cell_math_equals_the_floor_form() {
+    let items = pts(&[(0.0, 0.0), (10.0, 3.0), (25.0, 40.0), (7.5, 12.5)]);
+    let idx = build(&items);
+    let specials = [
+        0.0,
+        -0.0,
+        -1e-300,
+        -0.4,
+        -1.0,
+        -2.5,
+        0.4,
+        1.0,
+        7.5,
+        12.5,
+        39.999,
+        40.0,
+        1e300,
+        -1e300,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let mut rng = Lcg(7);
+    let randoms = (0..200).map(|_| rng.next(2000) as f64 / 16.0 - 40.0);
+    let coords: Vec<f64> = specials.into_iter().chain(randoms).collect();
+    for &x in &coords {
+        for &y in &coords {
+            let p = Point::new(x, y);
+            assert_eq!(idx.cell_of(p), floored_cell(&idx, p), "({x}, {y})");
+        }
+    }
+}
+
 /// A small deterministic generator for the property test's layouts.
 struct Lcg(u64);
 
@@ -297,6 +339,44 @@ proptest! {
                 cell.swap_remove(j);
             }
             check(&idx, &live, &model, &mut rng);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The key-ranked nearest query equals a linear scan in key order
+    /// that keeps the first strict minimum, excluding the query item
+    /// itself. Integer-coordinate points and dilated hulls on a small
+    /// lattice make exact distance ties common.
+    #[test]
+    fn ranked_nearest_matches_the_first_in_key_order(seed in any::<u64>()) {
+        let mut rng = Lcg(seed);
+        let n = 1 + rng.next(60) as usize;
+        // Keys scrambled against the input (and hence cell) order.
+        let items: Vec<(usize, Trr)> = (0..n)
+            .map(|i| {
+                let p = Point::new(rng.next(16) as f64, rng.next(16) as f64);
+                let t = Trr::from_point(p);
+                let t = if rng.next(4) == 0 { t.dilate(rng.next(3) as f64) } else { t };
+                (i * 7919 % 1009, t)
+            })
+            .collect();
+        let idx = GridIndex::build(items.iter().copied());
+        let mut by_key = items.clone();
+        by_key.sort_by_key(|&(k, _)| k);
+        for &(key, region) in &items {
+            let mut want: Option<(usize, f64)> = None;
+            for &(k, t) in &by_key {
+                let d = region.distance(&t);
+                if k != key && want.is_none_or(|(_, bd)| d < bd) {
+                    want = Some((k, d));
+                }
+            }
+            let (got, visits) = idx.nearest_ranked(key, &region);
+            prop_assert_eq!(got, want, "query {}", key);
+            prop_assert!(visits < n, "{} visits over {} items", visits, n);
         }
     }
 }

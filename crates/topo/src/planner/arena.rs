@@ -14,14 +14,17 @@
 //! A subtree with a single region (every leaf) stores nothing: its hull
 //! *is* its region, bit for bit, and the entry already holds the hull.
 //!
-//! Spans live in fixed-size chunks, appended in order. A relayout copies
-//! every live span into fresh chunks, one entry at a time, so the refresh
-//! sweep can relocate each entry as it reaches it: entries it has not
-//! reached yet still read their spans from the old chunks, which are freed
-//! only when the relayout ends. Fixed-size chunks keep the arena friendly
-//! to the allocator: one large buffer sized to each round's live regions
-//! left holes the merge space's small allocations split, and a route's
-//! peak memory crept up from one route to the next.
+//! Spans live in chunks, appended in order. A relayout copies every live
+//! span into fresh chunks, one entry at a time, so the refresh sweep can
+//! relocate each entry as it reaches it: entries it has not reached yet
+//! still read their spans from the old chunks, which are freed only when
+//! the relayout ends. Chunks are bounded in size to keep the arena
+//! friendly to the allocator: one large buffer sized to each round's live
+//! regions left holes the merge space's small allocations split, and a
+//! route's peak memory crept up from one route to the next. They also
+//! start small: the first chunk of a relayout holds [`FIRST_CHUNK`]
+//! regions and each further one doubles, up to [`CHUNK`], so a
+//! few-hundred-sink route does not pay for 16 KiB chunks it cannot fill.
 
 use astdme_geom::Trr;
 
@@ -31,9 +34,14 @@ use crate::MergeSpace;
 /// [`Entry::start`] of an entry whose one region is its hull: no span.
 pub(super) const HULL: u32 = u32::MAX;
 
-/// Regions per chunk (16 KiB). A span never straddles two chunks; a
-/// longer one gets a chunk of its own.
+/// Regions in the largest chunk (16 KiB), and the stride of span starts.
+/// A span never straddles two chunks; a longer one gets a chunk of its
+/// own.
 const CHUNK: usize = 512;
+
+/// Regions in the first chunk of the arena and of every relayout; each
+/// further chunk doubles the last one's size, up to [`CHUNK`].
+const FIRST_CHUNK: usize = 16;
 
 /// The chunked span store; see the module docs. A span's start is its
 /// chunk id times [`CHUNK`] plus its offset in the chunk.
@@ -123,13 +131,19 @@ impl RegionArena {
         }
     }
 
-    /// Appends `span` to the last used chunk, or to a new chunk when it
-    /// does not fit; returns its start.
+    /// Appends `span` to the last used chunk, or to a new chunk (twice the
+    /// last one's size, see [`FIRST_CHUNK`]) when it does not fit; returns
+    /// its start.
     fn place(&mut self, span: &[Trr]) -> u32 {
+        // A chunk's size is its capacity (`Vec::with_capacity` is exact).
         let last = self.used.last().map(|&id| id as usize);
+        let room = |c: &Vec<Trr>| c.capacity().min(CHUNK).saturating_sub(c.len());
         let id = match last {
-            Some(id) if self.chunks[id].len() + span.len() <= CHUNK => id,
-            _ => self.new_chunk(span.len().max(CHUNK)),
+            Some(id) if span.len() <= room(&self.chunks[id]) => id,
+            _ => {
+                let size = last.map_or(FIRST_CHUNK, |id| 2 * self.chunks[id].capacity());
+                self.new_chunk(span.len().max(size.min(CHUNK)))
+            }
         };
         let chunk = &mut self.chunks[id];
         let off = chunk.len();

@@ -340,11 +340,7 @@ impl MergePlanner {
     ///
     /// Panics unless exactly one subtree remains.
     pub fn sole_key(&self) -> usize {
-        assert_eq!(
-            self.entries.len(),
-            1,
-            "planner still holds multiple subtrees"
-        );
+        assert_eq!(self.entries.len(), 1, "planner holds several subtrees");
         self.entries[0].key()
     }
 
@@ -358,7 +354,7 @@ impl MergePlanner {
 
     /// Grid neighbor queries so far: one per neighbor cache derived or
     /// checked, plus one range query per greedy round's new subtree. The
-    /// brute-force tail below [`BRUTE_FORCE_CUTOFF`] makes none.
+    /// brute-force tail (rounds entering it included) makes none.
     pub fn nn_queries(&self) -> usize {
         self.nn_queries
     }
@@ -440,7 +436,8 @@ impl MergePlanner {
     /// takeover bound, one bounded range query per new subtree, and one
     /// amortized grid-upkeep check — or a wholesale refresh, grid build
     /// included, when the round replaced a large fraction of the active
-    /// set (see the module docs).
+    /// set (see the module docs). A round that leaves at most
+    /// [`BRUTE_FORCE_CUTOFF`] subtrees runs no sweep at all.
     ///
     /// Produces the same observable state as applying the merges one at a
     /// time (modulo exact region-distance ties).
@@ -451,22 +448,24 @@ impl MergePlanner {
         self.fresh = false;
         // Each merge nets one fewer active subtree.
         let final_len = self.entries.len() - merges.len();
-        if merges.len() * ROUND_REFRESH_DIVISOR >= final_len {
+        let tail = final_len <= BRUTE_FORCE_CUTOFF;
+        if tail || merges.len() * ROUND_REFRESH_DIVISOR >= final_len {
             // A round this large (multi-merge) invalidates nearly every
-            // cache — merged subtrees are exactly the popular neighbors —
-            // so patching would re-derive almost everything through the
-            // point-update machinery. The refresh rebuilds the grid, the
-            // ranking and every cache in bulk instead (seeded by this
-            // round's merges); the per-merge bookkeeping that would be
-            // thrown away (grid updates, pair unreferencing,
-            // back-reference invalidation, takeover queries) is skipped
-            // here — only the active set is updated.
+            // cache (merged subtrees are exactly the popular neighbors),
+            // so the refresh rebuilds the grid, the ranking and every
+            // cache in bulk (seeded by this round's merges), and the
+            // per-merge bookkeeping it would throw away is skipped: only
+            // the active set is updated. A round ending in the tail skips
+            // the refresh too: `plan_tail` reads only the active set and
+            // the region arena.
             for &(a, b, m) in merges {
                 self.drop_key(a, m);
                 self.drop_key(b, m);
                 self.add_key_deferred(space, m);
             }
-            self.refresh(merges);
+            if !tail {
+                self.refresh(merges);
+            }
             return;
         }
         self.ensure_point_mode();

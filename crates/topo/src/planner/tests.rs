@@ -187,3 +187,53 @@ fn empty_round_is_a_no_op() {
     planner.apply_round(&space, &[]);
     assert_eq!(planner.len(), 2);
 }
+
+/// A space whose subtree `k` has `lens[k]` distinct point regions.
+struct Spans {
+    lens: Vec<usize>,
+}
+
+impl MergeSpace for Spans {
+    fn region(&self, id: usize) -> astdme_geom::Trr {
+        let mut regions = Vec::new();
+        self.regions(id, &mut regions);
+        regions.iter().skip(1).fold(regions[0], |h, r| h.hull(r))
+    }
+    fn regions(&self, id: usize, out: &mut Vec<astdme_geom::Trr>) {
+        let p = |i: usize| Point::new(id as f64 * 1000.0 + i as f64, i as f64);
+        out.extend((0..self.lens[id]).map(|i| astdme_geom::Trr::from_point(p(i))));
+    }
+    fn delay(&self, _id: usize) -> f64 {
+        0.0
+    }
+}
+
+/// The region arena returns every subtree's regions in order before and
+/// after a relayout, whatever mix of short spans (which fill chunks that
+/// start small and double), spans longer than the largest chunk, and
+/// single-region subtrees (stored as their hull) it holds.
+#[test]
+fn region_arena_round_trips_spans_of_every_size() {
+    let lens = vec![
+        1, 3, 600, 20, 5, 1, 513, 7, 200, 511, 2, 1000, 9, 64, 1, 300,
+    ];
+    let space = Spans { lens: lens.clone() };
+    let mut arena = RegionArena::default();
+    let mut entries: Vec<Entry> = (0..lens.len())
+        .map(|k| Entry::new(&space, &mut arena, k))
+        .collect();
+    let check = |arena: &RegionArena, entries: &[Entry]| {
+        for (k, e) in entries.iter().enumerate() {
+            let mut want = Vec::new();
+            space.regions(k, &mut want);
+            assert_eq!(arena.regions(e), &want[..], "subtree {k}");
+        }
+    };
+    check(&arena, &entries);
+    arena.begin_relayout();
+    for e in entries.iter_mut().rev() {
+        arena.relocate(e);
+    }
+    arena.end_relayout();
+    check(&arena, &entries);
+}

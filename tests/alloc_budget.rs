@@ -85,8 +85,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measured here (n = 500, fast preset): 3.13 allocs/merge greedy, 1.37
-/// multi-merge with four groups; the `scaling` smoke measures 3.39 / 1.60
+/// Measured here (n = 500, fast preset): 3.12 allocs/merge greedy, 1.45
+/// multi-merge with four groups; the `scaling` smoke measures 3.40 / 1.70
 /// at n = 250. The engine itself allocates once per merge (the new node's
 /// exact-size candidate list) plus one frozen-store chunk per 512
 /// candidates the leaves and consumed nodes keep; the rest is planner

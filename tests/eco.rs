@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
-    route_batch, AstDme, BatchPlan, BatchPolicy, ClockRouter, EcoEdit, EcoSession, Fault,
+    route_batch, AstDme, BatchPlan, BatchPolicy, ClockRouter, EcoEdit, EcoSession, EcoStats, Fault,
     FaultKind, FaultPlan, GroupId, Groups, Instance, Point, RouteError, RouteOutcome, Sink,
     StageId, StagePlan, StitchPerGroup, TopoConfig,
 };
@@ -158,6 +158,103 @@ fn flush_matches_from_scratch_across_thread_counts() {
         assert_eq!(out.report, want_twice.report, "threads={threads}");
         assert!(!session.last_flush().full_reroute, "threads={threads}");
     }
+}
+
+/// Flushes `edits` on a fresh session over `inst` and checks the result
+/// against a from-scratch route of the edited instance; returns the
+/// flush's stats.
+fn flush_checked(inst: &Instance, edits: &[EcoEdit]) -> EcoStats {
+    let router = AstDme::new();
+    let want = router
+        .route_traced(&apply_expected(inst, edits))
+        .expect("routes");
+    let mut session = EcoSession::new(inst, router.plan()).expect("routes");
+    for edit in edits {
+        session.queue(*edit);
+    }
+    let out = session.flush().expect("flushes");
+    assert_eq!(out.tree, want.tree, "the flush diverged from the reroute");
+    assert_eq!(out.report, want.report);
+    session.last_flush()
+}
+
+/// A one-sink move whose dirty cone spreads through the whole tree (it
+/// shifts a class fusion, so 998 of the 999 merges run fresh, and the
+/// early rounds keep re-scanning stale neighbors) still replays: the
+/// price a replay must stay under is a from-scratch route's, whatever
+/// the edit count, and this flush's scans stay far below it. Its visit
+/// count is deterministic and pinned.
+#[test]
+fn long_one_sink_replay_stays_under_the_price() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let inst = instance(1000, 3, 7);
+    let from = inst.sinks()[130].pos;
+    let edit = EcoEdit::Move {
+        sink: 130,
+        to: Point::new(from.x + 150.0, from.y - 90.0),
+    };
+    let fs = flush_checked(&inst, &[edit]);
+    assert!(!fs.full_reroute, "must replay: {fs:?}");
+    assert_eq!(fs.dirty_sinks, 1);
+    assert_eq!(fs.scan_visits, 77_921, "{fs:?}");
+}
+
+/// A 32-sink batch leaves the early replayed rounds dozens of subtrees
+/// to re-scan, so those rounds answer their scans over a grid. The flush
+/// still equals the reroute, and the whole flush makes fewer visits than
+/// linear sweeps would in its first round alone (each of the 32 novel
+/// subtrees sweeping once for its own neighbor and once for takeovers).
+#[test]
+fn batch_of_32_moves_scans_over_a_grid() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let n = 2000;
+    let inst = instance(n, 3, 7);
+    let edits: Vec<EcoEdit> = (0..32)
+        .map(|i| {
+            let sink = (i * 61 + 5) % n;
+            let p = inst.sinks()[sink].pos;
+            let (dx, dy) = if i % 2 == 0 {
+                (48.0, -26.0)
+            } else {
+                (-34.0, 52.0)
+            };
+            EcoEdit::Move {
+                sink,
+                to: Point::new(p.x + dx, p.y + dy),
+            }
+        })
+        .collect();
+    let fs = flush_checked(&inst, &edits);
+    assert!(!fs.full_reroute, "must replay: {fs:?}");
+    assert_eq!(fs.dirty_sinks, 32);
+    assert!(fs.adopted_merges > 5 * fs.fresh_merges, "{fs:?}");
+    assert!(fs.scan_visits < 2 * 32 * (n as u64 - 1), "{fs:?}");
+}
+
+/// An edit storm that piles most sinks onto one spot: every piled
+/// subtree's neighbor scan meets the whole pile, so the replay's visits
+/// pass the price of a from-scratch route in its first round. It
+/// declines, and the flush falls back to the reroute, which it equals.
+#[test]
+fn edit_storm_past_the_price_falls_back_to_the_reroute() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let n = 2000;
+    let inst = instance(n, 3, 13);
+    let edits: Vec<EcoEdit> = (0..1900)
+        .map(|i| EcoEdit::Move {
+            sink: i,
+            to: Point::new(
+                5000.0 + (i % 50) as f64 * 0.01,
+                5000.0 + (i / 50) as f64 * 0.01,
+            ),
+        })
+        .collect();
+    let fs = flush_checked(&inst, &edits);
+    assert!(fs.full_reroute, "must decline: {fs:?}");
+    assert_eq!(fs.scan_visits, 3_615_979, "{fs:?}");
 }
 
 /// Structural edits (insert, delete, RC retune) and non-replayable plans

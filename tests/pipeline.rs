@@ -146,12 +146,12 @@ fn merge_stage_splits_plan_engine_and_apply_time() {
 
 /// The merge stage's planner counters are deterministic, so they are
 /// pinned exactly on one fixed multi-merge route: one grid build at
-/// construction plus one per refresh round, one grid query per neighbor
-/// cache derived or checked, and one exact pair distance per pair score
-/// no cache could vouch for (2 832 here, as many as the forest's own
-/// exact-distance calls numbered before the planner kept its own region
-/// copies). A change to how often the planner builds its grid, queries
-/// it or refines a pair shows up here, where timings cannot.
+/// construction plus one per refresh round (11 of the 21 rounds: the
+/// other 10 end in the brute-force tail, which needs no sweep), one grid
+/// query per neighbor cache derived or checked, and one exact pair
+/// distance per pair score no cache could vouch for, or per pair the
+/// tail meets first. A change to how often the planner builds its grid,
+/// queries it or refines a pair shows up here, where timings cannot.
 #[test]
 fn merge_stage_counts_grid_builds_and_nn_queries() {
     let p = synthetic_instance(1000, 2006, "counters");
@@ -163,8 +163,8 @@ fn merge_stage_counts_grid_builds_and_nn_queries() {
         .merge;
     assert_eq!(
         (m.rounds, m.merges, m.grid_builds, m.nn_queries),
-        (21, 999, 22, 3967),
+        (21, 999, 12, 3862),
         "{m:?}"
     );
-    assert_eq!(m.exact_distances, 2832, "{m:?}");
+    assert_eq!(m.exact_distances, 2777, "{m:?}");
 }
