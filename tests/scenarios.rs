@@ -1,6 +1,6 @@
-//! Golden scenario matrix: every router × {clustered, intermingled,
-//! single} × two seeds, each asserting its skew discipline and a
-//! snapshotted wirelength.
+//! Golden scenario matrix: every router (plus AST-DME with group fusion
+//! off) × {clustered, intermingled, single} × two seeds, each asserting
+//! its skew discipline and a snapshotted wirelength.
 //!
 //! The engine is deterministic to the bit (the determinism suite pins
 //! this across runs, thread counts and feature sets), so the wirelengths
@@ -17,7 +17,7 @@
 //! regression.
 
 use astdme::instances::{partition, synthetic_instance, Placement};
-use astdme::{AstDme, ClockRouter, ExtBst, GreedyDme, Instance, StitchPerGroup};
+use astdme::{AstDme, ClockRouter, EngineConfig, ExtBst, GreedyDme, Instance, StitchPerGroup};
 
 /// The paper's 10 ps bound, used by the grouped scenarios and EXT-BST.
 const BOUND: f64 = 10e-12;
@@ -33,15 +33,21 @@ const SEEDS: [u64; 2] = [11, 2006];
 
 const SCENARIOS: [&str; 3] = ["clustered", "intermingled", "single"];
 
-/// Snapshotted total wirelengths (µm): (router, scenario, seed, exact
-/// value). Regenerate with `ASTDME_BLESS=1` (see module docs).
-const GOLDEN: [(&str, &str, u64, f64); 24] = [
+/// Snapshotted total wirelengths (µm): (router label, scenario, seed,
+/// exact value). Regenerate with `ASTDME_BLESS=1` (see module docs).
+const GOLDEN: [(&str, &str, u64, f64); 30] = [
     ("AST-DME", "clustered", 11, 802400.6127312368),
     ("AST-DME", "clustered", 2006, 753346.994098329),
     ("AST-DME", "intermingled", 11, 723659.520740885),
     ("AST-DME", "intermingled", 2006, 762473.3601707453),
     ("AST-DME", "single", 11, 805492.9124689212),
     ("AST-DME", "single", 2006, 779740.043175587),
+    ("AST-DME unfused", "clustered", 11, 776436.3174702739),
+    ("AST-DME unfused", "clustered", 2006, 779569.0232122929),
+    ("AST-DME unfused", "intermingled", 11, 767047.6743810495),
+    ("AST-DME unfused", "intermingled", 2006, 803333.06832374),
+    ("AST-DME unfused", "single", 11, 805492.9124689212),
+    ("AST-DME unfused", "single", 2006, 779740.043175587),
     ("EXT-BST", "clustered", 11, 767432.796871537),
     ("EXT-BST", "clustered", 2006, 756677.8228802826),
     ("EXT-BST", "intermingled", 11, 767432.796871537),
@@ -86,12 +92,23 @@ fn scenario(kind: &str, seed: u64) -> Instance {
     }
 }
 
-fn routers() -> Vec<Box<dyn ClockRouter>> {
+/// The routers of the matrix, each under its row label. "AST-DME
+/// unfused" never fuses groups into classes, so its rows pin the
+/// per-subtree offset-adjustment path's absolute bits.
+fn routers() -> Vec<(&'static str, Box<dyn ClockRouter>)> {
+    let unfused = EngineConfig {
+        fuse_groups: false,
+        ..EngineConfig::default()
+    };
     vec![
-        Box::new(AstDme::new()),
-        Box::new(ExtBst::paper()),
-        Box::new(GreedyDme::new()),
-        Box::new(StitchPerGroup::new()),
+        ("AST-DME", Box::new(AstDme::new())),
+        (
+            "AST-DME unfused",
+            Box::new(AstDme::new().with_engine(unfused)),
+        ),
+        ("EXT-BST", Box::new(ExtBst::paper())),
+        ("greedy-DME", Box::new(GreedyDme::new())),
+        ("stitch-per-group", Box::new(StitchPerGroup::new())),
     ]
 }
 
@@ -110,37 +127,30 @@ fn skew_tol(router: &str, kind: &str) -> f64 {
 fn golden_scenario_matrix() {
     let bless = std::env::var_os("ASTDME_BLESS").is_some();
     let mut failures = Vec::new();
-    for router in routers() {
+    for (label, router) in routers() {
         for kind in SCENARIOS {
             for seed in SEEDS {
                 let inst = scenario(kind, seed);
                 let out = router.route_traced(&inst).expect("routes");
-                assert_eq!(
-                    out.tree.sink_nodes().count(),
-                    N,
-                    "{} {kind} {seed}",
-                    router.name()
-                );
+                assert_eq!(out.tree.sink_nodes().count(), N, "{label} {kind} {seed}");
                 let skew = out.report.max_intra_group_skew();
                 assert!(
                     skew <= skew_tol(router.name(), kind),
-                    "{} on {kind}/{seed}: intra-group skew {skew} over tolerance",
-                    router.name()
+                    "{label} on {kind}/{seed}: intra-group skew {skew} over tolerance"
                 );
                 let wl = out.report.wirelength();
                 if bless {
-                    println!("    (\"{}\", \"{kind}\", {seed}, {wl:?}),", router.name());
+                    println!("    (\"{label}\", \"{kind}\", {seed}, {wl:?}),");
                     continue;
                 }
                 let expected = GOLDEN
                     .iter()
-                    .find(|&&(r, s, sd, _)| r == router.name() && s == kind && sd == seed)
+                    .find(|&&(r, s, sd, _)| r == label && s == kind && sd == seed)
                     .map(|&(_, _, _, w)| w)
-                    .unwrap_or_else(|| panic!("no golden row for {} {kind} {seed}", router.name()));
+                    .unwrap_or_else(|| panic!("no golden row for {label} {kind} {seed}"));
                 if wl != expected {
                     failures.push(format!(
-                        "{} on {kind}/{seed}: wirelength {wl:?} != snapshot {expected:?}",
-                        router.name()
+                        "{label} on {kind}/{seed}: wirelength {wl:?} != snapshot {expected:?}"
                     ));
                 }
             }
