@@ -27,6 +27,8 @@ pub struct EngineConfig {
     /// wire sneaking they force — never arise. Disable to exercise the
     /// general per-subtree offset-adjustment machinery instead (more
     /// faithful to reading instance 2 literally, usually more wire).
+    /// The flag decides only whether a merge fuses the classes it joins;
+    /// off, every group stays its own class at offset zero.
     pub fuse_groups: bool,
 }
 

@@ -32,9 +32,9 @@
 //! expansion view and candidate overlay), `merge::pairing` (constraint
 //! assembly and bounded pair-cost ranking), `merge::expand` (expansion
 //! into one reused candidate list and the in-place commit),
-//! `merge::cases` (the Fig. 6 case analysis), `merge::offset` (class
-//! fusing and wire sneaking), and `merge::embed` (top-down embedding);
-//! `merge` itself holds
+//! `merge::cases` (the Fig. 6 case analysis), `merge::class` (group
+//! classes, their offsets and class fusing), `merge::offset` (wire
+//! sneaking), and `merge::embed` (top-down embedding); `merge` itself holds
 //! [`MergeForest`] and the rank → expand → commit orchestration.
 //!
 //! The central discipline: `MergeForest::merge` never hands `&mut self`

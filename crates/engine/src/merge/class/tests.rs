@@ -1,8 +1,9 @@
-//! Oracle test for `effective_entries_into`: its per-class hulls must
-//! equal an independent stable-sort-and-fold reference bit for bit.
+//! `ClassState` tests: fusing, bitwise snapshot equality, and an oracle
+//! for `effective_entries_into` (its per-class hulls must equal an
+//! independent stable-sort-and-fold reference bit for bit).
 
 use super::*;
-use crate::{DelayRange, GroupId};
+use crate::DelayRange;
 
 /// One class entry: `(class, adj_lo, adj_hi, min member bound)`.
 type ClassEntry = (u32, f64, f64, f64);
@@ -70,12 +71,12 @@ fn map(rng: &mut Lcg, k: usize) -> DelayMap {
 }
 
 /// Every group's class entry, in group order.
-fn per_group(class_parent: &[u32], phi: &[f64], bounds: &[f64], m: &DelayMap) -> Vec<ClassEntry> {
+fn per_group(state: &ClassState, m: &DelayMap) -> Vec<ClassEntry> {
     m.iter()
         .map(|(g, r)| {
             let i = g.index();
-            let c = class_of_in(class_parent, g);
-            (c, r.lo - phi[i], r.hi - phi[i], bounds[i])
+            let off = state.phi[i];
+            (state.class_of(g), r.lo - off, r.hi - off, state.bounds[i])
         })
         .collect()
 }
@@ -109,16 +110,17 @@ fn class_hulls_match_a_stable_fold_bit_for_bit() {
     for seed in 0..400u64 {
         let mut rng = Lcg(seed);
         let kind = seed as usize % 3;
-        let parent = class_table(&mut rng, kind);
-        let phi: Vec<f64> = (0..K).map(|_| rng.value(true)).collect();
-        let bounds: Vec<f64> = (0..K).map(|_| rng.value(false).abs()).collect();
+        let state = ClassState {
+            class_parent: class_table(&mut rng, kind),
+            phi: (0..K).map(|_| rng.value(true)).collect(),
+            bounds: (0..K).map(|_| rng.value(false).abs()).collect(),
+        };
         for k in 0..=K {
             let m = map(&mut rng, k);
-            effective_entries_into(&parent, &phi, &bounds, &m, &mut out);
-            let entries = per_group(&parent, &phi, &bounds, &m);
-            let want = reference(entries);
+            state.effective_entries_into(&m, &mut out);
+            let want = reference(per_group(&state, &m));
             assert_eq!(bits(&out), bits(&want), "seed {seed}, {k} groups: {m:?}");
-            let classes: Vec<u32> = m.groups().map(|g| class_of_in(&parent, g)).collect();
+            let classes: Vec<u32> = m.groups().map(|g| state.class_of(g)).collect();
             if k > 1 && classes.iter().all(|&c| c == classes[0]) {
                 single_class_maps += 1;
             }
@@ -134,4 +136,59 @@ fn class_hulls_match_a_stable_fold_bit_for_bit() {
         single_class_maps > 1000,
         "{single_class_maps} single-class maps"
     );
+}
+
+#[test]
+fn fusing_a_chain_shifts_every_absorbed_member_and_leaves_one_class() {
+    let mut state = ClassState::new(vec![1e-11; 4]);
+    // Group 2 into 1, then class 1 (now {1, 2}) into 0; group 3 stays out.
+    state.fuse(1, 2, 3e-12);
+    assert_eq!(state.class_of(GroupId(2)), 1);
+    state.fuse(0, 1, -5e-12);
+    for g in 0..3 {
+        assert_eq!(state.class_of(GroupId(g)), 0, "group {g}");
+    }
+    assert_eq!(state.class_of(GroupId(3)), 3);
+    // Each absorbed member moved by the delta of every fusion it was
+    // absorbed in, in order; the kept root never moves.
+    let offsets: Vec<u64> = state.phi.iter().map(|x| x.to_bits()).collect();
+    let want = [0.0, -5e-12, 3e-12 + -5e-12, 0.0].map(f64::to_bits);
+    assert_eq!(offsets, want);
+    // One class, so a map over all three fused groups hulls into one entry
+    // under their smallest bound.
+    let m = DelayMap::from_entries(
+        (0..3)
+            .map(|g| {
+                (
+                    GroupId(g),
+                    DelayRange {
+                        lo: 1e-12,
+                        hi: 2e-12,
+                    },
+                )
+            })
+            .collect(),
+    );
+    let mut out = Vec::new();
+    state.effective_entries_into(&m, &mut out);
+    assert_eq!(out.len(), 1);
+    assert!(state.is_finite());
+}
+
+#[test]
+fn a_nan_offset_is_same_bits_as_its_own_clone() {
+    let mut state = ClassState::new(vec![1e-11, 1e-11]);
+    let before = state.clone();
+    state.fuse(0, 1, f64::NAN);
+    assert!(state.phi[1].is_nan());
+    assert!(!state.is_finite());
+    // Float `==` would call NaN unequal to itself and refuse every
+    // adoption under this state.
+    assert!(state.same_bits(&state.clone()));
+    assert!(state == state.clone());
+    assert!(!state.same_bits(&before));
+    // Signed zeros differ bitwise.
+    let mut neg = before.clone();
+    neg.phi[0] = -0.0;
+    assert!(!neg.same_bits(&before));
 }

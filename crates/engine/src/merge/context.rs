@@ -25,8 +25,9 @@
 
 use astdme_delay::{DelayModel, SharedConstraint};
 
-use crate::{Candidate, EngineConfig, GroupId};
+use crate::{Candidate, EngineConfig, MergeForest};
 
+use super::class::ClassState;
 use super::frozen::FrozenStore;
 use super::node::Node;
 use super::NodeId;
@@ -147,31 +148,19 @@ pub(crate) struct MergeCtx<'a> {
     pub(crate) nodes: &'a [Node],
     store: &'a FrozenStore,
     pub(crate) model: &'a DelayModel,
-    pub(crate) bounds: &'a [f64],
     pub(crate) cfg: &'a EngineConfig,
-    pub(crate) class_parent: &'a [u32],
-    pub(crate) phi: &'a [f64],
+    pub(crate) classes: &'a ClassState,
     overlay: Overlay,
 }
 
 impl<'a> MergeCtx<'a> {
-    pub(crate) fn new(
-        nodes: &'a [Node],
-        store: &'a FrozenStore,
-        model: &'a DelayModel,
-        bounds: &'a [f64],
-        cfg: &'a EngineConfig,
-        class_parent: &'a [u32],
-        phi: &'a [f64],
-    ) -> Self {
+    pub(crate) fn new(f: &'a MergeForest) -> Self {
         Self {
-            nodes,
-            store,
-            model,
-            bounds,
-            cfg,
-            class_parent,
-            phi,
+            nodes: &f.nodes,
+            store: &f.store,
+            model: &f.model,
+            cfg: &f.cfg,
+            classes: &f.classes,
             overlay: Overlay::default(),
         }
     }
@@ -206,17 +195,6 @@ impl<'a> MergeCtx<'a> {
     pub(crate) fn into_overlay(self) -> Overlay {
         self.overlay
     }
-}
-
-/// Union-find root lookup over the class-parent table (path-compression-free:
-/// chains are at most a few links long and the table is shared immutably
-/// during expansion).
-pub(crate) fn class_of_in(class_parent: &[u32], g: GroupId) -> u32 {
-    let mut c = g.0;
-    while class_parent[c as usize] != c {
-        c = class_parent[c as usize];
-    }
-    c
 }
 
 /// The bookkeeping of one pair expansion: where its merged candidates end

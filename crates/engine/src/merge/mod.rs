@@ -26,7 +26,8 @@
 //! | `expand` | expansion into the scratch candidate list, the in-place overlay-replay commit, candidate pruning |
 //! | `pairing` | shared-constraint assembly, pair-cost estimation, the bounded cheapest-first pair ranking |
 //! | `cases` | the Fig. 6 case analysis: feasible splits, snaking, best-effort fallback |
-//! | `offset` | class fusing (steps 6–7) and recursive offset adjustment / wire sneaking |
+//! | `class` | `ClassState` (group classes, prescribed offsets, per-group bounds) and class fusing (steps 6–7) |
+//! | `offset` | recursive offset adjustment / wire sneaking |
 //! | `embed` | top-down embedding of a finished root into a [`RoutedTree`] |
 //!
 //! # One merge, one allocation
@@ -104,6 +105,7 @@ use astdme_geom::{Point, Trr};
 use crate::{CandKind, Candidate, DelayMap, EngineConfig, GroupId, Instance};
 
 mod cases;
+mod class;
 mod context;
 mod embed;
 mod expand;
@@ -119,7 +121,8 @@ mod tests;
 pub use node::NodeId;
 pub use record::{MergeLog, MergeRecording, NO_NODE};
 
-use context::{class_of_in, MergeCtx, Scratch};
+use class::ClassState;
+use context::{MergeCtx, Scratch};
 use frozen::FrozenStore;
 use node::Node;
 
@@ -137,19 +140,11 @@ pub struct MergeForest {
     /// The compacted candidate runs of frozen (consumed) nodes.
     store: FrozenStore,
     model: DelayModel,
-    bounds: Vec<f64>,
     cfg: EngineConfig,
     leaves: usize,
     residual: f64,
-    // Global group fusion (cfg.fuse_groups): union-find over groups plus
-    // the prescribed offset of each original group relative to its class
-    // reference (adjusted delay = real delay - phi).
-    class_parent: Vec<u32>,
-    phi: Vec<f64>,
-    /// Whether `bounds`, `phi` and the skew tolerance are all finite — the
-    /// forest half of the bounded ranking's precondition (the node half is
-    /// cached per node). Refreshed whenever `phi` changes.
-    finite_state: bool,
+    /// Group classes, their prescribed offsets and the per-group bounds.
+    classes: ClassState,
     scratch: Scratch,
 }
 
@@ -157,28 +152,16 @@ impl MergeForest {
     /// Creates an empty forest for a given delay model and per-group skew
     /// bounds (seconds, indexed by group).
     pub fn new(model: DelayModel, bounds: Vec<f64>, cfg: EngineConfig) -> Self {
-        let k = bounds.len();
-        let mut f = Self {
+        Self {
             nodes: Vec::new(),
             store: FrozenStore::default(),
             model,
-            bounds,
             cfg,
             leaves: 0,
             residual: 0.0,
-            class_parent: (0..k as u32).collect(),
-            phi: vec![0.0; k],
-            finite_state: false,
+            classes: ClassState::new(bounds),
             scratch: Scratch::default(),
-        };
-        f.refresh_finite_state();
-        f
-    }
-
-    /// Recomputes [`MergeForest::finite_state`] after `phi` changed.
-    fn refresh_finite_state(&mut self) {
-        self.finite_state = self.cfg.skew_tol.is_finite()
-            && self.bounds.iter().chain(&self.phi).all(|x| x.is_finite());
+        }
     }
 
     /// Creates a forest for `inst` using its RC technology under the Elmore
@@ -201,21 +184,13 @@ impl MergeForest {
     /// everything the case analysis reads, plus a fresh overlay. See the
     /// module docs for the borrow discipline.
     pub(crate) fn ctx(&self) -> MergeCtx<'_> {
-        MergeCtx::new(
-            &self.nodes,
-            &self.store,
-            &self.model,
-            &self.bounds,
-            &self.cfg,
-            &self.class_parent,
-            &self.phi,
-        )
+        MergeCtx::new(self)
     }
 
     /// Adds a leaf subtree for sink `sink_idx` and returns its node.
     pub fn add_leaf(&mut self, sink_idx: usize, pos: Point, cap: f64, group: GroupId) -> NodeId {
         debug_assert!(
-            group.index() < self.bounds.len(),
+            group.index() < self.classes.bounds().len(),
             "group {group} has no declared bound"
         );
         let id = NodeId(self.nodes.len());
@@ -292,16 +267,6 @@ impl MergeForest {
         self.nodes.len()
     }
 
-    /// The effective (fused) class of a group.
-    pub fn class_of(&self, g: GroupId) -> u32 {
-        class_of_in(&self.class_parent, g)
-    }
-
-    /// The prescribed offset of a group relative to its class reference.
-    pub fn class_offset(&self, g: GroupId) -> f64 {
-        self.phi[g.index()]
-    }
-
     /// Gives each kept candidate of the merge of `a` and `b` its delay map,
     /// from the committed child candidates its provenance names (commit
     /// has remapped those indices to final positions, overlay appends
@@ -354,10 +319,9 @@ impl MergeForest {
         if self.cfg.fuse_groups {
             self.fuse_classes(&mut scratch);
         }
-        let epoch_after = match rec.as_mut() {
-            Some(r) if self.cfg.fuse_groups => r.note_class_state(&self.class_parent, &self.phi),
-            _ => epoch_before,
-        };
+        let epoch_after = rec
+            .as_mut()
+            .map_or(epoch_before, |r| r.note_class_state(&self.classes));
         // Unrecorded, the children freeze to the candidates the kept ones
         // reference; a recorded forest keeps whole lists, because an ECO
         // flush may freshly merge an adopted child and needs its creation

@@ -1,16 +1,14 @@
-//! Offset machinery for difficult instances: class fusing (Fig. 6 steps
-//! 6–7) and the generalization of the paper's wire sneaking (Ch. V.E
-//! instance 2) that re-derives a child subtree so conflicting δ-windows
-//! align. Derived candidates are parked in the context's overlay, never
-//! written to the forest directly.
+//! Offset adjustment for difficult instances: the generalization of the
+//! paper's wire sneaking (Ch. V.E instance 2) that re-derives a child
+//! subtree so conflicting δ-windows align. Derived candidates are parked
+//! in the context's overlay, never written to the forest directly.
 
 use astdme_delay::{intersect_delta_windows, min_total_for_feasibility, SharedConstraint};
 use astdme_geom::Interval;
 
-use crate::{CandKind, Candidate, DelayMap, GroupId, MergeForest};
+use crate::{CandKind, Candidate, DelayMap, GroupId};
 
 use super::context::{MergeCtx, Scratch};
-use super::pairing::effective_entries_into;
 use super::NodeId;
 
 impl MergeCtx<'_> {
@@ -75,7 +73,7 @@ impl MergeCtx<'_> {
                 hi_a: rc_g.hi,
                 lo_b: ro_g.lo,
                 hi_b: ro_g.hi,
-                bound: self.bounds[g.index()],
+                bound: self.classes.bounds()[g.index()],
             }
             .delta_window_with_tol(self.cfg.skew_tol)?;
             windows.push((g, w));
@@ -299,49 +297,5 @@ impl MergeCtx<'_> {
             }
         }
         Some((len_for(dl_base + hi, cap_l), len_for(dr_base + hi, cap_r)))
-    }
-}
-
-impl MergeForest {
-    /// Fuses the effective classes co-resident in a freshly merged node
-    /// (Fig. 6 steps 6-7): the best candidate's realized inter-class offset
-    /// becomes the prescribed offset; candidates realizing a different
-    /// offset are dropped from `scratch.cands` (they would violate the
-    /// prescription downstream). The class hulls go through the scratch
-    /// entry buffers, so fusing allocates nothing.
-    ///
-    /// Runs in the commit phase, after expansion: this is the one place
-    /// the merge path mutates class state, so it stays on `&mut self`.
-    pub(super) fn fuse_classes(&mut self, scratch: &mut Scratch) {
-        let Scratch { ea, eb, cands, .. } = scratch;
-        let entries = |delays: &DelayMap, out: &mut Vec<(u32, f64, f64, f64)>| {
-            effective_entries_into(&self.class_parent, &self.phi, &self.bounds, delays, out)
-        };
-        entries(&cands[0].delays, ea);
-        debug_assert!(
-            ea.len() <= 2,
-            "children each carry one class, so a merge sees at most two"
-        );
-        if ea.len() != 2 {
-            return;
-        }
-        let (keep, absorb) = (ea[0].0, ea[1].0);
-        let delta = ea[1].1 - ea[0].1;
-        // Retain offset-consistent candidates (the best always is).
-        let keep_tol = self.cfg.skew_tol.max(1e-12 * delta.abs());
-        cands.retain(|c| {
-            entries(&c.delays, eb);
-            eb.len() == 2 && (eb[1].1 - eb[0].1 - delta).abs() <= keep_tol
-        });
-        debug_assert!(!cands.is_empty(), "best candidate is always consistent");
-        // Prescribe: adjusted delays of the absorbed class align with the
-        // kept class from now on, everywhere.
-        for g in 0..self.phi.len() {
-            if self.class_of(GroupId(g as u32)) == absorb {
-                self.phi[g] += delta;
-            }
-        }
-        self.class_parent[absorb as usize] = keep;
-        self.refresh_finite_state();
     }
 }

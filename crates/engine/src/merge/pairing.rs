@@ -7,57 +7,20 @@
 
 use astdme_delay::{intersect_delta_windows, SharedConstraint};
 
-use crate::{DelayMap, MergeForest};
+use crate::MergeForest;
 
-use super::context::{class_of_in, MergeCtx, Scratch};
+use super::context::{MergeCtx, Scratch};
 use super::NodeId;
 
-/// Per-class adjusted delay hulls of a delay map, into a reused buffer
-/// (cleared first): `(class, adj_lo, adj_hi, min member bound)`, ascending
-/// by class. The single implementation behind both the hot pair-cost path
-/// (scratch buffers) and class fusing after a merge commits.
-pub(crate) fn effective_entries_into(
-    class_parent: &[u32],
-    phi: &[f64],
-    bounds: &[f64],
-    delays: &DelayMap,
-    out: &mut Vec<(u32, f64, f64, f64)>,
-) {
-    out.clear();
-    for (g, r) in delays.iter() {
-        let c = class_of_in(class_parent, g);
-        out.push((
-            c,
-            r.lo - phi[g.index()],
-            r.hi - phi[g.index()],
-            bounds[g.index()],
-        ));
-    }
-    // Sort once, then coalesce same-class runs in place: O(C log C)
-    // instead of a linear `find` per group (hulling is order-independent,
-    // so this matches the old first-occurrence merge exactly).
-    out.sort_unstable_by_key(|(c, ..)| *c);
-    let mut w = 0;
-    for i in 0..out.len() {
-        if w > 0 && out[w - 1].0 == out[i].0 {
-            out[w - 1].1 = out[w - 1].1.min(out[i].1);
-            out[w - 1].2 = out[w - 1].2.max(out[i].2);
-            out[w - 1].3 = out[w - 1].3.min(out[i].3);
-        } else {
-            out[w] = out[i];
-            w += 1;
-        }
-    }
-    out.truncate(w);
-}
-
 impl MergeCtx<'_> {
-    /// Shared-group constraints between two candidates, into
+    /// Shared-class constraints between two candidates, into
     /// `scratch.cons` (cleared first), reusing `scratch`'s entry buffers —
     /// the sole entry point, so every caller shares one buffer set instead
-    /// of allocating per call. With group fusion on, constraints are per
-    /// effective class over offset-adjusted delays; otherwise per original
-    /// group.
+    /// of allocating per call. Constraints are per effective class over
+    /// offset-adjusted delays, ascending by class. The engine's group-fusion
+    /// flag only decides whether classes ever fuse: with fusion off every
+    /// class is one group at offset zero, so these are the per-group
+    /// constraints, bit for bit.
     pub(crate) fn shared_constraints_in(
         &self,
         a: NodeId,
@@ -67,57 +30,25 @@ impl MergeCtx<'_> {
         scratch: &mut Scratch,
     ) {
         let (ca, cb) = (self.cand(a, ia), self.cand(b, ib));
-        if self.cfg.fuse_groups {
-            effective_entries_into(
-                self.class_parent,
-                self.phi,
-                self.bounds,
-                &ca.delays,
-                &mut scratch.ea,
-            );
-            effective_entries_into(
-                self.class_parent,
-                self.phi,
-                self.bounds,
-                &cb.delays,
-                &mut scratch.eb,
-            );
-            let cons = &mut scratch.cons;
-            cons.clear();
-            let (ea, eb) = (&scratch.ea, &scratch.eb);
-            let (mut i, mut j) = (0, 0);
-            while i < ea.len() && j < eb.len() {
-                match ea[i].0.cmp(&eb[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        cons.push(SharedConstraint {
-                            lo_a: ea[i].1,
-                            hi_a: ea[i].2,
-                            lo_b: eb[j].1,
-                            hi_b: eb[j].2,
-                            bound: ea[i].3.min(eb[j].3),
-                        });
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            return;
-        }
-        let cons = &mut scratch.cons;
+        let Scratch { ea, eb, cons, .. } = scratch;
+        self.classes.effective_entries_into(&ca.delays, ea);
+        self.classes.effective_entries_into(&cb.delays, eb);
         cons.clear();
-        cons.extend(
-            ca.delays
-                .shared_ranges(&cb.delays)
-                .map(|(g, ra, rb)| SharedConstraint {
-                    lo_a: ra.lo,
-                    hi_a: ra.hi,
-                    lo_b: rb.lo,
-                    hi_b: rb.hi,
-                    bound: self.bounds[g.index()],
-                }),
-        );
+        // Both lists ascend by class: a merge join.
+        let mut rest = eb.iter().peekable();
+        for &(c, lo_a, hi_a, bound_a) in ea.iter() {
+            while rest.next_if(|e| e.0 < c).is_some() {}
+            if let Some(&(_, lo_b, hi_b, bound_b)) = rest.next_if(|e| e.0 == c) {
+                let bound = bound_a.min(bound_b);
+                cons.push(SharedConstraint {
+                    lo_a,
+                    hi_a,
+                    lo_b,
+                    hi_b,
+                    bound,
+                });
+            }
+        }
     }
 
     /// Estimated wire cost of merging one candidate pair: the geometric
@@ -249,9 +180,9 @@ impl MergeForest {
     /// children's candidates and the forest's bounds, class offsets and
     /// skew tolerance are finite (see [`MergeCtx::rank_pairs`]).
     pub(super) fn ranking_is_bounded(&self, a: NodeId, b: NodeId) -> bool {
-        self.finite_state && self.nodes[a.0].finite && self.nodes[b.0].finite
+        self.cfg.skew_tol.is_finite()
+            && self.classes.is_finite()
+            && self.nodes[a.0].finite
+            && self.nodes[b.0].finite
     }
 }
-
-#[cfg(test)]
-mod tests;

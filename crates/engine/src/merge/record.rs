@@ -7,9 +7,11 @@
 //! with, which descendant nodes received appended candidates (offset
 //! adjustment writes into the overlay-touched subtree), the merge's
 //! residual contribution, and the global class-fusion state before and
-//! after. Candidate **values** are deliberately not copied — the recorded
-//! forest itself is kept alive by the ECO session, and every recorded
-//! value is a slice of it:
+//! after, as indices into the recording's `ClassState` snapshots (one per
+//! distinct state the run went through; a run with group fusion off never
+//! leaves snapshot 0). Candidate **values** are deliberately not copied —
+//! the recorded forest itself is kept alive by the ECO session, and every
+//! recorded value is a slice of it:
 //!
 //! * creation candidates of node `r` = the first `creation_len` entries of
 //!   `r`'s final candidate list (later appends are strictly suffix-only,
@@ -47,6 +49,7 @@
 
 use std::sync::Arc;
 
+use super::class::ClassState;
 use super::node::{Cands, Node};
 use super::{MergeForest, NodeId};
 use crate::Candidate;
@@ -86,11 +89,12 @@ pub struct MergeLog {
 
 /// The full merge script of one bottom-up run: per-merge logs plus every
 /// distinct class-fusion state the run went through (snapshot 0 is the
-/// initial state; at most one new snapshot per group fusion).
+/// initial state; at most one new snapshot per group fusion). Snapshots
+/// compare bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergeRecording {
     pub(super) logs: Vec<MergeLog>,
-    class_snaps: Vec<(Vec<u32>, Vec<f64>)>,
+    class_snaps: Vec<ClassState>,
 }
 
 impl MergeRecording {
@@ -100,7 +104,7 @@ impl MergeRecording {
     pub fn for_forest(forest: &MergeForest) -> Self {
         Self {
             logs: Vec::new(),
-            class_snaps: vec![(forest.class_parent.clone(), forest.phi.clone())],
+            class_snaps: vec![forest.classes.clone()],
         }
     }
 
@@ -116,30 +120,12 @@ impl MergeRecording {
 
     /// Records the class state after a merge: pushes a new snapshot iff it
     /// differs bitwise from the latest one, and returns the current epoch.
-    pub(crate) fn note_class_state(&mut self, class_parent: &[u32], phi: &[f64]) -> usize {
-        let (lp, lphi) = self.class_snaps.last().expect("snapshot 0 always exists");
-        let same = lp.as_slice() == class_parent
-            && lphi.len() == phi.len()
-            && lphi
-                .iter()
-                .zip(phi)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-        if !same {
-            self.class_snaps.push((class_parent.to_vec(), phi.to_vec()));
+    pub(crate) fn note_class_state(&mut self, classes: &ClassState) -> usize {
+        let last = self.class_snaps.last().expect("snapshot 0 always exists");
+        if !last.same_bits(classes) {
+            self.class_snaps.push(classes.clone());
         }
         self.epoch()
-    }
-
-    /// Whether `forest`'s current class state equals snapshot `epoch`,
-    /// bit for bit.
-    fn state_matches(&self, epoch: usize, forest: &MergeForest) -> bool {
-        let (p, phi) = &self.class_snaps[epoch];
-        p.as_slice() == forest.class_parent.as_slice()
-            && phi.len() == forest.phi.len()
-            && phi
-                .iter()
-                .zip(&forest.phi)
-                .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 }
 
@@ -181,7 +167,7 @@ impl MergeForest {
         std_to_new: &[u32],
         rec_out: Option<&mut MergeRecording>,
     ) -> Option<NodeId> {
-        if self.cfg.fuse_groups && !rec.state_matches(log.epoch_before as usize, self) {
+        if !rec.class_snaps[log.epoch_before as usize].same_bits(&self.classes) {
             return None;
         }
         for &(n, start, len) in &log.appends {
@@ -223,21 +209,14 @@ impl MergeForest {
             }
         };
         self.residual = self.residual.max(log.residual);
-        if self.cfg.fuse_groups && log.epoch_after != log.epoch_before {
-            let (p, phi) = &rec.class_snaps[log.epoch_after as usize];
-            self.class_parent.copy_from_slice(p);
-            self.phi.copy_from_slice(phi);
-            self.refresh_finite_state();
+        if log.epoch_after != log.epoch_before {
+            self.classes = rec.class_snaps[log.epoch_after as usize].clone();
         }
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
         if let Some(out) = rec_out {
             let epoch_before = out.epoch();
-            let epoch_after = if self.cfg.fuse_groups {
-                out.note_class_state(&self.class_parent, &self.phi)
-            } else {
-                epoch_before
-            };
+            let epoch_after = out.note_class_state(&self.classes);
             let appends = log
                 .appends
                 .iter()

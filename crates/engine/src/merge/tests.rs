@@ -4,7 +4,9 @@
 use astdme_delay::{DelayModel, RcParams};
 use astdme_geom::Point;
 
-use crate::{CandKind, EngineConfig, GroupId, MergeForest, MergeRecording};
+use crate::{CandKind, EngineConfig, GroupId, MergeForest};
+
+mod record;
 
 fn forest_with(bounds: Vec<f64>) -> MergeForest {
     MergeForest::new(
@@ -317,7 +319,9 @@ fn bounded_ranking_matches_exhaustive_sort_on_random_forests() {
 
 #[test]
 fn non_finite_inputs_take_the_exhaustive_fallback() {
-    let mut f = forest_with(vec![1e-11, 1e-11]);
+    // Group 2 has no sink: fusing it at a NaN offset below poisons the
+    // class state without touching any node.
+    let mut f = forest_with(vec![1e-11, 1e-11, 1e-11]);
     let mut nodes = Vec::new();
     for i in 0..5 {
         nodes.push(f.add_leaf(i, pt(i as f64 * 300.0, 0.0), 1e-14, GroupId(i as u32 % 2)));
@@ -344,98 +348,14 @@ fn non_finite_inputs_take_the_exhaustive_fallback() {
     let inf = f.add_leaf(7, pt(f64::INFINITY, 0.0), 1e-14, GroupId(0));
     assert!(!check_ranking(&f, inf, cd));
     assert!(check_ranking(&f, ab, cd));
-    f.phi[1] = f64::NAN;
-    f.refresh_finite_state();
+    let finite = f.classes.clone();
+    f.classes.fuse(0, 2, f64::NAN);
     assert!(
         !check_ranking(&f, ab, cd),
         "a NaN offset disables the bound"
     );
-    f.phi[1] = 0.0;
-    f.refresh_finite_state();
+    f.classes = finite;
     assert!(check_ranking(&f, ab, cd));
-}
-
-/// Records a random merge order over a random forest (as in
-/// `random_forest_rankings_match`), adopts every recorded merge into a
-/// second forest built from the same leaves, and checks the adopted forest
-/// against the recording: equal lists and summaries everywhere, the
-/// recorded list itself (same allocation) wherever it is the creation
-/// prefix, and a copy wherever later appends grew it. Returns how many
-/// recorded merges appended to descendants.
-fn adoption_shares_recorded_lists(seed: u64, fuse: bool) -> usize {
-    let mut rng = Rng(seed);
-    let cfg = EngineConfig {
-        fuse_groups: fuse,
-        ..EngineConfig::default()
-    };
-    let (model, bounds) = if seed.is_multiple_of(2) {
-        (
-            DelayModel::elmore(RcParams::default()),
-            vec![0.0, 1e-11, 4e-12],
-        )
-    } else {
-        (DelayModel::pathlength(), vec![0.0, 300.0, 100.0])
-    };
-    let mut std = MergeForest::new(model, bounds.clone(), cfg);
-    let mut adopted = MergeForest::new(model, bounds, cfg);
-    let mut active = Vec::new();
-    for i in 0..24 {
-        let (x, y) = (rng.below(12) as f64 * 100.0, rng.below(12) as f64 * 100.0);
-        let (group, cap) = (GroupId(rng.below(3) as u32), [1e-14, 2e-14][rng.below(2)]);
-        active.push(std.add_leaf(i, pt(x, y), cap, group));
-        adopted.add_leaf(i, pt(x, y), cap, group);
-    }
-    let mut rec = MergeRecording::for_forest(&std);
-    while active.len() > 1 {
-        let a = active.swap_remove(rng.below(active.len()));
-        let b = active.swap_remove(rng.below(active.len()));
-        active.push(std.merge_recorded(a, b, &mut rec));
-    }
-    // Same leaves and merge order, so node ids translate to themselves.
-    let identity: Vec<u32> = (0..std.node_count() as u32).collect();
-    for log in rec.logs() {
-        let (x, y) = (NodeId(log.a as usize), NodeId(log.b as usize));
-        let m = adopted
-            .adopt_merge(x, y, &std, log, &rec, &identity, None)
-            .expect("an identical forest adopts every merge");
-        assert_eq!(m.0, log.result as usize);
-    }
-    assert_eq!(adopted.residual().to_bits(), std.residual().to_bits());
-    for i in 0..std.node_count() {
-        let id = NodeId(i);
-        assert_eq!(adopted.candidates(id), std.candidates(id), "node {i}");
-        assert_eq!(adopted.children(id), std.children(id));
-        assert_eq!(
-            adopted.representative_region(id),
-            std.representative_region(id)
-        );
-        assert_eq!(adopted.max_delay(id).to_bits(), std.max_delay(id).to_bits());
-        assert_eq!(adopted.nodes[i].finite, std.nodes[i].finite);
-    }
-    for log in rec.logs() {
-        let id = NodeId(log.result as usize);
-        let shared = adopted.candidates(id).as_ptr() == std.candidates(id).as_ptr();
-        let grown = std.candidates(id).len() != log.creation_len as usize;
-        assert_eq!(
-            shared, !grown,
-            "node {}: shared {shared}, grown {grown}",
-            id.0
-        );
-    }
-    rec.logs().iter().filter(|l| !l.appends.is_empty()).count()
-}
-
-#[test]
-fn adopted_merges_share_the_recorded_candidate_lists() {
-    for fuse in [true, false] {
-        let appending: usize = (0..16)
-            .map(|seed| adoption_shares_recorded_lists(seed, fuse))
-            .sum();
-        assert!(
-            appending > 0,
-            "fuse={fuse}: offset adjustment must exercise the copy-on-write appends"
-        );
-    }
 }
 
 /// Compaction moves the kept candidates out of a list only its node
