@@ -1,21 +1,10 @@
-//! The fleet layer: batch and streaming routing of whole instance
-//! portfolios, scheduled largest-first onto `astdme_par`'s persistent
-//! worker pool.
+//! The fleet layer: batch routing of whole instance portfolios,
+//! scheduled largest-first onto `astdme_par`'s claim loop.
 //!
 //! The paper's evaluation routes a portfolio — every circuit × group count
-//! × router — and a production deployment serves many scenarios
-//! concurrently. Two entry points cover both shapes of consumption:
-//!
-//! * [`route_batch`] — **barrier semantics**: fans whole instances out
-//!   across pool workers and returns outcomes in input order, bit-identical
-//!   to a sequential loop at every thread count. Internally this is the
-//!   streaming execution below plus a collect-and-reorder step.
-//! * [`route_stream`] — **completion-order semantics**: returns a
-//!   [`RouteStream`] iterator yielding `(input index, outcome)` pairs *as
-//!   instances finish*, with a bounded number of completed-but-unconsumed
-//!   outcomes in flight. The first small instance of a skewed portfolio is
-//!   available orders of magnitude before the barrier would release it —
-//!   the serving-layer shape the ROADMAP's daemon item needs.
+//! × router. [`route_batch`] fans whole instances out across scoped
+//! threads and returns outcomes in input order, bit-identical to a
+//! sequential loop at every thread count.
 //!
 //! # Scheduling
 //!
@@ -28,19 +17,15 @@
 //!   instance's cost a-priori from its sink count and group structure and
 //!   hands instances to the workers costliest first, the classic LPT
 //!   heuristic.
-//! * **Work claiming.** Batch and stream both run [`astdme_par`]'s one
-//!   claim loop over the scheduled order: a worker that finishes early
-//!   claims the next pending instance instead of idling behind a static
-//!   chunk boundary. The batch is the scoped form (the calling thread
-//!   routes too, and files each outcome in its input slot); the stream is
-//!   the detached form. Workers come from the persistent pool — parked
-//!   threads woken per call, not spawned per call.
+//! * **Work claiming.** The batch runs [`astdme_par`]'s one claim loop
+//!   over the scheduled order: a worker that finishes early claims the
+//!   next pending instance instead of idling behind a static chunk
+//!   boundary. The calling thread routes too, and files each outcome in
+//!   its input slot as it completes.
 //!
 //! Both mechanisms change scheduling only: each instance's outcome is a
 //! pure function of the instance and router, so the batch vector is
-//! identical at every thread count (and to the sequential loop), and the
-//! stream yields the same `(index, outcome)` set in a different arrival
-//! order.
+//! identical at every thread count (and to the sequential loop).
 //!
 //! Instance-level fan-out is the only parallelism: a single route is one
 //! chain of dependent merges. Workers are marked, so a [`ClockRouter`]
@@ -54,23 +39,11 @@
 //! [`RouteError`] slot and the rest of the batch routes normally. That
 //! holds for *panics* too — the fleet layer catches a panic inside a
 //! router and surfaces it as [`RouteError::Panicked`] for that instance
-//! only, instead of letting the unwind kill the whole batch or stream.
-//!
-//! # Stream lifecycle
-//!
-//! A [`RouteStream`] owns its instances and router handle (workers are
-//! detached pool jobs, so nothing may borrow from the caller), bounds
-//! completed-unconsumed outcomes at [`StreamPolicy::in_flight`] (workers
-//! block rather than pile up results), and cancels on drop: dropping the
-//! iterator early stops workers from claiming further instances and
-//! unblocks any worker waiting to deliver — no joins, no deadlocks, no
-//! leaked work beyond the instances already being routed.
+//! only, instead of letting the unwind kill the whole batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use astdme_engine::Instance;
-use astdme_par::ClaimStream;
 
 use crate::fault::FaultPlan;
 use crate::pipeline::RouteOutcome;
@@ -126,7 +99,7 @@ impl BatchPolicy {
 }
 
 /// A schedule for routing one batch: the largest-first order, by a-priori
-/// cost estimate, the work-stealing pool consumes the instances in.
+/// cost estimate, the claim loop hands the instances out in.
 ///
 /// The plan is pure scheduling — [`BatchPlan::route`] returns outcomes in
 /// **input order** and bit-identical to a sequential loop no matter how
@@ -175,10 +148,9 @@ impl BatchPlan {
     /// policy does not touch return outcomes bit-identical to a
     /// policy-free run at every thread count.
     ///
-    /// This is the collect-and-reorder form of the streaming execution:
-    /// the calling thread and pool helpers claim schedule slots from one
-    /// cursor, and the caller files each outcome in its input slot as it
-    /// arrives. Each outcome is a pure function of its instance and the
+    /// The calling thread and its scoped helpers claim schedule slots
+    /// from one cursor, and the caller files each outcome in its input
+    /// slot as it arrives. Each outcome is a pure function of its instance and the
     /// policy, so the reorder step preserves bit-identity with the
     /// sequential loop.
     pub fn route_with_policy<R>(
@@ -253,7 +225,7 @@ where
 }
 
 /// Routes every instance in `instances` through `router`, fanning
-/// instances out across work-stealing threads, costliest instance first
+/// instances out across work-claiming threads, costliest instance first
 /// (see the [module docs](self) for the scheduling model).
 ///
 /// Results come back **in input order**, one per instance, each carrying
@@ -276,163 +248,6 @@ where
     R: ClockRouter + Sync + ?Sized,
 {
     BatchPlan::new(instances).route(instances, router)
-}
-
-/// Default bound on completed-but-unconsumed outcomes a [`RouteStream`]
-/// holds before its workers block: deep enough that a consumer doing real
-/// work per result never stalls the workers, shallow enough that a slow
-/// consumer of a large portfolio caps memory at a handful of trees.
-pub const DEFAULT_STREAM_IN_FLIGHT: usize = 16;
-
-/// How a [`route_stream`] call runs: the per-instance hardening policy
-/// plus the stream's in-flight bound. The stream runs
-/// [`astdme_par::effective_threads`] workers, capped at the instance
-/// count.
-#[derive(Debug, Clone)]
-pub struct StreamPolicy {
-    /// Per-instance hardening applied to every routed instance: deadline,
-    /// fault injection — exactly the [`BatchPolicy`]
-    /// semantics of the barrier path.
-    pub batch: BatchPolicy,
-    /// Bound on completed-but-unconsumed outcomes (clamped to ≥ 1 at
-    /// stream construction). Workers that finish an instance while the
-    /// buffer is full block until the consumer catches up, so peak live
-    /// trees stay at `in_flight` plus one per worker.
-    pub in_flight: usize,
-}
-
-impl Default for StreamPolicy {
-    fn default() -> Self {
-        Self {
-            batch: BatchPolicy::default(),
-            in_flight: DEFAULT_STREAM_IN_FLIGHT,
-        }
-    }
-}
-
-impl StreamPolicy {
-    /// The default policy: no hardening, [`DEFAULT_STREAM_IN_FLIGHT`]
-    /// outcomes in flight.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the per-instance hardening policy; returns `self`.
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the in-flight bound (clamped to at least 1); returns `self`.
-    pub fn with_in_flight(mut self, in_flight: usize) -> Self {
-        self.in_flight = in_flight.max(1);
-        self
-    }
-}
-
-/// A completion-order stream of routing outcomes; see [`route_stream`].
-///
-/// Iterates `(input index, outcome)` pairs in the order instances
-/// *finish* — for a skewed portfolio under multiple workers, the first
-/// yields arrive while the largest instance is still routing. The full
-/// drain contains exactly one pair per instance; collecting and reordering
-/// them reproduces [`route_batch`]'s vector bit for bit.
-///
-/// Dropping the stream before exhaustion **cancels** it: workers stop
-/// claiming new instances, any worker blocked on delivery unblocks
-/// immediately (its completed outcome is discarded), and instances already
-/// mid-route run to completion on the pool without anything waiting on
-/// them. Dropping never blocks and never deadlocks the pool.
-pub struct RouteStream {
-    /// The detached claim loop; dropping it stops further claims. Each
-    /// item is `(schedule slot, (input index, outcome))`.
-    claims: ClaimStream<(usize, Result<RouteOutcome, RouteError>)>,
-    total: usize,
-    yielded: usize,
-}
-
-impl std::fmt::Debug for RouteStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouteStream")
-            .field("total", &self.total)
-            .field("yielded", &self.yielded)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RouteStream {
-    /// Number of instances the stream was started with.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Number of outcomes yielded so far.
-    pub fn yielded(&self) -> usize {
-        self.yielded
-    }
-
-    /// Outcomes not yet yielded.
-    pub fn remaining(&self) -> usize {
-        self.total - self.yielded
-    }
-}
-
-impl Iterator for RouteStream {
-    type Item = (usize, Result<RouteOutcome, RouteError>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (_slot, item) = self.claims.next()?;
-        self.yielded += 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.remaining();
-        (remaining, Some(remaining))
-    }
-}
-
-/// Routes `instances` through `router` on detached pool workers and
-/// returns a [`RouteStream`] yielding `(input index, outcome)` pairs in
-/// **completion order** — each result available the moment its instance
-/// finishes, instead of at the batch barrier.
-///
-/// Instances are scheduled costliest-first (the same [`BatchPlan`] LPT
-/// order as [`route_batch`]) and claimed from a shared cursor, so the
-/// skewed-portfolio behavior is: the big instance starts immediately on
-/// one worker while the others drain the small ones — time-to-first-result
-/// is one *small* route, not the whole batch.
-///
-/// Per-instance semantics are identical to the batch path: outcomes are a
-/// pure function of `(instance, router, policy.batch)`, panics surface as
-/// [`RouteError::Panicked`] in their own instance's pair while later
-/// completions keep arriving, and deadlines and faults apply per
-/// [`BatchPolicy`]. Collecting the stream and sorting by index reproduces
-/// [`route_batch`] bit for bit.
-///
-/// The stream owns `instances` and the router handle — workers are
-/// detached pool jobs that may outlive any particular stack frame, so
-/// nothing here can borrow. An empty `instances` yields an immediately
-/// exhausted stream.
-pub fn route_stream(
-    instances: Vec<Instance>,
-    router: Arc<dyn ClockRouter + Send + Sync>,
-    policy: StreamPolicy,
-) -> RouteStream {
-    let total = instances.len();
-    let order = BatchPlan::new(&instances).order;
-    let workers = astdme_par::effective_threads();
-    let batch = policy.batch;
-    let claims = astdme_par::claim_stream(total, workers, policy.in_flight, move |slot| {
-        let idx = order[slot];
-        let result = route_caught(router.as_ref(), &instances[idx], idx, &batch);
-        (idx, result)
-    });
-    RouteStream {
-        claims,
-        total,
-        yielded: 0,
-    }
 }
 
 #[cfg(test)]

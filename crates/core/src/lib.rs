@@ -23,9 +23,10 @@
 //!
 //! Every route runs through one staged [`pipeline`] (group, merge,
 //! embed, repair, audit) on the instance's own coordinates. Fleet batches
-//! and streams ([`route_batch`], [`route_stream`]), Monte Carlo sweeps
-//! ([`sweep`]) and incremental ECO sessions ([`EcoSession`]) all route
-//! through that same body.
+//! ([`route_batch`]), Monte Carlo sweeps ([`sweep`]) and incremental ECO
+//! sessions ([`EcoSession`]) all route through that same body. Batches
+//! and sweeps fan whole instances out on `astdme_par`'s one claim loop,
+//! over scoped threads that are joined before the call returns.
 //!
 //! # Example
 //!
@@ -69,10 +70,7 @@ pub use drivers::{
 pub use eco::{EcoEdit, EcoSession, EcoStats};
 pub use error::RouteError;
 pub use fault::{Fault, FaultKind, FaultPlan};
-pub use fleet::{
-    route_batch, route_stream, BatchPlan, BatchPolicy, RouteStream, StealStats, StreamPolicy,
-    DEFAULT_STREAM_IN_FLIGHT,
-};
+pub use fleet::{route_batch, BatchPlan, BatchPolicy, StealStats};
 pub use pipeline::{
     GroupingStage, MergeStage, RouteOutcome, RouteStats, StageId, StagePlan, StageStats,
 };

@@ -20,11 +20,12 @@
 //! * [`sweep`] fans the variants out **barrier-free** through
 //!   [`astdme_par::claim_loop`] under a [`BatchPolicy`] (per-instance
 //!   deadlines and [`FaultPlan`] injection included): the calling thread
-//!   and pool helpers derive variants on demand, route them, and reduce
-//!   each outcome to scalars on the routing thread (full trees are
-//!   dropped there, never crossing a channel); the scalars stream to the
-//!   caller's accumulator through a bounded channel — no chunk barriers,
-//!   so no worker ever idles waiting for a chunk's slowest variant;
+//!   and its scoped helper threads derive variants on demand, route them,
+//!   and reduce each outcome to scalars on the routing thread (full trees
+//!   are dropped there, never crossing a channel); helpers send the
+//!   scalars to the caller's accumulator through a bounded channel — no
+//!   chunk barriers, so no worker ever idles waiting for a chunk's
+//!   slowest variant;
 //!   memory is O(variants) doubles plus the in-flight bound, never
 //!   O(variants) trees or instances;
 //! * the result is a [`RobustnessReport`]: running mean/min/max and exact
@@ -266,8 +267,9 @@ pub struct SweepConfig {
     /// Number of Monte Carlo variants to route.
     pub variants: usize,
     /// Bound on routed-but-not-yet-accumulated variant results in flight
-    /// between the pool workers and the accumulating caller: workers that
-    /// run ahead of the accumulator block instead of piling up results.
+    /// between the helper threads and the accumulating caller: helpers
+    /// that run ahead of the accumulator block instead of piling up
+    /// results.
     /// It bounds memory only and never affects the report (variants are
     /// index-seeded, so delivery order is invisible to it).
     pub chunk: usize,
@@ -453,7 +455,7 @@ enum VariantOutcome {
 /// Derives variant `index`, routes it under `policy`, and reduces the
 /// outcome to the three report scalars — the full tree (and the variant
 /// instance itself) drop here, on the routing worker, so only scalars
-/// ever cross the stream back to the accumulator.
+/// ever cross the channel back to the accumulator.
 fn route_variant<R>(
     nominal: &Instance,
     spec: &PerturbationSpec,
@@ -536,9 +538,9 @@ impl ReportAcc {
 /// `router` and distills the outcome distributions; see the [module
 /// docs](self) for the determinism and memory contract.
 ///
-/// The fan-out is **barrier-free**: the calling thread and pool helpers
-/// claim variant indices from a shared cursor, derive + route + reduce
-/// each variant, and stream the scalars to the caller's accumulator
+/// The fan-out is **barrier-free**: the calling thread and its scoped
+/// helpers claim variant indices from a shared cursor, derive + route +
+/// reduce each variant, and send the scalars to the caller's accumulator
 /// through a channel bounded at [`SweepConfig::chunk`] results — no
 /// worker ever idles at a chunk boundary waiting for the slowest
 /// variant. The caller re-buffers

@@ -115,9 +115,6 @@ mod offset;
 mod pairing;
 mod record;
 
-#[cfg(test)]
-mod tests;
-
 pub use node::NodeId;
 pub use record::{MergeLog, MergeRecording, NO_NODE};
 
@@ -351,3 +348,6 @@ impl MergeForest {
         id
     }
 }
+
+#[cfg(test)]
+mod tests;

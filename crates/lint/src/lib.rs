@@ -16,8 +16,8 @@
 //! |---|---|---|
 //! | `map-iter` | `src/` of the deterministic crates (`engine`, `topo`, `core`, `geom`, `delay`) | no `HashMap`/`HashSet` iteration (`iter`, `keys`, `values`, `drain`, `retain`, `for … in &map`, …): hasher order is not deterministic. Membership ops are fine. Sort keys or use a dense table; pragma only with a reason. |
 //! | `wall-clock` | all library `src/` except the timing modules (`crates/bench`, `astdme_par`'s claim-loop timing, `astdme_core::stopwatch`) | no `Instant`/`SystemTime`: routing logic must not read the clock. Stage timing goes through [`Stopwatch`](../astdme_core/stopwatch/struct.Stopwatch.html). |
-//! | `thread-spawn` | everywhere except `crates/par/src` | no `thread::spawn`/`thread::Builder`/`thread::scope`: one pool, one claim loop, one nesting guard, one place the thread count is decided (`astdme_par`). Fan out through `claim_loop` (scoped) or `claim_stream` (detached). |
-//! | `unsafe-code` | everywhere except the audited allowlist | `unsafe` only in `par/src/pool.rs` (the `scope_with` lifetime erasure) and the counting `GlobalAlloc` shims (`bench/src/bin/scaling.rs`, `tests/alloc_budget.rs`). Crates redundantly `#![forbid(unsafe_code)]`. |
+//! | `thread-spawn` | everywhere except `crates/par/src` | no `thread::spawn`/`thread::Builder`/`thread::scope`: one claim loop, one nesting guard, one place the thread count is decided (`astdme_par`). Fan out through `claim_loop`. |
+//! | `unsafe-code` | everywhere except the audited allowlist | `unsafe` only in the two counting `GlobalAlloc` shims (`bench/src/bin/scaling.rs`, `tests/alloc_budget.rs`). Library crates, `astdme_par` included, redundantly `#![forbid(unsafe_code)]`. |
 //! | `float-eq` | `crates/engine/src`, `crates/topo/src` | no raw `==`/`!=` with a float-literal or `f32::`/`f64::`-constant operand in ranking paths: use `total_cmp`/`to_bits` or branch on the ordering. (Lexical rule: comparisons of two float *variables* are not detectable without types — reviews still own those.) |
 //! | `file-length` | `crates/engine/src`, `crates/topo/src` | files stay ≤ 500 lines (the PR 2/4 module-tree convention). |
 //! | `dep-audit` | every `Cargo.toml` (including `vendor/`) | every dependency resolves by `path` (or `workspace = true` inheriting one); no registry versions, git URLs, or `[patch]` sections. |

@@ -76,12 +76,11 @@ fn unsafe_fixture() {
 
     let pass = include_str!("fixtures/unsafe_pass.rs");
     assert_clean(&check_source("crates/geom/src/fixture.rs", pass));
+    // astdme_par forbids `unsafe` like every library crate.
+    assert_only(&check_source("crates/par/src/pool.rs", fail), "unsafe-code");
     // The audited allowlist is exact files, not directories.
-    assert_clean(&check_source("crates/par/src/pool.rs", fail));
-    assert_only(
-        &check_source("crates/par/src/other.rs", fail),
-        "unsafe-code",
-    );
+    assert_clean(&check_source("tests/alloc_budget.rs", fail));
+    assert_only(&check_source("tests/other.rs", fail), "unsafe-code");
 }
 
 #[test]

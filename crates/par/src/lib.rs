@@ -1,54 +1,40 @@
-//! One work-claiming loop over a **persistent worker pool**: the only
-//! parallelism in the workspace.
+//! One work-claiming loop on scoped threads: the only parallelism in the
+//! workspace.
 //!
 //! AST-DME's bottom-up merge is one chain of dependent merges per
 //! instance, so the parallelism that pays is across independent
-//! instances: a routing portfolio, a Monte Carlo sweep, a stream of
-//! scenarios. The container image has no crates.io access, so instead of
-//! `rayon` this crate provides exactly what those fan-outs need — one
-//! claim loop in two forms:
-//!
-//! * [`claim_loop`] — **scoped**: the caller and up to
-//!   [`effective_threads`]` − 1` pool helpers claim indices `0..len` from
-//!   a shared cursor, produce each one, and hand every `(index, result)`
-//!   to the caller's `consume` in completion order. The call returns when
-//!   every index has been consumed, so `produce` may borrow from the
-//!   caller's stack. The fleet's batch (consume writes input-order slots)
-//!   and the robustness sweep (consume reorders into an index-ordered
-//!   reduction) are this form.
-//! * [`claim_stream`] — **detached**: the same producer loop on owned
-//!   pool jobs, delivered through a [`ClaimStream`] iterator; dropping the
-//!   iterator stops further claims. The fleet's completion-order
-//!   `route_stream` is this form.
+//! instances: a routing portfolio, a Monte Carlo sweep. The container
+//! image has no crates.io access, so instead of `rayon` this crate
+//! provides exactly what those fan-outs need — [`claim_loop`]: the caller
+//! and up to [`effective_threads`]` − 1` scoped helper threads claim
+//! indices `0..len` from a shared cursor, produce each one, and hand every
+//! `(index, result)` to the caller's `consume` in completion order. The
+//! call returns when every index has been consumed and every helper has
+//! been joined, so `produce` may borrow from the caller's stack. The
+//! fleet's batch (consume writes input-order slots) and the robustness
+//! sweep (consume reorders into an index-ordered reduction) both run on
+//! it.
 //!
 //! # The loop
 //!
 //! Producers share one atomic cursor and claim one index at a time, so a
 //! producer that drew cheap items comes back for more while one stuck on
 //! an expensive item keeps working — the shape of a skewed portfolio.
-//! Results travel through a channel bounded at `in_flight`: a producer
+//! Helpers deliver through a channel bounded at `in_flight`: a helper
 //! that runs ahead of the consumer blocks instead of piling up results. A
 //! stop flag is checked before every claim.
 //!
-//! In the scoped form **the caller produces too**: it runs the same loop
-//! as the helpers, consumes its own results directly, and drains the
-//! channel between its items and after the cursor runs dry. With no
-//! helpers (one thread, a nested call, or a saturated pool) the same loop
-//! simply runs inline — there is no separate serial path. A caller that
-//! only consumed would add one more routing thread, with its own heap, to
-//! every fan-out.
+//! **The caller produces too**: it runs the same loop as the helpers,
+//! consumes its own results directly, and drains the channel between its
+//! items and after the cursor runs dry. With no helpers (one thread, a
+//! nested call, or no thread could be spawned) the same loop simply runs
+//! inline — there is no separate serial path. A caller that only consumed
+//! would add one more routing thread, with its own heap, to every
+//! fan-out.
 //!
 //! Scheduling never changes output: each index is produced exactly once
 //! and consumed exactly once, so a consumer that files results by index
 //! is identical at every thread count.
-//!
-//! # The pool
-//!
-//! Worker threads are spawned lazily on first use, park on a private job
-//! channel between calls, and are **reused across calls** — a fan-out is
-//! a submission to the pool, not a spawn/join cycle. Parked workers never
-//! keep the process alive. See [`pool_threads`] for the reuse diagnostic
-//! and the `pool` module docs for the lifecycle.
 //!
 //! # Thread counts
 //!
@@ -56,12 +42,15 @@
 //! [`set_thread_override`] count when set, else the `ASTDME_THREADS`
 //! environment variable (read once per process) when set and ≥ 1, else
 //! `available_parallelism`. [`effective_threads`] reports the resolved
-//! value.
+//! value. A fan-out never uses more threads than it has items, nor more
+//! than 256 (a sanity backstop, not a tuning knob). Helpers are spawned
+//! per call and joined before it returns; a spawn that fails leaves the
+//! loop with fewer helpers, never fewer items.
 //!
 //! # Nesting
 //!
-//! Fan-outs never nest: pool threads are permanently marked, scoped
-//! callers are marked while they participate, and a [`claim_loop`] made
+//! Fan-outs never nest: helpers are marked for their whole life, the
+//! caller is marked while it participates, and a [`claim_loop`] made
 //! from a marked thread runs inline. A `ClockRouter` that itself routes a
 //! batch therefore cannot oversubscribe the machine from inside a fleet
 //! worker.
@@ -69,40 +58,39 @@
 //! # Panics
 //!
 //! A panic in `produce` or `consume` sets the stop flag, so no producer
-//! claims another index. In the scoped form the original payload is
-//! re-raised on the caller via [`std::panic::resume_unwind`] once every
-//! helper has finished. Pool workers survive panicking jobs and return to
-//! the idle list.
+//! claims another index. The first panic payload is re-raised on the
+//! caller via [`std::panic::resume_unwind`] once every helper has been
+//! joined.
 
-// The one `unsafe` block in the workspace lives in `pool::scope_with`
-// (lifetime erasure made sound by a completion latch); everything else
-// stays checked.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
-
-pub use pool::pool_threads;
-
+use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 thread_local! {
-    /// Whether the current thread is a pool worker or a participating
-    /// scoped caller. Fan-outs from a marked thread run inline (see the
-    /// module docs).
-    pub(crate) static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Whether the current thread is a claim-loop helper or a
+    /// participating caller. Fan-outs from a marked thread run inline
+    /// (see the crate docs).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the calling thread is a pool worker or a participating scoped
+/// Whether the calling thread is a claim-loop helper or a participating
 /// caller — i.e. a [`claim_loop`] from here would run inline.
-pub(crate) fn in_parallel_worker() -> bool {
+fn in_parallel_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
+
+/// Hard cap on the producers of one fan-out, the caller included — a
+/// sanity backstop far above any real fan-out (thread counts come from
+/// `available_parallelism` or an explicit override), not a tuning knob.
+const MAX_THREADS: usize = 256;
 
 /// Process-global thread-count override (0 = none / auto).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -177,21 +165,21 @@ fn auto_threads() -> usize {
 
 /// The thread count a fan-out would use right now: the
 /// [`set_thread_override`] value when set, else the automatic count (see
-/// [`auto_threads`'s sources](set_thread_override)). The fleet layer
-/// sizes its streaming worker sets from this.
+/// [`auto_threads`'s sources](set_thread_override)).
 pub fn effective_threads() -> usize {
     thread_override().map_or_else(auto_threads, NonZeroUsize::get)
 }
 
 /// The producer count a [`claim_loop`] over `len` items uses: 1 (the
 /// caller alone) for fewer than two items, one thread, or a call from a
-/// marked thread; otherwise [`effective_threads`] capped at `len`.
-pub(crate) fn fanout_threads(len: usize) -> usize {
+/// marked thread; otherwise [`effective_threads`] capped at `len` and at
+/// [`MAX_THREADS`]. Pure: it starts no thread.
+fn fanout_threads(len: usize) -> usize {
     let threads = effective_threads();
     if len < 2 || threads < 2 || in_parallel_worker() {
         1
     } else {
-        threads.min(len)
+        threads.min(len).min(MAX_THREADS)
     }
 }
 
@@ -199,7 +187,7 @@ pub(crate) fn fanout_threads(len: usize) -> usize {
 /// time and item counts, the raw material for [`StealStats::balance`].
 ///
 /// Both vectors are parallel: entry *j* describes producer *j* of the
-/// call — the caller and every pool helper that ran, in no fixed order;
+/// call — the caller and every helper that ran, in no fixed order;
 /// the multiset of entries is what's meaningful.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StealStats {
@@ -252,28 +240,15 @@ impl StealStats {
 }
 
 /// One producer's share of a [`StealStats`].
-#[derive(Debug, Default)]
 struct Clock {
     busy: f64,
     items: usize,
 }
 
 /// Locks `m`, ignoring poison: every value guarded here stays consistent
-/// across a panic (a sender slot, a list of clocks).
+/// across a panic (the stats, a panic payload).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Sets the stop flag when dropped during a panic unwind, so a failing
-/// `produce` or `consume` stops every producer from claiming again.
-struct StopOnUnwind<'a>(&'a AtomicBool);
-
-impl Drop for StopOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The claim state every producer of one loop shares: a cursor over
@@ -287,14 +262,6 @@ struct Claims {
 }
 
 impl Claims {
-    fn new(len: usize) -> Self {
-        Self {
-            len,
-            next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-        }
-    }
-
     /// The producer loop: check the stop flag, claim the next index,
     /// produce it, deliver it — until the cursor runs dry, the flag is
     /// set, or `deliver` reports that nobody is listening any more.
@@ -303,7 +270,6 @@ impl Claims {
         produce: &impl Fn(usize) -> R,
         mut deliver: impl FnMut(usize, R) -> bool,
     ) -> Clock {
-        let _stop = StopOnUnwind(&self.stop);
         let t0 = Instant::now();
         let mut items = 0usize;
         while !self.stop.load(Ordering::Relaxed) {
@@ -324,128 +290,92 @@ impl Claims {
     }
 }
 
-/// The scoped claim loop: produces every index in `0..len` exactly once
-/// and hands each `(index, result)` to `consume` on the calling thread,
-/// in completion order. Returns the [`StealStats`] of every producer.
+/// The claim loop: produces every index in `0..len` exactly once and
+/// hands each `(index, result)` to `consume` on the calling thread, in
+/// completion order. Returns the [`StealStats`] of every producer.
 ///
 /// The caller is one of the producers. Up to [`effective_threads`]` − 1`
-/// pool helpers run alongside it, delivering through a channel bounded at
-/// `in_flight` (clamped to ≥ 1); the caller consumes its own results
-/// directly and drains the channel between its items and after the
-/// cursor runs dry. With no helpers — fewer than two items, one thread,
-/// a call from inside a pool worker or another claim loop, or a saturated
-/// pool — the same loop runs inline.
+/// scoped helper threads run alongside it, delivering through a channel
+/// bounded at `in_flight` (clamped to ≥ 1); the caller consumes its own
+/// results directly and drains the channel between its items and after
+/// the cursor runs dry. With no helpers — fewer than two items, one
+/// thread, a call from inside another claim loop, or no helper could be
+/// spawned — the same loop runs inline.
 ///
-/// The call does not return until every helper has finished, so
+/// The call does not return until every helper has been joined, so
 /// `produce` may borrow from the caller's stack.
 ///
 /// # Panics
 ///
 /// A panic in `produce` (on any producer) or in `consume` stops further
-/// claims and is re-raised on the caller with its original payload after
-/// every helper has finished; indices not yet consumed are dropped.
+/// claims; the first payload is re-raised on the caller once every
+/// helper has been joined. Indices not yet consumed are dropped.
 pub fn claim_loop<R, P, C>(len: usize, in_flight: usize, produce: P, mut consume: C) -> StealStats
 where
     R: Send,
     P: Fn(usize) -> R + Sync,
     C: FnMut(usize, R),
 {
-    let claims = Claims::new(len);
-    let (tx, rx) = sync_channel::<(usize, R)>(in_flight.max(1));
-    // Helpers clone the sender when they start; the caller takes it once
-    // the cursor is dry, so a helper that wakes later finds it gone and
-    // leaves, and the caller's final drain ends with the last helper.
-    let sender = Mutex::new(Some(tx));
-    let clocks = Mutex::new(Vec::new());
-    let helper = |_slot: usize| {
-        let tx = lock(&sender).clone();
-        let clock = match tx {
-            Some(tx) => claims.run(&produce, |i, r| tx.send((i, r)).is_ok()),
-            None => Clock::default(),
-        };
-        lock(&clocks).push(clock);
+    let claims = Claims {
+        len,
+        next: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
     };
-    pool::scope_with(fanout_threads(len) - 1, &helper, |_running| {
-        // Owned by this closure: if the caller unwinds, the receiver
-        // drops with it and every helper blocked on a full channel gets a
-        // send error instead of waiting forever.
-        let rx = rx;
-        let clock = claims.run(&produce, |i, r| {
-            consume(i, r);
-            rx.try_iter().for_each(|(i, r)| consume(i, r));
-            true
-        });
-        drop(lock(&sender).take());
-        rx.iter().for_each(|(i, r)| consume(i, r));
-        lock(&clocks).push(clock);
+    let (tx, rx) = sync_channel::<(usize, R)>(in_flight.max(1));
+    let stats = Mutex::new(StealStats::default());
+    let first_panic = Mutex::new(None);
+    // A panic on any producer stops further claims; the first payload is
+    // kept for the caller.
+    let stash = |payload: Box<dyn Any + Send>| {
+        claims.stop.store(true, Ordering::Relaxed);
+        lock(&first_panic).get_or_insert(payload);
+    };
+    std::thread::scope(|scope| {
+        let (claims, produce, stats, stash) = (&claims, &produce, &stats, &stash);
+        for _ in 1..fanout_threads(len) {
+            let tx = tx.clone();
+            let helper = move || {
+                IN_WORKER.with(|w| w.set(true));
+                let run = || claims.run(produce, |i, r| tx.send((i, r)).is_ok());
+                match catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(clock) => lock(stats).push(clock),
+                    Err(payload) => stash(payload),
+                }
+            };
+            let spawned = std::thread::Builder::new()
+                .name("astdme-claim".into())
+                .spawn_scoped(scope, helper);
+            if spawned.is_err() {
+                break;
+            }
+        }
+        // Only the helpers hold senders now, so the caller's final drain
+        // ends with the last helper.
+        drop(tx);
+        let was_worker = IN_WORKER.with(|w| w.replace(true));
+        let caller = catch_unwind(AssertUnwindSafe(|| {
+            // Owned by this closure: if the caller unwinds, the receiver
+            // drops with it and every helper blocked on a full channel
+            // gets a send error instead of waiting forever.
+            let rx = rx;
+            let clock = claims.run(produce, |i, r| {
+                consume(i, r);
+                rx.try_iter().for_each(|(i, r)| consume(i, r));
+                true
+            });
+            rx.iter().for_each(|(i, r)| consume(i, r));
+            clock
+        }));
+        IN_WORKER.with(|w| w.set(was_worker));
+        match caller {
+            Ok(clock) => lock(stats).push(clock),
+            Err(payload) => stash(payload),
+        }
     });
-    let mut stats = StealStats::default();
-    for clock in clocks.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        stats.push(clock);
+    if let Some(payload) = lock(&first_panic).take() {
+        resume_unwind(payload);
     }
-    stats
-}
-
-/// A completion-order stream of `(index, result)` pairs from
-/// [`claim_stream`]'s detached producers.
-///
-/// Dropping it stops the loop: producers claim no further index, and a
-/// producer blocked on delivery gets a send error and leaves. Items
-/// already being produced run to completion without anything waiting on
-/// them. Dropping never blocks.
-pub struct ClaimStream<R> {
-    rx: Receiver<(usize, R)>,
-    claims: Arc<Claims>,
-}
-
-impl<R> Iterator for ClaimStream<R> {
-    type Item = (usize, R);
-
-    /// Blocks until the next result arrives; `None` once every producer
-    /// has left.
-    fn next(&mut self) -> Option<Self::Item> {
-        self.rx.recv().ok()
-    }
-}
-
-impl<R> Drop for ClaimStream<R> {
-    fn drop(&mut self) {
-        // The receiver drops right after (field drop order), so a
-        // producer blocked mid-send wakes with an error.
-        self.claims.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-/// The detached claim loop: `workers` (capped at `len`) pool jobs run the
-/// producer loop of [`claim_loop`] over `0..len` and deliver through a
-/// channel bounded at `in_flight` (clamped to ≥ 1) to the returned
-/// [`ClaimStream`]. Nothing waits for the jobs, so `produce` must own
-/// everything it touches. An empty range yields an exhausted stream.
-///
-/// A panic in `produce` stops further claims; the stream then ends once
-/// the remaining producers leave. The payload is discarded — there is no
-/// caller to re-raise it on — so producers that can fail should return
-/// their failures as values.
-pub fn claim_stream<R, P>(
-    len: usize,
-    workers: usize,
-    in_flight: usize,
-    produce: P,
-) -> ClaimStream<R>
-where
-    R: Send + 'static,
-    P: Fn(usize) -> R + Send + Sync + 'static,
-{
-    let claims = Arc::new(Claims::new(len));
-    let produce = Arc::new(produce);
-    let (tx, rx) = sync_channel(in_flight.max(1));
-    for _ in 0..workers.max(1).min(len) {
-        let (claims, produce, tx) = (Arc::clone(&claims), Arc::clone(&produce), tx.clone());
-        pool::spawn_pooled(move || {
-            claims.run(&*produce, |i, r| tx.send((i, r)).is_ok());
-        });
-    }
-    ClaimStream { rx, claims }
+    stats.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 use super::*;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::MutexGuard;
 use std::time::Duration;
 
 /// Tests touching the process-global override (or asserting producer
@@ -231,7 +230,7 @@ fn caller_consume_panic_reaches_the_caller_with_its_payload() {
 }
 
 #[test]
-fn pool_survives_panicking_jobs_and_is_reused() {
+fn a_loop_after_a_panicking_loop_delivers_every_index() {
     let _pin = pinned(NonZeroUsize::new(4));
     let items: Vec<u64> = (0..64).collect();
     let _ = catch_unwind(AssertUnwindSafe(|| {
@@ -240,32 +239,10 @@ fn pool_survives_panicking_jobs_and_is_reused() {
             x
         })
     }));
-    // The panicking call's workers went back to the idle list; the next
-    // call runs normally on the same pool.
+    // Nothing of the panicking call outlives it: the next call runs
+    // normally and delivers every index.
     let expected: Vec<u64> = items.iter().map(|x| x + 1).collect();
     assert_eq!(map(&items, |x| x + 1), expected);
-}
-
-#[test]
-fn repeated_calls_reuse_pool_threads() {
-    let _pin = pinned(NonZeroUsize::new(3));
-    let items: Vec<u64> = (0..256).collect();
-    // Warm the pool, then measure: many further calls at the same width
-    // must not spawn additional threads.
-    let _ = map(&items, |x| x + 1);
-    // Count only this thread's spawns: the pool's global total moves with
-    // whatever concurrent tests fan out. A barrier checks its helpers back
-    // in before returning, so each call finds the previous call's workers
-    // idle.
-    let warmed = pool::spawned_by_current_thread();
-    for _ in 0..32 {
-        let _ = map(&items, |x| x * 2);
-    }
-    assert_eq!(
-        pool::spawned_by_current_thread(),
-        warmed,
-        "steady-state calls must reuse parked workers, not spawn"
-    );
 }
 
 #[test]
@@ -293,79 +270,24 @@ fn nested_claim_loops_run_inline() {
 }
 
 #[test]
-fn stream_delivers_every_index_once() {
-    for (len, workers, in_flight) in [(0usize, 2usize, 1usize), (1, 4, 1), (50, 3, 2), (50, 8, 50)]
-    {
-        let mut got: Vec<usize> = claim_stream(len, workers, in_flight, |i| i * 3)
-            .map(|(i, r)| {
-                assert_eq!(r, i * 3);
-                i
-            })
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..len).collect::<Vec<_>>(), "len {len}");
-    }
-}
-
-#[test]
-fn dropping_a_stream_stops_claims() {
-    let started = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&started);
-    // The producers share the closure, so it (and this sender) drops
-    // exactly when the last producer has left.
-    let (alive, gone) = mpsc::channel::<()>();
-    let workers = 2;
-    let mut stream = claim_stream(1000, workers, 1, move |i| {
-        let _alive = &alive;
-        counter.fetch_add(1, Ordering::SeqCst);
-        i
-    });
-    assert!(stream.next().is_some());
-    drop(stream);
-    let at_drop = started.load(Ordering::SeqCst);
-    assert!(gone.recv().is_err(), "nothing is ever sent");
-    // A producer may have passed its stop check just before the drop:
-    // at most one further claim per producer.
-    let total = started.load(Ordering::SeqCst);
-    assert!(
-        total <= at_drop + workers,
-        "{total} claims, {at_drop} at drop"
-    );
-}
-
-#[test]
-fn spawn_pooled_runs_detached_jobs() {
-    let (tx, rx) = mpsc::channel::<u64>();
-    for i in 0..8u64 {
-        let tx = tx.clone();
-        pool::spawn_pooled(move || {
-            // Detached jobs run on marked workers: nested claim loops
-            // inside them run inline.
-            assert!(in_parallel_worker());
-            tx.send(i * 10).unwrap();
-        });
-    }
-    drop(tx);
-    let mut got: Vec<u64> = rx.iter().collect();
-    got.sort_unstable();
-    assert_eq!(got, (0..8).map(|i| i * 10).collect::<Vec<_>>());
-}
-
-#[test]
-fn scope_with_reports_helper_count_and_joins() {
-    let _pin = pinned(None);
-    let hits = AtomicUsize::new(0);
-    let work = |_slot: usize| {
-        hits.fetch_add(1, Ordering::SeqCst);
-    };
-    let running = pool::scope_with(2, &work, |running| {
-        // The caller is marked as a worker for the duration of main.
-        assert!(in_parallel_worker());
-        running
-    });
-    assert!(running <= 2);
-    // Every granted helper ran its work closure by the time the barrier
-    // returned.
-    assert_eq!(hits.load(Ordering::SeqCst), running);
+fn claim_loop_marks_its_producers_and_restores_the_caller() {
+    let _pin = pinned(NonZeroUsize::new(3));
+    let items: Vec<u64> = (0..200).collect();
+    let (marked, stats) = ordered(&items, 4, |_, _| in_parallel_worker());
+    // Every producer, the caller included, is marked while it produces.
+    assert!(marked.iter().all(|&m| m));
+    // Every producer was joined and reported by the time the call
+    // returned, and there were no more of them than threads.
+    assert!((1..=3).contains(&stats.workers()), "{stats:?}");
+    assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
     assert!(!in_parallel_worker(), "caller mark must be restored");
+}
+
+#[test]
+fn fanout_is_capped_without_starting_a_thread() {
+    let _pin = pinned(NonZeroUsize::new(10_000));
+    assert_eq!(effective_threads(), 10_000);
+    assert_eq!(fanout_threads(10_000), MAX_THREADS);
+    assert_eq!(fanout_threads(3), 3);
+    assert_eq!(fanout_threads(1), 1);
 }

@@ -71,20 +71,6 @@ proptest! {
                 );
                 prop_assert_eq!(stats.worker_items.iter().sum::<usize>(), items.len());
             }
-            let owned = items.clone();
-            let mut streamed: Vec<(usize, u64)> = astdme_par::claim_stream(
-                items.len(),
-                threads,
-                4,
-                move |i| crunch(owned[i].0 ^ i as u64, owned[i].1),
-            )
-            .collect();
-            streamed.sort_unstable_by_key(|&(i, _)| i);
-            prop_assert_eq!(
-                streamed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
-                serial.clone(),
-                "claim_stream diverged at {} threads", threads
-            );
         }
     }
 }

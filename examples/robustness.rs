@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.variants,
         report.succeeded
     );
-    // The sweep streams variants through the persistent worker pool with
+    // The sweep hands variants out one at a time on the claim loop, with
     // no chunk barriers — workers never idle waiting for a chunk's
     // straggler, so this throughput number is the honest per-core rate.
     println!(

@@ -15,9 +15,9 @@
 //!   [`pipeline`] (group → merge → embed → repair
 //!   → audit); [`ClockRouter::route_traced`] returns the tree together
 //!   with its audit report and per-stage [`StageStats`], and
-//!   [`route_batch`] fans whole instance portfolios out across
-//!   work-stealing threads — scheduled costliest-first by a
-//!   [`BatchPlan`] — with input-ordered,
+//!   [`route_batch`] fans whole instance portfolios out on one
+//!   work-claiming loop over scoped threads — scheduled costliest-first
+//!   by a [`BatchPlan`] — with input-ordered,
 //!   bit-identical results and per-instance failure isolation (a
 //!   panicking route surfaces as [`RouteError::Panicked`] in its own
 //!   slot).
