@@ -324,8 +324,8 @@ where
     let (tx, rx) = sync_channel::<(usize, R)>(in_flight.max(1));
     let stats = Mutex::new(StealStats::default());
     let first_panic = Mutex::new(None);
-    // A panic on any producer stops further claims; the first payload is
-    // kept for the caller.
+    // A panic in `produce` or `consume` stops further claims; the first
+    // payload is kept for the caller.
     let stash = |payload: Box<dyn Any + Send>| {
         claims.stop.store(true, Ordering::Relaxed);
         lock(&first_panic).get_or_insert(payload);
