@@ -13,7 +13,8 @@
 //! seeded sink moves, each followed by the moves back. Per k it records
 //! the median flush time, the median from-scratch route time of the moved
 //! instances, their ratio, the flushes that fell back to a full reroute,
-//! and the median `EcoStats::scan_visits` per flush. Every moved flush is
+//! and the median `EcoStats::scan_visits` and `EcoStats::reused_nodes`
+//! per flush. Every moved flush is
 //! asserted equal to its from-scratch route, and every move back to the
 //! session's first tree.
 //!
@@ -127,6 +128,7 @@ struct EcoMeasurement {
     scratch_s_p50: f64,
     full_reroutes: usize,
     scan_visits_p50: u64,
+    reused_nodes_p50: u64,
 }
 
 /// Sinks of the ECO section's design: perfbench's `eco-k1` size, and the
@@ -356,7 +358,8 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
     for k in ECO_KS {
         let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
         let base = session.outcome().tree.clone();
-        let (mut flush_s, mut scratch_s, mut visits) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut flush_s, mut scratch_s) = (Vec::new(), Vec::new());
+        let (mut visits, mut reused) = (Vec::new(), Vec::new());
         let mut full_reroutes = 0;
         for cycle in 0..ECO_CYCLES {
             let (away, back) = eco_cycle(&inst, k, cycle);
@@ -370,6 +373,7 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
                 let stats = session.last_flush();
                 full_reroutes += usize::from(stats.full_reroute);
                 visits.push(stats.scan_visits as f64);
+                reused.push(stats.reused_nodes as f64);
                 if moved {
                     let t0 = Instant::now();
                     let want = router.route_traced(session.instance()).expect("routes");
@@ -395,14 +399,16 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
             scratch_s_p50: median(&mut scratch_s),
             full_reroutes,
             scan_visits_p50: median(&mut visits) as u64,
+            reused_nodes_p50: median(&mut reused) as u64,
         };
         eprintln!(
-            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits",
+            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused",
             m.flush_s_p50,
             m.scratch_s_p50,
             m.flush_s_p50 / m.scratch_s_p50,
             m.full_reroutes,
-            m.scan_visits_p50
+            m.scan_visits_p50,
+            m.reused_nodes_p50
         );
         out.push(m);
     }
@@ -493,7 +499,7 @@ fn to_json(
         })
         .collect();
     // ECO flushes against from-scratch routes: timings recorded, the
-    // reroute and visit counts deterministic.
+    // reroute, visit and reused-node counts deterministic.
     let eco_items: Vec<String> = eco
         .iter()
         .map(|m| {
@@ -510,6 +516,7 @@ fn to_json(
                     ),
                     json::field("full_reroutes", format!("{}", m.full_reroutes)),
                     json::field("scan_visits", format!("{}", m.scan_visits_p50)),
+                    json::field("reused_nodes", format!("{}", m.reused_nodes_p50)),
                 ],
                 4,
             )

@@ -16,8 +16,11 @@
 //!  │  write-  │   │ 3. re-plan   replay recorded rounds; fresh   │
 //!  │  only)   │   │               NN scans only for novel nodes  │
 //!  │          │   │ 4. splice    adopted merges share recorded   │
-//!  └──────────┘   │               lists, dirty cone re-merged,   │
-//!                 │               then embed / repair / audit    │
+//!  └──────────┘   │               lists, dirty cone re-merged;   │
+//!                 │               embed copies clean subtrees    │
+//!                 │               from the standing tree and     │
+//!                 │               walks the dirty cone; then     │
+//!                 │               repair / audit                 │
 //!                 └──────────────────────────────────────────────┘
 //! ```
 //!
@@ -73,6 +76,14 @@
 //! scans degrade toward all pairs (an edit storm that piles sinks onto
 //! one spot) falls back after spending about one route's worth.
 //!
+//! A replay also declines when one of its scans meets an exact tie: two
+//! subtrees at the same nearest hull distance, or a novel subtree exactly
+//! as near an inherited entry as that entry's neighbor. The planner
+//! breaks such a tie by its grid's ring order and its re-query hints,
+//! which the replay does not reproduce. Ties need coincident distances,
+//! as on integer sink coordinates; none of the benchmark's flushes
+//! meets one.
+//!
 //! Replay is recorded for [`MergeStage::Flat`] plans under
 //! [`MergeOrder::MultiMerge`] (the default of every router except the
 //! stitching strawman); other plans still flush correctly via a full
@@ -103,12 +114,12 @@
 use crate::stopwatch::Stopwatch;
 
 use astdme_delay::RcParams;
-use astdme_engine::{GroupId, Groups, Instance, MergeForest, Sink};
+use astdme_engine::{EmbedMap, GroupId, Groups, Instance, MergeForest, RoutedTree, Sink, Standing};
 use astdme_geom::Point;
 use astdme_topo::MergeOrder;
 
 use crate::drivers::{merge_until_one_traced, MergeScript};
-use crate::pipeline::{self, MergeStage, RouteOutcome, Run, StagePlan};
+use crate::pipeline::{self, MergeStage, Merged, RouteOutcome, Run, StagePlan};
 use crate::RouteError;
 
 mod replay;
@@ -163,6 +174,12 @@ pub struct EcoStats {
     pub adopted_merges: usize,
     /// Merges recomputed fresh (the dirty cone).
     pub fresh_merges: usize,
+    /// Routed nodes the embed copied from the standing tree instead of
+    /// walking them: the nodes below each pristine subtree root that the
+    /// walk reached as the standing embedding did (see
+    /// [`astdme_engine::Standing`]). Deterministic for a given session
+    /// and batch; zero on a full reroute.
+    pub reused_nodes: usize,
     /// Planning rounds replayed against the recorded nearest-neighbor
     /// snapshots.
     pub replayed_rounds: usize,
@@ -187,11 +204,17 @@ pub struct EcoStats {
 }
 
 /// Everything a flush needs to replay the standing route: the routed
-/// (regrouped) instance, its merge forest, and the replay script.
+/// (regrouped) instance, its merge forest, the replay script, and where
+/// the embed put each forest node. The last lets the next flush's embed
+/// copy each subtree the replay marks pristine from the standing tree
+/// instead of walking it (see [`astdme_engine::Standing`]).
 struct Recording {
     routed: Instance,
     forest: MergeForest,
     script: MergeScript,
+    /// The standing tree's embed map; `None` when repair changed the
+    /// tree after the embed, so its wires are not the embed's.
+    embedding: Option<EmbedMap>,
 }
 
 /// A live routed instance accepting batched sink edits. See the
@@ -300,13 +323,8 @@ impl EcoSession {
                 .filter(|(a, b)| !sink_bits_equal(a, b))
                 .count()
         };
-        let (outcome, rec) = route_edited(
-            &self.plan,
-            self.rec.as_ref(),
-            &edited,
-            structural,
-            &mut stats,
-        )?;
+        let standing = self.rec.as_ref().map(|rec| (rec, &self.outcome.tree));
+        let (outcome, rec) = route_edited(&self.plan, standing, &edited, structural, &mut stats)?;
         self.inst = edited;
         self.outcome = outcome;
         self.rec = rec;
@@ -406,24 +424,40 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
     ))
 }
 
-/// Routes the edited instance: replays the standing recording when the
-/// edit is not structural, and falls back to a full reroute when there is
-/// no recording or the replay declines.
+/// Routes the edited instance: replays the standing recording (and its
+/// tree, which the embed copies clean subtrees from) when the edit is not
+/// structural, and falls back to a full reroute when there is no
+/// recording or the replay declines.
 fn route_edited(
     plan: &StagePlan,
-    standing: Option<&Recording>,
+    standing: Option<(&Recording, &RoutedTree)>,
     edited: &Instance,
     structural: bool,
     stats: &mut EcoStats,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
-    if let (false, Some(rec)) = (structural, standing) {
+    if let (false, Some((rec, tree))) = (structural, standing) {
         let mut script = None;
-        let run = pipeline::run_with(edited, plan, |forest, routed| {
-            let (root, trace, replayed) = replay::replay_merges(rec, forest, routed, plan, stats)?;
-            script = Some(replayed);
-            Some((root, trace))
-        })?;
+        let run =
+            pipeline::run_with(edited, plan, |forest, routed| {
+                let replayed = replay::replay_merges(rec, forest, routed, plan, stats)?;
+                script = Some(replayed.script);
+                let standing = rec.embedding.as_ref().zip(replayed.copyable).map(
+                    |(map, (to_new, pristine))| Standing {
+                        tree,
+                        map,
+                        to_new,
+                        pristine,
+                    },
+                );
+                Some(Merged {
+                    root: replayed.root,
+                    trace: replayed.trace,
+                    record: true,
+                    standing,
+                })
+            })?;
         if let Some(run) = run {
+            stats.reused_nodes = run.reused_nodes;
             return Ok(recorded(run, script));
         }
     }
@@ -444,9 +478,13 @@ fn route_full(
     let run = pipeline::run_with(inst, plan, |forest, _| {
         let mut recording = MergeScript::for_forest(forest);
         let leaves = forest.leaves();
-        let merged = merge_until_one_traced(forest, leaves, &plan.topo, Some(&mut recording));
+        let (root, trace) =
+            merge_until_one_traced(forest, leaves, &plan.topo, Some(&mut recording));
         script = Some(recording);
-        Some(merged)
+        Some(Merged {
+            record: true,
+            ..Merged::plain(root, trace)
+        })
     })?;
     Ok(recorded(
         run.expect("fresh planning never declines"),
@@ -461,6 +499,7 @@ fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<
         routed: run.routed.into_owned(),
         forest: run.forest,
         script,
+        embedding: run.embedding,
     });
     (run.outcome, recording)
 }

@@ -16,6 +16,21 @@ const NO_POS: u32 = u32::MAX;
 /// Sentinel in the child → merge-log index: the node is never a child.
 const NO_LOG: u32 = u32::MAX;
 
+/// A replay's merge step, as the flush hands it on.
+pub(super) struct Replayed {
+    /// The surviving root.
+    pub(super) root: NodeId,
+    /// The merge loop's counters.
+    pub(super) trace: MergeTrace,
+    /// The replay's own script, in the new id space, so flushes chain.
+    pub(super) script: MergeScript,
+    /// What the embed copies clean subtrees by: the node translation
+    /// (standing node → new node) and, per new node, its standing
+    /// counterpart if the node is pristine (see [`replay_merges`]).
+    /// `None` when a fresh merge appended candidates.
+    pub(super) copyable: Option<(Vec<u32>, Vec<u32>)>,
+}
+
 /// Replays the recorded merge script against the edited instance.
 ///
 /// Per round, each active subtree is classified against the recorded
@@ -52,11 +67,19 @@ const NO_LOG: u32 = u32::MAX;
 /// flush never costs much more than two, and an edit set of any size
 /// replays as long as replaying is cheaper.
 ///
+/// **Ties.** The replay also declines when a round's scans meet an exact
+/// distance tie ([`RoundScan::tied`](super::scan::RoundScan)), whose
+/// winner the planner picks by an order the replay does not reproduce.
+///
 /// This is the flush's merge step: `forest` is the pipeline's fresh
 /// forest of `edited` (the edited instance, regrouped like the
-/// recording). Returns the surviving root, the loop's counters, and the
-/// replay's own script (in the new id space, so flushes chain), and fills
-/// `stats`' dirty, replay and visit counters. Also returns `None` when
+/// recording). Returns the surviving root, the loop's counters, the
+/// replay's own script and the tables the embed copies by (see
+/// [`Replayed`]), and fills `stats`' dirty, replay and visit counters.
+/// While it merges it marks each new node pristine or not, at no extra
+/// cost: a clean leaf is, and so is an adopted merge whose log appends
+/// nothing, whose recorded list is its creation prefix, and whose two
+/// children are pristine. Also returns `None` when
 /// the sink count drifted from the recording's, or if a round produced
 /// no entries (never the case for well-formed recordings, but cheap to
 /// guard).
@@ -66,7 +89,7 @@ pub(super) fn replay_merges(
     edited: &Instance,
     plan: &StagePlan,
     stats: &mut EcoStats,
-) -> Option<(NodeId, MergeTrace, MergeScript)> {
+) -> Option<Replayed> {
     let n = edited.sink_count();
     if n != rec.routed.sink_count() {
         return None;
@@ -83,7 +106,12 @@ pub(super) fn replay_merges(
     let leaves = forest.leaves();
     let mut out = MergeScript::for_forest(forest);
     if n == 1 {
-        return Some((leaves[0], MergeTrace::default(), out));
+        return Some(Replayed {
+            root: leaves[0],
+            trace: MergeTrace::default(),
+            script: out,
+            copyable: None,
+        });
     }
 
     let std_nodes = rec.forest.node_count();
@@ -97,6 +125,10 @@ pub(super) fn replay_merges(
             new_to_std[i] = i as u32;
         }
     }
+    // Per new node: its standing counterpart if pristine. Clean leaves
+    // are; merges are decided as they land.
+    let mut pristine = new_to_std.clone();
+    let mut appended = false;
     // Which recorded merge consumed each standing node as a child.
     let mut log_of_child: Vec<u32> = vec![NO_LOG; std_nodes];
     for (li, log) in rec.script.merges.logs().iter().enumerate() {
@@ -181,7 +213,7 @@ pub(super) fn replay_merges(
                     }
                 }
                 stats.scan_visits += scan.scan(&ForestSpace::new(forest), topo, &active, &hulls);
-                if stats.scan_visits > price {
+                if stats.scan_visits > price || scan.tied {
                     return None;
                 }
                 // Rank by the planner's (score bits, lo, hi) key and take
@@ -222,7 +254,9 @@ pub(super) fn replay_merges(
         for &(x, y) in &pairs {
             let mx = new_to_std[x];
             let my = new_to_std[y];
-            let mut adopted_as: Option<(NodeId, u32)> = None;
+            // The adopted node, its standing counterpart, and whether it
+            // shares its recorded list and appends nothing.
+            let mut adopted_as: Option<(NodeId, u32, bool)> = None;
             if mx != NO_NODE && my != NO_NODE {
                 let li = log_of_child[mx as usize];
                 if li != NO_LOG && li == log_of_child[my as usize] {
@@ -240,24 +274,35 @@ pub(super) fn replay_merges(
                             &std_to_new,
                             Some(&mut out.merges),
                         ) {
-                            adopted_as = Some((m, log.result));
+                            let shared = rec
+                                .forest
+                                .candidates(NodeId::from_index(log.result as usize))
+                                .len()
+                                == log.creation_len as usize;
+                            adopted_as = Some((m, log.result, shared && log.appends.is_empty()));
                         }
                     }
                 }
             }
             let m = match adopted_as {
-                Some((m, result)) => {
+                Some((m, result, _)) => {
                     adopted += 1;
                     std_to_new[result as usize] = m.index() as u32;
                     m
                 }
                 None => {
                     fresh += 1;
-                    forest.merge_recorded(
+                    let m = forest.merge_recorded(
                         NodeId::from_index(x),
                         NodeId::from_index(y),
                         &mut out.merges,
-                    )
+                    );
+                    appended |= out
+                        .merges
+                        .logs()
+                        .last()
+                        .is_some_and(|l| !l.appends.is_empty());
+                    m
                 }
             };
             let mk = m.index();
@@ -278,9 +323,13 @@ pub(super) fn replay_merges(
             hulls.push(forest.representative_region(m));
             if mk >= new_to_std.len() {
                 new_to_std.resize(mk + 1, NO_NODE);
+                pristine.resize(mk + 1, NO_NODE);
             }
-            if let Some((_, result)) = adopted_as {
+            if let Some((_, result, clean)) = adopted_as {
                 new_to_std[mk] = result;
+                if clean && pristine[x] != NO_NODE && pristine[y] != NO_NODE {
+                    pristine[mk] = result;
+                }
             }
         }
         trace.engine_seconds += t.seconds();
@@ -293,5 +342,10 @@ pub(super) fn replay_merges(
     stats.fresh_merges = fresh;
     stats.replayed_rounds = replayed_rounds;
     stats.planned_rounds = planned_rounds;
-    Some((NodeId::from_index(active[0]), trace, out))
+    Some(Replayed {
+        root: NodeId::from_index(active[0]),
+        trace,
+        script: out,
+        copyable: (!appended).then_some((std_to_new, pristine)),
+    })
 }

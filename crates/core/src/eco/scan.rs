@@ -84,6 +84,13 @@ pub(super) struct RoundScan {
     refresh: Vec<usize>,
     /// Positions with no standing counterpart: they may take over.
     novel: Vec<usize>,
+    /// Whether a scan met an exact distance tie: an own-neighbor scan
+    /// that found its nearest distance more than once, or a novel entry
+    /// exactly as near an inherited entry as that entry's neighbor. The
+    /// planner breaks such a tie by its own grid's ring order and
+    /// re-query hints, which the replay does not reproduce, so the replay
+    /// declines.
+    pub(super) tied: bool,
     region_bufs: [Vec<Trr>; 2],
 }
 
@@ -96,6 +103,7 @@ impl RoundScan {
         self.inherited.resize(n, false);
         self.refresh.clear();
         self.novel.clear();
+        self.tied = false;
     }
 
     /// Position `ai` inherits its recorded neighbor triple.
@@ -147,15 +155,24 @@ impl RoundScan {
         for &ai in &self.refresh {
             let rx = hulls[ai];
             let mut best: Option<(usize, f64)> = None;
+            let mut tied = false;
             for (yi, hy) in hulls.iter().enumerate() {
                 if yi == ai {
                     continue;
                 }
                 let d = rx.distance(hy);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((yi, d));
+                match best {
+                    Some((_, bd)) if d < bd => tied = false,
+                    Some((_, bd)) if d <= bd => {
+                        tied = true;
+                        continue;
+                    }
+                    Some(_) => continue,
+                    None => {}
                 }
+                best = Some((yi, d));
             }
+            self.tied |= tied;
             let (vi, rd) = best.expect("two or more active subtrees");
             let bufs = &mut self.region_bufs;
             self.nn_of[ai] = Some(scored(space, topo, bufs, active[ai], active[vi], rd));
@@ -174,6 +191,8 @@ impl RoundScan {
                 if nd < urd {
                     let bufs = &mut self.region_bufs;
                     self.nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                } else if nd <= urd {
+                    self.tied = true;
                 }
             }
         }
@@ -191,7 +210,8 @@ impl RoundScan {
         let mut grid = GridIndex::build(hulls.iter().copied().enumerate());
         let mut visits = 0u64;
         for &ai in &self.refresh {
-            let (best, v) = grid.nearest_ranked(ai, &hulls[ai]);
+            let (best, tied, v) = grid.nearest_ranked(ai, &hulls[ai]);
+            self.tied |= tied;
             visits += v as u64;
             let (vi, rd) = best.expect("two or more active subtrees");
             let bufs = &mut self.region_bufs;
@@ -201,24 +221,30 @@ impl RoundScan {
             return visits;
         }
         // A takeover needs a hull distance strictly below the victim's
-        // recorded one, so each cell is capped by its inherited entries'
-        // largest, and the walk is bounded by the largest of all.
+        // recorded one, and a tie needs an equal one, so each cell is
+        // capped one ulp past its inherited entries' largest, and the walk
+        // is bounded by the largest of all.
         let mut bound = 0.0f64;
         for (ui, nn) in self.nn_of.iter().enumerate() {
             if let (true, Some((_, urd, _))) = (self.inherited[ui], nn) {
-                grid.note_cap(&hulls[ui], *urd);
-                bound = bound.max(*urd);
+                grid.note_cap(&hulls[ui], urd.next_up());
+                bound = bound.max(urd.next_up());
             }
         }
         let (nn_of, inherited, bufs) = (&mut self.nn_of, &self.inherited, &mut self.region_bufs);
+        let tied = &mut self.tied;
         for &ci in &self.novel {
             let c = active[ci];
             visits += grid.neighbors_within_capped(ci, &hulls[ci], bound, |ui, nd| {
                 if !inherited[ui] {
                     return;
                 }
-                if nn_of[ui].is_some_and(|(_, urd, _)| nd < urd) {
-                    nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                match nn_of[ui] {
+                    Some((_, urd, _)) if nd < urd => {
+                        nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                    }
+                    Some((_, urd, _)) if nd <= urd => *tied = true,
+                    _ => {}
                 }
             }) as u64;
         }

@@ -1,13 +1,13 @@
 //! Unit tests of the ECO session that read its recording.
 
 use super::*;
-use crate::AstDme;
+use crate::{AstDme, ClockRouter};
 use astdme_engine::EngineConfig;
 
-/// Sinks scattered by a multiplicative hash over three intermingled
-/// zero-skew groups, whose conflicting windows force offset
-/// adjustment once fusion is off.
-fn scattered(n: usize) -> Instance {
+/// Sinks scattered by a multiplicative hash over `k` intermingled groups,
+/// each with skew bound `bound`. Zero-skew groups have conflicting
+/// windows that force offset adjustment once fusion is off.
+fn scattered(n: usize, k: usize, bound: f64) -> Instance {
     let sinks: Vec<Sink> = (0..n as u64)
         .map(|i| {
             let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -15,8 +15,8 @@ fn scattered(n: usize) -> Instance {
             Sink::new(Point::new(x as f64, y as f64), 1e-14)
         })
         .collect();
-    let groups = Groups::from_assignments((0..n).map(|i| i % 3).collect(), 3)
-        .and_then(|g| g.with_uniform_bound(0.0))
+    let groups = Groups::from_assignments((0..n).map(|i| i % k).collect(), k)
+        .and_then(|g| g.with_uniform_bound(bound))
         .expect("valid groups");
     Instance::new(sinks, groups, RcParams::default(), Point::new(0.0, 4500.0))
         .expect("valid instance")
@@ -29,13 +29,8 @@ fn scattered(n: usize) -> Instance {
 /// original tree.
 #[test]
 fn unfused_flush_with_appends_matches_from_scratch() {
-    let inst = scattered(120);
-    let plan = AstDme::new()
-        .with_engine(EngineConfig {
-            fuse_groups: false,
-            ..EngineConfig::default()
-        })
-        .plan();
+    let inst = scattered(120, 3, 0.0);
+    let plan = unfused().plan();
     let mut session = EcoSession::new(&inst, plan).expect("routes");
     let base = session.outcome().clone();
     let rec = session.rec.as_ref().expect("the plan records");
@@ -62,4 +57,82 @@ fn unfused_flush_with_appends_matches_from_scratch() {
     let back = session.flush().expect("flushes back");
     assert_eq!(back.tree, base.tree);
     assert_eq!(back.report, base.report);
+}
+
+/// AST-DME with group fusion off: offset adjustment appends.
+fn unfused() -> AstDme {
+    AstDme::new().with_engine(EngineConfig {
+        fuse_groups: false,
+        ..EngineConfig::default()
+    })
+}
+
+/// Chains 24 single-edit flushes on one session over `inst`: per cycle,
+/// a sink moves away, another is retuned, the first moves back and the
+/// load is restored. After every flush the standing outcome must equal a
+/// from-scratch route of the session's instance, tree and audit. Returns
+/// the nodes the flushes' embeds copied from their standing trees.
+fn chained_flushes_match_from_scratch(inst: &Instance, router: &AstDme) -> usize {
+    let mut session = EcoSession::new(inst, router.plan()).expect("routes");
+    let n = inst.sink_count();
+    let mut reused = 0;
+    for cycle in 0..6 {
+        let (s, t) = ((cycle * 37 + 11) % n, (cycle * 53 + 29) % n);
+        let (home, cap) = (inst.sinks()[s].pos, inst.sinks()[t].cap);
+        let shift = 40.0 + 30.0 * cycle as f64;
+        let away = Point::new(home.x + shift, home.y - 0.5 * shift);
+        let steps = [
+            EcoEdit::Move { sink: s, to: away },
+            EcoEdit::Retune {
+                sink: t,
+                cap: 1.5 * cap,
+            },
+            EcoEdit::Move { sink: s, to: home },
+            EcoEdit::Retune { sink: t, cap },
+        ];
+        for (step, edit) in steps.into_iter().enumerate() {
+            session.queue(edit);
+            let got = session.flush().expect("flushes").clone();
+            let want = router.route_traced(session.instance()).expect("routes");
+            assert_eq!(got.tree, want.tree, "cycle {cycle} step {step}: tree");
+            assert_eq!(got.report, want.report, "cycle {cycle} step {step}");
+            reused += session.last_flush().reused_nodes;
+        }
+    }
+    reused
+}
+
+/// A chain of flushes on a fused four-group 10 ps instance equals its
+/// from-scratch routes after every flush, and its embeds copy standing
+/// subtrees. The sinks sit off the integer lattice, so no two hull
+/// distances tie and every flush replays.
+#[test]
+fn fused_flush_chain_copies_and_matches_from_scratch() {
+    let mut inst = scattered(400, 4, 10e-12);
+    let sinks: Vec<Sink> = inst
+        .sinks()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let h = (i as u64 + 7).wrapping_mul(0xD1B5_4A32_D192_ED03);
+            let (fx, fy) = ((h >> 11) % 997, (h >> 37) % 991);
+            Sink::new(
+                Point::new(s.pos.x + fx as f64 / 997.0, s.pos.y + fy as f64 / 991.0),
+                s.cap,
+            )
+        })
+        .collect();
+    inst = Instance::new(sinks, inst.groups().clone(), *inst.rc(), inst.source()).expect("valid");
+    let reused = chained_flushes_match_from_scratch(&inst, &AstDme::new());
+    assert!(reused > 0, "the fused chain must copy standing subtrees");
+}
+
+/// The same chain on the unfused instance, whose offset adjustment
+/// appends candidates during the flushes. Its integer sink coordinates
+/// make exact distance ties, on which the replay declines (see
+/// `scan::RoundScan::tied`); declined or not, every flush must equal its
+/// from-scratch route.
+#[test]
+fn unfused_flush_chain_matches_from_scratch() {
+    chained_flushes_match_from_scratch(&scattered(120, 3, 0.0), &unfused());
 }

@@ -11,7 +11,8 @@
 //!    fresh while recording the replay script, or replay a recording
 //!    (the two ECO steps);
 //! 3. **embed** — top-down embedding of the surviving root into a
-//!    [`RoutedTree`];
+//!    [`RoutedTree`] (a replayed ECO flush copies the subtrees it shares
+//!    with the standing tree);
 //! 4. **repair** — the post-embedding skew repair pass, skipped when the
 //!    engine reports no residual;
 //! 5. **audit** — independent verification against the *original*
@@ -32,8 +33,8 @@ use std::borrow::Cow;
 
 use astdme_delay::DelayModel;
 use astdme_engine::{
-    audit, repair_group_skew, AuditReport, EngineConfig, GroupId, Groups, Instance, MergeForest,
-    NodeId, RoutedTree,
+    audit, repair_group_skew, AuditReport, EmbedMap, EngineConfig, GroupId, Groups, Instance,
+    MergeForest, NodeId, RoutedTree, Standing,
 };
 use astdme_topo::TopoConfig;
 
@@ -234,7 +235,8 @@ pub struct StagePlan {
 /// output validation fails the route.
 pub fn run(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
     let run = run_with(inst, plan, |forest, _| {
-        Some(merge_stage(forest, inst, plan))
+        let (root, trace) = merge_stage(forest, inst, plan);
+        Some(Merged::plain(root, trace))
     })?;
     Ok(run.expect("fresh planning never declines").outcome)
 }
@@ -248,6 +250,37 @@ pub(crate) struct Run<'a> {
     pub(crate) routed: Cow<'a, Instance>,
     /// The merged forest.
     pub(crate) forest: MergeForest,
+    /// Where the embed put each forest node, when the merge step asked
+    /// for it and repair left the embedded tree as it was.
+    pub(crate) embedding: Option<EmbedMap>,
+    /// Routed nodes the embed copied from a standing tree.
+    pub(crate) reused_nodes: usize,
+}
+
+/// What a merge step hands the rest of the pipeline.
+pub(crate) struct Merged<'s> {
+    /// The surviving root.
+    pub(crate) root: NodeId,
+    /// The merge loop's counters.
+    pub(crate) trace: MergeTrace,
+    /// Whether the run keeps the embed's [`EmbedMap`] (the ECO session's
+    /// routes, whose next flush copies from it).
+    pub(crate) record: bool,
+    /// A standing embedding the embed copies clean subtrees from (a
+    /// replayed ECO flush).
+    pub(crate) standing: Option<Standing<'s>>,
+}
+
+impl Merged<'_> {
+    /// A merge step's result that records nothing and copies nothing.
+    pub(crate) fn plain(root: NodeId, trace: MergeTrace) -> Self {
+        Self {
+            root,
+            trace,
+            record: false,
+            standing: None,
+        }
+    }
 }
 
 /// Runs `body` as pipeline stage `id`: times it, charges its allocations
@@ -270,13 +303,13 @@ fn stage<T>(
 /// The one pipeline body. Every route runs through it: [`run`], and the
 /// ECO session's recording routes and replayed flushes. Only the merge
 /// step varies: `merge` receives the fresh forest of the routed instance
-/// and that instance, and returns the surviving root and the loop's
-/// counters — or `None` to decline (only a replay does), which ends the
-/// run with `Ok(None)`.
-pub(crate) fn run_with<'a>(
+/// and that instance, and returns the surviving root, the loop's counters
+/// and what the embed records and copies from — or `None` to decline
+/// (only a replay does), which ends the run with `Ok(None)`.
+pub(crate) fn run_with<'a, 's>(
     inst: &'a Instance,
     plan: &StagePlan,
-    merge: impl FnOnce(&mut MergeForest, &Instance) -> Option<(NodeId, MergeTrace)>,
+    merge: impl FnOnce(&mut MergeForest, &Instance) -> Option<Merged<'s>>,
 ) -> Result<Option<Run<'a>>, RouteError> {
     let mut stats = RouteStats::default();
     let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
@@ -292,9 +325,10 @@ pub(crate) fn run_with<'a>(
     // Stage 2: merge — the merge step over a fresh forest.
     let merged = stage(StageId::Merge, &mut stats.merge, |st| {
         let mut forest = MergeForest::for_instance_with_model(&routed, model, plan.engine);
-        let Some((root, trace)) = merge(&mut forest, &routed) else {
+        let Some(merged) = merge(&mut forest, &routed) else {
             return Ok(None);
         };
+        let trace = &merged.trace;
         st.rounds = trace.rounds;
         st.merges = trace.merges;
         st.plan_seconds = trace.plan_seconds;
@@ -303,16 +337,22 @@ pub(crate) fn run_with<'a>(
         st.grid_builds = trace.grid_builds;
         st.nn_queries = trace.nn_queries;
         st.exact_distances = trace.exact_distances;
-        Ok(Some((forest, root)))
+        Ok(Some((forest, merged)))
     })?;
-    let Some((forest, root)) = merged else {
+    let Some((forest, merged)) = merged else {
         return Ok(None);
     };
 
-    // Stage 3: embed.
-    let tree = stage(StageId::Embed, &mut stats.embed, |_| {
-        Ok(forest.embed(root, routed.source()))
+    // Stage 3: embed, copying what a standing embedding lets it copy.
+    let embedded = stage(StageId::Embed, &mut stats.embed, |_| {
+        Ok(forest.embed_with(
+            merged.root,
+            routed.source(),
+            merged.standing.as_ref(),
+            merged.record,
+        ))
     })?;
+    let (tree, mut embedding) = (embedded.tree, embedded.map);
 
     // Stage 4: repair. The pass snakes leaf edges when a deep offset
     // conflict left residual skew (see [`repair_group_skew`]); on cleanly
@@ -321,6 +361,8 @@ pub(crate) fn run_with<'a>(
         if forest.residual() <= plan.engine.skew_tol {
             return Ok(tree);
         }
+        // The repaired wires are not the embed's: nothing may copy them.
+        embedding = None;
         let repaired =
             repair_group_skew(&tree, &routed, &model, plan.engine.skew_tol, REPAIR_ITERS);
         st.repair_iterations = repaired.iterations;
@@ -353,6 +395,8 @@ pub(crate) fn run_with<'a>(
         },
         routed,
         forest,
+        embedding,
+        reused_nodes: embedded.reused_nodes,
     }))
 }
 

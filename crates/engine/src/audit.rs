@@ -9,7 +9,7 @@
 
 use astdme_delay::DelayModel;
 
-use crate::{GroupId, Instance, RoutedTree};
+use crate::{Children, GroupId, Instance, RoutedTree};
 
 /// Measured electrical properties of a routed clock tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,7 @@ pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditRep
 
     // Bottom-up: subtree capacitance at each node (sink load + child wire
     // and subtree caps). Iterative post-order over the explicit tree.
-    let order = post_order(&children);
+    let order = post_order(&children, n);
     let mut cap = vec![0.0f64; n];
     let mut seen = vec![false; inst.sink_count()];
     for &i in &order {
@@ -113,11 +113,12 @@ pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditRep
         delay[i] = upstream + model.wire_delay(node.wire, cap[i]);
     }
 
-    let mut sink_delays: Vec<(usize, f64)> = tree
-        .sink_nodes()
-        .map(|(node, sink)| (sink, delay[node]))
-        .collect();
-    sink_delays.sort_by_key(|(s, _)| *s);
+    // Every sink appears exactly once (asserted above), so each slot is
+    // written once, already in sink order.
+    let mut sink_delays: Vec<(usize, f64)> = vec![(0, 0.0); inst.sink_count()];
+    for (node, sink) in tree.sink_nodes() {
+        sink_delays[sink] = (sink, delay[node]);
+    }
 
     let k = inst.groups().group_count();
     let mut lo = vec![f64::INFINITY; k];
@@ -147,8 +148,8 @@ pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditRep
 }
 
 /// Children-before-parent ordering of the tree nodes.
-fn post_order(children: &[Vec<usize>]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(children.len());
+fn post_order(children: &Children, n: usize) -> Vec<usize> {
+    let mut order = Vec::with_capacity(n);
     let mut stack = vec![(0usize, false)];
     while let Some((i, expanded)) = stack.pop() {
         if expanded {

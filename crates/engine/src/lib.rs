@@ -86,6 +86,8 @@ pub use config::EngineConfig;
 pub use delaymap::{DelayMap, DelayRange};
 pub use group::{GroupId, Groups, InstanceError};
 pub use instance::{Instance, Sink};
-pub use merge::{MergeForest, MergeLog, MergeRecording, NodeId, NO_NODE};
+pub use merge::{
+    EmbedMap, Embedding, MergeForest, MergeLog, MergeRecording, NodeId, Standing, NO_NODE,
+};
 pub use repair::{repair_group_skew, RepairOutcome};
-pub use routed::{RoutedNode, RoutedTree};
+pub use routed::{Children, RoutedNode, RoutedTree};

@@ -1,11 +1,129 @@
 //! Top-down embedding: turning a finished merge forest root into a routed
 //! tree by walking candidate provenance.
+//!
+//! The walk is pre-order, so every subtree lands in one contiguous range
+//! of the tree, and what it writes for a subtree depends only on the
+//! subtree's candidate lists, the candidate chosen at its root and the
+//! root's point. An embedding can therefore record where it put each
+//! forest node ([`EmbedMap`]), and a later embedding of a forest that
+//! shares whole subtrees with it ([`Standing`], an ECO flush's standing
+//! route) copies those subtrees' ranges instead of walking them again.
 
 use astdme_geom::Point;
 
 use crate::{CandKind, MergeForest, RoutedNode, RoutedTree};
 
-use super::NodeId;
+use super::{NodeId, NO_NODE};
+
+/// Where an embedding put each forest node: the side table a later
+/// embedding copies clean subtrees from (see [`Standing`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EmbedMap {
+    /// Per routed node, in tree order: its forest node and the candidate
+    /// the walk chose there.
+    origin: Vec<(u32, u32)>,
+    /// Per forest node: its routed index, or [`NO_NODE`] for a node
+    /// outside the embedded subtree.
+    routed_of: Vec<u32>,
+}
+
+impl EmbedMap {
+    fn note(&mut self, node: usize, cand: usize, routed: usize) {
+        debug_assert_eq!(self.origin.len(), routed, "notes follow tree order");
+        self.origin.push((node as u32, cand as u32));
+        self.routed_of[node] = routed as u32;
+    }
+}
+
+/// The standing embedding of an earlier forest, which an embedding of
+/// this forest may copy subtrees from.
+///
+/// A subtree is copied when its root is *pristine* and the walk reaches
+/// it with the candidate index and the point bits the standing embedding
+/// recorded for its counterpart: only its root's parent and wire come
+/// from the walk, and the rest of its range is the standing tree's, with
+/// parent indices shifted. Pristine is the caller's guarantee that every
+/// candidate the walk could read in the subtree is bit-identical to its
+/// counterpart's, at the same list positions; the ECO replay grants it
+/// to clean leaves and to adopted merges that share their recorded list,
+/// appended to nothing, over two pristine children.
+#[derive(Debug, Clone)]
+pub struct Standing<'a> {
+    /// The standing routed tree, exactly as the embedding that wrote
+    /// `map` produced it (no repair since).
+    pub tree: &'a RoutedTree,
+    /// The standing embedding's side table.
+    pub map: &'a EmbedMap,
+    /// Per node of the standing forest: this forest's counterpart, or
+    /// [`NO_NODE`]. Every node of a pristine subtree has one.
+    pub to_new: Vec<u32>,
+    /// Per node of this forest: its standing counterpart if the node is
+    /// pristine, [`NO_NODE`] otherwise.
+    pub pristine: Vec<u32>,
+}
+
+impl Standing<'_> {
+    /// The standing routed index of `nid`'s counterpart, when the walk
+    /// reaches `nid` exactly as the standing embedding reached it.
+    fn copy_source(&self, nid: usize, cidx: usize, pos: Point) -> Option<usize> {
+        // `NO_NODE` indexes past every table, so `get` filters it out.
+        let std = *self.pristine.get(nid)?;
+        let r = *self.map.routed_of.get(std as usize)?;
+        if r == NO_NODE {
+            return None;
+        }
+        let r = r as usize;
+        let was = self.tree.nodes()[r].pos;
+        let same = self.map.origin[r].1 as usize == cidx
+            && was.x.to_bits() == pos.x.to_bits()
+            && was.y.to_bits() == pos.y.to_bits();
+        same.then_some(r)
+    }
+
+    /// Appends the standing subtree below routed node `r` (its
+    /// descendants, a pre-order range) under the node just placed at
+    /// `me`, noting each copied node in `map` under its new forest id.
+    /// Returns the number of nodes copied.
+    fn copy_below(
+        &self,
+        r: usize,
+        me: usize,
+        nodes: &mut Vec<RoutedNode>,
+        map: Option<&mut EmbedMap>,
+    ) -> usize {
+        let start = nodes.len();
+        // In pre-order the subtree of `r` ends at the first node whose
+        // parent precedes `r`.
+        let rest = &self.tree.nodes()[r + 1..];
+        let copied = rest
+            .iter()
+            .position(|n| n.parent.is_none_or(|p| p < r))
+            .unwrap_or(rest.len());
+        nodes.extend(rest[..copied].iter().map(|n| RoutedNode {
+            parent: n.parent.map(|p| p - r + me),
+            ..*n
+        }));
+        if let Some(map) = map {
+            for (k, &(std, cand)) in self.map.origin[r + 1..r + 1 + copied].iter().enumerate() {
+                let new = self.to_new[std as usize];
+                debug_assert!(new != NO_NODE, "a pristine subtree maps whole");
+                map.note(new as usize, cand as usize, start + k);
+            }
+        }
+        copied
+    }
+}
+
+/// The result of [`MergeForest::embed_with`].
+#[derive(Debug, Clone)]
+pub struct Embedding {
+    /// The routed tree.
+    pub tree: RoutedTree,
+    /// Where each forest node went, when asked for.
+    pub map: Option<EmbedMap>,
+    /// Routed nodes copied from the standing tree instead of walked.
+    pub reused_nodes: usize,
+}
 
 impl MergeForest {
     /// Top-down embedding: turns the finished subtree `root` into a routed
@@ -20,6 +138,24 @@ impl MergeForest {
     ///
     /// Panics if `root` is stale.
     pub fn embed(&self, root: NodeId, source: Point) -> RoutedTree {
+        self.embed_with(root, source, None, false).tree
+    }
+
+    /// [`MergeForest::embed`] that copies every subtree `standing` lets it
+    /// copy instead of walking it, and returns the [`EmbedMap`] of the new
+    /// tree when `record` is set. The tree is the one `embed` returns,
+    /// bit for bit, provided `standing` keeps its pristine guarantee.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is stale.
+    pub fn embed_with(
+        &self,
+        root: NodeId,
+        source: Point,
+        standing: Option<&Standing<'_>>,
+        record: bool,
+    ) -> Embedding {
         // Choose the root candidate. total_cmp: a poisoned (NaN) cost must
         // lose deterministically to every finite one, not panic here.
         let (best_idx, _) = self
@@ -30,7 +166,12 @@ impl MergeForest {
             .min_by(|x, y| x.1.total_cmp(&y.1))
             .expect("nodes always keep at least one candidate");
 
-        let mut nodes: Vec<RoutedNode> = Vec::new();
+        let mut nodes: Vec<RoutedNode> = Vec::with_capacity(self.nodes.len());
+        let mut map = record.then(|| EmbedMap {
+            origin: Vec::with_capacity(self.nodes.len()),
+            routed_of: vec![NO_NODE; self.nodes.len()],
+        });
+        let mut reused_nodes = 0;
         // Stack of (forest node, candidate index, parent routed index,
         // electrical wire to parent, parent point).
         let root_cand = &self.list(root)[best_idx];
@@ -44,14 +185,23 @@ impl MergeForest {
         )];
         while let Some((nid, cidx, parent, wire, pos)) = stack.pop() {
             let me = nodes.len();
-            let cand = &self.list(nid)[cidx];
             nodes.push(RoutedNode {
                 pos,
                 parent,
                 wire,
                 sink: self.nodes[nid.0].sink(),
             });
+            if let Some(map) = map.as_mut() {
+                map.note(nid.0, cidx, me);
+            }
+            if let Some(std) = standing {
+                if let Some(r) = std.copy_source(nid.0, cidx, pos) {
+                    reused_nodes += std.copy_below(r, me, &mut nodes, map.as_mut());
+                    continue;
+                }
+            }
             if let Some((a, b)) = self.nodes[nid.0].children() {
+                let cand = &self.list(nid)[cidx];
                 let CandKind {
                     cand_a,
                     cand_b,
@@ -77,6 +227,10 @@ impl MergeForest {
                 stack.push((b, cand_b, Some(me), eb, pb));
             }
         }
-        RoutedTree::new(source, nodes)
+        Embedding {
+            tree: RoutedTree::new(source, nodes),
+            map,
+            reused_nodes,
+        }
     }
 }

@@ -115,6 +115,7 @@ mod offset;
 mod pairing;
 mod record;
 
+pub use embed::{EmbedMap, Embedding, Standing};
 pub use node::NodeId;
 pub use record::{MergeLog, MergeRecording, NO_NODE};
 

@@ -22,6 +22,24 @@ pub struct RoutedNode {
     pub sink: Option<usize>,
 }
 
+/// The children adjacency of a [`RoutedTree`] in one compressed layout:
+/// `children[i]` is the slice of node `i`'s children, ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Children {
+    /// `list[offsets[i]..offsets[i + 1]]` are node `i`'s children.
+    offsets: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl std::ops::Index<usize> for Children {
+    type Output = [usize];
+
+    #[inline]
+    fn index(&self, i: usize) -> &[usize] {
+        &self.list[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// A routed clock tree: the output of top-down embedding.
 ///
 /// Node 0 is always the tree root; every other node's `parent` points to an
@@ -86,15 +104,27 @@ impl RoutedTree {
     }
 
     /// Children adjacency: `children[i]` lists the node indices whose
-    /// parent is `i`.
-    pub fn children(&self) -> Vec<Vec<usize>> {
-        let mut ch = vec![Vec::new(); self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
-                ch[p].push(i);
+    /// parent is `i`, in ascending order.
+    pub fn children(&self) -> Children {
+        let n = self.nodes.len();
+        // Counting sort by parent: count, prefix-sum, then place in
+        // ascending child order.
+        let mut offsets = vec![0usize; n + 1];
+        for p in self.nodes.iter().filter_map(|node| node.parent) {
+            offsets[p + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut list = vec![0usize; n.saturating_sub(1)];
+        for (i, node) in self.nodes.iter().enumerate() {
+            if let Some(p) = node.parent {
+                list[next[p]] = i;
+                next[p] += 1;
             }
         }
-        ch
+        Children { offsets, list }
     }
 
     /// Sum of snaking detour lengths: routed wire beyond the Manhattan

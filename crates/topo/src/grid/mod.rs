@@ -89,9 +89,6 @@ struct Cell {
 
 mod query;
 
-#[cfg(test)]
-mod tests;
-
 /// Converts a slot offset to the cells' `u32` width.
 fn slot(i: usize) -> u32 {
     u32::try_from(i).expect("grid index holds at most u32::MAX slots")
@@ -316,3 +313,6 @@ impl GridIndex {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -50,8 +50,9 @@ impl GridIndex {
     }
 
     /// The nearest other item to `region` (excluding `key` itself), with
-    /// exact distance ties going to the **smallest key**, plus the number
-    /// of items whose distance the query measured.
+    /// exact distance ties going to the **smallest key**, whether another
+    /// item ties it, and the number of items whose distance the query
+    /// measured.
     ///
     /// Unlike [`GridIndex::nearest`], whose ties follow the ring visit
     /// order, the answer here is a function of the item set alone: it is
@@ -61,11 +62,12 @@ impl GridIndex {
     /// "first in list order wins" rule. Cells are pruned only when they
     /// lie strictly farther than the best distance found, so an equally
     /// near item with a smaller key is never skipped.
-    pub fn nearest_ranked(&self, key: usize, region: &Trr) -> (Option<(usize, f64)>, usize) {
+    pub fn nearest_ranked(&self, key: usize, region: &Trr) -> (Option<(usize, f64)>, bool, usize) {
         let mut best: Option<(usize, f64)> = None;
+        let mut tied = false;
         let mut visits = 0usize;
         if self.len <= 1 {
-            return (None, 0);
+            return (None, false, 0);
         }
         self.ring_walk(region, f64::INFINITY, |items, _, _| {
             for (k, t) in items {
@@ -74,16 +76,24 @@ impl GridIndex {
                 }
                 visits += 1;
                 let d = region.distance(t);
-                let better = best.is_none_or(|(bk, bd)| d < bd || (d <= bd && *k < bk));
-                if better {
-                    best = Some((*k, d));
+                match best {
+                    Some((_, bd)) if d < bd => tied = false,
+                    Some((bk, bd)) if d <= bd => {
+                        tied = true;
+                        if bk < *k {
+                            continue;
+                        }
+                    }
+                    Some(_) => continue,
+                    None => {}
                 }
+                best = Some((*k, d));
             }
             // The walk skips cells whose lower bound reaches the horizon;
             // one ulp past the best keeps cells that could tie it.
             best.map_or(f64::INFINITY, |(_, d)| d.next_up())
         });
-        (best, visits)
+        (best, tied, visits)
     }
 
     /// The nearest item other than `key` strictly closer than `horizon`,

@@ -348,7 +348,8 @@ proptest! {
 
     /// The key-ranked nearest query equals a linear scan in key order
     /// that keeps the first strict minimum, excluding the query item
-    /// itself. Integer-coordinate points and dilated hulls on a small
+    /// itself, and reports a tie exactly when another item lies at the
+    /// same distance. Integer-coordinate points and dilated hulls on a small
     /// lattice make exact distance ties common.
     #[test]
     fn ranked_nearest_matches_the_first_in_key_order(seed in any::<u64>()) {
@@ -368,14 +369,19 @@ proptest! {
         by_key.sort_by_key(|&(k, _)| k);
         for &(key, region) in &items {
             let mut want: Option<(usize, f64)> = None;
+            let mut ties = 0;
             for &(k, t) in &by_key {
                 let d = region.distance(&t);
                 if k != key && want.is_none_or(|(_, bd)| d < bd) {
                     want = Some((k, d));
+                    ties = 0;
+                } else if k != key && want.is_some_and(|(_, bd)| d <= bd) {
+                    ties += 1;
                 }
             }
-            let (got, visits) = idx.nearest_ranked(key, &region);
+            let (got, tied, visits) = idx.nearest_ranked(key, &region);
             prop_assert_eq!(got, want, "query {}", key);
+            prop_assert_eq!(tied, ties > 0, "query {}", key);
             prop_assert!(visits < n, "{} visits over {} items", visits, n);
         }
     }

@@ -105,8 +105,6 @@ mod pairs;
 mod points;
 mod refresh;
 mod tail;
-#[cfg(test)]
-mod tests;
 
 use arena::RegionArena;
 use entry::{Entry, Nn};
@@ -497,3 +495,6 @@ impl MergePlanner {
         self.round_new = fresh;
     }
 }
+
+#[cfg(test)]
+mod tests;

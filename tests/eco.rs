@@ -147,6 +147,7 @@ fn flush_matches_from_scratch_across_thread_counts() {
         );
         assert_eq!(fs.dirty_sinks, 3, "threads={threads}");
         assert!(fs.replayed_rounds > 0, "threads={threads}");
+        assert!(fs.reused_nodes > 0, "threads={threads}: {fs:?}");
 
         // Second flush: the replay must have produced a valid recording
         // of its own (replay-of-replay).
@@ -183,7 +184,9 @@ fn flush_checked(inst: &Instance, edits: &[EcoEdit]) -> EcoStats {
 /// early rounds keep re-scanning stale neighbors) still replays: the
 /// price a replay must stay under is a from-scratch route's, whatever
 /// the edit count, and this flush's scans stay far below it. Its visit
-/// count is deterministic and pinned.
+/// count is deterministic and pinned, and so are the routed nodes its
+/// embed copies from the standing tree: the one adopted merge's two
+/// leaves.
 #[test]
 fn long_one_sink_replay_stays_under_the_price() {
     let _lock = override_lock();
@@ -198,6 +201,7 @@ fn long_one_sink_replay_stays_under_the_price() {
     assert!(!fs.full_reroute, "must replay: {fs:?}");
     assert_eq!(fs.dirty_sinks, 1);
     assert_eq!(fs.scan_visits, 77_921, "{fs:?}");
+    assert_eq!(fs.reused_nodes, 2, "{fs:?}");
 }
 
 /// A 32-sink batch leaves the early replayed rounds dozens of subtrees
