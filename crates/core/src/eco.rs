@@ -1,5 +1,5 @@
 //! Incremental ECO re-routing: batched sink edits with dirty-region
-//! re-planning, sublinear in the instance size.
+//! re-planning.
 //!
 //! Late engineering-change orders (ECOs) move a handful of flip-flops,
 //! retune a few loads, or swap a cell — and the clock tree must follow.
@@ -15,7 +15,7 @@
 //!  │  edits,  │   │               ancestors lose adoption rights │
 //!  │  write-  │   │ 3. re-plan   replay recorded rounds; fresh   │
 //!  │  only)   │   │               NN scans only for novel nodes  │
-//!  │          │   │ 4. splice    adopted merges share recorded   │
+//!  │          │   │ 4. splice    adopted merges take recorded    │
 //!  └──────────┘   │               lists, dirty cone re-merged;   │
 //!                 │               embed copies clean subtrees    │
 //!                 │               from the standing tree and     │
@@ -45,7 +45,7 @@
 //! * Selected pairs whose children both map onto a recorded merge (same
 //!   log, same orientation) are **adopted**:
 //!   [`MergeForest::adopt_merge`](astdme_engine::MergeForest::adopt_merge)
-//!   shares the recorded result's candidate list instead of re-running
+//!   takes the recorded result's candidate list instead of re-running
 //!   candidate-pair expansion. Everything else is merged fresh
 //!   (bit-correct by construction).
 //!
@@ -55,11 +55,29 @@
 //! audit, and the fault checkpoints between stages are the pipeline's
 //! own, and a flushed session is
 //! **bit-identical to a from-scratch route of the edited instance** —
-//! same tree, same audit report, at every thread count. Update latency
-//! is sublinear in `n` for small edit sets: inherited entries cost `O(1)`
-//! each, and the fresh scans of a round run as linear sweeps when there
-//! are few of them and over one grid of the round's subtrees when there
-//! are many.
+//! same tree, same audit report, at every thread count.
+//!
+//! The scans are sublinear in `n` for small edit sets: inherited entries
+//! cost `O(1)` each, and the fresh scans of a round run as linear sweeps
+//! when there are few of them and over one grid of the round's subtrees
+//! when there are many. The rest of a flush is linear in `n`, with small
+//! constants: each replayed round ranks all its active entries, every
+//! clean merge is adopted one by one, the embed copies each clean
+//! subtree's range, and the audit reads every routed node. So update
+//! latency is linear in `n` for any edit set; a one-sink move at
+//! n = 16 000 costs about a seventh of a from-scratch route.
+//!
+//! # A flush consumes its recording
+//!
+//! The standing recording serves exactly one flush. The flush takes it
+//! out of the session before it routes, and adoption moves each clean
+//! merge's candidate list out of the recorded forest into the new one
+//! instead of sharing it: the old forest is thrown away after the flush,
+//! so sharing would only cost a reference count per list, once to take
+//! it and once to drop it. A successful flush leaves its own recording
+//! for the next. A flush that fails while routing leaves the session's
+//! outcome as it was but no recording, and the next flush reroutes from
+//! scratch and records again.
 //!
 //! # When a flush reroutes instead
 //!
@@ -207,7 +225,8 @@ pub struct EcoStats {
 /// (regrouped) instance, its merge forest, the replay script, and where
 /// the embed put each forest node. The last lets the next flush's embed
 /// copy each subtree the replay marks pristine from the standing tree
-/// instead of walking it (see [`astdme_engine::Standing`]).
+/// instead of walking it (see [`astdme_engine::Standing`]). One flush
+/// consumes it: the replay takes candidate lists out of its forest.
 struct Recording {
     routed: Instance,
     forest: MergeForest,
@@ -288,7 +307,12 @@ impl EcoSession {
     ///
     /// Returns [`RouteError::BadParameter`] for an out-of-range sink index
     /// or unknown group, and propagates routing errors. A failed flush
-    /// discards the batch and leaves the standing route unchanged.
+    /// discards the batch and leaves the standing route unchanged. A flush
+    /// that fails while routing (a stage error or an injected fault) has
+    /// already consumed the session's recording, which its replay takes
+    /// candidate lists from: the session keeps its outcome but no
+    /// recording, so the next flush reroutes from scratch
+    /// ([`EcoStats::full_reroute`]) and records again.
     pub fn flush(&mut self) -> Result<&RouteOutcome, RouteError> {
         let t0 = Stopwatch::start();
         let edits = std::mem::take(&mut self.queue);
@@ -323,7 +347,10 @@ impl EcoSession {
                 .filter(|(a, b)| !sink_bits_equal(a, b))
                 .count()
         };
-        let standing = self.rec.as_ref().map(|rec| (rec, &self.outcome.tree));
+        // The flush consumes the recording: the replay moves candidate
+        // lists out of it, and a successful flush records afresh.
+        let mut standing = self.rec.take();
+        let standing = standing.as_mut().map(|rec| (rec, &self.outcome.tree));
         let (outcome, rec) = route_edited(&self.plan, standing, &edited, structural, &mut stats)?;
         self.inst = edited;
         self.outcome = outcome;
@@ -430,7 +457,7 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
 /// recording or the replay declines.
 fn route_edited(
     plan: &StagePlan,
-    standing: Option<(&Recording, &RoutedTree)>,
+    standing: Option<(&mut Recording, &RoutedTree)>,
     edited: &Instance,
     structural: bool,
     stats: &mut EcoStats,
@@ -439,8 +466,11 @@ fn route_edited(
         let mut script = None;
         let run =
             pipeline::run_with(edited, plan, |forest, routed| {
-                let replayed = replay::replay_merges(rec, forest, routed, plan, stats)?;
+                let replayed = replay::replay_merges(&mut *rec, forest, routed, plan, stats)?;
                 script = Some(replayed.script);
+                // The replay is done taking lists; the embed reads the
+                // recording's map for the rest of the run.
+                let rec: &Recording = rec;
                 let standing = rec.embedding.as_ref().zip(replayed.copyable).map(
                     |(map, (to_new, pristine))| Standing {
                         tree,

@@ -16,6 +16,15 @@ const NO_POS: u32 = u32::MAX;
 /// Sentinel in the child → merge-log index: the node is never a child.
 const NO_LOG: u32 = u32::MAX;
 
+/// How many ranked keys a round with pair limit `limit` sorts first (see
+/// [`select_ranked`]): 2.5 per pair. Pair selection walks about 1.4 keys
+/// per pair it takes at n = 16 000. On eco-k1's design the prefix ran
+/// out in about one flush in four, always in a round of fewer than 160
+/// entries, where sorting the rest costs little.
+pub(super) fn prefix_len(limit: usize) -> usize {
+    limit.saturating_mul(5) / 2
+}
+
 /// A replay's merge step, as the flush hands it on.
 pub(super) struct Replayed {
     /// The surviving root.
@@ -53,9 +62,11 @@ pub(super) struct Replayed {
 /// fewer visits (see [`super::scan`]). Pair selection then ranks every
 /// entry by the planner's `(score bits, lo, hi)` key and takes disjoint
 /// pairs up to the round limit — the planner's exact selection
-/// semantics. Selected pairs whose children both map onto one recorded
-/// merge (same orientation) are adopted bit-for-bit; the rest merge
-/// fresh.
+/// semantics, though only the keys that can reach the limit are sorted
+/// (see [`select_ranked`]). Selected pairs whose children both map onto
+/// one recorded merge (same orientation) are adopted bit-for-bit, taking
+/// the recorded list where it is the creation prefix (see
+/// [`MergeForest::adopt_merge`]); the rest merge fresh.
 ///
 /// **Price.** The scans are charged the visits (hull-distance
 /// evaluations) they make, and the total lands in
@@ -73,32 +84,39 @@ pub(super) struct Replayed {
 ///
 /// This is the flush's merge step: `forest` is the pipeline's fresh
 /// forest of `edited` (the edited instance, regrouped like the
-/// recording). Returns the surviving root, the loop's counters, the
-/// replay's own script and the tables the embed copies by (see
-/// [`Replayed`]), and fills `stats`' dirty, replay and visit counters.
-/// While it merges it marks each new node pristine or not, at no extra
-/// cost: a clean leaf is, and so is an adopted merge whose log appends
-/// nothing, whose recorded list is its creation prefix, and whose two
-/// children are pristine. Also returns `None` when
-/// the sink count drifted from the recording's, or if a round produced
-/// no entries (never the case for well-formed recordings, but cheap to
+/// recording). It consumes `rec`: adoptions move candidate lists out of
+/// the recorded forest, so a recording serves one flush. Returns the
+/// surviving root, the loop's counters, the replay's own script and the
+/// tables the embed copies by (see [`Replayed`]), and fills `stats`'
+/// dirty, replay and visit counters. While it merges it marks each new
+/// node pristine or not, at no extra cost: a clean leaf is, and so is an
+/// adopted merge whose log appends nothing, that took its recorded list,
+/// and whose two children are pristine. Also returns `None` when the
+/// sink count drifted from the recording's, or if a round produced no
+/// entries (never the case for well-formed recordings, but cheap to
 /// guard).
 pub(super) fn replay_merges(
-    rec: &Recording,
+    rec: &mut Recording,
     forest: &mut MergeForest,
     edited: &Instance,
     plan: &StagePlan,
     stats: &mut EcoStats,
 ) -> Option<Replayed> {
+    let Recording {
+        routed,
+        forest: std_forest,
+        script,
+        ..
+    } = rec;
     let n = edited.sink_count();
-    if n != rec.routed.sink_count() {
+    if n != routed.sink_count() {
         return None;
     }
     // The dirty set: sinks whose bits changed.
     let dirty: Vec<bool> = edited
         .sinks()
         .iter()
-        .zip(rec.routed.sinks())
+        .zip(routed.sinks())
         .map(|(a, b)| !sink_bits_equal(a, b))
         .collect();
     stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
@@ -114,11 +132,16 @@ pub(super) fn replay_merges(
         });
     }
 
-    let std_nodes = rec.forest.node_count();
+    // A binary forest over `n` leaves ends with 2n − 1 nodes: the new
+    // forest's tables are sized for all of them up front (`out` already
+    // holds room for the n − 1 merge logs).
+    let nodes = 2 * n - 1;
+    out.rounds.reserve(script.rounds.len());
+    let std_nodes = std_forest.node_count();
     // Bidirectional node translation: clean leaves map index-for-index;
     // adopted merges extend the maps as they land.
     let mut std_to_new: Vec<u32> = vec![NO_NODE; std_nodes];
-    let mut new_to_std: Vec<u32> = vec![NO_NODE; n];
+    let mut new_to_std: Vec<u32> = vec![NO_NODE; nodes];
     for i in 0..n {
         if !dirty[i] {
             std_to_new[i] = i as u32;
@@ -131,7 +154,7 @@ pub(super) fn replay_merges(
     let mut appended = false;
     // Which recorded merge consumed each standing node as a child.
     let mut log_of_child: Vec<u32> = vec![NO_LOG; std_nodes];
-    for (li, log) in rec.script.merges.logs().iter().enumerate() {
+    for (li, log) in script.merges.logs().iter().enumerate() {
         log_of_child[log.a as usize] = li as u32;
         log_of_child[log.b as usize] = li as u32;
     }
@@ -148,13 +171,13 @@ pub(super) fn replay_merges(
         .iter()
         .map(|&l| forest.representative_region(l))
         .collect();
-    let mut pos: Vec<u32> = vec![NO_POS; n];
+    let mut pos: Vec<u32> = vec![NO_POS; nodes];
     for (i, &k) in active.iter().enumerate() {
         pos[k] = i as u32;
     }
     // Per-round planning buffers, cleared and reused every replayed round.
     let mut scan = RoundScan::default();
-    let mut ranked: Vec<(u64, u32, u32)> = Vec::new();
+    let mut ranked: Vec<u128> = Vec::with_capacity(n);
 
     let mut trace = MergeTrace::default();
     let (mut adopted, mut fresh) = (0usize, 0usize);
@@ -164,8 +187,7 @@ pub(super) fn replay_merges(
     let mut round_idx = 0usize;
     while active.len() > 1 {
         let n_present = active.len();
-        let snap = rec
-            .script
+        let snap = script
             .rounds
             .get(round_idx)
             .and_then(Option::as_ref)
@@ -217,22 +239,14 @@ pub(super) fn replay_merges(
                     return None;
                 }
                 // Rank by the planner's (score bits, lo, hi) key and take
-                // disjoint pairs up to the round limit. Node indices fit
-                // `u32` (the forest packs its ids so), which keeps the keys
-                // small to sort.
-                let key = |i: usize| u32::try_from(i).expect("node indices fit u32");
+                // disjoint pairs up to the round limit.
                 ranked.clear();
                 for (ai, &x) in active.iter().enumerate() {
                     let (v, _, score) = scan.nn_of[ai]?;
                     let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                    ranked.push((score, key(lo), key(hi)));
+                    ranked.push(rank_key(score, lo, hi));
                 }
-                ranked.sort_unstable();
-                ranked.dedup();
-                let pairs = select_disjoint(
-                    ranked.iter().map(|&(_, a, b)| (a as usize, b as usize)),
-                    round_limit(topo.order, n_present),
-                );
+                let pairs = select_ranked(&mut ranked, round_limit(topo.order, n_present));
                 if pairs.is_empty() {
                     return None;
                 }
@@ -255,31 +269,26 @@ pub(super) fn replay_merges(
             let mx = new_to_std[x];
             let my = new_to_std[y];
             // The adopted node, its standing counterpart, and whether it
-            // shares its recorded list and appends nothing.
+            // took its recorded list and appends nothing.
             let mut adopted_as: Option<(NodeId, u32, bool)> = None;
             if mx != NO_NODE && my != NO_NODE {
                 let li = log_of_child[mx as usize];
                 if li != NO_LOG && li == log_of_child[my as usize] {
-                    let log = &rec.script.merges.logs()[li as usize];
+                    let log = &script.merges.logs()[li as usize];
                     // Orientation matters: merge(a, b) != merge(b, a) in
                     // candidate layout, so only the recorded orientation
                     // reproduces what a from-scratch run would execute.
                     if log.a == mx && log.b == my {
-                        if let Some(m) = forest.adopt_merge(
+                        if let Some((m, taken)) = forest.adopt_merge(
                             NodeId::from_index(x),
                             NodeId::from_index(y),
-                            &rec.forest,
+                            std_forest,
                             log,
-                            &rec.script.merges,
+                            &script.merges,
                             &std_to_new,
                             Some(&mut out.merges),
                         ) {
-                            let shared = rec
-                                .forest
-                                .candidates(NodeId::from_index(log.result as usize))
-                                .len()
-                                == log.creation_len as usize;
-                            adopted_as = Some((m, log.result, shared && log.appends.is_empty()));
+                            adopted_as = Some((m, log.result, taken && log.appends.is_empty()));
                         }
                     }
                 }
@@ -315,16 +324,9 @@ pub(super) fn replay_merges(
                     pos[active[i]] = i as u32;
                 }
             }
-            if mk >= pos.len() {
-                pos.resize(mk + 1, NO_POS);
-            }
             pos[mk] = active.len() as u32;
             active.push(mk);
             hulls.push(forest.representative_region(m));
-            if mk >= new_to_std.len() {
-                new_to_std.resize(mk + 1, NO_NODE);
-                pristine.resize(mk + 1, NO_NODE);
-            }
             if let Some((_, result, clean)) = adopted_as {
                 new_to_std[mk] = result;
                 if clean && pristine[x] != NO_NODE && pristine[y] != NO_NODE {
@@ -348,4 +350,43 @@ pub(super) fn replay_merges(
         script: out,
         copyable: (!appended).then_some((std_to_new, pristine)),
     })
+}
+
+/// The ranking key `(score bits, lo, hi)` packed into one `u128`, which
+/// orders exactly as the tuple does. Node indices fit `u32` (the forest
+/// packs its ids so).
+pub(super) fn rank_key(score: u64, lo: usize, hi: usize) -> u128 {
+    let key = |i: usize| u128::from(u32::try_from(i).expect("node indices fit u32"));
+    u128::from(score) << 64 | key(lo) << 32 | key(hi)
+}
+
+/// Takes up to `limit` endpoint-disjoint pairs from the packed `ranked`
+/// keys, best first: the pairs [`select_disjoint`] takes from all of
+/// them sorted. Only the [`prefix_len`] smallest keys are selected and
+/// sorted; when the walk runs out of that prefix before the limit, the
+/// rest is sorted and the walk runs again over the whole list. A key
+/// ranked twice (two mutual nearest neighbors) needs no dedup: the walk
+/// rejects its second copy, whose endpoints its first copy took or found
+/// taken.
+pub(super) fn select_ranked(ranked: &mut [u128], limit: usize) -> Vec<(usize, usize)> {
+    let pairs = |keys: &[u128]| {
+        select_disjoint(
+            keys.iter()
+                .map(|&k| ((k >> 32) as u32 as usize, k as u32 as usize)),
+            limit,
+        )
+    };
+    let head = prefix_len(limit);
+    if head < ranked.len() {
+        ranked.select_nth_unstable(head);
+        ranked[..head].sort_unstable();
+        let taken = pairs(&ranked[..head]);
+        if taken.len() == limit {
+            return taken;
+        }
+        ranked[head..].sort_unstable();
+    } else {
+        ranked.sort_unstable();
+    }
+    pairs(ranked)
 }

@@ -136,3 +136,70 @@ fn fused_flush_chain_copies_and_matches_from_scratch() {
 fn unfused_flush_chain_matches_from_scratch() {
     chained_flushes_match_from_scratch(&scattered(120, 3, 0.0), &unfused());
 }
+
+/// The replay's pair selection, which sorts only a prefix of the packed
+/// keys, takes exactly the pairs the planner's full sort + dedup takes:
+/// over exact score ties, mutual neighbors ranked twice, limits 1, the
+/// multi-merge quarter and n/2, and prefixes that run out before the
+/// limit (hub neighbors, where most keys share an endpoint).
+#[test]
+fn select_ranked_matches_the_full_sort_and_dedup() {
+    use astdme_topo::{score_bits, select_disjoint};
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+
+    let (mut fell_back, mut stayed) = (0, 0);
+    for seed in 0..600u64 {
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        let n = rng.random_range(2..400);
+        // Few distinct scores force exact ties; few hubs force fallbacks.
+        let scores: Vec<u64> = (0..rng.random_range(1..12))
+            .map(|_| score_bits(rng.random_range(0.0..1e4)))
+            .collect();
+        let hubs = [1, 3, n][rng.random_range(0..3)].min(n - 1);
+        let mut keys: Vec<(u64, u32, u32)> = Vec::new();
+        for x in 0..n {
+            let v = (x + 1 + rng.random_range(0..hubs)) % n;
+            let (lo, hi) = (x.min(v) as u32, x.max(v) as u32);
+            let score = scores[rng.random_range(0..scores.len())];
+            keys.push((score, lo, hi));
+            if rng.random_range(0..3) == 0 {
+                keys.push((score, lo, hi));
+            }
+        }
+        for limit in [1, n.div_ceil(4), n / 2] {
+            let limit = limit.max(1);
+            let mut want = keys.clone();
+            want.sort_unstable();
+            want.dedup();
+            let want = select_disjoint(
+                want.iter().map(|&(_, a, b)| (a as usize, b as usize)),
+                limit,
+            );
+            let mut packed: Vec<u128> = keys
+                .iter()
+                .map(|&(s, lo, hi)| replay::rank_key(s, lo as usize, hi as usize))
+                .collect();
+            let got = replay::select_ranked(&mut packed, limit);
+            assert_eq!(got, want, "seed {seed}, n {n}, limit {limit}");
+            // Whether the sorted prefix alone ran out before the limit.
+            let head = replay::prefix_len(limit);
+            if head < keys.len() {
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                let prefix = sorted[..head]
+                    .iter()
+                    .map(|&(_, a, b)| (a as usize, b as usize));
+                if select_disjoint(prefix, limit).len() < limit {
+                    fell_back += 1;
+                } else {
+                    stayed += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        fell_back > 20 && stayed > 20,
+        "fallbacks {fell_back}, prefix-only {stayed}"
+    );
+}

@@ -9,7 +9,7 @@
 
 use astdme_delay::DelayModel;
 
-use crate::{Children, GroupId, Instance, RoutedTree};
+use crate::{GroupId, Instance, RoutedTree};
 
 /// Measured electrical properties of a routed clock tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,23 +77,25 @@ impl AuditReport {
 /// Panics if the tree's sink indices do not cover the instance's sinks
 /// exactly once (which would indicate a routing bug, not bad input).
 pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditReport {
-    let n = tree.nodes().len();
-    let children = tree.children();
+    let nodes = tree.nodes();
+    let n = nodes.len();
 
     // Bottom-up: subtree capacitance at each node (sink load + child wire
-    // and subtree caps). Iterative post-order over the explicit tree.
-    let order = post_order(&children, n);
+    // and subtree caps). Every parent precedes its children (see
+    // `RoutedTree::new`), so in reverse index order a node is final once
+    // reached and adds itself into its parent. A routed node has at most
+    // two children, and IEEE addition is commutative, so the sum is the
+    // one a children-in-order post-order walk makes, bit for bit.
     let mut cap = vec![0.0f64; n];
     let mut seen = vec![false; inst.sink_count()];
-    for &i in &order {
-        let node = &tree.nodes()[i];
+    for (i, node) in nodes.iter().enumerate().rev() {
         if let Some(s) = node.sink {
             assert!(!seen[s], "sink {s} appears twice in the routed tree");
             seen[s] = true;
             cap[i] += inst.sinks()[s].cap;
         }
-        for &c in &children[i] {
-            cap[i] += cap[c] + model.wire_cap(tree.nodes()[c].wire);
+        if let Some(p) = node.parent {
+            cap[p] += cap[i] + model.wire_cap(node.wire);
         }
     }
     assert!(
@@ -101,23 +103,18 @@ pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditRep
         "routed tree does not reach every sink"
     );
 
-    // Top-down: Elmore delay from the source. The source connection wire
-    // drives the root's entire subtree.
+    // Top-down, in index order: Elmore delay from the source. The source
+    // connection wire drives the root's entire subtree. Every sink
+    // appears exactly once (asserted above), so each slot is written
+    // once, already in sink order.
     let mut delay = vec![0.0f64; n];
-    for &i in order.iter().rev() {
-        let node = &tree.nodes()[i];
-        let upstream = match node.parent {
-            Some(p) => delay[p],
-            None => 0.0,
-        };
-        delay[i] = upstream + model.wire_delay(node.wire, cap[i]);
-    }
-
-    // Every sink appears exactly once (asserted above), so each slot is
-    // written once, already in sink order.
     let mut sink_delays: Vec<(usize, f64)> = vec![(0, 0.0); inst.sink_count()];
-    for (node, sink) in tree.sink_nodes() {
-        sink_delays[sink] = (sink, delay[node]);
+    for (i, node) in nodes.iter().enumerate() {
+        let upstream = node.parent.map_or(0.0, |p| delay[p]);
+        delay[i] = upstream + model.wire_delay(node.wire, cap[i]);
+        if let Some(s) = node.sink {
+            sink_delays[s] = (s, delay[i]);
+        }
     }
 
     let k = inst.groups().group_count();
@@ -147,23 +144,6 @@ pub fn audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> AuditRep
     }
 }
 
-/// Children-before-parent ordering of the tree nodes.
-fn post_order(children: &Children, n: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(n);
-    let mut stack = vec![(0usize, false)];
-    while let Some((i, expanded)) = stack.pop() {
-        if expanded {
-            order.push(i);
-        } else {
-            stack.push((i, true));
-            for &c in &children[i] {
-                stack.push((c, false));
-            }
-        }
-    }
-    order
-}
-
 /// Per-group delay extremes `(group, min delay, max delay)` — the
 /// inter-group offsets `S_{i,j}` of the paper's Ch. II fall out as
 /// differences between entries.
@@ -185,6 +165,124 @@ mod tests {
     use crate::{Groups, RoutedNode, Sink};
     use astdme_delay::RcParams;
     use astdme_geom::Point;
+    use proptest::prelude::*;
+
+    /// The audit as it was before its two linear passes: a CSR child index
+    /// and an explicit post-order walk, children in ascending order. The
+    /// oracle the linear passes must match bit for bit.
+    fn csr_audit(tree: &RoutedTree, inst: &Instance, model: &DelayModel) -> Vec<(usize, f64)> {
+        let n = tree.nodes().len();
+        let children = tree.children();
+        let mut order = Vec::with_capacity(n);
+        let mut stack = vec![(0usize, false)];
+        while let Some((i, expanded)) = stack.pop() {
+            if expanded {
+                order.push(i);
+            } else {
+                stack.push((i, true));
+                for &c in &children[i] {
+                    stack.push((c, false));
+                }
+            }
+        }
+        let mut cap = vec![0.0f64; n];
+        for &i in &order {
+            let node = &tree.nodes()[i];
+            if let Some(s) = node.sink {
+                cap[i] += inst.sinks()[s].cap;
+            }
+            for &c in &children[i] {
+                cap[i] += cap[c] + model.wire_cap(tree.nodes()[c].wire);
+            }
+        }
+        let mut delay = vec![0.0f64; n];
+        for &i in order.iter().rev() {
+            let node = &tree.nodes()[i];
+            let upstream = match node.parent {
+                Some(p) => delay[p],
+                None => 0.0,
+            };
+            delay[i] = upstream + model.wire_delay(node.wire, cap[i]);
+        }
+        let mut sink_delays = vec![(0, 0.0); inst.sink_count()];
+        for (node, sink) in tree.sink_nodes() {
+            sink_delays[sink] = (sink, delay[node]);
+        }
+        sink_delays
+    }
+
+    /// A random routed tree and its instance, drawn from `seed`: starting
+    /// from a lone root, each of `splits` splits gives a random current
+    /// leaf two children with random wire lengths, so every parent
+    /// precedes its children but the order is not the embed's pre-order.
+    /// Leaves become the sinks, numbered in a random order, with random
+    /// loads.
+    fn random_tree(splits: usize, seed: u64) -> (RoutedTree, Instance) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 16) as f64 / (u64::MAX >> 16) as f64
+        };
+        let node = |parent, wire: f64| RoutedNode {
+            pos: Point::new(wire, 0.5 * wire),
+            parent,
+            wire,
+            sink: None,
+        };
+        let mut nodes = vec![node(None, 37.0)];
+        let mut leaves = vec![0usize];
+        for _ in 0..splits {
+            let at = (next() * leaves.len() as f64) as usize % leaves.len();
+            let p = leaves.swap_remove(at);
+            for _ in 0..2 {
+                leaves.push(nodes.len());
+                nodes.push(node(Some(p), next() * 900.0));
+            }
+        }
+        let m = leaves.len();
+        // Number the leaves in a random order (Fisher–Yates).
+        let mut sinks: Vec<usize> = (0..m).collect();
+        for i in 0..m {
+            let j = i + (next() * (m - i) as f64) as usize % (m - i);
+            sinks.swap(i, j);
+        }
+        for (&leaf, &s) in leaves.iter().zip(&sinks) {
+            nodes[leaf].sink = Some(s);
+        }
+        let inst = Instance::new(
+            (0..m)
+                .map(|s| Sink::new(Point::new(s as f64, 0.0), 1e-16 + next() * 5e-14))
+                .collect(),
+            Groups::from_assignments((0..m).map(|s| s % 3).collect(), m.min(3)).unwrap(),
+            RcParams::default(),
+            Point::new(0.0, 0.0),
+        )
+        .unwrap();
+        (RoutedTree::new(Point::new(0.0, 0.0), nodes), inst)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn linear_passes_match_the_csr_audit_bit_for_bit(
+            splits in 0usize..120,
+            seed in any::<u64>(),
+        ) {
+            let (tree, inst) = random_tree(splits, seed);
+            for model in [DelayModel::elmore(*inst.rc()), DelayModel::pathlength()] {
+                let want = csr_audit(&tree, &inst, &model);
+                let got = audit(&tree, &inst, &model);
+                prop_assert_eq!(got.sink_delays().len(), want.len());
+                for (&(s, d), &(ws, wd)) in got.sink_delays().iter().zip(&want) {
+                    prop_assert_eq!(s, ws);
+                    prop_assert_eq!(d.to_bits(), wd.to_bits());
+                }
+            }
+        }
+    }
 
     /// Hand-built 2-sink tree with a known Elmore solution.
     fn fixture() -> (RoutedTree, Instance) {

@@ -45,8 +45,10 @@ impl EmbedMap {
 /// parent indices shifted. Pristine is the caller's guarantee that every
 /// candidate the walk could read in the subtree is bit-identical to its
 /// counterpart's, at the same list positions; the ECO replay grants it
-/// to clean leaves and to adopted merges that share their recorded list,
-/// appended to nothing, over two pristine children.
+/// to clean leaves and to adopted merges that take their recorded list,
+/// append to nothing, and sit over two pristine children. The copy reads
+/// only the standing tree and `map`, never the standing forest, whose
+/// taken lists are empty by then.
 #[derive(Debug, Clone)]
 pub struct Standing<'a> {
     /// The standing routed tree, exactly as the embedding that wrote

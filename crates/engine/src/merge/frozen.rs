@@ -63,6 +63,17 @@ pub(crate) struct FrozenStore {
     chunks: Vec<Vec<Candidate>>,
 }
 
+impl Run {
+    /// The empty run a recorded node is left with once an adoption takes
+    /// its list. It reads as the empty head of chunk 0, which holds the
+    /// first leaf's candidate in every forest that has merged.
+    pub(crate) const EMPTY: Run = Run {
+        chunk: 0,
+        start: 0,
+        len: 0,
+    };
+}
+
 impl FrozenStore {
     /// The candidates of `run`.
     pub(crate) fn get(&self, run: Run) -> &[Candidate] {

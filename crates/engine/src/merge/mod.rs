@@ -57,9 +57,9 @@
 //!    are born in the store, so a forest allocates no list per sink
 //!    either.
 //! 5. The new node takes the kept candidates in an exact-size shared
-//!    slice, so a root holds its candidates' bytes and no spare capacity,
-//!    and an adopted merge (see `record`) or a cloned forest shares the
-//!    list instead of copying it.
+//!    slice, so a root holds its candidates' bytes and no spare capacity;
+//!    a cloned forest shares the list instead of copying it, and an
+//!    adopted merge (see `record`) takes it from the recorded forest.
 //!
 //! A finished forest therefore holds the root's candidates plus, for
 //! every other node, only the candidates its parent references (about a
@@ -172,6 +172,9 @@ impl MergeForest {
     /// (e.g. [`DelayModel::Pathlength`] for the ablation of Ch. III).
     pub fn for_instance_with_model(inst: &Instance, model: DelayModel, cfg: EngineConfig) -> Self {
         let mut f = Self::new(model, inst.groups().bounds().to_vec(), cfg);
+        // A route over n sinks ends with 2n − 1 nodes.
+        f.nodes
+            .reserve_exact((2 * inst.sink_count()).saturating_sub(1));
         for (i, s) in inst.sinks().iter().enumerate() {
             f.add_leaf(i, s.pos, s.cap, inst.group_of(i));
         }

@@ -47,9 +47,10 @@ fn unpack(id: u32) -> Option<usize> {
 #[derive(Debug, Clone)]
 pub(crate) enum Cands {
     /// An immutable shared list: every merge root, every merge node of a
-    /// recorded forest, and a frozen node an append thawed. An adopted
-    /// merge and a cloned forest point at the list they copy from instead
-    /// of copying it.
+    /// recorded forest, and a frozen node an append thawed. A cloned
+    /// forest points at the list it copies from instead of copying it,
+    /// and an adopted merge takes the recorded node's list (see
+    /// `record`).
     Live(Arc<[Candidate]>),
     /// A run of the forest's [`FrozenStore`]: a consumed node compacted to
     /// the candidates its parent references, or a leaf (see `frozen`).
@@ -128,11 +129,12 @@ impl Node {
         }
     }
 
-    /// A merge node sharing the live list `cands` of `src` and `src`'s
-    /// cached summaries, which describe exactly that list.
-    pub(crate) fn sharing(src: &Node, cands: &Arc<[Candidate]>, (a, b): (NodeId, NodeId)) -> Self {
+    /// A merge node that takes `src`'s candidate list and the cached
+    /// summaries that describe exactly that list, leaving `src` an empty
+    /// frozen run (see [`Run::EMPTY`]).
+    pub(crate) fn taking(src: &mut Node, (a, b): (NodeId, NodeId)) -> Self {
         Self {
-            cands: Cands::Live(Arc::clone(cands)),
+            cands: std::mem::replace(&mut src.cands, Cands::Frozen(Run::EMPTY)),
             children: [pack(a.0), pack(b.0)],
             sink: NONE,
             hull: src.hull,

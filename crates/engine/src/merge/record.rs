@@ -24,16 +24,20 @@
 //! pre-merge snapshot and that every append target has a counterpart in
 //! the new forest, then re-appends the recorded append slices, gives the
 //! new node its creation candidates, and folds in the recorded residual.
-//! Candidate lists are immutable shared slices, so when the recorded
-//! node's final list *is* its creation prefix (no later merge appended to
-//! it), the adopted node shares that list and its cached summaries
-//! instead of copying them; only a node that later received appends has
-//! its prefix copied. Because a merge's result is a pure function of its
-//! children's candidate lists, the class state, and the engine config, an
-//! adopted node is **bit-identical** to what [`MergeForest::merge`] would
-//! have produced — adoption just skips the expansion work. Any validation
-//! failure returns `None` and the caller falls back to a fresh
-//! [`MergeForest::merge`], which is always correct.
+//! The recorded forest is the caller's to consume (an ECO flush throws
+//! its standing recording away once the flush succeeds), so when the
+//! recorded node's final list *is* its creation prefix (no later merge
+//! appended to it), the adopted node takes that list and its cached
+//! summaries out of the recorded node instead of copying them, and leaves
+//! the recorded node empty; only a node that later received appends has
+//! its prefix copied. A taken node never has appends, so no later
+//! adoption reads it as an append target, and any other read of it only
+//! makes an adoption decline. Because a merge's result is a pure function
+//! of its children's candidate lists, the class state, and the engine
+//! config, an adopted node is **bit-identical** to what
+//! [`MergeForest::merge`] would have produced — adoption just skips the
+//! expansion work. Any validation failure returns `None` and the caller
+//! falls back to a fresh [`MergeForest::merge`], which is always correct.
 //!
 //! # Recorded forests keep whole lists
 //!
@@ -99,11 +103,12 @@ pub struct MergeRecording {
 
 impl MergeRecording {
     /// An empty recording seeded with `forest`'s current class state as
-    /// snapshot 0. Create it right after the leaves are added, before the
-    /// first merge.
+    /// snapshot 0, with room for the merges that join `forest`'s leaves
+    /// into one tree. Create it right after the leaves are added, before
+    /// the first merge.
     pub fn for_forest(forest: &MergeForest) -> Self {
         Self {
-            logs: Vec::new(),
+            logs: Vec::with_capacity(forest.leaves.saturating_sub(1)),
             class_snaps: vec![forest.classes.clone()],
         }
     }
@@ -143,11 +148,13 @@ impl MergeForest {
     /// node, [`NO_NODE`] = no counterpart).
     ///
     /// Returns the adopted node, bit-identical to what
-    /// [`MergeForest::merge`]`(x, y)` would create — it shares the recorded
-    /// node's candidate list when that list is the creation prefix, and
-    /// copies the prefix otherwise — **provided** the
-    /// caller guarantees `x` and `y` are bit-identical counterparts of
-    /// `log.a` and `log.b` (same candidate lists, same orientation).
+    /// [`MergeForest::merge`]`(x, y)` would create, and whether it took the
+    /// recorded node's candidate list: it does when that list is the
+    /// creation prefix, leaving the recorded node `log.result` in `std`
+    /// with an empty list, and copies the prefix otherwise. This holds
+    /// **provided** the caller guarantees `x` and `y` are bit-identical
+    /// counterparts of `log.a` and `log.b` (same candidate lists, same
+    /// orientation).
     /// Validation that can be checked here — the class state matching the
     /// recorded pre-merge snapshot, every append target being translated —
     /// is checked before any mutation; on failure the forest is untouched
@@ -161,12 +168,12 @@ impl MergeForest {
         &mut self,
         x: NodeId,
         y: NodeId,
-        std: &MergeForest,
+        std: &mut MergeForest,
         log: &MergeLog,
         rec: &MergeRecording,
         std_to_new: &[u32],
         rec_out: Option<&mut MergeRecording>,
-    ) -> Option<NodeId> {
+    ) -> Option<(NodeId, bool)> {
         if !rec.class_snaps[log.epoch_before as usize].same_bits(&self.classes) {
             return None;
         }
@@ -200,13 +207,13 @@ impl MergeForest {
             self.nodes[mapped].extend_candidates(&self.store, run.iter().cloned());
         }
         let creation_len = log.creation_len as usize;
-        let src = &std.nodes[result.0];
-        let node = match &src.cands {
-            Cands::Live(list) if list.len() == creation_len => Node::sharing(src, list, (x, y)),
-            _ => {
-                let cands: Arc<[Candidate]> = Arc::from(&std.list(result)[..creation_len]);
-                Node::new(cands, Some((x, y)), None)
-            }
+        let src = &mut std.nodes[result.0];
+        let taken = matches!(&src.cands, Cands::Live(list) if list.len() == creation_len);
+        let node = if taken {
+            Node::taking(src, (x, y))
+        } else {
+            let cands: Arc<[Candidate]> = Arc::from(&std.list(result)[..creation_len]);
+            Node::new(cands, Some((x, y)), None)
         };
         self.residual = self.residual.max(log.residual);
         if log.epoch_after != log.epoch_before {
@@ -233,6 +240,6 @@ impl MergeForest {
                 epoch_after: epoch_after as u32,
             });
         }
-        Some(id)
+        Some((id, taken))
     }
 }

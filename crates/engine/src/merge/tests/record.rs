@@ -1,4 +1,4 @@
-//! Recording and adoption: adopted merges share the recorded lists, and
+//! Recording and adoption: adopted merges take the recorded lists, and
 //! an unfused recording never leaves class snapshot 0.
 
 use astdme_delay::{DelayModel, RcParams};
@@ -9,11 +9,13 @@ use crate::{EngineConfig, GroupId, MergeForest, MergeRecording, NodeId};
 /// Records a random merge order over a random forest (as in
 /// `random_forest_rankings_match`), adopts every recorded merge into a
 /// second forest built from the same leaves, and checks the adopted forest
-/// against the recording: equal lists and summaries everywhere, the
-/// recorded list itself (same allocation) wherever it is the creation
-/// prefix, and a copy wherever later appends grew it. Returns how many
-/// recorded merges appended to descendants.
-fn adoption_shares_recorded_lists(seed: u64, fuse: bool) -> usize {
+/// against a clone of the recorded forest taken before adoption: equal
+/// lists and summaries everywhere, the recorded list itself (same
+/// allocation) exactly where it is the creation prefix, and a copy
+/// wherever later appends grew it. A taken list leaves its recorded node
+/// empty; a copied one leaves it whole. Returns how many recorded merges
+/// appended to descendants.
+fn adoption_takes_recorded_lists(seed: u64, fuse: bool) -> usize {
     let mut rng = Rng(seed);
     let cfg = EngineConfig {
         fuse_groups: fuse,
@@ -42,45 +44,60 @@ fn adoption_shares_recorded_lists(seed: u64, fuse: bool) -> usize {
         let b = active.swap_remove(rng.below(active.len()));
         active.push(std.merge_recorded(a, b, &mut rec));
     }
+    // The clone shares every live list with the recorded forest, so it
+    // keeps the taken lists alive at their addresses.
+    let before = std.clone();
     // Same leaves and merge order, so node ids translate to themselves.
     let identity: Vec<u32> = (0..std.node_count() as u32).collect();
+    let mut took = Vec::new();
     for log in rec.logs() {
         let (x, y) = (NodeId(log.a as usize), NodeId(log.b as usize));
-        let m = adopted
-            .adopt_merge(x, y, &std, log, &rec, &identity, None)
+        let (m, taken) = adopted
+            .adopt_merge(x, y, &mut std, log, &rec, &identity, None)
             .expect("an identical forest adopts every merge");
         assert_eq!(m.0, log.result as usize);
+        took.push(taken);
     }
-    assert_eq!(adopted.residual().to_bits(), std.residual().to_bits());
-    for i in 0..std.node_count() {
+    assert_eq!(adopted.residual().to_bits(), before.residual().to_bits());
+    for i in 0..before.node_count() {
         let id = NodeId(i);
-        assert_eq!(adopted.candidates(id), std.candidates(id), "node {i}");
-        assert_eq!(adopted.children(id), std.children(id));
+        assert_eq!(adopted.candidates(id), before.candidates(id), "node {i}");
+        assert_eq!(adopted.children(id), before.children(id));
         assert_eq!(
             adopted.representative_region(id),
-            std.representative_region(id)
+            before.representative_region(id)
         );
-        assert_eq!(adopted.max_delay(id).to_bits(), std.max_delay(id).to_bits());
-        assert_eq!(adopted.nodes[i].finite, std.nodes[i].finite);
-    }
-    for log in rec.logs() {
-        let id = NodeId(log.result as usize);
-        let shared = adopted.candidates(id).as_ptr() == std.candidates(id).as_ptr();
-        let grown = std.candidates(id).len() != log.creation_len as usize;
         assert_eq!(
-            shared, !grown,
-            "node {}: shared {shared}, grown {grown}",
+            adopted.max_delay(id).to_bits(),
+            before.max_delay(id).to_bits()
+        );
+        assert_eq!(adopted.nodes[i].finite, before.nodes[i].finite);
+    }
+    for (log, taken) in rec.logs().iter().zip(took) {
+        let id = NodeId(log.result as usize);
+        let same = adopted.candidates(id).as_ptr() == before.candidates(id).as_ptr();
+        let prefix = before.candidates(id).len() == log.creation_len as usize;
+        assert_eq!(
+            taken, prefix,
+            "node {}: taken {taken}, prefix {prefix}",
             id.0
         );
+        assert_eq!(same, prefix, "node {}: same {same}, prefix {prefix}", id.0);
+        let left = std.candidates(id);
+        if taken {
+            assert!(left.is_empty(), "node {}: a taken list leaves none", id.0);
+        } else {
+            assert_eq!(left, before.candidates(id), "node {}", id.0);
+        }
     }
     rec.logs().iter().filter(|l| !l.appends.is_empty()).count()
 }
 
 #[test]
-fn adopted_merges_share_the_recorded_candidate_lists() {
+fn adopted_merges_take_the_recorded_candidate_lists() {
     for fuse in [true, false] {
         let appending: usize = (0..16)
-            .map(|seed| adoption_shares_recorded_lists(seed, fuse))
+            .map(|seed| adoption_takes_recorded_lists(seed, fuse))
             .sum();
         assert!(
             appending > 0,
@@ -133,7 +150,7 @@ fn unfused_recordings_stay_at_snapshot_zero_and_replay_whole() {
         for log in rec.logs() {
             let (x, y) = (NodeId(log.a as usize), NodeId(log.b as usize));
             adopted
-                .adopt_merge(x, y, &std, log, &rec, &identity, Some(&mut replayed))
+                .adopt_merge(x, y, &mut std, log, &rec, &identity, Some(&mut replayed))
                 .expect("an unchanged replay adopts every merge");
         }
         assert_eq!(replayed, rec, "seed {seed}");

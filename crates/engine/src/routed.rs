@@ -42,8 +42,9 @@ impl std::ops::Index<usize> for Children {
 
 /// A routed clock tree: the output of top-down embedding.
 ///
-/// Node 0 is always the tree root; every other node's `parent` points to an
-/// earlier... (strictly: to some valid index). The clock source is a
+/// Node 0 is always the tree root; every other node's `parent` is an
+/// earlier node, so index order visits parents before children and
+/// reverse index order children before parents. The clock source is a
 /// separate point feeding the root through the root's `wire`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedTree {
@@ -56,14 +57,15 @@ impl RoutedTree {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty, node 0 has a parent, or any parent index
-    /// is out of range / self-referential.
+    /// Panics if `nodes` is empty, node 0 has a parent, or any node's
+    /// parent does not precede it (the embed's pre-order, and every
+    /// rewrite of an embedded tree's wires, keeps parents first).
     pub fn new(source: Point, nodes: Vec<RoutedNode>) -> Self {
         assert!(!nodes.is_empty(), "a routed tree needs at least one node");
         assert!(nodes[0].parent.is_none(), "node 0 must be the root");
         for (i, n) in nodes.iter().enumerate() {
             if let Some(p) = n.parent {
-                assert!(p < nodes.len() && p != i, "node {i} has invalid parent {p}");
+                assert!(p < i, "node {i} has invalid parent {p}");
             } else {
                 assert!(i == 0, "only node 0 may lack a parent");
             }
@@ -214,6 +216,25 @@ mod tests {
                     wire: 1.0,
                     sink: Some(0),
                 },
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid parent")]
+    fn parent_after_child_rejected() {
+        let node = |parent, sink| RoutedNode {
+            pos: Point::new(0.0, 0.0),
+            parent,
+            wire: 1.0,
+            sink,
+        };
+        let _ = RoutedTree::new(
+            Point::new(0.0, 0.0),
+            vec![
+                node(None, None),
+                node(Some(2), Some(0)),
+                node(Some(0), None),
             ],
         );
     }

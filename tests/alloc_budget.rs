@@ -85,16 +85,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Measured here (n = 500, fast preset): 3.12 allocs/merge greedy, 1.45
-/// multi-merge with four groups; the `scaling` smoke measures 3.40 / 1.70
-/// at n = 250. The engine itself allocates once per merge (the new node's
+/// Measured here (n = 500, fast preset): 3.11 allocs/merge greedy, 1.43
+/// multi-merge with four groups; the `scaling` smoke measures 3.37 / 1.67
+/// at n = 250. The forest's node table is sized for all 2n − 1 nodes up
+/// front; growing it by doubling cost 0.01–0.03 more per merge. The engine itself allocates once per merge (the new node's
 /// exact-size candidate list) plus one frozen-store chunk per 512
 /// candidates the leaves and consumed nodes keep; the rest is planner
 /// bookkeeping (the planner's region arena grows by doubling, a few
 /// hundredths per merge). Before leaves lived in the frozen store, each
 /// sink's own list added one more allocation per merge (4.08 / 2.34
 /// here). With ten groups, spilled delay maps add one allocation per
-/// *kept* candidate: 4.24 / 2.42 with the fast preset and 5.41 / 3.65
+/// *kept* candidate: 4.22 / 2.48 with the fast preset and 5.40 / 3.74
 /// with the default one, which keeps more candidates. When every built
 /// candidate got its map, including the ≈40% that pruning drops, they
 /// read 4.70 / 2.88 and 7.24 / 5.46 (the default preset's greedy order
@@ -222,12 +223,12 @@ fn forest_retains_only_its_candidates() {
 }
 
 /// Measured here (n = 4000, one sink moved, default preset): the flush's
-/// merge stage allocates 0.07 times per adopted merge (257 over 3946),
-/// and the flush's peak adds 0.732 of the recorded forest's candidate
-/// bytes (3 333 240 B against 4 550 688 B of 144 B candidates; the
+/// merge stage allocates 0.07 times per adopted merge (291 over 3946),
+/// and the flush's peak adds 0.662 of the recorded forest's candidate
+/// bytes (3 014 412 B against 4 550 688 B of 144 B candidates; the
 /// flush's other buffers do not scale with the candidate size, so the
 /// share grows as candidates shrink). An adopted merge allocates nothing,
-/// because it shares the recorded node's candidate list, and the fresh
+/// because it takes the recorded node's candidate list, and the fresh
 /// forest's leaves live in its frozen store's chunks, not one list per
 /// sink; with a list per leaf the flush measured 1.08 allocations per
 /// adopted merge and a share of 0.743. Cloning the adopted lists instead
@@ -239,9 +240,9 @@ const ECO_BUDGET_PER_ADOPTED_MERGE: f64 = 1.5;
 const ECO_PEAK_SHARE: f64 = 0.8;
 
 /// A one-sink ECO flush adopts almost every merge of the standing route;
-/// adoption must share the recorded candidate lists, not copy them. The
-/// standing forest stays alive through the flush, so copying would add
-/// a second copy of its candidates to the heap.
+/// adoption must take the recorded candidate lists, not copy them. The
+/// standing forest stays alive until the flush ends, so copying would
+/// add a second copy of its candidates to the heap.
 #[test]
 fn eco_flush_shares_adopted_candidate_lists() {
     let n = 4000;

@@ -414,6 +414,92 @@ fn sessions_in_a_batch_route_as_outside_and_pass_checkpoints() {
     }
 }
 
+/// A router over one standing session: each route queues `edit` and
+/// flushes it, whatever the instance.
+struct FlushRouter {
+    session: Mutex<EcoSession>,
+    edit: EcoEdit,
+}
+
+impl ClockRouter for FlushRouter {
+    fn route_traced(&self, _: &Instance) -> Result<RouteOutcome, RouteError> {
+        let mut session = self.session.lock().expect("no flush panics");
+        session.queue(self.edit);
+        session.flush().cloned()
+    }
+
+    fn name(&self) -> &'static str {
+        "eco-flush"
+    }
+}
+
+/// A flush takes the session's recording, and its replay moves candidate
+/// lists out of it. When the flush then fails (here a corrupting fault
+/// after the embed, so the replay has run), the session keeps its
+/// outcome but no recording: the next flush reroutes from scratch and
+/// records again, so the one after replays.
+#[test]
+fn a_flush_that_fails_after_its_replay_reroutes_next() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let inst = instance(200, 3, 41);
+    let router = AstDme::new();
+    let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
+    let p = inst.sinks()[17].pos;
+    let there = EcoEdit::Move {
+        sink: 17,
+        to: Point::new(p.x + 120.0, p.y - 80.0),
+    };
+    let back = EcoEdit::Move { sink: 17, to: p };
+    session.queue(there);
+    session.flush().expect("flushes");
+    assert!(!session.last_flush().full_reroute, "must replay");
+    let standing = session.outcome().clone();
+
+    let flusher = FlushRouter {
+        session: Mutex::new(session),
+        edit: back,
+    };
+    let batch = vec![inst.clone()];
+    let faults = FaultPlan::new().inject(
+        0,
+        Fault {
+            stage: StageId::Embed,
+            kind: FaultKind::Corrupt,
+        },
+    );
+    let policy = BatchPolicy::new().with_faults(faults);
+    let (out, _) = BatchPlan::new(&batch).route_with_policy(&batch, &flusher, &policy);
+    assert!(
+        matches!(out[0], Err(RouteError::MalformedOutput { .. })),
+        "got {:?}",
+        out[0].as_ref().map(|o| &o.stats)
+    );
+    let mut session = flusher.session.into_inner().expect("no flush panics");
+    assert_eq!(
+        session.outcome().tree,
+        standing.tree,
+        "standing route intact"
+    );
+    assert_eq!(session.outcome().report, standing.report);
+
+    session.queue(back);
+    let out = session.flush().expect("flushes").clone();
+    assert!(
+        session.last_flush().full_reroute,
+        "{:?}",
+        session.last_flush()
+    );
+    let want = router.route_traced(&inst).expect("routes");
+    assert_eq!(out.tree, want.tree);
+    assert_eq!(out.report, want.report);
+
+    session.queue(there);
+    session.flush().expect("flushes");
+    let fs = session.last_flush();
+    assert!(!fs.full_reroute && fs.adopted_merges > 0, "{fs:?}");
+}
+
 fn arb_edit(n: usize) -> impl Strategy<Value = EcoEdit> {
     prop_oneof![
         (0..n, -900.0f64..900.0, -900.0f64..900.0).prop_map(|(s, dx, dy)| EcoEdit::Move {
