@@ -10,18 +10,21 @@
 //!
 //! The `eco` section opens an `EcoSession` on the design of perfbench's
 //! `eco-k1` workload (n = 16 000) and flushes cycles of k ∈ {1, 8, 64}
-//! seeded sink moves, each followed by the moves back. Per k it records
-//! the median flush time, the median from-scratch route time of the moved
-//! instances, their ratio, the flushes that fell back to a full reroute,
-//! and the median `EcoStats::scan_visits` and `EcoStats::reused_nodes`
-//! per flush. Every moved flush is
-//! asserted equal to its from-scratch route, and every move back to the
-//! session's first tree.
+//! seeded sink moves, each followed by the moves back. Per cycle it times
+//! both flushes and a from-scratch route of the moved instance. Per k it
+//! records the median flush time, the median from-scratch route time, the
+//! median over the flushes of each flush's time over its own cycle's
+//! route time (a ratio of timings taken moments apart, so a slow spell
+//! of a shared host moves both), the flushes that fell back to a full
+//! reroute, and the median `EcoStats::scan_visits` and
+//! `EcoStats::reused_nodes` per flush. Every moved flush is asserted
+//! equal to its from-scratch route, and every move back to the session's
+//! first tree.
 //!
 //! Usage: `scaling [--quick] [--out PATH] [--sizes a,b,c] [--alloc-budget N]`
 //!
-//! * `--quick` — n = 250 only, and the ECO section at n = 2 000 (the CI
-//!   smoke run);
+//! * `--quick` — n = 250 only, and the ECO section at n = 2 000 over 8
+//!   cycles instead of 24 (the CI smoke run);
 //! * `--out`   — output path (default `BENCH_scaling.json`);
 //! * `--sizes` — comma-separated instance sizes overriding the default;
 //! * `--alloc-budget` — fail (exit 1) if any `allocs_per_merge`
@@ -117,8 +120,8 @@ struct AllocMeasurement {
     retained_candidates: usize,
 }
 
-/// One ECO row: [`ECO_CYCLES`] cycles of `k` seeded moves and the moves
-/// back on the `n`-sink design.
+/// One ECO row: [`ECO_CYCLES`] (or [`ECO_QUICK_CYCLES`]) cycles of `k`
+/// seeded moves and the moves back on the `n`-sink design.
 #[derive(Debug, Clone)]
 struct EcoMeasurement {
     n: usize,
@@ -126,6 +129,8 @@ struct EcoMeasurement {
     flushes: usize,
     flush_s_p50: f64,
     scratch_s_p50: f64,
+    /// Median of each flush's seconds over its cycle's from-scratch route.
+    flush_over_scratch: f64,
     full_reroutes: usize,
     scan_visits_p50: u64,
     reused_nodes_p50: u64,
@@ -137,8 +142,9 @@ const ECO_SINKS: usize = 16_000;
 const ECO_QUICK_SINKS: usize = 2_000;
 /// Sinks moved per batch.
 const ECO_KS: [usize; 3] = [1, 8, 64];
-/// Move-away / move-back cycles per k.
-const ECO_CYCLES: usize = 8;
+/// Move-away / move-back cycles per k, and under `--quick`.
+const ECO_CYCLES: usize = 24;
+const ECO_QUICK_CYCLES: usize = 8;
 /// Largest displacement of a moved sink along each axis, in µm (as in
 /// `eco-k1`).
 const ECO_MAX_SHIFT: f64 = 400.0;
@@ -347,29 +353,30 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Flushes [`ECO_CYCLES`] cycles per k on one session each, timing every
-/// flush and a from-scratch route of every moved instance. Panics if a
-/// flush diverges from its from-scratch route or a move back does not
-/// restore the first tree.
-fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
+/// Flushes `cycles` cycles per k on one session each, timing every flush
+/// and a from-scratch route of every moved instance. Panics if a flush
+/// diverges from its from-scratch route or a move back does not restore
+/// the first tree.
+fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
     let inst = eco_instance(n);
     let router = AstDme::new();
     let mut out = Vec::new();
     for k in ECO_KS {
         let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
         let base = session.outcome().tree.clone();
-        let (mut flush_s, mut scratch_s) = (Vec::new(), Vec::new());
+        let (mut flush_s, mut scratch_s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
         let (mut visits, mut reused) = (Vec::new(), Vec::new());
         let mut full_reroutes = 0;
-        for cycle in 0..ECO_CYCLES {
+        for cycle in 0..cycles {
             let (away, back) = eco_cycle(&inst, k, cycle);
+            let mut cycle_flush_s = Vec::with_capacity(2);
             for (moved, batch) in [(true, away), (false, back)] {
                 for edit in batch {
                     session.queue(edit);
                 }
                 let t0 = Instant::now();
                 session.flush().expect("flushes");
-                flush_s.push(t0.elapsed().as_secs_f64());
+                cycle_flush_s.push(t0.elapsed().as_secs_f64());
                 let stats = session.last_flush();
                 full_reroutes += usize::from(stats.full_reroute);
                 visits.push(stats.scan_visits as f64);
@@ -390,6 +397,9 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
                     );
                 }
             }
+            let scratch = *scratch_s.last().expect("the cycle routed from scratch");
+            ratios.extend(cycle_flush_s.iter().map(|f| f / scratch));
+            flush_s.extend(cycle_flush_s);
         }
         let m = EcoMeasurement {
             n,
@@ -397,6 +407,7 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
             flushes: flush_s.len(),
             flush_s_p50: median(&mut flush_s),
             scratch_s_p50: median(&mut scratch_s),
+            flush_over_scratch: median(&mut ratios),
             full_reroutes,
             scan_visits_p50: median(&mut visits) as u64,
             reused_nodes_p50: median(&mut reused) as u64,
@@ -405,7 +416,7 @@ fn measure_eco(n: usize) -> Vec<EcoMeasurement> {
             "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused",
             m.flush_s_p50,
             m.scratch_s_p50,
-            m.flush_s_p50 / m.scratch_s_p50,
+            m.flush_over_scratch,
             m.full_reroutes,
             m.scan_visits_p50,
             m.reused_nodes_p50
@@ -510,10 +521,7 @@ fn to_json(
                     json::field("flushes", format!("{}", m.flushes)),
                     json::field("flush_s_p50", json::number(m.flush_s_p50)),
                     json::field("scratch_s_p50", json::number(m.scratch_s_p50)),
-                    json::field(
-                        "flush_over_scratch",
-                        json::number(m.flush_s_p50 / m.scratch_s_p50),
-                    ),
+                    json::field("flush_over_scratch", json::number(m.flush_over_scratch)),
                     json::field("full_reroutes", format!("{}", m.full_reroutes)),
                     json::field("scan_visits", format!("{}", m.scan_visits_p50)),
                     json::field("reused_nodes", format!("{}", m.reused_nodes_p50)),
@@ -567,7 +575,11 @@ fn main() {
         alloc_measurements.extend(measure_allocs(n, &inst));
         counters.extend(measure_counters(n, &inst));
     }
-    let eco = measure_eco(if quick { ECO_QUICK_SINKS } else { ECO_SINKS });
+    let eco = if quick {
+        measure_eco(ECO_QUICK_SINKS, ECO_QUICK_CYCLES)
+    } else {
+        measure_eco(ECO_SINKS, ECO_CYCLES)
+    };
     let doc = to_json(&measurements, &alloc_measurements, &counters, &eco);
     std::fs::write(&out_path, &doc).expect("write BENCH_scaling.json");
     eprintln!("wrote {out_path}");

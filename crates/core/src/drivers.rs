@@ -92,11 +92,65 @@ pub(crate) struct MergeScript {
     /// Per merge, the engine's [`MergeLog`](astdme_engine::MergeLog).
     pub(crate) merges: MergeRecording,
     /// Per planning round, the planner's nearest-neighbor table right
-    /// after the round was planned (rows in active order), or `None` for
-    /// brute-force tail rounds, which replay by re-planning (cheap: at
-    /// most [`BRUTE_FORCE_CUTOFF`](astdme_topo::BRUTE_FORCE_CUTOFF)
-    /// subtrees).
-    pub(crate) rounds: Vec<Option<Vec<NnSnapshotRow>>>,
+    /// after the round was planned, one row per active subtree in rank
+    /// order (see [`RankedRow`]), or `None` for brute-force tail rounds,
+    /// which replay by re-planning (cheap: at most
+    /// [`BRUTE_FORCE_CUTOFF`](astdme_topo::BRUTE_FORCE_CUTOFF) subtrees).
+    pub(crate) rounds: Vec<Option<Vec<RankedRow>>>,
+}
+
+/// One row of a recorded planning round: an active subtree, its nearest
+/// neighbor, their hull distance and the pair's folded score bits — the
+/// planner's snapshot triple ([`NnSnapshotRow`]) with `u32` keys (forest
+/// node indices fit them; the planner's keys stay below 2^31). A round's
+/// rows are sorted by [`RankedRow::rank`], the order the planner selects
+/// the round's pairs in, so a replay walks them best first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RankedRow {
+    /// The pair's score bits ([`score_bits`](astdme_topo::score_bits)).
+    pub(crate) score: u64,
+    /// The hull distance between the subtree and its neighbor.
+    pub(crate) dist: f64,
+    /// The subtree.
+    pub(crate) key: u32,
+    /// Its nearest neighbor.
+    pub(crate) nn: u32,
+}
+
+impl RankedRow {
+    /// The pair, smaller key first: the orientation it merges in.
+    pub(crate) fn pair(&self) -> (usize, usize) {
+        let (key, nn) = (self.key as usize, self.nn as usize);
+        (key.min(nn), key.max(nn))
+    }
+
+    /// The planner's ranking key `(score bits, lo, hi)`, packed into one
+    /// `u128` that orders as the tuple does: the two rows of mutual
+    /// neighbors share it.
+    pub(crate) fn rank(&self) -> u128 {
+        let (lo, hi) = self.pair();
+        u128::from(self.score) << 64 | (lo as u128) << 32 | hi as u128
+    }
+}
+
+/// A planner snapshot, which comes in rank order, as recorded rows, or
+/// `None` if some subtree caches no neighbor (its round then replays by
+/// re-planning).
+fn ranked_rows(snapshot: Vec<NnSnapshotRow>) -> Option<Vec<RankedRow>> {
+    let rows = snapshot
+        .into_iter()
+        .map(|row| {
+            let (nn, dist, score) = row.nn?;
+            Some(RankedRow {
+                score,
+                dist,
+                key: row.key as u32,
+                nn: nn as u32,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    debug_assert!(rows.is_sorted_by_key(RankedRow::rank), "snapshot rows in rank order");
+    Some(rows)
 }
 
 impl MergeScript {
@@ -156,7 +210,9 @@ pub(crate) fn merge_until_one_traced(
             // the round selected from), *before* the merges mutate the
             // forest.
             let grid = planner.in_grid_regime();
-            script.rounds.push(grid.then(|| planner.nn_snapshot()));
+            script
+                .rounds
+                .push(grid.then(|| ranked_rows(planner.nn_snapshot())).flatten());
         }
         round.clear();
         let t = Stopwatch::start();

@@ -28,20 +28,28 @@
 //!
 //! A session's standing route is produced by a **recording** run: per
 //! planning round, the incremental planner's nearest-neighbor table is
-//! snapshotted ([`astdme_topo::MergePlanner::nn_snapshot`]), and per
-//! merge, the engine appends a [`MergeLog`](astdme_engine::MergeLog)
-//! (children, creation candidates, offset-adjustment appends, residual,
-//! class-fusion epochs). On `flush`, the edited instance is rerouted
-//! against this script:
+//! snapshotted ([`astdme_topo::MergePlanner::nn_snapshot`]) and kept in
+//! the planner's rank order, the `(score bits, lo, hi)` order it selects
+//! the round's pairs in; per merge, the engine appends a
+//! [`MergeLog`](astdme_engine::MergeLog) (children, creation candidates,
+//! offset-adjustment appends, residual, class-fusion epochs). On `flush`,
+//! the edited instance is rerouted against this script:
 //!
 //! * Clean sinks map leaf-for-leaf onto the standing forest; dirty sinks
 //!   (position or load bits changed) get no mapping, which transitively
 //!   unmaps exactly their merge-path ancestors — the *dirty cone*.
-//! * Each round, subtrees with a standing counterpart **inherit** the
-//!   recorded nearest-neighbor entry (key-translated); subtrees in the
-//!   dirty cone run a fresh nearest-neighbor scan and may *take over* an
-//!   inherited entry when strictly closer — the same supersession rule the
-//!   incremental planner applies to newly registered subtrees.
+//! * Each round, a walk over the recorded rows, best first, translates
+//!   them into the new ids: subtrees with a standing counterpart in the
+//!   round **inherit** the recorded nearest-neighbor entry; subtrees no
+//!   row reaches (the dirty cone, and subtrees whose counterpart merged in
+//!   another round) run a fresh nearest-neighbor scan and may *take over*
+//!   an inherited entry when strictly closer — the same supersession rule
+//!   the incremental planner applies to newly registered subtrees.
+//! * A second walk merges the recorded order of the unchanged entries
+//!   with the few entries the scans changed, sorted on their own, and
+//!   takes the round's pairs from it: the planner's selection, with no
+//!   round sorting or selecting over all its entries. The merged order is
+//!   the replay's own recording of the round, so flushes chain.
 //! * Selected pairs whose children both map onto a recorded merge (same
 //!   log, same orientation) are **adopted**:
 //!   [`MergeForest::adopt_merge`](astdme_engine::MergeForest::adopt_merge)
@@ -61,11 +69,11 @@
 //! cost `O(1)` each, and the fresh scans of a round run as linear sweeps
 //! when there are few of them and over one grid of the round's subtrees
 //! when there are many. The rest of a flush is linear in `n`, with small
-//! constants: each replayed round ranks all its active entries, every
+//! constants: each replayed round walks its recorded rows twice, every
 //! clean merge is adopted one by one, the embed copies each clean
 //! subtree's range, and the audit reads every routed node. So update
 //! latency is linear in `n` for any edit set; a one-sink move at
-//! n = 16 000 costs about a seventh of a from-scratch route.
+//! n = 16 000 costs about a ninth of a from-scratch route.
 //!
 //! # A flush consumes its recording
 //!

@@ -3,11 +3,11 @@
 
 use astdme_engine::{Instance, MergeForest, NodeId, NO_NODE};
 use astdme_geom::Trr;
-use astdme_topo::{plan_round, round_limit, select_disjoint, NnSnapshotRow, BRUTE_FORCE_CUTOFF};
+use astdme_topo::{plan_round, round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
 
 use super::scan::{RoundScan, ROUTE_VISITS_PER_SINK};
 use super::{sink_bits_equal, EcoStats, Recording};
-use crate::drivers::{ForestSpace, MergeScript, MergeTrace};
+use crate::drivers::{ForestSpace, MergeScript, MergeTrace, RankedRow};
 use crate::pipeline::StagePlan;
 use crate::stopwatch::Stopwatch;
 
@@ -15,15 +15,6 @@ use crate::stopwatch::Stopwatch;
 const NO_POS: u32 = u32::MAX;
 /// Sentinel in the child → merge-log index: the node is never a child.
 const NO_LOG: u32 = u32::MAX;
-
-/// How many ranked keys a round with pair limit `limit` sorts first (see
-/// [`select_ranked`]): 2.5 per pair. Pair selection walks about 1.4 keys
-/// per pair it takes at n = 16 000. On eco-k1's design the prefix ran
-/// out in about one flush in four, always in a round of fewer than 160
-/// entries, where sorting the rest costs little.
-pub(super) fn prefix_len(limit: usize) -> usize {
-    limit.saturating_mul(5) / 2
-}
 
 /// A replay's merge step, as the flush hands it on.
 pub(super) struct Replayed {
@@ -42,8 +33,9 @@ pub(super) struct Replayed {
 
 /// Replays the recorded merge script against the edited instance.
 ///
-/// Per round, each active subtree is classified against the recorded
-/// nearest-neighbor snapshot:
+/// Per round, a first walk over the recorded snapshot's rows translates
+/// each into the new id space and classifies the active subtree it
+/// belongs to:
 ///
 /// * **inherited** — the subtree has a standing counterpart, the
 ///   counterpart is in the round's snapshot, and the recorded neighbor's
@@ -52,21 +44,26 @@ pub(super) struct Replayed {
 /// * **stale** — counterpart exists but its recorded neighbor was
 ///   consumed: fresh nearest-neighbor scan (exactly what the incremental
 ///   planner's dirty-list requery computes);
-/// * **novel** — no counterpart (the dirty cone): fresh scan, *and* the
-///   subtree may take over any inherited entry it sits strictly closer
-///   to, mirroring the planner's supersession rule for newly registered
-///   subtrees. (Mapped counterparts never take over: their effect on
-///   clean entries is already baked into the standing snapshots.)
+/// * **novel** — no row reached it (the dirty cone, or a subtree whose
+///   counterpart was not active in the standing route's round): fresh
+///   scan, *and* the subtree may take over any inherited entry it sits
+///   strictly closer to, mirroring the planner's supersession rule for
+///   newly registered subtrees. (Mapped counterparts never take over:
+///   their effect on clean entries is already baked into the standing
+///   snapshots.)
 ///
 /// The scans run linearly or over a per-round grid, whichever costs
-/// fewer visits (see [`super::scan`]). Pair selection then ranks every
-/// entry by the planner's `(score bits, lo, hi)` key and takes disjoint
-/// pairs up to the round limit — the planner's exact selection
-/// semantics, though only the keys that can reach the limit are sorted
-/// (see [`select_ranked`]). Selected pairs whose children both map onto
-/// one recorded merge (same orientation) are adopted bit-for-bit, taking
-/// the recorded list where it is the creation prefix (see
-/// [`MergeForest::adopt_merge`]); the rest merge fresh.
+/// fewer visits (see [`super::scan`]). A second walk then merges the
+/// recorded rank order of the unchanged inherited entries with the few
+/// changed ones (stale, novel and taken over), sorted on their own (see
+/// [`merge_ranked`]), and the round takes disjoint pairs from the merged
+/// order up to the round limit: the planner's exact selection by the
+/// `(score bits, lo, hi)` key, with no sort or selection over all the
+/// round's entries. The merged order is the replay's own snapshot of the
+/// round, which the next flush replays. Selected pairs whose children
+/// both map onto one recorded merge (same orientation) are adopted
+/// bit-for-bit, taking the recorded list where it is the creation prefix
+/// (see [`MergeForest::adopt_merge`]); the rest merge fresh.
 ///
 /// **Price.** The scans are charged the visits (hull-distance
 /// evaluations) they make, and the total lands in
@@ -85,16 +82,17 @@ pub(super) struct Replayed {
 /// This is the flush's merge step: `forest` is the pipeline's fresh
 /// forest of `edited` (the edited instance, regrouped like the
 /// recording). It consumes `rec`: adoptions move candidate lists out of
-/// the recorded forest, so a recording serves one flush. Returns the
-/// surviving root, the loop's counters, the replay's own script and the
-/// tables the embed copies by (see [`Replayed`]), and fills `stats`'
-/// dirty, replay and visit counters. While it merges it marks each new
-/// node pristine or not, at no extra cost: a clean leaf is, and so is an
-/// adopted merge whose log appends nothing, that took its recorded list,
-/// and whose two children are pristine. Also returns `None` when the
-/// sink count drifted from the recording's, or if a round produced no
-/// entries (never the case for well-formed recordings, but cheap to
-/// guard).
+/// the recorded forest, and each replayed round writes its own rows into
+/// the buffer of the recorded ones, so a recording serves one flush.
+/// Returns the surviving root, the loop's counters, the replay's own
+/// script and the tables the embed copies by (see [`Replayed`]), and
+/// fills `stats`' dirty, replay and visit counters. While it merges it
+/// marks each new node pristine or not, at no extra cost: a clean leaf
+/// is, and so is an adopted merge whose log appends nothing, that took
+/// its recorded list, and whose two children are pristine. Also returns
+/// `None` when the sink count drifted from the recording's, or if a round
+/// produced no entries (never the case for well-formed recordings, but
+/// cheap to guard).
 pub(super) fn replay_merges(
     rec: &mut Recording,
     forest: &mut MergeForest,
@@ -158,10 +156,6 @@ pub(super) fn replay_merges(
         log_of_child[log.a as usize] = li as u32;
         log_of_child[log.b as usize] = li as u32;
     }
-    // Per-round row lookup over the snapshot (stamped, reused each round).
-    let mut row_stamp: Vec<u32> = vec![0; std_nodes];
-    let mut row_slot: Vec<u32> = vec![0; std_nodes];
-
     // Active set with the exact swap_remove discipline both drivers use —
     // active order is what breaks exact score ties, so it must match.
     // `hulls` holds each active subtree's representative region in step
@@ -175,9 +169,12 @@ pub(super) fn replay_merges(
     for (i, &k) in active.iter().enumerate() {
         pos[k] = i as u32;
     }
-    // Per-round planning buffers, cleared and reused every replayed round.
+    // Per-round planning buffers, cleared and reused every replayed round:
+    // the inherited rows (translated, in recorded order, with their active
+    // positions) and the rows the scans changed.
     let mut scan = RoundScan::default();
-    let mut ranked: Vec<u128> = Vec::with_capacity(n);
+    let mut kept: Vec<(RankedRow, u32)> = Vec::with_capacity(n);
+    let mut changed: Vec<RankedRow> = Vec::new();
 
     let mut trace = MergeTrace::default();
     let (mut adopted, mut fresh) = (0usize, 0usize);
@@ -187,10 +184,12 @@ pub(super) fn replay_merges(
     let mut round_idx = 0usize;
     while active.len() > 1 {
         let n_present = active.len();
+        // The round's recorded rows; their buffer, still warm from the
+        // first walk, takes the replay's own rows in the second.
         let snap = script
             .rounds
-            .get(round_idx)
-            .and_then(Option::as_ref)
+            .get_mut(round_idx)
+            .and_then(Option::take)
             .filter(|_| n_present > BRUTE_FORCE_CUTOFF);
         let t = Stopwatch::start();
         let pairs: Vec<(usize, usize)> = match snap {
@@ -204,61 +203,62 @@ pub(super) fn replay_merges(
                 assert!(!pairs.is_empty(), "planner must make progress");
                 pairs
             }
-            Some(rows) => {
+            Some(mut rows) => {
                 replayed_rounds += 1;
-                let stamp = round_idx as u32 + 1;
-                for (ri, row) in rows.iter().enumerate() {
-                    if row.key < std_nodes {
-                        row_stamp[row.key] = stamp;
-                        row_slot[row.key] = ri as u32;
-                    }
-                }
+                // Walk 1: translate the rows, best first. A row whose
+                // subtree is not active here reaches no entry; one whose
+                // neighbor is not active leaves its entry stale.
+                let active_new = |std: u32| {
+                    let x = std_to_new[std as usize];
+                    (x != NO_NODE && pos[x as usize] != NO_POS).then_some(x)
+                };
                 scan.begin(n_present);
-                for (ai, &x) in active.iter().enumerate() {
-                    let m = new_to_std[x];
-                    if m == NO_NODE || row_stamp[m as usize] != stamp {
-                        scan.novel(ai);
+                kept.clear();
+                for row in &rows {
+                    let Some(x) = active_new(row.key) else {
                         continue;
-                    }
-                    let row = &rows[row_slot[m as usize] as usize];
-                    let valid = row.nn.and_then(|(v, rd, score)| {
-                        let sv = *std_to_new.get(v)?;
-                        if sv == NO_NODE {
-                            return None;
+                    };
+                    let ai = pos[x as usize];
+                    match active_new(row.nn) {
+                        Some(v) => {
+                            scan.inherit(ai as usize, row.dist);
+                            let row = RankedRow {
+                                key: x,
+                                nn: v,
+                                ..*row
+                            };
+                            kept.push((row, ai));
                         }
-                        let sv = sv as usize;
-                        (sv < pos.len() && pos[sv] != NO_POS).then_some((sv, rd, score))
-                    });
-                    match valid {
-                        Some(nn) => scan.inherit(ai, nn),
-                        None => scan.stale(ai),
+                        None => scan.stale(ai as usize),
                     }
                 }
+                scan.novel_rest();
                 stats.scan_visits += scan.scan(&ForestSpace::new(forest), topo, &active, &hulls);
                 if stats.scan_visits > price || scan.tied {
                     return None;
                 }
-                // Rank by the planner's (score bits, lo, hi) key and take
-                // disjoint pairs up to the round limit.
-                ranked.clear();
-                for (ai, &x) in active.iter().enumerate() {
-                    let (v, _, score) = scan.nn_of[ai]?;
-                    let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-                    ranked.push(rank_key(score, lo, hi));
-                }
-                let pairs = select_ranked(&mut ranked, round_limit(topo.order, n_present));
+                // Walk 2: the round's rank order, which is also the
+                // replay's own snapshot in the new id space, so the next
+                // flush replays off this route; then disjoint pairs up to
+                // the round limit.
+                changed.clear();
+                changed.extend(scan.changed().map(|(ai, (v, dist, score))| RankedRow {
+                    score,
+                    dist,
+                    key: active[ai] as u32,
+                    nn: v as u32,
+                }));
+                changed.sort_unstable_by_key(RankedRow::rank);
+                let unchanged = kept.iter().filter(|&&(_, ai)| scan.recorded(ai as usize));
+                rows.clear();
+                merge_ranked(unchanged.map(|&(row, _)| row), &changed, &mut rows);
+                debug_assert_eq!(rows.len(), n_present, "one row per active subtree");
+                let limit = round_limit(topo.order, n_present);
+                let pairs = select_disjoint(rows.iter().map(RankedRow::pair), limit);
                 if pairs.is_empty() {
                     return None;
                 }
-                // The replay's own snapshot, in the new id space, so the
-                // next flush replays off this route.
-                out.rounds.push(Some(
-                    active
-                        .iter()
-                        .zip(&scan.nn_of)
-                        .map(|(&key, &nn)| NnSnapshotRow { key, nn })
-                        .collect(),
-                ));
+                out.rounds.push(Some(rows));
                 pairs
             }
         };
@@ -352,41 +352,46 @@ pub(super) fn replay_merges(
     })
 }
 
-/// The ranking key `(score bits, lo, hi)` packed into one `u128`, which
-/// orders exactly as the tuple does. Node indices fit `u32` (the forest
-/// packs its ids so).
-pub(super) fn rank_key(score: u64, lo: usize, hi: usize) -> u128 {
-    let key = |i: usize| u128::from(u32::try_from(i).expect("node indices fit u32"));
-    u128::from(score) << 64 | key(lo) << 32 | key(hi)
+/// A replayed round's second walk: writes into `next` the rank order
+/// ([`RankedRow::rank`]) of `kept` and `changed` together, from which
+/// [`select_disjoint`] takes the round's pairs.
+///
+/// `changed` is sorted. `kept` is a recorded rank order translated into
+/// new ids: its scores still ascend, but a run of equal scores may have
+/// lost its `(lo, hi)` order. The walk merges the two and sorts by
+/// insertion as it goes, which moves a row back only within the run of
+/// its own score. The rows of mutual neighbors share their key and stay
+/// side by side: [`select_disjoint`] rejects the second of them (its
+/// endpoints are taken, or were found taken), as the planner's dedup
+/// would drop it.
+pub(super) fn merge_ranked(
+    kept: impl Iterator<Item = RankedRow>,
+    changed: &[RankedRow],
+    next: &mut Vec<RankedRow>,
+) {
+    let mut last = 0;
+    let mut changed = changed.iter().map(|&c| (c.rank(), c)).peekable();
+    for row in kept {
+        let rank = row.rank();
+        while let Some((c_rank, c)) = changed.next_if(|&(c_rank, _)| c_rank < rank) {
+            last = push_ranked(next, c, c_rank, last);
+        }
+        last = push_ranked(next, row, rank, last);
+    }
+    for (c_rank, c) in changed {
+        last = push_ranked(next, c, c_rank, last);
+    }
 }
 
-/// Takes up to `limit` endpoint-disjoint pairs from the packed `ranked`
-/// keys, best first: the pairs [`select_disjoint`] takes from all of
-/// them sorted. Only the [`prefix_len`] smallest keys are selected and
-/// sorted; when the walk runs out of that prefix before the limit, the
-/// rest is sorted and the walk runs again over the whole list. A key
-/// ranked twice (two mutual nearest neighbors) needs no dedup: the walk
-/// rejects its second copy, whose endpoints its first copy took or found
-/// taken.
-pub(super) fn select_ranked(ranked: &mut [u128], limit: usize) -> Vec<(usize, usize)> {
-    let pairs = |keys: &[u128]| {
-        select_disjoint(
-            keys.iter()
-                .map(|&k| ((k >> 32) as u32 as usize, k as u32 as usize)),
-            limit,
-        )
-    };
-    let head = prefix_len(limit);
-    if head < ranked.len() {
-        ranked.select_nth_unstable(head);
-        ranked[..head].sort_unstable();
-        let taken = pairs(&ranked[..head]);
-        if taken.len() == limit {
-            return taken;
-        }
-        ranked[head..].sort_unstable();
-    } else {
-        ranked.sort_unstable();
+/// One insertion-sort step: adds `row`, of rank `rank`, to the
+/// rank-ordered `next`, whose last rank is `last`, and returns the new
+/// last rank.
+fn push_ranked(next: &mut Vec<RankedRow>, row: RankedRow, rank: u128, last: u128) -> u128 {
+    if rank >= last {
+        next.push(row);
+        return rank;
     }
-    pairs(ranked)
+    let at = next.partition_point(|r| r.rank() <= rank);
+    next.insert(at, row);
+    last
 }

@@ -71,19 +71,41 @@ fn grid_pays(n: usize, refresh: usize, novel: usize) -> bool {
     linear > grid
 }
 
+/// Where an active position's neighbor entry comes from.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Source {
+    /// Not classified yet.
+    #[default]
+    Unset,
+    /// Inherited from the recorded row, unchanged.
+    Recorded,
+    /// Inherited, then taken over by a novel entry.
+    TakenOver,
+    /// Scanned for its own neighbor: stale or novel.
+    Scanned,
+}
+
 /// A replayed round's neighbor table, indexed by active position, and
-/// the entries it must re-scan. Reused round to round.
+/// the entries it must re-scan. Reused round to round. The inherited
+/// entries' triples stay with the replay's recorded rows; the table
+/// holds what the scans read and write.
 #[derive(Default)]
 pub(super) struct RoundScan {
-    /// Per active position: `(neighbor key, hull distance, score bits)`,
-    /// the planner's snapshot triple.
-    pub(super) nn_of: Vec<Option<(usize, f64, u64)>>,
-    /// Per active position: whether the entry was inherited.
-    inherited: Vec<bool>,
+    /// Per active position: where its entry comes from.
+    source: Vec<Source>,
+    /// Per inherited position (recorded or taken over): the hull distance
+    /// to its neighbor, which a novel entry must beat to take it over.
+    reach: Vec<f64>,
+    /// Per scanned or taken-over position: the `(neighbor key, hull
+    /// distance, score bits)` triple the scans found, the planner's
+    /// snapshot triple.
+    found: Vec<(usize, f64, u64)>,
     /// Positions whose own neighbor must be scanned: stale and novel.
     refresh: Vec<usize>,
-    /// Positions with no standing counterpart: they may take over.
+    /// Positions no recorded row reached: they may take over.
     novel: Vec<usize>,
+    /// Inherited positions a novel entry took over.
+    taken: Vec<usize>,
     /// Whether a scan met an exact distance tie: an own-neighbor scan
     /// that found its nearest distance more than once, or a novel entry
     /// exactly as near an inherited entry as that entry's neighbor. The
@@ -97,32 +119,55 @@ pub(super) struct RoundScan {
 impl RoundScan {
     /// Starts a round over `n` active subtrees, every entry unset.
     pub(super) fn begin(&mut self, n: usize) {
-        self.nn_of.clear();
-        self.nn_of.resize(n, None);
-        self.inherited.clear();
-        self.inherited.resize(n, false);
+        self.source.clear();
+        self.source.resize(n, Source::Unset);
+        // Read only where `source` says they were written this round.
+        self.reach.resize(n, 0.0);
+        self.found.resize(n, (0, 0.0, 0));
         self.refresh.clear();
         self.novel.clear();
+        self.taken.clear();
         self.tied = false;
     }
 
-    /// Position `ai` inherits its recorded neighbor triple.
-    pub(super) fn inherit(&mut self, ai: usize, nn: (usize, f64, u64)) {
-        self.nn_of[ai] = Some(nn);
-        self.inherited[ai] = true;
+    /// Position `ai` inherits its recorded neighbor, at hull distance
+    /// `dist`.
+    pub(super) fn inherit(&mut self, ai: usize, dist: f64) {
+        self.source[ai] = Source::Recorded;
+        self.reach[ai] = dist;
     }
 
     /// Position `ai` has a standing counterpart whose recorded neighbor is
     /// gone: it scans for its own neighbor.
     pub(super) fn stale(&mut self, ai: usize) {
         self.refresh.push(ai);
+        self.source[ai] = Source::Scanned;
     }
 
-    /// Position `ai` has no standing counterpart: it scans for its own
-    /// neighbor and for takeovers.
-    pub(super) fn novel(&mut self, ai: usize) {
-        self.refresh.push(ai);
-        self.novel.push(ai);
+    /// Marks every position still unclassified novel, in active order:
+    /// the entries no recorded row reached have no standing counterpart
+    /// in the round, so they scan for their own neighbor and for
+    /// takeovers.
+    pub(super) fn novel_rest(&mut self) {
+        for (ai, source) in self.source.iter_mut().enumerate() {
+            if *source == Source::Unset {
+                *source = Source::Scanned;
+                self.refresh.push(ai);
+                self.novel.push(ai);
+            }
+        }
+    }
+
+    /// Whether position `ai` still holds its recorded entry unchanged.
+    pub(super) fn recorded(&self, ai: usize) -> bool {
+        self.source[ai] == Source::Recorded
+    }
+
+    /// The entries the scans wrote, stale, novel and taken over: each
+    /// position with its new triple.
+    pub(super) fn changed(&self) -> impl Iterator<Item = (usize, (usize, f64, u64))> + '_ {
+        let found = |&ai: &usize| (ai, self.found[ai]);
+        self.refresh.iter().chain(&self.taken).map(found)
     }
 
     /// Runs the round's scans over `active` (keys) and `hulls` (their
@@ -175,22 +220,26 @@ impl RoundScan {
             self.tied |= tied;
             let (vi, rd) = best.expect("two or more active subtrees");
             let bufs = &mut self.region_bufs;
-            self.nn_of[ai] = Some(scored(space, topo, bufs, active[ai], active[vi], rd));
+            self.found[ai] = scored(space, topo, bufs, active[ai], active[vi], rd);
         }
-        let inherited = self.inherited.iter().filter(|&&i| i).count();
+        let inherited = self
+            .source
+            .iter()
+            .filter(|&&s| s == Source::Recorded)
+            .count();
         for &ci in &self.novel {
             let (c, hc) = (active[ci], hulls[ci]);
             for ui in 0..n {
-                if !self.inherited[ui] {
+                if !matches!(self.source[ui], Source::Recorded | Source::TakenOver) {
                     continue;
                 }
-                let Some((_, urd, _)) = self.nn_of[ui] else {
-                    continue;
-                };
+                let urd = self.reach[ui];
                 let nd = hulls[ui].distance(&hc);
                 if nd < urd {
                     let bufs = &mut self.region_bufs;
-                    self.nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
+                    self.found[ui] = scored(space, topo, bufs, active[ui], c, nd);
+                    self.reach[ui] = nd;
+                    take_over(&mut self.source[ui], &mut self.taken, ui);
                 } else if nd <= urd {
                     self.tied = true;
                 }
@@ -215,9 +264,9 @@ impl RoundScan {
             visits += v as u64;
             let (vi, rd) = best.expect("two or more active subtrees");
             let bufs = &mut self.region_bufs;
-            self.nn_of[ai] = Some(scored(space, topo, bufs, active[ai], active[vi], rd));
+            self.found[ai] = scored(space, topo, bufs, active[ai], active[vi], rd);
         }
-        if self.novel.is_empty() || !self.inherited.contains(&true) {
+        if self.novel.is_empty() || !self.source.contains(&Source::Recorded) {
             return visits;
         }
         // A takeover needs a hull distance strictly below the victim's
@@ -225,30 +274,40 @@ impl RoundScan {
         // capped one ulp past its inherited entries' largest, and the walk
         // is bounded by the largest of all.
         let mut bound = 0.0f64;
-        for (ui, nn) in self.nn_of.iter().enumerate() {
-            if let (true, Some((_, urd, _))) = (self.inherited[ui], nn) {
+        for (ui, (&source, &urd)) in self.source.iter().zip(&self.reach).enumerate() {
+            if source == Source::Recorded {
                 grid.note_cap(&hulls[ui], urd.next_up());
                 bound = bound.max(urd.next_up());
             }
         }
-        let (nn_of, inherited, bufs) = (&mut self.nn_of, &self.inherited, &mut self.region_bufs);
-        let tied = &mut self.tied;
+        let (source, reach, found) = (&mut self.source, &mut self.reach, &mut self.found);
+        let (bufs, taken, tied) = (&mut self.region_bufs, &mut self.taken, &mut self.tied);
         for &ci in &self.novel {
             let c = active[ci];
             visits += grid.neighbors_within_capped(ci, &hulls[ci], bound, |ui, nd| {
-                if !inherited[ui] {
+                if !matches!(source[ui], Source::Recorded | Source::TakenOver) {
                     return;
                 }
-                match nn_of[ui] {
-                    Some((_, urd, _)) if nd < urd => {
-                        nn_of[ui] = Some(scored(space, topo, bufs, active[ui], c, nd));
-                    }
-                    Some((_, urd, _)) if nd <= urd => *tied = true,
-                    _ => {}
+                let urd = reach[ui];
+                if nd < urd {
+                    found[ui] = scored(space, topo, bufs, active[ui], c, nd);
+                    reach[ui] = nd;
+                    take_over(&mut source[ui], taken, ui);
+                } else if nd <= urd {
+                    *tied = true;
                 }
             }) as u64;
         }
         visits
+    }
+}
+
+/// Marks the inherited position `ui` taken over, listing it in `taken`
+/// the first time.
+fn take_over(source: &mut Source, taken: &mut Vec<usize>, ui: usize) {
+    if *source == Source::Recorded {
+        *source = Source::TakenOver;
+        taken.push(ui);
     }
 }
 

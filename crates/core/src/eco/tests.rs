@@ -1,6 +1,7 @@
 //! Unit tests of the ECO session that read its recording.
 
 use super::*;
+use crate::drivers::RankedRow;
 use crate::{AstDme, ClockRouter};
 use astdme_engine::EngineConfig;
 
@@ -137,69 +138,117 @@ fn unfused_flush_chain_matches_from_scratch() {
     chained_flushes_match_from_scratch(&scattered(120, 3, 0.0), &unfused());
 }
 
-/// The replay's pair selection, which sorts only a prefix of the packed
-/// keys, takes exactly the pairs the planner's full sort + dedup takes:
-/// over exact score ties, mutual neighbors ranked twice, limits 1, the
-/// multi-merge quarter and n/2, and prefixes that run out before the
-/// limit (hub neighbors, where most keys share an endpoint).
-#[test]
-fn select_ranked_matches_the_full_sort_and_dedup() {
+/// One proptest case of [`replay::merge_ranked`]: a recorded round of
+/// `n` rows, rank-ordered in the standing ids, translated into new ids,
+/// with some rows changed by the scans (new neighbor and score). The walk
+/// over the unchanged rows and the sorted changed ones must lay out the
+/// full sort of all the round's rows, from which `select_disjoint` must
+/// take the pairs it takes from the planner's full sort and dedup, at
+/// limits 1, n/4 and n/2. Returns how many adjacent unchanged rows the translation put out
+/// of order (always within a run of equal scores).
+fn merge_walk_matches_the_full_sort(seed: u64) -> usize {
     use astdme_topo::{score_bits, select_disjoint};
+    use rand::seq::SliceRandom;
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
 
-    let (mut fell_back, mut stayed) = (0, 0);
-    for seed in 0..600u64 {
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
-        let n = rng.random_range(2..400);
-        // Few distinct scores force exact ties; few hubs force fallbacks.
-        let scores: Vec<u64> = (0..rng.random_range(1..12))
-            .map(|_| score_bits(rng.random_range(0.0..1e4)))
-            .collect();
-        let hubs = [1, 3, n][rng.random_range(0..3)].min(n - 1);
-        let mut keys: Vec<(u64, u32, u32)> = Vec::new();
-        for x in 0..n {
-            let v = (x + 1 + rng.random_range(0..hubs)) % n;
-            let (lo, hi) = (x.min(v) as u32, x.max(v) as u32);
-            let score = scores[rng.random_range(0..scores.len())];
-            keys.push((score, lo, hi));
-            if rng.random_range(0..3) == 0 {
-                keys.push((score, lo, hi));
-            }
+    let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+    let n: usize = rng.random_range(2..400);
+    // Few distinct scores force exact ties; few neighbor choices force
+    // hubs (most pairs share an endpoint with another).
+    let scores: Vec<u64> = (0..rng.random_range(1..12))
+        .map(|_| score_bits(rng.random_range(0.0..1e4)))
+        .collect();
+    let hubs = [1, 3, n][rng.random_range(0..3)].min(n - 1);
+    let score = |rng: &mut rand_chacha::ChaCha12Rng| scores[rng.random_range(0..scores.len())];
+    let row = |key: usize, nn: usize, score: u64| RankedRow {
+        score,
+        dist: 0.0,
+        key: key as u32,
+        nn: nn as u32,
+    };
+    // One row per subtree; a third of them are mutual neighbors, whose
+    // two rows share their key.
+    let mut rows: Vec<Option<RankedRow>> = vec![None; n];
+    for x in 0..n {
+        if rows[x].is_some() {
+            continue;
         }
-        for limit in [1, n.div_ceil(4), n / 2] {
-            let limit = limit.max(1);
-            let mut want = keys.clone();
-            want.sort_unstable();
-            want.dedup();
-            let want = select_disjoint(
-                want.iter().map(|&(_, a, b)| (a as usize, b as usize)),
-                limit,
-            );
-            let mut packed: Vec<u128> = keys
-                .iter()
-                .map(|&(s, lo, hi)| replay::rank_key(s, lo as usize, hi as usize))
-                .collect();
-            let got = replay::select_ranked(&mut packed, limit);
-            assert_eq!(got, want, "seed {seed}, n {n}, limit {limit}");
-            // Whether the sorted prefix alone ran out before the limit.
-            let head = replay::prefix_len(limit);
-            if head < keys.len() {
-                let mut sorted = keys.clone();
-                sorted.sort_unstable();
-                let prefix = sorted[..head]
-                    .iter()
-                    .map(|&(_, a, b)| (a as usize, b as usize));
-                if select_disjoint(prefix, limit).len() < limit {
-                    fell_back += 1;
-                } else {
-                    stayed += 1;
-                }
-            }
+        let v = (x + 1 + rng.random_range(0..hubs)) % n;
+        let s = score(&mut rng);
+        rows[x] = Some(row(x, v, s));
+        if rows[v].is_none() && rng.random_range(0..3) == 0 {
+            rows[v] = Some(row(v, x, s));
         }
     }
-    assert!(
-        fell_back > 20 && stayed > 20,
-        "fallbacks {fell_back}, prefix-only {stayed}"
-    );
+    let mut recorded: Vec<RankedRow> = rows.into_iter().flatten().collect();
+    recorded.sort_unstable_by_key(RankedRow::rank);
+    // The id translation: the identity, or any injection into 2n ids,
+    // which flips `(lo, hi)` order inside equal-score runs.
+    let mut ids: Vec<u32> = (0..2 * n as u32).collect();
+    if rng.random_range(0..4) != 0 {
+        ids.shuffle(&mut rng);
+    }
+    let translate = |r: &RankedRow| RankedRow {
+        key: ids[r.key as usize],
+        nn: ids[r.nn as usize],
+        ..*r
+    };
+    let mut kept = Vec::new();
+    let mut changed = Vec::new();
+    let share = rng.random_range(0..4);
+    for r in &recorded {
+        if rng.random_range(0..8) < share {
+            let v = (r.key as usize + 1 + rng.random_range(0..hubs)) % n;
+            changed.push(translate(&row(r.key as usize, v, score(&mut rng))));
+        } else {
+            kept.push(translate(r));
+        }
+    }
+    let flips = kept
+        .windows(2)
+        .filter(|w| w[0].score == w[1].score && w[0].rank() > w[1].rank())
+        .count();
+    changed.sort_unstable_by_key(RankedRow::rank);
+    // The planner's ranking: every row's `(score bits, lo, hi)` key, fully
+    // sorted; the selection reads it deduplicated.
+    let mut want: Vec<u128> = kept.iter().chain(&changed).map(RankedRow::rank).collect();
+    want.sort_unstable();
+    let mut distinct = want.clone();
+    distinct.dedup();
+    let key_pair = |k: &u128| ((*k >> 32) as u32 as usize, *k as u32 as usize);
+    let mut next = Vec::new();
+    replay::merge_ranked(kept.iter().copied(), &changed, &mut next);
+    let ranks: Vec<u128> = next.iter().map(RankedRow::rank).collect();
+    assert_eq!(ranks, want, "seed {seed}: the walk's order");
+    for limit in [1, n.div_ceil(4), n / 2] {
+        let limit = limit.max(1);
+        let got = select_disjoint(next.iter().map(RankedRow::pair), limit);
+        let want = select_disjoint(distinct.iter().map(key_pair), limit);
+        assert_eq!(got, want, "seed {seed}, n {n}, limit {limit}");
+    }
+    flips
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(600))]
+
+    /// The replay's merge walk orders and selects a round exactly as the
+    /// planner's full sort and dedup does (see
+    /// [`merge_walk_matches_the_full_sort`]).
+    #[test]
+    fn merge_walk_selects_as_the_full_sort_and_dedup(seed in proptest::prelude::any::<u64>()) {
+        merge_walk_matches_the_full_sort(seed);
+    }
+}
+
+/// The translations of [`merge_walk_matches_the_full_sort`] do put
+/// equal-score runs out of order, so the walk's local re-sort is what the
+/// proptest checks, not a no-op.
+#[test]
+fn merge_walk_cases_flip_equal_score_runs() {
+    let flipped = (0..200u64)
+        .filter(|&seed| merge_walk_matches_the_full_sort(seed) > 0)
+        .count();
+    assert!(flipped > 50, "only {flipped} of 200 cases flipped a run");
 }

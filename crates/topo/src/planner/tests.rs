@@ -138,6 +138,41 @@ fn equivalent_with_delay_bias() {
     }
 }
 
+/// The snapshot lists every active subtree once, in the `(score, lo, hi)`
+/// order `plan_round` selects by, whether the ranking lives in the flat
+/// post-refresh vector (multi-merge) or in the lazy heap (greedy rounds
+/// on the point-update path), and it selects the planner's own round.
+#[test]
+fn nn_snapshot_rows_are_in_rank_order() {
+    for cfg in [TopoConfig::default(), TopoConfig::greedy()] {
+        let mut space = Pts::new(&lcg_coords(300, 17));
+        let keys: Vec<usize> = (0..300).collect();
+        let mut planner = MergePlanner::new(&space, &keys, cfg);
+        for _ in 0..4 {
+            let pairs = planner.plan_round(&space);
+            let rows = planner.nn_snapshot();
+            let mut seen: Vec<usize> = rows.iter().map(|r| r.key).collect();
+            seen.sort_unstable();
+            let mut live: Vec<usize> = planner.entries.iter().map(|e| e.key()).collect();
+            live.sort_unstable();
+            assert_eq!(seen, live, "every active subtree once");
+            let rank = |r: &NnSnapshotRow| {
+                let (v, _, score) = r.nn.expect("a cached neighbor");
+                (score, r.key.min(v), r.key.max(v))
+            };
+            assert!(rows.is_sorted_by_key(rank), "rank order");
+            let limit = round_limit(cfg.order, planner.len());
+            let ranked = rows.iter().map(|r| (rank(r).1, rank(r).2));
+            assert_eq!(select_disjoint(ranked, limit), pairs);
+            let mut round = Vec::new();
+            for (a, b) in pairs {
+                round.push((a, b, midpoint_merge(&mut space, a, b)));
+            }
+            planner.apply_round(&space, &round);
+        }
+    }
+}
+
 #[test]
 fn planner_shrinks_to_sole_survivor() {
     let mut space = Pts::new(&[(0.0, 0.0), (4.0, 0.0), (10.0, 0.0)]);

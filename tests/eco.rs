@@ -261,6 +261,61 @@ fn edit_storm_past_the_price_falls_back_to_the_reroute() {
     assert_eq!(fs.scan_visits, 3_615_979, "{fs:?}");
 }
 
+/// Sinks snapped to a 10 µm lattice meet many exact distance ties, so
+/// recorded rounds carry long runs of equal scores, and a replay's id
+/// translation can put such a run out of `(lo, hi)` order, which its
+/// second walk re-sorts. A chain of move-away and move-back flushes on
+/// the fused router must equal its from-scratch routes, and every move
+/// back must restore the first tree. Flushes whose scans meet an exact
+/// tie decline and reroute; the rest replay, and the test reports how
+/// many did.
+#[test]
+fn lattice_flush_chain_matches_from_scratch() {
+    let _lock = override_lock();
+    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    let n = 2000;
+    let scattered = instance(n, 4, 29);
+    let snap = |x: f64| (x / 10.0).round() * 10.0;
+    let sinks: Vec<Sink> = scattered
+        .sinks()
+        .iter()
+        .map(|s| Sink::new(Point::new(snap(s.pos.x), snap(s.pos.y)), s.cap))
+        .collect();
+    let inst = Instance::new(
+        sinks,
+        scattered.groups().clone(),
+        *scattered.rc(),
+        scattered.source(),
+    )
+    .expect("valid lattice instance");
+    let router = AstDme::new();
+    let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
+    let base = session.outcome().clone();
+    let (mut flushes, mut replayed) = (0, 0);
+    for cycle in 0..6 {
+        let sink = (cycle * 331 + 17) % n;
+        let home = inst.sinks()[sink].pos;
+        let step = 10.0 * (2 + cycle) as f64;
+        let away = Point::new(home.x + step, home.y - 2.0 * step);
+        for (moved, to) in [(true, away), (false, home)] {
+            session.queue(EcoEdit::Move { sink, to });
+            let got = session.flush().expect("flushes").clone();
+            if moved {
+                let want = router.route_traced(session.instance()).expect("routes");
+                assert_eq!(got.tree, want.tree, "cycle {cycle}: tree");
+                assert_eq!(got.report, want.report, "cycle {cycle}: report");
+            } else {
+                assert_eq!(got.tree, base.tree, "cycle {cycle}: move back");
+                assert_eq!(got.report, base.report, "cycle {cycle}: move back");
+            }
+            flushes += 1;
+            replayed += usize::from(!session.last_flush().full_reroute);
+        }
+    }
+    println!("{replayed} of {flushes} lattice flushes replayed");
+    assert!(replayed > 0, "no lattice flush replayed");
+}
+
 /// Structural edits (insert, delete, RC retune) and non-replayable plans
 /// fall back to a full reroute — and still match from-scratch exactly.
 #[test]
