@@ -149,7 +149,10 @@ fn ranked_rows(snapshot: Vec<NnSnapshotRow>) -> Option<Vec<RankedRow>> {
             })
         })
         .collect::<Option<Vec<_>>>()?;
-    debug_assert!(rows.is_sorted_by_key(RankedRow::rank), "snapshot rows in rank order");
+    debug_assert!(
+        rows.is_sorted_by_key(RankedRow::rank),
+        "snapshot rows in rank order"
+    );
     Some(rows)
 }
 

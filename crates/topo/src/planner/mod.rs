@@ -87,7 +87,7 @@
 //! | `arena` | the region arena: per-subtree candidate regions, contiguous and re-laid out in cell order |
 //! | `entry` | the per-subtree [`Entry`] (its copied hull, delay and arena span, and its flat neighbor cache) and the exact-distance and score helpers that read it |
 //! | `keys` | the dense key tables: position map growth, active-set removal/insertion, back-reference invalidation |
-//! | `pairs` | the pair ranking: score folding, the lazy min-heap, the flat post-refresh ranking, round selection |
+//! | `pairs` | the pair ranking: score folding, the lazy min-heap, the flat post-refresh ranking, round selection, [`MergePlanner::nn_snapshot`] |
 //! | `points` | the point-update maintenance path: dirty-cache flushes, neighbor takeover scans, the takeover bound |
 //! | `refresh` | bulk maintenance: the initial derivation, the multi-merge refresh sweep, grid (re)builds |
 //! | `tail` | the brute-force tail below the cutoff, with its memoized distance matrix |
@@ -373,48 +373,6 @@ impl MergePlanner {
     /// all-pairs tail.
     pub fn in_grid_regime(&self) -> bool {
         self.entries.len() > BRUTE_FORCE_CUTOFF
-    }
-
-    /// Snapshot of every active subtree's cached nearest neighbor, in
-    /// rank order: by the `(score bits, lo, hi)` key of the subtree's
-    /// pair, the order [`MergePlanner::plan_round`] selects pairs in. The
-    /// two rows of mutual neighbors share their key and sit side by side,
-    /// the smaller key's first; subtrees caching no neighbor come last.
-    ///
-    /// Meaningful immediately after [`MergePlanner::plan_round`] in the
-    /// grid regime (see [`MergePlanner::in_grid_regime`]), when every
-    /// cache has just been flushed: the rows are then exactly the pair
-    /// ranking the round was selected from. Replay drivers (the ECO flush
-    /// path) record this per round to re-derive later rounds without
-    /// re-planning. After a multi-merge refresh the rows are read off the
-    /// planner's own sorted ranking; otherwise they are sorted here.
-    pub fn nn_snapshot(&self) -> Vec<NnSnapshotRow> {
-        let row = |e: &Entry| NnSnapshotRow {
-            key: e.key(),
-            nn: e.nn().map(|nn| (nn.key, nn.region_dist, nn.score)),
-        };
-        let mut rows = Vec::with_capacity(self.entries.len());
-        if self.sorted_valid {
-            // Each cached pair is in the ranking once; its rows are the
-            // endpoints caching the other at the pair's score.
-            let caches = |k: u32, other: u32, score: u64| {
-                let e = &self.entries[self.pos_of(k as usize)?];
-                let nn = e.nn()?;
-                (nn.key == other as usize && nn.score == score).then(|| row(e))
-            };
-            for &(score, lo, hi) in &self.sorted_pairs {
-                rows.extend(caches(lo, hi, score));
-                rows.extend(caches(hi, lo, score));
-            }
-        } else {
-            rows.extend(self.entries.iter().filter(|e| e.nn().is_some()).map(row));
-            rows.sort_unstable_by_key(|r| {
-                let (v, _, score) = r.nn.expect("only cached neighbors");
-                (score, r.key.min(v), r.key.max(v))
-            });
-        }
-        rows.extend(self.entries.iter().filter(|e| e.nn().is_none()).map(row));
-        rows
     }
 
     /// Plans one merge round over the current active set: disjoint pairs,

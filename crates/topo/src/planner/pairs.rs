@@ -1,5 +1,5 @@
 //! The pair ranking: score folding, the lazy min-heap, the flat
-//! post-refresh ranking, and round selection.
+//! post-refresh ranking, round selection, and the rank-ordered snapshot.
 //!
 //! A pair is in the ranking set iff at least one endpoint caches the other
 //! at the recorded score — there is no separate membership structure.
@@ -9,10 +9,52 @@
 
 use std::cmp::Reverse;
 
-use super::{MergePlanner, Nn};
+use super::{Entry, MergePlanner, Nn, NnSnapshotRow};
 use crate::plan::select_disjoint;
 
 impl MergePlanner {
+    /// Snapshot of every active subtree's cached nearest neighbor, in
+    /// rank order: by the `(score bits, lo, hi)` key of the subtree's
+    /// pair, the order [`MergePlanner::plan_round`] selects pairs in. The
+    /// two rows of mutual neighbors share their key and sit side by side,
+    /// the smaller key's first; subtrees caching no neighbor come last.
+    ///
+    /// Meaningful immediately after [`MergePlanner::plan_round`] in the
+    /// grid regime (see [`MergePlanner::in_grid_regime`]), when every
+    /// cache has just been flushed: the rows are then exactly the pair
+    /// ranking the round was selected from. Replay drivers (the ECO flush
+    /// path) record this per round to re-derive later rounds without
+    /// re-planning. After a multi-merge refresh the rows are read off the
+    /// planner's own sorted ranking; otherwise they are sorted here.
+    pub fn nn_snapshot(&self) -> Vec<NnSnapshotRow> {
+        let row = |e: &Entry| NnSnapshotRow {
+            key: e.key(),
+            nn: e.nn().map(|nn| (nn.key, nn.region_dist, nn.score)),
+        };
+        let mut rows = Vec::with_capacity(self.entries.len());
+        if self.sorted_valid {
+            // Each cached pair is in the ranking once; its rows are the
+            // endpoints caching the other at the pair's score.
+            let caches = |k: u32, other: u32, score: u64| {
+                let e = &self.entries[self.pos_of(k as usize)?];
+                let nn = e.nn()?;
+                (nn.key == other as usize && nn.score == score).then(|| row(e))
+            };
+            for &(score, lo, hi) in &self.sorted_pairs {
+                rows.extend(caches(lo, hi, score));
+                rows.extend(caches(hi, lo, score));
+            }
+        } else {
+            rows.extend(self.entries.iter().filter(|e| e.nn().is_some()).map(row));
+            rows.sort_unstable_by_key(|r| {
+                let (v, _, score) = r.nn.expect("only cached neighbors");
+                (score, r.key.min(v), r.key.max(v))
+            });
+        }
+        rows.extend(self.entries.iter().filter(|e| e.nn().is_none()).map(row));
+        rows
+    }
+
     /// Whether the ranking entry `(score, lo, hi)` still describes a live
     /// pair: some endpoint caches the other at that score. (A pair's score
     /// is a pure function of the pair, so a re-formed pair reproduces the

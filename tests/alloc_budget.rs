@@ -223,9 +223,9 @@ fn forest_retains_only_its_candidates() {
 }
 
 /// Measured here (n = 4000, one sink moved, default preset): the flush's
-/// merge stage allocates 0.07 times per adopted merge (291 over 3946),
-/// and the flush's peak adds 0.662 of the recorded forest's candidate
-/// bytes (3 014 412 B against 4 550 688 B of 144 B candidates; the
+/// merge stage allocates 0.07 times per adopted merge (294 over 3946),
+/// and the flush's peak adds 0.607 of the recorded forest's candidate
+/// bytes (2 760 572 B against 4 550 688 B of 144 B candidates; the
 /// flush's other buffers do not scale with the candidate size, so the
 /// share grows as candidates shrink). An adopted merge allocates nothing,
 /// because it takes the recorded node's candidate list, and the fresh

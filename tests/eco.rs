@@ -262,13 +262,12 @@ fn edit_storm_past_the_price_falls_back_to_the_reroute() {
 }
 
 /// Sinks snapped to a 10 µm lattice meet many exact distance ties, so
-/// recorded rounds carry long runs of equal scores, and a replay's id
-/// translation can put such a run out of `(lo, hi)` order, which its
-/// second walk re-sorts. A chain of move-away and move-back flushes on
-/// the fused router must equal its from-scratch routes, and every move
-/// back must restore the first tree. Flushes whose scans meet an exact
-/// tie decline and reroute; the rest replay, and the test reports how
-/// many did.
+/// recorded rounds carry runs of equal scores over distinct pairs, which
+/// a replay's second walk must keep in `(lo, hi)` order in the new ids.
+/// A chain of move-away and move-back flushes on the fused router must
+/// equal its from-scratch routes, and every move back must restore the
+/// first tree. Flushes whose scans meet an exact tie decline and
+/// reroute; the rest replay, and the test reports how many did.
 #[test]
 fn lattice_flush_chain_matches_from_scratch() {
     let _lock = override_lock();
