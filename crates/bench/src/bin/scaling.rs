@@ -55,7 +55,7 @@ use astdme_instances::{partition, synthetic_instance};
 /// which makes `allocs_per_merge` a regressable number — the witness that
 /// the merge hot path performs O(1) amortized allocations per merge (no
 /// per-pair scratch or delay-map allocations). Per-thread counting keeps
-/// pool workers and other threads out of the measured deltas.
+/// claim-loop helpers and other threads out of the measured deltas.
 ///
 /// `tests/alloc_budget.rs` (repo root) carries a twin of this impl — the
 /// library crates forbid `unsafe_code`, so the two binaries each host

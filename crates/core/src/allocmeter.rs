@@ -48,8 +48,8 @@ mod tests {
         on_alloc();
         on_alloc();
         assert_eq!(current(), before + 2);
-        // A pool helper's allocations never show up here: only the items
-        // this thread produced count.
+        // A claim-loop helper's allocations never show up here: only the
+        // items this thread produced count.
         let caller = std::thread::current().id();
         let mut mine = 0u64;
         astdme_par::claim_loop(

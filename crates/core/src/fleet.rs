@@ -232,8 +232,9 @@ where
 /// the routed tree plus its audit report and per-stage stats
 /// ([`RouteOutcome`]). The output is bit-identical to
 /// `instances.iter().map(|i| router.route_traced(i))` at every thread
-/// count (including the [`astdme_par::set_thread_override`] settings the
-/// determinism tests sweep): scheduling changes, trees never do.
+/// count (including the calling thread's override, the
+/// [`astdme_par::set_thread_override`] settings the determinism tests
+/// sweep): scheduling changes, trees never do.
 ///
 /// Errors are per-instance — one invalid *or panicking* instance does not
 /// poison the rest of the batch; a panic surfaces as

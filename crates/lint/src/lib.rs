@@ -20,6 +20,7 @@
 //! | `unsafe-code` | everywhere except the audited allowlist | `unsafe` only in the two counting `GlobalAlloc` shims (`bench/src/bin/scaling.rs`, `tests/alloc_budget.rs`). Library crates, `astdme_par` included, redundantly `#![forbid(unsafe_code)]`. |
 //! | `float-eq` | `crates/engine/src`, `crates/topo/src` | no raw `==`/`!=` with a float-literal or `f32::`/`f64::`-constant operand in ranking paths: use `total_cmp`/`to_bits` or branch on the ordering. (Lexical rule: comparisons of two float *variables* are not detectable without types — reviews still own those.) |
 //! | `file-length` | `crates/engine/src`, `crates/topo/src` | files stay ≤ 500 lines (the PR 2/4 module-tree convention). |
+//! | `test-mod-last` | every `.rs` file | a file's first `#[cfg(test)]` item is its last item: size counts treat everything from that attribute on as test code, so code after it would be misfiled. |
 //! | `dep-audit` | every `Cargo.toml` (including `vendor/`) | every dependency resolves by `path` (or `workspace = true` inheriting one); no registry versions, git URLs, or `[patch]` sections. |
 //!
 //! # Pragmas

@@ -1,4 +1,4 @@
-//! The seven source-level rules and the pragma machinery.
+//! The source-level rules and the pragma machinery.
 //!
 //! Each rule is a pure function over one lexed file plus its
 //! workspace-relative path (scoping is path-based; see the crate docs for
@@ -17,6 +17,7 @@ pub const RULE_IDS: &[&str] = &[
     "unsafe-code",
     "float-eq",
     "file-length",
+    "test-mod-last",
     "dep-audit",
     "pragma",
 ];
@@ -96,6 +97,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         float_eq(rel_path, &lx, &mut diags);
         file_length(rel_path, &lx, &mut diags);
     }
+    test_mod_last(rel_path, &lx, &mut diags);
     apply_pragmas(&lx.pragmas, &mut diags);
     diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     diags
@@ -341,6 +343,60 @@ fn file_length(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
             format!(
                 "file is {} lines (cap {FILE_LOC_CAP}): split it into a module tree",
                 lx.lines
+            ),
+        ));
+    }
+}
+
+/// Rule `test-mod-last`: the first `#[cfg(test)]` item of a file is its
+/// last item. Size counts treat everything from a file's first
+/// `#[cfg(test)]` on as test code, so an item after it would be
+/// misfiled. The attributed item ends at its first `;` outside any
+/// bracket, or at the `}` closing its body (plus a trailing `;`, as in
+/// `use a::{b, c};`); any token after that end is a violation.
+fn test_mod_last(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let t = &lx.tokens;
+    let Some(start) = t
+        .windows(CFG_TEST.len())
+        .position(|w| w.iter().map(|tok| tok.text).eq(CFG_TEST))
+    else {
+        return;
+    };
+    let mut depth = 0usize;
+    let mut end = t.len();
+    for (i, tok) in t.iter().enumerate().skip(start + CFG_TEST.len()) {
+        match tok.text {
+            "(" | "[" | "{" => depth += 1,
+            // A closer at depth 0 belongs to a block around the item.
+            ")" | "]" | "}" if depth == 0 => {
+                end = i;
+                break;
+            }
+            ")" | "]" => depth -= 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    end = i + 1 + usize::from(t.get(i + 1).is_some_and(|n| n.text == ";"));
+                    break;
+                }
+            }
+            ";" if depth == 0 => {
+                end = i + 1;
+                break;
+            }
+            _ => {}
+        }
+    }
+    if let Some(after) = t.get(end) {
+        diags.push(Diagnostic::new(
+            "test-mod-last",
+            path,
+            after.line,
+            format!(
+                "code after the `#[cfg(test)]` item of line {}: make that item the file's \
+                 last, or size counts misfile this code as test",
+                t[start].line
             ),
         ));
     }

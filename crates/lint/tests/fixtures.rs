@@ -111,6 +111,27 @@ fn file_length_fixture() {
 }
 
 #[test]
+fn test_mod_last_fixture() {
+    let fail = include_str!("fixtures/test_mod_last_fail.rs");
+    let diags = check_source("tests/fixture.rs", fail);
+    assert_only(&diags, "test-mod-last");
+    // One diagnostic, at the first item after `mod tests;`.
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].line, 11);
+
+    let pass = include_str!("fixtures/test_mod_last_pass.rs");
+    assert_clean(&check_source("tests/fixture.rs", pass));
+    // The rule holds in every scope, library source included.
+    assert_only(
+        &check_source("crates/core/src/fixture.rs", fail),
+        "test-mod-last",
+    );
+    // A braced `use` ends at its `;`, not at its `}`.
+    let braced_use = "#[cfg(test)]\nuse std::collections::{BTreeMap, BTreeSet};\n";
+    assert_clean(&check_source("tests/fixture.rs", braced_use));
+}
+
+#[test]
 fn dep_audit_fixture() {
     let fail = include_str!("fixtures/dep_audit_fail.toml");
     let diags = check_manifest("crates/fixture/Cargo.toml", fail);

@@ -6,11 +6,11 @@
 //! instances: a routing portfolio, a Monte Carlo sweep. The container
 //! image has no crates.io access, so instead of `rayon` this crate
 //! provides exactly what those fan-outs need — [`claim_loop`]: the caller
-//! and up to [`effective_threads`]` − 1` scoped helper threads claim
-//! indices `0..len` from a shared cursor, produce each one, and hand every
-//! `(index, result)` to the caller's `consume` in completion order. The
-//! call returns when every index has been consumed and every helper has
-//! been joined, so `produce` may borrow from the caller's stack. The
+//! and up to `threads − 1` scoped helper threads (see *Thread counts*)
+//! claim indices `0..len` from a shared cursor, produce each one, and hand
+//! every `(index, result)` to the caller's `consume` in completion order.
+//! The call returns when every index has been consumed and every helper
+//! has been joined, so `produce` may borrow from the caller's stack. The
 //! fleet's batch (consume writes input-order slots) and the robustness
 //! sweep (consume reorders into an index-ordered reduction) both run on
 //! it.
@@ -38,14 +38,16 @@
 //!
 //! # Thread counts
 //!
-//! The fan-out width is, in priority order: the process-global
+//! The fan-out width is, in priority order: the calling thread's
 //! [`set_thread_override`] count when set, else the `ASTDME_THREADS`
-//! environment variable (read once per process) when set and ≥ 1, else
-//! `available_parallelism`. [`effective_threads`] reports the resolved
-//! value. A fan-out never uses more threads than it has items, nor more
-//! than 256 (a sanity backstop, not a tuning knob). Helpers are spawned
-//! per call and joined before it returns; a spawn that fails leaves the
-//! loop with fewer helpers, never fewer items.
+//! environment variable (read once per process, never written) when set
+//! and ≥ 1, else `available_parallelism`. The override is a thread-local,
+//! so one thread's setting never changes another's fan-outs; helpers need
+//! none, since they never fan out (see *Nesting*). A fan-out never uses
+//! more threads than it has items, nor more than 256 (a sanity backstop,
+//! not a tuning knob). Helpers are spawned per call and joined before it
+//! returns; a spawn that fails leaves the loop with fewer helpers, never
+//! fewer items.
 //!
 //! # Nesting
 //!
@@ -79,6 +81,9 @@ thread_local! {
     /// participating caller. Fan-outs from a marked thread run inline
     /// (see the crate docs).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The calling thread's thread-count override (0 = none / auto); see
+    /// [`set_thread_override`].
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Whether the calling thread is a claim-loop helper or a participating
@@ -92,55 +97,19 @@ fn in_parallel_worker() -> bool {
 /// `available_parallelism` or an explicit override), not a tuning knob.
 const MAX_THREADS: usize = 256;
 
-/// Process-global thread-count override (0 = none / auto).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces every subsequent fan-out to use exactly `n` threads instead of
-/// the automatic count (`None` restores auto — the `ASTDME_THREADS`
-/// environment variable if set, else `available_parallelism`). `Some(1)`
-/// runs every [`claim_loop`] inline on the caller.
+/// Makes every later fan-out started from the calling thread use exactly
+/// `n` threads instead of the automatic count (`None` restores auto — the
+/// `ASTDME_THREADS` environment variable if set, else
+/// `available_parallelism`). `Some(1)` runs the calling thread's
+/// [`claim_loop`]s inline.
 ///
+/// The setting is the calling thread's alone: no other thread's fan-outs
+/// see it, so concurrent tests that sweep thread counts need no lock.
 /// Results are thread-count invariant by construction (each index is
 /// produced and consumed exactly once), so this knob only changes
 /// *scheduling*: the determinism tests sweep it to prove exactly that.
-/// Process-global; concurrent tests that flip it should serialize on a
-/// lock and restore the previous value with [`override_guard`] so a
-/// failing test cannot poison later ones.
 pub fn set_thread_override(n: Option<NonZeroUsize>) {
-    THREAD_OVERRIDE.store(n.map_or(0, NonZeroUsize::get), Ordering::SeqCst);
-}
-
-/// The active thread-count override, if any.
-pub fn thread_override() -> Option<NonZeroUsize> {
-    NonZeroUsize::new(THREAD_OVERRIDE.load(Ordering::SeqCst))
-}
-
-/// RAII handle restoring the previous thread-count override on drop; see
-/// [`override_guard`].
-#[must_use = "dropping the guard immediately restores the previous override"]
-#[derive(Debug)]
-pub struct ThreadOverrideGuard {
-    prev: Option<NonZeroUsize>,
-}
-
-/// Sets the thread-count override to `n` and returns a guard that restores
-/// the *previous* value when dropped — including during a panic unwind, so
-/// a failing test or bench cannot leave its override in place to poison
-/// whatever runs next in the same process.
-///
-/// Tests that sweep several counts can keep calling
-/// [`set_thread_override`] inside the guard's scope; the guard always
-/// restores the value it captured at construction.
-pub fn override_guard(n: Option<NonZeroUsize>) -> ThreadOverrideGuard {
-    let prev = thread_override();
-    set_thread_override(n);
-    ThreadOverrideGuard { prev }
-}
-
-impl Drop for ThreadOverrideGuard {
-    fn drop(&mut self) {
-        set_thread_override(self.prev);
-    }
+    OVERRIDE.with(|o| o.set(n.map_or(0, NonZeroUsize::get)));
 }
 
 /// The automatic thread count, read once per process: the
@@ -163,11 +132,10 @@ fn auto_threads() -> usize {
     })
 }
 
-/// The thread count a fan-out would use right now: the
-/// [`set_thread_override`] value when set, else the automatic count (see
-/// [`auto_threads`'s sources](set_thread_override)).
-pub fn effective_threads() -> usize {
-    thread_override().map_or_else(auto_threads, NonZeroUsize::get)
+/// The thread count a fan-out from the calling thread would use: its
+/// [`set_thread_override`] value when set, else [`auto_threads`].
+fn effective_threads() -> usize {
+    NonZeroUsize::new(OVERRIDE.with(Cell::get)).map_or_else(auto_threads, NonZeroUsize::get)
 }
 
 /// The producer count a [`claim_loop`] over `len` items uses: 1 (the
@@ -294,11 +262,11 @@ impl Claims {
 /// hands each `(index, result)` to `consume` on the calling thread, in
 /// completion order. Returns the [`StealStats`] of every producer.
 ///
-/// The caller is one of the producers. Up to [`effective_threads`]` − 1`
-/// scoped helper threads run alongside it, delivering through a channel
-/// bounded at `in_flight` (clamped to ≥ 1); the caller consumes its own
-/// results directly and drains the channel between its items and after
-/// the cursor runs dry. With no helpers — fewer than two items, one
+/// The caller is one of the producers. Up to `threads − 1` scoped helper
+/// threads (the calling thread's count; see the crate docs) run alongside
+/// it, delivering through a channel bounded at `in_flight` (clamped to
+/// ≥ 1); the caller consumes its own results directly and drains the
+/// channel between its items and after the cursor runs dry. With no helpers — fewer than two items, one
 /// thread, a call from inside another claim loop, or no helper could be
 /// spawned — the same loop runs inline.
 ///

@@ -3,19 +3,6 @@ use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Tests touching the process-global override (or asserting producer
-/// counts, which the override perturbs) serialize on this lock.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Lock + RAII override for a test: serializes on [`OVERRIDE_LOCK`] and
-/// restores the previous override when dropped — even when the test body
-/// panics mid-sweep, so one failing test cannot poison the override for
-/// the rest of the binary.
-fn pinned(n: Option<NonZeroUsize>) -> (MutexGuard<'static, ()>, ThreadOverrideGuard) {
-    let lock = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    (lock, override_guard(n))
-}
-
 /// Runs `f` over `items` through the claim loop and files every result
 /// by index, asserting each index arrives exactly once.
 fn ordered<T: Sync, R: Send>(
@@ -48,35 +35,38 @@ fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
 
 #[test]
 fn thread_override_is_respected_and_results_invariant() {
-    let _pin = pinned(None);
     let items: Vec<u64> = (0..500).collect();
     let expected: Vec<u64> = items.iter().map(|x| x * 7).collect();
     for n in [1usize, 2, 3, 8] {
         set_thread_override(NonZeroUsize::new(n));
-        assert_eq!(thread_override(), NonZeroUsize::new(n));
         assert_eq!(effective_threads(), n);
         assert_eq!(map(&items, |x| x * 7), expected, "threads = {n}");
     }
     set_thread_override(None);
-    assert_eq!(thread_override(), None);
+    assert_eq!(effective_threads(), auto_threads());
     assert_eq!(map(&items, |x| x * 7), expected);
 }
 
+/// A thread starts at the automatic count whatever its spawner set, its
+/// own override of 1 runs its loops inline, and that setting never
+/// reaches the spawner.
 #[test]
-fn override_guard_restores_previous_value() {
-    let _pin = pinned(NonZeroUsize::new(3));
-    {
-        let _inner = override_guard(NonZeroUsize::new(7));
-        assert_eq!(thread_override(), NonZeroUsize::new(7));
-        // Sweeping inside the guard is fine; drop restores 3, not 5.
-        set_thread_override(NonZeroUsize::new(5));
-    }
-    assert_eq!(thread_override(), NonZeroUsize::new(3));
+fn the_override_is_the_calling_threads_alone() {
+    set_thread_override(NonZeroUsize::new(3));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            assert_eq!(effective_threads(), auto_threads());
+            set_thread_override(NonZeroUsize::new(1));
+            let (out, stats) = ordered(&[1u64, 2, 3, 4], 4, |_, x| x + 1);
+            assert_eq!((out, stats.workers()), (vec![2, 3, 4, 5], 1));
+        });
+    });
+    assert_eq!(effective_threads(), 3);
 }
 
 #[test]
 fn every_index_is_delivered_once_in_any_order() {
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     let items: Vec<u64> = (0..777).map(|x| x * 2).collect();
     let expected: Vec<u64> = items
         .iter()
@@ -93,7 +83,7 @@ fn every_index_is_delivered_once_in_any_order() {
 fn skewed_costs_stay_bit_identical() {
     // One very expensive item at the front, many cheap ones behind it:
     // filing by index must reassemble input order exactly.
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     let items: Vec<u32> = (0..97).map(|i| if i == 0 { 200_000 } else { 50 }).collect();
     let crunch = |x: u32| -> u64 { (0..x as u64).fold(7u64, |a, b| a.wrapping_mul(31) ^ b) };
     let serial: Vec<u64> = items.iter().map(|&x| crunch(x)).collect();
@@ -102,7 +92,7 @@ fn skewed_costs_stay_bit_identical() {
 
 #[test]
 fn stats_cover_every_item_and_producer() {
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     let items: Vec<u64> = (0..300).collect();
     let (out, stats) = ordered(&items, 8, |_, &x| x + 1);
     assert_eq!(out, (1..=300).collect::<Vec<u64>>());
@@ -132,7 +122,7 @@ fn balance_ignores_workers_that_claimed_nothing() {
 
 #[test]
 fn one_thread_runs_inline_as_one_producer() {
-    let _pin = pinned(NonZeroUsize::new(1));
+    set_thread_override(NonZeroUsize::new(1));
     let items: Vec<u64> = (0..10).collect();
     let caller = std::thread::current().id();
     let (on_caller, stats) = ordered(&items, 1, |_, _| std::thread::current().id() == caller);
@@ -147,7 +137,7 @@ fn one_thread_runs_inline_as_one_producer() {
 
 #[test]
 fn single_and_empty_ranges_run_inline() {
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     let (out, stats) = ordered(&[5u32], 1, |_, x| x + 1);
     assert_eq!(out, vec![6]);
     assert_eq!(stats.workers(), 1);
@@ -171,7 +161,6 @@ fn caught_payload(f: impl FnOnce()) -> Boom {
 
 #[test]
 fn helper_produce_panic_reaches_the_caller_with_its_payload() {
-    let _pin = pinned(None);
     for threads in [1usize, 2, 4] {
         set_thread_override(NonZeroUsize::new(threads));
         let caller = std::thread::current().id();
@@ -208,7 +197,6 @@ fn helper_produce_panic_reaches_the_caller_with_its_payload() {
 
 #[test]
 fn caller_consume_panic_reaches_the_caller_with_its_payload() {
-    let _pin = pinned(None);
     for threads in [1usize, 2, 4] {
         set_thread_override(NonZeroUsize::new(threads));
         // `in_flight = 1`: helpers block on a full channel, and only the
@@ -231,7 +219,7 @@ fn caller_consume_panic_reaches_the_caller_with_its_payload() {
 
 #[test]
 fn a_loop_after_a_panicking_loop_delivers_every_index() {
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     let items: Vec<u64> = (0..64).collect();
     let _ = catch_unwind(AssertUnwindSafe(|| {
         map(&items, |&x| {
@@ -247,7 +235,7 @@ fn a_loop_after_a_panicking_loop_delivers_every_index() {
 
 #[test]
 fn nested_claim_loops_run_inline() {
-    let _pin = pinned(NonZeroUsize::new(4));
+    set_thread_override(NonZeroUsize::new(4));
     assert!(!in_parallel_worker(), "main thread is not a worker");
     let items: Vec<u64> = (0..64).collect();
     // Each outer item runs an inner loop; the guard must keep the inner
@@ -271,7 +259,7 @@ fn nested_claim_loops_run_inline() {
 
 #[test]
 fn claim_loop_marks_its_producers_and_restores_the_caller() {
-    let _pin = pinned(NonZeroUsize::new(3));
+    set_thread_override(NonZeroUsize::new(3));
     let items: Vec<u64> = (0..200).collect();
     let (marked, stats) = ordered(&items, 4, |_, _| in_parallel_worker());
     // Every producer, the caller included, is marked while it produces.
@@ -285,7 +273,7 @@ fn claim_loop_marks_its_producers_and_restores_the_caller() {
 
 #[test]
 fn fanout_is_capped_without_starting_a_thread() {
-    let _pin = pinned(NonZeroUsize::new(10_000));
+    set_thread_override(NonZeroUsize::new(10_000));
     assert_eq!(effective_threads(), 10_000);
     assert_eq!(fanout_threads(10_000), MAX_THREADS);
     assert_eq!(fanout_threads(3), 3);

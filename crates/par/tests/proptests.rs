@@ -48,9 +48,6 @@ proptest! {
 
     #[test]
     fn every_index_is_delivered_exactly_once(items in workload()) {
-        // RAII: a failing case restores whatever override was active
-        // before this test instead of leaking its last sweep value.
-        let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
         let f = |i: usize| crunch(items[i].0 ^ i as u64, items[i].1);
         let serial: Vec<u64> = (0..items.len()).map(f).collect();
         for threads in [1usize, 2, 3, 8] {

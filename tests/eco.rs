@@ -12,7 +12,7 @@
 //! without routing.
 
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -23,15 +23,6 @@ use astdme::{
 use proptest::prelude::*;
 
 const BOUND: f64 = 10e-12;
-
-/// The thread override is process-global; tests that set it serialize on
-/// this lock and restore the previous value via
-/// `astdme_par::override_guard`.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn override_lock() -> MutexGuard<'static, ()> {
-    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn instance(n: usize, k: usize, seed: u64) -> Instance {
     let p = synthetic_instance(n, seed, "eco");
@@ -97,79 +88,42 @@ fn sample_edits(inst: &Instance) -> Vec<EcoEdit> {
 }
 
 /// The load-bearing invariant: a replayed flush is bit-identical to a
-/// from-scratch route of the edited instance, at every thread count the
-/// determinism suite sweeps — and it must actually *replay* (adopting
-/// recorded merges), or the speedup claim is vacuous.
+/// from-scratch route of the edited instance — and it must actually
+/// *replay* (adopting recorded merges), or the speedup claim is vacuous.
+/// A flush never fans out, so one run covers every thread count.
 #[test]
-fn flush_matches_from_scratch_across_thread_counts() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+fn flush_matches_from_scratch() {
     let inst = instance(120, 3, 7);
-    let router = AstDme::new();
-    let edits = sample_edits(&inst);
-    let edited = apply_expected(&inst, &edits);
-    let second_edit = vec![EcoEdit::Move {
-        sink: 17,
-        to: Point::new(
-            edited.sinks()[17].pos.x + 260.0,
-            edited.sinks()[17].pos.y + 90.0,
-        ),
-    }];
-    let twice_edited = apply_expected(&edited, &second_edit);
+    let mut session = fresh_session(&inst);
+    let fs = flush_checked(&mut session, &sample_edits(&inst));
+    assert!(!fs.full_reroute, "must replay, not reroute");
+    assert!(
+        fs.adopted_merges > fs.fresh_merges,
+        "a 3-sink edit must adopt most merges: {fs:?}"
+    );
+    assert_eq!(fs.dirty_sinks, 3);
+    assert!(fs.replayed_rounds > 0 && fs.reused_nodes > 0, "{fs:?}");
 
-    astdme_par::set_thread_override(NonZeroUsize::new(1));
-    let want = router.route_traced(&edited).expect("routes");
-    let want_twice = router.route_traced(&twice_edited).expect("routes");
-
-    for threads in [1usize, 2, 3, 8] {
-        astdme_par::set_thread_override(NonZeroUsize::new(threads));
-        let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
-        for edit in &edits {
-            session.queue(*edit);
-        }
-        let out = session.flush().expect("flushes");
-        assert_eq!(out.tree, want.tree, "threads={threads}: trees diverged");
-        assert_eq!(
-            out.report, want.report,
-            "threads={threads}: reports diverged"
-        );
-        let fs = session.last_flush();
-        assert!(
-            !fs.full_reroute,
-            "threads={threads}: must replay, not reroute"
-        );
-        assert!(
-            fs.adopted_merges > fs.fresh_merges,
-            "threads={threads}: a 3-sink edit must adopt most merges \
-             (adopted {}, fresh {})",
-            fs.adopted_merges,
-            fs.fresh_merges
-        );
-        assert_eq!(fs.dirty_sinks, 3, "threads={threads}");
-        assert!(fs.replayed_rounds > 0, "threads={threads}");
-        assert!(fs.reused_nodes > 0, "threads={threads}: {fs:?}");
-
-        // Second flush: the replay must have produced a valid recording
-        // of its own (replay-of-replay).
-        for edit in &second_edit {
-            session.queue(*edit);
-        }
-        let out = session.flush().expect("flushes again");
-        assert_eq!(out.tree, want_twice.tree, "threads={threads}: second flush");
-        assert_eq!(out.report, want_twice.report, "threads={threads}");
-        assert!(!session.last_flush().full_reroute, "threads={threads}");
-    }
+    // Second flush: the replay must have produced a valid recording of
+    // its own (replay-of-replay).
+    let p = session.instance().sinks()[17].pos;
+    let to = Point::new(p.x + 260.0, p.y + 90.0);
+    let fs = flush_checked(&mut session, &[EcoEdit::Move { sink: 17, to }]);
+    assert!(!fs.full_reroute, "{fs:?}");
 }
 
-/// Flushes `edits` on a fresh session over `inst` and checks the result
-/// against a from-scratch route of the edited instance; returns the
-/// flush's stats.
-fn flush_checked(inst: &Instance, edits: &[EcoEdit]) -> EcoStats {
-    let router = AstDme::new();
-    let want = router
-        .route_traced(&apply_expected(inst, edits))
+/// A fresh AST-DME session over `inst`.
+fn fresh_session(inst: &Instance) -> EcoSession {
+    EcoSession::new(inst, AstDme::new().plan()).expect("routes")
+}
+
+/// Flushes `edits` on an AST-DME `session` and checks the result against
+/// a from-scratch route of the edited instance; returns the flush's
+/// stats.
+fn flush_checked(session: &mut EcoSession, edits: &[EcoEdit]) -> EcoStats {
+    let want = AstDme::new()
+        .route_traced(&apply_expected(session.instance(), edits))
         .expect("routes");
-    let mut session = EcoSession::new(inst, router.plan()).expect("routes");
     for edit in edits {
         session.queue(*edit);
     }
@@ -189,15 +143,13 @@ fn flush_checked(inst: &Instance, edits: &[EcoEdit]) -> EcoStats {
 /// leaves.
 #[test]
 fn long_one_sink_replay_stays_under_the_price() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let inst = instance(1000, 3, 7);
     let from = inst.sinks()[130].pos;
     let edit = EcoEdit::Move {
         sink: 130,
         to: Point::new(from.x + 150.0, from.y - 90.0),
     };
-    let fs = flush_checked(&inst, &[edit]);
+    let fs = flush_checked(&mut fresh_session(&inst), &[edit]);
     assert!(!fs.full_reroute, "must replay: {fs:?}");
     assert_eq!(fs.dirty_sinks, 1);
     assert_eq!(fs.scan_visits, 77_921, "{fs:?}");
@@ -211,8 +163,6 @@ fn long_one_sink_replay_stays_under_the_price() {
 /// subtrees sweeping once for its own neighbor and once for takeovers).
 #[test]
 fn batch_of_32_moves_scans_over_a_grid() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let n = 2000;
     let inst = instance(n, 3, 7);
     let edits: Vec<EcoEdit> = (0..32)
@@ -230,7 +180,7 @@ fn batch_of_32_moves_scans_over_a_grid() {
             }
         })
         .collect();
-    let fs = flush_checked(&inst, &edits);
+    let fs = flush_checked(&mut fresh_session(&inst), &edits);
     assert!(!fs.full_reroute, "must replay: {fs:?}");
     assert_eq!(fs.dirty_sinks, 32);
     assert!(fs.adopted_merges > 5 * fs.fresh_merges, "{fs:?}");
@@ -243,8 +193,6 @@ fn batch_of_32_moves_scans_over_a_grid() {
 /// declines, and the flush falls back to the reroute, which it equals.
 #[test]
 fn edit_storm_past_the_price_falls_back_to_the_reroute() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let n = 2000;
     let inst = instance(n, 3, 13);
     let edits: Vec<EcoEdit> = (0..1900)
@@ -256,7 +204,7 @@ fn edit_storm_past_the_price_falls_back_to_the_reroute() {
             ),
         })
         .collect();
-    let fs = flush_checked(&inst, &edits);
+    let fs = flush_checked(&mut fresh_session(&inst), &edits);
     assert!(fs.full_reroute, "must decline: {fs:?}");
     assert_eq!(fs.scan_visits, 3_615_979, "{fs:?}");
 }
@@ -270,8 +218,6 @@ fn edit_storm_past_the_price_falls_back_to_the_reroute() {
 /// reroute; the rest replay, and the test reports how many did.
 #[test]
 fn lattice_flush_chain_matches_from_scratch() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let n = 2000;
     let scattered = instance(n, 4, 29);
     let snap = |x: f64| (x / 10.0).round() * 10.0;
@@ -319,29 +265,17 @@ fn lattice_flush_chain_matches_from_scratch() {
 /// fall back to a full reroute — and still match from-scratch exactly.
 #[test]
 fn structural_edits_and_fallback_plans_match_from_scratch() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let inst = instance(60, 3, 23);
 
     // Insert + delete: net sink count unchanged but contents shifted.
-    let router = AstDme::new();
-    let structural = vec![
+    let structural = [
         EcoEdit::Insert {
             sink: Sink::new(Point::new(3100.0, 2200.0), 1.5e-14),
             group: GroupId(1),
         },
         EcoEdit::Delete { sink: 4 },
     ];
-    let edited = apply_expected(&inst, &structural);
-    let want = router.route_traced(&edited).expect("routes");
-    let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
-    for edit in &structural {
-        session.queue(*edit);
-    }
-    let out = session.flush().expect("flushes");
-    assert_eq!(out.tree, want.tree, "structural flush diverged");
-    assert_eq!(out.report, want.report);
-    assert!(session.last_flush().full_reroute);
+    assert!(flush_checked(&mut fresh_session(&inst), &structural).full_reroute);
 
     // Greedy merge order and the stitching script are not recorded;
     // every flush is a full reroute and must still be exact.
@@ -370,8 +304,6 @@ fn structural_edits_and_fallback_plans_match_from_scratch() {
 /// batch leaving the standing route untouched.
 #[test]
 fn noop_batches_return_standing_tree_and_bad_edits_are_rejected() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let inst = instance(50, 2, 41);
     let mut session = EcoSession::new(&inst, AstDme::new().plan()).expect("routes");
     let before = session.outcome().clone();
@@ -431,8 +363,7 @@ impl ClockRouter for SessionRouter {
 /// (stitching) and a recording one (AST-DME) are checked.
 #[test]
 fn sessions_in_a_batch_route_as_outside_and_pass_checkpoints() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(2));
+    astdme_par::set_thread_override(NonZeroUsize::new(2));
     let batch: Vec<Instance> = [31, 37].map(|seed| instance(40, 3, seed)).to_vec();
     let plan = BatchPlan::new(&batch);
     for router in [
@@ -494,8 +425,7 @@ impl ClockRouter for FlushRouter {
 /// records again, so the one after replays.
 #[test]
 fn a_flush_that_fails_after_its_replay_reroutes_next() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
+    astdme_par::set_thread_override(NonZeroUsize::new(1));
     let inst = instance(200, 3, 41);
     let router = AstDme::new();
     let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
@@ -579,8 +509,6 @@ proptest! {
         count in 1usize..7,
         split in 0usize..7,
     ) {
-        let _lock = override_lock();
-        let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
         // The vendored proptest shim has no `collection::vec`; draw the
         // batch from a derived RNG instead.
         let mut erng = proptest::test_runner::TestRng::from_seed(edit_seed);

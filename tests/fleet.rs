@@ -4,14 +4,14 @@
 //! The batch layer fans whole instances out through `astdme_par`'s claim
 //! loop, costliest instance first (input-ordered reassembly), and runs
 //! nested fan-outs inline on worker threads; all of these mechanisms
-//! change scheduling only. Sweeping the process-global thread override
-//! proves it: trees, reports and merge counters all match the
-//! single-thread reference exactly — including on a deliberately skewed
-//! large+small portfolio, the shape work claiming exists for. A
-//! panicking router must fail only its own instance's slot.
+//! change scheduling only. Sweeping the calling thread's override
+//! (`astdme_par::set_thread_override`) proves it: trees, reports and
+//! merge counters all match the single-thread reference exactly —
+//! including on a deliberately skewed large+small portfolio, the shape
+//! work claiming exists for. A panicking router must fail only its own
+//! instance's slot.
 
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -19,16 +19,6 @@ use astdme::{
 };
 
 const BOUND: f64 = 10e-12;
-
-/// The thread override is process-global and the harness runs tests on
-/// parallel threads: every test that sets it serializes on this lock (and
-/// restores the previous value via `astdme_par::override_guard`), so a
-/// sweep actually runs at the thread counts it claims to.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn override_lock() -> MutexGuard<'static, ()> {
-    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn portfolio() -> Vec<Instance> {
     // Distinct sizes, seeds and group counts: input order is observable.
@@ -71,10 +61,6 @@ fn assert_outcomes_identical(a: &RouteOutcome, b: &RouteOutcome, ctx: &str) {
 
 #[test]
 fn route_batch_is_bit_identical_across_thread_counts() {
-    // RAII: restores whatever override was active even if an assert
-    // below fires mid-sweep, so this test cannot poison its siblings.
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let instances = portfolio();
     let routers: Vec<Box<dyn ClockRouter + Sync>> = vec![
         Box::new(AstDme::new()),
@@ -83,7 +69,6 @@ fn route_batch_is_bit_identical_across_thread_counts() {
     ];
     for router in &routers {
         // The single-thread reference: a plain sequential loop.
-        astdme_par::set_thread_override(NonZeroUsize::new(1));
         let reference: Vec<RouteOutcome> = instances
             .iter()
             .map(|inst| router.route_traced(inst).expect("routes"))
@@ -139,8 +124,6 @@ fn skewed_portfolio() -> Vec<Instance> {
 
 #[test]
 fn skewed_portfolio_batch_equals_sequential_loop() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let instances = skewed_portfolio();
     let router = AstDme::new().with_engine(astdme::EngineConfig::fast());
     let reference: Vec<RouteOutcome> = instances
@@ -180,8 +163,6 @@ impl ClockRouter for PanicOnSinkCount {
 
 #[test]
 fn panicking_instance_fails_alone_and_leaves_the_rest_intact() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(None);
     let instances: Vec<Instance> = portfolio().into_iter().take(3).collect();
     let trip = instances[1].sink_count();
     let router = PanicOnSinkCount {

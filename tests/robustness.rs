@@ -12,7 +12,6 @@
 //! ```
 
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, MutexGuard};
 
 use astdme::instances::{partition, synthetic_instance};
 use astdme::{
@@ -22,13 +21,6 @@ use astdme::{
 use proptest::prelude::*;
 
 const BOUND: f64 = 10e-12;
-
-/// See `tests/fleet.rs`: thread-override users serialize on one lock.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-fn override_lock() -> MutexGuard<'static, ()> {
-    OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The nominal instance every sweep perturbs: a 12-sink, 3-group
 /// intermingled scenario, small enough for debug-mode 1000-variant runs.
@@ -98,8 +90,6 @@ fn report_fields(r: &robustness::RobustnessReport) -> Vec<(&'static str, f64)> {
 /// golden-tested field by field.
 #[test]
 fn thousand_variant_sweep_is_bit_deterministic_and_golden() {
-    let _lock = override_lock();
-    let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
     let bless = std::env::var_os("ASTDME_BLESS").is_some();
     let inst = nominal();
     let config = SweepConfig::new(1000).with_chunk(128);
@@ -232,8 +222,6 @@ proptest! {
         jitter in 0.0..600.0f64,
         drop_rate in 0.0..0.4f64,
     ) {
-        let _lock = override_lock();
-        let _guard = astdme_par::override_guard(NonZeroUsize::new(1));
         let inst = nominal();
         let s = PerturbationSpec::new(seed)
             .with_position_jitter(jitter)
