@@ -39,6 +39,10 @@ impl MergeSpace for ForestSpace<'_> {
         out.extend(cands.iter().map(|c| c.region));
     }
 
+    fn region_count(&self, id: usize) -> usize {
+        self.forest.candidates(NodeId::from_index(id)).len()
+    }
+
     fn delay(&self, id: usize) -> f64 {
         self.forest.max_delay(NodeId::from_index(id))
     }

@@ -13,8 +13,10 @@
 //!  │  batch   │   │ 1. apply     net edit set → edited instance  │
 //!  │ (Vec of  ├──▶│ 2. invalidate dirty sinks → their merge-path │
 //!  │  edits,  │   │               ancestors lose adoption rights │
-//!  │  write-  │   │ 3. re-plan   replay recorded rounds; fresh   │
-//!  │  only)   │   │               NN scans only for novel nodes  │
+//!  │  write-  │   │               (the forest takes the recorded │
+//!  │  only)   │   │               leaves, rebuilding dirty ones) │
+//!  │          │   │ 3. re-plan   replay recorded rounds; fresh   │
+//!  │          │   │               NN scans only for novel nodes  │
 //!  │          │   │ 4. splice    adopted merges take recorded    │
 //!  └──────────┘   │               lists, dirty cone re-merged;   │
 //!                 │               embed copies clean subtrees    │
@@ -77,15 +79,35 @@
 //!
 //! # A flush consumes its recording
 //!
-//! The standing recording serves exactly one flush. The flush takes it
-//! out of the session before it routes, and adoption moves each clean
-//! merge's candidate list out of the recorded forest into the new one
-//! instead of sharing it: the old forest is thrown away after the flush,
-//! so sharing would only cost a reference count per list, once to take
-//! it and once to drop it. A successful flush leaves its own recording
-//! for the next. A flush that fails while routing leaves the session's
-//! outcome as it was but no recording, and the next flush reroutes from
-//! scratch and records again.
+//! The standing recording serves exactly one flush. The flush compares
+//! the edited instance with the standing one once, into the list of dirty
+//! sinks (empty: a no-op; none: a structural edit), and takes the
+//! recording out of the session before it routes. Its lifecycle in the
+//! flush:
+//!
+//! 1. **Leaves.** The new forest takes the recorded forest's leaf store
+//!    ([`MergeForest::take_leaves`]): a recorded forest never freezes a
+//!    merge node, so its store holds exactly one leaf per sink. The dirty
+//!    sinks' candidates are rewritten in place and every clean leaf node
+//!    is copied, so a one-sink move builds one leaf
+//!    ([`EcoStats::rebuilt_leaves`]) where a fresh forest would build `n`
+//!    and the old forest's `n` would then be freed.
+//! 2. **Merges.** Adoption moves each clean merge's candidate list out of
+//!    the recorded forest into the new one instead of sharing it: the old
+//!    forest is thrown away after the flush, so sharing would only cost a
+//!    reference count per list, once to take it and once to drop it.
+//! 3. **Rounds.** Each replayed round writes the replay's own rows into
+//!    the recorded round's buffer.
+//! 4. **Drop.** What is left of the recorded forest (its node array, and
+//!    the lists adoption copied instead of taking) is freed when the
+//!    flush ends. Keeping it as the next flush's spare would skip that
+//!    free, but the spare would outlive the flush and raise the session's
+//!    peak memory.
+//!
+//! A successful flush leaves its own recording for the next. A flush that
+//! fails while routing leaves the session's outcome as it was but no
+//! recording, and the next flush reroutes from scratch and records
+//! again.
 //!
 //! # When a flush reroutes instead
 //!
@@ -219,6 +241,12 @@ pub struct EcoStats {
     /// from-scratch route costs in the same unit (see the
     /// [module docs](self)); a declined replay's visits are counted too.
     pub scan_visits: u64,
+    /// Leaves the flush's forest built anew instead of carrying them over
+    /// from the recording it consumed (see [`MergeForest::take_leaves`]):
+    /// on a replay, the dirty sinks' leaves; on a full reroute, or when
+    /// the recording's leaves could not be taken, every sink's.
+    /// Deterministic for a given session and batch.
+    pub rebuilt_leaves: usize,
     /// Whether the flush fell back to a full pipeline reroute: a
     /// structural edit, a plan without replay, or a declined replay.
     pub full_reroute: bool,
@@ -229,14 +257,14 @@ pub struct EcoStats {
     pub seconds: f64,
 }
 
-/// Everything a flush needs to replay the standing route: the routed
-/// (regrouped) instance, its merge forest, the replay script, and where
-/// the embed put each forest node. The last lets the next flush's embed
-/// copy each subtree the replay marks pristine from the standing tree
-/// instead of walking it (see [`astdme_engine::Standing`]). One flush
-/// consumes it: the replay takes candidate lists out of its forest.
+/// Everything a flush needs to replay the standing route, besides the
+/// session's instance it routed: its merge forest, the replay script,
+/// and where the embed put each forest node. The last lets the next
+/// flush's embed copy each subtree the replay marks pristine from the
+/// standing tree instead of walking it (see [`astdme_engine::Standing`]).
+/// One flush consumes it: the replay takes the leaf store and candidate
+/// lists out of its forest.
 struct Recording {
-    routed: Instance,
     forest: MergeForest,
     script: MergeScript,
     /// The standing tree's embed map; `None` when repair changed the
@@ -335,31 +363,20 @@ impl EcoSession {
             return Ok(&self.outcome);
         }
         let edited = apply_edits(&self.inst, &edits)?;
-        if instance_bits_equal(&edited, &self.inst) {
+        let dirty = dirty_sinks(&edited, &self.inst);
+        if dirty.as_ref().is_some_and(Vec::is_empty) {
             stats.noop = true;
             stats.seconds = t0.seconds();
             self.last_flush = stats;
             return Ok(&self.outcome);
         }
-        let structural = edited.sink_count() != self.inst.sink_count()
-            || edited.groups().assignment() != self.inst.groups().assignment()
-            || !bits_equal(edited.groups().bounds(), self.inst.groups().bounds())
-            || !rc_bits_equal(edited.rc(), self.inst.rc());
-        stats.dirty_sinks = if structural {
-            edited.sink_count()
-        } else {
-            edited
-                .sinks()
-                .iter()
-                .zip(self.inst.sinks())
-                .filter(|(a, b)| !sink_bits_equal(a, b))
-                .count()
-        };
-        // The flush consumes the recording: the replay moves candidate
-        // lists out of it, and a successful flush records afresh.
+        stats.dirty_sinks = dirty.as_ref().map_or(edited.sink_count(), Vec::len);
+        // The flush consumes the recording: the replay moves its leaf
+        // store and candidate lists out of it, and a successful flush
+        // records afresh.
         let mut standing = self.rec.take();
         let standing = standing.as_mut().map(|rec| (rec, &self.outcome.tree));
-        let (outcome, rec) = route_edited(&self.plan, standing, &edited, structural, &mut stats)?;
+        let (outcome, rec) = route_edited(&self.plan, standing, &edited, dirty, &mut stats)?;
         self.inst = edited;
         self.outcome = outcome;
         self.rec = rec;
@@ -393,23 +410,36 @@ fn rc_bits_equal(a: &RcParams, b: &RcParams) -> bool {
         && a.c_per_um().to_bits() == b.c_per_um().to_bits()
 }
 
-fn instance_bits_equal(a: &Instance, b: &Instance) -> bool {
-    a.sink_count() == b.sink_count()
-        && a.sinks()
-            .iter()
-            .zip(b.sinks())
-            .all(|(x, y)| sink_bits_equal(x, y))
-        && a.groups().group_count() == b.groups().group_count()
-        && a.groups().assignment() == b.groups().assignment()
-        && bits_equal(a.groups().bounds(), b.groups().bounds())
-        && rc_bits_equal(a.rc(), b.rc())
+/// The sinks of `edited` whose position or load bits differ from
+/// `standing`'s, ascending, or `None` when the edit is structural: the
+/// sink count, group assignment, group bounds or RC technology changed.
+/// The one comparison of the two instances a flush makes: an empty list
+/// is a net no-op, and the replay and its forest work from the list.
+fn dirty_sinks(edited: &Instance, standing: &Instance) -> Option<Vec<usize>> {
+    let n = edited.sink_count();
+    let (ge, gs) = (edited.groups(), standing.groups());
+    let structural = n != standing.sink_count()
+        || ge.group_count() != gs.group_count()
+        || (0..n).any(|i| ge.group_of(i) != gs.group_of(i))
+        || !bits_equal(ge.bounds(), gs.bounds())
+        || !rc_bits_equal(edited.rc(), standing.rc());
+    (!structural).then(|| {
+        let pairs = edited.sinks().iter().zip(standing.sinks());
+        pairs
+            .enumerate()
+            .filter(|(_, (a, b))| !sink_bits_equal(a, b))
+            .map(|(i, _)| i)
+            .collect()
+    })
 }
 
 /// Applies the batch sequentially to the standing instance and rebuilds a
 /// validated [`Instance`]. Bounds and the source are preserved.
 fn apply_edits(standing: &Instance, edits: &[EcoEdit]) -> Result<Instance, RouteError> {
     let mut sinks = standing.sinks().to_vec();
-    let mut assignment = standing.groups().assignment();
+    // Only inserts and deletes change the group assignment: the first one
+    // copies it out, and without one the standing groups are kept.
+    let mut assignment: Option<Vec<usize>> = None;
     let mut rc = *standing.rc();
     let group_count = standing.groups().group_count();
     for (i, edit) in edits.iter().enumerate() {
@@ -436,20 +466,27 @@ fn apply_edits(standing: &Instance, edits: &[EcoEdit]) -> Result<Instance, Route
                     )));
                 }
                 sinks.push(sink);
-                assignment.push(group.index());
+                assignment
+                    .get_or_insert_with(|| standing.groups().assignment())
+                    .push(group.index());
             }
             EcoEdit::Delete { sink } => {
                 if sink >= sinks.len() {
                     return Err(bad_edit(i, "deletes", sink, sinks.len()));
                 }
                 sinks.remove(sink);
-                assignment.remove(sink);
+                assignment
+                    .get_or_insert_with(|| standing.groups().assignment())
+                    .remove(sink);
             }
             EcoEdit::RetuneRc(params) => rc = params,
         }
     }
-    let groups = Groups::from_assignments(assignment, group_count)?
-        .with_bounds(standing.groups().bounds().to_vec())?;
+    let groups = match assignment {
+        Some(assignment) => Groups::from_assignments(assignment, group_count)?
+            .with_bounds(standing.groups().bounds().to_vec())?,
+        None => standing.groups().clone(),
+    };
     Ok(Instance::new(sinks, groups, rc, standing.source())?)
 }
 
@@ -461,45 +498,48 @@ fn bad_edit(i: usize, verb: &str, sink: usize, len: usize) -> RouteError {
 
 /// Routes the edited instance: replays the standing recording (and its
 /// tree, which the embed copies clean subtrees from) when the edit is not
-/// structural, and falls back to a full reroute when there is no
-/// recording or the replay declines.
+/// structural (`dirty` lists the changed sinks), and falls back to a full
+/// reroute when there is no recording or the replay declines.
 fn route_edited(
     plan: &StagePlan,
     standing: Option<(&mut Recording, &RoutedTree)>,
     edited: &Instance,
-    structural: bool,
+    dirty: Option<Vec<usize>>,
     stats: &mut EcoStats,
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
-    if let (false, Some((rec, tree))) = (structural, standing) {
+    if let (Some(dirty), Some((rec, tree))) = (dirty, standing) {
         let mut script = None;
-        let run =
-            pipeline::run_with(edited, plan, |forest, routed| {
-                let replayed = replay::replay_merges(&mut *rec, forest, routed, plan, stats)?;
-                script = Some(replayed.script);
-                // The replay is done taking lists; the embed reads the
-                // recording's map for the rest of the run.
-                let rec: &Recording = rec;
-                let standing = rec.embedding.as_ref().zip(replayed.copyable).map(
-                    |(map, (to_new, pristine))| Standing {
+        let run = pipeline::run_with(edited, plan, |routed, model| {
+            let replayed = replay::replay_merges(&mut *rec, routed, model, &dirty, plan, stats)?;
+            script = Some(replayed.script);
+            // The replay is done taking lists; the embed reads the
+            // recording's map for the rest of the run.
+            let rec: &Recording = rec;
+            let standing =
+                rec.embedding
+                    .as_ref()
+                    .zip(replayed.copyable)
+                    .map(|(map, (to_new, pristine))| Standing {
                         tree,
                         map,
                         to_new,
                         pristine,
-                    },
-                );
-                Some(Merged {
-                    root: replayed.root,
-                    trace: replayed.trace,
-                    record: true,
-                    standing,
-                })
-            })?;
+                    });
+            Some(Merged {
+                forest: replayed.forest,
+                root: replayed.root,
+                trace: replayed.trace,
+                record: true,
+                standing,
+            })
+        })?;
         if let Some(run) = run {
             stats.reused_nodes = run.reused_nodes;
             return Ok(recorded(run, script));
         }
     }
     stats.full_reroute = true;
+    stats.rebuilt_leaves = edited.sink_count();
     route_full(edited, plan)
 }
 
@@ -513,15 +553,16 @@ fn route_full(
         return Ok((pipeline::run(inst, plan)?, None));
     }
     let mut script = None;
-    let run = pipeline::run_with(inst, plan, |forest, _| {
-        let mut recording = MergeScript::for_forest(forest);
+    let run = pipeline::run_with(inst, plan, |routed, model| {
+        let mut forest = MergeForest::for_instance_with_model(routed, model, plan.engine);
+        let mut recording = MergeScript::for_forest(&forest);
         let leaves = forest.leaves();
         let (root, trace) =
-            merge_until_one_traced(forest, leaves, &plan.topo, Some(&mut recording));
+            merge_until_one_traced(&mut forest, leaves, &plan.topo, Some(&mut recording));
         script = Some(recording);
         Some(Merged {
             record: true,
-            ..Merged::plain(root, trace)
+            ..Merged::plain(forest, root, trace)
         })
     })?;
     Ok(recorded(
@@ -532,9 +573,8 @@ fn route_full(
 
 /// Splits a pipeline run into its outcome and the recording the next
 /// flush replays.
-fn recorded(run: Run<'_>, script: Option<MergeScript>) -> (RouteOutcome, Option<Recording>) {
+fn recorded(run: Run, script: Option<MergeScript>) -> (RouteOutcome, Option<Recording>) {
     let recording = script.map(|script| Recording {
-        routed: run.routed.into_owned(),
         forest: run.forest,
         script,
         embedding: run.embedding,

@@ -1,12 +1,13 @@
 //! The flush's merge step: the recorded merge rounds replayed against the
 //! edited instance.
 
+use astdme_delay::DelayModel;
 use astdme_engine::{Instance, MergeForest, NodeId, NO_NODE};
 use astdme_geom::Trr;
 use astdme_topo::{plan_round, round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
 
 use super::scan::{RoundScan, ROUTE_VISITS_PER_SINK};
-use super::{sink_bits_equal, EcoStats, Recording};
+use super::{EcoStats, Recording};
 use crate::drivers::{ForestSpace, MergeScript, MergeTrace, RankedRow};
 use crate::pipeline::StagePlan;
 use crate::stopwatch::Stopwatch;
@@ -18,6 +19,8 @@ const NO_LOG: u32 = u32::MAX;
 
 /// A replay's merge step, as the flush hands it on.
 pub(super) struct Replayed {
+    /// The merged forest.
+    pub(super) forest: MergeForest,
     /// The surviving root.
     pub(super) root: NodeId,
     /// The merge loop's counters.
@@ -79,14 +82,17 @@ pub(super) struct Replayed {
 /// distance tie ([`RoundScan::tied`](super::scan::RoundScan)), whose
 /// winner the planner picks by an order the replay does not reproduce.
 ///
-/// This is the flush's merge step: `forest` is the pipeline's fresh
-/// forest of `edited` (the edited instance, regrouped like the
-/// recording). It consumes `rec`: adoptions move candidate lists out of
-/// the recorded forest, and each replayed round writes its own rows into
-/// the buffer of the recorded ones, so a recording serves one flush.
-/// Returns the surviving root, the loop's counters, the replay's own
+/// This is the flush's merge step over `edited` (the edited instance,
+/// regrouped like the recording), whose sinks differ from the
+/// recording's at the ascending `dirty` list. It consumes `rec`: the new
+/// forest takes the recorded forest's leaf store
+/// ([`MergeForest::take_leaves`], a fresh forest under `model` if it
+/// cannot), adoptions move candidate lists out of the recorded forest,
+/// and each replayed round writes its own rows into the buffer of the
+/// recorded ones, so a recording serves one flush. Returns the merged
+/// forest, the surviving root, the loop's counters, the replay's own
 /// script and the tables the embed copies by (see [`Replayed`]), and
-/// fills `stats`' dirty, replay and visit counters. While it merges it
+/// fills `stats`' leaf, replay and visit counters. While it merges it
 /// marks each new node pristine or not, at no extra cost: a clean leaf
 /// is, and so is an adopted merge whose log appends nothing, that took
 /// its recorded list, and whose two children are pristine. Also returns
@@ -95,35 +101,38 @@ pub(super) struct Replayed {
 /// cheap to guard).
 pub(super) fn replay_merges(
     rec: &mut Recording,
-    forest: &mut MergeForest,
     edited: &Instance,
+    model: DelayModel,
+    dirty: &[usize],
     plan: &StagePlan,
     stats: &mut EcoStats,
 ) -> Option<Replayed> {
     let Recording {
-        routed,
         forest: std_forest,
         script,
         ..
     } = rec;
     let n = edited.sink_count();
-    if n != routed.sink_count() {
+    // The recording's finished forest joined as many leaves: 2n − 1 nodes.
+    if std_forest.node_count() != 2 * n - 1 {
         return None;
     }
-    // The dirty set: sinks whose bits changed.
-    let dirty: Vec<bool> = edited
-        .sinks()
-        .iter()
-        .zip(routed.sinks())
-        .map(|(a, b)| !sink_bits_equal(a, b))
-        .collect();
-    stats.dirty_sinks = dirty.iter().filter(|&&d| d).count();
+    let mut forest = match MergeForest::take_leaves(std_forest, edited, dirty) {
+        Some((forest, rebuilt)) => {
+            stats.rebuilt_leaves = rebuilt;
+            forest
+        }
+        None => {
+            stats.rebuilt_leaves = n;
+            MergeForest::for_instance_with_model(edited, model, plan.engine)
+        }
+    };
     let topo = &plan.topo;
-    let leaves = forest.leaves();
-    let mut out = MergeScript::for_forest(forest);
+    let mut out = MergeScript::for_forest(&forest);
     if n == 1 {
         return Some(Replayed {
-            root: leaves[0],
+            forest,
+            root: NodeId::from_index(0),
             trace: MergeTrace::default(),
             script: out,
             copyable: None,
@@ -141,10 +150,12 @@ pub(super) fn replay_merges(
     let mut std_to_new: Vec<u32> = vec![NO_NODE; std_nodes];
     let mut new_to_std: Vec<u32> = vec![NO_NODE; nodes];
     for i in 0..n {
-        if !dirty[i] {
-            std_to_new[i] = i as u32;
-            new_to_std[i] = i as u32;
-        }
+        std_to_new[i] = i as u32;
+        new_to_std[i] = i as u32;
+    }
+    for &i in dirty {
+        std_to_new[i] = NO_NODE;
+        new_to_std[i] = NO_NODE;
     }
     // Per new node: its standing counterpart if pristine. Clean leaves
     // are; merges are decided as they land.
@@ -160,10 +171,11 @@ pub(super) fn replay_merges(
     // active order is what breaks exact score ties, so it must match.
     // `hulls` holds each active subtree's representative region in step
     // with `active`, so the scans read one dense array.
-    let mut active: Vec<usize> = leaves.iter().map(|l| l.index()).collect();
-    let mut hulls: Vec<Trr> = leaves
+    // The leaves are the forest's first `n` nodes, in sink order.
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut hulls: Vec<Trr> = active
         .iter()
-        .map(|&l| forest.representative_region(l))
+        .map(|&l| forest.representative_region(NodeId::from_index(l)))
         .collect();
     let mut pos: Vec<u32> = vec![NO_POS; nodes];
     for (i, &k) in active.iter().enumerate() {
@@ -199,7 +211,7 @@ pub(super) fn replay_merges(
                 // incremental planner is equivalence-tested against.
                 planned_rounds += 1;
                 out.rounds.push(None);
-                let pairs = plan_round(&ForestSpace::new(forest), &active, topo);
+                let pairs = plan_round(&ForestSpace::new(&forest), &active, topo);
                 assert!(!pairs.is_empty(), "planner must make progress");
                 pairs
             }
@@ -233,7 +245,7 @@ pub(super) fn replay_merges(
                     }
                 }
                 scan.novel_rest();
-                stats.scan_visits += scan.scan(&ForestSpace::new(forest), topo, &active, &hulls);
+                stats.scan_visits += scan.scan(&ForestSpace::new(&forest), topo, &active, &hulls);
                 if stats.scan_visits > price || scan.tied {
                     return None;
                 }
@@ -345,6 +357,7 @@ pub(super) fn replay_merges(
     stats.replayed_rounds = replayed_rounds;
     stats.planned_rounds = planned_rounds;
     Some(Replayed {
+        forest,
         root: NodeId::from_index(active[0]),
         trace,
         script: out,

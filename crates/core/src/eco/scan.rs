@@ -47,8 +47,15 @@ use crate::drivers::ForestSpace;
 pub(super) const ROUTE_VISITS_PER_SINK: u64 = 1_500;
 
 /// A round's grid costs this many visits per hull: a
-/// [`GridIndex::build`] (90–115 ns per hull) plus the cap notes for
-/// takeovers (9–13 ns), over the 4–6 ns a visit cost in the same runs.
+/// [`GridIndex::build`], the cap notes for takeovers, and what its
+/// queries cost beyond the visits they are charged. The figure is set on
+/// whole flushes, not on the build alone (which times at about 11 ns, two
+/// visits, per hull). Over 200 one-sink flushes of a 16 000-sink design
+/// on a shared 2-core x86-64 VM, lowering it from 24 to 8, 4 and 2 sent
+/// more rounds to a grid and raised the flush's scans from 2.40 ms to
+/// 4.50, 3.59 and 5.11 ms, the grid rounds' share from 0.63 ms to
+/// 3.1–4.9 ms. Answering only the own-neighbor scans on a grid, with
+/// takeovers linear, raised the scans from 1.88 ms to 2.53 ms.
 const GRID_BUILD_VISITS: usize = 24;
 
 /// A [`GridIndex::nearest_ranked`] query costs this many visits, ring

@@ -60,6 +60,40 @@ fn unfused_flush_with_appends_matches_from_scratch() {
     assert_eq!(back.report, base.report);
 }
 
+/// A one-sink move's flush takes its forest's leaves from the recording
+/// it consumes and rebuilds only the moved sink's leaf, and so does the
+/// move back, whose recording is the first flush's. A structural edit
+/// reroutes and builds every leaf; a net no-op builds none.
+#[test]
+fn a_one_sink_move_rebuilds_one_leaf() {
+    let inst = scattered(300, 4, 10e-12);
+    let mut session = EcoSession::new(&inst, AstDme::new().plan()).expect("routes");
+    let from = inst.sinks()[17].pos;
+    for to in [Point::new(from.x + 90.5, from.y - 60.25), from] {
+        session.queue(EcoEdit::Move { sink: 17, to });
+        session.flush().expect("flushes");
+        let fs = session.last_flush();
+        assert!(!fs.full_reroute, "must replay: {fs:?}");
+        assert_eq!((fs.dirty_sinks, fs.rebuilt_leaves), (1, 1), "{fs:?}");
+    }
+    session.queue(EcoEdit::Retune {
+        sink: 3,
+        cap: 2e-14,
+    });
+    session.queue(EcoEdit::Retune {
+        sink: 3,
+        cap: 1e-14,
+    });
+    session.flush().expect("flushes");
+    assert!(session.last_flush().noop);
+    assert_eq!(session.last_flush().rebuilt_leaves, 0);
+    session.queue(EcoEdit::Delete { sink: 8 });
+    session.flush().expect("flushes");
+    let fs = session.last_flush();
+    assert!(fs.full_reroute, "{fs:?}");
+    assert_eq!(fs.rebuilt_leaves, 299, "{fs:?}");
+}
+
 /// AST-DME with group fusion off: offset adjustment appends.
 fn unfused() -> AstDme {
     AstDme::new().with_engine(EngineConfig {

@@ -8,8 +8,8 @@
 //!    optional bound);
 //! 2. **merge** — build the merge forest and run the merge step: plan the
 //!    bottom-up merge loop fresh (flat, or per-group-then-stitch), plan
-//!    fresh while recording the replay script, or replay a recording
-//!    (the two ECO steps);
+//!    fresh while recording the replay script, or replay a recording on
+//!    a forest that takes the recording's leaves (the two ECO steps);
 //! 3. **embed** — top-down embedding of the surviving root into a
 //!    [`RoutedTree`] (a replayed ECO flush copies the subtrees it shares
 //!    with the standing tree);
@@ -234,20 +234,19 @@ pub struct StagePlan {
 /// negative global skew bound), or if a fault checkpoint, deadline, or
 /// output validation fails the route.
 pub fn run(inst: &Instance, plan: &StagePlan) -> Result<RouteOutcome, RouteError> {
-    let run = run_with(inst, plan, |forest, _| {
-        let (root, trace) = merge_stage(forest, inst, plan);
-        Some(Merged::plain(root, trace))
+    let run = run_with(inst, plan, |routed, model| {
+        let mut forest = MergeForest::for_instance_with_model(routed, model, plan.engine);
+        let (root, trace) = merge_stage(&mut forest, inst, plan);
+        Some(Merged::plain(forest, root, trace))
     })?;
     Ok(run.expect("fresh planning never declines").outcome)
 }
 
 /// One run of the pipeline body, with what an ECO session keeps besides
 /// the outcome.
-pub(crate) struct Run<'a> {
+pub(crate) struct Run {
     /// The routed outcome.
     pub(crate) outcome: RouteOutcome,
-    /// The instance stages 2–4 routed: the input, regrouped by stage 1.
-    pub(crate) routed: Cow<'a, Instance>,
     /// The merged forest.
     pub(crate) forest: MergeForest,
     /// Where the embed put each forest node, when the merge step asked
@@ -259,6 +258,8 @@ pub(crate) struct Run<'a> {
 
 /// What a merge step hands the rest of the pipeline.
 pub(crate) struct Merged<'s> {
+    /// The merged forest.
+    pub(crate) forest: MergeForest,
     /// The surviving root.
     pub(crate) root: NodeId,
     /// The merge loop's counters.
@@ -273,8 +274,9 @@ pub(crate) struct Merged<'s> {
 
 impl Merged<'_> {
     /// A merge step's result that records nothing and copies nothing.
-    pub(crate) fn plain(root: NodeId, trace: MergeTrace) -> Self {
+    pub(crate) fn plain(forest: MergeForest, root: NodeId, trace: MergeTrace) -> Self {
         Self {
+            forest,
             root,
             trace,
             record: false,
@@ -302,15 +304,18 @@ fn stage<T>(
 
 /// The one pipeline body. Every route runs through it: [`run`], and the
 /// ECO session's recording routes and replayed flushes. Only the merge
-/// step varies: `merge` receives the fresh forest of the routed instance
-/// and that instance, and returns the surviving root, the loop's counters
-/// and what the embed records and copies from — or `None` to decline
-/// (only a replay does), which ends the run with `Ok(None)`.
-pub(crate) fn run_with<'a, 's>(
-    inst: &'a Instance,
+/// step varies: `merge` receives the routed instance and the delay model,
+/// builds the instance's forest (a fresh one, or, in a replayed flush,
+/// one that takes the consumed recording's leaves) and returns it merged,
+/// with the surviving root, the loop's counters and what the embed
+/// records and copies from — or `None` to decline (only a replay does),
+/// which ends the run with `Ok(None)`. Building the forest counts toward
+/// the merge stage.
+pub(crate) fn run_with<'s>(
+    inst: &Instance,
     plan: &StagePlan,
-    merge: impl FnOnce(&mut MergeForest, &Instance) -> Option<Merged<'s>>,
-) -> Result<Option<Run<'a>>, RouteError> {
+    merge: impl FnOnce(&Instance, DelayModel) -> Option<Merged<'s>>,
+) -> Result<Option<Run>, RouteError> {
     let mut stats = RouteStats::default();
     let model = plan.model.unwrap_or(DelayModel::elmore(*inst.rc()));
 
@@ -322,10 +327,9 @@ pub(crate) fn run_with<'a, 's>(
         })
     })?;
 
-    // Stage 2: merge — the merge step over a fresh forest.
+    // Stage 2: merge — the merge step, forest construction included.
     let merged = stage(StageId::Merge, &mut stats.merge, |st| {
-        let mut forest = MergeForest::for_instance_with_model(&routed, model, plan.engine);
-        let Some(merged) = merge(&mut forest, &routed) else {
+        let Some(merged) = merge(&routed, model) else {
             return Ok(None);
         };
         let trace = &merged.trace;
@@ -337,11 +341,12 @@ pub(crate) fn run_with<'a, 's>(
         st.grid_builds = trace.grid_builds;
         st.nn_queries = trace.nn_queries;
         st.exact_distances = trace.exact_distances;
-        Ok(Some((forest, merged)))
+        Ok(Some(merged))
     })?;
-    let Some((forest, merged)) = merged else {
+    let Some(merged) = merged else {
         return Ok(None);
     };
+    let forest = merged.forest;
 
     // Stage 3: embed, copying what a standing embedding lets it copy.
     let embedded = stage(StageId::Embed, &mut stats.embed, |_| {
@@ -393,7 +398,6 @@ pub(crate) fn run_with<'a, 's>(
             report,
             stats,
         },
-        routed,
         forest,
         embedding,
         reused_nodes: embedded.reused_nodes,

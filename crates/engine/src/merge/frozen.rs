@@ -20,7 +20,9 @@
 //! candidate straight into the store, because every parent references
 //! it. Consuming a leaf then compacts nothing, and a forest allocates no
 //! list per sink. Compacting costs a route little beyond freeing each
-//! consumed merge node's live list.
+//! consumed merge node's live list. A recorded forest freezes nothing
+//! else, so its store is exactly its leaves, in sink order: an ECO
+//! flush's forest takes it whole ([`MergeForest::take_leaves`]).
 //!
 //! Only the indices change, never a candidate's value, and nothing ranks
 //! or prunes by the index of a consumed node's candidate, so a compacting
@@ -49,7 +51,7 @@ const UNREFERENCED: u32 = u32::MAX;
 /// A node's run of frozen candidates: `len` entries from `start` in chunk
 /// `chunk`. Eight bytes, so a node's [`Cands`] stays as small as the
 /// shared list it replaces.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Run {
     chunk: u32,
     start: u16,
@@ -65,16 +67,52 @@ pub(crate) struct FrozenStore {
 
 impl Run {
     /// The empty run a recorded node is left with once an adoption takes
-    /// its list. It reads as the empty head of chunk 0, which holds the
-    /// first leaf's candidate in every forest that has merged.
+    /// its list, and a leaf once [`MergeForest::take_leaves`] takes its
+    /// store. It reads as the empty head of chunk 0, which holds the
+    /// first leaf's candidate in every forest that has merged, and is the
+    /// one empty chunk a forest whose leaves were taken keeps.
     pub(crate) const EMPTY: Run = Run {
         chunk: 0,
         start: 0,
         len: 0,
     };
+
+    /// The run of the `i`-th leaf in a store that holds only leaves (see
+    /// [`FrozenStore::holds_leaves`]).
+    pub(crate) fn leaf(i: usize) -> Run {
+        Run {
+            chunk: u32::try_from(i / CHUNK).expect("frozen chunk count fits u32"),
+            start: (i % CHUNK) as u16,
+            len: 1,
+        }
+    }
 }
 
 impl FrozenStore {
+    /// A store of one empty chunk, in which [`Run::EMPTY`] reads as empty.
+    pub(crate) fn emptied() -> Self {
+        Self {
+            chunks: vec![Vec::new()],
+        }
+    }
+
+    /// Whether the store holds exactly `n` leaf candidates, as `n` calls
+    /// of `add_leaf` lay them out: one run per leaf, the `i`-th at
+    /// [`Run::leaf`]`(i)`, in chunks of [`CHUNK`] with nothing else
+    /// frozen and nothing cloned.
+    pub(crate) fn holds_leaves(&self, n: usize) -> bool {
+        self.chunks.len() == n.div_ceil(CHUNK)
+            && self.chunks.iter().enumerate().all(|(c, chunk)| {
+                chunk.capacity() == CHUNK && chunk.len() == (n - c * CHUNK).min(CHUNK)
+            })
+    }
+
+    /// The candidate of the `i`-th leaf in a store that holds only
+    /// leaves.
+    pub(crate) fn leaf_mut(&mut self, i: usize) -> &mut Candidate {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+
     /// The candidates of `run`.
     pub(crate) fn get(&self, run: Run) -> &[Candidate] {
         let start = run.start as usize;

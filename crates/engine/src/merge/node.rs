@@ -112,6 +112,18 @@ impl Node {
         Self::from_parts(Cands::Frozen(run), summary, None, Some(sink))
     }
 
+    /// A copy of this node for a forest whose store holds the same leaf
+    /// candidate at `run`, when the node is still the frozen leaf
+    /// [`Node::leaf`] made there: not thawed by an append, not a merge.
+    pub(crate) fn leaf_copy(&self, run: Run) -> Option<Self> {
+        let pristine = matches!(self.cands, Cands::Frozen(r) if r == run) && self.sink != NONE;
+        pristine.then_some(Self {
+            cands: Cands::Frozen(run),
+            consumed: false,
+            ..*self
+        })
+    }
+
     fn from_parts(
         cands: Cands,
         (hull, max_delay, finite): (Trr, f64, bool),

@@ -6,6 +6,7 @@ use astdme_geom::Point;
 
 use crate::{CandKind, EngineConfig, GroupId, MergeForest};
 
+mod leaves;
 mod record;
 
 fn forest_with(bounds: Vec<f64>) -> MergeForest {

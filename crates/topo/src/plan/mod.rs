@@ -35,6 +35,16 @@ pub trait MergeSpace {
     /// order. The exact merging cost of two subtrees is
     /// [`min_region_distance`] over their region lists.
     fn regions(&self, id: usize, out: &mut Vec<Trr>);
+    /// Number of candidate regions of subtree `id`, as many as
+    /// [`MergeSpace::regions`] appends. The default reads the regions; a
+    /// space that knows the count without them should say so, since the
+    /// planner asks for every subtree it registers and skips reading a
+    /// single region (it is the hull).
+    fn region_count(&self, id: usize) -> usize {
+        let mut out = Vec::new();
+        self.regions(id, &mut out);
+        out.len()
+    }
     /// Largest accumulated root-to-sink delay of the subtree (seconds),
     /// for the delay-target bias.
     fn delay(&self, id: usize) -> f64;
@@ -219,7 +229,8 @@ pub fn plan_round<S: MergeSpace>(
             space.regions(k, &mut regions);
             spans.push(start..regions.len());
         }
-        nearest_bruteforce(active, |i, j| {
+        let hulls: Vec<Trr> = active.iter().map(|&k| space.region(k)).collect();
+        nearest_bruteforce(active, &hulls, |i, j| {
             min_region_distance(&regions[spans[i].clone()], &regions[spans[j].clone()])
         })
     } else {
@@ -256,16 +267,28 @@ pub(crate) fn rank_and_select(
 
 /// For every active subtree, its nearest neighbor by exact merge cost
 /// (deduplicated to unordered key pairs). `dist(i, j)` is the exact cost
-/// between the subtrees at active positions `i` and `j`.
+/// between the subtrees at active positions `i` and `j`, and `hulls[i]`
+/// the representative region of the subtree at position `i`.
+///
+/// A pair whose hull distance is already no smaller than the best exact
+/// cost so far is skipped without evaluating `dist`: hulls are the exact
+/// min/max of their subtree's candidate regions and [`Trr::distance`] is
+/// monotone, so the hull distance never exceeds [`min_region_distance`],
+/// and the pair could not have won (a strict `<` takes a new best).
 pub(crate) fn nearest_bruteforce(
     active: &[usize],
+    hulls: &[Trr],
     mut dist: impl FnMut(usize, usize) -> f64,
 ) -> Vec<(usize, usize, f64)> {
+    debug_assert_eq!(hulls.len(), active.len(), "one hull per active subtree");
     let mut pairs = Vec::with_capacity(active.len());
     for (i, &a) in active.iter().enumerate() {
         let mut best: Option<(usize, f64)> = None;
         for (j, &b) in active.iter().enumerate() {
             if i == j {
+                continue;
+            }
+            if best.is_some_and(|(_, bd)| hulls[i].distance(&hulls[j]) >= bd) {
                 continue;
             }
             let d = dist(i, j);

@@ -216,7 +216,8 @@ fn grid_and_bruteforce_agree_on_larger_sets() {
     let space = Pts::new(&coords);
     let active: Vec<usize> = (0..coords.len()).collect();
     let greedy = plan_round(&space, &active, &TopoConfig::greedy());
-    let bf = nearest_bruteforce(&active, |i, j| space.pts[i].dist(space.pts[j]));
+    let hulls: Vec<Trr> = active.iter().map(|&k| space.region(k)).collect();
+    let bf = nearest_bruteforce(&active, &hulls, |i, j| hulls[i].distance(&hulls[j]));
     let best_bf = bf
         .iter()
         .min_by(|x, y| x.2.partial_cmp(&y.2).unwrap())

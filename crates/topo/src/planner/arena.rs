@@ -13,6 +13,9 @@
 //!
 //! A subtree with a single region (every leaf) stores nothing: its hull
 //! *is* its region, bit for bit, and the entry already holds the hull.
+//! The arena asks the space for the region count first
+//! ([`MergeSpace::region_count`]), so such a subtree's region is never
+//! read.
 //!
 //! Spans live in chunks, appended in order. A relayout copies every live
 //! span into fresh chunks, one entry at a time, so the refresh sweep can
@@ -69,19 +72,27 @@ fn same_bits(a: &Trr, b: &Trr) -> bool {
 
 impl RegionArena {
     /// Copies subtree `key`'s regions (from `space`) into the arena and
-    /// returns the entry's `(start, len)`. A single region equal to `hull`
-    /// stores nothing and returns [`HULL`].
+    /// returns the entry's `(start, len)`. A single region is `hull` bit
+    /// for bit (see [`MergeSpace::region`]): it is not read, stores
+    /// nothing and returns [`HULL`].
     pub(super) fn store<S: MergeSpace>(&mut self, space: &S, key: usize, hull: &Trr) -> (u32, u32) {
         let mut staged = std::mem::take(&mut self.staged);
         staged.clear();
+        if space.region_count(key) == 1 {
+            debug_assert!(
+                {
+                    space.regions(key, &mut staged);
+                    same_bits(&staged[0], hull)
+                },
+                "subtree {key}'s one region is its hull"
+            );
+            self.staged = staged;
+            return (HULL, 1);
+        }
         space.regions(key, &mut staged);
         assert!(!staged.is_empty(), "subtree {key} has no candidate regions");
-        let span = if staged.len() == 1 && same_bits(&staged[0], hull) {
-            (HULL, 1)
-        } else {
-            let len = u32::try_from(staged.len()).expect("candidate counts fit u32");
-            (self.place(&staged), len)
-        };
+        let len = u32::try_from(staged.len()).expect("candidate counts fit u32");
+        let span = (self.place(&staged), len);
         self.staged = staged;
         span
     }

@@ -11,6 +11,8 @@
 //! evaluated from the planner's own entries and region arena, like every
 //! other path, so memoized and fresh values are the same bits.
 
+use astdme_geom::Trr;
+
 use super::MergePlanner;
 use crate::plan::{nearest_bruteforce, rank_and_select, BRUTE_FORCE_CUTOFF};
 
@@ -76,8 +78,9 @@ impl MergePlanner {
     /// exact cost, which the reference also switches to).
     pub(super) fn plan_tail(&mut self) -> Vec<(usize, usize)> {
         let active: Vec<usize> = self.entries.iter().map(|e| e.key()).collect();
+        let hulls: Vec<Trr> = self.entries.iter().map(|e| e.region).collect();
         let mut memo = std::mem::take(&mut self.bf_cache);
-        let nn = nearest_bruteforce(&active, |i, j| {
+        let nn = nearest_bruteforce(&active, &hulls, |i, j| {
             memo.get_or(active[i], active[j], || self.exact(i, j))
         });
         self.bf_cache = memo;
