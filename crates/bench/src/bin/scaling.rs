@@ -16,10 +16,8 @@
 //! median over the flushes of each flush's time over its own cycle's
 //! route time (a ratio of timings taken moments apart, so a slow spell
 //! of a shared host moves both), the flushes that fell back to a full
-//! reroute, and the median `EcoStats::scan_visits`,
-//! `EcoStats::reused_nodes` and `EcoStats::rebuilt_leaves` per flush
-//! (a replayed flush takes every clean leaf from the recording it
-//! consumes, so a k-move flush rebuilds k). Every moved flush is asserted
+//! reroute, and the median `EcoStats::scan_visits` and
+//! `EcoStats::reused_nodes` per flush. Every moved flush is asserted
 //! equal to its from-scratch route, and every move back to the session's
 //! first tree.
 //!
@@ -136,7 +134,6 @@ struct EcoMeasurement {
     full_reroutes: usize,
     scan_visits_p50: u64,
     reused_nodes_p50: u64,
-    rebuilt_leaves_p50: u64,
 }
 
 /// Sinks of the ECO section's design: perfbench's `eco-k1` size, and the
@@ -368,7 +365,7 @@ fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
         let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
         let base = session.outcome().tree.clone();
         let (mut flush_s, mut scratch_s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut visits, mut reused, mut rebuilt) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut visits, mut reused) = (Vec::new(), Vec::new());
         let mut full_reroutes = 0;
         for cycle in 0..cycles {
             let (away, back) = eco_cycle(&inst, k, cycle);
@@ -384,7 +381,6 @@ fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
                 full_reroutes += usize::from(stats.full_reroute);
                 visits.push(stats.scan_visits as f64);
                 reused.push(stats.reused_nodes as f64);
-                rebuilt.push(stats.rebuilt_leaves as f64);
                 if moved {
                     let t0 = Instant::now();
                     let want = router.route_traced(session.instance()).expect("routes");
@@ -415,17 +411,15 @@ fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
             full_reroutes,
             scan_visits_p50: median(&mut visits) as u64,
             reused_nodes_p50: median(&mut reused) as u64,
-            rebuilt_leaves_p50: median(&mut rebuilt) as u64,
         };
         eprintln!(
-            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused  {} rebuilt leaves",
+            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused",
             m.flush_s_p50,
             m.scratch_s_p50,
             m.flush_over_scratch,
             m.full_reroutes,
             m.scan_visits_p50,
-            m.reused_nodes_p50,
-            m.rebuilt_leaves_p50
+            m.reused_nodes_p50
         );
         out.push(m);
     }
@@ -516,7 +510,7 @@ fn to_json(
         })
         .collect();
     // ECO flushes against from-scratch routes: timings recorded, the
-    // reroute, visit, reused-node and rebuilt-leaf counts deterministic.
+    // reroute, visit and reused-node counts deterministic.
     let eco_items: Vec<String> = eco
         .iter()
         .map(|m| {
@@ -531,7 +525,6 @@ fn to_json(
                     json::field("full_reroutes", format!("{}", m.full_reroutes)),
                     json::field("scan_visits", format!("{}", m.scan_visits_p50)),
                     json::field("reused_nodes", format!("{}", m.reused_nodes_p50)),
-                    json::field("rebuilt_leaves", format!("{}", m.rebuilt_leaves_p50)),
                 ],
                 4,
             )

@@ -90,8 +90,10 @@
 //!    merge node, so its store holds exactly one leaf per sink. The dirty
 //!    sinks' candidates are rewritten in place and every clean leaf node
 //!    is copied, so a one-sink move builds one leaf
-//!    ([`EcoStats::rebuilt_leaves`]) where a fresh forest would build `n`
-//!    and the old forest's `n` would then be freed.
+//!    ([`EcoStats::dirty_sinks`]) where a fresh forest would build `n`
+//!    and the old forest's `n` would then be freed. If the recorded
+//!    leaves are not in that layout, the replay declines and the flush
+//!    reroutes.
 //! 2. **Merges.** Adoption moves each clean merge's candidate list out of
 //!    the recorded forest into the new one instead of sharing it: the old
 //!    forest is thrown away after the flush, so sharing would only cost a
@@ -217,6 +219,9 @@ pub struct EcoStats {
     pub edits: usize,
     /// Sinks whose position or load actually changed (net, after
     /// cancelling edits), or the full sink count on a structural change.
+    /// A replayed flush builds exactly these sinks' leaves and takes the
+    /// rest from the recording it consumes (see
+    /// [`MergeForest::take_leaves`]); a full reroute builds all `n`.
     pub dirty_sinks: usize,
     /// Merges satisfied by adopting a recorded merge bit-for-bit.
     pub adopted_merges: usize,
@@ -241,12 +246,6 @@ pub struct EcoStats {
     /// from-scratch route costs in the same unit (see the
     /// [module docs](self)); a declined replay's visits are counted too.
     pub scan_visits: u64,
-    /// Leaves the flush's forest built anew instead of carrying them over
-    /// from the recording it consumed (see [`MergeForest::take_leaves`]):
-    /// on a replay, the dirty sinks' leaves; on a full reroute, or when
-    /// the recording's leaves could not be taken, every sink's.
-    /// Deterministic for a given session and batch.
-    pub rebuilt_leaves: usize,
     /// Whether the flush fell back to a full pipeline reroute: a
     /// structural edit, a plan without replay, or a declined replay.
     pub full_reroute: bool,
@@ -509,37 +508,35 @@ fn route_edited(
 ) -> Result<(RouteOutcome, Option<Recording>), RouteError> {
     if let (Some(dirty), Some((rec, tree))) = (dirty, standing) {
         let mut script = None;
-        let run = pipeline::run_with(edited, plan, |routed, model| {
-            let replayed = replay::replay_merges(&mut *rec, routed, model, &dirty, plan, stats)?;
-            script = Some(replayed.script);
-            // The replay is done taking lists; the embed reads the
-            // recording's map for the rest of the run.
-            let rec: &Recording = rec;
-            let standing =
-                rec.embedding
-                    .as_ref()
-                    .zip(replayed.copyable)
-                    .map(|(map, (to_new, pristine))| Standing {
+        let run =
+            pipeline::run_with(edited, plan, |routed, _| {
+                let replayed = replay::replay_merges(&mut *rec, routed, &dirty, plan, stats)?;
+                script = Some(replayed.script);
+                // The replay is done taking lists; the embed reads the
+                // recording's map for the rest of the run.
+                let rec: &Recording = rec;
+                let standing = rec.embedding.as_ref().zip(replayed.copyable).map(
+                    |(map, (to_new, pristine))| Standing {
                         tree,
                         map,
                         to_new,
                         pristine,
-                    });
-            Some(Merged {
-                forest: replayed.forest,
-                root: replayed.root,
-                trace: replayed.trace,
-                record: true,
-                standing,
-            })
-        })?;
+                    },
+                );
+                Some(Merged {
+                    forest: replayed.forest,
+                    root: replayed.root,
+                    trace: replayed.trace,
+                    record: true,
+                    standing,
+                })
+            })?;
         if let Some(run) = run {
             stats.reused_nodes = run.reused_nodes;
             return Ok(recorded(run, script));
         }
     }
     stats.full_reroute = true;
-    stats.rebuilt_leaves = edited.sink_count();
     route_full(edited, plan)
 }
 

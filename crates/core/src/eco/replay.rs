@@ -1,7 +1,6 @@
 //! The flush's merge step: the recorded merge rounds replayed against the
 //! edited instance.
 
-use astdme_delay::DelayModel;
 use astdme_engine::{Instance, MergeForest, NodeId, NO_NODE};
 use astdme_geom::Trr;
 use astdme_topo::{plan_round, round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
@@ -86,23 +85,21 @@ pub(super) struct Replayed {
 /// regrouped like the recording), whose sinks differ from the
 /// recording's at the ascending `dirty` list. It consumes `rec`: the new
 /// forest takes the recorded forest's leaf store
-/// ([`MergeForest::take_leaves`], a fresh forest under `model` if it
-/// cannot), adoptions move candidate lists out of the recorded forest,
-/// and each replayed round writes its own rows into the buffer of the
-/// recorded ones, so a recording serves one flush. Returns the merged
+/// ([`MergeForest::take_leaves`]), adoptions move candidate lists out of
+/// the recorded forest, and each replayed round writes its own rows into
+/// the buffer of the recorded ones, so a recording serves one flush. Returns the merged
 /// forest, the surviving root, the loop's counters, the replay's own
 /// script and the tables the embed copies by (see [`Replayed`]), and
-/// fills `stats`' leaf, replay and visit counters. While it merges it
+/// fills `stats`' replay and visit counters. While it merges it
 /// marks each new node pristine or not, at no extra cost: a clean leaf
 /// is, and so is an adopted merge whose log appends nothing, that took
 /// its recorded list, and whose two children are pristine. Also returns
-/// `None` when the sink count drifted from the recording's, or if a round
-/// produced no entries (never the case for well-formed recordings, but
-/// cheap to guard).
+/// `None` when the sink count drifted from the recording's, when the
+/// recorded leaves cannot be taken, or if a round produced no entries
+/// (never the case for well-formed recordings, but cheap to guard).
 pub(super) fn replay_merges(
     rec: &mut Recording,
     edited: &Instance,
-    model: DelayModel,
     dirty: &[usize],
     plan: &StagePlan,
     stats: &mut EcoStats,
@@ -117,16 +114,7 @@ pub(super) fn replay_merges(
     if std_forest.node_count() != 2 * n - 1 {
         return None;
     }
-    let mut forest = match MergeForest::take_leaves(std_forest, edited, dirty) {
-        Some((forest, rebuilt)) => {
-            stats.rebuilt_leaves = rebuilt;
-            forest
-        }
-        None => {
-            stats.rebuilt_leaves = n;
-            MergeForest::for_instance_with_model(edited, model, plan.engine)
-        }
-    };
+    let mut forest = MergeForest::take_leaves(std_forest, edited, dirty)?;
     let topo = &plan.topo;
     let mut out = MergeScript::for_forest(&forest);
     if n == 1 {

@@ -62,8 +62,9 @@ fn unfused_flush_with_appends_matches_from_scratch() {
 
 /// A one-sink move's flush takes its forest's leaves from the recording
 /// it consumes and rebuilds only the moved sink's leaf, and so does the
-/// move back, whose recording is the first flush's. A structural edit
-/// reroutes and builds every leaf; a net no-op builds none.
+/// move back, whose recording is the first flush's: a replay leaves its
+/// leaves takeable. A structural edit reroutes and builds every leaf; a
+/// net no-op builds none.
 #[test]
 fn a_one_sink_move_rebuilds_one_leaf() {
     let inst = scattered(300, 4, 10e-12);
@@ -74,7 +75,7 @@ fn a_one_sink_move_rebuilds_one_leaf() {
         session.flush().expect("flushes");
         let fs = session.last_flush();
         assert!(!fs.full_reroute, "must replay: {fs:?}");
-        assert_eq!((fs.dirty_sinks, fs.rebuilt_leaves), (1, 1), "{fs:?}");
+        assert_eq!(fs.dirty_sinks, 1, "{fs:?}");
     }
     session.queue(EcoEdit::Retune {
         sink: 3,
@@ -86,12 +87,12 @@ fn a_one_sink_move_rebuilds_one_leaf() {
     });
     session.flush().expect("flushes");
     assert!(session.last_flush().noop);
-    assert_eq!(session.last_flush().rebuilt_leaves, 0);
+    assert_eq!(session.last_flush().dirty_sinks, 0);
     session.queue(EcoEdit::Delete { sink: 8 });
     session.flush().expect("flushes");
     let fs = session.last_flush();
     assert!(fs.full_reroute, "{fs:?}");
-    assert_eq!(fs.rebuilt_leaves, 299, "{fs:?}");
+    assert_eq!(fs.dirty_sinks, 299, "{fs:?}");
 }
 
 /// AST-DME with group fusion off: offset adjustment appends.

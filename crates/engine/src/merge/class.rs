@@ -5,24 +5,9 @@
 //! initial state (every group its own class, every offset zero) and the
 //! class view of a delay map is the per-group view, bit for bit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::{DelayMap, GroupId, MergeForest};
 
 use super::context::Scratch;
-
-/// The process-wide source of class-state versions (see
-/// [`fresh_version`]).
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(0);
-
-/// A class-state version no forest has held yet. A forest takes one
-/// whenever its class state is created or changes, so two forests (or one
-/// forest at two times) with the same version hold bit-identical states:
-/// only a clone copies a version, and it copies the state with it. The
-/// counter publishes no other data, so `Relaxed` keeps it unique.
-pub(crate) fn fresh_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A union-find over groups, each group's prescribed offset from its class
 /// reference (adjusted delay = real delay − offset), and the per-group
@@ -155,7 +140,6 @@ impl MergeForest {
         });
         debug_assert!(!cands.is_empty(), "best candidate is always consistent");
         self.classes.fuse(keep, absorb, delta);
-        self.class_version = fresh_version();
     }
 }
 

@@ -143,11 +143,6 @@ pub struct MergeForest {
     residual: f64,
     /// Group classes, their prescribed offsets and the per-group bounds.
     classes: ClassState,
-    /// The version of `classes` (see [`class::fresh_version`]): fresh
-    /// whenever `classes` is created or changes, so adoption checks a
-    /// recorded snapshot against it once, not once per merge (see
-    /// `record`).
-    class_version: u64,
     scratch: Scratch,
 }
 
@@ -163,7 +158,6 @@ impl MergeForest {
             leaves: 0,
             residual: 0.0,
             classes: ClassState::new(bounds),
-            class_version: class::fresh_version(),
             scratch: Scratch::default(),
         }
     }
@@ -194,25 +188,24 @@ impl MergeForest {
     /// `std` is a forest over the same sinks that has frozen nothing but
     /// its leaves, as a recorded forest never freezes a merge node (see
     /// `record`); its leaves were built for an instance that differs from
-    /// `inst` only at the sinks `dirty` lists, ascending (position, load
-    /// or group). The new forest moves `std`'s frozen store, which then
-    /// holds exactly the leaves, one run per sink in sink order, and
-    /// rewrites the dirty sinks' candidates in it. It copies every other
-    /// leaf node that is still the frozen leaf it was born as, and
-    /// rebuilds the rest: the dirty ones, and any leaf an append thawed
-    /// into a live list (offset adjustment never appends to a leaf, which
-    /// has one group). It also takes `std`'s scratch buffers.
+    /// `inst` only at the sinks `dirty` lists, ascending (position or
+    /// load). The new forest moves `std`'s frozen store, which then holds
+    /// exactly the leaves, one run per sink in sink order, copies every
+    /// leaf node, and rewrites the dirty sinks' candidates and nodes. It
+    /// also takes `std`'s scratch buffers.
     ///
     /// `std` keeps its merge nodes, for adoption; its frozen leaves read
-    /// as empty from then on. Returns the forest and how many leaves it
-    /// rebuilt, or `None`, with `std` untouched, when `std`'s store holds
-    /// anything but its leaves in that layout, or its leaf or group count
-    /// is not `inst`'s: build the forest fresh then.
+    /// as empty from then on. Returns `None` when `std`'s leaf or group
+    /// count is not `inst`'s, or its store or leaf nodes are not the
+    /// frozen leaves `n` calls of `add_leaf` lay out (offset adjustment
+    /// never appends to a leaf, which has one group, so a route leaves
+    /// them so). Some of `std`'s leaves may then read as empty already:
+    /// discard it and build the forest fresh.
     pub fn take_leaves(
         std: &mut MergeForest,
         inst: &Instance,
         dirty: &[usize],
-    ) -> Option<(MergeForest, usize)> {
+    ) -> Option<MergeForest> {
         let n = inst.sink_count();
         let bounds = inst.groups().bounds();
         if std.leaves != n
@@ -223,49 +216,16 @@ impl MergeForest {
             return None;
         }
         debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty ascends");
-        let Self {
-            nodes: std_nodes,
-            store: std_store,
-            ..
-        } = std;
         let mut nodes = Vec::with_capacity((2 * n).saturating_sub(1));
-        // The dirty sinks' new candidates, in `dirty` order.
-        let mut moved = Vec::with_capacity(dirty.len());
-        let mut next_dirty = dirty.iter().peekable();
-        let mut rebuilt = 0;
-        for i in 0..n {
-            let run = Run::leaf(i);
-            let leaf = &mut std_nodes[i];
-            if leaf.sink() != Some(i) {
-                // Not the leaves `n` calls of `add_leaf` lay out. Every
-                // leaf before this one is, so give each its run back.
-                for (j, leaf) in std_nodes[..i].iter_mut().enumerate() {
-                    if let Cands::Frozen(r) = &mut leaf.cands {
-                        *r = Run::leaf(j);
-                    }
-                }
-                return None;
-            }
-            let node = if next_dirty.next_if_eq(&&i).is_some() {
-                let s = &inst.sinks()[i];
-                let cand = leaf_candidate(s.pos, s.cap, inst.group_of(i));
-                rebuilt += 1;
-                let node = Node::leaf(run, &cand, i);
-                moved.push(cand);
-                node
-            } else if let Some(copy) = leaf.leaf_copy(run) {
-                copy
-            } else {
-                rebuilt += 1;
-                Node::leaf(run, &std_store.get(run)[0], i)
-            };
-            nodes.push(node);
-            if let Cands::Frozen(r) = &mut leaf.cands {
-                *r = Run::EMPTY;
-            }
+        for (i, leaf) in std.nodes[..n].iter_mut().enumerate() {
+            nodes.push(leaf.leaf_copy(i, Run::leaf(i))?);
+            leaf.cands = Cands::Frozen(Run::EMPTY);
         }
-        let mut store = std::mem::replace(std_store, FrozenStore::emptied());
-        for (&i, cand) in dirty.iter().zip(moved) {
+        let mut store = std::mem::replace(&mut std.store, FrozenStore::emptied());
+        for &i in dirty {
+            let s = &inst.sinks()[i];
+            let cand = leaf_candidate(s.pos, s.cap, inst.group_of(i));
+            nodes[i] = Node::leaf(Run::leaf(i), &cand, i);
             *store.leaf_mut(i) = cand;
         }
         debug_assert!(
@@ -274,7 +234,7 @@ impl MergeForest {
             }),
             "every sink outside `dirty` keeps its leaf candidate"
         );
-        let forest = Self {
+        Some(Self {
             nodes,
             store,
             model: std.model,
@@ -282,10 +242,8 @@ impl MergeForest {
             leaves: n,
             residual: 0.0,
             classes: ClassState::new(bounds.to_vec()),
-            class_version: class::fresh_version(),
             scratch: std::mem::take(&mut std.scratch),
-        };
-        Some((forest, rebuilt))
+        })
     }
 
     /// The expansion view of the current forest state: shared borrows of
@@ -422,9 +380,9 @@ impl MergeForest {
         if self.cfg.fuse_groups {
             self.fuse_classes(&mut scratch);
         }
-        let epoch_after = rec.as_mut().map_or(epoch_before, |r| {
-            r.note_class_state(&self.classes, self.class_version)
-        });
+        let epoch_after = rec
+            .as_mut()
+            .map_or(epoch_before, |r| r.note_class_state(&self.classes));
         // Unrecorded, the children freeze to the candidates the kept ones
         // reference; a recorded forest keeps whole lists, because an ECO
         // flush may freshly merge an adopted child and needs its creation

@@ -113,10 +113,12 @@ impl Node {
     }
 
     /// A copy of this node for a forest whose store holds the same leaf
-    /// candidate at `run`, when the node is still the frozen leaf
-    /// [`Node::leaf`] made there: not thawed by an append, not a merge.
-    pub(crate) fn leaf_copy(&self, run: Run) -> Option<Self> {
-        let pristine = matches!(self.cands, Cands::Frozen(r) if r == run) && self.sink != NONE;
+    /// candidate at `run`, when the node is still the frozen leaf of
+    /// `sink` that [`Node::leaf`] made there: not thawed by an append, not
+    /// a merge.
+    pub(crate) fn leaf_copy(&self, sink: usize, run: Run) -> Option<Self> {
+        let pristine =
+            matches!(self.cands, Cands::Frozen(r) if r == run) && unpack(self.sink) == Some(sink);
         pristine.then_some(Self {
             cands: Cands::Frozen(run),
             consumed: false,

@@ -39,18 +39,6 @@
 //! expansion work. Any validation failure returns `None` and the caller
 //! falls back to a fresh [`MergeForest::merge`], which is always correct.
 //!
-//! # Class-state checks are memoized
-//!
-//! Every adoption needs the new forest's class state to equal its
-//! recorded pre-merge snapshot, and every recorded merge notes the state
-//! after it. Class states change rarely (at most once per group fusion,
-//! all early in a route), so a forest carries a class version, fresh
-//! whenever its state is created or changes, and a recording remembers
-//! the last `(version, snapshot)` pair it found equal. While a merge's
-//! pair is that one, the comparison is skipped; debug builds still make
-//! it. A version names one state for good (only a clone copies it, and
-//! with the state), so the memo is exact.
-//!
 //! # Recorded forests keep whole lists
 //!
 //! An unrecorded merge freezes its consumed children to the candidates
@@ -63,7 +51,6 @@
 //! standing route and every flush) holds about three times the
 //! candidates of a plain route's forest.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use super::class::ClassState;
@@ -108,24 +95,10 @@ pub struct MergeLog {
 /// distinct class-fusion state the run went through (snapshot 0 is the
 /// initial state; at most one new snapshot per group fusion). Snapshots
 /// compare bit for bit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergeRecording {
     pub(super) logs: Vec<MergeLog>,
     class_snaps: Vec<ClassState>,
-    /// The last `(class version, epoch)` pair found bit-identical: a
-    /// forest whose class state has that version (see
-    /// `class::fresh_version`) holds snapshot `epoch` bit for bit.
-    /// Recording and adoption skip the comparison while the pair stays
-    /// the same, which is every merge between two class changes.
-    verified: Cell<Option<(u64, u32)>>,
-}
-
-/// Logs and snapshots; the memo of the last verified pair is not part of
-/// what a recording says.
-impl PartialEq for MergeRecording {
-    fn eq(&self, other: &Self) -> bool {
-        self.logs == other.logs && self.class_snaps == other.class_snaps
-    }
 }
 
 impl MergeRecording {
@@ -137,7 +110,6 @@ impl MergeRecording {
         Self {
             logs: Vec::with_capacity(forest.leaves.saturating_sub(1)),
             class_snaps: vec![forest.classes.clone()],
-            verified: Cell::new(Some((forest.class_version, 0))),
         }
     }
 
@@ -151,35 +123,14 @@ impl MergeRecording {
         self.class_snaps.len() - 1
     }
 
-    /// Records the class state `classes`, of version `version`, after a
-    /// merge: pushes a new snapshot iff it differs bitwise from the latest
-    /// one, and returns the current epoch. The comparison is skipped while
-    /// the version is the one last found equal to the latest snapshot.
-    pub(crate) fn note_class_state(&mut self, classes: &ClassState, version: u64) -> usize {
-        let epoch = self.epoch();
-        if !self.matches(epoch, classes, version) {
+    /// Records the class state after a merge: pushes a new snapshot iff it
+    /// differs bitwise from the latest one, and returns the current epoch.
+    pub(crate) fn note_class_state(&mut self, classes: &ClassState) -> usize {
+        let last = self.class_snaps.last().expect("snapshot 0 always exists");
+        if !last.same_bits(classes) {
             self.class_snaps.push(classes.clone());
-            self.verified.set(Some((version, self.epoch() as u32)));
         }
         self.epoch()
-    }
-
-    /// Whether the class state `classes`, of version `version`, equals
-    /// snapshot `epoch` bit for bit. Compares only when the pair is not
-    /// the one last verified, and remembers a match (debug builds still
-    /// compare on every hit).
-    fn matches(&self, epoch: usize, classes: &ClassState, version: u64) -> bool {
-        let pair = Some((version, epoch as u32));
-        let snap = &self.class_snaps[epoch];
-        if self.verified.get() == pair {
-            debug_assert!(snap.same_bits(classes), "a version names one state");
-            return true;
-        }
-        let same = snap.same_bits(classes);
-        if same {
-            self.verified.set(pair);
-        }
-        same
     }
 }
 
@@ -207,11 +158,7 @@ impl MergeForest {
     /// Validation that can be checked here — the class state matching the
     /// recorded pre-merge snapshot, every append target being translated —
     /// is checked before any mutation; on failure the forest is untouched
-    /// and `None` is returned (fall back to a fresh merge). The class
-    /// state is compared bit for bit only when this forest's class
-    /// version or the snapshot differs from the last pair `rec` verified:
-    /// the version changes with every fusion and every adopted snapshot,
-    /// so a replay compares a few times in all, not per adoption.
+    /// and `None` is returned (fall back to a fresh merge).
     ///
     /// When `rec_out` is given, the adopted merge is re-recorded into it
     /// in this forest's id space, so the new forest supports the next
@@ -227,7 +174,7 @@ impl MergeForest {
         std_to_new: &[u32],
         rec_out: Option<&mut MergeRecording>,
     ) -> Option<(NodeId, bool)> {
-        if !rec.matches(log.epoch_before as usize, &self.classes, self.class_version) {
+        if !rec.class_snaps[log.epoch_before as usize].same_bits(&self.classes) {
             return None;
         }
         for &(n, start, len) in &log.appends {
@@ -271,15 +218,12 @@ impl MergeForest {
         self.residual = self.residual.max(log.residual);
         if log.epoch_after != log.epoch_before {
             self.classes = rec.class_snaps[log.epoch_after as usize].clone();
-            self.class_version = super::class::fresh_version();
-            rec.verified
-                .set(Some((self.class_version, log.epoch_after)));
         }
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
         if let Some(out) = rec_out {
             let epoch_before = out.epoch();
-            let epoch_after = out.note_class_state(&self.classes, self.class_version);
+            let epoch_after = out.note_class_state(&self.classes);
             let appends = log
                 .appends
                 .iter()

@@ -106,8 +106,7 @@ fn route(f: &mut MergeForest, seed: u64, source: astdme_geom::Point) -> crate::R
 
 /// Records a random merge order over a random instance, edits it, and
 /// checks `take_leaves` against a fresh forest of the edited instance.
-/// Returns how many leaves of the recorded forest were thawed.
-fn take_matches_fresh(seed: u64, fuse: bool) -> usize {
+fn take_matches_fresh(seed: u64, fuse: bool) {
     let mut rng = Rng(seed);
     let cfg = EngineConfig {
         fuse_groups: fuse,
@@ -132,21 +131,14 @@ fn take_matches_fresh(seed: u64, fuse: bool) -> usize {
         active.push(std.merge_recorded(a, b, &mut rec));
     }
     // Offset adjustment never appends to a leaf (a leaf has one group),
-    // but a node appended to thaws into a live list, which `take_leaves`
-    // must rebuild rather than copy: thaw one here, as an append would.
-    if !fuse {
-        let MergeForest { nodes, store, .. } = &mut std;
-        let i = rng.below(n);
-        let own = store.get(Run::leaf(i)).to_vec();
-        nodes[i].extend_candidates(store, own.into_iter());
+    // fused or not, so every leaf is still the frozen leaf it was born.
+    for i in 0..n {
+        assert_eq!(std.candidates(NodeId(i)).len(), 1, "seed {seed}: leaf {i}");
     }
-    let thawed: Vec<usize> = (0..n)
-        .filter(|&i| std.candidates(NodeId(i)).len() > 1)
-        .collect();
     let moved = [rng.below(n), rng.below(n)];
     let retuned = [rng.below(n)];
     let (inst2, dirty) = if seed % 4 == 3 {
-        // No edit at all: every pristine leaf is carried over.
+        // No edit at all: every leaf is carried over.
         (inst.clone(), Vec::new())
     } else {
         edited(&inst, &moved, &retuned)
@@ -155,16 +147,12 @@ fn take_matches_fresh(seed: u64, fuse: bool) -> usize {
         .map(|i| std.candidates(NodeId(i)).to_vec())
         .collect();
 
-    let (mut taken, rebuilt) =
+    let mut taken =
         MergeForest::take_leaves(&mut std, &inst2, &dirty).expect("a recorded forest's leaves");
     let mut fresh = MergeForest::for_instance_with_model(&inst2, model, cfg);
     assert_same_leaves(&taken, &fresh, n);
-    let expected = (0..n)
-        .filter(|i| dirty.contains(i) || thawed.contains(i))
-        .count();
-    assert_eq!(rebuilt, expected, "seed {seed}");
-    // The recorded forest keeps its merge nodes whole; its frozen leaves
-    // read as empty, its thawed ones keep their appended lists.
+    // The recorded forest keeps its merge nodes whole; its leaves read
+    // as empty.
     for (k, list) in merges.iter().enumerate() {
         assert_eq!(
             std.candidates(NodeId(n + k)),
@@ -174,8 +162,7 @@ fn take_matches_fresh(seed: u64, fuse: bool) -> usize {
         );
     }
     for i in 0..n {
-        let left = std.candidates(NodeId(i)).len();
-        assert_eq!(left > 0, thawed.contains(&i), "leaf {i}: {left}");
+        assert!(std.candidates(NodeId(i)).is_empty(), "leaf {i}");
     }
     // Both forests route the same tree.
     let route_seed = seed ^ 0xA5A5;
@@ -185,14 +172,14 @@ fn take_matches_fresh(seed: u64, fuse: bool) -> usize {
     );
     assert_eq!(a, b, "seed {seed}: the routed trees differ");
     assert_eq!(taken.residual().to_bits(), fresh.residual().to_bits());
-    thawed.len()
 }
 
 #[test]
 fn taken_leaves_equal_a_fresh_forest() {
     for fuse in [true, false] {
-        let thawed: usize = (0..24).map(|seed| take_matches_fresh(seed, fuse)).sum();
-        assert_eq!(thawed, if fuse { 0 } else { 24 }, "fuse={fuse}");
+        for seed in 0..24 {
+            take_matches_fresh(seed, fuse);
+        }
     }
 }
 
@@ -203,17 +190,9 @@ fn take_leaves_declines_other_forests() {
     let inst = instance(&mut rng, 30, &bounds);
     let smaller = instance(&mut rng, 29, &bounds);
     let model = DelayModel::elmore(RcParams::default());
-    let mut std = MergeForest::for_instance_with_model(&inst, model, EngineConfig::default());
-    let before = std.clone();
-    assert!(MergeForest::take_leaves(&mut std, &smaller, &[]).is_none());
-    // Declining leaves the forest as it was.
-    assert!(std.store.holds_leaves(30));
-    for i in 0..30 {
-        let (l, b) = (std.candidates(NodeId(i)), before.candidates(NodeId(i)));
-        assert!(same_cand_bits(&l[0], &b[0]), "leaf {i}");
-    }
-    // Leaves out of sink order: declined after the walk met the first
-    // misplaced leaf, with every leaf before it given its run back.
+    let fresh = || MergeForest::for_instance_with_model(&inst, model, EngineConfig::default());
+    assert!(MergeForest::take_leaves(&mut fresh(), &smaller, &[]).is_none());
+    // Leaves out of sink order.
     let mut swapped = MergeForest::new(model, bounds.to_vec(), EngineConfig::default());
     for i in 0..30 {
         let j = match i {
@@ -224,16 +203,15 @@ fn take_leaves_declines_other_forests() {
         let s = &inst.sinks()[j];
         swapped.add_leaf(j, s.pos, s.cap, inst.group_of(j));
     }
-    let before = swapped.clone();
     assert!(MergeForest::take_leaves(&mut swapped, &inst, &[]).is_none());
-    assert!(swapped.store.holds_leaves(30));
-    for i in 0..30 {
-        let (l, b) = (swapped.candidates(NodeId(i)), before.candidates(NodeId(i)));
-        assert_eq!(l.len(), 1, "leaf {i}");
-        assert!(same_cand_bits(&l[0], &b[0]), "leaf {i}");
-    }
+    // A leaf an append thawed into a live list.
+    let mut thawed = fresh();
+    let MergeForest { nodes, store, .. } = &mut thawed;
+    let own = store.get(Run::leaf(7)).to_vec();
+    nodes[7].extend_candidates(store, own.into_iter());
+    assert!(MergeForest::take_leaves(&mut thawed, &inst, &[]).is_none());
     // A forest that froze a merge's children holds more than its leaves.
-    let mut plain = MergeForest::for_instance_with_model(&inst, model, EngineConfig::default());
+    let mut plain = fresh();
     let leaves = plain.leaves();
     let m = plain.merge(leaves[0], leaves[1]);
     let _ = plain.merge(m, leaves[2]);
