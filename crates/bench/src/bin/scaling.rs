@@ -17,9 +17,12 @@
 //! route time (a ratio of timings taken moments apart, so a slow spell
 //! of a shared host moves both), the flushes that fell back to a full
 //! reroute, and the median `EcoStats::scan_visits` and
-//! `EcoStats::reused_nodes` per flush. Every moved flush is asserted
-//! equal to its from-scratch route, and every move back to the session's
-//! first tree.
+//! `EcoStats::reused_nodes` per flush. A last row runs the same design
+//! with sinks and moves snapped to a 10 µm lattice, where exact distance
+//! ties are routine, over 20 cycles of one move (8 under `--quick`); its
+//! `lattice_um` is 10 where the other rows' is `null`. Every moved flush
+//! is asserted equal to its from-scratch route, and every move back to
+//! the session's first tree.
 //!
 //! Usage: `scaling [--quick] [--out PATH] [--sizes a,b,c] [--alloc-budget N]`
 //!
@@ -45,7 +48,7 @@ use std::time::Instant;
 use astdme_bench::{json, PAPER_BOUND};
 use astdme_core::{
     run_bottom_up, run_bottom_up_from_scratch, AstDme, ClockRouter, DelayModel, EcoEdit,
-    EcoSession, EngineConfig, Instance, NodeId, Point, StageStats, TopoConfig,
+    EcoSession, EngineConfig, Instance, NodeId, Point, Sink, StageStats, TopoConfig,
 };
 use astdme_instances::{partition, synthetic_instance};
 
@@ -121,11 +124,14 @@ struct AllocMeasurement {
 }
 
 /// One ECO row: [`ECO_CYCLES`] (or [`ECO_QUICK_CYCLES`]) cycles of `k`
-/// seeded moves and the moves back on the `n`-sink design.
+/// seeded moves and the moves back on the `n`-sink design, or the
+/// on-lattice row's [`ECO_LATTICE_CYCLES`].
 #[derive(Debug, Clone)]
 struct EcoMeasurement {
     n: usize,
     k: usize,
+    /// The lattice sinks and moves are snapped to, in µm, if any.
+    lattice_um: Option<f64>,
     flushes: usize,
     flush_s_p50: f64,
     scratch_s_p50: f64,
@@ -148,6 +154,9 @@ const ECO_QUICK_CYCLES: usize = 8;
 /// Largest displacement of a moved sink along each axis, in µm (as in
 /// `eco-k1`).
 const ECO_MAX_SHIFT: f64 = 400.0;
+/// The on-lattice row's spacing (µm) and cycles of one move.
+const ECO_LATTICE_UM: f64 = 10.0;
+const ECO_LATTICE_CYCLES: usize = 20;
 
 fn instance(n: usize) -> Instance {
     let p = synthetic_instance(n, SEED, &format!("s{n}"));
@@ -314,9 +323,19 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `x` on the `lattice` (µm), if any.
+fn snap(x: f64, lattice: Option<f64>) -> f64 {
+    lattice.map_or(x, |s| (x / s).round() * s)
+}
+
 /// Cycle `cycle`'s batch of `k` distinct seeded moves, and the batch
-/// moving them back.
-fn eco_cycle(inst: &Instance, k: usize, cycle: usize) -> (Vec<EcoEdit>, Vec<EcoEdit>) {
+/// moving them back; with a `lattice`, each move lands on it.
+fn eco_cycle(
+    inst: &Instance,
+    k: usize,
+    cycle: usize,
+    lattice: Option<f64>,
+) -> (Vec<EcoEdit>, Vec<EcoEdit>) {
     let mut state = SEED ^ ((k as u64) << 32) ^ cycle as u64;
     let unit = |state: &mut u64| (splitmix(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
     let mut sinks: Vec<usize> = Vec::with_capacity(k);
@@ -334,7 +353,7 @@ fn eco_cycle(inst: &Instance, k: usize, cycle: usize) -> (Vec<EcoEdit>, Vec<EcoE
             let dy = ECO_MAX_SHIFT * unit(&mut state);
             EcoEdit::Move {
                 sink: s,
-                to: Point::new(p.x + dx, p.y + dy),
+                to: Point::new(snap(p.x + dx, lattice), snap(p.y + dy, lattice)),
             }
         })
         .collect();
@@ -353,22 +372,32 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Flushes `cycles` cycles per k on one session each, timing every flush
-/// and a from-scratch route of every moved instance. Panics if a flush
-/// diverges from its from-scratch route or a move back does not restore
-/// the first tree.
-fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
+/// Flushes `cycles` cycles per k on one session each, then
+/// `lattice_cycles` of one move on the design snapped to
+/// [`ECO_LATTICE_UM`], timing every flush and a from-scratch route of
+/// every moved instance. Panics if a flush diverges from its from-scratch
+/// route or a move back does not restore the first tree.
+fn measure_eco(n: usize, cycles: usize, lattice_cycles: usize) -> Vec<EcoMeasurement> {
     let inst = eco_instance(n);
+    let grid = Some(ECO_LATTICE_UM);
+    let on_grid = |p: Point| Point::new(snap(p.x, grid), snap(p.y, grid));
+    let sinks = inst
+        .sinks()
+        .iter()
+        .map(|s| Sink::new(on_grid(s.pos), s.cap));
+    let (groups, rc, source) = (inst.groups().clone(), *inst.rc(), inst.source());
+    let on_lattice = Instance::new(sinks.collect(), groups, rc, source).expect("valid lattice");
+    let rows = ECO_KS.iter().map(|&k| (&inst, k, cycles, None));
     let router = AstDme::new();
     let mut out = Vec::new();
-    for k in ECO_KS {
-        let mut session = EcoSession::new(&inst, router.plan()).expect("routes");
+    for (inst, k, cycles, lattice) in rows.chain([(&on_lattice, 1, lattice_cycles, grid)]) {
+        let mut session = EcoSession::new(inst, router.plan()).expect("routes");
         let base = session.outcome().tree.clone();
         let (mut flush_s, mut scratch_s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
         let (mut visits, mut reused) = (Vec::new(), Vec::new());
         let mut full_reroutes = 0;
         for cycle in 0..cycles {
-            let (away, back) = eco_cycle(&inst, k, cycle);
+            let (away, back) = eco_cycle(inst, k, cycle, lattice);
             let mut cycle_flush_s = Vec::with_capacity(2);
             for (moved, batch) in [(true, away), (false, back)] {
                 for edit in batch {
@@ -404,6 +433,7 @@ fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
         let m = EcoMeasurement {
             n,
             k,
+            lattice_um: lattice,
             flushes: flush_s.len(),
             flush_s_p50: median(&mut flush_s),
             scratch_s_p50: median(&mut scratch_s),
@@ -413,13 +443,14 @@ fn measure_eco(n: usize, cycles: usize) -> Vec<EcoMeasurement> {
             reused_nodes_p50: median(&mut reused) as u64,
         };
         eprintln!(
-            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused",
+            "eco n={n:>6} k={k:>3}  flush {:>8.4}s  scratch {:>8.4}s  ({:.2}x)  {} full reroutes  {} visits  {} reused  lattice {:?}",
             m.flush_s_p50,
             m.scratch_s_p50,
             m.flush_over_scratch,
             m.full_reroutes,
             m.scan_visits_p50,
-            m.reused_nodes_p50
+            m.reused_nodes_p50,
+            m.lattice_um
         );
         out.push(m);
     }
@@ -518,6 +549,10 @@ fn to_json(
                 &[
                     json::field("n", format!("{}", m.n)),
                     json::field("k", format!("{}", m.k)),
+                    json::field(
+                        "lattice_um",
+                        m.lattice_um.map_or("null".into(), json::number),
+                    ),
                     json::field("flushes", format!("{}", m.flushes)),
                     json::field("flush_s_p50", json::number(m.flush_s_p50)),
                     json::field("scratch_s_p50", json::number(m.scratch_s_p50)),
@@ -576,9 +611,9 @@ fn main() {
         counters.extend(measure_counters(n, &inst));
     }
     let eco = if quick {
-        measure_eco(ECO_QUICK_SINKS, ECO_QUICK_CYCLES)
+        measure_eco(ECO_QUICK_SINKS, ECO_QUICK_CYCLES, ECO_QUICK_CYCLES)
     } else {
-        measure_eco(ECO_SINKS, ECO_CYCLES)
+        measure_eco(ECO_SINKS, ECO_CYCLES, ECO_LATTICE_CYCLES)
     };
     let doc = to_json(&measurements, &alloc_measurements, &counters, &eco);
     std::fs::write(&out_path, &doc).expect("write BENCH_scaling.json");

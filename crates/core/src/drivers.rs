@@ -106,22 +106,54 @@ pub(crate) struct MergeScript {
 /// One row of a recorded planning round: an active subtree, its nearest
 /// neighbor, their hull distance and the pair's folded score bits — the
 /// planner's snapshot triple ([`NnSnapshotRow`]) with `u32` keys (forest
-/// node indices fit them; the planner's keys stay below 2^31). A round's
-/// rows are sorted by [`RankedRow::rank`], the order the planner selects
-/// the round's pairs in, so a replay walks them best first.
+/// node indices fit them; the planner's keys stay below 2^31) and its tie
+/// flag in the sign bit of the distance (a distance is never negative),
+/// so a row stays 24 B. A round's rows are sorted by [`RankedRow::rank`],
+/// the order the planner selects the round's pairs in, so a replay walks
+/// them best first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RankedRow {
     /// The pair's score bits ([`score_bits`](astdme_topo::score_bits)).
     pub(crate) score: u64,
-    /// The hull distance between the subtree and its neighbor.
-    pub(crate) dist: f64,
+    /// The hull distance between the subtree and its neighbor, negated
+    /// when tied (see [`RankedRow::tied`]).
+    signed_dist: f64,
     /// The subtree.
     pub(crate) key: u32,
     /// Its nearest neighbor.
     pub(crate) nn: u32,
 }
 
+/// The layout described on [`RankedRow`]: a recorded route keeps one row
+/// per active subtree per grid round.
+const _: () = assert!(std::mem::size_of::<RankedRow>() == 24);
+
 impl RankedRow {
+    /// The row of subtree `key` whose nearest neighbor `nn` lies at hull
+    /// distance `dist`, pair score bits `score`; `tied` when another
+    /// subtree lies exactly as near.
+    pub(crate) fn new(key: u32, nn: u32, dist: f64, score: u64, tied: bool) -> Self {
+        let signed_dist = if tied { -dist.abs() } else { dist.abs() };
+        Self {
+            score,
+            signed_dist,
+            key,
+            nn,
+        }
+    }
+
+    /// The hull distance between the subtree and its neighbor.
+    pub(crate) fn dist(&self) -> f64 {
+        self.signed_dist.abs()
+    }
+
+    /// Whether another subtree lay exactly as near as the neighbor, which
+    /// then won by its smaller key: a replay, whose keys may order
+    /// differently, re-derives such a row.
+    pub(crate) fn tied(&self) -> bool {
+        self.signed_dist.is_sign_negative()
+    }
+
     /// The pair, smaller key first: the orientation it merges in.
     pub(crate) fn pair(&self) -> (usize, usize) {
         let (key, nn) = (self.key as usize, self.nn as usize);
@@ -144,13 +176,8 @@ fn ranked_rows(snapshot: Vec<NnSnapshotRow>) -> Option<Vec<RankedRow>> {
     let rows = snapshot
         .into_iter()
         .map(|row| {
-            let (nn, dist, score) = row.nn?;
-            Some(RankedRow {
-                score,
-                dist,
-                key: row.key as u32,
-                nn: nn as u32,
-            })
+            let (nn, dist, score, tied) = row.nn?;
+            Some(RankedRow::new(row.key as u32, nn as u32, dist, score, tied))
         })
         .collect::<Option<Vec<_>>>()?;
     debug_assert!(
@@ -256,49 +283,21 @@ pub fn merge_until_one_from_scratch(
     topo: &TopoConfig,
 ) -> NodeId {
     assert!(!start.is_empty(), "need at least one subtree to merge");
-    /// Sentinel in the dense position table: the key is not active.
-    const NO_POS: u32 = u32::MAX;
+    // The planner's answer depends on the active set alone, not on its
+    // order (ties go to the smallest key), so a round's merges simply
+    // replace their children.
     let mut active: Vec<usize> = start.iter().map(|n| n.index()).collect();
-    // Dense active set with a position map: removal is swap_remove, and
-    // crucially the *same* swap_remove discipline the incremental planner
-    // uses, so both drivers present identical orderings to the planner
-    // (which matters only for exact ties). The table is the planner's
-    // dense `Vec` key-table pattern — forest node indices are dense, so a
-    // flat vector with a sentinel replaces the old `HashMap` (and each
-    // merge grows the key space by exactly one, so the resize below
-    // amortizes to a push).
-    let max_key = active.iter().copied().max().expect("start is non-empty");
-    assert!(max_key < NO_POS as usize, "node indices must fit u32");
-    let mut pos: Vec<u32> = vec![NO_POS; max_key + 1];
-    for (i, &k) in active.iter().enumerate() {
-        assert!(pos[k] == NO_POS, "start subtrees must be distinct");
-        pos[k] = i as u32;
-    }
     while active.len() > 1 {
-        let pairs = {
-            let space = ForestSpace::new(forest);
-            plan_round(&space, &active, topo)
-        };
+        let pairs = plan_round(&ForestSpace::new(forest), &active, topo);
         assert!(!pairs.is_empty(), "planner must make progress");
-        for (a, b) in pairs {
+        let mut consumed = vec![false; forest.node_count() + pairs.len()];
+        for &(a, b) in &pairs {
             let m = forest.merge(NodeId::from_index(a), NodeId::from_index(b));
-            for x in [a, b] {
-                assert!(pos[x] != NO_POS, "planned pair is active");
-                let i = pos[x] as usize;
-                pos[x] = NO_POS;
-                active.swap_remove(i);
-                if i < active.len() {
-                    pos[active[i]] = i as u32;
-                }
-            }
-            let mk = m.index();
-            if mk >= pos.len() {
-                pos.resize(mk + 1, NO_POS);
-            }
-            assert!(pos[mk] == NO_POS, "merge result key already active");
-            pos[mk] = active.len() as u32;
-            active.push(mk);
+            consumed[a] = true;
+            consumed[b] = true;
+            active.push(m.index());
         }
+        active.retain(|&k| !consumed[k]);
     }
     NodeId::from_index(active[0])
 }

@@ -126,13 +126,9 @@
 //! scans degrade toward all pairs (an edit storm that piles sinks onto
 //! one spot) falls back after spending about one route's worth.
 //!
-//! A replay also declines when one of its scans meets an exact tie: two
-//! subtrees at the same nearest hull distance, or a novel subtree exactly
-//! as near an inherited entry as that entry's neighbor. The planner
-//! breaks such a tie by its grid's ring order and its re-query hints,
-//! which the replay does not reproduce. Ties need coincident distances,
-//! as on integer sink coordinates; none of the benchmark's flushes
-//! meets one.
+//! Exact distance ties, routine on lattice placements, cost a replay no
+//! decline: it breaks them as the planner does, smallest node key first,
+//! and re-scans a recorded neighbor that won its tie by key order.
 //!
 //! Replay is recorded for [`MergeStage::Flat`] plans under
 //! [`MergeOrder::MultiMerge`] (the default of every router except the

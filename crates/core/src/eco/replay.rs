@@ -44,15 +44,21 @@ pub(super) struct Replayed {
 ///   counterpart is still active: reuse the recorded `(neighbor,
 ///   region-distance, score)` verbatim (`O(1)`);
 /// * **stale** — counterpart exists but its recorded neighbor was
-///   consumed: fresh nearest-neighbor scan (exactly what the incremental
-///   planner's dirty-list requery computes);
+///   consumed, or won a tie by the standing route's key order (node ids,
+///   hence key order, shift between the standing and the edited route):
+///   fresh nearest-neighbor scan (exactly what the incremental planner's
+///   dirty-list requery computes);
 /// * **novel** — no row reached it (the dirty cone, or a subtree whose
 ///   counterpart was not active in the standing route's round): fresh
 ///   scan, *and* the subtree may take over any inherited entry it sits
-///   strictly closer to, mirroring the planner's supersession rule for
-///   newly registered subtrees. (Mapped counterparts never take over:
-///   their effect on clean entries is already baked into the standing
-///   snapshots.)
+///   strictly nearer to, or exactly as near with a smaller key,
+///   mirroring the planner's supersession rule for newly registered
+///   subtrees. (Mapped counterparts never take over: their effect on
+///   clean entries is already baked into the standing snapshots.)
+///
+/// Every scan follows the planner's one tie rule
+/// ([`Nearest`](astdme_topo::Nearest)): among exactly equal hull
+/// distances the smallest node key wins.
 ///
 /// The scans run linearly or over a per-round grid, whichever costs
 /// fewer visits (see [`super::scan`]). A second walk then merges the
@@ -76,10 +82,6 @@ pub(super) struct Replayed {
 /// alone: a replay that declines has spent at most about one route, so a
 /// flush never costs much more than two, and an edit set of any size
 /// replays as long as replaying is cheaper.
-///
-/// **Ties.** The replay also declines when a round's scans meet an exact
-/// distance tie ([`RoundScan::tied`](super::scan::RoundScan)), whose
-/// winner the planner picks by an order the replay does not reproduce.
 ///
 /// This is the flush's merge step over `edited` (the edited instance,
 /// regrouped like the recording), whose sinks differ from the
@@ -155,11 +157,10 @@ pub(super) fn replay_merges(
         log_of_child[log.a as usize] = li as u32;
         log_of_child[log.b as usize] = li as u32;
     }
-    // Active set with the exact swap_remove discipline both drivers use —
-    // active order is what breaks exact score ties, so it must match.
-    // `hulls` holds each active subtree's representative region in step
-    // with `active`, so the scans read one dense array.
-    // The leaves are the forest's first `n` nodes, in sink order.
+    // Active set, removal by swap_remove; `hulls` holds each active
+    // subtree's representative region in step with `active`, so the scans
+    // read one dense array. The leaves are the forest's first `n` nodes,
+    // in sink order.
     let mut active: Vec<usize> = (0..n).collect();
     let mut hulls: Vec<Trr> = active
         .iter()
@@ -170,10 +171,8 @@ pub(super) fn replay_merges(
         pos[k] = i as u32;
     }
     // Per-round planning buffers, cleared and reused every replayed round:
-    // the inherited rows (translated, in recorded order, with their active
-    // positions) and the rows the scans changed.
+    // the scans' table and the rows they changed.
     let mut scan = RoundScan::default();
-    let mut kept: Vec<(RankedRow, u32)> = Vec::with_capacity(n);
     let mut changed: Vec<RankedRow> = Vec::new();
 
     let mut trace = MergeTrace::default();
@@ -207,34 +206,29 @@ pub(super) fn replay_merges(
                 replayed_rounds += 1;
                 // Walk 1: translate the rows, best first. A row whose
                 // subtree is not active here reaches no entry; one whose
-                // neighbor is not active leaves its entry stale.
+                // neighbor is not active, or won a tie by a key order the
+                // new keys need not keep, leaves its entry stale.
                 let active_new = |std: u32| {
                     let x = std_to_new[std as usize];
                     (x != NO_NODE && pos[x as usize] != NO_POS).then_some(x)
                 };
                 scan.begin(n_present);
-                kept.clear();
                 for row in &rows {
                     let Some(x) = active_new(row.key) else {
                         continue;
                     };
-                    let ai = pos[x as usize];
-                    match active_new(row.nn) {
+                    let ai = pos[x as usize] as usize;
+                    match active_new(row.nn).filter(|_| !row.tied()) {
                         Some(v) => {
-                            scan.inherit(ai as usize, row.dist);
-                            let row = RankedRow {
-                                key: x,
-                                nn: v,
-                                ..*row
-                            };
-                            kept.push((row, ai));
+                            scan.inherit(ai, RankedRow::new(x, v, row.dist(), row.score, false));
                         }
-                        None => scan.stale(ai as usize),
+                        None => scan.stale(ai),
                     }
                 }
                 scan.novel_rest();
-                stats.scan_visits += scan.scan(&ForestSpace::new(&forest), topo, &active, &hulls);
-                if stats.scan_visits > price || scan.tied {
+                let space = ForestSpace::new(&forest);
+                stats.scan_visits += scan.scan(&space, topo, &active, &hulls, &pos);
+                if stats.scan_visits > price {
                     return None;
                 }
                 // Walk 2: the round's rank order, which is also the
@@ -242,16 +236,10 @@ pub(super) fn replay_merges(
                 // flush replays off this route; then disjoint pairs up to
                 // the round limit.
                 changed.clear();
-                changed.extend(scan.changed().map(|(ai, (v, dist, score))| RankedRow {
-                    score,
-                    dist,
-                    key: active[ai] as u32,
-                    nn: v as u32,
-                }));
+                changed.extend(scan.changed());
                 changed.sort_unstable_by_key(RankedRow::rank);
-                let unchanged = kept.iter().filter(|&&(_, ai)| scan.recorded(ai as usize));
                 rows.clear();
-                merge_ranked(unchanged.map(|&(row, _)| row), &changed, &mut rows);
+                merge_ranked(scan.unchanged(), &changed, &mut rows);
                 debug_assert_eq!(rows.len(), n_present, "one row per active subtree");
                 let limit = round_limit(topo.order, n_present);
                 let pairs = select_disjoint(rows.iter().map(RankedRow::pair), limit);

@@ -5,17 +5,20 @@
 //! (see [`replay_merges`](super::replay::replay_merges)). The scans come
 //! in two kinds, and two ways of running them:
 //!
-//! * a **stale** or **novel** entry finds its own nearest neighbor, the
-//!   first in active order among equal distances;
+//! * a **stale** or **novel** entry finds its own nearest neighbor;
 //! * a **novel** entry takes over every inherited entry it sits strictly
-//!   closer to than that entry's recorded neighbor.
+//!   nearer to than that entry's neighbor, or exactly as near with a
+//!   smaller key.
+//!
+//! Both follow the planner's one tie rule ([`Nearest`]): among exactly
+//! equal hull distances the smallest node key wins, and a row records
+//! whether its neighbor won a tie, so that the next replay re-scans it.
 //!
 //! A linear sweep over the round's hulls answers one scan with `n` visits
 //! (hull-distance evaluations). When a round has enough sweeps to run
 //! ([`grid_pays`]), one [`GridIndex`] built over the round's hulls (keyed
-//! by active position) answers them instead: own neighbors through
-//! [`GridIndex::nearest_ranked`], whose smallest-key tie rule is the
-//! linear sweep's "first in active order", and takeovers through
+//! by node, like the planner's) answers them instead: own neighbors
+//! through [`GridIndex::nearest`], and takeovers through
 //! [`GridIndex::neighbors_within_capped`], each cell capped by the
 //! largest recorded neighbor distance among the inherited entries in it.
 //! Both ways produce the same table bit for bit; only the work differs.
@@ -30,9 +33,11 @@
 //! way.
 
 use astdme_geom::Trr;
-use astdme_topo::{pair_score, score_bits, space_distance, GridIndex, MergeSpace, TopoConfig};
+use astdme_topo::{
+    pair_score, score_bits, space_distance, GridIndex, MergeSpace, Nearest, TopoConfig,
+};
 
-use crate::drivers::ForestSpace;
+use crate::drivers::{ForestSpace, RankedRow};
 
 /// The visits a from-scratch route costs per sink: a replay of an
 /// `n`-sink route declines once its scans pass `n` times this.
@@ -58,9 +63,9 @@ pub(super) const ROUTE_VISITS_PER_SINK: u64 = 1_500;
 /// takeovers linear, raised the scans from 1.88 ms to 2.53 ms.
 const GRID_BUILD_VISITS: usize = 24;
 
-/// A [`GridIndex::nearest_ranked`] query costs this many visits, ring
-/// walk included (325–440 ns per query over 16 000 hulls; about 11 of
-/// them are the visits it makes).
+/// An own-neighbor [`GridIndex::nearest`] query costs this many visits,
+/// ring walk included (325–440 ns per query over 16 000 hulls; about 11
+/// of them are the visits it makes).
 const GRID_QUERY_VISITS: usize = 80;
 
 /// A takeover query ([`GridIndex::neighbors_within_capped`] bounded by
@@ -86,69 +91,69 @@ enum Source {
     Unset,
     /// Inherited from the recorded row, unchanged.
     Recorded,
-    /// Inherited, then taken over by a novel entry.
+    /// Inherited, then taken over (or tied) by a novel entry.
     TakenOver,
     /// Scanned for its own neighbor: stale or novel.
     Scanned,
 }
 
 /// A replayed round's neighbor table, indexed by active position, and
-/// the entries it must re-scan. Reused round to round. The inherited
-/// entries' triples stay with the replay's recorded rows; the table
-/// holds what the scans read and write.
+/// the entries it must re-scan. Reused round to round.
 #[derive(Default)]
 pub(super) struct RoundScan {
-    /// Per active position: where its entry comes from.
-    source: Vec<Source>,
-    /// Per inherited position (recorded or taken over): the hull distance
-    /// to its neighbor, which a novel entry must beat to take it over.
-    reach: Vec<f64>,
-    /// Per scanned or taken-over position: the `(neighbor key, hull
-    /// distance, score bits)` triple the scans found, the planner's
-    /// snapshot triple.
-    found: Vec<(usize, f64, u64)>,
     /// Positions whose own neighbor must be scanned: stale and novel.
     refresh: Vec<usize>,
     /// Positions no recorded row reached: they may take over.
     novel: Vec<usize>,
-    /// Inherited positions a novel entry took over.
+    /// The inherited rows, translated into new keys, with their active
+    /// positions, in recorded rank order.
+    inherited: Vec<(RankedRow, u32)>,
+    table: Table,
+}
+
+/// What the scans read and write, per active position.
+#[derive(Default)]
+struct Table {
+    /// Where the position's entry comes from.
+    source: Vec<Source>,
+    /// The position's row in new keys: the translated recorded row of an
+    /// inherited position, what the scans found for the rest. Read only
+    /// where `source` says it was written this round.
+    rows: Vec<RankedRow>,
+    /// Inherited positions a novel entry took over or tied.
     taken: Vec<usize>,
-    /// Whether a scan met an exact distance tie: an own-neighbor scan
-    /// that found its nearest distance more than once, or a novel entry
-    /// exactly as near an inherited entry as that entry's neighbor. The
-    /// planner breaks such a tie by its own grid's ring order and
-    /// re-query hints, which the replay does not reproduce, so the replay
-    /// declines.
-    pub(super) tied: bool,
     region_bufs: [Vec<Trr>; 2],
 }
 
 impl RoundScan {
     /// Starts a round over `n` active subtrees, every entry unset.
     pub(super) fn begin(&mut self, n: usize) {
-        self.source.clear();
-        self.source.resize(n, Source::Unset);
-        // Read only where `source` says they were written this round.
-        self.reach.resize(n, 0.0);
-        self.found.resize(n, (0, 0.0, 0));
+        let t = &mut self.table;
+        t.source.clear();
+        t.source.resize(n, Source::Unset);
+        t.rows.resize(n, RankedRow::new(0, 0, 0.0, 0, false));
+        t.taken.clear();
         self.refresh.clear();
         self.novel.clear();
-        self.taken.clear();
-        self.tied = false;
+        self.inherited.clear();
+        // Exact: the first round is the largest, so the list never grows.
+        self.inherited.reserve_exact(n);
     }
 
-    /// Position `ai` inherits its recorded neighbor, at hull distance
-    /// `dist`.
-    pub(super) fn inherit(&mut self, ai: usize, dist: f64) {
-        self.source[ai] = Source::Recorded;
-        self.reach[ai] = dist;
+    /// Position `ai` inherits `row`, its recorded row translated into new
+    /// keys. Rows arrive in recorded rank order.
+    pub(super) fn inherit(&mut self, ai: usize, row: RankedRow) {
+        self.table.source[ai] = Source::Recorded;
+        self.table.rows[ai] = row;
+        self.inherited.push((row, ai as u32));
     }
 
     /// Position `ai` has a standing counterpart whose recorded neighbor is
-    /// gone: it scans for its own neighbor.
+    /// gone, or won a tie by a key order the new keys need not keep: it
+    /// scans for its own neighbor.
     pub(super) fn stale(&mut self, ai: usize) {
         self.refresh.push(ai);
-        self.source[ai] = Source::Scanned;
+        self.table.source[ai] = Source::Scanned;
     }
 
     /// Marks every position still unclassified novel, in active order:
@@ -156,7 +161,7 @@ impl RoundScan {
     /// in the round, so they scan for their own neighbor and for
     /// takeovers.
     pub(super) fn novel_rest(&mut self) {
-        for (ai, source) in self.source.iter_mut().enumerate() {
+        for (ai, source) in self.table.source.iter_mut().enumerate() {
             if *source == Source::Unset {
                 *source = Source::Scanned;
                 self.refresh.push(ai);
@@ -165,37 +170,40 @@ impl RoundScan {
         }
     }
 
-    /// Whether position `ai` still holds its recorded entry unchanged.
-    pub(super) fn recorded(&self, ai: usize) -> bool {
-        self.source[ai] == Source::Recorded
+    /// The inherited rows no scan changed, in recorded rank order.
+    pub(super) fn unchanged(&self) -> impl Iterator<Item = RankedRow> + '_ {
+        let recorded =
+            |&&(_, ai): &&(RankedRow, u32)| self.table.source[ai as usize] == Source::Recorded;
+        self.inherited.iter().filter(recorded).map(|&(row, _)| row)
     }
 
-    /// The entries the scans wrote, stale, novel and taken over: each
-    /// position with its new triple.
-    pub(super) fn changed(&self) -> impl Iterator<Item = (usize, (usize, f64, u64))> + '_ {
-        let found = |&ai: &usize| (ai, self.found[ai]);
-        self.refresh.iter().chain(&self.taken).map(found)
+    /// The rows the scans wrote: stale, novel and taken over.
+    pub(super) fn changed(&self) -> impl Iterator<Item = RankedRow> + '_ {
+        let t = &self.table;
+        self.refresh.iter().chain(&t.taken).map(|&ai| t.rows[ai])
     }
 
-    /// Runs the round's scans over `active` (keys) and `hulls` (their
-    /// representative regions, in step), linearly or over a grid as
-    /// [`grid_pays`] decides, and returns the visits they made.
+    /// Runs the round's scans over `active` (keys), `hulls` (their
+    /// representative regions, in step) and `pos` (key → active
+    /// position), linearly or over a grid as [`grid_pays`] decides, and
+    /// returns the visits they made.
     pub(super) fn scan(
         &mut self,
         space: &ForestSpace<'_>,
         topo: &TopoConfig,
         active: &[usize],
         hulls: &[Trr],
+        pos: &[u32],
     ) -> u64 {
         if grid_pays(hulls.len(), self.refresh.len(), self.novel.len()) {
-            self.scan_grid(space, topo, active, hulls)
+            self.scan_grid(space, topo, active, hulls, pos)
         } else {
             self.scan_linear(space, topo, active, hulls)
         }
     }
 
-    /// The linear sweeps: first strict minimum in active order for own
-    /// neighbors, then every inherited entry against each novel one.
+    /// The linear sweeps: every other subtree offered for own neighbors,
+    /// then each novel entry offered to every inherited one.
     fn scan_linear(
         &mut self,
         space: &ForestSpace<'_>,
@@ -204,55 +212,26 @@ impl RoundScan {
         hulls: &[Trr],
     ) -> u64 {
         let n = hulls.len();
+        let t = &mut self.table;
         for &ai in &self.refresh {
-            let rx = hulls[ai];
-            let mut best: Option<(usize, f64)> = None;
-            let mut tied = false;
+            let (rx, mut horizon) = (hulls[ai], f64::INFINITY);
+            let mut found = Nearest::default();
             for (yi, hy) in hulls.iter().enumerate() {
-                if yi == ai {
-                    continue;
-                }
                 let d = rx.distance(hy);
-                match best {
-                    Some((_, bd)) if d < bd => tied = false,
-                    Some((_, bd)) if d <= bd => {
-                        tied = true;
-                        continue;
-                    }
-                    Some(_) => continue,
-                    None => {}
+                if yi != ai && d <= horizon {
+                    found.offer(active[yi], d);
+                    horizon = d;
                 }
-                best = Some((yi, d));
             }
-            self.tied |= tied;
-            let (vi, rd) = best.expect("two or more active subtrees");
-            let bufs = &mut self.region_bufs;
-            self.found[ai] = scored(space, topo, bufs, active[ai], active[vi], rd);
+            t.rows[ai] = t.scored(space, topo, active[ai], found);
         }
-        let inherited = self
-            .source
-            .iter()
-            .filter(|&&s| s == Source::Recorded)
-            .count();
         for &ci in &self.novel {
-            let (c, hc) = (active[ci], hulls[ci]);
-            for ui in 0..n {
-                if !matches!(self.source[ui], Source::Recorded | Source::TakenOver) {
-                    continue;
-                }
-                let urd = self.reach[ui];
-                let nd = hulls[ui].distance(&hc);
-                if nd < urd {
-                    let bufs = &mut self.region_bufs;
-                    self.found[ui] = scored(space, topo, bufs, active[ui], c, nd);
-                    self.reach[ui] = nd;
-                    take_over(&mut self.source[ui], &mut self.taken, ui);
-                } else if nd <= urd {
-                    self.tied = true;
-                }
+            let hc = hulls[ci];
+            for (ui, hu) in hulls.iter().enumerate() {
+                t.offer(space, topo, active, ui, active[ci], hu.distance(&hc));
             }
         }
-        (self.refresh.len() * (n - 1) + self.novel.len() * inherited) as u64
+        (self.refresh.len() * (n - 1) + self.novel.len() * self.inherited.len()) as u64
     }
 
     /// The same scans answered by one grid over the round's hulls.
@@ -262,74 +241,79 @@ impl RoundScan {
         topo: &TopoConfig,
         active: &[usize],
         hulls: &[Trr],
+        pos: &[u32],
     ) -> u64 {
-        let mut grid = GridIndex::build(hulls.iter().copied().enumerate());
+        let mut grid = GridIndex::build(active.iter().copied().zip(hulls.iter().copied()));
         let mut visits = 0u64;
+        let t = &mut self.table;
         for &ai in &self.refresh {
-            let (best, tied, v) = grid.nearest_ranked(ai, &hulls[ai]);
-            self.tied |= tied;
-            visits += v as u64;
-            let (vi, rd) = best.expect("two or more active subtrees");
-            let bufs = &mut self.region_bufs;
-            self.found[ai] = scored(space, topo, bufs, active[ai], active[vi], rd);
+            let found = grid.nearest(active[ai], &hulls[ai], None);
+            visits += found.visits as u64;
+            t.rows[ai] = t.scored(space, topo, active[ai], found);
         }
-        if self.novel.is_empty() || !self.source.contains(&Source::Recorded) {
+        if self.novel.is_empty() || self.inherited.is_empty() {
             return visits;
         }
-        // A takeover needs a hull distance strictly below the victim's
-        // recorded one, and a tie needs an equal one, so each cell is
-        // capped one ulp past its inherited entries' largest, and the walk
-        // is bounded by the largest of all.
+        // A takeover or a tie needs a hull distance at most the victim's
+        // recorded one, so each cell is capped at its inherited entries'
+        // largest, and the walk is bounded by the largest of all.
         let mut bound = 0.0f64;
-        for (ui, (&source, &urd)) in self.source.iter().zip(&self.reach).enumerate() {
-            if source == Source::Recorded {
-                grid.note_cap(&hulls[ui], urd.next_up());
-                bound = bound.max(urd.next_up());
-            }
+        for &(row, ui) in &self.inherited {
+            grid.note_cap(&hulls[ui as usize], row.dist());
+            bound = bound.max(row.dist());
         }
-        let (source, reach, found) = (&mut self.source, &mut self.reach, &mut self.found);
-        let (bufs, taken, tied) = (&mut self.region_bufs, &mut self.taken, &mut self.tied);
         for &ci in &self.novel {
             let c = active[ci];
-            visits += grid.neighbors_within_capped(ci, &hulls[ci], bound, |ui, nd| {
-                if !matches!(source[ui], Source::Recorded | Source::TakenOver) {
-                    return;
-                }
-                let urd = reach[ui];
-                if nd < urd {
-                    found[ui] = scored(space, topo, bufs, active[ui], c, nd);
-                    reach[ui] = nd;
-                    take_over(&mut source[ui], taken, ui);
-                } else if nd <= urd {
-                    *tied = true;
-                }
+            visits += grid.neighbors_within_capped(c, &hulls[ci], bound, |u, nd| {
+                t.offer(space, topo, active, pos[u] as usize, c, nd);
             }) as u64;
         }
         visits
     }
 }
 
-/// Marks the inherited position `ui` taken over, listing it in `taken`
-/// the first time.
-fn take_over(source: &mut Source, taken: &mut Vec<usize>, ui: usize) {
-    if *source == Source::Recorded {
-        *source = Source::TakenOver;
-        taken.push(ui);
+impl Table {
+    /// The row of subtree `x` for the neighbor a scan `found`: the pair's
+    /// exact merging cost folded into the planner's score key.
+    fn scored(
+        &mut self,
+        space: &ForestSpace<'_>,
+        topo: &TopoConfig,
+        x: usize,
+        found: Nearest,
+    ) -> RankedRow {
+        let (v, rd) = found.best.expect("two or more active subtrees");
+        let exact = space_distance(space, x, v, &mut self.region_bufs);
+        let (lo, hi) = if x < v { (x, v) } else { (v, x) };
+        let score = pair_score(topo, space.delay(lo), space.delay(hi), exact);
+        RankedRow::new(x as u32, v as u32, rd, score_bits(score), found.tied)
     }
-}
 
-/// The snapshot triple for `x`'s neighbor `v` at hull distance `rd`: the
-/// pair's exact merging cost folded into the planner's score key.
-fn scored(
-    space: &ForestSpace<'_>,
-    topo: &TopoConfig,
-    bufs: &mut [Vec<Trr>; 2],
-    x: usize,
-    v: usize,
-    rd: f64,
-) -> (usize, f64, u64) {
-    let exact = space_distance(space, x, v, bufs);
-    let (lo, hi) = if x < v { (x, v) } else { (v, x) };
-    let score = pair_score(topo, space.delay(lo), space.delay(hi), exact);
-    (v, rd, score_bits(score))
+    /// Offers the novel subtree `c`, at hull distance `nd`, to the entry
+    /// at position `ui` if it is inherited: `c` takes it over when
+    /// strictly nearer than its neighbor or exactly as near with a
+    /// smaller key, and marks it tied when exactly as near otherwise.
+    fn offer(
+        &mut self,
+        space: &ForestSpace<'_>,
+        topo: &TopoConfig,
+        active: &[usize],
+        ui: usize,
+        c: usize,
+        nd: f64,
+    ) {
+        let (source, row) = (self.source[ui], self.rows[ui]);
+        if !matches!(source, Source::Recorded | Source::TakenOver) || nd > row.dist() {
+            return;
+        }
+        let mut found = Nearest::seeded(Some((row.nn as usize, row.dist())), row.tied());
+        if !found.offer(c, nd) && found.tied == row.tied() {
+            return;
+        }
+        self.rows[ui] = self.scored(space, topo, active[ui], found);
+        if source == Source::Recorded {
+            self.source[ui] = Source::TakenOver;
+            self.taken.push(ui);
+        }
+    }
 }

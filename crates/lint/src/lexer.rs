@@ -228,12 +228,16 @@ impl<'a> Lexed<'a> {
 
 /// Skips a `"…"` literal starting at the opening quote; returns the index
 /// just past the closing quote. Handles `\"` and `\\` escapes and counts
-/// interior newlines into `line`.
+/// interior newlines, escaped ones (line continuations) included, into
+/// `line`.
 fn skip_string(b: &[u8], open: usize, line: &mut usize) -> usize {
     let mut i = open + 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                *line += usize::from(b.get(i + 1) == Some(&b'\n'));
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -403,6 +407,14 @@ mod tests {
             2,
             "both string flavors lex as single tokens"
         );
+    }
+
+    #[test]
+    fn line_continuations_in_strings_count_their_newline() {
+        let lx = lex("let s = \"a \\\n b\";\nlet t = 1;\n");
+        let t = lx.tokens.iter().find(|t| t.text == "t").expect("lexed");
+        assert_eq!(t.line, 3);
+        assert_eq!(lx.tokens[3].line, 1, "the string reports its start line");
     }
 
     #[test]

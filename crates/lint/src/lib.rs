@@ -54,6 +54,9 @@
 //! and takes only the `Cargo.toml`s from `vendor/` (the shims document
 //! upstream surfaces; their Rust sources are not held to workspace
 //! rules, but their manifests must still be network-free).
+//!
+//! `--size` prints the non-test and test lines per crate and in total
+//! instead (as JSON with `--json`; the rule is in [`size_workspace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,9 +64,11 @@
 pub mod lexer;
 mod manifest;
 mod rules;
+mod size;
 
 pub use manifest::check_manifest;
 pub use rules::{check_source, FILE_LOC_CAP, RULE_IDS};
+pub use size::{size_report, size_workspace};
 
 use std::fs;
 use std::io;
@@ -151,11 +156,8 @@ impl Report {
 /// `Cargo.toml` (see the crate docs for what the walk includes). Results
 /// are deterministic: files are visited in sorted path order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    collect(root, root, &mut files)?;
-    files.sort();
     let mut report = Report::default();
-    for rel in files {
+    for rel in walk(root)? {
         let abs = root.join(&rel);
         let Ok(src) = fs::read_to_string(&abs) else {
             continue; // non-UTF-8 or vanished mid-walk: nothing to lint
@@ -172,6 +174,15 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+/// The workspace-relative paths of every tracked `.rs` file and
+/// `Cargo.toml` under `root`, in sorted order.
+fn walk(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    collect(root, root, &mut files)?;
+    files.sort();
+    Ok(files)
 }
 
 /// Directory names never descended into.

@@ -1,13 +1,15 @@
 //! CLI for `astdme_lint`.
 //!
 //! ```text
-//! astdme_lint [--root <dir>] [--json] [--expect-clean]
+//! astdme_lint [--root <dir>] [--json] [--expect-clean] [--size]
 //! ```
 //!
 //! With no `--root`, walks up from the current directory to the nearest
 //! `Cargo.toml` containing `[workspace]`. `--json` replaces the
 //! `file:line: [rule] message` lines with the machine-readable report;
 //! `--expect-clean` makes any diagnostic a nonzero exit (the CI gate).
+//! `--size` prints the non-test and test lines per crate and in total
+//! instead of linting (as JSON with `--json`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,6 +33,7 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut expect_clean = false;
+    let mut size = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,8 +46,9 @@ fn main() -> ExitCode {
             },
             "--json" => json = true,
             "--expect-clean" => expect_clean = true,
+            "--size" => size = true,
             "--help" | "-h" => {
-                println!("usage: astdme_lint [--root <dir>] [--json] [--expect-clean]");
+                println!("usage: astdme_lint [--root <dir>] [--json] [--expect-clean] [--size]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -57,6 +61,14 @@ fn main() -> ExitCode {
         eprintln!("astdme_lint: no workspace root found (pass --root <dir>)");
         return ExitCode::from(2);
     };
+    if size {
+        let Ok(rows) = astdme_lint::size_workspace(&root) else {
+            eprintln!("astdme_lint: failed to walk {}", root.display());
+            return ExitCode::from(2);
+        };
+        print!("{}", astdme_lint::size_report(&rows, json));
+        return ExitCode::SUCCESS;
+    }
     let report = match astdme_lint::lint_workspace(&root) {
         Ok(report) => report,
         Err(err) => {

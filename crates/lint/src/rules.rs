@@ -348,6 +348,17 @@ fn file_length(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+/// The tokens of a `#[cfg(test)]` attribute.
+const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+
+/// The token index of the file's first `#[cfg(test)]` attribute, if any
+/// (comments and strings are not tokens, so they never match).
+pub(crate) fn first_cfg_test(lx: &Lexed<'_>) -> Option<usize> {
+    lx.tokens
+        .windows(CFG_TEST.len())
+        .position(|w| w.iter().map(|tok| tok.text).eq(CFG_TEST))
+}
+
 /// Rule `test-mod-last`: the first `#[cfg(test)]` item of a file is its
 /// last item. Size counts treat everything from a file's first
 /// `#[cfg(test)]` on as test code, so an item after it would be
@@ -355,12 +366,8 @@ fn file_length(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
 /// bracket, or at the `}` closing its body (plus a trailing `;`, as in
 /// `use a::{b, c};`); any token after that end is a violation.
 fn test_mod_last(path: &str, lx: &Lexed<'_>, diags: &mut Vec<Diagnostic>) {
-    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
     let t = &lx.tokens;
-    let Some(start) = t
-        .windows(CFG_TEST.len())
-        .position(|w| w.iter().map(|tok| tok.text).eq(CFG_TEST))
-    else {
+    let Some(start) = first_cfg_test(lx) else {
         return;
     };
     let mut depth = 0usize;

@@ -2,33 +2,36 @@
 
 use astdme_geom::{Point, Trr};
 
-/// A uniform-grid index over region center points, answering approximate
+/// A uniform-grid index over region center points, answering
 /// nearest-neighbor queries by exact region distance.
 ///
 /// Regions are bucketed by center into a dense row-major cell array over
 /// the build-time bounding box — a cell visit is an array index, never a
 /// hash. Queries expand rings of cells outward and stop once no unvisited
-/// cell can beat the best exact distance found (accounting for region
+/// cell can reach the best exact distance found (accounting for region
 /// extents). Items inserted after the build whose center falls outside the
 /// original box are clamped into the border cells, which only ever
 /// *under*-estimates their ring distance — conservative, so queries stay
-/// exact. Used by the merge planners to avoid all-pairs scans.
+/// exact. Used by the merge planners and the ECO replay to avoid
+/// all-pairs scans.
 ///
-/// # Layout and the cell-order contract
+/// There is one nearest-neighbor query, [`GridIndex::nearest`], and one
+/// tie rule: among exactly equal distances the smallest key wins (see
+/// [`Nearest`]). A query prunes a cell only when it lies strictly
+/// farther than the best so far, so its answer is a function of the
+/// stored items alone: the cell layout and visit order below are not part
+/// of any answer.
+///
+/// # Layout
 ///
 /// The items live in **one flat array laid out cell by cell** (CSR style):
 /// each cell owns a contiguous run of slots, its live items first, then
 /// any free slots. [`GridIndex::build`] fills the array with a stable
 /// counting sort and no free slots, so every cell holds its items in
-/// input order. After that each cell behaves exactly like a `Vec` of its
-/// items: [`GridIndex::insert`] appends at the cell's live end (`push`),
-/// and [`GridIndex::remove`] moves the cell's last live item into the
-/// vacated slot (`swap_remove`). When an insert finds its cell full, the
-/// whole array is re-laid out with free slots behind every cell, keeping
-/// each cell's order. Queries break exact distance ties by visit order —
-/// ring by ring, then by cell within a ring, then by position within a
-/// cell — so this per-cell order is part of the planners' deterministic
-/// tie-breaking.
+/// input order. After that [`GridIndex::insert`] appends at the cell's
+/// live end, and [`GridIndex::remove`] moves the cell's last live item
+/// into the vacated slot. When an insert finds its cell full, the whole
+/// array is re-laid out with free slots behind every cell.
 ///
 /// ```
 /// use astdme_geom::{Point, Trr};
@@ -40,9 +43,9 @@ use astdme_geom::{Point, Trr};
 ///     (4, Trr::from_point(Point::new(100.0, 100.0))),
 /// ];
 /// let idx = GridIndex::build(items.iter().copied());
-/// let (nn, d) = idx.nearest(7, &items[0].1).unwrap();
-/// assert_eq!(nn, 9);
-/// assert_eq!(d, 10.0);
+/// let found = idx.nearest(7, &items[0].1, None);
+/// assert_eq!(found.best, Some((9, 10.0)));
+/// assert!(!found.tied);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
@@ -89,6 +92,8 @@ struct Cell {
 
 mod query;
 
+pub use query::Nearest;
+
 /// Converts a slot offset to the cells' `u32` width.
 fn slot(i: usize) -> u32 {
     u32::try_from(i).expect("grid index holds at most u32::MAX slots")
@@ -99,7 +104,7 @@ impl GridIndex {
     /// items in input order (see the type docs). The iterator is walked
     /// three times: bounding box, cell counts, placement.
     ///
-    /// Keys must be unique; duplicates make `nearest` results ambiguous.
+    /// Keys must be unique: a query excludes its own key.
     pub fn build<I>(items: I) -> Self
     where
         I: IntoIterator<Item = (usize, Trr)>,
@@ -301,15 +306,20 @@ impl GridIndex {
         self.len == 0
     }
 
-    /// Raises the cap of the cell containing `region`'s center to at least
-    /// `value` (see [`GridIndex::neighbors_within_capped`]). Caps only
-    /// ever grow between builds — conservative under removals and
-    /// re-pointed caches — and `build` starts them at zero, so long-lived
-    /// callers must re-note after a rebuild.
+    /// Raises the cap of the cell containing `region`'s center so that
+    /// [`GridIndex::neighbors_within_capped`] visits the cell wherever its
+    /// distance lower bound is at most `value`; a cell with no cap noted
+    /// is visited only where its lower bound is negative. Caps only ever
+    /// grow between builds — conservative under removals and re-pointed
+    /// caches — and `build` starts them at zero, so long-lived callers
+    /// must re-note after a rebuild.
     pub fn note_cap(&mut self, region: &Trr, value: f64) {
         let i = self.index_of(region);
-        if value > self.cells[i].cap {
-            self.cells[i].cap = value;
+        // Stored one ulp up: the walk's strict `lb < cap` then admits
+        // `lb == value`, where an item can tie the cap.
+        let cap = value.next_up();
+        if cap > self.cells[i].cap {
+            self.cells[i].cap = cap;
         }
     }
 }

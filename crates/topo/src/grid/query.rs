@@ -1,137 +1,122 @@
-//! Ring-walk queries over the [`GridIndex`]: exact nearest-neighbor (with
-//! ring-order or key-ranked ties) and bounded neighborhood visits, all driven by the one ring walk
-//! ([`GridIndex::ring_walk`]). Split from the index maintenance in
-//! `mod.rs`; the ring visit order is part of the planner's deterministic
-//! tie-breaking (see [`for_ring_cells`]).
+//! Ring-walk queries over the [`GridIndex`]: the one ranked
+//! nearest-neighbor query and the capped neighborhood visit, both driven
+//! by the one ring walk ([`GridIndex::ring_walk`]). Split from the index
+//! maintenance in `mod.rs`.
 
 use astdme_geom::Trr;
 
 use super::{Cell, GridIndex};
 
-impl GridIndex {
-    /// The nearest other item to `region` (excluding `key` itself), by
-    /// exact region distance, or `None` if the index has no other items.
-    pub fn nearest(&self, key: usize, region: &Trr) -> Option<(usize, f64)> {
-        self.nearest_with_hint(key, region, None)
+/// A nearest-neighbor search's answer under the one tie rule: the
+/// smaller distance wins, and among exactly equal distances the smaller
+/// key, whatever order the candidates come in. Every nearest-neighbor
+/// search of the planners and the ECO replay keeps its answer here.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Nearest {
+    /// The winner as `(key, distance)`, or `None` before any candidate.
+    pub best: Option<(usize, f64)>,
+    /// Whether another candidate lies at exactly the winner's distance.
+    pub tied: bool,
+    /// The items whose distance the search measured.
+    pub visits: usize,
+}
+
+impl Nearest {
+    /// A search that starts from `incumbent` and its distance, `tied` if
+    /// it is known to be.
+    pub fn seeded(incumbent: Option<(usize, f64)>, tied: bool) -> Self {
+        Self {
+            best: incumbent,
+            tied: tied && incumbent.is_some(),
+            visits: 0,
+        }
     }
 
-    /// [`GridIndex::nearest`] seeded with a known item and its exact
-    /// region distance (it must currently be stored in the index): ring
-    /// expansion prunes against the hint from the start, so callers that
-    /// already hold a good candidate — the incremental planner refreshing
-    /// a surviving neighbor cache — pay only the cells that could beat it.
-    /// Ties resolve toward the hint (a strictly closer item replaces it).
-    pub fn nearest_with_hint(
-        &self,
-        key: usize,
-        region: &Trr,
-        hint: Option<(usize, f64)>,
-    ) -> Option<(usize, f64)> {
-        if self.len <= 1 {
-            return None;
-        }
-        let horizon = hint.map_or(f64::INFINITY, |(_, d)| d);
-        self.nearest_below(key, region, hint, horizon)
-    }
-
-    /// The nearest other item to `region` at exact region distance
-    /// *strictly below* `bound`, or `None` when nothing beats the bound.
-    /// Ring expansion prunes against `bound` from the start, so a tight
-    /// bound touches only a handful of cells. The incremental planner
-    /// checks neighbor caches this way, each query bounded by the cache's
-    /// own distance: the refresh sweep queries the main grid for every
-    /// cache whose neighbor survived the round, and the point-update
-    /// takeover queries a small grid of the round's new subtrees.
-    pub fn nearest_within(&self, key: usize, region: &Trr, bound: f64) -> Option<(usize, f64)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.nearest_below(key, region, None, bound)
-    }
-
-    /// The nearest other item to `region` (excluding `key` itself), with
-    /// exact distance ties going to the **smallest key**, whether another
-    /// item ties it, and the number of items whose distance the query
-    /// measured.
-    ///
-    /// Unlike [`GridIndex::nearest`], whose ties follow the ring visit
-    /// order, the answer here is a function of the item set alone: it is
-    /// what a linear scan in key order keeping the first strict minimum
-    /// returns. A caller that keys items by their position in its own
-    /// list (the ECO replay does) thus gets exactly its brute-force
-    /// "first in list order wins" rule. Cells are pruned only when they
-    /// lie strictly farther than the best distance found, so an equally
-    /// near item with a smaller key is never skipped.
-    pub fn nearest_ranked(&self, key: usize, region: &Trr) -> (Option<(usize, f64)>, bool, usize) {
-        let mut best: Option<(usize, f64)> = None;
-        let mut tied = false;
-        let mut visits = 0usize;
-        if self.len <= 1 {
-            return (None, false, 0);
-        }
-        self.ring_walk(region, f64::INFINITY, |items, _, _| {
-            for (k, t) in items {
-                if *k == key {
-                    continue;
+    /// Offers candidate `key` at distance `d`; returns whether it became
+    /// the winner. Offering the winner again changes nothing. Out of
+    /// line: scans call it only for candidates within the horizon, and a
+    /// small loop body keeps the ring walk's visits inlined.
+    #[inline(never)]
+    pub fn offer(&mut self, key: usize, d: f64) -> bool {
+        match self.best {
+            Some((_, bd)) if d > bd => return false,
+            Some((bk, bd)) if d >= bd => {
+                if key == bk {
+                    return false;
                 }
-                visits += 1;
-                let d = region.distance(t);
-                match best {
-                    Some((_, bd)) if d < bd => tied = false,
-                    Some((bk, bd)) if d <= bd => {
-                        tied = true;
-                        if bk < *k {
-                            continue;
-                        }
-                    }
-                    Some(_) => continue,
-                    None => {}
+                self.tied = true;
+                if key > bk {
+                    return false;
                 }
-                best = Some((*k, d));
             }
-            // The walk skips cells whose lower bound reaches the horizon;
-            // one ulp past the best keeps cells that could tie it.
-            best.map_or(f64::INFINITY, |(_, d)| d.next_up())
-        });
-        (best, tied, visits)
+            _ => self.tied = false,
+        }
+        self.best = Some((key, d));
+        true
     }
 
-    /// The nearest item other than `key` strictly closer than `horizon`,
-    /// or `best` when none is. Each strictly closer item found replaces
-    /// `best` and tightens the horizon to its distance.
-    fn nearest_below(
-        &self,
-        key: usize,
-        region: &Trr,
-        mut best: Option<(usize, f64)>,
-        mut horizon: f64,
-    ) -> Option<(usize, f64)> {
-        self.ring_walk(region, horizon, |items, _, _| {
+    /// Whether a candidate `key` at a distance of at least `floor` could
+    /// still win.
+    pub fn admits(&self, key: usize, floor: f64) -> bool {
+        match self.best {
+            Some((bk, bd)) => floor < bd || (floor <= bd && key < bk),
+            None => true,
+        }
+    }
+
+    /// The winner's distance (infinity before any candidate).
+    fn horizon(&self) -> f64 {
+        self.best.map_or(f64::INFINITY, |(_, d)| d)
+    }
+}
+
+impl GridIndex {
+    /// The nearest item to `region` other than `key` itself, by exact
+    /// region distance, under the one tie rule of [`Nearest`]: the answer
+    /// depends on the stored items alone, never on their cells.
+    ///
+    /// `incumbent` is a candidate the caller already holds with its exact
+    /// distance, stored in the index or not: it bounds the ring walk from
+    /// the start, so a caller refreshing a neighbor cache pays only for
+    /// the cells that could beat or tie it. A cell is pruned only when it
+    /// lies strictly farther than the best so far, so the `tied` flag is
+    /// exact over the items and the incumbent.
+    pub fn nearest(&self, key: usize, region: &Trr, incumbent: Option<(usize, f64)>) -> Nearest {
+        let mut out = Nearest::seeded(incumbent, false);
+        if self.len == 0 {
+            return out;
+        }
+        let mut horizon = out.horizon();
+        let mut met_self = false;
+        let walked = self.ring_walk(region, horizon, |items, _, _| {
             for (k, t) in items {
                 if *k == key {
+                    met_self = true;
                     continue;
                 }
+                // Only an item within the horizon can win or tie.
                 let d = region.distance(t);
-                if d < horizon {
-                    best = Some((*k, d));
+                if d <= horizon {
+                    out.offer(*k, d);
                     horizon = d;
                 }
             }
             horizon
         });
-        best
+        out.visits = walked - usize::from(met_self);
+        out
     }
 
     /// Visits every item (other than `key`) whose exact region distance to
     /// `region` is at most `bound`, calling `f(item_key, distance)` —
     /// except in cells whose noted cap ([`GridIndex::note_cap`]) rules
     /// every item out: a cell is visited only if some item in it could lie
-    /// *strictly closer* than both the cell's own cap and `bound`. The
-    /// planner's neighbor-takeover scan uses this with per-entry cached
-    /// distances as caps, so the global `bound` (the largest cached
-    /// distance anywhere) only sets the ring-walk horizon while dense
-    /// regions prune themselves locally. With caps of at least `bound`
-    /// this is a plain range query.
+    /// within both the cell's own cap and `bound`. The planner's
+    /// neighbor-takeover scan uses this with per-entry cached distances as
+    /// caps, so the global `bound` (the largest cached distance anywhere)
+    /// only sets the ring-walk horizon while dense regions prune
+    /// themselves locally. With caps of at least `bound` this is a plain
+    /// range query.
     ///
     /// Returns the number of items whose distance the query measured.
     pub fn neighbors_within_capped<F: FnMut(usize, f64)>(
@@ -165,16 +150,20 @@ impl GridIndex {
 
     /// The one ring walk behind every query: visits the populated cells
     /// ring by ring outward from `region`'s cell, stopping once no
-    /// unvisited cell can hold an item strictly closer than `horizon`, and
-    /// skipping each cell that cannot. `visit(items, cell, lb)` sees the
-    /// cell's live items and the cell's distance lower bound `lb`, and
-    /// returns the (possibly tightened) horizon.
+    /// unvisited cell can hold an item within `horizon`, and skipping each
+    /// cell that cannot (a cell is skipped only when it lies strictly
+    /// farther, so items exactly at the horizon are reached).
+    /// `visit(items, cell, lb)` sees the cell's live items and the cell's
+    /// distance lower bound `lb`, and returns the (possibly tightened)
+    /// horizon. Returns the items in the cells visited. The visit order is
+    /// not part of any answer.
     fn ring_walk(
         &self,
         region: &Trr,
         mut horizon: f64,
         mut visit: impl FnMut(&[(usize, Trr)], &Cell, f64) -> f64,
-    ) {
+    ) -> usize {
+        let mut walked = 0;
         let center_cell = self.cell_of(region.center());
         // Every populated cell lies within Chebyshev distance `max_ring` of
         // the query cell, so rings beyond it cannot contain items.
@@ -190,7 +179,7 @@ impl GridIndex {
             // least the per-axis gap); region distance trims at most half
             // of each diameter off that.
             let base = ((ring - 1).max(0) as f64) * self.cell_size;
-            if base - 0.5 * (self.max_extent + region.diameter()) >= horizon {
+            if base - 0.5 * (self.max_extent + region.diameter()) > horizon {
                 break;
             }
             for_ring_cells(center_cell, ring, |cx, cy| {
@@ -200,20 +189,20 @@ impl GridIndex {
                 // The same bound with the cell's own extent: a far-away
                 // huge region cannot force item scans here.
                 let lb = base - 0.5 * (cell.ext + region.diameter());
-                if lb >= horizon {
+                if lb > horizon {
                     return;
                 }
+                walked += items.len();
                 horizon = visit(items, cell, lb);
             });
         }
+        walked
     }
 }
 
 /// Visits the cells at Chebyshev ring `r` around `center` (just the center
 /// for `r = 0`), inline — queries run per merge, so the ring walk must not
-/// allocate. The visit order (top/bottom rows interleaved by column, then
-/// the side columns) is part of the planner's deterministic tie-breaking:
-/// keep it stable.
+/// allocate.
 #[inline]
 fn for_ring_cells(center: (i64, i64), r: i64, mut f: impl FnMut(i64, i64)) {
     let (cx, cy) = center;

@@ -43,7 +43,7 @@ fn nearest_matches_bruteforce_on_random_points() {
     let items = pts(&coords);
     let idx = build(&items);
     for (key, region) in &items {
-        let (nn, d) = idx.nearest(*key, region).unwrap();
+        let (nn, d) = idx.nearest(*key, region, None).best.unwrap();
         // Brute force.
         let (bf, bd) = items
             .iter()
@@ -62,7 +62,7 @@ fn nearest_matches_bruteforce_on_random_points() {
 fn nearest_none_for_single_item() {
     let items = pts(&[(0.0, 0.0)]);
     let idx = build(&items);
-    assert!(idx.nearest(0, &items[0].1).is_none());
+    assert!(idx.nearest(0, &items[0].1, None).best.is_none());
 }
 
 #[test]
@@ -73,11 +73,11 @@ fn insert_remove_roundtrip() {
     assert!(idx.remove(1, &items[1].1));
     assert!(!idx.remove(1, &items[1].1));
     assert_eq!(idx.len(), 2);
-    let (nn, d) = idx.nearest(0, &items[0].1).unwrap();
+    let (nn, d) = idx.nearest(0, &items[0].1, None).best.unwrap();
     assert_eq!(nn, 2);
     assert_eq!(d, 20.0);
     idx.insert(1, items[1].1);
-    let (nn, _) = idx.nearest(0, &items[0].1).unwrap();
+    let (nn, _) = idx.nearest(0, &items[0].1, None).best.unwrap();
     assert_eq!(nn, 1);
 }
 
@@ -89,7 +89,7 @@ fn regions_with_extent_use_region_distance() {
     let far = (2usize, Trr::from_point(Point::new(30.0, 0.0)));
     let items = vec![a, big, far];
     let idx = build(&items);
-    let (nn, d) = idx.nearest(0, &items[0].1).unwrap();
+    let (nn, d) = idx.nearest(0, &items[0].1, None).best.unwrap();
     assert_eq!(nn, 1, "the dilated region is nearer by set distance");
     assert!((d - 5.0).abs() < 1e-9);
 }
@@ -124,9 +124,9 @@ fn clustered_points_found_across_cells() {
         (2000.0, 0.0),
     ]);
     let idx = build(&items);
-    let (nn, _) = idx.nearest(1, &items[1].1).unwrap();
+    let (nn, _) = idx.nearest(1, &items[1].1, None).best.unwrap();
     assert_eq!(nn, 2);
-    let (nn0, d0) = idx.nearest(0, &items[0].1).unwrap();
+    let (nn0, d0) = idx.nearest(0, &items[0].1, None).best.unwrap();
     assert_eq!(nn0, 1);
     assert!((d0 - 2000.0).abs() < 1e-9);
 }
@@ -213,70 +213,59 @@ impl Lcg {
     }
 }
 
-/// The brute-force nearest distance from `region` to every live item
-/// other than `key`.
-fn bf_min(live: &[(usize, Trr)], key: usize, region: &Trr) -> Option<f64> {
-    live.iter()
-        .filter(|(k, _)| *k != key)
-        .map(|(_, t)| region.distance(t))
-        .min_by(f64::total_cmp)
+/// The brute-force answer of [`GridIndex::nearest`] over `live` (other
+/// than `key`) plus `incumbent`: the smallest `(distance, key)`, and
+/// whether another candidate lies at its distance.
+fn bf_nearest(
+    live: &[(usize, Trr)],
+    key: usize,
+    region: &Trr,
+    incumbent: Option<(usize, f64)>,
+) -> (Option<(usize, f64)>, bool) {
+    let mut all: Vec<(usize, f64)> = live
+        .iter()
+        .filter(|(k, _)| *k != key && Some(*k) != incumbent.map(|(ik, _)| ik))
+        .map(|(k, t)| (*k, region.distance(t)))
+        .chain(incumbent)
+        .collect();
+    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    let best = all.first().copied();
+    let tied = all.len() > 1 && best.is_some_and(|(_, d)| all[1].1 <= d);
+    (best, tied)
 }
 
 /// Checks every query against brute force over `live`, for each live item
-/// and a few absent probes, and every cell's item order against `model`.
-fn check(idx: &GridIndex, live: &[(usize, Trr)], model: &[Vec<(usize, Trr)>], rng: &mut Lcg) {
+/// and a few absent probes.
+fn check(idx: &GridIndex, live: &[(usize, Trr)], rng: &mut Lcg) {
     assert_eq!(idx.len(), live.len());
-    for (i, c) in idx.cells.iter().enumerate() {
-        let cell = &idx.items[c.start as usize..(c.start + c.len) as usize];
-        assert_eq!(cell, &model[i][..], "cell {i} order");
+    for c in &idx.cells {
         assert!(c.start + c.len <= c.end);
     }
     let probes: Vec<(usize, Trr)> = (0..3).map(|_| (usize::MAX, rng.region(true))).collect();
     for &(key, region) in live.iter().chain(&probes) {
-        let want = bf_min(live, key, &region);
-        let got = idx.nearest(key, &region);
-        if idx.len() <= 1 {
-            assert!(got.is_none());
-        } else {
-            let (k, d) = got.expect("other items exist");
-            assert_eq!(Some(d), want, "nearest of {key}");
-            assert_ne!(k, key);
-            assert!(live
-                .iter()
-                .any(|(lk, t)| *lk == k && region.distance(t) == d));
-        }
-        // Hints at the worst live distance and at the last (largest-key)
-        // item tied for nearest: the answer is the true nearest distance,
-        // and an exact tie with the hint keeps the hint.
+        // Incumbents: none, the farthest live item, the largest key tied
+        // for nearest, and an absent key exactly as near as the nearest.
         let others = || {
             live.iter()
                 .filter(|(k, _)| *k != key)
                 .map(|(k, t)| (*k, region.distance(t)))
         };
+        let (want, _) = bf_nearest(live, key, &region, None);
         let worst = others().max_by(|a, b| a.1.total_cmp(&b.1));
-        let tied = others()
-            .filter(|&(_, d)| Some(d) == want)
+        let last_tied = others()
+            .filter(|&(_, d)| Some(d) == want.map(|(_, wd)| wd))
             .max_by_key(|&(k, _)| k);
-        for h in [worst, tied].into_iter().flatten() {
-            if idx.len() > 1 {
-                let (k, d) = idx.nearest_with_hint(key, &region, Some(h)).unwrap();
-                assert_eq!(Some(d), want, "hinted nearest of {key}");
-                if d == h.1 {
-                    assert_eq!(k, h.0, "ties resolve toward the hint");
-                }
-            }
+        let absent = want.map(|(_, d)| (usize::MAX - 1, d));
+        for incumbent in [None, worst, last_tied, absent] {
+            let got = idx.nearest(key, &region, incumbent);
+            let (best, tied) = bf_nearest(live, key, &region, incumbent);
+            assert_eq!(got.best, best, "nearest of {key} from {incumbent:?}");
+            assert_eq!(got.tied, tied, "tie flag of {key} from {incumbent:?}");
         }
-        // Bounds below, at, and above the true nearest distance.
-        let base = want.unwrap_or(10.0);
+        // Range query: every reported item is in range; every item
+        // within both the bound and its cell's cap is reported.
+        let base = want.map_or(10.0, |(_, d)| d);
         for bound in [0.0, base, base + 0.5, base + 40.0] {
-            let got = idx.nearest_within(key, &region, bound);
-            match want.filter(|&w| w < bound) {
-                Some(w) => assert_eq!(got.map(|(_, d)| d), Some(w), "within {bound}"),
-                None => assert!(got.is_none(), "nothing lies below {bound}"),
-            }
-            // Range query: every reported item is in range; every item
-            // strictly inside both the bound and its cell's cap is
-            // reported.
             let mut seen: Vec<usize> = Vec::new();
             idx.neighbors_within_capped(key, &region, bound, |k, d| {
                 assert!(d <= bound && k != key);
@@ -288,8 +277,9 @@ fn check(idx: &GridIndex, live: &[(usize, Trr)], model: &[Vec<(usize, Trr)>], rn
             assert_eq!(before, seen.len(), "each item reported once");
             for (k, t) in live.iter().filter(|(k, _)| *k != key) {
                 let d = region.distance(t);
+                // Caps are stored one ulp past the noted value.
                 let cap = idx.cells[idx.index_of(t)].cap;
-                if d < bound.min(cap) {
+                if d <= bound && d < cap {
                     assert!(seen.contains(k), "item {k}@{d} missed (bound {bound})");
                 }
             }
@@ -301,19 +291,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random builds followed by random inserts and removes: every query
-    /// agrees with brute force, and every cell keeps exactly the order a
-    /// `Vec` per cell would under `push` and `swap_remove` — the
-    /// tie-break contract the greedy planner relies on.
+    /// agrees with brute force, exact ties and all.
     #[test]
-    fn mixed_updates_match_bruteforce_and_the_vec_model(seed in any::<u64>()) {
+    fn mixed_updates_match_bruteforce(seed in any::<u64>()) {
         let mut rng = Lcg(seed);
         let n0 = rng.next(40) as usize;
         let mut live: Vec<(usize, Trr)> = (0..n0).map(|k| (k, rng.region(false))).collect();
         let mut idx = GridIndex::build(live.iter().copied());
-        let mut model: Vec<Vec<(usize, Trr)>> = vec![Vec::new(); idx.cells.len()];
-        for &(k, t) in &live {
-            model[idx.index_of(&t)].push((k, t));
-        }
         let mut next_key = n0;
         for step in 0..60 {
             if step % 5 == 0 {
@@ -327,18 +311,14 @@ proptest! {
             if live.is_empty() || rng.next(5) < 3 {
                 let t = rng.region(true);
                 idx.insert(next_key, t);
-                model[idx.index_of(&t)].push((next_key, t));
                 live.push((next_key, t));
                 next_key += 1;
             } else {
                 let (k, t) = live.swap_remove(rng.next(live.len() as u64) as usize);
                 prop_assert!(idx.remove(k, &t));
                 prop_assert!(!idx.remove(k, &t), "a removed key is gone");
-                let cell = &mut model[idx.index_of(&t)];
-                let j = cell.iter().position(|&(mk, _)| mk == k).expect("modelled");
-                cell.swap_remove(j);
             }
-            check(&idx, &live, &model, &mut rng);
+            check(&idx, &live, &mut rng);
         }
     }
 }
@@ -346,13 +326,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The key-ranked nearest query equals a linear scan in key order
-    /// that keeps the first strict minimum, excluding the query item
-    /// itself, and reports a tie exactly when another item lies at the
-    /// same distance. Integer-coordinate points and dilated hulls on a small
-    /// lattice make exact distance ties common.
+    /// The nearest query equals a linear scan in key order that keeps the
+    /// first strict minimum, excluding the query item itself, reports a
+    /// tie exactly when another item lies at the same distance, and
+    /// measures fewer items than the index holds. Integer-coordinate
+    /// points and dilated hulls on a small lattice make exact distance
+    /// ties common.
     #[test]
-    fn ranked_nearest_matches_the_first_in_key_order(seed in any::<u64>()) {
+    fn nearest_matches_the_first_in_key_order(seed in any::<u64>()) {
         let mut rng = Lcg(seed);
         let n = 1 + rng.next(60) as usize;
         // Keys scrambled against the input (and hence cell) order.
@@ -379,10 +360,10 @@ proptest! {
                     ties += 1;
                 }
             }
-            let (got, tied, visits) = idx.nearest_ranked(key, &region);
-            prop_assert_eq!(got, want, "query {}", key);
-            prop_assert_eq!(tied, ties > 0, "query {}", key);
-            prop_assert!(visits < n, "{} visits over {} items", visits, n);
+            let got = idx.nearest(key, &region, None);
+            prop_assert_eq!(got.best, want, "query {}", key);
+            prop_assert_eq!(got.tied, ties > 0, "query {}", key);
+            prop_assert!(got.visits < n, "{} visits over {} items", got.visits, n);
         }
     }
 }

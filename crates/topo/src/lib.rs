@@ -4,7 +4,10 @@
 //! pair of subtrees at minimum merging cost. This crate provides:
 //!
 //! * [`GridIndex`] — a bucketed neighbor index over subtree root regions,
-//!   so nearest-pair queries do not scan all pairs;
+//!   so nearest-pair queries do not scan all pairs, with one ranked
+//!   nearest-neighbor query whose answer is a [`Nearest`]: among exactly
+//!   tied distances the smallest key wins, the one tie rule of every
+//!   planner and of the ECO replay;
 //! * [`plan_round`] — one round of merge planning under a [`TopoConfig`],
 //!   **from scratch** (rebuilds the index and re-queries every neighbor on
 //!   each call): the reference implementation;
@@ -41,7 +44,7 @@ mod grid;
 mod plan;
 mod planner;
 
-pub use grid::GridIndex;
+pub use grid::{GridIndex, Nearest};
 pub use plan::{
     min_region_distance, pair_score, plan_round, round_limit, score_bits, select_disjoint,
     space_distance, MergeOrder, MergeSpace, TopoConfig, BRUTE_FORCE_CUTOFF,

@@ -9,7 +9,7 @@
 
 use astdme_geom::Trr;
 
-use crate::GridIndex;
+use crate::{GridIndex, Nearest};
 
 /// Below this many active subtrees, planning scans all pairs exactly
 /// instead of going through the grid index: the scan is cheaper than
@@ -211,7 +211,9 @@ pub fn select_disjoint(
 /// [`MergeOrder::MultiMerge`]. Returns an empty vector when fewer than two
 /// subtrees remain.
 ///
-/// The planner is deterministic: ties break toward smaller keys.
+/// The planner is deterministic: a subtree's nearest neighbor is the
+/// smallest key among exactly tied distances (the one tie rule of
+/// [`Nearest`]), and pairs of equal score rank by their keys.
 pub fn plan_round<S: MergeSpace>(
     space: &S,
     active: &[usize],
@@ -270,11 +272,12 @@ pub(crate) fn rank_and_select(
 /// between the subtrees at active positions `i` and `j`, and `hulls[i]`
 /// the representative region of the subtree at position `i`.
 ///
-/// A pair whose hull distance is already no smaller than the best exact
-/// cost so far is skipped without evaluating `dist`: hulls are the exact
-/// min/max of their subtree's candidate regions and [`Trr::distance`] is
-/// monotone, so the hull distance never exceeds [`min_region_distance`],
-/// and the pair could not have won (a strict `<` takes a new best).
+/// Among exactly equal costs the smallest key wins ([`Nearest`]). A pair
+/// whose hull distance already rules it out is skipped without evaluating
+/// `dist`: hulls are the exact min/max of their subtree's candidate
+/// regions and [`Trr::distance`] is monotone, so the hull distance never
+/// exceeds [`min_region_distance`]. A hull distance equal to the best
+/// cost still admits a smaller key, which could tie the cost and win.
 pub(crate) fn nearest_bruteforce(
     active: &[usize],
     hulls: &[Trr],
@@ -283,20 +286,13 @@ pub(crate) fn nearest_bruteforce(
     debug_assert_eq!(hulls.len(), active.len(), "one hull per active subtree");
     let mut pairs = Vec::with_capacity(active.len());
     for (i, &a) in active.iter().enumerate() {
-        let mut best: Option<(usize, f64)> = None;
+        let mut best = Nearest::default();
         for (j, &b) in active.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if best.is_some_and(|(_, bd)| hulls[i].distance(&hulls[j]) >= bd) {
-                continue;
-            }
-            let d = dist(i, j);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((b, d));
+            if i != j && best.admits(b, hulls[i].distance(&hulls[j])) {
+                best.offer(b, dist(i, j));
             }
         }
-        if let Some((b, d)) = best {
+        if let Some((b, d)) = best.best {
             let (lo, hi) = if a < b { (a, b) } else { (b, a) };
             pairs.push((lo, hi, d));
         }
@@ -311,7 +307,7 @@ fn nearest_with_grid<S: MergeSpace>(space: &S, active: &[usize]) -> Vec<(usize, 
     // exact candidate-level cost.
     let mut bufs = Default::default();
     let pairs = items.iter().filter_map(|(id, region)| {
-        grid.nearest(*id, region).map(|(nn, _)| {
+        grid.nearest(*id, region, None).best.map(|(nn, _)| {
             let d = space_distance(space, *id, nn, &mut bufs);
             let (lo, hi) = if *id < nn { (*id, nn) } else { (nn, *id) };
             (lo, hi, d)

@@ -23,6 +23,10 @@ pub(super) struct Nn {
     /// Representative-region distance to it (the grid's metric, used to
     /// decide whether a new subtree supersedes the cached neighbor).
     pub(super) region_dist: f64,
+    /// Whether another active subtree lies at exactly `region_dist`: the
+    /// neighbor won a tie by its smaller key. Replay drivers re-derive
+    /// such a neighbor, since key order is all that picked it.
+    pub(super) tied: bool,
     /// Folded score bits of the `(lo, hi)` pair this cache references.
     /// Both endpoints of a pair derive bit-identical scores (the exact
     /// distance is symmetric), so membership of the pair in the ranking
@@ -46,8 +50,9 @@ pub(super) struct Entry {
     pub(super) len: u32,
     /// Representative region (the hull of the candidate regions).
     pub(super) region: Trr,
-    /// The cached neighbor's region distance and score (see [`Nn`]);
-    /// meaningless without a cached neighbor.
+    /// The cached neighbor's region distance, with the sign bit set when
+    /// it is tied (a distance is never negative, so the bit is free), and
+    /// its score (see [`Nn`]); meaningless without a cached neighbor.
     nn_dist: f64,
     nn_score: u64,
     /// The subtree's delay, for the delay-target bias.
@@ -86,7 +91,8 @@ impl Entry {
     pub(super) fn nn(&self) -> Option<Nn> {
         (self.nn_key != NO_NN).then_some(Nn {
             key: self.nn_key as usize,
-            region_dist: self.nn_dist,
+            region_dist: self.nn_dist.abs(),
+            tied: self.nn_dist.is_sign_negative(),
             score: self.nn_score,
         })
     }
@@ -94,8 +100,16 @@ impl Entry {
     #[inline]
     pub(super) fn set_nn(&mut self, nn: Nn) {
         self.nn_key = nn.key as u32;
-        self.nn_dist = nn.region_dist;
+        let d = nn.region_dist.abs();
+        self.nn_dist = if nn.tied { -d } else { d };
         self.nn_score = nn.score;
+    }
+
+    /// Marks the cached neighbor tied: another subtree came exactly as
+    /// near without a smaller key.
+    #[inline]
+    pub(super) fn mark_tied(&mut self) {
+        self.nn_dist = -self.nn_dist.abs();
     }
 
     #[inline]

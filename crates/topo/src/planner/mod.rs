@@ -58,9 +58,7 @@
 //! [`MergePlanner::exact_distances`] counts the evaluations.
 //!
 //! All per-key state lives in flat vectors indexed by key (`NO_POS`
-//! sentinel for inactive; a refresh round tags each key it consumed with
-//! the merge result that swallowed it, the hint its sweep seeds re-queries
-//! with): the planner assumes **dense keys** — merged
+//! sentinel for inactive): the planner assumes **dense keys** — merged
 //! subtrees get fresh keys that grow by roughly one per merge, as forest
 //! node indices do — so a `Vec` position map replaces the old `HashMap`s
 //! (`pos`, `pair_info`, `rev`) without a memory blow-up, and steady-state
@@ -71,13 +69,17 @@
 //! old refcounted `pair_info` map is redundant.
 //!
 //! The planner produces the **same pair sequence** as the from-scratch
-//! reference on every instance (modulo exact ties in region distance,
-//! which are measure-zero for real placements): below
+//! reference on every instance, exact distance ties included: below
 //! `BRUTE_FORCE_CUTOFF` active subtrees it delegates to `plan_round`
 //! outright, and above it the cached neighbors are exactly the neighbors a
-//! fresh grid query would return. The equivalence — and the equivalence of
+//! fresh grid query would return. Every path breaks ties by the one rule
+//! of [`Nearest`] (the smallest key wins), so neither the active order,
+//! the grid's cells nor a query's incumbent can change a neighbor, and
+//! each cache records whether its neighbor won a tie
+//! ([`NnSnapshotRow::nn`]). The equivalence — and the equivalence of
 //! batched `apply_round` to a sequence of `apply_merge` calls — is pinned
-//! down by the property tests in `tests/planner_equiv.rs`.
+//! down by the property tests in `tests/planner_equiv.rs`, off and on
+//! lattices.
 //!
 //! # Module map
 //!
@@ -96,7 +98,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::plan::{round_limit, select_disjoint, BRUTE_FORCE_CUTOFF};
-use crate::{GridIndex, MergeSpace, TopoConfig};
+use crate::{GridIndex, MergeSpace, Nearest, TopoConfig};
 
 mod arena;
 mod entry;
@@ -113,14 +115,8 @@ use tail::BfMemo;
 /// Sentinel in the dense `pos` map: the key is not active.
 const NO_POS: u32 = u32::MAX;
 
-/// Tag bit in the dense `pos` map: the key was consumed by the refresh
-/// round's merge whose result key is the low bits. Any tagged value is
-/// inactive, like [`NO_POS`]; only the refresh sweep reads the result key
-/// (see [`MergePlanner::consumer_of`]).
-const CONSUMED: u32 = 1 << 31;
-
-/// Sentinel in the `dirty` list: no re-query seed available.
-const NO_HINT: usize = usize::MAX;
+/// Keys stay below this bound, so they fit `u32` beside the sentinels.
+const KEY_BOUND: usize = 1 << 31;
 
 /// When one round's merges replace at least `1/ROUND_REFRESH_DIVISOR` of
 /// the surviving active set, [`MergePlanner::apply_round`] refreshes the
@@ -139,9 +135,11 @@ pub struct NnSnapshotRow {
     /// The active subtree's key.
     pub key: usize,
     /// Cached neighbor as `(neighbor key, region distance, folded score
-    /// bits)` — the exact triple the planner ranks the pair by (see
-    /// [`score_bits`](crate::score_bits)).
-    pub nn: Option<(usize, f64, u64)>,
+    /// bits, tied)`: the exact triple the planner ranks the pair by (see
+    /// [`score_bits`](crate::score_bits)), and whether another active
+    /// subtree lies exactly as near, so that the neighbor won by its
+    /// smaller key — a replay in another key space must re-derive it.
+    pub nn: Option<(usize, f64, u64, bool)>,
 }
 
 /// Stateful, incremental merge planner (see the module docs).
@@ -194,11 +192,11 @@ pub struct MergePlanner {
     /// subtrees.
     built_len: usize,
     built_extent: f64,
-    /// Grid builds so far: construction, every refresh round, amortized
-    /// point-path rebuilds, and takeover grids over a round's new subtrees.
+    /// Grid builds so far: construction, every refresh round and amortized
+    /// point-path rebuilds.
     grid_builds: usize,
-    /// Grid neighbor queries so far (nearest, bounded nearest and range
-    /// queries, in every maintenance path).
+    /// Grid neighbor queries so far (nearest and range queries, in every
+    /// maintenance path).
     nn_queries: usize,
     /// Exact pair distances evaluated so far (memo hits in the tail are
     /// not evaluations). A cell, so the `&self` scoring helpers count.
@@ -231,12 +229,8 @@ pub struct MergePlanner {
     /// route never allocates it.
     rev: Vec<Vec<u32>>,
     rev_pool: Vec<Vec<u32>>,
-    /// Keys whose neighbor cache must be refilled from the grid, paired
-    /// with a seed hint (`NO_HINT` when there is none): the key of the
-    /// merged subtree that consumed the old neighbor. The merge result
-    /// sits where the old neighbor was, so seeding the re-query with it
-    /// collapses the ring expansion to the immediate neighborhood.
-    dirty: Vec<(usize, usize)>,
+    /// Keys whose neighbor cache must be refilled from the grid.
+    dirty: Vec<usize>,
     /// Lazy max-heap over `(region_dist bits, key)` of every cached
     /// neighbor ever set; stale tops are popped on demand. Its maximum
     /// bounds how far a new subtree can "take over" an existing cache,
@@ -244,11 +238,7 @@ pub struct MergePlanner {
     rd_heap: BinaryHeap<(u64, usize)>,
     /// Reused round buffers (new keys of the round; takeover victims).
     round_new: Vec<usize>,
-    takeover_buf: Vec<(usize, f64)>,
-    /// Reused refresh staging: per new key (offset by the round's smallest
-    /// new key), the first sweep entry that picked it as neighbor plus
-    /// their region distance — the seed for the new key's own re-query.
-    seed_buf: Vec<(u32, f64)>,
+    takeover_buf: Vec<(usize, Nearest)>,
     /// Memoized exact pair distances for the brute-force tail
     /// (`n <=` [`BRUTE_FORCE_CUTOFF`]). Subtrees are immutable, so entries
     /// never go stale; the matrix stays tiny (pairs among the final few
@@ -261,7 +251,7 @@ pub struct MergePlanner {
     point_valid: bool,
     /// Set by [`MergePlanner::new`], cleared by the first flush or apply:
     /// while fresh, the initial neighbor derivation can go through the
-    /// bulk path ([`MergePlanner::bulk_derive`]) instead of per-entry
+    /// bulk sweep ([`MergePlanner::sweep`]) instead of per-entry
     /// point updates.
     fresh: bool,
 }
@@ -273,10 +263,7 @@ impl MergePlanner {
     /// and reads each subtree from `space` once (see the module docs).
     pub fn new<S: MergeSpace>(space: &S, active: &[usize], cfg: TopoConfig) -> Self {
         let max_key = active.iter().copied().max().unwrap_or(0);
-        assert!(
-            max_key < CONSUMED as usize,
-            "planner keys must be below 2^31"
-        );
+        assert!(max_key < KEY_BOUND, "planner keys must be below 2^31");
         let mut arena = RegionArena::default();
         let entries: Vec<Entry> = active
             .iter()
@@ -292,8 +279,8 @@ impl MergePlanner {
             pos[e.key()] = i as u32;
         }
         let built_extent = grid.max_extent();
-        let dirty = entries.iter().map(|e| (e.key(), NO_HINT)).collect();
-        let mut planner = Self {
+        let dirty = entries.iter().map(Entry::key).collect();
+        Self {
             cfg,
             built_len: entries.len(),
             entries,
@@ -313,13 +300,10 @@ impl MergePlanner {
             rd_heap: BinaryHeap::new(),
             round_new: Vec::new(),
             takeover_buf: Vec::new(),
-            seed_buf: Vec::new(),
             bf_cache: BfMemo::default(),
             point_valid: false,
             fresh: true,
-        };
-        planner.relayout();
-        planner
+        }
     }
 
     /// Number of active subtrees.
@@ -342,17 +326,17 @@ impl MergePlanner {
         self.entries[0].key()
     }
 
-    /// Grid builds so far: one at construction, one per refresh round, one
-    /// per amortized rebuild on the point-update path, and one per
-    /// round-batched takeover check. Deterministic for a fixed merge
-    /// sequence, like [`MergePlanner::nn_queries`].
+    /// Grid builds so far: one at construction, one per refresh round and
+    /// one per amortized rebuild on the point-update path. Deterministic
+    /// for a fixed merge sequence, like [`MergePlanner::nn_queries`].
     pub fn grid_builds(&self) -> usize {
         self.grid_builds
     }
 
     /// Grid neighbor queries so far: one per neighbor cache derived or
-    /// checked, plus one range query per greedy round's new subtree. The
-    /// brute-force tail (rounds entering it included) makes none.
+    /// checked, plus one range query per point-update round's new
+    /// subtree. The brute-force tail (rounds entering it included) makes
+    /// none.
     pub fn nn_queries(&self) -> usize {
         self.nn_queries
     }
@@ -419,7 +403,7 @@ impl MergePlanner {
     /// [`BRUTE_FORCE_CUTOFF`] subtrees runs no sweep at all.
     ///
     /// Produces the same observable state as applying the merges one at a
-    /// time (modulo exact region-distance ties).
+    /// time.
     pub fn apply_round<S: MergeSpace>(&mut self, space: &S, merges: &[(usize, usize, usize)]) {
         if merges.is_empty() {
             return;
@@ -432,18 +416,17 @@ impl MergePlanner {
             // A round this large (multi-merge) invalidates nearly every
             // cache (merged subtrees are exactly the popular neighbors),
             // so the refresh rebuilds the grid, the ranking and every
-            // cache in bulk (seeded by this round's merges), and the
-            // per-merge bookkeeping it would throw away is skipped: only
-            // the active set is updated. A round ending in the tail skips
-            // the refresh too: `plan_tail` reads only the active set and
-            // the region arena.
+            // cache in bulk, and the per-merge bookkeeping it would throw
+            // away is skipped: only the active set is updated. A round
+            // ending in the tail skips the refresh too: `plan_tail` reads
+            // only the active set and the region arena.
             for &(a, b, m) in merges {
-                self.drop_key(a, m);
-                self.drop_key(b, m);
+                self.drop_key(a);
+                self.drop_key(b);
                 self.add_key_deferred(space, m);
             }
             if !tail {
-                self.refresh(merges);
+                self.refresh();
             }
             return;
         }
@@ -451,26 +434,19 @@ impl MergePlanner {
         let mut fresh = std::mem::take(&mut self.round_new);
         fresh.clear();
         for &(a, b, m) in merges {
-            // `m` seeds the re-queries of caches that pointed at `a`/`b`.
-            self.remove_key(a, m);
-            self.remove_key(b, m);
+            self.remove_key(a);
+            self.remove_key(b);
             self.register_key(space, m);
             fresh.push(m);
         }
         // Neighbor takeover: a new subtree may now be the nearest
         // neighbor (by region distance, the grid's metric) of existing
-        // entries. Only entries whose cached neighbor is *farther*
-        // than the new region can be affected.
-        if merges.len() == 1 {
-            // One new subtree: a single grid range query bounded by the
-            // largest cached distance finds every victim.
-            if let Some(bound) = self.current_max_rd() {
-                for &m in &fresh {
-                    self.takeover_from(m, bound);
-                }
+        // entries, one grid range query each, bounded by the largest
+        // cached distance, finds every victim.
+        if let Some(bound) = self.current_max_rd() {
+            for &m in &fresh {
+                self.takeover_from(m, bound);
             }
-        } else {
-            self.takeover_round(&fresh);
         }
         self.maybe_rebuild();
         self.round_new = fresh;

@@ -29,7 +29,7 @@ impl MergePlanner {
     pub fn nn_snapshot(&self) -> Vec<NnSnapshotRow> {
         let row = |e: &Entry| NnSnapshotRow {
             key: e.key(),
-            nn: e.nn().map(|nn| (nn.key, nn.region_dist, nn.score)),
+            nn: e.nn().map(|nn| (nn.key, nn.region_dist, nn.score, nn.tied)),
         };
         let mut rows = Vec::with_capacity(self.entries.len());
         if self.sorted_valid {
@@ -47,7 +47,7 @@ impl MergePlanner {
         } else {
             rows.extend(self.entries.iter().filter(|e| e.nn().is_some()).map(row));
             rows.sort_unstable_by_key(|r| {
-                let (v, _, score) = r.nn.expect("only cached neighbors");
+                let (v, _, score, _) = r.nn.expect("only cached neighbors");
                 (score, r.key.min(v), r.key.max(v))
             });
         }
@@ -107,35 +107,37 @@ impl MergePlanner {
         }
     }
 
-    /// Points entry `i` at the neighbor entry `j`, scoring the pair from
-    /// its exact distance, and maintains the pair set.
-    pub(super) fn set_nn(&mut self, i: usize, j: usize, region_dist: f64) {
+    /// Points entry `i` at the neighbor entry `j`, at region distance
+    /// `region_dist` (`tied` as [`Nn::tied`]), scoring the pair from its
+    /// exact distance, and maintains the pair set.
+    pub(super) fn set_nn(&mut self, i: usize, j: usize, region_dist: f64, tied: bool) {
         let score = self.exact_score(i, j);
-        self.set_nn_scored(i, self.entries[j].key(), region_dist, score);
+        self.set_nn_scored(i, self.entries[j].key(), region_dist, tied, score);
     }
 
     /// Points entry `i` at neighbor `nn_key` with a pre-derived score
     /// (reused from the partner's cache — scores are symmetric and
     /// bit-stable per pair), maintaining the pair set.
-    pub(super) fn set_nn_scored(&mut self, i: usize, nn_key: usize, region_dist: f64, score: u64) {
+    pub(super) fn set_nn_scored(
+        &mut self,
+        i: usize,
+        nn_key: usize,
+        region_dist: f64,
+        tied: bool,
+        score: u64,
+    ) {
         let k = self.entries[i].key();
         let (lo, hi) = if k < nn_key { (k, nn_key) } else { (nn_key, k) };
         self.entries[i].set_nn(Nn {
             key: nn_key,
             region_dist,
+            tied,
             score,
         });
         self.rd_heap.push((region_dist.to_bits(), k));
         self.grid.note_cap(&self.entries[i].region, region_dist);
         self.rev_push(nn_key, k);
         self.pairs.push(Reverse((score, lo as u32, hi as u32)));
-    }
-
-    /// Drops entry `i`'s cached neighbor (if any). The ranking heap is
-    /// lazy: the pair's entry goes stale in place and is dropped whenever
-    /// selection next reaches it.
-    pub(super) fn clear_nn(&mut self, i: usize) {
-        self.entries[i].clear_nn();
     }
 
     /// Records `k` in `nn_key`'s back-reference list, recycling a pooled

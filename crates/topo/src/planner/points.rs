@@ -3,15 +3,14 @@
 //!
 //! Greedy rounds (and multi-merge rounds small enough to dodge the refresh
 //! divisor) patch the neighbor structure per merge: only caches whose
-//! neighbor was consumed re-query the grid (seeded by the merge result
-//! that swallowed it), and one bounded range query per new subtree decides
-//! whether it became anyone's nearest neighbor.
+//! neighbor was consumed re-query the grid, and one bounded range query
+//! per new subtree decides whether it became anyone's nearest neighbor.
 
 use std::collections::BinaryHeap;
 
 use super::keys::active_pos;
-use super::{MergePlanner, NO_HINT};
-use crate::GridIndex;
+use super::MergePlanner;
+use crate::Nearest;
 
 impl MergePlanner {
     /// Rebuilds the back-reference lists and the takeover max-heap from
@@ -49,27 +48,21 @@ impl MergePlanner {
             return; // steady state after a refresh: nothing to patch
         }
         if std::mem::take(&mut self.fresh) {
-            self.bulk_derive();
+            self.sweep();
             return;
         }
         self.ensure_point_mode();
-        while let Some((k, hint_key)) = self.dirty.pop() {
+        while let Some(k) = self.dirty.pop() {
             let Some(i) = self.pos_of(k) else {
                 continue; // consumed after being marked dirty
             };
             if self.entries[i].nn().is_some() {
                 continue; // refilled (or re-listed) in the meantime
             }
-            // Seed the query with the merge result that consumed the old
-            // neighbor, when it is still active: it sits where the old
-            // neighbor was, so the ring expansion stays local.
             let region = self.entries[i].region;
-            let hint = (hint_key != NO_HINT)
-                .then(|| self.pos_of(hint_key))
-                .flatten()
-                .map(|hi| (hint_key, region.distance(&self.entries[hi].region)));
             self.nn_queries += 1;
-            let Some((nn_key, rd)) = self.grid.nearest_with_hint(k, &region, hint) else {
+            let found = self.grid.nearest(k, &region, None);
+            let Some((nn_key, rd)) = found.best else {
                 continue; // sole survivor
             };
             // Scores are symmetric: when the partner already caches this
@@ -77,42 +70,16 @@ impl MergePlanner {
             // is skipped.
             let j = self.pos_of(nn_key).expect("grid holds active keys");
             match self.entries[j].nn().filter(|p| p.key == k) {
-                Some(p) => self.set_nn_scored(i, nn_key, rd, p.score),
-                None => self.set_nn(i, j, rd),
-            }
-        }
-    }
-
-    /// Round-batched neighbor takeover: builds a throwaway grid over just
-    /// the round's new subtrees and checks every surviving cache against
-    /// it, bounded by its own cached distance — strictly tighter than the
-    /// global-max bound, and O(1)-ish per survivor since the small grid is
-    /// sparse. Survivors without a cache (invalidated this round) are
-    /// already dirty and re-query the full grid lazily.
-    pub(super) fn takeover_round(&mut self, fresh: &[usize]) {
-        let new_grid = GridIndex::build(fresh.iter().map(|&k| {
-            let i = self.pos_of(k).expect("new key is active");
-            (k, self.entries[i].region)
-        }));
-        self.grid_builds += 1;
-        for i in 0..self.entries.len() {
-            let Some(nn) = self.entries[i].nn() else {
-                continue; // dirty or new: full re-query at the next flush
-            };
-            let k = self.entries[i].key();
-            self.nn_queries += 1;
-            if let Some((m_key, rd)) =
-                new_grid.nearest_within(k, &self.entries[i].region, nn.region_dist)
-            {
-                let j = self.pos_of(m_key).expect("new key is active");
-                self.set_nn(i, j, rd);
+                Some(p) => self.set_nn_scored(i, nn_key, rd, found.tied, p.score),
+                None => self.set_nn(i, j, rd, found.tied),
             }
         }
     }
 
     /// Re-points every cached neighbor that the new subtree `key` beats,
-    /// via one range query bounded by `bound` (≥ every live cached
-    /// distance).
+    /// or ties with a smaller key, via one range query bounded by `bound`
+    /// (≥ every live cached distance); a cache it ties without winning is
+    /// marked tied.
     pub(super) fn takeover_from(&mut self, key: usize, bound: f64) {
         let i = self.pos_of(key).expect("new key is active");
         let region = self.entries[i].region;
@@ -125,13 +92,20 @@ impl MergePlanner {
                 let Some(ki) = active_pos(pos, k) else {
                     return;
                 };
-                if entries[ki].nn().is_some_and(|nn| rd < nn.region_dist) {
-                    takeovers.push((ki, rd));
+                let Some(nn) = entries[ki].nn() else {
+                    return;
+                };
+                let mut found = Nearest::seeded(Some((nn.key, nn.region_dist)), nn.tied);
+                if found.offer(key, rd) || found.tied != nn.tied {
+                    takeovers.push((ki, found));
                 }
             });
         }
-        for &(ti, rd) in &takeovers {
-            self.set_nn(ti, i, rd);
+        for &(ti, found) in &takeovers {
+            match found.best {
+                Some((k, rd)) if k == key => self.set_nn(ti, i, rd, found.tied),
+                _ => self.entries[ti].mark_tied(),
+            }
         }
         self.takeover_buf = takeovers;
     }

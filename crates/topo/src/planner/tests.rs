@@ -157,7 +157,7 @@ fn nn_snapshot_rows_are_in_rank_order() {
             live.sort_unstable();
             assert_eq!(seen, live, "every active subtree once");
             let rank = |r: &NnSnapshotRow| {
-                let (v, _, score) = r.nn.expect("a cached neighbor");
+                let (v, _, score, _) = r.nn.expect("a cached neighbor");
                 (score, r.key.min(v), r.key.max(v))
             };
             assert!(rows.is_sorted_by_key(rank), "rank order");

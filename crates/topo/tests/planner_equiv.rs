@@ -8,6 +8,7 @@ use astdme_topo::{
     min_region_distance, plan_round, MergeOrder, MergePlanner, MergeSpace, TopoConfig,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 
 /// A mergeable space: points that weld into subtrees with several
 /// candidate regions each, with delays that grow by the merge distance (so
@@ -16,9 +17,7 @@ use proptest::prelude::*;
 /// midpoint of the children's hull centers, dilated by an eighth of the
 /// merge distance. Exact costs (the minimum over region pairs) then differ
 /// from hull distances, and the planner's multi-region arena path, its
-/// relayouts, the point updates and the tail all see real spans. (Larger
-/// dilations make regions overlap, and exact zero-distance ties are
-/// outside what the planners promise to break alike.)
+/// relayouts, the point updates and the tail all see real spans.
 struct Welds {
     regions: Vec<Vec<Trr>>,
     hulls: Vec<Trr>,
@@ -72,16 +71,21 @@ impl MergeSpace for Welds {
     }
 }
 
-fn coords_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
-    // 2..140 points over a 20k die: spans brute-force-only runs (< 32) and
-    // grid-regime runs, including the regime transition mid-run.
-    (2usize..140, any::<u64>()).prop_map(|(n, seed)| {
+/// 2..140 points over a 20 000-unit die, on a lattice of spacing
+/// `num / den` units: spans brute-force-only runs (< 32) and grid-regime
+/// runs, including the regime transition mid-run. The 0.01-unit lattice
+/// (`1 / 100`) makes exact distance ties rare; the 1-, 10- and 100-unit
+/// lattices, like placements on a database-unit lattice, make them
+/// routine, among leaves and merged hulls alike.
+fn coords_strategy(num: f64, den: f64) -> impl Strategy<Value = Vec<(f64, f64)>> {
+    let steps = (20_000.0 * den / num) as u64;
+    (2usize..140, any::<u64>()).prop_map(move |(n, seed)| {
         let mut s = seed;
         let mut next = move || {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((s >> 16) % 2_000_000) as f64 / 100.0
+            ((s >> 16) % steps) as f64 * num / den
         };
         (0..n).map(|_| (next(), next())).collect()
     })
@@ -99,78 +103,143 @@ fn config_strategy() -> impl Strategy<Value = TopoConfig> {
     })
 }
 
+/// Drives both planners to a single subtree, comparing every round.
+fn incremental_vs_from_scratch(coords: &[(f64, f64)], cfg: TopoConfig) -> TestCaseResult {
+    let mut space = Welds::new(coords);
+    let mut active: Vec<usize> = (0..coords.len()).collect();
+    let mut planner = MergePlanner::new(&space, &active, cfg);
+    let mut rounds = 0usize;
+    while active.len() > 1 {
+        let reference = plan_round(&space, &active, &cfg);
+        let incremental = planner.plan_round(&space);
+        prop_assert_eq!(
+            &reference,
+            &incremental,
+            "round {} diverged (n={})",
+            rounds,
+            coords.len()
+        );
+        prop_assert!(!reference.is_empty(), "planner must make progress");
+        for (a, b) in reference {
+            let m = space.merge(a, b);
+            // Same swap-remove discipline as the planner's dense set.
+            for x in [a, b] {
+                let i = active.iter().position(|&k| k == x).expect("active");
+                active.swap_remove(i);
+            }
+            active.push(m);
+            planner.apply_merge(&space, a, b, m);
+        }
+        rounds += 1;
+    }
+    prop_assert_eq!(planner.len(), 1);
+    prop_assert_eq!(planner.sole_key(), active[0]);
+    Ok(())
+}
+
+/// Batched rounds ([`MergePlanner::apply_round`]) produce the same merge
+/// sequence as reporting every merge individually through
+/// [`MergePlanner::apply_merge`] — the refresh sweep and the point-update
+/// path must be observably equivalent.
+fn batched_vs_sequential(coords: &[(f64, f64)], cfg: TopoConfig) -> TestCaseResult {
+    let run = |batched: bool| {
+        let mut space = Welds::new(coords);
+        let mut planner = MergePlanner::new(&space, &(0..coords.len()).collect::<Vec<_>>(), cfg);
+        let mut log = Vec::new();
+        while planner.len() > 1 {
+            let pairs = planner.plan_round(&space);
+            assert!(!pairs.is_empty(), "planner must make progress");
+            let mut round = Vec::new();
+            for (a, b) in pairs {
+                let m = space.merge(a, b);
+                log.push((a, b, m));
+                if batched {
+                    round.push((a, b, m));
+                } else {
+                    planner.apply_merge(&space, a, b, m);
+                }
+            }
+            if batched {
+                planner.apply_round(&space, &round);
+            }
+        }
+        log
+    };
+    prop_assert_eq!(run(true), run(false));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Drives both planners to a single subtree, comparing every round.
     #[test]
-    fn incremental_matches_from_scratch(coords in coords_strategy(), cfg in config_strategy()) {
-        let mut space = Welds::new(&coords);
-        let mut active: Vec<usize> = (0..coords.len()).collect();
-        let mut planner = MergePlanner::new(&space, &active, cfg);
-        let mut rounds = 0usize;
-        while active.len() > 1 {
-            let reference = plan_round(&space, &active, &cfg);
-            let incremental = planner.plan_round(&space);
-            prop_assert_eq!(
-                &reference,
-                &incremental,
-                "round {} diverged (n={})", rounds, coords.len()
-            );
-            prop_assert!(!reference.is_empty(), "planner must make progress");
-            for (a, b) in reference {
-                let m = space.merge(a, b);
-                // Same swap-remove discipline as the planner's dense set.
-                for x in [a, b] {
-                    let i = active.iter().position(|&k| k == x).expect("active");
-                    active.swap_remove(i);
-                }
-                active.push(m);
-                planner.apply_merge(&space, a, b, m);
-            }
-            rounds += 1;
-        }
-        prop_assert_eq!(planner.len(), 1);
-        prop_assert_eq!(planner.sole_key(), active[0]);
+    fn incremental_matches_from_scratch(
+        coords in coords_strategy(1.0, 100.0),
+        cfg in config_strategy(),
+    ) {
+        incremental_vs_from_scratch(&coords, cfg)?;
     }
 
-    /// Batched rounds ([`MergePlanner::apply_round`]) produce the same
-    /// merge sequence as reporting every merge individually through
-    /// [`MergePlanner::apply_merge`] — the refresh sweep and the
-    /// point-update path must be observably equivalent.
     #[test]
-    fn batched_apply_round_matches_sequential(coords in coords_strategy(), cfg in config_strategy()) {
-        let run = |batched: bool| {
-            let mut space = Welds::new(&coords);
-            let mut planner =
-                MergePlanner::new(&space, &(0..coords.len()).collect::<Vec<_>>(), cfg);
-            let mut log = Vec::new();
-            while planner.len() > 1 {
-                let pairs = planner.plan_round(&space);
-                assert!(!pairs.is_empty(), "planner must make progress");
-                let mut round = Vec::new();
-                for (a, b) in pairs {
-                    let m = space.merge(a, b);
-                    log.push((a, b, m));
-                    if batched {
-                        round.push((a, b, m));
-                    } else {
-                        planner.apply_merge(&space, a, b, m);
-                    }
-                }
-                if batched {
-                    planner.apply_round(&space, &round);
-                }
-            }
-            log
-        };
-        prop_assert_eq!(run(true), run(false));
+    fn incremental_matches_from_scratch_on_1_unit_lattice(
+        coords in coords_strategy(1.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        incremental_vs_from_scratch(&coords, cfg)?;
+    }
+
+    #[test]
+    fn incremental_matches_from_scratch_on_10_unit_lattice(
+        coords in coords_strategy(10.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        incremental_vs_from_scratch(&coords, cfg)?;
+    }
+
+    #[test]
+    fn incremental_matches_from_scratch_on_100_unit_lattice(
+        coords in coords_strategy(100.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        incremental_vs_from_scratch(&coords, cfg)?;
+    }
+
+    #[test]
+    fn batched_apply_round_matches_sequential(
+        coords in coords_strategy(1.0, 100.0),
+        cfg in config_strategy(),
+    ) {
+        batched_vs_sequential(&coords, cfg)?;
+    }
+
+    #[test]
+    fn batched_apply_round_matches_sequential_on_1_unit_lattice(
+        coords in coords_strategy(1.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        batched_vs_sequential(&coords, cfg)?;
+    }
+
+    #[test]
+    fn batched_apply_round_matches_sequential_on_10_unit_lattice(
+        coords in coords_strategy(10.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        batched_vs_sequential(&coords, cfg)?;
+    }
+
+    #[test]
+    fn batched_apply_round_matches_sequential_on_100_unit_lattice(
+        coords in coords_strategy(100.0, 1.0),
+        cfg in config_strategy(),
+    ) {
+        batched_vs_sequential(&coords, cfg)?;
     }
 
     /// The planner is deterministic: two independent planners over the
     /// same instance produce identical sequences.
     #[test]
-    fn planner_is_deterministic(coords in coords_strategy(), cfg in config_strategy()) {
+    fn planner_is_deterministic(coords in coords_strategy(1.0, 100.0), cfg in config_strategy()) {
         let run = || {
             let mut space = Welds::new(&coords);
             let mut planner =
